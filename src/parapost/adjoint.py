@@ -78,8 +78,7 @@ def solve_backward_cg(kind, space, times, terminal, q_t=3, cache=None):
     cache = cache or FormCache()
     times = np.asarray(times, dtype=float)
     rev = times[-1] - times[::-1]
-    zero = lambda x, t: np.zeros_like(x)
-    traj = propagate_cg(space, rev, q_t, terminal, zero, cache=cache)
+    traj = propagate_cg(space, rev, q_t, terminal, None, cache=cache)
     # reverse slab order and time-node order within slabs
     coeffs = traj.coeffs[::-1, ::-1, :].copy()
     return SpaceTimeAdjoint(kind, space, times, q_t, coeffs, terminal)

@@ -62,7 +62,7 @@ class ResidualEvaluator:
         self._s, self._w = gauss_rule(n_quad_t)
 
     def load(self, space, t):
-        key = (id(space), round(float(t), 14))
+        key = (space, round(float(t), 14))
         if key not in self._loads:
             self._loads[key] = assemble_load(space, t, self.f)
         return self._loads[key]

@@ -23,7 +23,6 @@ from .estimator import (
     ResidualEvaluator,
     STPA_COMPONENTS,
     TPA_COMPONENTS,
-    coarse_error_estimate,
     stpa_breakdown,
     tpa_breakdown,
 )

@@ -40,6 +40,14 @@ def lagrange_values(q, s):
     return _lagrange_coeffs(q) @ powers
 
 
+@lru_cache(maxsize=16)
+def _quadrature_basis(q, n_quad):
+    """Transposed degree-q basis at the n_quad-point Gauss nodes, (n_quad, q+1)."""
+    out = lagrange_values(q, gauss_rule(n_quad)[0]).T
+    out.flags.writeable = False
+    return out
+
+
 def lagrange_derivs(q, s):
     """Reference-coordinate derivatives of the degree-q Lagrange basis at s."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -66,7 +74,10 @@ class SpatialMesh:
             raise ValueError("element boundaries must be strictly increasing")
         if not (abs(bd[0] - self.a) < 1e-14 and abs(bd[-1] - self.b) < 1e-14):
             raise ValueError("boundaries must span (a, b)")
+        widths = np.diff(bd)
+        widths.flags.writeable = False
         object.__setattr__(self, "boundaries", bd)
+        object.__setattr__(self, "_widths", widths)
 
     @property
     def n_elements(self):
@@ -74,7 +85,7 @@ class SpatialMesh:
 
     @property
     def widths(self):
-        return np.diff(self.boundaries)
+        return self._widths
 
     @staticmethod
     def uniform(a, b, n_elements):
@@ -241,20 +252,18 @@ def assemble_matrix(row_space, col_space, kind, elements=None):
     else:
         raise ValueError(f"unknown kind {kind!r}")
     local_ref = (br * w[None, :]) @ bc.T  # reference-element block
+    elems = (np.arange(mesh.n_elements) if elements is None
+             else np.asarray(elements, dtype=int))
+    h = mesh.widths[elems]
+    scale = h if kind == "mass" else 1.0 / h
+    blocks = local_ref[None, :, :] * scale[:, None, None]
+    rows = np.broadcast_to(row_space.element_dofs[elems][:, :, None], blocks.shape)
+    cols = np.broadcast_to(col_space.element_dofs[elems][:, None, :], blocks.shape)
+    keep = (rows >= 0) & (cols >= 0)
     A = np.zeros((row_space.dof_count, col_space.dof_count))
-    elems = range(mesh.n_elements) if elements is None else elements
-    for e in elems:
-        h = mesh.widths[e]
-        scale = h if kind == "mass" else 1.0 / h
-        block = local_ref * scale
-        rdofs = row_space.element_dofs[e]
-        cdofs = col_space.element_dofs[e]
-        for i, gi in enumerate(rdofs):
-            if gi < 0:
-                continue
-            for j, gj in enumerate(cdofs):
-                if gj >= 0:
-                    A[gi, gj] += block[i, j]
+    # unbuffered, in element order: each entry sums its (at most two)
+    # element contributions in the same order as an element-by-element loop
+    np.add.at(A, (rows[keep], cols[keep]), blocks[keep])
     return A
 
 
@@ -267,37 +276,49 @@ def assemble_operators(space):
     return mass, stiff
 
 
-def assemble_load(space, t, f, elements=None, n_quad=10):
-    """Load vector with entries (f(., t), phi_i), fixed 10-point Gauss rule."""
+def assemble_load(space, t, f, n_quad=10):
+    """Load vector with entries (f(., t), phi_i), fixed 10-point Gauss rule per element.
+
+    f is called once, on the flattened (n_elements, n_quad) grid of quadrature
+    points; a scalar result is broadcast to every point.  f=None (homogeneous
+    problem) gives exact zeros without evaluating anything.
+    """
+    if f is None:
+        return np.zeros(space.dof_count)
     mesh = space.mesh
-    q = space.degree
     s, w = gauss_rule(n_quad)
-    basis = lagrange_values(q, s)  # (q+1, nq)
-    out = np.zeros(space.dof_count)
-    elems = range(mesh.n_elements) if elements is None else elements
-    for e in elems:
-        x0, h = mesh.boundaries[e], mesh.widths[e]
-        fx = np.asarray(f(x0 + h * s, t), dtype=float)
-        contrib = basis @ (w * fx) * h
-        for j, g in enumerate(space.element_dofs[e]):
-            if g >= 0:
-                out[g] += contrib[j]
-    return out
+    x0 = mesh.boundaries[:-1, None]
+    h = mesh.widths[:, None]
+    x = x0 + h * s[None, :]
+    fx = np.asarray(f(x.ravel(), t), dtype=float)
+    if fx.shape != (x.size,):
+        # a scalar f; broadcast_to only here, it costs a fifth of a call
+        fx = np.broadcast_to(fx, x.size)
+    basis_t = _quadrature_basis(space.degree, n_quad)
+    contrib = ((w * fx.reshape(x.shape)) @ basis_t) * h  # (n_elements, q+1)
+    dofs = space.element_dofs
+    keep = dofs >= 0
+    return np.bincount(dofs[keep], weights=contrib[keep],
+                       minlength=space.dof_count)
 
 
 class FormCache:
-    """Memoizes assembled matrices and operators keyed by space identity."""
+    """Memoizes assembled matrices, operators and cG slab factorizations.
+
+    Keys hold the space objects themselves (spaces hash by identity), so an
+    entry keeps its spaces alive exactly as long as the cache lives and can
+    never be confused with a later space that reuses a freed address.
+    """
 
     def __init__(self):
         self._mats = {}
         self._ops = {}
-        self._pinned = []  # keep spaces alive so id()-based keys stay valid
+        self._slabs = {}
 
     def matrix(self, row_space, col_space, kind, elements=None):
-        key = (id(row_space), id(col_space), kind,
+        key = (row_space, col_space, kind,
                None if elements is None else tuple(elements))
         if key not in self._mats:
-            self._pinned.extend((row_space, col_space))
             self._mats[key] = assemble_matrix(row_space, col_space, kind, elements)
         return self._mats[key]
 
@@ -308,20 +329,27 @@ class FormCache:
         return self.matrix(row_space, col_space, "stiffness")
 
     def operators(self, space):
-        if id(space) not in self._ops:
-            self._pinned.append(space)
-            self._ops[id(space)] = assemble_operators(space)
-        return self._ops[id(space)]
+        if space not in self._ops:
+            self._ops[space] = assemble_operators(space)
+        return self._ops[space]
 
     def step_operator(self, space, dt):
         """Banded SPD operator M + dt*A, cached per (space, dt)."""
-        key = (id(space), round(dt, 15))
+        key = (space, round(dt, 15))
         if key not in self._ops:
             M, A = self.operators(space)
             self._ops[key] = AssembledOperator(
                 "combo", space, M.dense + dt * A.dense
             )
         return self._ops[key]
+
+    def slab_factor(self, space, q_t, dt, build):
+        """LU factors of the cG(q_t) slab system build() for (space, q_t, dt),
+        built and factored once."""
+        key = (space, q_t, round(dt, 15))
+        if key not in self._slabs:
+            self._slabs[key] = sla.lu_factor(build())
+        return self._slabs[key]
 
     def pair(self, field_a, field_b):
         """L2 inner product of two nodal fields (possibly different degrees)."""

@@ -171,14 +171,12 @@ def _cg_time_forms(q_t):
     return alpha, beta
 
 
-_CG_FACTORS = {}
-
-
 def propagate_cg(space, times, q_t, ic, f, cache=None):
     """cG(q_t) time stepping with test functions of time degree q_t - 1.
 
     Continuity across slabs is enforced by construction; the slab start value
-    is the L2 projection of the incoming value into the solve space.
+    is the L2 projection of the incoming value into the solve space.  f=None
+    is a homogeneous problem: no load is assembled.
     """
     if q_t < 1:
         raise ValueError("q_t must be >= 1")
@@ -197,27 +195,28 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
     Pq = np.array([np.polynomial.legendre.Legendre.basis(m)(2 * sq - 1)
                    for m in range(q_t)])
 
+    def slab_system(dt):
+        K = np.zeros((q_t * ndof, q_t * ndof))
+        for m in range(q_t):
+            for j in range(1, q_t + 1):
+                K[m * ndof:(m + 1) * ndof, (j - 1) * ndof:j * ndof] = (
+                    alpha[m, j] * M.dense + dt * beta[m, j] * A.dense
+                )
+        return K
+
     coeffs = np.zeros((n_steps, q_t + 1, ndof))
     prev = u0
     for n in range(n_steps):
         t0 = times[n]
         dt = times[n + 1] - t0
-        key = (id(space), q_t, round(dt, 15))
-        if key not in _CG_FACTORS:
-            K = np.zeros((q_t * ndof, q_t * ndof))
-            for m in range(q_t):
-                for j in range(1, q_t + 1):
-                    K[m * ndof:(m + 1) * ndof, (j - 1) * ndof:j * ndof] = (
-                        alpha[m, j] * M.dense + dt * beta[m, j] * A.dense
-                    )
-            # the space reference keeps the id()-based key valid
-            _CG_FACTORS[key] = (space, sla.lu_factor(K))
-        lu = _CG_FACTORS[key][1]
-        # time-integrated load against each test function
-        loads = np.array([assemble_load(space, t0 + dt * s, f) for s in sq])
+        lu = cache.slab_factor(space, q_t, dt, lambda: slab_system(dt))
         F = np.zeros(q_t * ndof)
+        if f is not None:
+            # time-integrated load against each test function
+            loads = np.array([assemble_load(space, t0 + dt * s, f) for s in sq])
+            for m in range(q_t):
+                F[m * ndof:(m + 1) * ndof] = dt * (wq * Pq[m]) @ loads
         for m in range(q_t):
-            F[m * ndof:(m + 1) * ndof] = dt * (wq * Pq[m]) @ loads
             F[m * ndof:(m + 1) * ndof] -= (
                 alpha[m, 0] * (M.dense @ prev) + dt * beta[m, 0] * (A.dense @ prev)
             )

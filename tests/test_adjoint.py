@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import parapost.timestepping as timestepping
 from parapost.adjoint import (
     SpatialAdjointSolver,
     solve_auxiliary_adjoints,
@@ -12,7 +13,7 @@ from parapost.adjoint import (
 )
 from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh
 from parapost.schwarz import decompose_domain, subdomain_dof_sets
-from parapost.timestepping import TimePartition
+from parapost.timestepping import TimePartition, propagate_cg
 
 
 def test_backward_solve_matches_separable_exact_adjoint():
@@ -174,3 +175,23 @@ def test_spatial_adjoint_mirror_symmetry():
     for ks in range(2):
         mirrored = chi[ks][1][::-1]  # dof coords are symmetric about 0.5
         assert np.max(np.abs(chi[ks][0] - mirrored)) < 1e-12
+
+
+def test_homogeneous_backward_solves_assemble_no_load(monkeypatch):
+    calls = []
+    real = timestepping.assemble_load
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(timestepping, "assemble_load", counting)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 3)
+    grid = np.linspace(0.0, 0.3, 4)
+    terminal = space.interpolate(lambda x: np.sin(np.pi * x))
+    cache = FormCache()
+    solve_backward_cg("test", space, grid, terminal, cache=cache)
+    assert calls == []
+    propagate_cg(space, grid, 3, terminal,
+                 lambda x, t: np.sin(np.pi * x) * t, cache)
+    assert len(calls) > 0

@@ -1,0 +1,133 @@
+"""Array assembly of mass/stiffness/load forms against element-by-element oracles."""
+
+import numpy as np
+import pytest
+
+from parapost.mesh import (
+    FeSpace,
+    SpatialMesh,
+    assemble_load,
+    assemble_matrix,
+    gauss_rule,
+    lagrange_derivs,
+    lagrange_values,
+)
+
+
+def loop_assemble_matrix(row_space, col_space, kind, elements=None):
+    """Oracle: the Galerkin matrix summed one element and one entry at a time."""
+    mesh = row_space.mesh
+    qr, qc = row_space.degree, col_space.degree
+    s, w = gauss_rule((qr + qc) // 2 + 1)
+    basis = lagrange_values if kind == "mass" else lagrange_derivs
+    local_ref = (basis(qr, s) * w[None, :]) @ basis(qc, s).T
+    A = np.zeros((row_space.dof_count, col_space.dof_count))
+    elems = range(mesh.n_elements) if elements is None else elements
+    for e in elems:
+        h = mesh.widths[e]
+        block = local_ref * (h if kind == "mass" else 1.0 / h)
+        for i, gi in enumerate(row_space.element_dofs[e]):
+            if gi < 0:
+                continue
+            for j, gj in enumerate(col_space.element_dofs[e]):
+                if gj >= 0:
+                    A[gi, gj] += block[i, j]
+    return A
+
+
+def loop_assemble_load(space, t, f, n_quad=10):
+    """Oracle: the load vector integrated and scattered one element at a time."""
+    mesh = space.mesh
+    s, w = gauss_rule(n_quad)
+    basis = lagrange_values(space.degree, s)
+    out = np.zeros(space.dof_count)
+    for e in range(mesh.n_elements):
+        x0, h = mesh.boundaries[e], mesh.widths[e]
+        fx = np.asarray(f(x0 + h * s, t), dtype=float)
+        contrib = basis @ (w * fx) * h
+        for j, g in enumerate(space.element_dofs[e]):
+            if g >= 0:
+                out[g] += contrib[j]
+    return out
+
+
+def graded_mesh(n):
+    """A non-uniform mesh of n elements on (0, 1), so element widths differ."""
+    rng = np.random.default_rng(n)
+    widths = rng.uniform(0.5, 1.5, n)
+    bd = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
+    bd[-1] = 1.0
+    return SpatialMesh(0.0, 1.0, bd)
+
+
+MESHES = [graded_mesh(5), graded_mesh(20), SpatialMesh.uniform(0.0, 1.0, 80)]
+
+
+def subsets(n):
+    """None (all elements), a contiguous overlap-like range and a scattered set."""
+    return [None, tuple(range(n // 3, n // 3 + max(1, n // 4))),
+            tuple(range(0, n, 3))]
+
+
+@pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"N{m.n_elements}")
+@pytest.mark.parametrize("kind", ["mass", "stiffness"])
+def test_matrix_bitwise_equals_loop_oracle(mesh, kind):
+    # each entry has at most two element contributions, summed in element
+    # order by both, so the arrays must agree exactly
+    for qr in (1, 2, 3):
+        for qc in (1, 2, 3):
+            rs, cs = FeSpace(mesh, qr), FeSpace(mesh, qc)
+            for elems in subsets(mesh.n_elements):
+                got = assemble_matrix(rs, cs, kind, elems)
+                want = loop_assemble_matrix(rs, cs, kind, elems)
+                assert np.array_equal(got, want), (qr, qc, elems)
+
+
+LOADS = {
+    "smooth": lambda x, t: np.sin(3 * np.pi * x) * (1.0 + t),
+    "signed_poly": lambda x, t: (x - 0.3) * (x - 0.7) * np.exp(t) - 0.01,
+    "kink": lambda x, t: np.abs(x - 0.45) * np.cos(t),
+}
+
+
+@pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"N{m.n_elements}")
+@pytest.mark.parametrize("name", sorted(LOADS))
+def test_load_matches_loop_oracle(mesh, name):
+    # the element contraction is one matrix product instead of one
+    # matrix-vector product per element, so sums may reassociate: allow a
+    # few ulps of the largest entry
+    f = LOADS[name]
+    for q in (1, 2, 3):
+        space = FeSpace(mesh, q)
+        got = assemble_load(space, 0.37, f)
+        want = loop_assemble_load(space, 0.37, f)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_load_none_is_exact_zeros():
+    for q in (1, 2, 3):
+        space = FeSpace(MESHES[1], q)
+        out = assemble_load(space, 0.5, None)
+        assert out.shape == (space.dof_count,)
+        assert not np.any(out)
+
+
+def test_load_accepts_scalar_forcing():
+    space = FeSpace(MESHES[1], 2)
+    got = assemble_load(space, 0.0, lambda x, t: 2.5)
+    want = loop_assemble_load(space, 0.0, lambda x, t: 2.5 * np.ones_like(x))
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_load_calls_forcing_once_on_all_points():
+    space = FeSpace(MESHES[1], 3)
+    seen = []
+
+    def f(x, t):
+        seen.append(np.array(x, copy=True))
+        return np.ones_like(x)
+
+    assemble_load(space, 0.0, f)
+    assert len(seen) == 1
+    assert seen[0].size == space.mesh.n_elements * 10

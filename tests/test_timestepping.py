@@ -1,8 +1,12 @@
 """Temporal partitions, implicit Euler and cG(q_t) propagation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import parapost.timestepping as timestepping
 from parapost.harness import build_manufactured
 from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh
 from parapost.timestepping import (
@@ -185,3 +189,30 @@ def test_cg_rejects_bad_degree():
     ic = NodalField(space, np.array([1.0]))
     with pytest.raises(ValueError):
         propagate_cg(space, np.array([0.0, 0.1]), 0, ic, ZERO_F)
+
+
+def test_cg_homogeneous_none_equals_zero_forcing():
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
+    ic = space.interpolate(lambda x: np.sin(np.pi * x))
+    grid = np.linspace(0.0, 0.3, 4)
+    cache = FormCache()
+    a = propagate_cg(space, grid, 2, ic, None, cache)
+    b = propagate_cg(space, grid, 2, ic, ZERO_F, cache)
+    assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_cg_slab_factors_die_with_their_cache():
+    # the slab factorizations belong to the FormCache passed in: once the
+    # cache and the space are dropped nothing else keeps the space alive
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
+    cache = FormCache()
+    propagate_cg(space, np.linspace(0.0, 0.2, 3), 2,
+                 space.interpolate(lambda x: np.sin(np.pi * x)), ZERO_F, cache)
+    ref = weakref.ref(space)
+    del space, cache
+    gc.collect()
+    assert ref() is None
+    module_state = [name for name, value in vars(timestepping).items()
+                    if not name.startswith("__")
+                    and isinstance(value, (dict, list, set))]
+    assert module_state == []
