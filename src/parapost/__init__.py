@@ -20,7 +20,6 @@ from .mesh import (
     eval_field,
     project_field,
     qoi_eval,
-    solve_spd,
 )
 from .timestepping import (
     CgTrajectory,
@@ -35,9 +34,7 @@ from .schwarz import (
     AdditiveSchwarz,
     OverlapDecomposition,
     SchwarzSweepRecord,
-    asdd_solve,
     decompose_domain,
-    propagate_be_schwarz,
     subdomain_dof_sets,
 )
 from .adjoint import (
@@ -53,7 +50,6 @@ from .estimator import (
     ResidualEvaluator,
     STPA_COMPONENTS,
     TPA_COMPONENTS,
-    coarse_error_estimate,
     effectivity,
     stpa_breakdown,
     tpa_breakdown,
@@ -76,17 +72,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AssembledOperator", "FeSpace", "FormCache", "NodalField", "SpatialMesh",
     "assemble_load", "assemble_matrix", "assemble_operators", "embed",
-    "eval_field", "project_field", "qoi_eval", "solve_spd",
+    "eval_field", "project_field", "qoi_eval",
     "CgTrajectory", "TimePartition", "Trajectory", "dg0_equivalence_check",
     "propagate_be", "propagate_cg",
     "PararealState", "par_standard", "vpar",
     "AdditiveSchwarz", "OverlapDecomposition", "SchwarzSweepRecord",
-    "asdd_solve", "decompose_domain", "propagate_be_schwarz",
-    "subdomain_dof_sets",
+    "decompose_domain", "subdomain_dof_sets",
     "SpaceTimeAdjoint", "SpatialAdjointSolver", "solve_auxiliary_adjoints",
     "solve_backward_cg", "solve_coarse_adjoint", "solve_fine_adjoints",
     "ErrorBreakdown", "ResidualEvaluator", "STPA_COMPONENTS",
-    "TPA_COMPONENTS", "coarse_error_estimate", "effectivity",
+    "TPA_COMPONENTS", "effectivity",
     "stpa_breakdown", "tpa_breakdown",
     "ExperimentConfig", "ManufacturedProblem", "RunRecord", "TABLE_REGISTRY",
     "build_manufactured", "emit_report", "reproduce_table", "run_experiment",

@@ -11,10 +11,9 @@ meshes but with higher polynomial degree (default 3 in both space and time).
 """
 
 import numpy as np
-from scipy import linalg as sla
 
 from .mesh import FormCache, NodalField, lagrange_values
-from .schwarz import subdomain_dof_sets
+from .schwarz import AdditiveSchwarz
 from .timestepping import propagate_cg
 
 
@@ -127,8 +126,9 @@ class SpatialAdjointSolver:
     """Global and subdomain spatial adjoints of the Schwarz-solved step systems.
 
     Operates in the (degree-3) adjoint space on the forward mesh; the step
-    operator is B = M + dt*A in that space.  Factorizations are cached, so
-    one instance serves every (p, n) pair of a run with uniform fine steps.
+    operator is B = M + dt*A in that space.  The subdomain factorizations are
+    those of the cached AdditiveSchwarz for (space, dt, decomp), so one
+    instance serves every (p, n) pair of a run with uniform fine steps.
     """
 
     def __init__(self, space, dt, decomp, cache=None):
@@ -136,14 +136,10 @@ class SpatialAdjointSolver:
         self.decomp = decomp
         self.dt = dt
         self.cache = cache or FormCache()
-        B = self.cache.step_operator(space, dt)
-        self.B_dense = B.dense
-        self._B_op = B
+        self._B_op = self.cache.step_operator(space, dt)
+        self.B_dense = self._B_op.dense
         self.M = self.cache.mass(space, space)
-        self.sets = [subdomain_dof_sets(space, decomp, i)
-                     for i in range(decomp.P_s)]
-        self._lu = [sla.cho_factor(self.B_dense[np.ix_(s[0], s[0])])
-                    for s in self.sets]
+        self._sweeper = AdditiveSchwarz.cached(self.cache, space, dt, decomp)
         # overlap-restricted mass and B matrices, keyed (i, j)
         self._M_ov, self._B_ov = {}, {}
         for (i, j), (lo, hi) in decomp.overlaps.items():
@@ -177,9 +173,9 @@ class SpatialAdjointSolver:
                     rhs += self._M_ov[(i, j)] @ weight.coefficients
                     rhs -= self._B_ov[(i, j)] @ running[i]
                 rhs *= tau
-                interior = self.sets[i][0]
-                x = sla.cho_solve(self._lu[i], rhs[interior])
-                chi[ks - 1][i][interior] = x
+                interior = self._sweeper.sets[i][0]
+                chi[ks - 1][i][interior] = self._sweeper.local_solve(
+                    i, rhs[interior])
             for i in range(P_s):
                 running[i] = running[i] + chi[ks - 1][i]
         return chi

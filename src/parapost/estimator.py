@@ -11,12 +11,12 @@ Everything here is a pure function of immutable trajectories and adjoints.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import FormCache, NodalField, assemble_load, embed, gauss_rule, qoi_eval
-from .timestepping import CgTrajectory, Trajectory
+from .mesh import FormCache, assemble_load, embed, gauss_rule
+from .timestepping import CgTrajectory
 
 
 TPA_COMPONENTS = ("D", "K", "C", "A")
@@ -274,22 +274,3 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
     A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0, fine_space)
     comps = {"D_t": D_t, "D_s": D_s, "D_k": D_k, "K": K, "C": C, "A": A}
     return ErrorBreakdown("STPA", comps, true_error)
-
-
-def coarse_error_estimate(partition, state, coarse_adjoint, problem,
-                          true_error, cache=None, ev=None):
-    """Dual-weighted estimate of the coarse-scale solution's QoI error."""
-    ev = ev or ResidualEvaluator(problem.f, cache)
-    total = 0.0
-    for p in range(1, partition.P_t + 1):
-        total += float(np.sum(ev.residual(state.coarse[p - 1], coarse_adjoint)))
-    # corrections C_p^{k-1} recovered from the synchronized incoming values
-    for p in range(1, partition.P_t):
-        fine_space = state.fine[0].space
-        corr_prev = (embed(state.coarse[p].incoming, fine_space)
-                     - embed(state.coarse[p - 1].end, fine_space))
-        total -= ev.pair(coarse_adjoint.value_at_node(partition.sync_times[p]),
-                         corr_prev)
-    total += _ic_error_pair(ev, coarse_adjoint.value_at_node(0.0),
-                            problem.u0, state.initial)
-    return ErrorBreakdown("coarse", {"total": total}, true_error)

@@ -8,7 +8,7 @@ be computed without a reference solve.
 import json
 import math
 import time
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,7 +28,7 @@ from .estimator import (
 )
 from .mesh import FeSpace, FormCache, SpatialMesh, qoi_eval
 from .parareal import vpar
-from .schwarz import decompose_domain, propagate_be_schwarz
+from .schwarz import decompose_domain
 from .timestepping import TimePartition, propagate_be, propagate_cg
 
 
@@ -118,6 +118,22 @@ class ExperimentConfig:
     path: str = ""
 
     def validate(self):
+        counts = ["P_t", "K_t", "Nhat_t", "Nhat_s", "qhat_s", "q_s", "qhat_t",
+                  "q_t", "adjoint_time_degree", "adjoint_space_degree"]
+        if self.schwarz:
+            counts.append("K_s")
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("nu", "mu", "T", "qoi_lo", "qoi_hi", "qoi_scale",
+                     "beta", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.T <= 0:
+            raise ValueError(f"T must be > 0, got {self.T}")
+        if not self.qoi_lo < self.qoi_hi:
+            raise ValueError(
+                f"qoi_lo={self.qoi_lo} must be below qoi_hi={self.qoi_hi}")
         if self.Nhat_t % self.P_t != 0:
             raise ValueError(f"Nhat_t={self.Nhat_t} not divisible by P_t={self.P_t}")
         if self.r < 1 or int(self.r) != self.r:
@@ -126,8 +142,6 @@ class ExperimentConfig:
             raise ValueError("qhat_s must not exceed q_s")
         if self.integrator not in ("be", "cg"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.K_t < 1:
-            raise ValueError("K_t must be >= 1")
         if self.schwarz:
             if self.integrator != "be":
                 raise ValueError("the Schwarz fine solver requires integrator 'be'")
@@ -221,19 +235,15 @@ def run_experiment(config):
         def fine_solver(grid, ic):
             return propagate_cg(fine_space, grid, config.q_t, ic, f, cache)
     else:
+        decomp = (decompose_domain(mesh, config.P_s, config.beta, config.tau)
+                  if config.schwarz else None)
+
         def coarse_solver(grid, ic):
             return propagate_be(coarse_space, grid, ic, f, cache)
 
-        if config.schwarz:
-            decomp = decompose_domain(mesh, config.P_s, config.beta, config.tau)
-
-            def fine_solver(grid, ic):
-                return propagate_be_schwarz(
-                    fine_space, grid, ic, f, decomp, config.K_s, cache
-                )
-        else:
-            def fine_solver(grid, ic):
-                return propagate_be(fine_space, grid, ic, f, cache)
+        def fine_solver(grid, ic):
+            return propagate_be(fine_space, grid, ic, f, cache, decomp,
+                                config.K_s)
 
     initial = coarse_space.interpolate(problem.u0)
     states = vpar(partition, config.K_t, initial, fine_solver, coarse_solver,

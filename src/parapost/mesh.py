@@ -8,7 +8,7 @@ evaluation of terminal-time quantities of interest.
 All objects are immutable after construction and safe to share.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -208,9 +208,6 @@ class AssembledOperator:
             ab[u - i, i:] = np.diagonal(self.dense, offset=i)
         return ab
 
-    def matvec(self, x):
-        return self.dense @ x
-
     def _factor(self):
         if self._cho is None:
             try:
@@ -303,7 +300,7 @@ def assemble_load(space, t, f, n_quad=10):
 
 
 class FormCache:
-    """Memoizes assembled matrices, operators and cG slab factorizations.
+    """Memoizes assembled matrices, operators and factorizations.
 
     Keys hold the space objects themselves (spaces hash by identity), so an
     entry keeps its spaces alive exactly as long as the cache lives and can
@@ -313,7 +310,7 @@ class FormCache:
     def __init__(self):
         self._mats = {}
         self._ops = {}
-        self._slabs = {}
+        self._factors = {}
 
     def matrix(self, row_space, col_space, kind, elements=None):
         key = (row_space, col_space, kind,
@@ -343,23 +340,12 @@ class FormCache:
             )
         return self._ops[key]
 
-    def slab_factor(self, space, q_t, dt, build):
-        """LU factors of the cG(q_t) slab system build() for (space, q_t, dt),
-        built and factored once."""
-        key = (space, q_t, round(dt, 15))
-        if key not in self._slabs:
-            self._slabs[key] = sla.lu_factor(build())
-        return self._slabs[key]
-
-    def pair(self, field_a, field_b):
-        """L2 inner product of two nodal fields (possibly different degrees)."""
-        G = self.mass(field_a.space, field_b.space)
-        return field_a.coefficients @ G @ field_b.coefficients
-
-
-def solve_spd(op, rhs):
-    """Direct banded Cholesky solve of an SPD AssembledOperator."""
-    return op.solve(rhs)
+    def factor(self, key, build):
+        """A factorization, or a solver holding factorizations, built once
+        per key by build() (the cG slab LU, the Schwarz subdomain blocks)."""
+        if key not in self._factors:
+            self._factors[key] = build()
+        return self._factors[key]
 
 
 def project_field(source, target_space, mode="l2_projection"):

@@ -15,8 +15,6 @@ interpolated onto the coarse space before it is added.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .mesh import NodalField, embed, project_field
 
 

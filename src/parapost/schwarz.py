@@ -3,7 +3,9 @@
 Used as the per-time-step solver at the fine scale: each sweep solves the
 P_s local Dirichlet problems against the current iterate's trace values and
 blends them with a Richardson parameter tau.  The full sweep history is
-recorded for the a posteriori error split.
+recorded for the a posteriori error split.  The subdomain factorizations
+are set up here once per (space, dt, decomposition) and shared with the
+spatial adjoints.
 """
 
 from dataclasses import dataclass
@@ -11,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .mesh import FormCache, NodalField, assemble_load, project_field
-from .timestepping import Trajectory
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapDecomposition:
-    """P_s overlapping element blocks of a 1D mesh."""
+    """P_s overlapping element blocks of a 1D mesh.
+
+    Compares and hashes by identity, so it can key a FormCache entry.
+    """
 
     mesh: object
     P_s: int
@@ -109,6 +111,19 @@ class AdditiveSchwarz:
         self._lu = [sla.cho_factor(B_dense[np.ix_(s[0], s[0])])
                     for s in self.sets]
 
+    @classmethod
+    def cached(cls, cache, space, dt, decomp):
+        """The sweeper of the step operator M + dt*A, built once per
+        (space, dt, decomposition) and owned by the FormCache."""
+        return cache.factor(
+            ("schwarz", space, round(dt, 15), decomp),
+            lambda: cls(space, cache.step_operator(space, dt).dense, decomp),
+        )
+
+    def local_solve(self, i, rhs):
+        """Solve the interior block of B on subdomain i."""
+        return sla.cho_solve(self._lu[i], rhs)
+
     def solve(self, rhs, guess, K_s):
         """Run K_s sweeps from the given initial guess; returns the final
         iterate and the full sweep record."""
@@ -124,7 +139,7 @@ class AdditiveSchwarz:
                 interior, trace, closure = self.sets[i]
                 r = rhs[interior] - self.B[np.ix_(interior, trace)] @ u[trace]
                 try:
-                    x = sla.cho_solve(self._lu[i], r)
+                    x = self.local_solve(i, r)
                 except sla.LinAlgError as exc:
                     raise RuntimeError(
                         f"local solve failed at sweep k_s={k + 1}, subdomain i={i}"
@@ -139,56 +154,3 @@ class AdditiveSchwarz:
             record.iterates.append(u.copy())
             record.locals_.append(locals_k)
         return u, record
-
-
-def propagate_be_schwarz(space, times, ic, f, decomp, K_s, cache=None,
-                         initial_guess="zero"):
-    """Implicit Euler where each step's SPD system is solved by K_s additive
-    Schwarz sweeps.
-
-    initial_guess selects the sweep starting iterate per step: 'zero' or
-    'previous' (the previous time step's solution).  Returns a Trajectory
-    carrying the per-step sweep records in traj.schwarz_records (index n-1
-    for step n).
-    """
-    if initial_guess not in ("zero", "previous"):
-        raise ValueError(f"unknown initial_guess {initial_guess!r}")
-    cache = cache or FormCache()
-    times = np.asarray(times, dtype=float)
-    n_steps = len(times) - 1
-    M, _ = cache.operators(space)
-    Minc = cache.mass(space, ic.space)
-    values = np.zeros((n_steps + 1, space.dof_count))
-    prev_m = Minc @ ic.coefficients
-    values[0] = M.solve(prev_m)
-    records = []
-    prev = values[0]
-    dt0 = times[1] - times[0]
-    sweeper = AdditiveSchwarz(space, cache.step_operator(space, dt0).dense, decomp)
-    for n in range(1, n_steps + 1):
-        dt = times[n] - times[n - 1]
-        if abs(dt - dt0) > 1e-13 * max(abs(dt), 1.0):
-            dt0 = dt
-            sweeper = AdditiveSchwarz(
-                space, cache.step_operator(space, dt).dense, decomp
-            )
-        rhs = prev_m + dt * assemble_load(space, times[n], f)
-        guess = prev if initial_guess == "previous" else np.zeros_like(prev)
-        u, rec = sweeper.solve(rhs, guess, K_s)
-        values[n] = u
-        records.append(rec)
-        prev = u
-        prev_m = M.dense @ u
-    traj = Trajectory(space, times, values, incoming=ic)
-    traj.schwarz_records = records
-    return traj
-
-
-def asdd_solve(space, B_op, rhs, decomp, K_s, initial_guess, cache=None):
-    """One additive Schwarz solve of B u = rhs (B an AssembledOperator combo).
-
-    Returns (solution NodalField, SchwarzSweepRecord)."""
-    sweeper = AdditiveSchwarz(space, B_op.dense, decomp)
-    u, rec = sweeper.solve(np.asarray(rhs, dtype=float),
-                           initial_guess.coefficients, K_s)
-    return NodalField(space, u), rec

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .harness import ExperimentConfig, build_manufactured, run_experiment
-from .mesh import FeSpace, FormCache, SpatialMesh, project_field, qoi_eval
+from .mesh import FeSpace, FormCache, SpatialMesh, project_field
 from .parareal import par_standard, vpar
 from .schwarz import AdditiveSchwarz, decompose_domain
 from .timestepping import TimePartition, dg0_equivalence_check, propagate_be

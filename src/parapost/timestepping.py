@@ -1,7 +1,8 @@
 """Temporal partitions and the coarse/fine propagators.
 
-Implicit Euler (nodally a piecewise-constant-in-time Galerkin method) and
-cG(q_t) continuous-in-time Galerkin stepping, both returning full space-time
+Implicit Euler (nodally a piecewise-constant-in-time Galerkin method), with
+each step solved directly or by additive Schwarz sweeps, and cG(q_t)
+continuous-in-time Galerkin stepping, both returning full space-time
 trajectories on a step grid.  Propagations on distinct temporal subdomains
 share no mutable state.
 """
@@ -20,6 +21,7 @@ from .mesh import (
     lagrange_values,
     lagrange_derivs,
 )
+from .schwarz import AdditiveSchwarz
 
 
 @dataclass(frozen=True)
@@ -92,12 +94,18 @@ class Trajectory:
         return self.field(self.n_steps)
 
 
-def propagate_be(space, times, ic, f, cache=None):
+def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
     """Implicit Euler over a step grid: (M + dt A) U_n = (U_{n-1}, .) + dt l(t_n).
 
-    The incoming value may live in a different space on the same mesh; its
-    first-step contribution is the exact cross-space L2 pairing.
+    Each step's SPD system is solved directly (banded Cholesky) or, given an
+    OverlapDecomposition, by K_s additive Schwarz sweeps from a zero guess;
+    the trajectory then carries the per-step sweep records in
+    traj.schwarz_records (index n-1 for step n).  The incoming value may
+    live in a different space on the same mesh; its first-step contribution
+    is the exact cross-space L2 pairing.
     """
+    if decomp is not None and (K_s is None or K_s < 1):
+        raise ValueError("K_s must be >= 1")
     cache = cache or FormCache()
     times = np.asarray(times, dtype=float)
     n_steps = len(times) - 1
@@ -106,13 +114,21 @@ def propagate_be(space, times, ic, f, cache=None):
     Minc = cache.mass(space, ic.space)
     prev_m = Minc @ ic.coefficients  # (U_0, phi_i)
     values[0] = M.solve(prev_m)
+    records = []
     for n in range(1, n_steps + 1):
         dt = times[n] - times[n - 1]
-        B = cache.step_operator(space, dt)
         rhs = prev_m + dt * assemble_load(space, times[n], f)
-        values[n] = B.solve(rhs)
+        if decomp is None:
+            values[n] = cache.step_operator(space, dt).solve(rhs)
+        else:
+            sweeper = AdditiveSchwarz.cached(cache, space, dt, decomp)
+            values[n], rec = sweeper.solve(rhs, np.zeros(space.dof_count), K_s)
+            records.append(rec)
         prev_m = M.dense @ values[n]
-    return Trajectory(space, times, values, incoming=ic)
+    traj = Trajectory(space, times, values, incoming=ic)
+    if decomp is not None:
+        traj.schwarz_records = records
+    return traj
 
 
 class CgTrajectory:
@@ -209,7 +225,8 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
     for n in range(n_steps):
         t0 = times[n]
         dt = times[n + 1] - t0
-        lu = cache.slab_factor(space, q_t, dt, lambda: slab_system(dt))
+        lu = cache.factor(("cg_slab", space, q_t, round(dt, 15)),
+                          lambda: sla.lu_factor(slab_system(dt)))
         F = np.zeros(q_t * ndof)
         if f is not None:
             # time-integrated load against each test function

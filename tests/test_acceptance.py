@@ -16,8 +16,7 @@ from parapost.harness import ExperimentConfig, build_manufactured, \
 from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, \
     project_field
 from parapost.parareal import par_standard, vpar
-from parapost.schwarz import AdditiveSchwarz, decompose_domain, \
-    propagate_be_schwarz
+from parapost.schwarz import AdditiveSchwarz, decompose_domain
 from parapost.timestepping import TimePartition, dg0_equivalence_check, \
     propagate_be
 
@@ -211,7 +210,7 @@ def test_property_schwarz_fixed_point_and_convergence():
     # convergence: 50 sweeps per step reproduce the direct stepping
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
-    a = propagate_be_schwarz(space, grid, ic, prob.f, decomp, 50, cache)
+    a = propagate_be(space, grid, ic, prob.f, cache, decomp=decomp, K_s=50)
     b = propagate_be(space, grid, ic, prob.f, cache)
     assert np.max(np.abs(a.values - b.values)) <= 1e-10
 
@@ -224,8 +223,8 @@ def test_property_spatial_split_identity():
     decomp = decompose_domain(mesh, 2, 0.2)
     grid = np.linspace(0.0, 0.5, 6)
     cache = FormCache()
-    traj = propagate_be_schwarz(space, grid, space.interpolate(prob.u0),
-                                prob.f, decomp, 2, cache)
+    traj = propagate_be(space, grid, space.interpolate(prob.u0), prob.f,
+                        cache, decomp=decomp, K_s=2)
     solver = SpatialAdjointSolver(adj_space, grid[1] - grid[0], decomp, cache)
     ev = ResidualEvaluator(prob.f, cache)
     phi_val = adj_space.interpolate(lambda x: np.sin(np.pi * x))

@@ -17,6 +17,7 @@ from parapost.harness import (
     run_experiment,
     run_sweep,
 )
+from parapost.schwarz import AdditiveSchwarz
 
 SMALL = dict(Nhat_t=4, r=2, P_t=2, K_t=1, Nhat_s=4, qhat_s=1, q_s=2,
              nu=2, mu=1, T=0.5)
@@ -81,6 +82,55 @@ def test_config_validation_errors():
         ExperimentConfig(schwarz=True, Nhat_s=20, P_s=3).validate()
     with pytest.raises(ValueError):
         ExperimentConfig.from_mapping({"Nhat_T": 10})  # misspelled key
+
+
+BAD_CONFIGS = [
+    (dict(P_t=0), "P_t"),
+    (dict(Nhat_t=0), "Nhat_t"),
+    (dict(Nhat_s=0), "Nhat_s"),
+    (dict(qhat_s=0), "qhat_s"),
+    (dict(schwarz=True, K_s=0), "K_s"),
+    (dict(integrator="cg", q_t=0), "q_t"),
+    (dict(integrator="cg", qhat_t=0), "qhat_t"),
+    (dict(adjoint_time_degree=0), "adjoint_time_degree"),
+    (dict(adjoint_space_degree=0), "adjoint_space_degree"),
+    (dict(T=-1.0), "T"),
+    (dict(T=float("nan")), "T"),
+    (dict(tau=float("nan")), "tau"),
+    (dict(nu=float("inf")), "nu"),
+    (dict(qoi_lo=0.6, qoi_hi=0.2), "qoi_lo"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, name", BAD_CONFIGS,
+    ids=[",".join(f"{k}={v}" for k, v in o.items()) for o, _ in BAD_CONFIGS])
+def test_config_rejects_bad_values_by_name(overrides, name):
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig(**overrides).validate()
+    # every registry row still validates (from_mapping validates)
+    for entry in TABLE_REGISTRY.values():
+        for v in entry["values"]:
+            ExperimentConfig.from_mapping(
+                dict(entry["base"], **{entry["param"]: v}))
+
+
+def test_stpa_run_builds_one_sweeper_per_space(monkeypatch):
+    # the fine solves of every Parareal iteration share one cached sweeper,
+    # and the spatial adjoints reuse the factorizations of a second one
+    built = []
+    init = AdditiveSchwarz.__init__
+
+    def counting_init(self, space, B_dense, decomp):
+        built.append(space.degree)
+        init(self, space, B_dense, decomp)
+
+    monkeypatch.setattr(AdditiveSchwarz, "__init__", counting_init)
+    cfg = ExperimentConfig(Nhat_t=4, r=2, P_t=2, K_t=2, Nhat_s=8, qhat_s=1,
+                           q_s=2, schwarz=True, P_s=2, K_s=2, beta=0.25,
+                           nu=2, mu=2, T=0.5)
+    run_experiment(cfg)
+    assert sorted(built) == [cfg.q_s, cfg.adjoint_space_degree]
 
 
 def test_config_from_json_file(tmp_path):

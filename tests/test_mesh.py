@@ -18,7 +18,6 @@ from parapost.mesh import (
     embed,
     project_field,
     qoi_eval,
-    solve_spd,
 )
 
 
@@ -137,10 +136,10 @@ def test_projection_zero():
 def test_solve_spd_identity_and_scalar():
     ident = AssembledOperator("mass", FeSpace(SpatialMesh.uniform(0, 1, 2), 1),
                               np.array([[1.0]]))
-    assert solve_spd(ident, np.array([0.7]))[0] == pytest.approx(0.7)
+    assert ident.solve(np.array([0.7]))[0] == pytest.approx(0.7)
     four = AssembledOperator("mass", FeSpace(SpatialMesh.uniform(0, 1, 2), 1),
                              np.array([[4.0]]))
-    assert solve_spd(four, np.array([1.0]))[0] == pytest.approx(0.25)
+    assert four.solve(np.array([1.0]))[0] == pytest.approx(0.25)
 
 
 def test_solve_spd_banded_vs_dense_oracle():

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from parapost.harness import build_manufactured
-from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh
+from parapost.mesh import FeSpace, FormCache, SpatialMesh
 from parapost.schwarz import (
     AdditiveSchwarz,
-    asdd_solve,
     decompose_domain,
-    propagate_be_schwarz,
     subdomain_dof_sets,
 )
 from parapost.timestepping import propagate_be
@@ -68,7 +66,7 @@ def test_schwarz_collapse_single_subdomain():
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 9)
     cache = FormCache()
-    a = propagate_be_schwarz(space, grid, ic, prob.f, d, 1, cache)
+    a = propagate_be(space, grid, ic, prob.f, cache, decomp=d, K_s=1)
     b = propagate_be(space, grid, ic, prob.f, cache)
     assert np.max(np.abs(a.values - b.values)) < 1e-10
 
@@ -81,7 +79,7 @@ def test_schwarz_many_sweeps_converges_to_direct():
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
     cache = FormCache()
-    a = propagate_be_schwarz(space, grid, ic, prob.f, d, 50, cache)
+    a = propagate_be(space, grid, ic, prob.f, cache, decomp=d, K_s=50)
     b = propagate_be(space, grid, ic, prob.f, cache)
     assert np.max(np.abs(a.values - b.values)) < 1e-10
 
@@ -156,24 +154,15 @@ def test_local_solves_satisfy_restricted_system():
             assert np.max(np.abs(res)) < 1e-11
 
 
-def test_initial_guess_modes_differ_and_validate():
+def test_schwarz_stepping_rejects_zero_sweeps():
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
     d = decompose_domain(mesh, 2, 0.2)
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
-    cache = FormCache()
-    a = propagate_be_schwarz(space, grid, ic, prob.f, d, 2, cache,
-                             initial_guess="zero")
-    b = propagate_be_schwarz(space, grid, ic, prob.f, d, 2, cache,
-                             initial_guess="previous")
-    assert np.max(np.abs(a.values - b.values)) > 1e-8
     with pytest.raises(ValueError):
-        propagate_be_schwarz(space, grid, ic, prob.f, d, 2, cache,
-                             initial_guess="warm")
-    with pytest.raises(ValueError):
-        propagate_be_schwarz(space, grid, ic, prob.f, d, 0, cache)
+        propagate_be(space, grid, ic, prob.f, FormCache(), decomp=d, K_s=0)
 
 
 def test_records_are_retained_per_step():
@@ -182,8 +171,8 @@ def test_records_are_retained_per_step():
     space = FeSpace(mesh, 1)
     d = decompose_domain(mesh, 2, 0.25)
     ic = space.interpolate(prob.u0)
-    traj = propagate_be_schwarz(space, np.linspace(0.0, 0.5, 5), ic, prob.f,
-                                d, 3)
+    traj = propagate_be(space, np.linspace(0.0, 0.5, 5), ic, prob.f,
+                        decomp=d, K_s=3)
     assert len(traj.schwarz_records) == 4
     for rec in traj.schwarz_records:
         assert len(rec.iterates) == 4      # guess + 3 sweeps
@@ -191,7 +180,7 @@ def test_records_are_retained_per_step():
         assert np.max(np.abs(rec.iterates[0])) == 0.0  # zero initial guess
 
 
-def test_asdd_solve_wrapper():
+def test_many_sweeps_solve_the_step_system():
     mesh = SpatialMesh.uniform(0.0, 1.0, 12)
     space = FeSpace(mesh, 2)
     d = decompose_domain(mesh, 2, 0.25)
@@ -199,7 +188,20 @@ def test_asdd_solve_wrapper():
     B = cache.step_operator(space, 0.02)
     rng = np.random.default_rng(12)
     rhs = rng.standard_normal(space.dof_count)
-    guess = NodalField(space, np.zeros(space.dof_count))
-    u, rec = asdd_solve(space, B, rhs, d, 40, guess)
-    assert np.max(np.abs(u.coefficients - B.solve(rhs))) < 1e-6
+    sweeper = AdditiveSchwarz.cached(cache, space, 0.02, d)
+    u, rec = sweeper.solve(rhs, np.zeros(space.dof_count), 40)
+    assert np.max(np.abs(u - B.solve(rhs))) < 1e-6
     assert len(rec.locals_) == 40
+
+
+def test_sweeper_is_built_once_per_space_dt_and_decomposition():
+    mesh = SpatialMesh.uniform(0.0, 1.0, 12)
+    space = FeSpace(mesh, 2)
+    d = decompose_domain(mesh, 2, 0.25)
+    cache = FormCache()
+    a = AdditiveSchwarz.cached(cache, space, 0.02, d)
+    assert AdditiveSchwarz.cached(cache, space, 0.02, d) is a
+    assert AdditiveSchwarz.cached(cache, space, 0.04, d) is not a
+    other = decompose_domain(mesh, 2, 0.25)
+    assert AdditiveSchwarz.cached(cache, space, 0.02, other) is not a
+    assert len({d, other}) == 2

@@ -6,9 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
+import parapost.schwarz as schwarz
 import parapost.timestepping as timestepping
 from parapost.harness import build_manufactured
 from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh
+from parapost.schwarz import AdditiveSchwarz, decompose_domain
 from parapost.timestepping import (
     TimePartition,
     dg0_equivalence_check,
@@ -202,17 +204,24 @@ def test_cg_homogeneous_none_equals_zero_forcing():
 
 
 def test_cg_slab_factors_die_with_their_cache():
-    # the slab factorizations belong to the FormCache passed in: once the
-    # cache and the space are dropped nothing else keeps the space alive
-    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
+    # the slab factorizations and the Schwarz sweepers belong to the
+    # FormCache passed in: once the cache, the space and the decomposition
+    # are dropped nothing else keeps them alive
+    mesh = SpatialMesh.uniform(0.0, 1.0, 6)
+    space = FeSpace(mesh, 2)
+    decomp = decompose_domain(mesh, 2, 0.35)
     cache = FormCache()
-    propagate_cg(space, np.linspace(0.0, 0.2, 3), 2,
-                 space.interpolate(lambda x: np.sin(np.pi * x)), ZERO_F, cache)
-    ref = weakref.ref(space)
-    del space, cache
+    ic = space.interpolate(lambda x: np.sin(np.pi * x))
+    grid = np.linspace(0.0, 0.2, 3)
+    propagate_cg(space, grid, 2, ic, ZERO_F, cache)
+    traj = propagate_be(space, grid, ic, ZERO_F, cache, decomp=decomp, K_s=2)
+    assert AdditiveSchwarz.cached(cache, space, grid[1], decomp).space is space
+    refs = [weakref.ref(space), weakref.ref(decomp)]
+    del space, decomp, cache, ic, traj
     gc.collect()
-    assert ref() is None
-    module_state = [name for name, value in vars(timestepping).items()
-                    if not name.startswith("__")
-                    and isinstance(value, (dict, list, set))]
-    assert module_state == []
+    assert [ref() for ref in refs] == [None, None]
+    for module in (timestepping, schwarz):
+        module_state = [name for name, value in vars(module).items()
+                        if not name.startswith("__")
+                        and isinstance(value, (dict, list, set))]
+        assert module_state == []
