@@ -7,84 +7,31 @@ time-parallel and space-parallel contributions whose sum matches the true
 error up to higher-order adjoint approximation effects.
 """
 
-from .mesh import (
-    AssembledOperator,
-    FeSpace,
-    FormCache,
-    NodalField,
-    SpatialMesh,
-    assemble_load,
-    assemble_matrix,
-    assemble_operators,
-    embed,
-    eval_field,
-    project_field,
-    qoi_eval,
-)
-from .timestepping import (
-    CgTrajectory,
-    TimePartition,
-    Trajectory,
-    dg0_equivalence_check,
-    propagate_be,
-    propagate_cg,
-)
-from .parareal import PararealState, par_standard, vpar
-from .schwarz import (
-    AdditiveSchwarz,
-    OverlapDecomposition,
-    SchwarzSweepRecord,
-    decompose_domain,
-    subdomain_dof_sets,
-)
+from .mesh import FeSpace, FormCache, SpatialMesh, qoi_eval
+from .timestepping import TimePartition, propagate_be, propagate_cg
+from .parareal import vpar
+from .schwarz import decompose_domain
 from .adjoint import (
-    SpaceTimeAdjoint,
-    SpatialAdjointSolver,
     solve_auxiliary_adjoints,
-    solve_backward_cg,
     solve_coarse_adjoint,
     solve_fine_adjoints,
 )
-from .estimator import (
-    ErrorBreakdown,
-    ResidualEvaluator,
-    STPA_COMPONENTS,
-    TPA_COMPONENTS,
-    effectivity,
-    stpa_breakdown,
-    tpa_breakdown,
-)
+from .estimator import ResidualEvaluator, stpa_breakdown, tpa_breakdown
 from .harness import (
     ExperimentConfig,
-    ManufacturedProblem,
-    RunRecord,
-    TABLE_REGISTRY,
     build_manufactured,
-    emit_report,
     reproduce_table,
     run_experiment,
     run_sweep,
 )
-from .selftest import run_selftest
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssembledOperator", "FeSpace", "FormCache", "NodalField", "SpatialMesh",
-    "assemble_load", "assemble_matrix", "assemble_operators", "embed",
-    "eval_field", "project_field", "qoi_eval",
-    "CgTrajectory", "TimePartition", "Trajectory", "dg0_equivalence_check",
-    "propagate_be", "propagate_cg",
-    "PararealState", "par_standard", "vpar",
-    "AdditiveSchwarz", "OverlapDecomposition", "SchwarzSweepRecord",
-    "decompose_domain", "subdomain_dof_sets",
-    "SpaceTimeAdjoint", "SpatialAdjointSolver", "solve_auxiliary_adjoints",
-    "solve_backward_cg", "solve_coarse_adjoint", "solve_fine_adjoints",
-    "ErrorBreakdown", "ResidualEvaluator", "STPA_COMPONENTS",
-    "TPA_COMPONENTS", "effectivity",
-    "stpa_breakdown", "tpa_breakdown",
-    "ExperimentConfig", "ManufacturedProblem", "RunRecord", "TABLE_REGISTRY",
-    "build_manufactured", "emit_report", "reproduce_table", "run_experiment",
-    "run_sweep",
-    "run_selftest",
+    "ExperimentConfig", "run_experiment", "run_sweep", "reproduce_table",
+    "build_manufactured",
+    "SpatialMesh", "FeSpace", "FormCache", "TimePartition",
+    "propagate_be", "propagate_cg", "decompose_domain", "vpar",
+    "solve_coarse_adjoint", "solve_fine_adjoints", "solve_auxiliary_adjoints",
+    "ResidualEvaluator", "tpa_breakdown", "stpa_breakdown", "qoi_eval",
 ]

@@ -12,7 +12,7 @@ meshes but with higher polynomial degree (default 3 in both space and time).
 
 import numpy as np
 
-from .mesh import FormCache, NodalField, lagrange_values
+from .mesh import FormCache, NodalField, assemble_matrix, lagrange_values
 from .schwarz import AdditiveSchwarz
 from .timestepping import propagate_cg
 
@@ -127,27 +127,35 @@ class SpatialAdjointSolver:
 
     Operates in the (degree-3) adjoint space on the forward mesh; the step
     operator is B = M + dt*A in that space.  The subdomain factorizations are
-    those of the cached AdditiveSchwarz for (space, dt, decomp), so one
-    instance serves every (p, n) pair of a run with uniform fine steps.
+    those of the cached AdditiveSchwarz for (space, dt, decomp).  cached()
+    builds one instance per (space, dt, decomposition), shared by every step
+    of that size.
     """
 
     def __init__(self, space, dt, decomp, cache=None):
+        cache = cache or FormCache()
         self.space = space
         self.decomp = decomp
-        self.dt = dt
-        self.cache = cache or FormCache()
-        self._B_op = self.cache.step_operator(space, dt)
-        self.B_dense = self._B_op.dense
-        self.M = self.cache.mass(space, space)
-        self._sweeper = AdditiveSchwarz.cached(self.cache, space, dt, decomp)
-        # overlap-restricted mass and B matrices, keyed (i, j)
-        self._M_ov, self._B_ov = {}, {}
-        for (i, j), (lo, hi) in decomp.overlaps.items():
-            elems = tuple(range(lo, hi))
-            Mij = self.cache.matrix(space, space, "mass", elems)
-            Aij = self.cache.matrix(space, space, "stiffness", elems)
-            self._M_ov[(i, j)] = Mij
-            self._B_ov[(i, j)] = Mij + dt * Aij
+        self._B_op = cache.step_operator(space, dt)
+        self.M = cache.mass(space, space)
+        self._sweeper = AdditiveSchwarz.cached(cache, space, dt, decomp)
+        # mass and step matrices with each element counted once per subdomain
+        # covering it; on the interior rows of subdomain i they equal the sum
+        # over j of the matrices restricted to the overlaps of i and j
+        self._Mm = sum(assemble_matrix(space, space, "mass", decomp.elements(j))
+                       for j in range(decomp.P_s))
+        Bm = self._Mm + dt * sum(
+            assemble_matrix(space, space, "stiffness", decomp.elements(j))
+            for j in range(decomp.P_s))
+        self._Bm = [Bm[np.ix_(interior, interior)]
+                    for interior, _ in self._sweeper.sets]
+
+    @classmethod
+    def cached(cls, cache, space, dt, decomp):
+        """The solver for step size dt, built once per (space, dt,
+        decomposition) and owned by the FormCache."""
+        return cache.factor(("spatial_adjoint", space, round(dt, 15), decomp),
+                            lambda: cls(space, dt, decomp, cache))
 
     def solve_global(self, weight):
         """Phi solving B(v, Phi) = (weight, v) for all v (B symmetric)."""
@@ -158,24 +166,19 @@ class SpatialAdjointSolver:
         """Backward recursion for the per-sweep subdomain adjoints.
 
         Returns chi[k_s][i] (1-based k_s flattened to index k_s-1) as
-        full-length coefficient vectors, zero outside subdomain i.
+        full-length coefficient vectors, zero outside the interior of
+        subdomain i; on its interior rows
+        B chi_i^{k_s} = tau (Mm weight - Bm sum_{l > k_s} chi_i^l).
         """
         tau, P_s = self.decomp.tau, self.decomp.P_s
         ndof = self.space.dof_count
         chi = [[np.zeros(ndof) for _ in range(P_s)] for _ in range(K_s)]
-        running = [np.zeros(ndof) for _ in range(P_s)]  # sum_{l > k_s} chi_i^l
-        for ks in range(K_s, 0, -1):
-            for i in range(P_s):
-                rhs = np.zeros(ndof)
-                for j in range(P_s):
-                    if (i, j) not in self._M_ov:
-                        continue
-                    rhs += self._M_ov[(i, j)] @ weight.coefficients
-                    rhs -= self._B_ov[(i, j)] @ running[i]
-                rhs *= tau
-                interior = self._sweeper.sets[i][0]
-                chi[ks - 1][i][interior] = self._sweeper.local_solve(
-                    i, rhs[interior])
-            for i in range(P_s):
-                running[i] = running[i] + chi[ks - 1][i]
+        tMw = tau * (self._Mm @ weight.coefficients)
+        for i, (interior, _) in enumerate(self._sweeper.sets):
+            running = np.zeros(len(interior))  # sum_{l > k_s} chi_i^l
+            for ks in range(K_s, 0, -1):
+                x = self._sweeper.local_solve(
+                    i, tMw[interior] - tau * (self._Bm[i] @ running))
+                chi[ks - 1][i][interior] = x
+                running = running + x
         return chi

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adjoint import SpatialAdjointSolver
 from .mesh import FormCache, assemble_load, embed, gauss_rule
 from .timestepping import CgTrajectory
 
@@ -219,15 +220,20 @@ def tpa_breakdown(partition, state, adjoints, problem, true_error,
     return ErrorBreakdown("TPA", comps, true_error)
 
 
-def dd_split(traj, n, spatial_solver, phi_val, ev):
+def dd_split(traj, n, decomp, phi_val, ev):
     """Thm-2 split of the step-n algebraic error into discretization (E^N)
-    and Schwarz-iteration (E^K) parts, for a Schwarz-solved trajectory."""
+    and Schwarz-iteration (E^K) parts, for a Schwarz-solved trajectory.
+
+    The spatial adjoints live in phi_val's space; their solver is the one
+    cached in ev.cache for that space, the step's dt and the decomposition.
+    """
     if not hasattr(traj, "schwarz_records"):
         raise ValueError("trajectory carries no Schwarz sweep record")
     rec = traj.schwarz_records[n - 1]
     K_s = len(rec.locals_)
-    space3 = spatial_solver.space
+    space3 = phi_val.space
     dt = traj.times[n] - traj.times[n - 1]
+    spatial_solver = SpatialAdjointSolver.cached(ev.cache, space3, dt, decomp)
     M3x = ev.cache.mass(space3, traj.space)
     B3x = M3x + dt * ev.cache.stiffness(space3, traj.space)
     # the step's right-hand functional evaluated on degree-3 fields
@@ -242,7 +248,7 @@ def dd_split(traj, n, spatial_solver, phi_val, ev):
     chi = spatial_solver.solve_subdomain(phi_val, K_s)
     E_N = 0.0
     for ks in range(1, K_s + 1):
-        for i in range(spatial_solver.decomp.P_s):
+        for i in range(decomp.P_s):
             c = chi[ks - 1][i]
             E_N += c @ ell - c @ (B3x @ rec.locals_[ks - 1][i])
     E_K = Phi.coefficients @ ell - Phi.coefficients @ (B3x @ traj.values[n]) - E_N
@@ -250,12 +256,13 @@ def dd_split(traj, n, spatial_solver, phi_val, ev):
 
 
 def stpa_breakdown(partition, state, adjoints, problem, true_error,
-                   spatial_solver, cache=None, ev=None):
+                   decomp, cache=None, ev=None):
     """Error decomposition for the space-time parallel solver.
 
     Splits the fine discretization component into temporal (D_t), spatial
     (D_s) and Schwarz-iteration (D_k) parts; A, C, K are as in the
-    time-parallel decomposition but on the Schwarz trajectories.
+    time-parallel decomposition but on the Schwarz trajectories.  decomp is
+    the decomposition the fine solves were swept over.
     """
     ev = ev or ResidualEvaluator(problem.f, cache)
     fine_space = state.fine[0].space
@@ -265,7 +272,7 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
         res = ev.residual_be(traj, adjoints["fine"][p - 1])
         for n in range(1, traj.n_steps + 1):
             phi_val = adjoints["fine"][p - 1].value_at_node(traj.times[n])
-            E_K, E_N = dd_split(traj, n, spatial_solver, phi_val, ev)
+            E_K, E_N = dd_split(traj, n, decomp, phi_val, ev)
             D_t += res[n - 1] - E_K - E_N
             D_s += E_N
             D_k += E_K

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from .adjoint import (
-    SpatialAdjointSolver,
     solve_auxiliary_adjoints,
     solve_coarse_adjoint,
     solve_fine_adjoints,
@@ -264,10 +263,8 @@ def run_experiment(config):
     ev = ResidualEvaluator(f, cache)
 
     if config.schwarz:
-        dt_fine = config.T / partition.N_t
-        spatial = SpatialAdjointSolver(adj_space, dt_fine, decomp, cache)
         breakdown = stpa_breakdown(partition, state, adjoints, problem,
-                                   true_error, spatial, cache, ev)
+                                   true_error, decomp, cache, ev)
     else:
         breakdown = tpa_breakdown(partition, state, adjoints, problem,
                                   true_error, cache, ev)

@@ -189,39 +189,29 @@ def eval_field(space, coefficients, x):
 
 
 class AssembledOperator:
-    """Symmetric banded operator (mass, stiffness, or an M + dt*A combination)."""
+    """Banded Cholesky factor of a symmetric positive definite Galerkin
+    operator (a mass matrix, or a step operator M + dt*A).
+
+    Built from the dense matrix it is given, which it does not keep: only
+    the factor of the upper band (half-bandwidth the space degree) is held.
+    """
 
     def __init__(self, kind, space, dense):
-        self.kind = kind
-        self.space = space
-        self.dense = dense
-        self.half_bandwidth = space.degree
-        self._cho = None
-
-    @property
-    def banded_upper(self):
-        """Upper banded storage as expected by scipy.linalg.solveh_banded."""
-        n = self.dense.shape[0]
-        u = self.half_bandwidth
+        u, n = space.degree, dense.shape[0]
         ab = np.zeros((u + 1, n))
         for i in range(u + 1):
-            ab[u - i, i:] = np.diagonal(self.dense, offset=i)
-        return ab
-
-    def _factor(self):
-        if self._cho is None:
-            try:
-                self._cho = sla.cholesky_banded(self.banded_upper, lower=False)
-            except sla.LinAlgError as exc:
-                raise ValueError(
-                    f"{self.kind} operator is not positive definite "
-                    "(likely an assembly bug)"
-                ) from exc
-        return self._cho
+            ab[u - i, i:] = np.diagonal(dense, offset=i)
+        try:
+            self._cho = sla.cholesky_banded(ab, lower=False)
+        except sla.LinAlgError as exc:
+            raise ValueError(
+                f"{kind} operator is not positive definite "
+                "(likely an assembly bug)"
+            ) from exc
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
-        return sla.cho_solve_banded((self._factor(), False), rhs)
+        return sla.cho_solve_banded((self._cho, False), rhs)
 
 
 def assemble_matrix(row_space, col_space, kind, elements=None):
@@ -264,15 +254,6 @@ def assemble_matrix(row_space, col_space, kind, elements=None):
     return A
 
 
-def assemble_operators(space):
-    """Mass and stiffness operators for a space, banded SPD."""
-    mass = AssembledOperator("mass", space, assemble_matrix(space, space, "mass"))
-    stiff = AssembledOperator(
-        "stiffness", space, assemble_matrix(space, space, "stiffness")
-    )
-    return mass, stiff
-
-
 def assemble_load(space, t, f, n_quad=10):
     """Load vector with entries (f(., t), phi_i), fixed 10-point Gauss rule per element.
 
@@ -300,8 +281,11 @@ def assemble_load(space, t, f, n_quad=10):
 
 
 class FormCache:
-    """Memoizes assembled matrices, operators and factorizations.
+    """The one holder of dense Galerkin matrices and of factorizations.
 
+    matrix() memoizes assembled matrices; factor() memoizes whatever solves
+    with them (banded step operators, cG slab LU, Schwarz sweepers, spatial
+    adjoint solvers), each keeping only its factors and the blocks it cuts.
     Keys hold the space objects themselves (spaces hash by identity), so an
     entry keeps its spaces alive exactly as long as the cache lives and can
     never be confused with a later space that reuses a freed address.
@@ -309,7 +293,6 @@ class FormCache:
 
     def __init__(self):
         self._mats = {}
-        self._ops = {}
         self._factors = {}
 
     def matrix(self, row_space, col_space, kind, elements=None):
@@ -325,24 +308,19 @@ class FormCache:
     def stiffness(self, row_space, col_space):
         return self.matrix(row_space, col_space, "stiffness")
 
-    def operators(self, space):
-        if space not in self._ops:
-            self._ops[space] = assemble_operators(space)
-        return self._ops[space]
-
     def step_operator(self, space, dt):
-        """Banded SPD operator M + dt*A, cached per (space, dt)."""
-        key = (space, round(dt, 15))
-        if key not in self._ops:
-            M, A = self.operators(space)
-            self._ops[key] = AssembledOperator(
-                "combo", space, M.dense + dt * A.dense
-            )
-        return self._ops[key]
+        """Banded SPD operator M + dt*A, cached per (space, dt); dt = 0 is
+        the mass operator (M + 0*A equals M exactly)."""
+        return self.factor(
+            ("step", space, round(dt, 15)),
+            lambda: AssembledOperator(
+                "step", space,
+                self.mass(space, space) + dt * self.stiffness(space, space)),
+        )
 
     def factor(self, key, build):
         """A factorization, or a solver holding factorizations, built once
-        per key by build() (the cG slab LU, the Schwarz subdomain blocks)."""
+        per key by build()."""
         if key not in self._factors:
             self._factors[key] = build()
         return self._factors[key]
@@ -362,20 +340,17 @@ def project_field(source, target_space, mode="l2_projection"):
             raise ValueError("source and target spaces live on different meshes")
         if source.space is target_space:
             return NodalField(target_space, source.coefficients.copy())
-        if mode == "nodal_interpolation":
-            return target_space.interpolate(source)
-        if mode == "l2_projection":
-            rhs = assemble_matrix(target_space, source.space, "mass") @ source.coefficients
-            M, _ = assemble_operators(target_space)
-            return NodalField(target_space, M.solve(rhs))
+    if mode == "nodal_interpolation":
+        return target_space.interpolate(source)
+    if mode != "l2_projection":
+        raise ValueError(f"unknown mode {mode!r}")
+    if isinstance(source, NodalField):
+        rhs = assemble_matrix(target_space, source.space, "mass") @ source.coefficients
     else:
-        if mode == "nodal_interpolation":
-            return target_space.interpolate(source)
-        if mode == "l2_projection":
-            rhs = assemble_load(target_space, 0.0, lambda x, t: source(x))
-            M, _ = assemble_operators(target_space)
-            return NodalField(target_space, M.solve(rhs))
-    raise ValueError(f"unknown mode {mode!r}")
+        rhs = assemble_load(target_space, 0.0, lambda x, t: source(x))
+    M = AssembledOperator("mass", target_space,
+                          assemble_matrix(target_space, target_space, "mass"))
+    return NodalField(target_space, M.solve(rhs))
 
 
 def embed(field, target_space):

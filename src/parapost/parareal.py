@@ -33,13 +33,6 @@ class PararealState:
         return self.coarse[p - 1].incoming
 
 
-def _as_fine(fld, fine_space):
-    """Express a coarse or fine field in the fine space (exact for nested)."""
-    if fld.space is fine_space:
-        return fld
-    return embed(fld, fine_space)
-
-
 def _synchronize(coarse_end, corr, fine_space, sync_space):
     """Combine a coarse end value with the previous iteration's correction.
 
@@ -55,7 +48,7 @@ def _synchronize(coarse_end, corr, fine_space, sync_space):
         return coarse_end + project_field(corr, coarse_end.space,
                                           "nodal_interpolation")
     if sync_space == "fine":
-        return _as_fine(coarse_end, fine_space) + corr
+        return embed(coarse_end, fine_space) + corr
     raise ValueError(f"unknown sync_space {sync_space!r}")
 
 
@@ -86,7 +79,7 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
                 ) from exc
             coarse_trajs.append(ct)
             fine_trajs.append(ft)
-            corrs.append(ft.end - _as_fine(ct.end, fine_space))
+            corrs.append(ft.end - embed(ct.end, fine_space))
             # synchronized value handed to subdomain p+1
             sync = _synchronize(ct.end, prev_corr[p], fine_space, sync_space)
         states.append(
@@ -122,7 +115,7 @@ def par_standard(partition, K_t, ic_coarse, fine_solver, coarse_solver,
         for p in range(1, P_t + 1):
             g_val = g_end(partition.coarse_grids[p - 1], u_tilde)
             f_val = f_end(partition.fine_grids[p - 1], u_tilde)
-            corr = f_val - _as_fine(g_val, fine_space)
+            corr = f_val - embed(g_val, fine_space)
             u_tilde = _synchronize(g_val, prev_corr[p], fine_space, sync_space)
             tilde.append(u_tilde)
             bar.append(f_val)

@@ -35,7 +35,13 @@ class OverlapDecomposition:
 
 def decompose_domain(mesh, P_s, beta, tau=0.4):
     """Equal element blocks, each interior edge extended by round(beta * block)
-    elements on both sides and clamped to the domain."""
+    elements on both sides and clamped to the domain.
+
+    The damping must satisfy 0 < tau * m < 2, with m the largest number of
+    subdomains covering an element: in 1D m bounds the largest eigenvalue of
+    the summed subdomain projections (a coloring argument, Toselli & Widlund
+    2005), so the damped sweeps converge.
+    """
     N = mesh.n_elements
     if P_s < 1:
         raise ValueError("P_s must be >= 1")
@@ -57,6 +63,15 @@ def decompose_domain(mesh, P_s, beta, tau=0.4):
         if i < P_s - 1:
             hi += ext
         ranges.append((max(0, lo), min(N, hi)))
+    cover = np.zeros(N, dtype=int)
+    for lo, hi in ranges:
+        cover[lo:hi] += 1
+    m = int(cover.max())
+    if not (tau > 0 and tau * m < 2):
+        raise ValueError(
+            f"tau={tau} does not give convergent sweeps; need "
+            f"0 < tau * {m} < 2 ({m} subdomains overlap on some element)"
+        )
     overlaps = {}
     for i in range(P_s):
         for j in range(P_s):
@@ -68,10 +83,10 @@ def decompose_domain(mesh, P_s, beta, tau=0.4):
 
 
 def subdomain_dof_sets(space, decomp, i):
-    """(interior, trace, closure) dof indices of subdomain i in a space.
+    """(interior, trace) dof indices of subdomain i in a space.
 
     interior: nodes strictly inside Omega_i (excluding the outer boundary);
-    trace: nodes on the internal boundary of Omega_i; closure: both.
+    trace: nodes on the internal boundary of Omega_i.
     """
     lo, hi = decomp.ranges[i]
     x_lo = space.mesh.boundaries[lo]
@@ -80,10 +95,7 @@ def subdomain_dof_sets(space, decomp, i):
     tol = 1e-12 * (space.mesh.b - space.mesh.a)
     inside = (coords > x_lo + tol) & (coords < x_hi - tol)
     on_trace = (np.abs(coords - x_lo) <= tol) | (np.abs(coords - x_hi) <= tol)
-    interior = np.nonzero(inside)[0]
-    trace = np.nonzero(on_trace)[0]
-    closure = np.nonzero(inside | on_trace)[0]
-    return interior, trace, closure
+    return np.nonzero(inside)[0], np.nonzero(on_trace)[0]
 
 
 @dataclass
@@ -92,7 +104,7 @@ class SchwarzSweepRecord:
 
     iterates[0] is the initial guess; iterates[k] the blend after sweep k.
     locals_[k-1][i] is the full-length local solution of subdomain i in sweep
-    k (iterate values outside the subdomain closure).
+    k (iterate values outside the subdomain interior).
     """
 
     iterates: list
@@ -100,16 +112,22 @@ class SchwarzSweepRecord:
 
 
 class AdditiveSchwarz:
-    """Additive Schwarz sweeps for a fixed step operator B = M + dt*A."""
+    """Additive Schwarz sweeps for a fixed step operator B = M + dt*A.
+
+    Keeps, per subdomain, the Cholesky factor of B's interior block and the
+    interior x trace coupling block, both cut once from B; B itself is not
+    kept.
+    """
 
     def __init__(self, space, B_dense, decomp):
         self.space = space
-        self.B = B_dense
         self.decomp = decomp
         self.sets = [subdomain_dof_sets(space, decomp, i)
                      for i in range(decomp.P_s)]
-        self._lu = [sla.cho_factor(B_dense[np.ix_(s[0], s[0])])
-                    for s in self.sets]
+        self._lu = [sla.cho_factor(B_dense[np.ix_(interior, interior)])
+                    for interior, _ in self.sets]
+        self._coupling = [B_dense[np.ix_(interior, trace)]
+                          for interior, trace in self.sets]
 
     @classmethod
     def cached(cls, cache, space, dt, decomp):
@@ -117,7 +135,8 @@ class AdditiveSchwarz:
         (space, dt, decomposition) and owned by the FormCache."""
         return cache.factor(
             ("schwarz", space, round(dt, 15), decomp),
-            lambda: cls(space, cache.step_operator(space, dt).dense, decomp),
+            lambda: cls(space, cache.mass(space, space)
+                        + dt * cache.stiffness(space, space), decomp),
         )
 
     def local_solve(self, i, rhs):
@@ -135,21 +154,20 @@ class AdditiveSchwarz:
         for k in range(K_s):
             locals_k = []
             acc = (1.0 - tau * P_s) * u
-            for i in range(P_s):
-                interior, trace, closure = self.sets[i]
-                r = rhs[interior] - self.B[np.ix_(interior, trace)] @ u[trace]
+            for i, (interior, trace) in enumerate(self.sets):
+                r = rhs[interior] - self._coupling[i] @ u[trace]
                 try:
                     x = self.local_solve(i, r)
                 except sla.LinAlgError as exc:
                     raise RuntimeError(
                         f"local solve failed at sweep k_s={k + 1}, subdomain i={i}"
                     ) from exc
+                # u_loc equals u outside the interior, so it is also the
+                # subdomain's contribution to the blend
                 u_loc = u.copy()
                 u_loc[interior] = x
                 locals_k.append(u_loc)
-                pi_u = u.copy()
-                pi_u[closure] = u_loc[closure]
-                acc += tau * pi_u
+                acc += tau * u_loc
             u = acc
             record.iterates.append(u.copy())
             record.locals_.append(locals_k)

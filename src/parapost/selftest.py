@@ -74,7 +74,7 @@ def _check_schwarz_fixed_point():
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal(space.dof_count)
     exact = B.solve(rhs)
-    sweeper = AdditiveSchwarz(space, B.dense, decomp)
+    sweeper = AdditiveSchwarz.cached(cache, space, 0.01, decomp)
     u, _ = sweeper.solve(rhs, exact, 3)
     dev = np.max(np.abs(u - exact))
     assert dev < 1e-11, f"Schwarz fixed point drift {dev:.3e}"

@@ -109,11 +109,11 @@ def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
     cache = cache or FormCache()
     times = np.asarray(times, dtype=float)
     n_steps = len(times) - 1
-    M, _ = cache.operators(space)
+    M = cache.mass(space, space)
     values = np.zeros((n_steps + 1, space.dof_count))
     Minc = cache.mass(space, ic.space)
     prev_m = Minc @ ic.coefficients  # (U_0, phi_i)
-    values[0] = M.solve(prev_m)
+    values[0] = cache.step_operator(space, 0.0).solve(prev_m)
     records = []
     for n in range(1, n_steps + 1):
         dt = times[n] - times[n - 1]
@@ -124,7 +124,7 @@ def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
             sweeper = AdditiveSchwarz.cached(cache, space, dt, decomp)
             values[n], rec = sweeper.solve(rhs, np.zeros(space.dof_count), K_s)
             records.append(rec)
-        prev_m = M.dense @ values[n]
+        prev_m = M @ values[n]
     traj = Trajectory(space, times, values, incoming=ic)
     if decomp is not None:
         traj.schwarz_records = records
@@ -199,12 +199,12 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
     cache = cache or FormCache()
     times = np.asarray(times, dtype=float)
     n_steps = len(times) - 1
-    M, A = cache.operators(space)
+    M, A = cache.mass(space, space), cache.stiffness(space, space)
     alpha, beta = _cg_time_forms(q_t)
     ndof = space.dof_count
 
     Minc = cache.mass(space, ic.space)
-    u0 = M.solve(Minc @ ic.coefficients)
+    u0 = cache.step_operator(space, 0.0).solve(Minc @ ic.coefficients)
 
     nq = q_t + 3
     sq, wq = gauss_rule(nq)
@@ -216,7 +216,7 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
         for m in range(q_t):
             for j in range(1, q_t + 1):
                 K[m * ndof:(m + 1) * ndof, (j - 1) * ndof:j * ndof] = (
-                    alpha[m, j] * M.dense + dt * beta[m, j] * A.dense
+                    alpha[m, j] * M + dt * beta[m, j] * A
                 )
         return K
 
@@ -235,7 +235,7 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
                 F[m * ndof:(m + 1) * ndof] = dt * (wq * Pq[m]) @ loads
         for m in range(q_t):
             F[m * ndof:(m + 1) * ndof] -= (
-                alpha[m, 0] * (M.dense @ prev) + dt * beta[m, 0] * (A.dense @ prev)
+                alpha[m, 0] * (M @ prev) + dt * beta[m, 0] * (A @ prev)
             )
         sol = sla.lu_solve(lu, F)
         coeffs[n, 0] = prev

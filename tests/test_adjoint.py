@@ -11,7 +11,13 @@ from parapost.adjoint import (
     solve_coarse_adjoint,
     solve_fine_adjoints,
 )
-from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh
+from parapost.mesh import (
+    FeSpace,
+    FormCache,
+    NodalField,
+    SpatialMesh,
+    assemble_matrix,
+)
 from parapost.schwarz import decompose_domain, subdomain_dof_sets
 from parapost.timestepping import TimePartition, propagate_cg
 
@@ -129,34 +135,46 @@ def test_spatial_adjoint_global_solve_residual():
     solver = SpatialAdjointSolver(space, 0.01, decomp)
     weight = space.interpolate(lambda x: np.sin(2 * np.pi * x))
     Phi = solver.solve_global(weight)
-    res = solver.B_dense @ Phi.coefficients - solver.M @ weight.coefficients
+    M = assemble_matrix(space, space, "mass")
+    B = M + 0.01 * assemble_matrix(space, space, "stiffness")
+    res = B @ Phi.coefficients - M @ weight.coefficients
     assert np.max(np.abs(res)) < 1e-12
 
 
 def test_spatial_adjoint_subdomain_recursion_residual():
-    # recompute the backward recursion's right-hand sides and check each
-    # interior solve's residual
+    # rebuild the backward recursion's right-hand sides from the matrices
+    # restricted to each overlap Omega_i & Omega_j, summed over j, and check
+    # each interior solve's residual
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 3)
+    dt = 0.01
     decomp = decompose_domain(mesh, 2, 0.2)
-    solver = SpatialAdjointSolver(space, 0.01, decomp)
+    solver = SpatialAdjointSolver(space, dt, decomp)
     weight = space.interpolate(lambda x: np.sin(np.pi * x))
     K_s = 3
     chi = solver.solve_subdomain(weight, K_s)
     tau, P_s = decomp.tau, decomp.P_s
     ndof = space.dof_count
+    B = (assemble_matrix(space, space, "mass")
+         + dt * assemble_matrix(space, space, "stiffness"))
+    M_ov, B_ov = {}, {}
+    for (i, j), (lo, hi) in decomp.overlaps.items():
+        elems = range(lo, hi)
+        M_ov[(i, j)] = assemble_matrix(space, space, "mass", elems)
+        B_ov[(i, j)] = (M_ov[(i, j)]
+                        + dt * assemble_matrix(space, space, "stiffness", elems))
     for i in range(P_s):
         interior = subdomain_dof_sets(space, decomp, i)[0]
         running = np.zeros(ndof)
         for ks in range(K_s, 0, -1):
             rhs = np.zeros(ndof)
             for j in range(P_s):
-                if (i, j) not in solver._M_ov:
+                if (i, j) not in M_ov:
                     continue
-                rhs += solver._M_ov[(i, j)] @ weight.coefficients
-                rhs -= solver._B_ov[(i, j)] @ running
+                rhs += M_ov[(i, j)] @ weight.coefficients
+                rhs -= B_ov[(i, j)] @ running
             rhs *= tau
-            res = (solver.B_dense @ chi[ks - 1][i])[interior] - rhs[interior]
+            res = (B @ chi[ks - 1][i])[interior] - rhs[interior]
             assert np.max(np.abs(res)) < 1e-12
             outside = np.setdiff1d(np.arange(ndof), interior)
             assert np.max(np.abs(chi[ks - 1][i][outside])) == 0.0

@@ -154,7 +154,9 @@ def _schwarz_step_setup(K_s=2):
     cache = FormCache()
     traj = propagate_be(space, grid, space.interpolate(prob.u0), prob.f,
                         cache, decomp=decomp, K_s=K_s)
-    solver = SpatialAdjointSolver(adj_space, grid[1] - grid[0], decomp, cache)
+    # the solver dd_split looks up for these steps
+    solver = SpatialAdjointSolver.cached(cache, adj_space, grid[1] - grid[0],
+                                         decomp)
     ev = ResidualEvaluator(prob.f, cache)
     phi_val = adj_space.interpolate(lambda x: np.sin(np.pi * x) * (1 + x))
     return traj, solver, ev, phi_val
@@ -163,7 +165,7 @@ def _schwarz_step_setup(K_s=2):
 def test_dd_split_sums_to_global_weighted_algebraic_error():
     traj, solver, ev, phi_val = _schwarz_step_setup()
     for n in (1, 3, 5):
-        E_K, E_N = dd_split(traj, n, solver, phi_val, ev)
+        E_K, E_N = dd_split(traj, n, solver.decomp, phi_val, ev)
         dt = traj.times[n] - traj.times[n - 1]
         space3 = solver.space
         M3x = ev.cache.mass(space3, traj.space)
@@ -183,7 +185,7 @@ def test_dd_split_sums_to_global_weighted_algebraic_error():
 def test_dd_split_summation_order_invariance():
     traj, solver, ev, phi_val = _schwarz_step_setup(K_s=4)
     n = 2
-    E_K, E_N = dd_split(traj, n, solver, phi_val, ev)
+    E_K, E_N = dd_split(traj, n, solver.decomp, phi_val, ev)
     # recompute E_N summing subdomains first, sweeps second
     rec = traj.schwarz_records[n - 1]
     K_s = len(rec.locals_)
@@ -207,8 +209,8 @@ def test_dd_split_iteration_part_shrinks_when_converged():
     few, solver_f, ev_f, phi_f = _schwarz_step_setup(K_s=2)
     many, solver_m, ev_m, phi_m = _schwarz_step_setup(K_s=60)
     for n in (1, 4):
-        E_K_few, E_N_few = dd_split(few, n, solver_f, phi_f, ev_f)
-        E_K_many, E_N_many = dd_split(many, n, solver_m, phi_m, ev_m)
+        E_K_few, E_N_few = dd_split(few, n, solver_f.decomp, phi_f, ev_f)
+        E_K_many, E_N_many = dd_split(many, n, solver_m.decomp, phi_m, ev_m)
         assert abs(E_K_many) < 1e-6
         assert abs(E_K_many) < 1e-3 * abs(E_K_few)
         assert abs(E_N_many) > 1e-6
@@ -221,10 +223,9 @@ def test_dd_split_requires_sweep_records():
     traj = propagate_be(space, np.linspace(0.0, 0.5, 6),
                         space.interpolate(prob.u0), prob.f)
     decomp = decompose_domain(mesh, 2, 0.2)
-    solver = SpatialAdjointSolver(FeSpace(mesh, 3), 0.1, decomp)
     ev = ResidualEvaluator(prob.f)
     with pytest.raises(ValueError):
-        dd_split(traj, 1, solver, solver.space.interpolate(np.sin), ev)
+        dd_split(traj, 1, decomp, FeSpace(mesh, 3).interpolate(np.sin), ev)
 
 
 def test_stpa_collapses_to_tpa_without_spatial_splitting():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from parapost.adjoint import SpatialAdjointSolver
 from parapost.cli import main as cli_main
 from parapost.harness import (
     ExperimentConfig,
@@ -97,6 +98,9 @@ BAD_CONFIGS = [
     (dict(T=-1.0), "T"),
     (dict(T=float("nan")), "T"),
     (dict(tau=float("nan")), "tau"),
+    (dict(schwarz=True, tau=0.0), "tau"),
+    (dict(schwarz=True, tau=-0.4), "tau"),
+    (dict(schwarz=True, tau=2.0), "tau"),
     (dict(nu=float("inf")), "nu"),
     (dict(qoi_lo=0.6, qoi_hi=0.2), "qoi_lo"),
 ]
@@ -117,20 +121,29 @@ def test_config_rejects_bad_values_by_name(overrides, name):
 
 def test_stpa_run_builds_one_sweeper_per_space(monkeypatch):
     # the fine solves of every Parareal iteration share one cached sweeper,
-    # and the spatial adjoints reuse the factorizations of a second one
-    built = []
+    # the spatial adjoints reuse the factorizations of a second one, and
+    # every step's split shares one spatial adjoint solver
+    built, spatial_built = [], []
     init = AdditiveSchwarz.__init__
+    spatial_init = SpatialAdjointSolver.__init__
 
     def counting_init(self, space, B_dense, decomp):
         built.append(space.degree)
         init(self, space, B_dense, decomp)
 
+    def counting_spatial_init(self, space, *args, **kwargs):
+        spatial_built.append(space.degree)
+        spatial_init(self, space, *args, **kwargs)
+
     monkeypatch.setattr(AdditiveSchwarz, "__init__", counting_init)
+    monkeypatch.setattr(SpatialAdjointSolver, "__init__",
+                        counting_spatial_init)
     cfg = ExperimentConfig(Nhat_t=4, r=2, P_t=2, K_t=2, Nhat_s=8, qhat_s=1,
                            q_s=2, schwarz=True, P_s=2, K_s=2, beta=0.25,
                            nu=2, mu=2, T=0.5)
     run_experiment(cfg)
     assert sorted(built) == [cfg.q_s, cfg.adjoint_space_degree]
+    assert spatial_built == [cfg.adjoint_space_degree]
 
 
 def test_config_from_json_file(tmp_path):

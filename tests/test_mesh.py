@@ -14,7 +14,6 @@ from parapost.mesh import (
     SpatialMesh,
     assemble_load,
     assemble_matrix,
-    assemble_operators,
     embed,
     project_field,
     qoi_eval,
@@ -42,30 +41,34 @@ def test_dof_count_formula():
         assert FeSpace(mesh, q).dof_count == q * 20 - 1
 
 
+def _mass_and_stiffness(space):
+    return (assemble_matrix(space, space, "mass"),
+            assemble_matrix(space, space, "stiffness"))
+
+
 def test_mass_stiffness_single_interior_dof():
     # q=1, N_s=2 on (0,1): one interior hat; M = [1/3], A = [4]
     mesh = SpatialMesh.uniform(0.0, 1.0, 2)
     space = FeSpace(mesh, 1)
-    M, A = assemble_operators(space)
-    assert M.dense.shape == (1, 1)
-    assert abs(M.dense[0, 0] - 1.0 / 3.0) < 1e-14
-    assert abs(A.dense[0, 0] - 4.0) < 1e-14
+    M, A = _mass_and_stiffness(space)
+    assert M.shape == (1, 1)
+    assert abs(M[0, 0] - 1.0 / 3.0) < 1e-14
+    assert abs(A[0, 0] - 4.0) < 1e-14
 
 
 def test_operator_symmetry_and_pd():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 13), 2)
-    M, A = assemble_operators(space)
-    for op in (M, A):
-        scale = np.max(np.abs(op.dense))
-        assert np.max(np.abs(op.dense - op.dense.T)) <= 1e-15 * scale
-        assert np.min(np.linalg.eigvalsh(op.dense)) > 0.0
+    for mat in _mass_and_stiffness(space):
+        scale = np.max(np.abs(mat))
+        assert np.max(np.abs(mat - mat.T)) <= 1e-15 * scale
+        assert np.min(np.linalg.eigvalsh(mat)) > 0.0
 
 
 def test_stiffness_smallest_eigenvalue_is_pi_squared():
     # generalized eigenproblem A x = lam M x discretizes -u'' eigenvalues
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 20), 2)
-    M, A = assemble_operators(space)
-    lam = eigh(A.dense, M.dense, eigvals_only=True)
+    M, A = _mass_and_stiffness(space)
+    lam = eigh(A, M, eigvals_only=True)
     assert abs(lam[0] - np.pi**2) / np.pi**2 < 0.01
 
 
@@ -145,8 +148,8 @@ def test_solve_spd_identity_and_scalar():
 def test_solve_spd_banded_vs_dense_oracle():
     rng = np.random.default_rng(42)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 25), 2)  # 49 dofs, banded
-    M, A = assemble_operators(space)
-    B = M.dense + 0.03 * A.dense
+    M, A = _mass_and_stiffness(space)
+    B = M + 0.03 * A
     op = AssembledOperator("mass", space, B)
     rhs = rng.standard_normal(space.dof_count)
     x = op.solve(rhs)
@@ -156,10 +159,10 @@ def test_solve_spd_banded_vs_dense_oracle():
 
 
 def test_solve_spd_rejects_indefinite():
+    # the factor is built with the operator, so that is where it fails
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 2), 1)
-    bad = AssembledOperator("mass", space, np.array([[-1.0]]))
     with pytest.raises(ValueError):
-        bad.solve(np.array([1.0]))
+        AssembledOperator("mass", space, np.array([[-1.0]]))
 
 
 def test_qoi_zero_weight():
@@ -187,12 +190,12 @@ def test_qoi_bump_weight_vs_oracle():
 
 def test_qoi_hat_against_itself_is_mass_diagonal():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 10), 1)
-    M, _ = assemble_operators(space)
+    M = assemble_matrix(space, space, "mass")
     i = 4
     e = np.zeros(space.dof_count)
     e[i] = 1.0
     hat = NodalField(space, e)
-    assert abs(qoi_eval(hat, hat) - M.dense[i, i]) < 1e-13
+    assert abs(qoi_eval(hat, hat) - M[i, i]) < 1e-13
 
 
 def test_nested_embedding_pointwise():
@@ -221,13 +224,13 @@ def test_cross_mass_matches_quadrature():
 @given(n=st.integers(2, 12), q=st.integers(1, 3), seed=st.integers(0, 10**6))
 def test_property_operator_symmetry_pd(n, q, seed):
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, n), q)
-    M, A = assemble_operators(space)
-    assert np.max(np.abs(M.dense - M.dense.T)) <= 1e-15 * np.max(np.abs(M.dense))
-    assert np.max(np.abs(A.dense - A.dense.T)) <= 1e-15 * np.max(np.abs(A.dense))
+    M, A = _mass_and_stiffness(space)
+    assert np.max(np.abs(M - M.T)) <= 1e-15 * np.max(np.abs(M))
+    assert np.max(np.abs(A - A.T)) <= 1e-15 * np.max(np.abs(A))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(space.dof_count)
-    assert v @ M.dense @ v > 0
-    assert v @ A.dense @ v > 0
+    assert v @ M @ v > 0
+    assert v @ A @ v > 0
 
 
 def test_form_cache_reuse():
@@ -237,3 +240,15 @@ def test_form_cache_reuse():
     op1 = cache.step_operator(space, 0.01)
     op2 = cache.step_operator(space, 0.01)
     assert op1 is op2
+
+
+def test_mass_solve_is_the_zero_step_operator():
+    # M + 0*A equals M bit for bit, so the dt = 0 step operator is the
+    # banded mass operator
+    cache = FormCache()
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 9), 3)
+    M, A = cache.mass(space, space), cache.stiffness(space, space)
+    assert np.array_equal(M + 0.0 * A, M)
+    rhs = np.random.default_rng(2).standard_normal(space.dof_count)
+    assert np.array_equal(cache.step_operator(space, 0.0).solve(rhs),
+                          AssembledOperator("mass", space, M).solve(rhs))

@@ -38,6 +38,12 @@ def test_decompose_rejects_bad_inputs():
         decompose_domain(mesh, 10, 0.01)   # extension rounds to zero
     with pytest.raises(ValueError):
         decompose_domain(mesh, 0, 0.2)
+    # damping outside 0 < tau * m < 2, m = 2 overlapping subdomains here
+    for tau in (0.0, -0.4, 1.0, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="tau"):
+            decompose_domain(mesh, 2, 0.2, tau=tau)
+    assert decompose_domain(mesh, 2, 0.2, tau=0.99).tau == 0.99
+    assert decompose_domain(mesh, 1, 0.2, tau=1.99).tau == 1.99
 
 
 def test_subdomain_dof_sets_structure():
@@ -46,14 +52,13 @@ def test_subdomain_dof_sets_structure():
     d = decompose_domain(mesh, 2, 0.2)
     covered = set()
     for i in range(2):
-        interior, trace, closure = subdomain_dof_sets(space, d, i)
+        interior, trace = subdomain_dof_sets(space, d, i)
         lo, hi = d.ranges[i]
         # each edge subdomain has q*n_loc - 1 interior dofs and one trace node
         n_loc = hi - lo
         assert len(interior) == 2 * n_loc - 1
         assert len(trace) == 1
-        assert set(closure) == set(interior) | set(trace)
-        covered |= set(closure)
+        covered |= set(interior) | set(trace)
     assert covered == set(range(space.dof_count))
 
 
@@ -89,11 +94,11 @@ def test_sweep_fixed_point():
     space = FeSpace(mesh, 2)
     d = decompose_domain(mesh, 2, 0.25)
     cache = FormCache()
-    B = cache.step_operator(space, 0.02)
+    B = cache.mass(space, space) + 0.02 * cache.stiffness(space, space)
     rng = np.random.default_rng(9)
     rhs = rng.standard_normal(space.dof_count)
-    exact = B.solve(rhs)
-    sweeper = AdditiveSchwarz(space, B.dense, d)
+    exact = cache.step_operator(space, 0.02).solve(rhs)
+    sweeper = AdditiveSchwarz(space, B, d)
     u, _ = sweeper.solve(rhs, exact, 4)
     assert np.max(np.abs(u - exact)) < 1e-11
 
@@ -105,10 +110,10 @@ def test_blend_identity_from_record():
     space = FeSpace(mesh, 2)
     d = decompose_domain(mesh, 2, 0.2)
     cache = FormCache()
-    B = cache.step_operator(space, 0.05)
+    B = cache.mass(space, space) + 0.05 * cache.stiffness(space, space)
     rng = np.random.default_rng(4)
     rhs = rng.standard_normal(space.dof_count)
-    sweeper = AdditiveSchwarz(space, B.dense, d)
+    sweeper = AdditiveSchwarz(space, B, d)
     guess = rng.standard_normal(space.dof_count)
     _, rec = sweeper.solve(rhs, guess, 3)
     tau, P_s = d.tau, d.P_s
@@ -124,14 +129,14 @@ def test_locals_match_iterate_outside_closure():
     space = FeSpace(mesh, 2)
     d = decompose_domain(mesh, 2, 0.2)
     cache = FormCache()
-    B = cache.step_operator(space, 0.05)
+    B = cache.mass(space, space) + 0.05 * cache.stiffness(space, space)
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal(space.dof_count)
-    sweeper = AdditiveSchwarz(space, B.dense, d)
+    sweeper = AdditiveSchwarz(space, B, d)
     _, rec = sweeper.solve(rhs, np.zeros(space.dof_count), 2)
     for k in range(2):
         for i in range(d.P_s):
-            interior, trace, closure = subdomain_dof_sets(space, d, i)
+            interior, _ = subdomain_dof_sets(space, d, i)
             outside = np.setdiff1d(np.arange(space.dof_count), interior)
             assert np.array_equal(rec.locals_[k][i][outside],
                                   rec.iterates[k][outside])
@@ -142,14 +147,14 @@ def test_local_solves_satisfy_restricted_system():
     space = FeSpace(mesh, 2)
     d = decompose_domain(mesh, 2, 0.2)
     cache = FormCache()
-    B = cache.step_operator(space, 0.05).dense
+    B = cache.mass(space, space) + 0.05 * cache.stiffness(space, space)
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(space.dof_count)
     sweeper = AdditiveSchwarz(space, B, d)
     _, rec = sweeper.solve(rhs, np.zeros(space.dof_count), 2)
     for k in range(2):
         for i in range(d.P_s):
-            interior, _, _ = subdomain_dof_sets(space, d, i)
+            interior, _ = subdomain_dof_sets(space, d, i)
             res = (B @ rec.locals_[k][i])[interior] - rhs[interior]
             assert np.max(np.abs(res)) < 1e-11
 

@@ -8,6 +8,7 @@ import pytest
 
 import parapost.schwarz as schwarz
 import parapost.timestepping as timestepping
+from parapost.estimator import ResidualEvaluator, dd_split
 from parapost.harness import build_manufactured
 from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
@@ -204,22 +205,32 @@ def test_cg_homogeneous_none_equals_zero_forcing():
 
 
 def test_cg_slab_factors_die_with_their_cache():
-    # the slab factorizations and the Schwarz sweepers belong to the
-    # FormCache passed in: once the cache, the space and the decomposition
-    # are dropped nothing else keeps them alive
+    # the slab factorizations, the Schwarz sweepers and the spatial adjoint
+    # solvers belong to the FormCache passed in: once the cache, the spaces
+    # and the decomposition are dropped nothing else keeps them alive, and
+    # reference counting alone frees them (no cycle waits for the collector)
     mesh = SpatialMesh.uniform(0.0, 1.0, 6)
     space = FeSpace(mesh, 2)
+    adj_space = FeSpace(mesh, 3)
     decomp = decompose_domain(mesh, 2, 0.35)
     cache = FormCache()
     ic = space.interpolate(lambda x: np.sin(np.pi * x))
     grid = np.linspace(0.0, 0.2, 3)
-    propagate_cg(space, grid, 2, ic, ZERO_F, cache)
-    traj = propagate_be(space, grid, ic, ZERO_F, cache, decomp=decomp, K_s=2)
-    assert AdditiveSchwarz.cached(cache, space, grid[1], decomp).space is space
-    refs = [weakref.ref(space), weakref.ref(decomp)]
-    del space, decomp, cache, ic, traj
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    gc.disable()
+    try:
+        propagate_cg(space, grid, 2, ic, ZERO_F, cache)
+        traj = propagate_be(space, grid, ic, ZERO_F, cache, decomp=decomp,
+                            K_s=2)
+        assert AdditiveSchwarz.cached(cache, space, grid[1], decomp).space is space
+        ev = ResidualEvaluator(ZERO_F, cache)
+        phi = adj_space.interpolate(lambda x: np.sin(np.pi * x))
+        dd_split(traj, 1, decomp, phi, ev)
+        refs = [weakref.ref(obj) for obj in (cache, space, adj_space, decomp)]
+        del space, adj_space, decomp, cache, ic, traj, ev, phi
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
     for module in (timestepping, schwarz):
         module_state = [name for name, value in vars(module).items()
                         if not name.startswith("__")
