@@ -12,75 +12,29 @@ meshes but with higher polynomial degree (default 3 in both space and time).
 
 import numpy as np
 
-from .mesh import FormCache, NodalField, assemble_matrix, lagrange_values
+from .mesh import FormCache, NodalField, assemble_matrix
 from .schwarz import AdditiveSchwarz
-from .timestepping import propagate_cg
-
-
-class SpaceTimeAdjoint:
-    """Piecewise cG(q)-in-time adjoint on a step grid, continuous in time.
-
-    coeffs[n, j] is the coefficient vector at equispaced time node j of slab
-    n; the terminal value is coeffs[-1, -1].
-    """
-
-    def __init__(self, kind, space, times, q_t, coeffs, terminal):
-        self.kind = kind
-        self.space = space
-        self.times = np.asarray(times, dtype=float)
-        self.q_t = q_t
-        self.coeffs = coeffs
-        self.terminal = terminal
-
-    @property
-    def n_slabs(self):
-        return len(self.times) - 1
-
-    def slab_index(self, t0, t1, tol=1e-10):
-        """Index of the slab [t0, t1]; raises if the interval is not a slab."""
-        n = int(np.searchsorted(self.times, 0.5 * (t0 + t1)) - 1)
-        if not (0 <= n < self.n_slabs
-                and abs(self.times[n] - t0) < tol
-                and abs(self.times[n + 1] - t1) < tol):
-            raise ValueError(
-                f"[{t0}, {t1}] is not a slab of this adjoint's grid"
-            )
-        return n
-
-    def slab_eval(self, n, s):
-        """Coefficient vectors at local coordinates s in [0,1] of slab n,
-        shape (len(s), dof)."""
-        lam = lagrange_values(self.q_t, s)  # (q_t+1, ns)
-        return lam.T @ self.coeffs[n]
-
-    def at(self, t):
-        """Adjoint field at an arbitrary time in the grid's span."""
-        n = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                        0, self.n_slabs - 1))
-        t0, t1 = self.times[n], self.times[n + 1]
-        s = (t - t0) / (t1 - t0)
-        return NodalField(self.space, self.slab_eval(n, [s])[0])
-
-    def value_at_node(self, t, tol=1e-10):
-        """Adjoint field at a grid node (exact nodal value)."""
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > tol:
-            raise ValueError(f"{t} is not a node of this adjoint's grid")
-        if k == 0:
-            return NodalField(self.space, self.coeffs[0, 0])
-        return NodalField(self.space, self.coeffs[k - 1, -1])
+from .timestepping import CgTrajectory, propagate_cg
 
 
 def solve_backward_cg(kind, space, times, terminal, q_t=3, cache=None):
     """Solve (-phi_dot, v) = -a(v, phi) backward over the grid with the given
-    terminal field, as a forward cG(q_t) solve of the time-reversed problem."""
+    terminal field, as a forward cG(q_t) solve of the time-reversed problem.
+
+    Returns the adjoint as a CgTrajectory on the grid, with the terminal
+    field as its incoming value; kind names the adjoint in errors.
+    """
     cache = cache or FormCache()
     times = np.asarray(times, dtype=float)
     rev = times[-1] - times[::-1]
-    traj = propagate_cg(space, rev, q_t, terminal, None, cache=cache)
+    try:
+        traj = propagate_cg(space, rev, q_t, terminal, None, cache=cache)
+    except ValueError as exc:
+        raise ValueError(f"{kind} adjoint (time reversed, t -> "
+                         f"{times[-1]:.6g} - t): {exc}") from exc
     # reverse slab order and time-node order within slabs
     coeffs = traj.coeffs[::-1, ::-1, :].copy()
-    return SpaceTimeAdjoint(kind, space, times, q_t, coeffs, terminal)
+    return CgTrajectory(space, times, q_t, coeffs, incoming=terminal)
 
 
 def solve_coarse_adjoint(partition, space, psi, q_t=3, cache=None):

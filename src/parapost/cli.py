@@ -13,17 +13,6 @@ from .harness import (
 )
 
 
-def _parse_value(field_name, text):
-    ftype = ExperimentConfig.__dataclass_fields__[field_name].type
-    if ftype is int or ftype == "int":
-        return int(text)
-    if ftype is float or ftype == "float":
-        return float(text)
-    if ftype is bool or ftype == "bool":
-        return text.strip().lower() in ("1", "true", "yes")
-    return text
-
-
 def _cmd_run(args):
     cfg = ExperimentConfig.from_file(args.config)
     rec = run_experiment(cfg)
@@ -37,14 +26,11 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     cfg = ExperimentConfig.from_file(args.config)
-    if args.param not in ExperimentConfig.__dataclass_fields__:
-        raise SystemExit(f"unknown parameter {args.param!r}")
-    values = [_parse_value(args.param, v) for v in args.values.split(",")]
-    records = run_sweep(cfg, args.param, values)
+    records = run_sweep(cfg, args.param, args.values.split(","))
     fmt = args.format or cfg.format or "csv"
     path = args.out or cfg.path or None
-    text = emit_report(records, fmt=fmt, path=path,
-                       sweep_param=args.param, sweep_values=values)
+    text = emit_report(records, fmt=fmt, path=path, sweep_param=args.param,
+                       sweep_values=[r.config[args.param] for r in records])
     if not path:
         sys.stdout.write(text)
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import SpatialAdjointSolver
-from .mesh import FormCache, assemble_load, embed, gauss_rule
+from .mesh import FormCache, assemble_load, embed, gauss_rule, lagrange_derivs
 from .timestepping import CgTrajectory
 
 
@@ -118,23 +118,18 @@ class ResidualEvaluator:
         projection at a subdomain hand-off), the discontinuity is accounted
         for by a jump term on the first step.
         """
-        from .mesh import lagrange_values, lagrange_derivs
-
         ws, ts = weight.space, traj.space
         A_x = self.cache.stiffness(ws, ts)
         M_x = self.cache.mass(ws, ts)
-        q_t = traj.q_t
-        lam = lagrange_values(q_t, self._s)    # (q_t+1, nq)
-        dlam = lagrange_derivs(q_t, self._s)
+        dlam = lagrange_derivs(traj.q_t, self._s)
         out = np.zeros(traj.n_steps)
         for n in range(1, traj.n_steps + 1):
             t0, t1 = traj.times[n - 1], traj.times[n]
             dt = t1 - t0
             slab = weight.slab_index(t0, t1)
             phi_q = weight.slab_eval(slab, self._s)
-            c = traj.coeffs[n - 1]  # (q_t+1, dof)
-            u_q = lam.T @ c
-            du_q = dlam.T @ c / dt
+            u_q = traj.slab_eval(n - 1, self._s)
+            du_q = dlam.T @ traj.coeffs[n - 1] / dt
             acc = 0.0
             for q in range(self.n_quad_t):
                 t_q = t0 + dt * self._s[q]
@@ -173,6 +168,12 @@ def _ic_error_pair(ev, adj_field, u0, initial):
     return ev.pair_analytic(u0, adj_field) - ev.pair(initial, adj_field)
 
 
+def _require_families(adjoints):
+    for name in ("coarse", "fine", "aux"):
+        if name not in adjoints:
+            raise ValueError(f"missing adjoint family {name!r}")
+
+
 def _ack_terms(partition, state, adjoints, ev, u0, fine_space):
     """The A, C and K components, shared by the TPA and STPA decompositions."""
     coarse_adj = adjoints["coarse"]
@@ -205,9 +206,7 @@ def tpa_breakdown(partition, state, adjoints, problem, true_error,
     adjoints holds 'coarse', 'fine' (list over p) and 'aux' (dict keyed by
     p = 2..P_t); problem supplies f and the analytic initial condition.
     """
-    for name in ("coarse", "fine", "aux"):
-        if name not in adjoints:
-            raise ValueError(f"missing adjoint family {name!r}")
+    _require_families(adjoints)
     ev = ev or ResidualEvaluator(problem.f, cache)
     fine_space = state.fine[0].space
     D = 0.0
@@ -264,6 +263,7 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
     time-parallel decomposition but on the Schwarz trajectories.  decomp is
     the decomposition the fine solves were swept over.
     """
+    _require_families(adjoints)
     ev = ev or ResidualEvaluator(problem.f, cache)
     fine_space = state.fine[0].space
     D_t = D_s = D_k = 0.0

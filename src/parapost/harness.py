@@ -83,6 +83,28 @@ def build_manufactured(nu, mu, T, qoi_lo=0.2, qoi_hi=0.6, qoi_scale=10000.0):
     return ManufacturedProblem(nu, mu, T, qoi_lo, qoi_hi, qoi_scale)
 
 
+_FLAGS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
+def _coerce(name, ftype, value):
+    """value as an instance of ftype: a count must be integral and a flag
+    one of 1/true/yes/0/false/no; a ValueError names the field otherwise."""
+    if ftype is str:
+        return value
+    try:
+        if ftype is bool:
+            return _FLAGS[str(value).strip().lower()]
+        number = float(value)
+        if ftype is float:
+            return number
+        if number.is_integer():
+            return int(number)
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be {ftype.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment description; field names follow the usual notation
@@ -116,9 +138,16 @@ class ExperimentConfig:
     format: str = "csv"
     path: str = ""
 
+    def __post_init__(self):
+        # every value (e.g. text from a config file) as its field's type
+        for name, f in self.__dataclass_fields__.items():
+            object.__setattr__(self, name,
+                               _coerce(name, f.type, getattr(self, name)))
+
     def validate(self):
-        counts = ["P_t", "K_t", "Nhat_t", "Nhat_s", "qhat_s", "q_s", "qhat_t",
-                  "q_t", "adjoint_time_degree", "adjoint_space_degree"]
+        counts = ["P_t", "K_t", "Nhat_t", "r", "Nhat_s", "qhat_s", "q_s",
+                  "qhat_t", "q_t", "adjoint_time_degree",
+                  "adjoint_space_degree"]
         if self.schwarz:
             counts.append("K_s")
         for name in counts:
@@ -135,8 +164,6 @@ class ExperimentConfig:
                 f"qoi_lo={self.qoi_lo} must be below qoi_hi={self.qoi_hi}")
         if self.Nhat_t % self.P_t != 0:
             raise ValueError(f"Nhat_t={self.Nhat_t} not divisible by P_t={self.P_t}")
-        if self.r < 1 or int(self.r) != self.r:
-            raise ValueError("r must be a positive integer")
         if self.qhat_s > self.q_s:
             raise ValueError("qhat_s must not exceed q_s")
         if self.integrator not in ("be", "cg"):
@@ -150,22 +177,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_mapping(d):
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = ExperimentConfig(**d)
-        coerced = {}
-        for name in ("Nhat_t", "r", "P_t", "K_t", "qhat_t", "q_t",
-                     "Nhat_s", "qhat_s", "q_s", "P_s", "K_s",
-                     "adjoint_time_degree", "adjoint_space_degree"):
-            coerced[name] = int(getattr(cfg, name))
-        for name in ("nu", "mu", "T", "qoi_lo", "qoi_hi", "qoi_scale",
-                     "beta", "tau"):
-            coerced[name] = float(getattr(cfg, name))
-        if isinstance(cfg.schwarz, str):
-            coerced["schwarz"] = cfg.schwarz.strip().lower() in ("1", "true", "yes")
-        return replace(cfg, **coerced).validate()
+        return ExperimentConfig(**d).validate()
 
     @staticmethod
     def from_file(path):
@@ -321,13 +336,10 @@ def emit_report(records, fmt="csv", path=None, sweep_param=None,
 
 
 def run_sweep(base_config, param, values):
-    """Run the base config once per parameter value, in order."""
-    records = []
-    for v in values:
-        field_type = type(getattr(base_config, param))
-        cfg = replace(base_config, **{param: field_type(v)}).validate()
-        records.append(run_experiment(cfg))
-    return records
+    """Run the base config once per parameter value, in order; each value is
+    converted to the field's type."""
+    return [run_experiment(replace(base_config, **{param: v}).validate())
+            for v in values]
 
 
 # Named configurations mirroring the published tables.  TPA and cG sweeps

@@ -1,9 +1,10 @@
 """1D Lagrange finite elements on an interval with homogeneous Dirichlet conditions.
 
-Provides uniform meshes, nodal FE spaces of arbitrary degree, assembly of
+Provides uniform meshes, nodal FE spaces of arbitrary degree with nodal
+interpolation (and exact embedding into a richer space), assembly of
 mass/stiffness/load forms (including cross-space and element-restricted
-variants), L2 projection and nodal interpolation, banded SPD solves, and
-evaluation of terminal-time quantities of interest.
+variants), banded SPD solves, and evaluation of terminal-time quantities of
+interest.
 
 All objects are immutable after construction and safe to share.
 """
@@ -130,9 +131,6 @@ class FeSpace:
         self.element_dofs = emap
         self.dof_coords = nodes[1:-1]
 
-    def zero_field(self):
-        return NodalField(self, np.zeros(self.dof_count))
-
     def interpolate(self, fn):
         """Nodal interpolation of a callable fn(x) (boundary values dropped)."""
         return NodalField(self, np.asarray(fn(self.dof_coords), dtype=float))
@@ -211,7 +209,8 @@ class AssembledOperator:
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
-        return sla.cho_solve_banded((self._cho, False), rhs)
+        return sla.cho_solve_banded((self._cho, False), rhs,
+                                    check_finite=False)
 
 
 def assemble_matrix(row_space, col_space, kind, elements=None):
@@ -324,33 +323,6 @@ class FormCache:
         if key not in self._factors:
             self._factors[key] = build()
         return self._factors[key]
-
-
-def project_field(source, target_space, mode="l2_projection"):
-    """Project a NodalField or callable onto target_space.
-
-    'l2_projection' solves M c = (source, phi_i); 'nodal_interpolation'
-    samples at the Lagrange nodes.  For a NodalField source the meshes must
-    agree.
-    """
-    if isinstance(source, NodalField):
-        if not np.array_equal(
-            source.space.mesh.boundaries, target_space.mesh.boundaries
-        ):
-            raise ValueError("source and target spaces live on different meshes")
-        if source.space is target_space:
-            return NodalField(target_space, source.coefficients.copy())
-    if mode == "nodal_interpolation":
-        return target_space.interpolate(source)
-    if mode != "l2_projection":
-        raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(source, NodalField):
-        rhs = assemble_matrix(target_space, source.space, "mass") @ source.coefficients
-    else:
-        rhs = assemble_load(target_space, 0.0, lambda x, t: source(x))
-    M = AssembledOperator("mass", target_space,
-                          assemble_matrix(target_space, target_space, "mass"))
-    return NodalField(target_space, M.solve(rhs))
 
 
 def embed(field, target_space):

@@ -15,7 +15,7 @@ interpolated onto the coarse space before it is added.
 
 from dataclasses import dataclass
 
-from .mesh import NodalField, embed, project_field
+from .mesh import NodalField, embed
 
 
 @dataclass
@@ -45,8 +45,9 @@ def _synchronize(coarse_end, corr, fine_space, sync_space):
     if corr is None:
         return coarse_end
     if sync_space == "coarse":
-        return coarse_end + project_field(corr, coarse_end.space,
-                                          "nodal_interpolation")
+        space = coarse_end.space
+        return coarse_end + (corr if corr.space is space
+                             else space.interpolate(corr))
     if sync_space == "fine":
         return embed(coarse_end, fine_space) + corr
     raise ValueError(f"unknown sync_space {sync_space!r}")
@@ -75,8 +76,8 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
                 ft = fine_solver(partition.fine_grids[p - 1], sync)
             except Exception as exc:
                 raise RuntimeError(
-                    f"solver failure on subdomain p={p}, iteration k_t={k}"
-                ) from exc
+                    f"solver failure on subdomain p={p}, iteration k_t={k}: "
+                    f"{exc}") from exc
             coarse_trajs.append(ct)
             fine_trajs.append(ft)
             corrs.append(ft.end - embed(ct.end, fine_space))

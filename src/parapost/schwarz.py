@@ -26,7 +26,6 @@ class OverlapDecomposition:
     beta: float
     tau: float
     ranges: tuple     # per subdomain, (first_element, last_element_exclusive)
-    overlaps: dict    # (i, j) -> (first_element, last_element_exclusive)
 
     def elements(self, i):
         lo, hi = self.ranges[i]
@@ -72,14 +71,7 @@ def decompose_domain(mesh, P_s, beta, tau=0.4):
             f"tau={tau} does not give convergent sweeps; need "
             f"0 < tau * {m} < 2 ({m} subdomains overlap on some element)"
         )
-    overlaps = {}
-    for i in range(P_s):
-        for j in range(P_s):
-            lo = max(ranges[i][0], ranges[j][0])
-            hi = min(ranges[i][1], ranges[j][1])
-            if hi > lo:
-                overlaps[(i, j)] = (lo, hi)
-    return OverlapDecomposition(mesh, P_s, beta, tau, tuple(ranges), overlaps)
+    return OverlapDecomposition(mesh, P_s, beta, tau, tuple(ranges))
 
 
 def subdomain_dof_sets(space, decomp, i):
@@ -141,7 +133,7 @@ class AdditiveSchwarz:
 
     def local_solve(self, i, rhs):
         """Solve the interior block of B on subdomain i."""
-        return sla.cho_solve(self._lu[i], rhs)
+        return sla.cho_solve(self._lu[i], rhs, check_finite=False)
 
     def solve(self, rhs, guess, K_s):
         """Run K_s sweeps from the given initial guess; returns the final

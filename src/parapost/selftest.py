@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .harness import ExperimentConfig, build_manufactured, run_experiment
-from .mesh import FeSpace, FormCache, SpatialMesh, project_field
+from .mesh import FeSpace, FormCache, SpatialMesh, embed
 from .parareal import par_standard, vpar
 from .schwarz import AdditiveSchwarz, decompose_domain
 from .timestepping import TimePartition, dg0_equivalence_check, propagate_be
@@ -36,8 +36,7 @@ def _check_parareal_exactness():
     cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
     ic = coarse.interpolate(prob.u0)
     states = vpar(part, 4, ic, fs, cs, fine, sync_space="fine")
-    serial = propagate_be(fine, np.linspace(0, 0.5, 17),
-                          project_field(ic, fine, "nodal_interpolation"),
+    serial = propagate_be(fine, np.linspace(0, 0.5, 17), embed(ic, fine),
                           prob.f, cache)
     for p in range(1, 5):
         got = states[-1].fine[p - 1].end.coefficients

@@ -94,6 +94,11 @@ class Trajectory:
         return self.field(self.n_steps)
 
 
+def _require_finite(values, n, t):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite solution at step n={n}, t={t:.6g}")
+
+
 def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
     """Implicit Euler over a step grid: (M + dt A) U_n = (U_{n-1}, .) + dt l(t_n).
 
@@ -102,7 +107,8 @@ def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
     the trajectory then carries the per-step sweep records in
     traj.schwarz_records (index n-1 for step n).  The incoming value may
     live in a different space on the same mesh; its first-step contribution
-    is the exact cross-space L2 pairing.
+    is the exact cross-space L2 pairing.  A non-finite step value raises a
+    ValueError naming the step n and its time t.
     """
     if decomp is not None and (K_s is None or K_s < 1):
         raise ValueError("K_s must be >= 1")
@@ -124,6 +130,7 @@ def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
             sweeper = AdditiveSchwarz.cached(cache, space, dt, decomp)
             values[n], rec = sweeper.solve(rhs, np.zeros(space.dof_count), K_s)
             records.append(rec)
+        _require_finite(values[n], n, times[n])
         prev_m = M @ values[n]
     traj = Trajectory(space, times, values, incoming=ic)
     if decomp is not None:
@@ -132,10 +139,12 @@ def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
 
 
 class CgTrajectory:
-    """cG(q_t) trajectory: per slab, q_t+1 time-nodal coefficient vectors.
+    """cG(q_t) space-time field: per slab, q_t+1 time-nodal coefficient vectors.
 
-    coeffs[n, j] is the coefficient vector at time node j (equispaced in the
-    slab); continuity means coeffs[n, -1] == coeffs[n+1, 0].
+    coeffs[n, j] is the coefficient vector at time node j (equispaced in
+    slab n); continuity means coeffs[n, -1] == coeffs[n+1, 0].  Forward cG
+    solutions and the backward adjoints are both of this type; incoming is
+    the value fed to a forward solve, or an adjoint's terminal datum.
     """
 
     def __init__(self, space, times, q_t, coeffs, incoming):
@@ -159,32 +168,52 @@ class CgTrajectory:
     def end(self):
         return self.field(self.n_steps)
 
+    def slab_index(self, t0, t1, tol=1e-10):
+        """Index of the slab [t0, t1]; raises if the interval is not a slab."""
+        n = int(np.searchsorted(self.times, 0.5 * (t0 + t1)) - 1)
+        if not (0 <= n < self.n_steps
+                and abs(self.times[n] - t0) < tol
+                and abs(self.times[n + 1] - t1) < tol):
+            raise ValueError(f"[{t0}, {t1}] is not a slab of this grid")
+        return n
+
+    def slab_eval(self, n, s):
+        """Coefficient vectors at local coordinates s in [0,1] of slab n,
+        shape (len(s), dof)."""
+        return lagrange_values(self.q_t, s).T @ self.coeffs[n]
+
     def at(self, t):
         """Solution at an arbitrary time in the grid's span."""
         n = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
                         self.n_steps - 1))
         t0, t1 = self.times[n], self.times[n + 1]
         s = (t - t0) / (t1 - t0)
-        lam = lagrange_values(self.q_t, [s])[:, 0]
-        return NodalField(self.space, lam @ self.coeffs[n])
+        return NodalField(self.space, self.slab_eval(n, [s])[0])
+
+    def value_at_node(self, t, tol=1e-10):
+        """Solution at a grid node (exact nodal value)."""
+        k = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[k] - t) > tol:
+            raise ValueError(f"{t} is not a node of this grid")
+        return self.field(k)
 
 
 def _cg_time_forms(q_t):
     """Time-integration tables for one cG(q_t) slab on the reference interval.
 
-    Test functions are Legendre polynomials of degree < q_t.  Returns
-    (alpha, beta) with alpha[m, j] = int lam_j' P_m ds, beta[m, j] = int lam_j P_m ds.
+    Test functions are Legendre polynomials P_m of degree < q_t, integrated
+    by the (q_t+3)-point Gauss rule (s, w).  Returns (alpha, beta, s, Pw)
+    with alpha[m, j] = int lam_j' P_m ds, beta[m, j] = int lam_j P_m ds and
+    Pw[m, i] = P_m(s_i) w_i, the weights of a time-integrated load.
     """
-    nq = q_t + 3
-    s, w = gauss_rule(nq)
+    s, w = gauss_rule(q_t + 3)
     lam = lagrange_values(q_t, s)
     dlam = lagrange_derivs(q_t, s)
     # Legendre on [0,1]
     P = np.array([np.polynomial.legendre.Legendre.basis(m)(2 * s - 1)
                   for m in range(q_t)])
-    alpha = (P * w[None, :]) @ dlam.T
-    beta = (P * w[None, :]) @ lam.T
-    return alpha, beta
+    Pw = P * w[None, :]
+    return Pw @ dlam.T, Pw @ lam.T, s, Pw
 
 
 def propagate_cg(space, times, q_t, ic, f, cache=None):
@@ -192,7 +221,8 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
 
     Continuity across slabs is enforced by construction; the slab start value
     is the L2 projection of the incoming value into the solve space.  f=None
-    is a homogeneous problem: no load is assembled.
+    is a homogeneous problem: no load is assembled.  A non-finite slab
+    solution raises a ValueError naming its step and end time.
     """
     if q_t < 1:
         raise ValueError("q_t must be >= 1")
@@ -200,16 +230,11 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
     times = np.asarray(times, dtype=float)
     n_steps = len(times) - 1
     M, A = cache.mass(space, space), cache.stiffness(space, space)
-    alpha, beta = _cg_time_forms(q_t)
+    alpha, beta, sq, Pw = _cg_time_forms(q_t)
     ndof = space.dof_count
 
     Minc = cache.mass(space, ic.space)
     u0 = cache.step_operator(space, 0.0).solve(Minc @ ic.coefficients)
-
-    nq = q_t + 3
-    sq, wq = gauss_rule(nq)
-    Pq = np.array([np.polynomial.legendre.Legendre.basis(m)(2 * sq - 1)
-                   for m in range(q_t)])
 
     def slab_system(dt):
         K = np.zeros((q_t * ndof, q_t * ndof))
@@ -232,12 +257,13 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
             # time-integrated load against each test function
             loads = np.array([assemble_load(space, t0 + dt * s, f) for s in sq])
             for m in range(q_t):
-                F[m * ndof:(m + 1) * ndof] = dt * (wq * Pq[m]) @ loads
+                F[m * ndof:(m + 1) * ndof] = dt * Pw[m] @ loads
         for m in range(q_t):
             F[m * ndof:(m + 1) * ndof] -= (
                 alpha[m, 0] * (M @ prev) + dt * beta[m, 0] * (A @ prev)
             )
-        sol = sla.lu_solve(lu, F)
+        sol = sla.lu_solve(lu, F, check_finite=False)
+        _require_finite(sol, n + 1, times[n + 1])
         coeffs[n, 0] = prev
         for j in range(1, q_t + 1):
             coeffs[n, j] = sol[(j - 1) * ndof:j * ndof]

@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 
 from parapost.estimator import ResidualEvaluator, dd_split
-from parapost.adjoint import SpaceTimeAdjoint, SpatialAdjointSolver
-from parapost.harness import ExperimentConfig, build_manufactured, \
-    reproduce_table, run_experiment
-from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, \
-    project_field
+from parapost.adjoint import SpatialAdjointSolver
+from parapost.harness import ExperimentConfig, TABLE_REGISTRY, \
+    build_manufactured, reproduce_table, run_experiment
+from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, embed
 from parapost.parareal import par_standard, vpar
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
-from parapost.timestepping import TimePartition, dg0_equivalence_check, \
-    propagate_be
+from parapost.timestepping import CgTrajectory, TimePartition, \
+    dg0_equivalence_check, propagate_be
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 
@@ -28,33 +27,54 @@ def within(value, target, rel):
 
 
 @pytest.fixture(scope="module")
-def par_iterations():
-    records, _, values = reproduce_table("par_iterations")
-    return dict(zip(values, records))
+def registry():
+    """Every registry table, run once: name -> {sweep value: record}."""
+    out = {}
+    for name in TABLE_REGISTRY:
+        records, _, values = reproduce_table(name)
+        out[name] = dict(zip(values, records))
+    return out
 
 
 @pytest.fixture(scope="module")
-def par_coarse_time():
-    records, _, values = reproduce_table("par_coarse_time")
-    return dict(zip(values, records))
+def par_iterations(registry):
+    return registry["par_iterations"]
 
 
 @pytest.fixture(scope="module")
-def pardd_iterations():
-    records, _, values = reproduce_table("pardd_iterations")
-    return dict(zip(values, records))
+def par_coarse_time(registry):
+    return registry["par_coarse_time"]
 
 
 @pytest.fixture(scope="module")
-def pardd_subdomains():
-    records, _, values = reproduce_table("pardd_subdomains")
-    return dict(zip(values, records))
+def pardd_iterations(registry):
+    return registry["pardd_iterations"]
 
 
 @pytest.fixture(scope="module")
-def cg_iterations():
-    records, _, values = reproduce_table("cg_iterations")
-    return dict(zip(values, records))
+def pardd_subdomains(registry):
+    return registry["pardd_subdomains"]
+
+
+@pytest.fixture(scope="module")
+def cg_iterations(registry):
+    return registry["cg_iterations"]
+
+
+# --- criterion 0: every registry row -------------------------------------
+
+GAMMA_GATE = {"TPA": 0.01, "STPA": 0.02}  # TPA and cG rows, Schwarz rows
+
+
+@pytest.mark.parametrize("table", sorted(TABLE_REGISTRY))
+def test_registry_effectivity_gate(registry, table):
+    for value, rec in registry[table].items():
+        label = f"{table} {value}"
+        assert all(math.isfinite(c) for c in rec.components.values()), label
+        assert math.fsum(rec.components.values()) == rec.estimated_error, label
+        gate = GAMMA_GATE[rec.mode]
+        assert 1.0 - gate <= rec.effectivity <= 1.0 + gate, (
+            f"{label}: gamma {rec.effectivity:.4f}")
 
 
 # --- criterion 1: time-parallel iteration sweep --------------------------
@@ -162,8 +182,7 @@ def test_property_finite_termination(P_t):
     ic = coarse.interpolate(prob.u0)
     states = vpar(part, P_t, ic, fs, cs, fine, sync_space="fine")
     serial = propagate_be(fine, np.linspace(0.0, 0.5, part.N_t + 1),
-                          project_field(ic, fine, "nodal_interpolation"),
-                          prob.f, cache)
+                          embed(ic, fine), prob.f, cache)
     n_per = part.N_t // P_t
     for p in range(1, P_t + 1):
         dev = np.max(np.abs(states[-1].fine[p - 1].end.coefficients
@@ -188,8 +207,8 @@ def test_property_galerkin_orthogonality():
                         ZERO_F)
     n = len(grid) - 1
     coeffs = np.tile(rng.standard_normal(space.dof_count), (n, 2, 1))
-    w = SpaceTimeAdjoint("const", space, grid, 1, coeffs,
-                         NodalField(space, coeffs[-1, -1].copy()))
+    w = CgTrajectory(space, grid, 1, coeffs,
+                     NodalField(space, coeffs[-1, -1].copy()))
     res = ResidualEvaluator(ZERO_F).residual(traj, w)
     assert np.max(np.abs(res)) <= 1e-12
 

@@ -158,8 +158,11 @@ def test_spatial_adjoint_subdomain_recursion_residual():
     B = (assemble_matrix(space, space, "mass")
          + dt * assemble_matrix(space, space, "stiffness"))
     M_ov, B_ov = {}, {}
-    for (i, j), (lo, hi) in decomp.overlaps.items():
-        elems = range(lo, hi)
+    for (i, j) in np.ndindex(P_s, P_s):
+        (lo_i, hi_i), (lo_j, hi_j) = decomp.ranges[i], decomp.ranges[j]
+        elems = range(max(lo_i, lo_j), min(hi_i, hi_j))
+        if not elems:
+            continue
         M_ov[(i, j)] = assemble_matrix(space, space, "mass", elems)
         B_ov[(i, j)] = (M_ov[(i, j)]
                         + dt * assemble_matrix(space, space, "stiffness", elems))
@@ -213,3 +216,10 @@ def test_homogeneous_backward_solves_assemble_no_load(monkeypatch):
     propagate_cg(space, grid, 3, terminal,
                  lambda x, t: np.sin(np.pi * x) * t, cache)
     assert len(calls) > 0
+
+
+def test_nonfinite_adjoint_names_its_family():
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 2)
+    terminal = NodalField(space, np.full(space.dof_count, np.nan))
+    with pytest.raises(ValueError, match=r"fine\(2\) adjoint.* n=1"):
+        solve_backward_cg("fine(2)", space, np.linspace(0.0, 0.4, 5), terminal)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from parapost.adjoint import (
-    SpaceTimeAdjoint,
     SpatialAdjointSolver,
     solve_auxiliary_adjoints,
     solve_coarse_adjoint,
@@ -17,13 +16,19 @@ from parapost.estimator import (
     ResidualEvaluator,
     dd_split,
     effectivity,
+    stpa_breakdown,
     tpa_breakdown,
 )
 from parapost.harness import ExperimentConfig, build_manufactured, run_experiment
 from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, embed, qoi_eval
 from parapost.parareal import vpar
 from parapost.schwarz import decompose_domain
-from parapost.timestepping import TimePartition, propagate_be, propagate_cg
+from parapost.timestepping import (
+    CgTrajectory,
+    TimePartition,
+    propagate_be,
+    propagate_cg,
+)
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 
@@ -32,8 +37,7 @@ def _constant_in_time_weight(space, times, coeffs):
     """Piecewise-constant-in-time space-time field on a step grid."""
     n = len(times) - 1
     c = np.tile(coeffs, (n, 2, 1))
-    return SpaceTimeAdjoint("const", space, times, 1, c,
-                            NodalField(space, coeffs.copy()))
+    return CgTrajectory(space, times, 1, c, NodalField(space, coeffs.copy()))
 
 
 def test_galerkin_orthogonality_be():
@@ -61,8 +65,8 @@ def test_galerkin_orthogonality_cg():
     traj = propagate_cg(space, grid, 2, ic, ZERO_F)
     n = len(grid) - 1
     coeffs = rng.standard_normal((n, 2, space.dof_count))  # linear in time
-    w = SpaceTimeAdjoint("lin", space, grid, 1, coeffs,
-                         NodalField(space, coeffs[-1, -1].copy()))
+    w = CgTrajectory(space, grid, 1, coeffs,
+                     NodalField(space, coeffs[-1, -1].copy()))
     ev = ResidualEvaluator(ZERO_F)
     res = ev.residual(traj, w)
     assert np.max(np.abs(res)) < 1e-12
@@ -78,8 +82,8 @@ def test_residual_be_single_dof_oracle():
     # weight linear in time in the same space, values a_n at the grid times
     a = np.array([0.8, -0.3, 0.6])
     coeffs = np.array([[[a[0]], [a[1]]], [[a[1]], [a[2]]]])
-    w = SpaceTimeAdjoint("lin", space, grid, 1, coeffs,
-                         NodalField(space, np.array([a[2]])))
+    w = CgTrajectory(space, grid, 1, coeffs,
+                     NodalField(space, np.array([a[2]])))
     ev = ResidualEvaluator(ZERO_F)
     res = ev.residual(traj, w)
     u = traj.values[:, 0]
@@ -137,11 +141,15 @@ def test_iteration_component_vanishes_at_finite_termination():
     assert abs(bd.effectivity - 1.0) < 0.05
 
 
-def test_missing_adjoint_family_rejected():
+@pytest.mark.parametrize("breakdown", [
+    tpa_breakdown,
+    lambda *args: stpa_breakdown(*args, decomp=None),
+], ids=["tpa_breakdown", "stpa_breakdown"])
+def test_missing_adjoint_family_rejected(breakdown):
     prob = build_manufactured(2, 1, 0.5)
     part = TimePartition.uniform(0.5, 2, 4, 2)
-    with pytest.raises(ValueError):
-        tpa_breakdown(part, None, {"coarse": None, "fine": None}, prob, 0.0)
+    with pytest.raises(ValueError, match="missing adjoint family 'aux'"):
+        breakdown(part, None, {"coarse": None, "fine": None}, prob, 0.0)
 
 
 def _schwarz_step_setup(K_s=2):

@@ -103,6 +103,12 @@ BAD_CONFIGS = [
     (dict(schwarz=True, tau=2.0), "tau"),
     (dict(nu=float("inf")), "nu"),
     (dict(qoi_lo=0.6, qoi_hi=0.2), "qoi_lo"),
+    # values that the field's type cannot hold are rejected, not truncated
+    (dict(r=2.5), "r"),
+    (dict(K_t=1.9), "K_t"),
+    (dict(Nhat_s="20.5"), "Nhat_s"),
+    (dict(nu="fast"), "nu"),
+    (dict(schwarz="maybe"), "schwarz"),
 ]
 
 
@@ -112,6 +118,8 @@ BAD_CONFIGS = [
 def test_config_rejects_bad_values_by_name(overrides, name):
     with pytest.raises(ValueError, match=name):
         ExperimentConfig(**overrides).validate()
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig.from_mapping(overrides)
     # every registry row still validates (from_mapping validates)
     for entry in TABLE_REGISTRY.values():
         for v in entry["values"]:
@@ -230,6 +238,17 @@ def test_emit_report_errors(tmp_path):
         emit_report([rec], fmt="xml")
     with pytest.raises(OSError):
         emit_report([rec], path=str(tmp_path / "no" / "such" / "dir" / "x.csv"))
+
+
+def test_sweep_values_converted_by_field_type(tmp_path, capsys):
+    off = run_sweep(ExperimentConfig(**SMALL), "schwarz", ["false"])
+    assert off[0].config["schwarz"] is False and off[0].mode == "TPA"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in SMALL.items()))
+    assert cli_main(["sweep", "--config", str(cfg), "--param", "K_t",
+                     "--values", "1, 2.0"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2"]
 
 
 def test_run_sweep_overrides_in_order():

@@ -1,4 +1,4 @@
-"""Meshes, spaces, assembly, projections, banded solves and QoI evaluation."""
+"""Meshes, spaces, assembly, interpolation, banded solves and QoI evaluation."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from parapost.mesh import (
     assemble_load,
     assemble_matrix,
     embed,
-    project_field,
     qoi_eval,
 )
 
@@ -109,31 +108,33 @@ def test_projection_identity_on_space():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 9), 2)
     rng = np.random.default_rng(0)
     fld = NodalField(space, rng.standard_normal(space.dof_count))
-    for mode in ("l2_projection", "nodal_interpolation"):
-        out = project_field(fld, space, mode)
-        assert np.max(np.abs(out.coefficients - fld.coefficients)) < 1e-12
+    assert embed(fld, space) is fld
+    out = space.interpolate(fld)
+    assert np.max(np.abs(out.coefficients - fld.coefficients)) < 1e-12
 
 
-def test_projection_l2_beats_interpolation():
+def test_projection_interpolation_second_order():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 20), 1)
     u0 = lambda x: np.sin(np.pi * x)
-    pl2 = project_field(u0, space, "l2_projection")
-    pin = project_field(u0, space, "nodal_interpolation")
+    pin = space.interpolate(u0)
 
     def l2err(fld):
         val, _ = quad(lambda x: (u0(x) - fld(x).item()) ** 2, 0, 1,
                       points=list(space.mesh.boundaries), limit=200)
         return np.sqrt(val)
 
-    e_l2, e_in = l2err(pl2), l2err(pin)
-    assert e_l2 <= e_in
+    e_in = l2err(pin)
     assert e_in < 0.5 * (np.pi / 20) ** 2  # O(h^2)
+    # embedding into a richer space re-expresses the same function
+    assert l2err(embed(pin, FeSpace(space.mesh, 3))) == pytest.approx(
+        e_in, rel=1e-8)
 
 
 def test_projection_zero():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 5), 3)
-    out = project_field(lambda x: np.zeros_like(x), space, "l2_projection")
+    out = space.interpolate(lambda x: np.zeros_like(x))
     assert np.max(np.abs(out.coefficients)) < 1e-14
+    assert np.max(np.abs(embed(out, FeSpace(space.mesh, 4)).coefficients)) == 0.0
 
 
 def test_solve_spd_identity_and_scalar():

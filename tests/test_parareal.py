@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from parapost.harness import build_manufactured
-from parapost.mesh import FeSpace, FormCache, SpatialMesh, project_field
+from parapost.mesh import FeSpace, FormCache, SpatialMesh, embed
 from parapost.parareal import par_standard, vpar
-from parapost.timestepping import TimePartition, propagate_be
+from parapost.schwarz import decompose_domain
+from parapost.timestepping import TimePartition, propagate_be, propagate_cg
 
 
 def _setup(nhat_s=8, qhat=1, q=2, P_t=4, Nhat_t=8, r=2, T=0.5, nu=2, mu=1):
@@ -32,8 +33,7 @@ def test_exactness_after_P_t_iterations_fine_sync():
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8, r=2)
     states = vpar(part, 4, ic, fs, cs, fine, sync_space="fine")
     serial = propagate_be(fine, np.linspace(0.0, 0.5, part.N_t + 1),
-                          project_field(ic, fine, "nodal_interpolation"),
-                          prob.f, cache)
+                          embed(ic, fine), prob.f, cache)
     for p in range(1, 5):
         got = states[-1].fine[p - 1].end.coefficients
         want = serial.values[p * 4]
@@ -76,8 +76,7 @@ def test_coarse_sync_fixed_point_differs_from_serial_fine():
     prev = states[-2].fine[-1].end.coefficients
     assert np.max(np.abs(last - prev)) < 1e-10  # converged in its own right
     serial = propagate_be(fine, np.linspace(0.0, 0.5, part.N_t + 1),
-                          project_field(ic, fine, "nodal_interpolation"),
-                          prob.f, cache)
+                          embed(ic, fine), prob.f, cache)
     gap = np.max(np.abs(last - serial.values[-1]))
     assert gap > 1e-8  # ... but to a different limit
 
@@ -149,3 +148,22 @@ def test_solver_failure_is_located():
     with pytest.raises(RuntimeError) as err:
         vpar(part, 2, ic, flaky, cs, fine)
     assert "p=3" in str(err.value) and "k_t=1" in str(err.value)
+
+
+@pytest.mark.parametrize("stepping", ["be", "cg", "schwarz"])
+def test_nonfinite_forcing_names_subdomain_iteration_and_step(stepping):
+    # the forcing turns NaN after t = 0.3: inside subdomain 3 ([0.25, 0.375],
+    # fine steps of 1/32), whose second step ends at t = 0.3125
+    prob, part, coarse, fine, fs, cs, ic, cache = _setup()
+    nan_f = lambda x, t: prob.f(x, t) * (np.nan if t > 0.3 else 1.0)
+    decomp = decompose_domain(fine.mesh, 2, 0.25)
+    fine_solvers = {
+        "be": lambda g, ic_: propagate_be(fine, g, ic_, nan_f, cache),
+        "cg": lambda g, ic_: propagate_cg(fine, g, 1, ic_, nan_f, cache),
+        "schwarz": lambda g, ic_: propagate_be(fine, g, ic_, nan_f, cache,
+                                               decomp, 2),
+    }
+    with pytest.raises(RuntimeError, match=r"p=3, iteration k_t=1: "
+                       r".*step n=2, t=0\.3125") as err:
+        vpar(part, 2, ic, fine_solvers[stepping], cs, fine)
+    assert isinstance(err.value.__cause__, ValueError)
