@@ -16,7 +16,7 @@ from .harness import (
 def _cmd_run(args):
     cfg = ExperimentConfig.from_file(args.config)
     rec = run_experiment(cfg)
-    fmt = args.format or cfg.format or "csv"
+    fmt = args.format or cfg.format
     path = args.out or cfg.path or None
     text = emit_report([rec], fmt=fmt, path=path)
     if not path:
@@ -27,7 +27,7 @@ def _cmd_run(args):
 def _cmd_sweep(args):
     cfg = ExperimentConfig.from_file(args.config)
     records = run_sweep(cfg, args.param, args.values.split(","))
-    fmt = args.format or cfg.format or "csv"
+    fmt = args.format or cfg.format
     path = args.out or cfg.path or None
     text = emit_report(records, fmt=fmt, path=path, sweep_param=args.param,
                        sweep_values=[r.config[args.param] for r in records])

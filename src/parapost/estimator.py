@@ -51,8 +51,8 @@ def effectivity(estimated, true_err):
 class ResidualEvaluator:
     """Evaluates dual-weighted residuals and mixed-space pairings.
 
-    Holds the load/matrix caches; time quadrature is 5-point Gauss per step
-    (cubic-in-time weights against smooth forcing).
+    Holds the matrix cache and per-trajectory load blocks; time quadrature
+    is 5-point Gauss per step (cubic-in-time weights against smooth forcing).
     """
 
     def __init__(self, f, cache=None, n_quad_t=5):
@@ -62,10 +62,14 @@ class ResidualEvaluator:
         self._loads = {}
         self._s, self._w = gauss_rule(n_quad_t)
 
-    def load(self, space, t):
-        key = (space, round(float(t), 14))
+    def load(self, space, traj, ends=False):
+        """traj's loads in space, (steps, n_quad_t, dof) at the Gauss times of
+        its steps or, if ends, (steps, dof) at times[1:]; one call each."""
+        key = (space, traj, ends)
         if key not in self._loads:
-            self._loads[key] = assemble_load(space, t, self.f)
+            times = traj.times[1:] if ends else (
+                traj.times[:-1, None] + np.diff(traj.times)[:, None] * self._s)
+            self._loads[key] = assemble_load(space, times, self.f)
         return self._loads[key]
 
     def pair(self, a, b):
@@ -89,6 +93,7 @@ class ResidualEvaluator:
         M_x = self.cache.mass(ws, ts)
         M_inc = self.cache.mass(ws, traj.incoming.space)
         inc_m = M_inc @ traj.incoming.coefficients
+        loads = self.load(ws, traj)
         out = np.zeros(traj.n_steps)
         for n in range(1, traj.n_steps + 1):
             t0, t1 = traj.times[n - 1], traj.times[n]
@@ -99,8 +104,7 @@ class ResidualEvaluator:
             au = A_x @ u_n
             acc = 0.0
             for q in range(self.n_quad_t):
-                t_q = t0 + dt * self._s[q]
-                acc += self._w[q] * (self.load(ws, t_q) @ phi_q[q] - phi_q[q] @ au)
+                acc += self._w[q] * (loads[n - 1, q] @ phi_q[q] - phi_q[q] @ au)
             acc *= dt
             phi_left = weight.slab_eval(slab, [0.0])[0]
             if n == 1:
@@ -122,6 +126,7 @@ class ResidualEvaluator:
         A_x = self.cache.stiffness(ws, ts)
         M_x = self.cache.mass(ws, ts)
         dlam = lagrange_derivs(traj.q_t, self._s)
+        loads = self.load(ws, traj)
         out = np.zeros(traj.n_steps)
         for n in range(1, traj.n_steps + 1):
             t0, t1 = traj.times[n - 1], traj.times[n]
@@ -132,9 +137,8 @@ class ResidualEvaluator:
             du_q = dlam.T @ traj.coeffs[n - 1] / dt
             acc = 0.0
             for q in range(self.n_quad_t):
-                t_q = t0 + dt * self._s[q]
                 acc += self._w[q] * (
-                    self.load(ws, t_q) @ phi_q[q]
+                    loads[n - 1, q] @ phi_q[q]
                     - phi_q[q] @ (A_x @ u_q[q])
                     - phi_q[q] @ (M_x @ du_q[q])
                 )
@@ -241,7 +245,7 @@ def dd_split(traj, n, decomp, phi_val, ev):
         ell = M3inc @ traj.incoming.coefficients
     else:
         ell = M3x @ traj.values[n - 1]
-    ell = ell + dt * ev.load(space3, traj.times[n])
+    ell = ell + dt * ev.load(space3, traj, ends=True)[n - 1]
 
     Phi = spatial_solver.solve_global(phi_val)
     chi = spatial_solver.solve_subdomain(phi_val, K_s)
@@ -261,7 +265,8 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
     Splits the fine discretization component into temporal (D_t), spatial
     (D_s) and Schwarz-iteration (D_k) parts; A, C, K are as in the
     time-parallel decomposition but on the Schwarz trajectories.  decomp is
-    the decomposition the fine solves were swept over.
+    the decomposition the fine solves were swept over; a non-finite E_K or
+    E_N raises, naming p and n.
     """
     _require_families(adjoints)
     ev = ev or ResidualEvaluator(problem.f, cache)
@@ -273,6 +278,8 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
         for n in range(1, traj.n_steps + 1):
             phi_val = adjoints["fine"][p - 1].value_at_node(traj.times[n])
             E_K, E_N = dd_split(traj, n, decomp, phi_val, ev)
+            if not (math.isfinite(E_K) and math.isfinite(E_N)):
+                raise ValueError(f"non-finite E_K={E_K}, E_N={E_N} at p={p}, n={n}")
             D_t += res[n - 1] - E_K - E_N
             D_s += E_N
             D_k += E_K

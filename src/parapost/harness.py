@@ -168,6 +168,8 @@ class ExperimentConfig:
             raise ValueError("qhat_s must not exceed q_s")
         if self.integrator not in ("be", "cg"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.schwarz:
             if self.integrator != "be":
                 raise ValueError("the Schwarz fine solver requires integrator 'be'")

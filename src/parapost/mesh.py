@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import dpbtrs
 
 
 @lru_cache(maxsize=32)
@@ -208,9 +209,14 @@ class AssembledOperator:
             ) from exc
 
     def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        return sla.cho_solve_banded((self._cho, False), rhs,
-                                    check_finite=False)
+        return lapack_solution("dpbtrs", *dpbtrs(self._cho, rhs))
+
+
+def lapack_solution(routine, x, info):
+    """x of a direct LAPACK solve's (x, info); nonzero info raises."""
+    if info != 0:
+        raise sla.LinAlgError(f"{routine} returned info={info}")
+    return x
 
 
 def assemble_matrix(row_space, col_space, kind, elements=None):
@@ -254,29 +260,33 @@ def assemble_matrix(row_space, col_space, kind, elements=None):
 
 
 def assemble_load(space, t, f, n_quad=10):
-    """Load vector with entries (f(., t), phi_i), fixed 10-point Gauss rule per element.
+    """Load vectors with entries (f(., t), phi_i), fixed 10-point Gauss rule per element.
 
-    f is called once, on the flattened (n_elements, n_quad) grid of quadrature
-    points; a scalar result is broadcast to every point.  f=None (homogeneous
-    problem) gives exact zeros without evaluating anything.
+    A scalar time t gives shape (dof,), an array of times t.shape + (dof,).
+    f is called once per time, with that scalar time, on the flattened
+    (n_elements, n_quad) grid of quadrature points; a scalar result is
+    broadcast to every point.  One contraction and one scatter serve all
+    times.  f=None (homogeneous problem) gives exact zeros without
+    evaluating anything.
     """
+    t = np.asarray(t, dtype=float)
+    n, times = space.dof_count, t.reshape(-1)
     if f is None:
-        return np.zeros(space.dof_count)
+        return np.zeros(t.shape + (n,))
     mesh = space.mesh
     s, w = gauss_rule(n_quad)
-    x0 = mesh.boundaries[:-1, None]
     h = mesh.widths[:, None]
-    x = x0 + h * s[None, :]
-    fx = np.asarray(f(x.ravel(), t), dtype=float)
-    if fx.shape != (x.size,):
-        # a scalar f; broadcast_to only here, it costs a fifth of a call
-        fx = np.broadcast_to(fx, x.size)
-    basis_t = _quadrature_basis(space.degree, n_quad)
-    contrib = ((w * fx.reshape(x.shape)) @ basis_t) * h  # (n_elements, q+1)
-    dofs = space.element_dofs
-    keep = dofs >= 0
-    return np.bincount(dofs[keep], weights=contrib[keep],
-                       minlength=space.dof_count)
+    x = (mesh.boundaries[:-1, None] + h * s[None, :]).ravel()
+    fx = np.empty((len(times), x.size))
+    for k, tk in enumerate(times):
+        fx[k] = f(x, tk)
+    fx = fx.reshape(len(times), mesh.n_elements, n_quad)
+    contrib = ((w * fx) @ _quadrature_basis(space.degree, n_quad)) * h
+    keep = space.element_dofs >= 0  # one bincount, time k's dofs offset by k*n
+    rows = space.element_dofs[keep] + n * np.arange(len(times))[:, None]
+    out = np.bincount(rows.ravel(), weights=contrib[:, keep].ravel(),
+                      minlength=len(times) * n)
+    return out.reshape(t.shape + (n,))
 
 
 class FormCache:

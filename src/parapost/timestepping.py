@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import dgetrs
 
 from .mesh import (
     FormCache,
@@ -20,6 +21,7 @@ from .mesh import (
     gauss_rule,
     lagrange_values,
     lagrange_derivs,
+    lapack_solution,
 )
 from .schwarz import AdditiveSchwarz
 
@@ -105,7 +107,8 @@ def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
     Each step's SPD system is solved directly (banded Cholesky) or, given an
     OverlapDecomposition, by K_s additive Schwarz sweeps from a zero guess;
     the trajectory then carries the per-step sweep records in
-    traj.schwarz_records (index n-1 for step n).  The incoming value may
+    traj.schwarz_records (index n-1 for step n).  All loads l(t_n) are
+    assembled by one call before the step loop.  The incoming value may
     live in a different space on the same mesh; its first-step contribution
     is the exact cross-space L2 pairing.  A non-finite step value raises a
     ValueError naming the step n and its time t.
@@ -120,10 +123,11 @@ def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
     Minc = cache.mass(space, ic.space)
     prev_m = Minc @ ic.coefficients  # (U_0, phi_i)
     values[0] = cache.step_operator(space, 0.0).solve(prev_m)
+    loads = assemble_load(space, times[1:], f)
     records = []
     for n in range(1, n_steps + 1):
         dt = times[n] - times[n - 1]
-        rhs = prev_m + dt * assemble_load(space, times[n], f)
+        rhs = prev_m + dt * loads[n - 1]
         if decomp is None:
             values[n] = cache.step_operator(space, dt).solve(rhs)
         else:
@@ -183,7 +187,10 @@ class CgTrajectory:
         return lagrange_values(self.q_t, s).T @ self.coeffs[n]
 
     def at(self, t):
-        """Solution at an arbitrary time in the grid's span."""
+        """Solution at a time in the grid's span (to 1e-10); outside, raises."""
+        if not self.times[0] - 1e-10 <= t <= self.times[-1] + 1e-10:
+            raise ValueError(f"t={t} is outside the grid span "
+                             f"[{self.times[0]}, {self.times[-1]}]")
         n = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
                         self.n_steps - 1))
         t0, t1 = self.times[n], self.times[n + 1]
@@ -220,9 +227,10 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
     """cG(q_t) time stepping with test functions of time degree q_t - 1.
 
     Continuity across slabs is enforced by construction; the slab start value
-    is the L2 projection of the incoming value into the solve space.  f=None
-    is a homogeneous problem: no load is assembled.  A non-finite slab
-    solution raises a ValueError naming its step and end time.
+    is the L2 projection of the incoming value into the solve space.  All
+    loads are assembled by one call before the slab loop; f=None is a
+    homogeneous problem: no load is assembled.  A non-finite slab solution
+    raises a ValueError naming its step and end time.
     """
     if q_t < 1:
         raise ValueError("q_t must be >= 1")
@@ -230,7 +238,7 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
     times = np.asarray(times, dtype=float)
     n_steps = len(times) - 1
     M, A = cache.mass(space, space), cache.stiffness(space, space)
-    alpha, beta, sq, Pw = _cg_time_forms(q_t)
+    alpha, beta, sq, Pw = cache.factor(("cg_time_forms", q_t), lambda: _cg_time_forms(q_t))
     ndof = space.dof_count
 
     Minc = cache.mass(space, ic.space)
@@ -245,6 +253,8 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
                 )
         return K
 
+    if f is not None:  # (steps, q_t+3, dof), at every slab's quadrature times
+        loads = assemble_load(space, times[:-1, None] + np.diff(times)[:, None] * sq, f)
     coeffs = np.zeros((n_steps, q_t + 1, ndof))
     prev = u0
     for n in range(n_steps):
@@ -255,14 +265,13 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
         F = np.zeros(q_t * ndof)
         if f is not None:
             # time-integrated load against each test function
-            loads = np.array([assemble_load(space, t0 + dt * s, f) for s in sq])
             for m in range(q_t):
-                F[m * ndof:(m + 1) * ndof] = dt * Pw[m] @ loads
+                F[m * ndof:(m + 1) * ndof] = dt * Pw[m] @ loads[n]
         for m in range(q_t):
             F[m * ndof:(m + 1) * ndof] -= (
                 alpha[m, 0] * (M @ prev) + dt * beta[m, 0] * (A @ prev)
             )
-        sol = sla.lu_solve(lu, F, check_finite=False)
+        sol = lapack_solution("dgetrs", *dgetrs(*lu, F))
         _require_finite(sol, n + 1, times[n + 1])
         coeffs[n, 0] = prev
         for j in range(1, q_t + 1):

@@ -13,7 +13,8 @@ from parapost.estimator import ResidualEvaluator, dd_split
 from parapost.adjoint import SpatialAdjointSolver
 from parapost.harness import ExperimentConfig, TABLE_REGISTRY, \
     build_manufactured, reproduce_table, run_experiment
-from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, embed
+from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, \
+    assemble_load, embed
 from parapost.parareal import par_standard, vpar
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
 from parapost.timestepping import CgTrajectory, TimePartition, \
@@ -257,7 +258,7 @@ def test_property_spatial_split_identity():
                 @ traj.incoming.coefficients
         else:
             ell = M3x @ traj.values[n - 1]
-        ell = ell + dt * ev.load(adj_space, grid[n])
+        ell = ell + dt * assemble_load(adj_space, grid[n], ev.f)
         Phi = solver.solve_global(phi_val)
         lhs = Phi.coefficients @ (ell - B3x @ traj.values[n])
         assert abs((E_K + E_N) - lhs) <= 1e-14 * max(1.0, abs(lhs))

@@ -131,3 +131,39 @@ def test_load_calls_forcing_once_on_all_points():
     assemble_load(space, 0.0, f)
     assert len(seen) == 1
     assert seen[0].size == space.mesh.n_elements * 10
+
+
+TIMES = np.array([0.0, 0.37, 0.37 + 1e-3, 1.9])
+
+
+@pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"N{m.n_elements}")
+def test_load_over_times_equals_stacked_scalar_calls(mesh):
+    # one contraction and one scatter serve every time, each sum in the
+    # order of the scalar call, so the rows must agree exactly
+    forcings = dict(LOADS, scalar=lambda x, t: 2.5 + t)
+    for q in (1, 2, 3):
+        space = FeSpace(mesh, q)
+        for name, f in sorted(forcings.items()):
+            got = assemble_load(space, TIMES, f)
+            want = np.array([assemble_load(space, t, f) for t in TIMES])
+            assert got.shape == (len(TIMES), space.dof_count)
+            assert np.array_equal(got, want), (q, name)
+        zeros = assemble_load(space, TIMES, None)
+        assert zeros.shape == (len(TIMES), space.dof_count)
+        assert not np.any(zeros)
+
+
+def test_load_over_times_calls_forcing_once_per_scalar_time():
+    space = FeSpace(MESHES[1], 2)
+    seen = []
+
+    def f(x, t):
+        seen.append(t)
+        assert np.ndim(t) == 0 and x.shape == (space.mesh.n_elements * 10,)
+        return np.cos(x) * t
+
+    grid = TIMES.reshape(2, 2)
+    out = assemble_load(space, grid, f)
+    assert seen == list(TIMES)
+    assert out.shape == (2, 2, space.dof_count)
+    assert np.array_equal(out[1, 0], assemble_load(space, grid[1, 0], f))

@@ -20,7 +20,15 @@ from parapost.estimator import (
     tpa_breakdown,
 )
 from parapost.harness import ExperimentConfig, build_manufactured, run_experiment
-from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, embed, qoi_eval
+from parapost.mesh import (
+    FeSpace,
+    FormCache,
+    NodalField,
+    SpatialMesh,
+    assemble_load,
+    embed,
+    qoi_eval,
+)
 from parapost.parareal import vpar
 from parapost.schwarz import decompose_domain
 from parapost.timestepping import (
@@ -183,7 +191,7 @@ def test_dd_split_sums_to_global_weighted_algebraic_error():
             ell = M3inc @ traj.incoming.coefficients
         else:
             ell = M3x @ traj.values[n - 1]
-        ell = ell + dt * ev.load(space3, traj.times[n])
+        ell = ell + dt * assemble_load(space3, traj.times[n], ev.f)
         Phi = solver.solve_global(phi_val)
         lhs = Phi.coefficients @ ell - Phi.coefficients @ (B3x @ traj.values[n])
         scale = max(1.0, abs(lhs))
@@ -201,7 +209,7 @@ def test_dd_split_summation_order_invariance():
     space3 = solver.space
     M3x = ev.cache.mass(space3, traj.space)
     B3x = M3x + dt * ev.cache.stiffness(space3, traj.space)
-    ell = M3x @ traj.values[n - 1] + dt * ev.load(space3, traj.times[n])
+    ell = M3x @ traj.values[n - 1] + dt * assemble_load(space3, traj.times[n], ev.f)
     chi = solver.solve_subdomain(phi_val, K_s)
     E_N_alt = 0.0
     for i in range(solver.decomp.P_s):
@@ -234,6 +242,32 @@ def test_dd_split_requires_sweep_records():
     ev = ResidualEvaluator(prob.f)
     with pytest.raises(ValueError):
         dd_split(traj, 1, decomp, FeSpace(mesh, 3).interpolate(np.sin), ev)
+
+
+def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():
+    # the spatial adjoint solves do no finiteness check of their own, so a
+    # NaN in a fine adjoint reaches E_K and E_N and must be reported there
+    prob = build_manufactured(2, 2, 0.5)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    coarse, fine, adj_space = (FeSpace(mesh, q) for q in (1, 2, 3))
+    part = TimePartition.uniform(0.5, 2, 4, 2)
+    decomp = decompose_domain(mesh, 2, 0.25)
+    cache = FormCache()
+    fs = lambda g, ic: propagate_be(fine, g, ic, prob.f, cache, decomp, 2)
+    cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
+    state = vpar(part, 2, coarse.interpolate(prob.u0), fs, cs, fine)[-1]
+    coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, cache=cache)
+    fine_adjs = solve_fine_adjoints(part, coarse_adj, cache=cache)
+    aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, cache=cache)
+    adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
+    stpa_breakdown(part, state, adjoints, prob, 1.0, decomp, cache)
+    bad = fine_adjs[1]
+    coeffs = bad.coeffs.copy()
+    coeffs[1, -1, 3] = np.nan  # the weight at the end of step n=2
+    fine_adjs[1] = CgTrajectory(bad.space, bad.times, bad.q_t, coeffs,
+                                bad.incoming)
+    with pytest.raises(ValueError, match=r"p=2, n=2"):
+        stpa_breakdown(part, state, adjoints, prob, 1.0, decomp, cache)
 
 
 def test_stpa_collapses_to_tpa_without_spatial_splitting():

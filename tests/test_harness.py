@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from parapost import cli
 from parapost.adjoint import SpatialAdjointSolver
 from parapost.cli import main as cli_main
 from parapost.harness import (
@@ -109,6 +110,7 @@ BAD_CONFIGS = [
     (dict(Nhat_s="20.5"), "Nhat_s"),
     (dict(nu="fast"), "nu"),
     (dict(schwarz="maybe"), "schwarz"),
+    (dict(format="xml"), "format"),
 ]
 
 
@@ -296,3 +298,15 @@ def test_cli_error_paths(tmp_path, capsys):
     bad.write_text("Nhat_t = 10\nP_t = 3\n")
     assert cli_main(["run", "--config", str(bad)]) == 1
     assert "divisible" in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_format_before_running(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("run_experiment called on an invalid config")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    cfg = tmp_path / "xml.txt"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in SMALL.items())
+                   + "format = xml\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    assert "format" in capsys.readouterr().err

@@ -5,12 +5,20 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
+import parapost.mesh as mesh_module
 import parapost.schwarz as schwarz
 import parapost.timestepping as timestepping
 from parapost.estimator import ResidualEvaluator, dd_split
 from parapost.harness import build_manufactured
-from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh
+from parapost.mesh import (
+    FeSpace,
+    FormCache,
+    NodalField,
+    SpatialMesh,
+    lagrange_values,
+)
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
 from parapost.timestepping import (
     TimePartition,
@@ -173,6 +181,24 @@ def test_cg_at_matches_nodes():
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_cg_at_rejects_times_outside_the_grid():
+    # a cG(1) trajectory on [0, 1] used to extrapolate its last slab at 5.0
+    prob = build_manufactured(2, 1, 1.0)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
+    traj = propagate_cg(space, np.linspace(0.0, 1.0, 5), 1,
+                        space.interpolate(prob.u0), prob.f)
+    for t in (5.0, -0.1, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match=r"outside the grid span \[0\.0, 1\.0\]"):
+            traj.at(t)
+    # in the span (within 1e-10 of its ends) the values are the slab
+    # polynomial's, bitwise
+    for t in (0.0, 0.1, 0.25, 0.6, 1.0, 1.0 + 1e-11, -1e-11):
+        n = int(np.clip(np.searchsorted(traj.times, t, side="right") - 1, 0, 3))
+        s = (t - traj.times[n]) / (traj.times[n + 1] - traj.times[n])
+        want = lagrange_values(1, [s]).T[0] @ traj.coeffs[n]
+        assert np.array_equal(traj.at(t).coefficients, want)
+
+
 def test_cross_space_incoming_projection():
     # an incoming coarse field is L2-projected into the solve space at start
     mesh = SpatialMesh.uniform(0.0, 1.0, 6)
@@ -236,3 +262,86 @@ def test_cg_slab_factors_die_with_their_cache():
                         if not name.startswith("__")
                         and isinstance(value, (dict, list, set))]
         assert module_state == []
+
+
+def _count_loads(monkeypatch):
+    calls = []
+    real = timestepping.assemble_load
+
+    def counting(space, t, f):
+        calls.append(np.shape(t))
+        return real(space, t, f)
+
+    monkeypatch.setattr(timestepping, "assemble_load", counting)
+    return calls
+
+
+@pytest.mark.parametrize("stepping", ["be", "schwarz", "cg"])
+def test_forced_propagation_assembles_all_loads_in_one_call(monkeypatch,
+                                                            stepping):
+    calls = _count_loads(monkeypatch)
+    prob = build_manufactured(2, 1, 0.5)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space = FeSpace(mesh, 2)
+    ic = space.interpolate(prob.u0)
+    grid = np.linspace(0.0, 0.5, 6)
+    decomp = decompose_domain(mesh, 2, 0.25)
+    if stepping == "cg":
+        propagate_cg(space, grid, 2, ic, prob.f)
+        assert calls == [(5, 2 + 3)]  # every slab's q_t+3 quadrature times
+    else:
+        propagate_be(space, grid, ic, prob.f, None,
+                     *((decomp, 2) if stepping == "schwarz" else ()))
+        assert calls == [(5,)]
+
+
+def test_cg_time_forms_built_once_per_degree_per_cache(monkeypatch):
+    built = []
+    real = timestepping._cg_time_forms
+    monkeypatch.setattr(timestepping, "_cg_time_forms",
+                        lambda q_t: built.append(q_t) or real(q_t))
+    prob = build_manufactured(2, 1, 0.5)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
+    ic = space.interpolate(prob.u0)
+    grid = np.linspace(0.0, 0.3, 4)
+    cache = FormCache()
+    for q_t in (1, 3, 1, 3, 1):
+        propagate_cg(space, grid, q_t, ic, prob.f, cache)
+    assert built == [1, 3]
+    propagate_cg(space, grid, 1, ic, prob.f, FormCache())
+    assert built == [1, 3, 1]
+
+
+# each LAPACK routine called directly, its module, and the scipy.linalg
+# wrapper it replaced
+SCIPY_SOLVES = {
+    "dpbtrs": (mesh_module, lambda c, b: sla.cho_solve_banded((c, False), b)),
+    "dpotrs": (schwarz, lambda c, b: sla.cho_solve((c, False), b)),
+    "dgetrs": (timestepping, lambda lu, piv, b: sla.lu_solve((lu, piv), b)),
+}
+
+
+@pytest.mark.parametrize("routine", sorted(SCIPY_SOLVES))
+def test_direct_lapack_solves_equal_scipy_wrappers(monkeypatch, routine):
+    module, wrapper = SCIPY_SOLVES[routine]
+    real = getattr(module, routine)
+    seen = []
+
+    def recording(*args):
+        x, info = real(*args)
+        seen.append(([np.array(a, copy=True) for a in args], x))
+        return x, info
+
+    monkeypatch.setattr(module, routine, recording)
+    prob = build_manufactured(2, 1, 0.5)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space = FeSpace(mesh, 2)
+    ic = space.interpolate(prob.u0)
+    grid = np.linspace(0.0, 0.5, 6)
+    cache = FormCache()
+    propagate_be(space, grid, ic, prob.f, cache)
+    propagate_be(space, grid, ic, prob.f, cache, decompose_domain(mesh, 2, 0.25), 3)
+    propagate_cg(space, grid, 2, ic, prob.f, cache)
+    assert seen
+    for args, x in seen:
+        assert np.array_equal(x, wrapper(*args))
