@@ -8,20 +8,23 @@ global and per-subdomain spatial adjoints of each time step.
 The backward-in-time problems are solved as forward cG(q) problems on the
 time-reversed grid (the bilinear form is self-adjoint), on the forward
 meshes but with higher polynomial degree (default 3 in both space and time).
+Each temporal adjoint is a Trajectory with q_t >= 1, the one space-time
+field type the forward solvers also return (implicit Euler as its q_t = 0
+case), so field(n) and value_at_node give exact nodal values.
 """
 
 import numpy as np
 
 from .mesh import FormCache, NodalField, assemble_matrix
 from .schwarz import AdditiveSchwarz
-from .timestepping import CgTrajectory, propagate_cg
+from .timestepping import Trajectory, propagate_cg
 
 
 def solve_backward_cg(kind, space, times, terminal, q_t=3, cache=None):
     """Solve (-phi_dot, v) = -a(v, phi) backward over the grid with the given
     terminal field, as a forward cG(q_t) solve of the time-reversed problem.
 
-    Returns the adjoint as a CgTrajectory on the grid, with the terminal
+    Returns the adjoint as a cG(q_t) Trajectory on the grid, with the terminal
     field as its incoming value; kind names the adjoint in errors.
     """
     cache = cache or FormCache()
@@ -34,7 +37,7 @@ def solve_backward_cg(kind, space, times, terminal, q_t=3, cache=None):
                          f"{times[-1]:.6g} - t): {exc}") from exc
     # reverse slab order and time-node order within slabs
     coeffs = traj.coeffs[::-1, ::-1, :].copy()
-    return CgTrajectory(space, times, q_t, coeffs, incoming=terminal)
+    return Trajectory(space, times, q_t, coeffs, incoming=terminal)
 
 
 def solve_coarse_adjoint(partition, space, psi, q_t=3, cache=None):

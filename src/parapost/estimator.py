@@ -7,7 +7,9 @@ part K.  With a Schwarz fine solver, D further splits into a temporal part
 D_t, a spatial discretization part D_s and a Schwarz iteration part D_k via
 per-step global/subdomain spatial adjoints.
 
-Everything here is a pure function of immutable trajectories and adjoints.
+Every forward solution is a Trajectory, implicit Euler as its q_t = 0 (dG(0))
+case and cG as q_t >= 1, so one residual loop weights them all.  Everything
+here is a pure function of immutable trajectories and adjoints.
 """
 
 import math
@@ -17,7 +19,6 @@ import numpy as np
 
 from .adjoint import SpatialAdjointSolver
 from .mesh import FormCache, assemble_load, embed, gauss_rule, lagrange_derivs
-from .timestepping import CgTrajectory
 
 
 TPA_COMPONENTS = ("D", "K", "C", "A")
@@ -82,49 +83,20 @@ class ResidualEvaluator:
         vec = assemble_load(b.space, 0.0, lambda x, t: fn(x))
         return vec @ b.coefficients
 
-    def residual_be(self, traj, weight):
-        """Per-step dual-weighted residuals of an implicit-Euler trajectory.
+    def residual(self, traj, weight):
+        """Per-step dual-weighted residuals of a trajectory of any q_t.
 
-        R_n = int_{I_n} [l(phi) - a(U_n, phi)] dt - ([U]_{n-1}, phi(t_{n-1})),
-        with the first step's jump taken against the retained incoming value.
+        R_n = int_{I_n} [l(phi) - a(U, phi) - (U_dot, phi)] dt
+              - ([U]_{n-1}, phi(t_{n-1}^+)),
+        with the first step's jump taken against the retained incoming value
+        (a cross-space projection at a subdomain hand-off).  For cG the later
+        jumps are exactly zero; for q_t = 0 (implicit Euler as dG(0)) U_dot
+        is, and the jumps carry the time stepping.
         """
         ws, ts = weight.space, traj.space
         A_x = self.cache.stiffness(ws, ts)
         M_x = self.cache.mass(ws, ts)
         M_inc = self.cache.mass(ws, traj.incoming.space)
-        inc_m = M_inc @ traj.incoming.coefficients
-        loads = self.load(ws, traj)
-        out = np.zeros(traj.n_steps)
-        for n in range(1, traj.n_steps + 1):
-            t0, t1 = traj.times[n - 1], traj.times[n]
-            dt = t1 - t0
-            slab = weight.slab_index(t0, t1)
-            phi_q = weight.slab_eval(slab, self._s)  # (nq, dof_w)
-            u_n = traj.values[n]
-            au = A_x @ u_n
-            acc = 0.0
-            for q in range(self.n_quad_t):
-                acc += self._w[q] * (loads[n - 1, q] @ phi_q[q] - phi_q[q] @ au)
-            acc *= dt
-            phi_left = weight.slab_eval(slab, [0.0])[0]
-            if n == 1:
-                jump = phi_left @ (M_x @ u_n - inc_m)
-            else:
-                jump = phi_left @ (M_x @ (u_n - traj.values[n - 1]))
-            out[n - 1] = acc - jump
-        return out
-
-    def residual_cg(self, traj, weight):
-        """Per-step dual-weighted residuals of a cG trajectory.
-
-        R_n = int_{I_n} [l(phi) - a(U, phi) - (U_dot, phi)] dt; when the slab
-        start value differs from the retained incoming value (a cross-space
-        projection at a subdomain hand-off), the discontinuity is accounted
-        for by a jump term on the first step.
-        """
-        ws, ts = weight.space, traj.space
-        A_x = self.cache.stiffness(ws, ts)
-        M_x = self.cache.mass(ws, ts)
         dlam = lagrange_derivs(traj.q_t, self._s)
         loads = self.load(ws, traj)
         out = np.zeros(traj.n_steps)
@@ -132,9 +104,10 @@ class ResidualEvaluator:
             t0, t1 = traj.times[n - 1], traj.times[n]
             dt = t1 - t0
             slab = weight.slab_index(t0, t1)
-            phi_q = weight.slab_eval(slab, self._s)
+            phi_q = weight.slab_eval(slab, self._s)  # (nq, dof_w)
+            c = traj.coeffs[n - 1]
             u_q = traj.slab_eval(n - 1, self._s)
-            du_q = dlam.T @ traj.coeffs[n - 1] / dt
+            du_q = dlam.T @ c / dt
             acc = 0.0
             for q in range(self.n_quad_t):
                 acc += self._w[q] * (
@@ -142,19 +115,12 @@ class ResidualEvaluator:
                     - phi_q[q] @ (A_x @ u_q[q])
                     - phi_q[q] @ (M_x @ du_q[q])
                 )
-            out[n - 1] = acc * dt
-        # projection discontinuity at the trajectory start
-        M_inc = self.cache.mass(ws, traj.incoming.space)
-        slab0 = weight.slab_index(traj.times[0], traj.times[1])
-        phi0 = weight.slab_eval(slab0, [0.0])[0]
-        out[0] -= phi0 @ (M_x @ traj.coeffs[0, 0]
-                          - M_inc @ traj.incoming.coefficients)
+            if n == 1:
+                jump = M_x @ c[0] - M_inc @ traj.incoming.coefficients
+            else:
+                jump = M_x @ (c[0] - traj.coeffs[n - 2, -1])
+            out[n - 1] = acc * dt - weight.slab_eval(slab, [0.0])[0] @ jump
         return out
-
-    def residual(self, traj, weight):
-        if isinstance(traj, CgTrajectory):
-            return self.residual_cg(traj, weight)
-        return self.residual_be(traj, weight)
 
 
 def _jump_at_sync(state, p, fine_space, kind):
@@ -230,7 +196,7 @@ def dd_split(traj, n, decomp, phi_val, ev):
     The spatial adjoints live in phi_val's space; their solver is the one
     cached in ev.cache for that space, the step's dt and the decomposition.
     """
-    if not hasattr(traj, "schwarz_records"):
+    if traj.schwarz_records is None:
         raise ValueError("trajectory carries no Schwarz sweep record")
     rec = traj.schwarz_records[n - 1]
     K_s = len(rec.locals_)
@@ -244,7 +210,7 @@ def dd_split(traj, n, decomp, phi_val, ev):
         M3inc = ev.cache.mass(space3, traj.incoming.space)
         ell = M3inc @ traj.incoming.coefficients
     else:
-        ell = M3x @ traj.values[n - 1]
+        ell = M3x @ traj.field(n - 1).coefficients
     ell = ell + dt * ev.load(space3, traj, ends=True)[n - 1]
 
     Phi = spatial_solver.solve_global(phi_val)
@@ -254,7 +220,8 @@ def dd_split(traj, n, decomp, phi_val, ev):
         for i in range(decomp.P_s):
             c = chi[ks - 1][i]
             E_N += c @ ell - c @ (B3x @ rec.locals_[ks - 1][i])
-    E_K = Phi.coefficients @ ell - Phi.coefficients @ (B3x @ traj.values[n]) - E_N
+    u_n = traj.field(n).coefficients
+    E_K = Phi.coefficients @ ell - Phi.coefficients @ (B3x @ u_n) - E_N
     return E_K, E_N
 
 
@@ -274,7 +241,7 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
     D_t = D_s = D_k = 0.0
     for p in range(1, partition.P_t + 1):
         traj = state.fine[p - 1]
-        res = ev.residual_be(traj, adjoints["fine"][p - 1])
+        res = ev.residual(traj, adjoints["fine"][p - 1])
         for n in range(1, traj.n_steps + 1):
             phi_val = adjoints["fine"][p - 1].value_at_node(traj.times[n])
             E_K, E_N = dd_split(traj, n, decomp, phi_val, ev)

@@ -349,9 +349,8 @@ def qoi_eval(psi, fld, n_quad=10):
     mesh = fld.space.mesh
     s, w = gauss_rule(n_quad)
     total = 0.0
-    psi_fn = psi if callable(psi) else (lambda x: psi(x))
     for e in range(mesh.n_elements):
         x0, h = mesh.boundaries[e], mesh.widths[e]
         x = x0 + h * s
-        total += h * np.sum(w * psi_fn(x) * fld(x))
+        total += h * np.sum(w * psi(x) * fld(x))
     return total

@@ -41,6 +41,7 @@ def _synchronize(coarse_end, corr, fine_space, sync_space):
     restart from the same coarse-space field).  With 'fine' the synchronized
     value is the classic fine-space sum, which restores finite-termination
     exactness (serial fine solve after P_t iterations) when the spaces differ.
+    The callers have validated sync_space.
     """
     if corr is None:
         return coarse_end
@@ -48,9 +49,7 @@ def _synchronize(coarse_end, corr, fine_space, sync_space):
         space = coarse_end.space
         return coarse_end + (corr if corr.space is space
                              else space.interpolate(corr))
-    if sync_space == "fine":
-        return embed(coarse_end, fine_space) + corr
-    raise ValueError(f"unknown sync_space {sync_space!r}")
+    return embed(coarse_end, fine_space) + corr
 
 
 def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,

@@ -40,7 +40,7 @@ def _check_parareal_exactness():
                           prob.f, cache)
     for p in range(1, 5):
         got = states[-1].fine[p - 1].end.coefficients
-        want = serial.values[p * 4]
+        want = serial.field(p * 4).coefficients
         dev = np.max(np.abs(got - want))
         assert dev < 1e-11, f"exactness violated at p={p}: {dev:.3e}"
 

@@ -1,10 +1,11 @@
 """Temporal partitions and the coarse/fine propagators.
 
-Implicit Euler (nodally a piecewise-constant-in-time Galerkin method), with
-each step solved directly or by additive Schwarz sweeps, and cG(q_t)
-continuous-in-time Galerkin stepping, both returning full space-time
-trajectories on a step grid.  Propagations on distinct temporal subdomains
-share no mutable state.
+Implicit Euler, with each step solved directly or by additive Schwarz
+sweeps, and cG(q_t) continuous-in-time Galerkin stepping.  Both return the
+one space-time field type, Trajectory: implicit Euler is its q_t = 0 case,
+the piecewise-constant-in-time Galerkin method dG(0), and cG(q_t) its
+q_t >= 1 case.  Propagations on distinct temporal subdomains share no
+mutable state.
 """
 
 from dataclasses import dataclass
@@ -68,32 +69,83 @@ class TimePartition:
 
 
 class Trajectory:
-    """Implicit-Euler (dG(0)-equivalent) trajectory on one step grid.
+    """Space-time Galerkin field on a step grid: per slab, q_t+1 time-nodal
+    coefficient vectors, coeffs of shape (steps, q_t+1, dof).
 
-    values[n] is the solution at times[n] for n >= 1; values[0] is the L2
-    projection of the incoming value into the solve space.  The incoming
-    field (left limit at the grid start, possibly in a different space) is
-    retained for jump terms.
+    q_t >= 1 is cG(q_t): coeffs[n, j] is the value at time node j
+    (equispaced in slab n), and continuity means coeffs[n, -1] ==
+    coeffs[n+1, 0].  q_t = 0 is implicit Euler read as dG(0): coeffs[n, 0] is
+    the value U_{n+1} held on the whole slab (t_n, t_{n+1}], and the field
+    jumps at every node.  Forward solutions of both integrators and the
+    backward adjoints are all of this type; incoming is the value fed to a
+    forward solve (possibly in another space), or an adjoint's terminal
+    datum.  schwarz_records holds the per-step sweep records of a
+    Schwarz-swept implicit-Euler solve (index n-1 for step n), else None.
     """
 
-    def __init__(self, space, times, values, incoming):
+    def __init__(self, space, times, q_t, coeffs, incoming, schwarz_records=None):
         self.space = space
         self.times = np.asarray(times, dtype=float)
-        self.values = values
+        self.q_t = q_t
+        self.coeffs = coeffs
         self.incoming = incoming
-        if values.shape != (len(self.times), space.dof_count):
-            raise ValueError("trajectory shape mismatch")
+        self.schwarz_records = schwarz_records
+        want = (len(self.times) - 1, q_t + 1, space.dof_count)
+        if q_t < 0 or coeffs.shape != want:
+            raise ValueError(f"coefficients of shape {coeffs.shape} do not fit "
+                             f"q_t={q_t} on this grid: want {want}")
 
     @property
     def n_steps(self):
         return len(self.times) - 1
 
     def field(self, n):
-        return NodalField(self.space, self.values[n])
+        """Solution at grid time times[n]: the end value of slab n-1 for
+        n >= 1, the start value of slab 0 for n = 0.  For q_t = 0 these are
+        U_n and U_1 (field(0) is not the incoming value)."""
+        if n == 0:
+            return NodalField(self.space, self.coeffs[0, 0])
+        return NodalField(self.space, self.coeffs[n - 1, -1])
 
     @property
     def end(self):
         return self.field(self.n_steps)
+
+    def slab_index(self, t0, t1, tol=1e-10):
+        """Index of the slab [t0, t1]; raises if the interval is not a slab."""
+        n = int(np.searchsorted(self.times, 0.5 * (t0 + t1)) - 1)
+        if not (0 <= n < self.n_steps
+                and abs(self.times[n] - t0) < tol
+                and abs(self.times[n + 1] - t1) < tol):
+            raise ValueError(f"[{t0}, {t1}] is not a slab of this grid")
+        return n
+
+    def slab_eval(self, n, s):
+        """Coefficient vectors at local coordinates s in [0,1] of slab n,
+        shape (len(s), dof)."""
+        return lagrange_values(self.q_t, s).T @ self.coeffs[n]
+
+    def at(self, t):
+        """Solution at a time in the grid's span (to 1e-10); outside, raises.
+
+        At an interior node t_n this is slab n's start value: for q_t = 0
+        the right limit U_{n+1}, where field(n) gives U_n; at the last node
+        both give the end value."""
+        if not self.times[0] - 1e-10 <= t <= self.times[-1] + 1e-10:
+            raise ValueError(f"t={t} is outside the grid span "
+                             f"[{self.times[0]}, {self.times[-1]}]")
+        n = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
+                        self.n_steps - 1))
+        t0, t1 = self.times[n], self.times[n + 1]
+        s = (t - t0) / (t1 - t0)
+        return NodalField(self.space, self.slab_eval(n, [s])[0])
+
+    def value_at_node(self, t, tol=1e-10):
+        """Solution at a grid node (exact nodal value)."""
+        k = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[k] - t) > tol:
+            raise ValueError(f"{t} is not a node of this grid")
+        return self.field(k)
 
 
 def _require_finite(values, n, t):
@@ -119,90 +171,23 @@ def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
     times = np.asarray(times, dtype=float)
     n_steps = len(times) - 1
     M = cache.mass(space, space)
-    values = np.zeros((n_steps + 1, space.dof_count))
-    Minc = cache.mass(space, ic.space)
-    prev_m = Minc @ ic.coefficients  # (U_0, phi_i)
-    values[0] = cache.step_operator(space, 0.0).solve(prev_m)
+    coeffs = np.zeros((n_steps, 1, space.dof_count))
+    prev_m = cache.mass(space, ic.space) @ ic.coefficients  # (U_0, phi_i)
     loads = assemble_load(space, times[1:], f)
-    records = []
+    records = [] if decomp is not None else None
     for n in range(1, n_steps + 1):
         dt = times[n] - times[n - 1]
         rhs = prev_m + dt * loads[n - 1]
         if decomp is None:
-            values[n] = cache.step_operator(space, dt).solve(rhs)
+            u = cache.step_operator(space, dt).solve(rhs)
         else:
             sweeper = AdditiveSchwarz.cached(cache, space, dt, decomp)
-            values[n], rec = sweeper.solve(rhs, np.zeros(space.dof_count), K_s)
+            u, rec = sweeper.solve(rhs, np.zeros(space.dof_count), K_s)
             records.append(rec)
-        _require_finite(values[n], n, times[n])
-        prev_m = M @ values[n]
-    traj = Trajectory(space, times, values, incoming=ic)
-    if decomp is not None:
-        traj.schwarz_records = records
-    return traj
-
-
-class CgTrajectory:
-    """cG(q_t) space-time field: per slab, q_t+1 time-nodal coefficient vectors.
-
-    coeffs[n, j] is the coefficient vector at time node j (equispaced in
-    slab n); continuity means coeffs[n, -1] == coeffs[n+1, 0].  Forward cG
-    solutions and the backward adjoints are both of this type; incoming is
-    the value fed to a forward solve, or an adjoint's terminal datum.
-    """
-
-    def __init__(self, space, times, q_t, coeffs, incoming):
-        self.space = space
-        self.times = np.asarray(times, dtype=float)
-        self.q_t = q_t
-        self.coeffs = coeffs
-        self.incoming = incoming
-
-    @property
-    def n_steps(self):
-        return len(self.times) - 1
-
-    def field(self, n):
-        """Solution at grid time times[n] (right end of slab n-1 for n >= 1)."""
-        if n == 0:
-            return NodalField(self.space, self.coeffs[0, 0])
-        return NodalField(self.space, self.coeffs[n - 1, -1])
-
-    @property
-    def end(self):
-        return self.field(self.n_steps)
-
-    def slab_index(self, t0, t1, tol=1e-10):
-        """Index of the slab [t0, t1]; raises if the interval is not a slab."""
-        n = int(np.searchsorted(self.times, 0.5 * (t0 + t1)) - 1)
-        if not (0 <= n < self.n_steps
-                and abs(self.times[n] - t0) < tol
-                and abs(self.times[n + 1] - t1) < tol):
-            raise ValueError(f"[{t0}, {t1}] is not a slab of this grid")
-        return n
-
-    def slab_eval(self, n, s):
-        """Coefficient vectors at local coordinates s in [0,1] of slab n,
-        shape (len(s), dof)."""
-        return lagrange_values(self.q_t, s).T @ self.coeffs[n]
-
-    def at(self, t):
-        """Solution at a time in the grid's span (to 1e-10); outside, raises."""
-        if not self.times[0] - 1e-10 <= t <= self.times[-1] + 1e-10:
-            raise ValueError(f"t={t} is outside the grid span "
-                             f"[{self.times[0]}, {self.times[-1]}]")
-        n = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
-                        self.n_steps - 1))
-        t0, t1 = self.times[n], self.times[n + 1]
-        s = (t - t0) / (t1 - t0)
-        return NodalField(self.space, self.slab_eval(n, [s])[0])
-
-    def value_at_node(self, t, tol=1e-10):
-        """Solution at a grid node (exact nodal value)."""
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > tol:
-            raise ValueError(f"{t} is not a node of this grid")
-        return self.field(k)
+        _require_finite(u, n, times[n])
+        coeffs[n - 1, 0] = u
+        prev_m = M @ u
+    return Trajectory(space, times, 0, coeffs, ic, records)
 
 
 def _cg_time_forms(q_t):
@@ -277,7 +262,7 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
         for j in range(1, q_t + 1):
             coeffs[n, j] = sol[(j - 1) * ndof:j * ndof]
         prev = coeffs[n, -1]
-    return CgTrajectory(space, times, q_t, coeffs, incoming=ic)
+    return Trajectory(space, times, q_t, coeffs, incoming=ic)
 
 
 def dg0_equivalence_check(traj, f):
@@ -295,6 +280,6 @@ def dg0_equivalence_check(traj, f):
         # ([U]_{n-1}, v) + dt a(U_n, v) = dt l(v)(t_n)
         rhs = prev_m + dt * assemble_load(space, traj.times[n], f)
         u = np.linalg.solve(M + dt * A, rhs)
-        dev = max(dev, float(np.max(np.abs(u - traj.values[n])))) if space.dof_count else 0.0
+        dev = max(dev, float(np.max(np.abs(u - traj.coeffs[n - 1, 0])))) if space.dof_count else 0.0
         prev_m = M @ u
     return dev

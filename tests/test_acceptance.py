@@ -17,7 +17,7 @@ from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, \
     assemble_load, embed
 from parapost.parareal import par_standard, vpar
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
-from parapost.timestepping import CgTrajectory, TimePartition, \
+from parapost.timestepping import TimePartition, Trajectory, \
     dg0_equivalence_check, propagate_be
 
 ZERO_F = lambda x, t: np.zeros_like(x)
@@ -187,7 +187,7 @@ def test_property_finite_termination(P_t):
     n_per = part.N_t // P_t
     for p in range(1, P_t + 1):
         dev = np.max(np.abs(states[-1].fine[p - 1].end.coefficients
-                            - serial.values[p * n_per]))
+                            - serial.field(p * n_per).coefficients))
         assert dev < 1e-10
 
 
@@ -208,8 +208,8 @@ def test_property_galerkin_orthogonality():
                         ZERO_F)
     n = len(grid) - 1
     coeffs = np.tile(rng.standard_normal(space.dof_count), (n, 2, 1))
-    w = CgTrajectory(space, grid, 1, coeffs,
-                     NodalField(space, coeffs[-1, -1].copy()))
+    w = Trajectory(space, grid, 1, coeffs,
+                   NodalField(space, coeffs[-1, -1].copy()))
     res = ResidualEvaluator(ZERO_F).residual(traj, w)
     assert np.max(np.abs(res)) <= 1e-12
 
@@ -232,7 +232,7 @@ def test_property_schwarz_fixed_point_and_convergence():
     grid = np.linspace(0.0, 0.5, 6)
     a = propagate_be(space, grid, ic, prob.f, cache, decomp=decomp, K_s=50)
     b = propagate_be(space, grid, ic, prob.f, cache)
-    assert np.max(np.abs(a.values - b.values)) <= 1e-10
+    assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-10
 
 
 def test_property_spatial_split_identity():
@@ -257,10 +257,10 @@ def test_property_spatial_split_identity():
             ell = ev.cache.mass(adj_space, traj.incoming.space) \
                 @ traj.incoming.coefficients
         else:
-            ell = M3x @ traj.values[n - 1]
+            ell = M3x @ traj.field(n - 1).coefficients
         ell = ell + dt * assemble_load(adj_space, grid[n], ev.f)
         Phi = solver.solve_global(phi_val)
-        lhs = Phi.coefficients @ (ell - B3x @ traj.values[n])
+        lhs = Phi.coefficients @ (ell - B3x @ traj.field(n).coefficients)
         assert abs((E_K + E_N) - lhs) <= 1e-14 * max(1.0, abs(lhs))
 
 

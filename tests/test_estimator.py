@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parapost.adjoint import (
     SpatialAdjointSolver,
@@ -27,13 +28,14 @@ from parapost.mesh import (
     SpatialMesh,
     assemble_load,
     embed,
+    lagrange_derivs,
     qoi_eval,
 )
 from parapost.parareal import vpar
 from parapost.schwarz import decompose_domain
 from parapost.timestepping import (
-    CgTrajectory,
     TimePartition,
+    Trajectory,
     propagate_be,
     propagate_cg,
 )
@@ -45,7 +47,7 @@ def _constant_in_time_weight(space, times, coeffs):
     """Piecewise-constant-in-time space-time field on a step grid."""
     n = len(times) - 1
     c = np.tile(coeffs, (n, 2, 1))
-    return CgTrajectory(space, times, 1, c, NodalField(space, coeffs.copy()))
+    return Trajectory(space, times, 1, c, NodalField(space, coeffs.copy()))
 
 
 def test_galerkin_orthogonality_be():
@@ -73,8 +75,8 @@ def test_galerkin_orthogonality_cg():
     traj = propagate_cg(space, grid, 2, ic, ZERO_F)
     n = len(grid) - 1
     coeffs = rng.standard_normal((n, 2, space.dof_count))  # linear in time
-    w = CgTrajectory(space, grid, 1, coeffs,
-                     NodalField(space, coeffs[-1, -1].copy()))
+    w = Trajectory(space, grid, 1, coeffs,
+                   NodalField(space, coeffs[-1, -1].copy()))
     ev = ResidualEvaluator(ZERO_F)
     res = ev.residual(traj, w)
     assert np.max(np.abs(res)) < 1e-12
@@ -90,11 +92,11 @@ def test_residual_be_single_dof_oracle():
     # weight linear in time in the same space, values a_n at the grid times
     a = np.array([0.8, -0.3, 0.6])
     coeffs = np.array([[[a[0]], [a[1]]], [[a[1]], [a[2]]]])
-    w = CgTrajectory(space, grid, 1, coeffs,
-                     NodalField(space, np.array([a[2]])))
+    w = Trajectory(space, grid, 1, coeffs,
+                   NodalField(space, np.array([a[2]])))
     ev = ResidualEvaluator(ZERO_F)
     res = ev.residual(traj, w)
-    u = traj.values[:, 0]
+    u = np.concatenate([ic.coefficients, traj.coeffs[:, 0, 0]])
     for n in (1, 2):
         dt = 0.1
         integral = dt * 0.5 * (a[n - 1] + a[n])
@@ -190,10 +192,10 @@ def test_dd_split_sums_to_global_weighted_algebraic_error():
             M3inc = ev.cache.mass(space3, traj.incoming.space)
             ell = M3inc @ traj.incoming.coefficients
         else:
-            ell = M3x @ traj.values[n - 1]
+            ell = M3x @ traj.field(n - 1).coefficients
         ell = ell + dt * assemble_load(space3, traj.times[n], ev.f)
         Phi = solver.solve_global(phi_val)
-        lhs = Phi.coefficients @ ell - Phi.coefficients @ (B3x @ traj.values[n])
+        lhs = Phi.coefficients @ ell - Phi.coefficients @ (B3x @ traj.field(n).coefficients)
         scale = max(1.0, abs(lhs))
         assert abs((E_K + E_N) - lhs) < 1e-14 * scale
 
@@ -209,7 +211,7 @@ def test_dd_split_summation_order_invariance():
     space3 = solver.space
     M3x = ev.cache.mass(space3, traj.space)
     B3x = M3x + dt * ev.cache.stiffness(space3, traj.space)
-    ell = M3x @ traj.values[n - 1] + dt * assemble_load(space3, traj.times[n], ev.f)
+    ell = M3x @ traj.field(n - 1).coefficients + dt * assemble_load(space3, traj.times[n], ev.f)
     chi = solver.solve_subdomain(phi_val, K_s)
     E_N_alt = 0.0
     for i in range(solver.decomp.P_s):
@@ -264,8 +266,8 @@ def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():
     bad = fine_adjs[1]
     coeffs = bad.coeffs.copy()
     coeffs[1, -1, 3] = np.nan  # the weight at the end of step n=2
-    fine_adjs[1] = CgTrajectory(bad.space, bad.times, bad.q_t, coeffs,
-                                bad.incoming)
+    fine_adjs[1] = Trajectory(bad.space, bad.times, bad.q_t, coeffs,
+                              bad.incoming)
     with pytest.raises(ValueError, match=r"p=2, n=2"):
         stpa_breakdown(part, state, adjoints, prob, 1.0, decomp, cache)
 
@@ -328,3 +330,135 @@ def test_coarse_error_estimate_effectivity():
     true_err = prob.true_qoi() - qoi_eval(prob.psi, state.coarse[-1].end)
     bd = coarse_error_estimate(part, state, coarse_adj, prob, true_err, cache)
     assert 0.95 < bd.effectivity < 1.05
+
+
+# Reference loops for ResidualEvaluator.residual, one per integrator: implicit
+# Euler on nodal values, and cG with the start jump added after the step
+# loop (self is the evaluator).  residual_be reads values[n], the solution at
+# times[n]; values[0] is never read.
+
+
+def residual_be(self, traj, weight):
+    """Per-step dual-weighted residuals of an implicit-Euler trajectory.
+
+    R_n = int_{I_n} [l(phi) - a(U_n, phi)] dt - ([U]_{n-1}, phi(t_{n-1})),
+    with the first step's jump taken against the retained incoming value.
+    """
+    ws, ts = weight.space, traj.space
+    A_x = self.cache.stiffness(ws, ts)
+    M_x = self.cache.mass(ws, ts)
+    M_inc = self.cache.mass(ws, traj.incoming.space)
+    inc_m = M_inc @ traj.incoming.coefficients
+    loads = self.load(ws, traj)
+    out = np.zeros(traj.n_steps)
+    for n in range(1, traj.n_steps + 1):
+        t0, t1 = traj.times[n - 1], traj.times[n]
+        dt = t1 - t0
+        slab = weight.slab_index(t0, t1)
+        phi_q = weight.slab_eval(slab, self._s)  # (nq, dof_w)
+        u_n = traj.values[n]
+        au = A_x @ u_n
+        acc = 0.0
+        for q in range(self.n_quad_t):
+            acc += self._w[q] * (loads[n - 1, q] @ phi_q[q] - phi_q[q] @ au)
+        acc *= dt
+        phi_left = weight.slab_eval(slab, [0.0])[0]
+        if n == 1:
+            jump = phi_left @ (M_x @ u_n - inc_m)
+        else:
+            jump = phi_left @ (M_x @ (u_n - traj.values[n - 1]))
+        out[n - 1] = acc - jump
+    return out
+
+
+def residual_cg(self, traj, weight):
+    """Per-step dual-weighted residuals of a cG trajectory.
+
+    R_n = int_{I_n} [l(phi) - a(U, phi) - (U_dot, phi)] dt; when the slab
+    start value differs from the retained incoming value (a cross-space
+    projection at a subdomain hand-off), the discontinuity is accounted
+    for by a jump term on the first step.
+    """
+    ws, ts = weight.space, traj.space
+    A_x = self.cache.stiffness(ws, ts)
+    M_x = self.cache.mass(ws, ts)
+    dlam = lagrange_derivs(traj.q_t, self._s)
+    loads = self.load(ws, traj)
+    out = np.zeros(traj.n_steps)
+    for n in range(1, traj.n_steps + 1):
+        t0, t1 = traj.times[n - 1], traj.times[n]
+        dt = t1 - t0
+        slab = weight.slab_index(t0, t1)
+        phi_q = weight.slab_eval(slab, self._s)
+        u_q = traj.slab_eval(n - 1, self._s)
+        du_q = dlam.T @ traj.coeffs[n - 1] / dt
+        acc = 0.0
+        for q in range(self.n_quad_t):
+            acc += self._w[q] * (
+                loads[n - 1, q] @ phi_q[q]
+                - phi_q[q] @ (A_x @ u_q[q])
+                - phi_q[q] @ (M_x @ du_q[q])
+            )
+        out[n - 1] = acc * dt
+    # projection discontinuity at the trajectory start
+    M_inc = self.cache.mass(ws, traj.incoming.space)
+    slab0 = weight.slab_index(traj.times[0], traj.times[1])
+    phi0 = weight.slab_eval(slab0, [0.0])[0]
+    out[0] -= phi0 @ (M_x @ traj.coeffs[0, 0]
+                      - M_inc @ traj.incoming.coefficients)
+    return out
+
+
+class _ValuesView:
+    """An implicit-Euler Trajectory in the values layout residual_be reads."""
+
+    def __init__(self, traj):
+        self.space, self.times = traj.space, traj.times
+        self.incoming, self.n_steps = traj.incoming, traj.n_steps
+        self.values = np.concatenate(
+            [np.full((1, traj.space.dof_count), np.nan), traj.coeffs[:, 0]])
+
+
+def _oracle(ev, traj, weight):
+    if traj.q_t >= 1:
+        return residual_cg(ev, traj, weight)
+    return residual_be(ev, _ValuesView(traj), weight)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["be", "schwarz", "cg"]), q_t=st.integers(1, 3),
+       n_el=st.sampled_from([4, 6]), q_s=st.integers(1, 2),
+       extra_w=st.integers(0, 1), q_inc=st.integers(1, 3),
+       qw_t=st.integers(1, 3), steps=st.integers(1, 4),
+       before=st.integers(0, 2), after=st.integers(0, 2),
+       forced=st.booleans(), seed=st.integers(0, 10**6))
+def test_residual_matches_the_two_loop_oracle(kind, q_t, n_el, q_s, extra_w,
+                                              q_inc, qw_t, steps, before,
+                                              after, forced, seed):
+    # one residual loop, bitwise equal to the implicit-Euler loop on q_t = 0
+    # trajectories (direct and Schwarz-swept) and to the cG loop on q_t >= 1,
+    # for same-space or richer weights on the trajectory's grid or on a
+    # longer grid containing it, a cross-space incoming value, with f or not
+    rng = np.random.default_rng(seed)
+    mesh = SpatialMesh.uniform(0.0, 1.0, n_el)
+    space = FeSpace(mesh, q_s)
+    w_space = space if extra_w == 0 else FeSpace(mesh, q_s + extra_w)
+    inc_space = space if q_inc == q_s else FeSpace(mesh, q_inc)
+    ic = NodalField(inc_space, rng.standard_normal(inc_space.dof_count))
+    f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
+    w_grid = np.linspace(0.0, 0.1 * (before + steps + after),
+                         before + steps + after + 1)
+    grid = w_grid[before:before + steps + 1]
+    cache = FormCache()
+    if kind == "cg":
+        traj = propagate_cg(space, grid, q_t, ic, f, cache)
+    elif kind == "schwarz":
+        decomp = decompose_domain(mesh, 2, 0.5)
+        traj = propagate_be(space, grid, ic, f, cache, decomp, 2)
+    else:
+        traj = propagate_be(space, grid, ic, f, cache)
+    coeffs = rng.standard_normal((len(w_grid) - 1, qw_t + 1, w_space.dof_count))
+    weight = Trajectory(w_space, w_grid, qw_t, coeffs,
+                        NodalField(w_space, coeffs[-1, -1].copy()))
+    ev = ResidualEvaluator(f, cache)
+    assert np.array_equal(ev.residual(traj, weight), _oracle(ev, traj, weight))

@@ -26,7 +26,7 @@ def test_single_subdomain_degenerates_to_serial():
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=1, Nhat_t=4)
     states = vpar(part, 1, ic, fs, cs, fine)
     serial = propagate_be(fine, part.fine_grids[0], ic, prob.f, cache)
-    assert np.max(np.abs(states[0].fine[0].values - serial.values)) == 0.0
+    assert np.max(np.abs(states[0].fine[0].coeffs - serial.coeffs)) == 0.0
 
 
 def test_exactness_after_P_t_iterations_fine_sync():
@@ -36,7 +36,7 @@ def test_exactness_after_P_t_iterations_fine_sync():
                           embed(ic, fine), prob.f, cache)
     for p in range(1, 5):
         got = states[-1].fine[p - 1].end.coefficients
-        want = serial.values[p * 4]
+        want = serial.field(p * 4).coefficients
         assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -52,7 +52,7 @@ def test_exactness_equal_spaces_default_sync(P_t):
                           prob.f, cache)
     for p in range(1, P_t + 1):
         got = states[-1].fine[p - 1].end.coefficients
-        want = serial.values[p * n_per]
+        want = serial.field(p * n_per).coefficients
         assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -77,7 +77,7 @@ def test_coarse_sync_fixed_point_differs_from_serial_fine():
     assert np.max(np.abs(last - prev)) < 1e-10  # converged in its own right
     serial = propagate_be(fine, np.linspace(0.0, 0.5, part.N_t + 1),
                           embed(ic, fine), prob.f, cache)
-    gap = np.max(np.abs(last - serial.values[-1]))
+    gap = np.max(np.abs(last - serial.end.coefficients))
     assert gap > 1e-8  # ... but to a different limit
 
 

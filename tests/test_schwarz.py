@@ -85,7 +85,7 @@ def test_schwarz_collapse_single_subdomain():
     cache = FormCache()
     a = propagate_be(space, grid, ic, prob.f, cache, decomp=d, K_s=1)
     b = propagate_be(space, grid, ic, prob.f, cache)
-    assert np.max(np.abs(a.values - b.values)) < 1e-10
+    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
 
 
 def test_schwarz_many_sweeps_converges_to_direct():
@@ -98,7 +98,7 @@ def test_schwarz_many_sweeps_converges_to_direct():
     cache = FormCache()
     a = propagate_be(space, grid, ic, prob.f, cache, decomp=d, K_s=50)
     b = propagate_be(space, grid, ic, prob.f, cache)
-    assert np.max(np.abs(a.values - b.values)) < 1e-10
+    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
 
 
 def test_sweep_fixed_point():

@@ -22,6 +22,7 @@ from parapost.mesh import (
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
 from parapost.timestepping import (
     TimePartition,
+    Trajectory,
     dg0_equivalence_check,
     propagate_be,
     propagate_cg,
@@ -63,7 +64,7 @@ def test_be_single_step_scalar():
     space = _single_dof_space()
     ic = NodalField(space, np.array([0.3]))
     traj = propagate_be(space, np.array([0.0, 0.1]), ic, ZERO_F)
-    assert traj.values[1][0] == pytest.approx(0.1 / (1.0 / 3.0 + 0.4), abs=1e-15)
+    assert traj.field(1).coefficients[0] == pytest.approx(0.1 / (1.0 / 3.0 + 0.4), abs=1e-15)
 
 
 def test_cg1_single_step_scalar():
@@ -121,7 +122,7 @@ def test_dg0_equivalence_and_negative_control():
                         space.interpolate(prob.u0), prob.f)
     assert dg0_equivalence_check(traj, prob.f) < 1e-12
     # perturbing the trajectory must be detected
-    traj.values[3] += 1e-6
+    traj.coeffs[2, 0] += 1e-6
     assert dg0_equivalence_check(traj, prob.f) > 1e-8
 
 
@@ -140,7 +141,7 @@ def test_be_linearity_in_ic_and_forcing():
     t1 = propagate_be(space, grid, ic1, f1, cache)
     t2 = propagate_be(space, grid, ic2, f2, cache)
     tc = propagate_be(space, grid, combo_ic, combo_f, cache)
-    assert np.max(np.abs(tc.values - (a * t1.values + b * t2.values))) < 1e-11
+    assert np.max(np.abs(tc.coeffs - (a * t1.coeffs + b * t2.coeffs))) < 1e-11
 
 
 def test_be_discrete_duality():
@@ -200,17 +201,53 @@ def test_cg_at_rejects_times_outside_the_grid():
 
 
 def test_cross_space_incoming_projection():
-    # an incoming coarse field is L2-projected into the solve space at start
+    # an incoming coarse field enters the first step by its exact
+    # cross-space L2 pairing: (M + dt A) U_1 = M_fine,coarse U_0
     mesh = SpatialMesh.uniform(0.0, 1.0, 6)
     coarse, fine = FeSpace(mesh, 1), FeSpace(mesh, 2)
     rng = np.random.default_rng(2)
     ic = NodalField(coarse, rng.standard_normal(coarse.dof_count))
-    traj = propagate_be(fine, np.array([0.0, 0.1]), ic, ZERO_F)
+    dt = 0.1
+    traj = propagate_be(fine, np.array([0.0, dt]), ic, ZERO_F)
     cache = FormCache()
     M = cache.mass(fine, fine)
+    A = cache.stiffness(fine, fine)
     Minc = cache.mass(fine, coarse)
-    want = np.linalg.solve(M, Minc @ ic.coefficients)
-    assert np.max(np.abs(traj.values[0] - want)) < 1e-12
+    want = np.linalg.solve(M + dt * A, Minc @ ic.coefficients)
+    assert np.max(np.abs(traj.field(1).coefficients - want)) < 1e-12
+
+
+def test_be_trajectory_is_the_dg0_field():
+    # implicit Euler fills the q_t = 0 case of the one Trajectory type: one
+    # coefficient vector per slab, field(n) = U_n (field(0) = U_1), and at()
+    # at an interior node t_n the right limit U_{n+1}
+    prob = build_manufactured(2, 1, 0.5)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
+    traj = propagate_be(space, np.linspace(0.0, 0.5, 6),
+                        space.interpolate(prob.u0), prob.f)
+    assert traj.q_t == 0 and traj.coeffs.shape == (5, 1, space.dof_count)
+    assert traj.schwarz_records is None
+    U = traj.coeffs[:, 0]
+    assert np.array_equal(traj.field(0).coefficients, U[0])
+    for n in range(1, 6):
+        assert np.array_equal(traj.field(n).coefficients, U[n - 1])
+    for n in range(5):
+        assert np.array_equal(traj.at(traj.times[n]).coefficients, U[n])
+    assert np.array_equal(traj.at(0.5).coefficients, traj.end.coefficients)
+
+
+def test_trajectory_rejects_coefficients_that_do_not_fit_the_grid():
+    # five grid times are four slabs: a (5, 2, dof) block with q_t = 1 used
+    # to be accepted, and .end then returned slab 3's end, not the last one's
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 1)
+    dof = space.dof_count
+    ic = NodalField(space, np.zeros(dof))
+    times = np.linspace(0.0, 1.0, 5)
+    for shape, q_t in (((5, 2, dof), 1), ((4, 3, dof), 1), ((4, 2, dof + 1), 1),
+                       ((4, 0, dof), -1)):
+        with pytest.raises(ValueError, match="do not fit"):
+            Trajectory(space, times, q_t, np.zeros(shape), ic)
+    assert Trajectory(space, times, 1, np.zeros((4, 2, dof)), ic).n_steps == 4
 
 
 def test_cg_rejects_bad_degree():
