@@ -3,12 +3,14 @@
     python .github/registry_drift.py run SRC OUT_DIR
         runs `python -m parapost.cli reproduce --table T --format json` with
         SRC on PYTHONPATH for every table T of SRC's registry, writing
-        OUT_DIR/T.json (a table that fails leaves no file, so its rows count
-        as missing)
+        OUT_DIR/T.json; exits 1 if any table fails
     python .github/registry_drift.py compare OLD_DIR NEW_DIR
-        compares every row's components, estimated_error, effectivity and
-        computed_qoi at 1e-12 relative (the rule of bench/components.py);
-        exits 1 on any value over it, or missing on either side
+        compares the components, estimated_error, effectivity and
+        computed_qoi of every row present on both sides at 1e-12 relative
+        (the rule of bench/components.py); exits 1 on any value over it or on
+        a row or value of OLD_DIR missing from NEW_DIR.  Rows and values only
+        in NEW_DIR (a new table, sweep value or component) are listed, not
+        failed.
 """
 
 import json
@@ -29,13 +31,15 @@ def run(src, out_dir):
          "print(*sorted(TABLE_REGISTRY))"],
         env=env, check=True, capture_output=True, text=True).stdout.split()
     Path(out_dir).mkdir(parents=True, exist_ok=True)
+    failed = 0
     for table in tables:
         out = Path(out_dir, f"{table}.json").resolve()
         done = subprocess.run(
             [sys.executable, "-m", "parapost.cli", "reproduce", "--table",
              table, "--format", "json", "--out", str(out)], env=env)
+        failed += done.returncode != 0
         print(f"{table}: {'ok' if done.returncode == 0 else 'FAILED'}")
-    return 0
+    return 1 if failed else 0
 
 
 def rows(directory):
@@ -55,13 +59,23 @@ def compare(old_dir, new_dir):
     bad = compared = 0
     worst = 0.0
     for label in sorted(set(old) | set(new)):
-        a, b = old.get(label, {}), new.get(label, {})
+        if label not in new:
+            print(f"{label}: missing from the new side")
+            bad += 1
+            continue
+        if label not in old:
+            print(f"{label}: new row, not compared")
+            continue
+        a, b = old[label], new[label]
         for key in sorted(set(a) | set(b)):
-            x, y = a.get(key), b.get(key)
-            if x is None or y is None:
-                print(f"{label} {key}: {x!r} -> {y!r}")
+            if key not in b:
+                print(f"{label} {key}: missing from the new side")
                 bad += 1
                 continue
+            if key not in a:
+                print(f"{label} {key}: new, not compared")
+                continue
+            x, y = a[key], b[key]
             scale = max(abs(x), abs(y))
             same = x == y or (math.isnan(x) and math.isnan(y))
             rel = 0.0 if same else abs(x - y) / scale
@@ -71,8 +85,8 @@ def compare(old_dir, new_dir):
                 print(f"{label} {key}: {x!r} -> {y!r} (rel {rel:.3e})")
                 bad += 1
     print(f"{len(set(old) | set(new))} rows, {compared} values compared, "
-          f"largest relative difference {worst:.3e}, {bad} missing or over "
-          f"{RTOL:g}")
+          f"largest relative difference {worst:.3e}, {bad} missing on the "
+          f"new side or over {RTOL:g}")
     return 1 if bad or not compared else 0
 
 

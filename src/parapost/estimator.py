@@ -90,13 +90,15 @@ class ResidualEvaluator:
               - ([U]_{n-1}, phi(t_{n-1}^+)),
         with the first step's jump taken against the retained incoming value
         (a cross-space projection at a subdomain hand-off).  For cG the later
-        jumps are exactly zero; for q_t = 0 (implicit Euler as dG(0)) U_dot
-        is, and the jumps carry the time stepping.
+        jumps are exactly zero and skipped; for q_t = 0 (implicit Euler as
+        dG(0)) U is constant on each step, so it takes one stiffness product
+        per step and no U_dot term, and the jumps carry the time stepping.
         """
         ws, ts = weight.space, traj.space
         A_x = self.cache.stiffness(ws, ts)
         M_x = self.cache.mass(ws, ts)
         M_inc = self.cache.mass(ws, traj.incoming.space)
+        dg0 = traj.q_t == 0
         dlam = lagrange_derivs(traj.q_t, self._s)
         loads = self.load(ws, traj)
         out = np.zeros(traj.n_steps)
@@ -106,20 +108,23 @@ class ResidualEvaluator:
             slab = weight.slab_index(t0, t1)
             phi_q = weight.slab_eval(slab, self._s)  # (nq, dof_w)
             c = traj.coeffs[n - 1]
-            u_q = traj.slab_eval(n - 1, self._s)
+            Au_q = ([A_x @ c[0]] * self.n_quad_t if dg0 else
+                    [A_x @ u for u in traj.slab_eval(n - 1, self._s)])
             du_q = dlam.T @ c / dt
             acc = 0.0
             for q in range(self.n_quad_t):
-                acc += self._w[q] * (
-                    loads[n - 1, q] @ phi_q[q]
-                    - phi_q[q] @ (A_x @ u_q[q])
-                    - phi_q[q] @ (M_x @ du_q[q])
-                )
+                r = loads[n - 1, q] @ phi_q[q] - phi_q[q] @ Au_q[q]
+                if not dg0:
+                    r -= phi_q[q] @ (M_x @ du_q[q])
+                acc += self._w[q] * r
+            out[n - 1] = acc * dt
             if n == 1:
                 jump = M_x @ c[0] - M_inc @ traj.incoming.coefficients
+            elif dg0:
+                jump = M_x @ (c[0] - traj.coeffs[n - 2, 0])
             else:
-                jump = M_x @ (c[0] - traj.coeffs[n - 2, -1])
-            out[n - 1] = acc * dt - weight.slab_eval(slab, [0.0])[0] @ jump
+                continue
+            out[n - 1] -= weight.slab_eval(slab, [0.0])[0] @ jump
         return out
 
 

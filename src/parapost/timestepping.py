@@ -100,12 +100,13 @@ class Trajectory:
         return len(self.times) - 1
 
     def field(self, n):
-        """Solution at grid time times[n]: the end value of slab n-1 for
-        n >= 1, the start value of slab 0 for n = 0.  For q_t = 0 these are
-        U_n and U_1 (field(0) is not the incoming value)."""
-        if n == 0:
-            return NodalField(self.space, self.coeffs[0, 0])
-        return NodalField(self.space, self.coeffs[n - 1, -1])
+        """Nodal value at times[n]: slab n-1's end value (U_n for q_t = 0), or
+        for n = 0 slab 0's start value, which a q_t = 0 field lacks."""
+        if n == 0 and self.q_t == 0:
+            raise ValueError("a q_t = 0 field has no value at times[0]; "
+                             "read its incoming value")
+        c = self.coeffs[n - 1, -1] if n else self.coeffs[0, 0]
+        return NodalField(self.space, c)
 
     @property
     def end(self):
@@ -141,7 +142,7 @@ class Trajectory:
         return NodalField(self.space, self.slab_eval(n, [s])[0])
 
     def value_at_node(self, t, tol=1e-10):
-        """Solution at a grid node (exact nodal value)."""
+        """Exact nodal value at a grid node, as field(n)."""
         k = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[k] - t) > tol:
             raise ValueError(f"{t} is not a node of this grid")

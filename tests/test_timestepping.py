@@ -219,8 +219,8 @@ def test_cross_space_incoming_projection():
 
 def test_be_trajectory_is_the_dg0_field():
     # implicit Euler fills the q_t = 0 case of the one Trajectory type: one
-    # coefficient vector per slab, field(n) = U_n (field(0) = U_1), and at()
-    # at an interior node t_n the right limit U_{n+1}
+    # coefficient vector per slab, field(n) = U_n for n >= 1, no value at
+    # times[0], and at() at an interior node t_n the right limit U_{n+1}
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
     traj = propagate_be(space, np.linspace(0.0, 0.5, 6),
@@ -228,7 +228,9 @@ def test_be_trajectory_is_the_dg0_field():
     assert traj.q_t == 0 and traj.coeffs.shape == (5, 1, space.dof_count)
     assert traj.schwarz_records is None
     U = traj.coeffs[:, 0]
-    assert np.array_equal(traj.field(0).coefficients, U[0])
+    for read in (lambda: traj.field(0), lambda: traj.value_at_node(0.0)):
+        with pytest.raises(ValueError, match="no value at times"):
+            read()
     for n in range(1, 6):
         assert np.array_equal(traj.field(n).coefficients, U[n - 1])
     for n in range(5):
