@@ -43,9 +43,9 @@ def solve_backward_cg(kind, space, times, terminal, q_t=3, cache=None):
 def solve_coarse_adjoint(partition, space, psi, q_t=3, cache=None):
     """Global backward solve on the coarse grid with terminal data the nodal
     interpolant of psi."""
-    terminal = space.interpolate(psi) if callable(psi) else psi
     grid = partition.coarse_grid_global()
-    return solve_backward_cg("coarse", space, grid, terminal, q_t, cache)
+    return solve_backward_cg("coarse", space, grid, space.interpolate(psi),
+                             q_t, cache)
 
 
 def solve_fine_adjoints(partition, coarse_adjoint, q_t=3, cache=None):

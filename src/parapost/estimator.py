@@ -155,20 +155,23 @@ def _ack_terms(partition, state, adjoints, ev, u0, fine_space):
     fine_adjs = adjoints["fine"]
     aux_adjs = adjoints["aux"]
     P_t = partition.P_t
+    # coarse-solution jumps at T_{p-1}, p = 2..P_t: each weights C and A terms
+    coarse_jumps = {p: _jump_at_sync(state, p, fine_space, "coarse")
+                    for p in range(2, P_t + 1)}
     K = C = A = 0.0
     for p in range(2, P_t + 1):
         t_sync = partition.sync_times[p - 1]
         phat = coarse_adj.value_at_node(t_sync)
         pfine = fine_adjs[p - 1].value_at_node(t_sync)
         K += ev.pair(phat, _jump_at_sync(state, p, fine_space, "fine"))
-        C += ev.pair(pfine - phat, _jump_at_sync(state, p, fine_space, "coarse"))
+        C += ev.pair(pfine - phat, coarse_jumps[p])
         aux = aux_adjs[p]
         a_p = 0.0
         for k in range(1, p):
             a_p += float(np.sum(ev.residual(state.coarse[k - 1], aux)))
         for k in range(2, p):
             a_p += ev.pair(aux.value_at_node(partition.sync_times[k - 1]),
-                           _jump_at_sync(state, k, fine_space, "coarse"))
+                           coarse_jumps[k])
         a_p += _ic_error_pair(ev, aux.value_at_node(0.0), u0, state.initial)
         A += a_p
     return A, C, K

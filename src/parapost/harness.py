@@ -8,6 +8,7 @@ be computed without a reference solve.
 import json
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -179,6 +180,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_mapping(d):
+        if not isinstance(d, Mapping):
+            raise ValueError("a config must be a mapping of field names to "
+                             f"values, got {type(d).__name__}")
         unknown = set(d) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

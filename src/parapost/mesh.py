@@ -304,11 +304,10 @@ class FormCache:
         self._mats = {}
         self._factors = {}
 
-    def matrix(self, row_space, col_space, kind, elements=None):
-        key = (row_space, col_space, kind,
-               None if elements is None else tuple(elements))
+    def matrix(self, row_space, col_space, kind):
+        key = (row_space, col_space, kind)
         if key not in self._mats:
-            self._mats[key] = assemble_matrix(row_space, col_space, kind, elements)
+            self._mats[key] = assemble_matrix(row_space, col_space, kind)
         return self._mats[key]
 
     def mass(self, row_space, col_space):

@@ -1,4 +1,4 @@
-"""Parareal iteration over temporal subdomains, in variational and standard form.
+"""Parareal iteration over temporal subdomains, in variational form.
 
 The variational form retains full coarse and fine space-time trajectories for
 every iteration (the error estimator evaluates fields at every
@@ -11,6 +11,11 @@ Uhat^{p-1}(T_{p-1}) + C_{p-1}^{k-1} (with C_0 = 0), which makes the standard
 and variational forms agree at the synchronization times.  Synchronized
 values are kept in the coarse space: the fine-space correction is nodally
 interpolated onto the coarse space before it is added.
+
+By finite termination (Gander & Vandewalle 2007) subdomain p receives the
+same incoming value at every iteration k >= p, so iteration k keeps the
+trajectories and corrections of subdomains p < k from iteration k-1 and
+solves only subdomains k..P_t.
 """
 
 from dataclasses import dataclass
@@ -27,10 +32,6 @@ class PararealState:
     fine: list            # per subdomain, fine-space trajectory
     corrections: list     # C_p^{k_t}, fine-space NodalField, p = 1..P_t
     initial: NodalField   # Uhat_0
-
-    def sync_incoming(self, p):
-        """Value fed to subdomain p (1-based) at T_{p-1}."""
-        return self.coarse[p - 1].incoming
 
 
 def _synchronize(coarse_end, corr, fine_space, sync_space):
@@ -57,7 +58,11 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
     """Variational Parareal: returns the states of all K_t iterations.
 
     ic_coarse is Uhat_0 in the coarse space; fine_space is the space the
-    corrections live in (coarse fields embed into it exactly).
+    corrections live in (coarse fields embed into it exactly).  Iteration k
+    solves subdomains k..P_t only: for p < k its state holds iteration
+    k-1's coarse and fine trajectories and corrections, the same objects,
+    since subdomain p's incoming value is unchanged from iteration p on.
+    That holds only if both solvers are pure functions of (grid, incoming).
     """
     if K_t < 1:
         raise ValueError("K_t must be >= 1")
@@ -65,11 +70,14 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
         raise ValueError(f"unknown sync_space {sync_space!r}")
     P_t = partition.P_t
     states = []
-    prev_corr = [None] * (P_t + 1)  # prev_corr[p] = C_p^{k-1}; index 0 unused
+    coarse, fine, corrs = [], [], [None] * P_t  # corrs[p-1] = C_p^{k-1}
     for k in range(1, K_t + 1):
-        coarse_trajs, fine_trajs, corrs = [], [], []
-        sync = ic_coarse  # incoming value for subdomain 1 (C_0 = 0)
-        for p in range(1, P_t + 1):
+        prev_corrs = corrs
+        coarse, fine, corrs = coarse[:k - 1], fine[:k - 1], corrs[:k - 1]
+        for p in range(k, P_t + 1):
+            # synchronized value handed to subdomain p (C_0 = 0)
+            sync = ic_coarse if p == 1 else _synchronize(
+                coarse[p - 2].end, prev_corrs[p - 2], fine_space, sync_space)
             try:
                 ct = coarse_solver(partition.coarse_grids[p - 1], sync)
                 ft = fine_solver(partition.fine_grids[p - 1], sync)
@@ -77,49 +85,8 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
                 raise RuntimeError(
                     f"solver failure on subdomain p={p}, iteration k_t={k}: "
                     f"{exc}") from exc
-            coarse_trajs.append(ct)
-            fine_trajs.append(ft)
+            coarse.append(ct)
+            fine.append(ft)
             corrs.append(ft.end - embed(ct.end, fine_space))
-            # synchronized value handed to subdomain p+1
-            sync = _synchronize(ct.end, prev_corr[p], fine_space, sync_space)
-        states.append(
-            PararealState(k, coarse_trajs, fine_trajs, corrs, ic_coarse)
-        )
-        prev_corr = [None] + corrs
+        states.append(PararealState(k, coarse, fine, corrs, ic_coarse))
     return states
-
-
-def par_standard(partition, K_t, ic_coarse, fine_solver, coarse_solver,
-                 fine_space, sync_space="coarse"):
-    """Standard Parareal: synchronization-time values only.
-
-    Returns a list (one entry per iteration) of dicts with keys 'tilde'
-    (coarse synchronized values, fine space), 'bar' (fine values at T_p) and
-    'corrections'.
-    """
-    if sync_space not in ("coarse", "fine"):
-        raise ValueError(f"unknown sync_space {sync_space!r}")
-    P_t = partition.P_t
-
-    def g_end(grid, ic):
-        return coarse_solver(grid, ic).end
-
-    def f_end(grid, ic):
-        return fine_solver(grid, ic).end
-
-    out = []
-    prev_corr = [None] * (P_t + 1)
-    for k in range(1, K_t + 1):
-        tilde, bar, corrs = [], [], []
-        u_tilde = ic_coarse
-        for p in range(1, P_t + 1):
-            g_val = g_end(partition.coarse_grids[p - 1], u_tilde)
-            f_val = f_end(partition.fine_grids[p - 1], u_tilde)
-            corr = f_val - embed(g_val, fine_space)
-            u_tilde = _synchronize(g_val, prev_corr[p], fine_space, sync_space)
-            tilde.append(u_tilde)
-            bar.append(f_val)
-            corrs.append(corr)
-        out.append({"tilde": tilde, "bar": bar, "corrections": corrs})
-        prev_corr = [None] + corrs
-    return out

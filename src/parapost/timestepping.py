@@ -18,7 +18,6 @@ from .mesh import (
     FormCache,
     NodalField,
     assemble_load,
-    assemble_matrix,
     gauss_rule,
     lagrange_values,
     lagrange_derivs,
@@ -265,22 +264,3 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
         prev = coeffs[n, -1]
     return Trajectory(space, times, q_t, coeffs, incoming=ic)
 
-
-def dg0_equivalence_check(traj, f):
-    """Max nodal deviation between an implicit-Euler trajectory and the
-    piecewise-constant-in-time Galerkin solution assembled from its weak form
-    (jump term plus right-endpoint quadrature), solved by dense LU."""
-    space = traj.space
-    M = assemble_matrix(space, space, "mass")
-    A = assemble_matrix(space, space, "stiffness")
-    Minc = assemble_matrix(space, traj.incoming.space, "mass")
-    prev_m = Minc @ traj.incoming.coefficients
-    dev = 0.0
-    for n in range(1, traj.n_steps + 1):
-        dt = traj.times[n] - traj.times[n - 1]
-        # ([U]_{n-1}, v) + dt a(U_n, v) = dt l(v)(t_n)
-        rhs = prev_m + dt * assemble_load(space, traj.times[n], f)
-        u = np.linalg.solve(M + dt * A, rhs)
-        dev = max(dev, float(np.max(np.abs(u - traj.coeffs[n - 1, 0])))) if space.dof_count else 0.0
-        prev_m = M @ u
-    return dev

@@ -15,10 +15,11 @@ from parapost.harness import ExperimentConfig, TABLE_REGISTRY, \
     build_manufactured, reproduce_table, run_experiment
 from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, \
     assemble_load, embed
-from parapost.parareal import par_standard, vpar
+from parapost.parareal import vpar
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
-from parapost.timestepping import TimePartition, Trajectory, \
-    dg0_equivalence_check, propagate_be
+from parapost.timestepping import TimePartition, Trajectory, propagate_be
+
+from oracles import dg0_equivalence_check, par_standard
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 

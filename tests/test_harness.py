@@ -300,6 +300,22 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "divisible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, kind", [("5", "int"), ("null", "NoneType"),
+                                        ('[{"r": 2}]', "list")])
+def test_cli_rejects_json_config_that_is_not_an_object(tmp_path, capsys,
+                                                        text, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and kind in err
+
+
+def test_cli_selftest_passes_every_check(capsys):
+    assert cli_main(["selftest"]) == 0
+    assert "4/4 checks passed" in capsys.readouterr().out
+
+
 def test_cli_rejects_bad_format_before_running(tmp_path, capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("run_experiment called on an invalid config")

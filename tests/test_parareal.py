@@ -5,9 +5,11 @@ import pytest
 
 from parapost.harness import build_manufactured
 from parapost.mesh import FeSpace, FormCache, SpatialMesh, embed
-from parapost.parareal import par_standard, vpar
+from parapost.parareal import vpar
 from parapost.schwarz import decompose_domain
 from parapost.timestepping import TimePartition, propagate_be, propagate_cg
+
+from oracles import par_standard
 
 
 def _setup(nhat_s=8, qhat=1, q=2, P_t=4, Nhat_t=8, r=2, T=0.5, nu=2, mu=1):
@@ -93,7 +95,7 @@ def test_standard_variational_equivalence_randomized(sync_space):
         qhat = int(rng.integers(1, 3))
         q = int(rng.integers(qhat, 4))
         n_s = int(rng.integers(3, 7))
-        K_t = int(rng.integers(1, P_t + 2))
+        K_t = int(rng.integers(1, P_t + 3))
         prob, part, coarse, fine, fs, cs, ic, cache = _setup(
             nhat_s=n_s, qhat=qhat, q=q, P_t=P_t, Nhat_t=P_t * nhat_per, r=r)
         states = vpar(part, K_t, ic, fs, cs, fine, sync_space=sync_space)
@@ -108,9 +110,39 @@ def test_standard_variational_equivalence_randomized(sync_space):
                 assert np.max(np.abs(corr_v - corr_s)) < 1e-12
             # incoming value of subdomain p+1 is the synchronized value
             for p in range(1, P_t):
-                inc = states[k].sync_incoming(p + 1).coefficients
+                inc = states[k].coarse[p].incoming.coefficients
                 tl = std[k]["tilde"][p - 1].coefficients
                 assert np.max(np.abs(inc - tl)) < 1e-12
+
+
+def test_vpar_solves_each_subdomain_until_its_incoming_value_converges():
+    # iteration k solves subdomains k..P_t only: 4 + 3 + 2 + 1 solves of
+    # each kind at P_t = 4, however many iterations follow
+    prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8)
+    calls = {"fine": 0, "coarse": 0}
+
+    def counted(kind, solver):
+        def solve(grid, ic_):
+            calls[kind] += 1
+            return solver(grid, ic_)
+        return solve
+
+    vpar(part, 6, ic, counted("fine", fs), counted("coarse", cs), fine)
+    assert calls == {"fine": 10, "coarse": 10}
+
+
+@pytest.mark.parametrize("sync_space", ["coarse", "fine"])
+def test_vpar_keeps_converged_subdomains_as_the_same_objects(sync_space):
+    prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8)
+    states = vpar(part, 6, ic, fs, cs, fine, sync_space=sync_space)
+    for k in range(1, 6):
+        for p in range(4):
+            # states[k] is iteration k+1, which keeps subdomains 1..k
+            kept = p < k
+            assert (states[k].fine[p] is states[k - 1].fine[p]) == kept
+            assert (states[k].coarse[p] is states[k - 1].coarse[p]) == kept
+            assert (states[k].corrections[p]
+                    is states[k - 1].corrections[p]) == kept
 
 
 def test_corrections_shrink_over_iterations():

@@ -23,10 +23,11 @@ from parapost.schwarz import AdditiveSchwarz, decompose_domain
 from parapost.timestepping import (
     TimePartition,
     Trajectory,
-    dg0_equivalence_check,
     propagate_be,
     propagate_cg,
 )
+
+from oracles import dg0_equivalence_check
 
 
 def _single_dof_space():
