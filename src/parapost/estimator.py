@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import SpatialAdjointSolver
-from .mesh import FormCache, assemble_load, embed, gauss_rule, lagrange_derivs
+from .mesh import (FormCache, assemble_load, embed, gauss_rule,
+                   lagrange_derivs, lagrange_values)
 
 
 TPA_COMPONENTS = ("D", "K", "C", "A")
@@ -52,26 +53,22 @@ def effectivity(estimated, true_err):
 class ResidualEvaluator:
     """Evaluates dual-weighted residuals and mixed-space pairings.
 
-    Holds the matrix cache and per-trajectory load blocks; time quadrature
-    is 5-point Gauss per step (cubic-in-time weights against smooth forcing).
+    Takes its matrices and load blocks from the cache; time quadrature is
+    5-point Gauss per step (cubic-in-time weights against smooth forcing).
     """
 
     def __init__(self, f, cache=None, n_quad_t=5):
         self.f = f
         self.cache = cache or FormCache()
         self.n_quad_t = n_quad_t
-        self._loads = {}
         self._s, self._w = gauss_rule(n_quad_t)
 
     def load(self, space, traj, ends=False):
         """traj's loads in space, (steps, n_quad_t, dof) at the Gauss times of
-        its steps or, if ends, (steps, dof) at times[1:]; one call each."""
-        key = (space, traj, ends)
-        if key not in self._loads:
-            times = traj.times[1:] if ends else (
-                traj.times[:-1, None] + np.diff(traj.times)[:, None] * self._s)
-            self._loads[key] = assemble_load(space, times, self.f)
-        return self._loads[key]
+        its steps or, if ends, (steps, dof) at times[1:]."""
+        times = traj.times[1:] if ends else (
+            traj.times[:-1, None] + np.diff(traj.times)[:, None] * self._s)
+        return self.cache.load(space, times, self.f)
 
     def pair(self, a, b):
         """L2 inner product of two nodal fields in (possibly) different spaces."""
@@ -79,8 +76,11 @@ class ResidualEvaluator:
         return a.coefficients @ G @ b.coefficients
 
     def pair_analytic(self, fn, b):
-        """(fn, b) for an analytic fn, by the fixed 10-point load rule."""
-        vec = assemble_load(b.space, 0.0, lambda x, t: fn(x))
+        """(fn, b) for an analytic fn, by the fixed 10-point load rule; the
+        load vector is assembled once per (space, fn)."""
+        vec = self.cache.factor(
+            ("analytic_load", b.space, fn),
+            lambda: assemble_load(b.space, 0.0, lambda x, t: fn(x)))
         return vec @ b.coefficients
 
     def residual(self, traj, weight):
@@ -100,16 +100,19 @@ class ResidualEvaluator:
         M_inc = self.cache.mass(ws, traj.incoming.space)
         dg0 = traj.q_t == 0
         dlam = lagrange_derivs(traj.q_t, self._s)
+        lam_w = lagrange_values(weight.q_t, self._s).T  # (nq, q_w+1)
+        lam_w0 = lagrange_values(weight.q_t, [0.0]).T
+        lam_u = lagrange_values(traj.q_t, self._s).T
         loads = self.load(ws, traj)
         out = np.zeros(traj.n_steps)
         for n in range(1, traj.n_steps + 1):
             t0, t1 = traj.times[n - 1], traj.times[n]
             dt = t1 - t0
             slab = weight.slab_index(t0, t1)
-            phi_q = weight.slab_eval(slab, self._s)  # (nq, dof_w)
+            phi_q = lam_w @ weight.coeffs[slab]  # (nq, dof_w)
             c = traj.coeffs[n - 1]
             Au_q = ([A_x @ c[0]] * self.n_quad_t if dg0 else
-                    [A_x @ u for u in traj.slab_eval(n - 1, self._s)])
+                    [A_x @ u for u in lam_u @ c])
             du_q = dlam.T @ c / dt
             acc = 0.0
             for q in range(self.n_quad_t):
@@ -124,16 +127,16 @@ class ResidualEvaluator:
                 jump = M_x @ (c[0] - traj.coeffs[n - 2, 0])
             else:
                 continue
-            out[n - 1] -= weight.slab_eval(slab, [0.0])[0] @ jump
+            out[n - 1] -= (lam_w0 @ weight.coeffs[slab])[0] @ jump
         return out
 
 
-def _jump_at_sync(state, p, fine_space, kind):
+def _jump_at_sync(state, p, fine_space, kind, cache):
     """Solution jump at T_{p-1} (p >= 2): value from subdomain p-1 minus the
     incoming value of subdomain p, expressed in the fine space."""
     trajs = state.coarse if kind == "coarse" else state.fine
-    left = embed(trajs[p - 2].end, fine_space)
-    incoming = embed(trajs[p - 1].incoming, fine_space)
+    left = embed(trajs[p - 2].end, fine_space, cache)
+    incoming = embed(trajs[p - 1].incoming, fine_space, cache)
     return left - incoming
 
 
@@ -156,14 +159,15 @@ def _ack_terms(partition, state, adjoints, ev, u0, fine_space):
     aux_adjs = adjoints["aux"]
     P_t = partition.P_t
     # coarse-solution jumps at T_{p-1}, p = 2..P_t: each weights C and A terms
-    coarse_jumps = {p: _jump_at_sync(state, p, fine_space, "coarse")
+    coarse_jumps = {p: _jump_at_sync(state, p, fine_space, "coarse", ev.cache)
                     for p in range(2, P_t + 1)}
     K = C = A = 0.0
     for p in range(2, P_t + 1):
         t_sync = partition.sync_times[p - 1]
         phat = coarse_adj.value_at_node(t_sync)
         pfine = fine_adjs[p - 1].value_at_node(t_sync)
-        K += ev.pair(phat, _jump_at_sync(state, p, fine_space, "fine"))
+        K += ev.pair(phat, _jump_at_sync(state, p, fine_space, "fine",
+                                         ev.cache))
         C += ev.pair(pfine - phat, coarse_jumps[p])
         aux = aux_adjs[p]
         a_p = 0.0
@@ -212,7 +216,9 @@ def dd_split(traj, n, decomp, phi_val, ev):
     dt = traj.times[n] - traj.times[n - 1]
     spatial_solver = SpatialAdjointSolver.cached(ev.cache, space3, dt, decomp)
     M3x = ev.cache.mass(space3, traj.space)
-    B3x = M3x + dt * ev.cache.stiffness(space3, traj.space)
+    B3x = ev.cache.factor(  # one dense M + dt*A per exact dt
+        ("step_matrix", space3, traj.space, dt),
+        lambda: M3x + dt * ev.cache.stiffness(space3, traj.space))
     # the step's right-hand functional evaluated on degree-3 fields
     if n == 1:
         M3inc = ev.cache.mass(space3, traj.incoming.space)

@@ -267,7 +267,7 @@ def run_experiment(config):
 
     initial = coarse_space.interpolate(problem.u0)
     states = vpar(partition, config.K_t, initial, fine_solver, coarse_solver,
-                  fine_space)
+                  fine_space, cache=cache)
     state = states[-1]
 
     true_qoi = problem.true_qoi()
@@ -343,7 +343,10 @@ def emit_report(records, fmt="csv", path=None, sweep_param=None,
 
 def run_sweep(base_config, param, values):
     """Run the base config once per parameter value, in order; each value is
-    converted to the field's type."""
+    converted to the field's type.  An unknown param raises a ValueError
+    before anything runs."""
+    if param not in ExperimentConfig.__dataclass_fields__:
+        raise ValueError(f"unknown sweep parameter {param!r}")
     return [run_experiment(replace(base_config, **{param: v}).validate())
             for v in values]
 

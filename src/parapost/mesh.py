@@ -172,19 +172,32 @@ class NodalField:
 
 def eval_field(space, coefficients, x):
     """Evaluate an FE function with the given coefficients at points x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    q = space.degree
-    e = space.mesh.element_of(x)
-    x0 = space.mesh.boundaries[e]
-    h = space.mesh.widths[e]
-    s = (x - x0) / h
-    vals = np.zeros_like(x)
-    basis = lagrange_values(q, s)  # (q+1, npts)
-    for j in range(q + 1):
-        g = space.element_dofs[e, j]
-        mask = g >= 0
-        vals[mask] += basis[j, mask] * coefficients[g[mask]]
-    return vals
+    return NodalGather(space, x)(coefficients)
+
+
+class NodalGather:
+    """Evaluation of the fields of one space at fixed points x: per local
+    basis function j, the points whose element has a free dof there, that
+    dof and the basis value.  Building it does the element search and the
+    basis evaluation; each call only gathers, summing in j order."""
+
+    def __init__(self, space, x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        e = space.mesh.element_of(x)
+        s = (x - space.mesh.boundaries[e]) / space.mesh.widths[e]
+        basis = lagrange_values(space.degree, s)  # (q+1, npts)
+        self._n = len(x)
+        self._terms = []
+        for j in range(space.degree + 1):
+            g = space.element_dofs[e, j]
+            mask = g >= 0
+            self._terms.append((mask, g[mask], basis[j, mask]))
+
+    def __call__(self, coefficients):
+        vals = np.zeros(self._n)
+        for mask, g, b in self._terms:
+            vals[mask] += b * coefficients[g]
+        return vals
 
 
 class AssembledOperator:
@@ -290,14 +303,17 @@ def assemble_load(space, t, f, n_quad=10):
 
 
 class FormCache:
-    """The one holder of dense Galerkin matrices and of factorizations.
+    """The one owner of assembled matrices, load blocks, embeddings and every
+    factorization, for the lifetime of one experiment.
 
-    matrix() memoizes assembled matrices; factor() memoizes whatever solves
-    with them (banded step operators, cG slab LU, Schwarz sweepers, spatial
-    adjoint solvers), each keeping only its factors and the blocks it cuts.
-    Keys hold the space objects themselves (spaces hash by identity), so an
-    entry keeps its spaces alive exactly as long as the cache lives and can
-    never be confused with a later space that reuses a freed address.
+    matrix() memoizes assembled matrices and load() assembled load blocks;
+    factor() memoizes whatever else is built once per key: solvers (banded
+    step operators, cG slab LU, Schwarz sweepers, spatial adjoint solvers),
+    each keeping only its factors and the blocks it cuts, and the nodal
+    gathers of interpolate().  Keys hold the space objects themselves (spaces
+    hash by identity), so an entry keeps its spaces alive exactly as long as
+    the cache lives and can never be confused with a later space that reuses
+    a freed address.
     """
 
     def __init__(self):
@@ -326,30 +342,52 @@ class FormCache:
                 self.mass(space, space) + dt * self.stiffness(space, space)),
         )
 
+    def load(self, space, t, f):
+        """assemble_load(space, t, f), assembled once per (space, f, exact
+        times) and read-only."""
+        t = np.asarray(t, dtype=float)
+
+        def build():
+            out = assemble_load(space, t, f)
+            out.flags.writeable = False
+            return out
+
+        return self.factor(("load", space, f, t.shape, t.tobytes()), build)
+
+    def interpolate(self, field, target_space):
+        """target_space.interpolate(field), by a NodalGather built once per
+        (field space, target space)."""
+        gather = self.factor(("gather", field.space, target_space),
+                             lambda: NodalGather(field.space,
+                                                 target_space.dof_coords))
+        return NodalField(target_space, gather(field.coefficients))
+
     def factor(self, key, build):
-        """A factorization, or a solver holding factorizations, built once
-        per key by build()."""
+        """The object build() returns, built once per key."""
         if key not in self._factors:
             self._factors[key] = build()
         return self._factors[key]
 
 
-def embed(field, target_space):
+def embed(field, target_space, cache=None):
     """Exact re-expression of a field in a richer nested space (same mesh)."""
     if field.space is target_space:
         return field
     if field.space.degree > target_space.degree:
         raise ValueError("embed requires a target of equal or higher degree")
-    return target_space.interpolate(field)
+    return (cache or FormCache()).interpolate(field, target_space)
 
 
 def qoi_eval(psi, fld, n_quad=10):
     """Terminal-time quantity of interest: integral of psi(x) * fld(x) over the domain."""
     mesh = fld.space.mesh
     s, w = gauss_rule(n_quad)
+    h = mesh.widths
+    x = (mesh.boundaries[:-1, None] + h[:, None] * s[None, :]).ravel()
+    shape = (mesh.n_elements, n_quad)
+    psi_x = np.broadcast_to(psi(x), x.shape).reshape(shape)
+    sums = np.sum(w * psi_x * fld(x).reshape(shape), axis=1)
     total = 0.0
-    for e in range(mesh.n_elements):
-        x0, h = mesh.boundaries[e], mesh.widths[e]
-        x = x0 + h * s
-        total += h * np.sum(w * psi(x) * fld(x))
+    for v in h * sums:  # added in element order
+        total += v
     return total

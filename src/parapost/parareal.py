@@ -20,7 +20,7 @@ solves only subdomains k..P_t.
 
 from dataclasses import dataclass
 
-from .mesh import NodalField, embed
+from .mesh import FormCache, NodalField, embed
 
 
 @dataclass
@@ -34,7 +34,7 @@ class PararealState:
     initial: NodalField   # Uhat_0
 
 
-def _synchronize(coarse_end, corr, fine_space, sync_space):
+def _synchronize(coarse_end, corr, fine_space, sync_space, cache=None):
     """Combine a coarse end value with the previous iteration's correction.
 
     With sync_space='coarse' the correction is nodally interpolated onto the
@@ -46,15 +46,16 @@ def _synchronize(coarse_end, corr, fine_space, sync_space):
     """
     if corr is None:
         return coarse_end
+    cache = cache or FormCache()
     if sync_space == "coarse":
         space = coarse_end.space
         return coarse_end + (corr if corr.space is space
-                             else space.interpolate(corr))
-    return embed(coarse_end, fine_space) + corr
+                             else cache.interpolate(corr, space))
+    return embed(coarse_end, fine_space, cache) + corr
 
 
 def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
-         sync_space="coarse"):
+         sync_space="coarse", cache=None):
     """Variational Parareal: returns the states of all K_t iterations.
 
     ic_coarse is Uhat_0 in the coarse space; fine_space is the space the
@@ -63,6 +64,7 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
     k-1's coarse and fine trajectories and corrections, the same objects,
     since subdomain p's incoming value is unchanged from iteration p on.
     That holds only if both solvers are pure functions of (grid, incoming).
+    The embeddings between the coarse and fine spaces are the cache's.
     """
     if K_t < 1:
         raise ValueError("K_t must be >= 1")
@@ -77,7 +79,8 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
         for p in range(k, P_t + 1):
             # synchronized value handed to subdomain p (C_0 = 0)
             sync = ic_coarse if p == 1 else _synchronize(
-                coarse[p - 2].end, prev_corrs[p - 2], fine_space, sync_space)
+                coarse[p - 2].end, prev_corrs[p - 2], fine_space, sync_space,
+                cache)
             try:
                 ct = coarse_solver(partition.coarse_grids[p - 1], sync)
                 ft = fine_solver(partition.fine_grids[p - 1], sync)
@@ -87,6 +90,6 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
                     f"{exc}") from exc
             coarse.append(ct)
             fine.append(ft)
-            corrs.append(ft.end - embed(ct.end, fine_space))
+            corrs.append(ft.end - embed(ct.end, fine_space, cache))
         states.append(PararealState(k, coarse, fine, corrs, ic_coarse))
     return states

@@ -17,7 +17,6 @@ from scipy.linalg.lapack import dgetrs
 from .mesh import (
     FormCache,
     NodalField,
-    assemble_load,
     gauss_rule,
     lagrange_values,
     lagrange_derivs,
@@ -148,9 +147,13 @@ class Trajectory:
         return self.field(k)
 
 
-def _require_finite(values, n, t):
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"non-finite solution at step n={n}, t={t:.6g}")
+def _require_finite(coeffs, times):
+    """Raise a ValueError naming the first step n whose coefficients
+    (coeffs[n-1]) are not all finite, and its end time t_n."""
+    bad = ~np.isfinite(coeffs).all(axis=(1, 2))
+    if bad.any():
+        n = int(np.argmax(bad)) + 1
+        raise ValueError(f"non-finite solution at step n={n}, t={times[n]:.6g}")
 
 
 def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
@@ -159,11 +162,11 @@ def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
     Each step's SPD system is solved directly (banded Cholesky) or, given an
     OverlapDecomposition, by K_s additive Schwarz sweeps from a zero guess;
     the trajectory then carries the per-step sweep records in
-    traj.schwarz_records (index n-1 for step n).  All loads l(t_n) are
-    assembled by one call before the step loop.  The incoming value may
-    live in a different space on the same mesh; its first-step contribution
-    is the exact cross-space L2 pairing.  A non-finite step value raises a
-    ValueError naming the step n and its time t.
+    traj.schwarz_records (index n-1 for step n).  The loads l(t_n) are the
+    cache's block for the grid.  The incoming value may live in a different
+    space on the same mesh; its first-step contribution is the exact
+    cross-space L2 pairing.  A non-finite step value raises a ValueError
+    naming the first such step n and its time t.
     """
     if decomp is not None and (K_s is None or K_s < 1):
         raise ValueError("K_s must be >= 1")
@@ -173,20 +176,24 @@ def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
     M = cache.mass(space, space)
     coeffs = np.zeros((n_steps, 1, space.dof_count))
     prev_m = cache.mass(space, ic.space) @ ic.coefficients  # (U_0, phi_i)
-    loads = assemble_load(space, times[1:], f)
+    loads = cache.load(space, times[1:], f)
     records = [] if decomp is not None else None
+    solver_dt = None
     for n in range(1, n_steps + 1):
         dt = times[n] - times[n - 1]
+        if dt != solver_dt:
+            solver_dt = dt
+            solver = (cache.step_operator(space, dt) if decomp is None else
+                      AdditiveSchwarz.cached(cache, space, dt, decomp))
         rhs = prev_m + dt * loads[n - 1]
         if decomp is None:
-            u = cache.step_operator(space, dt).solve(rhs)
+            u = solver.solve(rhs)
         else:
-            sweeper = AdditiveSchwarz.cached(cache, space, dt, decomp)
-            u, rec = sweeper.solve(rhs, np.zeros(space.dof_count), K_s)
+            u, rec = solver.solve(rhs, np.zeros(space.dof_count), K_s)
             records.append(rec)
-        _require_finite(u, n, times[n])
         coeffs[n - 1, 0] = u
         prev_m = M @ u
+    _require_finite(coeffs, times)
     return Trajectory(space, times, 0, coeffs, ic, records)
 
 
@@ -212,10 +219,10 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
     """cG(q_t) time stepping with test functions of time degree q_t - 1.
 
     Continuity across slabs is enforced by construction; the slab start value
-    is the L2 projection of the incoming value into the solve space.  All
-    loads are assembled by one call before the slab loop; f=None is a
+    is the L2 projection of the incoming value into the solve space.  The
+    loads are the cache's block for the slabs' quadrature times; f=None is a
     homogeneous problem: no load is assembled.  A non-finite slab solution
-    raises a ValueError naming its step and end time.
+    raises a ValueError naming the first such step and its end time.
     """
     if q_t < 1:
         raise ValueError("q_t must be >= 1")
@@ -239,28 +246,29 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
         return K
 
     if f is not None:  # (steps, q_t+3, dof), at every slab's quadrature times
-        loads = assemble_load(space, times[:-1, None] + np.diff(times)[:, None] * sq, f)
+        loads = cache.load(space, times[:-1, None] + np.diff(times)[:, None] * sq, f)
     coeffs = np.zeros((n_steps, q_t + 1, ndof))
     prev = u0
+    lu_dt = None
     for n in range(n_steps):
         t0 = times[n]
         dt = times[n + 1] - t0
-        lu = cache.factor(("cg_slab", space, q_t, round(dt, 15)),
-                          lambda: sla.lu_factor(slab_system(dt)))
+        if dt != lu_dt:
+            lu_dt = dt
+            lu = cache.factor(("cg_slab", space, q_t, round(dt, 15)),
+                              lambda: sla.lu_factor(slab_system(dt)))
         F = np.zeros(q_t * ndof)
         if f is not None:
             # time-integrated load against each test function
             for m in range(q_t):
                 F[m * ndof:(m + 1) * ndof] = dt * Pw[m] @ loads[n]
+        Mp, Ap = M @ prev, A @ prev
         for m in range(q_t):
-            F[m * ndof:(m + 1) * ndof] -= (
-                alpha[m, 0] * (M @ prev) + dt * beta[m, 0] * (A @ prev)
-            )
+            F[m * ndof:(m + 1) * ndof] -= alpha[m, 0] * Mp + dt * beta[m, 0] * Ap
         sol = lapack_solution("dgetrs", *dgetrs(*lu, F))
-        _require_finite(sol, n + 1, times[n + 1])
         coeffs[n, 0] = prev
         for j in range(1, q_t + 1):
             coeffs[n, j] = sol[(j - 1) * ndof:j * ndof]
         prev = coeffs[n, -1]
+    _require_finite(coeffs, times)
     return Trajectory(space, times, q_t, coeffs, incoming=ic)
-

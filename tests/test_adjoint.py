@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import parapost.timestepping as timestepping
+import parapost.mesh as mesh_module
 from parapost.adjoint import (
     SpatialAdjointSolver,
     solve_auxiliary_adjoints,
@@ -200,13 +200,13 @@ def test_spatial_adjoint_mirror_symmetry():
 
 def test_homogeneous_backward_solves_assemble_no_load(monkeypatch):
     calls = []
-    real = timestepping.assemble_load
+    real = mesh_module.assemble_load
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(timestepping, "assemble_load", counting)
+    monkeypatch.setattr(mesh_module, "assemble_load", counting)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 3)
     grid = np.linspace(0.0, 0.3, 4)
     terminal = space.interpolate(lambda x: np.sin(np.pi * x))

@@ -1,16 +1,23 @@
-"""Array assembly of mass/stiffness/load forms against element-by-element oracles."""
+"""Array assembly of mass/stiffness/load forms, field evaluation and QoI
+sums against element-by-element oracles."""
 
 import numpy as np
 import pytest
 
+import parapost.mesh as mesh_module
+from parapost.harness import build_manufactured
 from parapost.mesh import (
     FeSpace,
+    FormCache,
+    NodalField,
     SpatialMesh,
     assemble_load,
     assemble_matrix,
+    embed,
     gauss_rule,
     lagrange_derivs,
     lagrange_values,
+    qoi_eval,
 )
 
 
@@ -49,6 +56,32 @@ def loop_assemble_load(space, t, f, n_quad=10):
             if g >= 0:
                 out[g] += contrib[j]
     return out
+
+
+def loop_eval_field(space, coefficients, x):
+    """Oracle: a field's values at points x, summed basis function by basis
+    function over the points' elements."""
+    e = space.mesh.element_of(x)
+    s = (x - space.mesh.boundaries[e]) / space.mesh.widths[e]
+    basis = lagrange_values(space.degree, s)
+    vals = np.zeros_like(x)
+    for j in range(space.degree + 1):
+        g = space.element_dofs[e, j]
+        mask = g >= 0
+        vals[mask] += basis[j, mask] * coefficients[g[mask]]
+    return vals
+
+
+def loop_qoi_eval(psi, fld, n_quad=10):
+    """Oracle: the QoI integral summed one element at a time."""
+    mesh = fld.space.mesh
+    s, w = gauss_rule(n_quad)
+    total = 0.0
+    for e in range(mesh.n_elements):
+        x0, h = mesh.boundaries[e], mesh.widths[e]
+        x = x0 + h * s
+        total += h * np.sum(w * psi(x) * fld(x))
+    return total
 
 
 def graded_mesh(n):
@@ -167,3 +200,55 @@ def test_load_over_times_calls_forcing_once_per_scalar_time():
     assert seen == list(TIMES)
     assert out.shape == (2, 2, space.dof_count)
     assert np.array_equal(out[1, 0], assemble_load(space, grid[1, 0], f))
+
+
+@pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"N{m.n_elements}")
+def test_gather_bitwise_equals_loop_evaluation(monkeypatch, mesh):
+    # the cached gather between every pair of degrees 1..3, in either
+    # direction, interpolates exactly as evaluating at the target's nodes,
+    # and is built once per pair
+    rng = np.random.default_rng(mesh.n_elements)
+    built, real = [], mesh_module.NodalGather
+    monkeypatch.setattr(mesh_module, "NodalGather",
+                        lambda space, x: built.append(space) or real(space, x))
+    cache = FormCache()
+    spaces = [FeSpace(mesh, q) for q in (1, 2, 3)]
+    for source in spaces:
+        for target in spaces:
+            for rebuilt in (1, 0):
+                fld = NodalField(source, rng.standard_normal(source.dof_count))
+                want = loop_eval_field(source, fld.coefficients,
+                                       target.dof_coords)
+                before = len(built)
+                got = cache.interpolate(fld, target)
+                assert len(built) - before == rebuilt
+                assert np.array_equal(got.coefficients, want)
+                assert np.array_equal(target.interpolate(fld).coefficients,
+                                      want)
+                if source.degree < target.degree:
+                    assert np.array_equal(
+                        embed(fld, target, cache).coefficients, want)
+
+
+def test_qoi_bitwise_equals_element_loop():
+    rng = np.random.default_rng(75)
+    prob = build_manufactured(4, 2, 2.0)
+    for mesh in MESHES:
+        for q in (1, 2, 3):
+            space = FeSpace(mesh, q)
+            fld = NodalField(space, rng.standard_normal(space.dof_count))
+            for psi in (prob.psi, lambda x: np.exp(x) * np.sin(7 * x),
+                        lambda x: 2.5):
+                assert qoi_eval(psi, fld) == loop_qoi_eval(psi, fld)
+
+
+def test_cached_load_is_assembled_once_and_read_only():
+    cache = FormCache()
+    space = FeSpace(MESHES[0], 2)
+    f = lambda x, t: np.cos(x) * t
+    block = cache.load(space, TIMES, f)
+    assert np.array_equal(block, assemble_load(space, TIMES, f))
+    assert cache.load(space, TIMES.copy(), f) is block  # keyed on the values
+    assert cache.load(space, TIMES[:2], f) is not block
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 1.0

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from parapost import cli
+import parapost.mesh as mesh_module
+from parapost import cli, harness
 from parapost.adjoint import SpatialAdjointSolver
 from parapost.cli import main as cli_main
 from parapost.harness import (
@@ -154,6 +155,26 @@ def test_stpa_run_builds_one_sweeper_per_space(monkeypatch):
     run_experiment(cfg)
     assert sorted(built) == [cfg.q_s, cfg.adjoint_space_degree]
     assert spatial_built == [cfg.adjoint_space_degree]
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(integrator="cg", q_t=2),
+    dict(Nhat_s=8, schwarz=True, P_s=2, K_s=2, beta=0.25)])
+def test_run_assembles_each_load_block_once(monkeypatch, overrides):
+    # every (space, times) load block of one experiment, forward, residual
+    # and dd_split alike, is assembled by one call for the whole run
+    calls = []
+    real = mesh_module.assemble_load
+
+    def counting(space, t, f, **kwargs):
+        t = np.asarray(t, dtype=float)
+        calls.append((space, t.shape, t.tobytes()))
+        return real(space, t, f, **kwargs)
+
+    monkeypatch.setattr(mesh_module, "assemble_load", counting)
+    run_experiment(ExperimentConfig(**dict(SMALL, K_t=2, **overrides)))
+    assert len(calls) > 0
+    assert len(set(calls)) == len(calls)
 
 
 def test_config_from_json_file(tmp_path):
@@ -326,3 +347,17 @@ def test_cli_rejects_bad_format_before_running(tmp_path, capsys, monkeypatch):
                    + "format = xml\n")
     assert cli_main(["run", "--config", str(cfg)]) == 1
     assert "format" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_unknown_param_before_running(tmp_path, capsys,
+                                                        monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("run_experiment called for an unknown field")
+
+    monkeypatch.setattr(harness, "run_experiment", must_not_run)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in SMALL.items()))
+    assert cli_main(["sweep", "--config", str(cfg), "--param", "foo",
+                     "--values", "1,2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'foo'" in err

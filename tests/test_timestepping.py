@@ -306,13 +306,13 @@ def test_cg_slab_factors_die_with_their_cache():
 
 def _count_loads(monkeypatch):
     calls = []
-    real = timestepping.assemble_load
+    real = mesh_module.assemble_load
 
     def counting(space, t, f):
         calls.append(np.shape(t))
         return real(space, t, f)
 
-    monkeypatch.setattr(timestepping, "assemble_load", counting)
+    monkeypatch.setattr(mesh_module, "assemble_load", counting)
     return calls
 
 
@@ -333,6 +333,25 @@ def test_forced_propagation_assembles_all_loads_in_one_call(monkeypatch,
         propagate_be(space, grid, ic, prob.f, None,
                      *((decomp, 2) if stepping == "schwarz" else ()))
         assert calls == [(5,)]
+
+
+@pytest.mark.parametrize("stepping", ["be", "schwarz", "cg"])
+def test_nan_mid_trajectory_names_first_bad_step(stepping):
+    # the forcing is NaN on (0.25, 0.35) only: step n=3, ending at t=0.3, is
+    # the first with a NaN load, and every later step inherits it
+    prob = build_manufactured(2, 1, 0.5)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space = FeSpace(mesh, 2)
+    ic = space.interpolate(prob.u0)
+    grid = np.linspace(0.0, 0.5, 6)
+    nan_f = lambda x, t: prob.f(x, t) * (np.nan if 0.25 < t < 0.35 else 1.0)
+    with pytest.raises(ValueError, match=r"step n=3, t=0\.3$"):
+        if stepping == "cg":
+            propagate_cg(space, grid, 2, ic, nan_f)
+        else:
+            propagate_be(space, grid, ic, nan_f, None,
+                         *((decompose_domain(mesh, 2, 0.25), 2)
+                           if stepping == "schwarz" else ()))
 
 
 def test_cg_time_forms_built_once_per_degree_per_cache(monkeypatch):
