@@ -14,7 +14,6 @@ import numpy as np
 from parapost import (
     FeSpace,
     FormCache,
-    ResidualEvaluator,
     SpatialMesh,
     TimePartition,
     build_manufactured,
@@ -43,13 +42,15 @@ print(f"mesh: {mesh.n_elements} elements; "
 
 # 5 temporal subdomains, 4 coarse steps each, fine steps 4x smaller
 part = TimePartition.uniform(prob.T, P_t=5, Nhat_t=20, r=4)
+# one cache for the whole experiment: every solve, embedding and residual
+# below shares its matrices, load blocks and factorizations
 cache = FormCache()
 fine = lambda grid, ic: propagate_be(fine_space, grid, ic, prob.f, cache)
 crse = lambda grid, ic: propagate_be(coarse_space, grid, ic, prob.f, cache)
 
 # two Parareal iterations from the interpolated initial condition
 states = vpar(part, 2, coarse_space.interpolate(prob.u0), fine, crse,
-              fine_space)
+              fine_space, cache)
 state = states[-1]
 
 true_qoi = prob.true_qoi()
@@ -60,14 +61,16 @@ print(f"computed QoI  {computed:+.6e}")
 print(f"true error    {true_err:+.6e}")
 
 # one backward adjoint solve per family: global coarse, per-subdomain fine,
-# and the auxiliary solves that carry the adjoint jumps back to t = 0
-coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, cache=cache)
-fine_adjs = solve_fine_adjoints(part, coarse_adj, cache=cache)
-aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, cache=cache)
+# and the auxiliary solves that carry the adjoint jumps back to t = 0, all
+# cG(3) in time
+adj_q_t = 3
+coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, adj_q_t, cache)
+fine_adjs = solve_fine_adjoints(part, coarse_adj, adj_q_t, cache)
+aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, adj_q_t,
+                                    cache)
 adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
 
-ev = ResidualEvaluator(prob.f, cache)
-bd = tpa_breakdown(part, state, adjoints, prob, true_err, cache, ev)
+bd = tpa_breakdown(part, state, adjoints, prob, true_err, cache)
 
 print("\ncomponents:")
 for name, val in bd.components.items():

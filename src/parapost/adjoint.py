@@ -7,7 +7,8 @@ global and per-subdomain spatial adjoints of each time step.
 
 The backward-in-time problems are solved as forward cG(q) problems on the
 time-reversed grid (the bilinear form is self-adjoint), on the forward
-meshes but with higher polynomial degree (default 3 in both space and time).
+meshes but with higher polynomial degree (ExperimentConfig's
+adjoint_space_degree and adjoint_time_degree, passed in explicitly).
 Each temporal adjoint is a Trajectory with q_t >= 1, the one space-time
 field type the forward solvers also return (implicit Euler as its q_t = 0
 case), so field(n) and value_at_node give exact nodal values.
@@ -15,23 +16,22 @@ case), so field(n) and value_at_node give exact nodal values.
 
 import numpy as np
 
-from .mesh import FormCache, NodalField, assemble_matrix
+from .mesh import NodalField, assemble_matrix
 from .schwarz import AdditiveSchwarz
 from .timestepping import Trajectory, propagate_cg
 
 
-def solve_backward_cg(kind, space, times, terminal, q_t=3, cache=None):
+def solve_backward_cg(kind, space, times, terminal, q_t, cache):
     """Solve (-phi_dot, v) = -a(v, phi) backward over the grid with the given
     terminal field, as a forward cG(q_t) solve of the time-reversed problem.
 
     Returns the adjoint as a cG(q_t) Trajectory on the grid, with the terminal
     field as its incoming value; kind names the adjoint in errors.
     """
-    cache = cache or FormCache()
     times = np.asarray(times, dtype=float)
     rev = times[-1] - times[::-1]
     try:
-        traj = propagate_cg(space, rev, q_t, terminal, None, cache=cache)
+        traj = propagate_cg(space, rev, q_t, terminal, None, cache)
     except ValueError as exc:
         raise ValueError(f"{kind} adjoint (time reversed, t -> "
                          f"{times[-1]:.6g} - t): {exc}") from exc
@@ -40,7 +40,7 @@ def solve_backward_cg(kind, space, times, terminal, q_t=3, cache=None):
     return Trajectory(space, times, q_t, coeffs, incoming=terminal)
 
 
-def solve_coarse_adjoint(partition, space, psi, q_t=3, cache=None):
+def solve_coarse_adjoint(partition, space, psi, q_t, cache):
     """Global backward solve on the coarse grid with terminal data the nodal
     interpolant of psi."""
     grid = partition.coarse_grid_global()
@@ -48,7 +48,7 @@ def solve_coarse_adjoint(partition, space, psi, q_t=3, cache=None):
                              q_t, cache)
 
 
-def solve_fine_adjoints(partition, coarse_adjoint, q_t=3, cache=None):
+def solve_fine_adjoints(partition, coarse_adjoint, q_t, cache):
     """Independent backward solves on each subdomain's fine grid, with
     terminal data taken from the coarse adjoint at T_p."""
     out = []
@@ -63,7 +63,7 @@ def solve_fine_adjoints(partition, coarse_adjoint, q_t=3, cache=None):
 
 
 def solve_auxiliary_adjoints(partition, coarse_adjoint, fine_adjoints,
-                             q_t=3, cache=None):
+                             q_t, cache):
     """Backward solves on (0, T_{p-1}] with terminal data the fine/coarse
     adjoint jump at T_{p-1}; returned dict is keyed by p = 2..P_t."""
     out = {}
@@ -89,8 +89,7 @@ class SpatialAdjointSolver:
     of that size.
     """
 
-    def __init__(self, space, dt, decomp, cache=None):
-        cache = cache or FormCache()
+    def __init__(self, space, dt, decomp, cache):
         self.space = space
         self.decomp = decomp
         self._B_op = cache.step_operator(space, dt)

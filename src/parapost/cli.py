@@ -13,27 +13,27 @@ from .harness import (
 )
 
 
-def _cmd_run(args):
-    cfg = ExperimentConfig.from_file(args.config)
-    rec = run_experiment(cfg)
-    fmt = args.format or cfg.format
+def _report(args, cfg, records, **sweep):
+    """Emit records in the --format/--out of args, else the config's format
+    and path; without a path the report goes to stdout."""
     path = args.out or cfg.path or None
-    text = emit_report([rec], fmt=fmt, path=path)
+    text = emit_report(records, fmt=args.format or cfg.format, path=path,
+                       **sweep)
     if not path:
         sys.stdout.write(text)
     return 0
+
+
+def _cmd_run(args):
+    cfg = ExperimentConfig.from_file(args.config)
+    return _report(args, cfg, [run_experiment(cfg)])
 
 
 def _cmd_sweep(args):
     cfg = ExperimentConfig.from_file(args.config)
     records = run_sweep(cfg, args.param, args.values.split(","))
-    fmt = args.format or cfg.format
-    path = args.out or cfg.path or None
-    text = emit_report(records, fmt=fmt, path=path, sweep_param=args.param,
-                       sweep_values=[r.config[args.param] for r in records])
-    if not path:
-        sys.stdout.write(text)
-    return 0
+    return _report(args, cfg, records, sweep_param=args.param,
+                   sweep_values=[r.config[args.param] for r in records])
 
 
 def _cmd_reproduce(args):

@@ -18,9 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import SpatialAdjointSolver
-from .mesh import (FormCache, assemble_load, embed, gauss_rule,
-                   lagrange_derivs, lagrange_values)
+from .mesh import (assemble_load, embed, gauss_rule, lagrange_derivs,
+                   lagrange_values)
 
+
+# Gauss points per time step of the residual integrals: cubic-in-time
+# weights against smooth forcing
+N_QUAD_T = 5
 
 TPA_COMPONENTS = ("D", "K", "C", "A")
 STPA_COMPONENTS = ("D_t", "D_s", "D_k", "K", "C", "A")
@@ -54,17 +58,16 @@ class ResidualEvaluator:
     """Evaluates dual-weighted residuals and mixed-space pairings.
 
     Takes its matrices and load blocks from the cache; time quadrature is
-    5-point Gauss per step (cubic-in-time weights against smooth forcing).
+    N_QUAD_T-point Gauss per step.
     """
 
-    def __init__(self, f, cache=None, n_quad_t=5):
+    def __init__(self, f, cache):
         self.f = f
-        self.cache = cache or FormCache()
-        self.n_quad_t = n_quad_t
-        self._s, self._w = gauss_rule(n_quad_t)
+        self.cache = cache
+        self._s, self._w = gauss_rule(N_QUAD_T)
 
     def load(self, space, traj, ends=False):
-        """traj's loads in space, (steps, n_quad_t, dof) at the Gauss times of
+        """traj's loads in space, (steps, N_QUAD_T, dof) at the Gauss times of
         its steps or, if ends, (steps, dof) at times[1:]."""
         times = traj.times[1:] if ends else (
             traj.times[:-1, None] + np.diff(traj.times)[:, None] * self._s)
@@ -111,11 +114,11 @@ class ResidualEvaluator:
             slab = weight.slab_index(t0, t1)
             phi_q = lam_w @ weight.coeffs[slab]  # (nq, dof_w)
             c = traj.coeffs[n - 1]
-            Au_q = ([A_x @ c[0]] * self.n_quad_t if dg0 else
+            Au_q = ([A_x @ c[0]] * N_QUAD_T if dg0 else
                     [A_x @ u for u in lam_u @ c])
             du_q = dlam.T @ c / dt
             acc = 0.0
-            for q in range(self.n_quad_t):
+            for q in range(N_QUAD_T):
                 r = loads[n - 1, q] @ phi_q[q] - phi_q[q] @ Au_q[q]
                 if not dg0:
                     r -= phi_q[q] @ (M_x @ du_q[q])
@@ -181,15 +184,15 @@ def _ack_terms(partition, state, adjoints, ev, u0, fine_space):
     return A, C, K
 
 
-def tpa_breakdown(partition, state, adjoints, problem, true_error,
-                  cache=None, ev=None):
+def tpa_breakdown(partition, state, adjoints, problem, true_error, cache):
     """Error decomposition for the time-parallel solver at one iteration.
 
     adjoints holds 'coarse', 'fine' (list over p) and 'aux' (dict keyed by
-    p = 2..P_t); problem supplies f and the analytic initial condition.
+    p = 2..P_t); problem supplies f and the analytic initial condition.  The
+    residuals take their matrices and loads from the experiment's cache.
     """
     _require_families(adjoints)
-    ev = ev or ResidualEvaluator(problem.f, cache)
+    ev = ResidualEvaluator(problem.f, cache)
     fine_space = state.fine[0].space
     D = 0.0
     for p in range(1, partition.P_t + 1):
@@ -240,7 +243,7 @@ def dd_split(traj, n, decomp, phi_val, ev):
 
 
 def stpa_breakdown(partition, state, adjoints, problem, true_error,
-                   decomp, cache=None, ev=None):
+                   decomp, cache):
     """Error decomposition for the space-time parallel solver.
 
     Splits the fine discretization component into temporal (D_t), spatial
@@ -250,7 +253,7 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
     E_N raises, naming p and n.
     """
     _require_families(adjoints)
-    ev = ev or ResidualEvaluator(problem.f, cache)
+    ev = ResidualEvaluator(problem.f, cache)
     fine_space = state.fine[0].space
     D_t = D_s = D_k = 0.0
     for p in range(1, partition.P_t + 1):

@@ -20,7 +20,6 @@ from .adjoint import (
     solve_fine_adjoints,
 )
 from .estimator import (
-    ResidualEvaluator,
     STPA_COMPONENTS,
     TPA_COMPONENTS,
     stpa_breakdown,
@@ -267,7 +266,7 @@ def run_experiment(config):
 
     initial = coarse_space.interpolate(problem.u0)
     states = vpar(partition, config.K_t, initial, fine_solver, coarse_solver,
-                  fine_space, cache=cache)
+                  fine_space, cache)
     state = states[-1]
 
     true_qoi = problem.true_qoi()
@@ -281,14 +280,13 @@ def run_experiment(config):
     aux_adjs = solve_auxiliary_adjoints(partition, coarse_adj, fine_adjs,
                                         adj_qt, cache)
     adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
-    ev = ResidualEvaluator(f, cache)
 
     if config.schwarz:
         breakdown = stpa_breakdown(partition, state, adjoints, problem,
-                                   true_error, decomp, cache, ev)
+                                   true_error, decomp, cache)
     else:
         breakdown = tpa_breakdown(partition, state, adjoints, problem,
-                                  true_error, cache, ev)
+                                  true_error, cache)
 
     wall = time.perf_counter() - t_start
     return RunRecord(

@@ -16,6 +16,9 @@ import numpy as np
 from scipy import linalg as sla
 from scipy.linalg.lapack import dpbtrs
 
+# Gauss points per element of the load vectors and the QoI integral
+N_QUAD = 10
+
 
 @lru_cache(maxsize=32)
 def gauss_rule(n):
@@ -243,8 +246,6 @@ def assemble_matrix(row_space, col_space, kind, elements=None):
         if not np.array_equal(row_space.mesh.boundaries, col_space.mesh.boundaries):
             raise ValueError("row and column spaces must share a mesh")
     mesh = row_space.mesh
-    if np.any(mesh.widths <= 0):
-        raise ValueError("degenerate mesh: zero-length element")
     qr, qc = row_space.degree, col_space.degree
     nq = (qr + qc) // 2 + 1
     s, w = gauss_rule(nq)
@@ -272,12 +273,12 @@ def assemble_matrix(row_space, col_space, kind, elements=None):
     return A
 
 
-def assemble_load(space, t, f, n_quad=10):
-    """Load vectors with entries (f(., t), phi_i), fixed 10-point Gauss rule per element.
+def assemble_load(space, t, f):
+    """Load vectors with entries (f(., t), phi_i), N_QUAD-point Gauss rule per element.
 
     A scalar time t gives shape (dof,), an array of times t.shape + (dof,).
     f is called once per time, with that scalar time, on the flattened
-    (n_elements, n_quad) grid of quadrature points; a scalar result is
+    (n_elements, N_QUAD) grid of quadrature points; a scalar result is
     broadcast to every point.  One contraction and one scatter serve all
     times.  f=None (homogeneous problem) gives exact zeros without
     evaluating anything.
@@ -287,14 +288,14 @@ def assemble_load(space, t, f, n_quad=10):
     if f is None:
         return np.zeros(t.shape + (n,))
     mesh = space.mesh
-    s, w = gauss_rule(n_quad)
+    s, w = gauss_rule(N_QUAD)
     h = mesh.widths[:, None]
     x = (mesh.boundaries[:-1, None] + h * s[None, :]).ravel()
     fx = np.empty((len(times), x.size))
     for k, tk in enumerate(times):
         fx[k] = f(x, tk)
-    fx = fx.reshape(len(times), mesh.n_elements, n_quad)
-    contrib = ((w * fx) @ _quadrature_basis(space.degree, n_quad)) * h
+    fx = fx.reshape(len(times), mesh.n_elements, N_QUAD)
+    contrib = ((w * fx) @ _quadrature_basis(space.degree, N_QUAD)) * h
     keep = space.element_dofs >= 0  # one bincount, time k's dofs offset by k*n
     rows = space.element_dofs[keep] + n * np.arange(len(times))[:, None]
     out = np.bincount(rows.ravel(), weights=contrib[:, keep].ravel(),
@@ -306,11 +307,12 @@ class FormCache:
     """The one owner of assembled matrices, load blocks, embeddings and every
     factorization, for the lifetime of one experiment.
 
-    matrix() memoizes assembled matrices and load() assembled load blocks;
-    factor() memoizes whatever else is built once per key: solvers (banded
-    step operators, cG slab LU, Schwarz sweepers, spatial adjoint solvers),
-    each keeping only its factors and the blocks it cuts, and the nodal
-    gathers of interpolate().  Keys hold the space objects themselves (spaces
+    matrix() memoizes assembled matrices and load() assembled load blocks,
+    both read-only since every later caller shares them; factor() memoizes
+    whatever else is built once per key: solvers (banded step operators, cG
+    slab LU, Schwarz sweepers, spatial adjoint solvers), each keeping only
+    its factors and the blocks it cuts, and the nodal gathers of
+    interpolate().  Keys hold the space objects themselves (spaces
     hash by identity), so an entry keeps its spaces alive exactly as long as
     the cache lives and can never be confused with a later space that reuses
     a freed address.
@@ -323,7 +325,9 @@ class FormCache:
     def matrix(self, row_space, col_space, kind):
         key = (row_space, col_space, kind)
         if key not in self._mats:
-            self._mats[key] = assemble_matrix(row_space, col_space, kind)
+            mat = assemble_matrix(row_space, col_space, kind)
+            mat.flags.writeable = False
+            self._mats[key] = mat
         return self._mats[key]
 
     def mass(self, row_space, col_space):
@@ -369,22 +373,24 @@ class FormCache:
         return self._factors[key]
 
 
-def embed(field, target_space, cache=None):
-    """Exact re-expression of a field in a richer nested space (same mesh)."""
+def embed(field, target_space, cache):
+    """Exact re-expression of a field in a richer nested space (same mesh),
+    by the cache's nodal gather."""
     if field.space is target_space:
         return field
     if field.space.degree > target_space.degree:
         raise ValueError("embed requires a target of equal or higher degree")
-    return (cache or FormCache()).interpolate(field, target_space)
+    return cache.interpolate(field, target_space)
 
 
-def qoi_eval(psi, fld, n_quad=10):
-    """Terminal-time quantity of interest: integral of psi(x) * fld(x) over the domain."""
+def qoi_eval(psi, fld):
+    """Terminal-time quantity of interest: integral of psi(x) * fld(x) over
+    the domain, by the N_QUAD-point Gauss rule per element."""
     mesh = fld.space.mesh
-    s, w = gauss_rule(n_quad)
+    s, w = gauss_rule(N_QUAD)
     h = mesh.widths
     x = (mesh.boundaries[:-1, None] + h[:, None] * s[None, :]).ravel()
-    shape = (mesh.n_elements, n_quad)
+    shape = (mesh.n_elements, N_QUAD)
     psi_x = np.broadcast_to(psi(x), x.shape).reshape(shape)
     sums = np.sum(w * psi_x * fld(x).reshape(shape), axis=1)
     total = 0.0

@@ -20,7 +20,7 @@ solves only subdomains k..P_t.
 
 from dataclasses import dataclass
 
-from .mesh import FormCache, NodalField, embed
+from .mesh import NodalField, embed
 
 
 @dataclass
@@ -34,7 +34,7 @@ class PararealState:
     initial: NodalField   # Uhat_0
 
 
-def _synchronize(coarse_end, corr, fine_space, sync_space, cache=None):
+def _synchronize(coarse_end, corr, fine_space, sync_space, cache):
     """Combine a coarse end value with the previous iteration's correction.
 
     With sync_space='coarse' the correction is nodally interpolated onto the
@@ -46,7 +46,6 @@ def _synchronize(coarse_end, corr, fine_space, sync_space, cache=None):
     """
     if corr is None:
         return coarse_end
-    cache = cache or FormCache()
     if sync_space == "coarse":
         space = coarse_end.space
         return coarse_end + (corr if corr.space is space
@@ -55,7 +54,7 @@ def _synchronize(coarse_end, corr, fine_space, sync_space, cache=None):
 
 
 def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
-         sync_space="coarse", cache=None):
+         cache, sync_space="coarse"):
     """Variational Parareal: returns the states of all K_t iterations.
 
     ic_coarse is Uhat_0 in the coarse space; fine_space is the space the

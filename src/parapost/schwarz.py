@@ -35,7 +35,7 @@ class OverlapDecomposition:
         return range(lo, hi)
 
 
-def decompose_domain(mesh, P_s, beta, tau=0.4):
+def decompose_domain(mesh, P_s, beta, tau):
     """Equal element blocks, each interior edge extended by round(beta * block)
     elements on both sides and clamped to the domain.
 

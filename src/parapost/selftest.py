@@ -28,9 +28,9 @@ def _check_parareal_exactness():
     fs = lambda g, ic: propagate_be(fine, g, ic, prob.f, cache)
     cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
     ic = coarse.interpolate(prob.u0)
-    states = vpar(part, 4, ic, fs, cs, fine, sync_space="fine")
-    serial = propagate_be(fine, np.linspace(0, 0.5, 17), embed(ic, fine),
-                          prob.f, cache)
+    states = vpar(part, 4, ic, fs, cs, fine, cache, sync_space="fine")
+    serial = propagate_be(fine, np.linspace(0, 0.5, 17),
+                          embed(ic, fine, cache), prob.f, cache)
     for p in range(1, 5):
         got = states[-1].fine[p - 1].end.coefficients
         want = serial.field(p * 4).coefficients
@@ -41,7 +41,7 @@ def _check_parareal_exactness():
 def _check_schwarz_fixed_point():
     mesh = SpatialMesh.uniform(0.0, 1.0, 8)
     space = FeSpace(mesh, 2)
-    decomp = decompose_domain(mesh, 2, 0.25)
+    decomp = decompose_domain(mesh, 2, 0.25, 0.4)
     cache = FormCache()
     B = cache.step_operator(space, 0.01)
     rng = np.random.default_rng(7)

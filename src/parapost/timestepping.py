@@ -15,7 +15,6 @@ from scipy import linalg as sla
 from scipy.linalg.lapack import dgetrs
 
 from .mesh import (
-    FormCache,
     NodalField,
     gauss_rule,
     lagrange_values,
@@ -23,6 +22,9 @@ from .mesh import (
     lapack_solution,
 )
 from .schwarz import AdditiveSchwarz
+
+# how far a time may be from a grid node or slab end and still name it
+NODE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,13 @@ class Trajectory:
     def end(self):
         return self.field(self.n_steps)
 
-    def slab_index(self, t0, t1, tol=1e-10):
-        """Index of the slab [t0, t1]; raises if the interval is not a slab."""
+    def slab_index(self, t0, t1):
+        """Index of the slab [t0, t1] (ends to NODE_TOL); raises if the
+        interval is not a slab."""
         n = int(np.searchsorted(self.times, 0.5 * (t0 + t1)) - 1)
         if not (0 <= n < self.n_steps
-                and abs(self.times[n] - t0) < tol
-                and abs(self.times[n + 1] - t1) < tol):
+                and abs(self.times[n] - t0) < NODE_TOL
+                and abs(self.times[n + 1] - t1) < NODE_TOL):
             raise ValueError(f"[{t0}, {t1}] is not a slab of this grid")
         return n
 
@@ -125,12 +128,12 @@ class Trajectory:
         return lagrange_values(self.q_t, s).T @ self.coeffs[n]
 
     def at(self, t):
-        """Solution at a time in the grid's span (to 1e-10); outside, raises.
+        """Solution at a time in the grid's span (to NODE_TOL); outside, raises.
 
         At an interior node t_n this is slab n's start value: for q_t = 0
         the right limit U_{n+1}, where field(n) gives U_n; at the last node
         both give the end value."""
-        if not self.times[0] - 1e-10 <= t <= self.times[-1] + 1e-10:
+        if not self.times[0] - NODE_TOL <= t <= self.times[-1] + NODE_TOL:
             raise ValueError(f"t={t} is outside the grid span "
                              f"[{self.times[0]}, {self.times[-1]}]")
         n = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
@@ -139,10 +142,10 @@ class Trajectory:
         s = (t - t0) / (t1 - t0)
         return NodalField(self.space, self.slab_eval(n, [s])[0])
 
-    def value_at_node(self, t, tol=1e-10):
-        """Exact nodal value at a grid node, as field(n)."""
+    def value_at_node(self, t):
+        """Exact nodal value at a grid node (to NODE_TOL), as field(n)."""
         k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > tol:
+        if abs(self.times[k] - t) > NODE_TOL:
             raise ValueError(f"{t} is not a node of this grid")
         return self.field(k)
 
@@ -156,7 +159,7 @@ def _require_finite(coeffs, times):
         raise ValueError(f"non-finite solution at step n={n}, t={times[n]:.6g}")
 
 
-def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
+def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     """Implicit Euler over a step grid: (M + dt A) U_n = (U_{n-1}, .) + dt l(t_n).
 
     Each step's SPD system is solved directly (banded Cholesky) or, given an
@@ -170,7 +173,6 @@ def propagate_be(space, times, ic, f, cache=None, decomp=None, K_s=None):
     """
     if decomp is not None and (K_s is None or K_s < 1):
         raise ValueError("K_s must be >= 1")
-    cache = cache or FormCache()
     times = np.asarray(times, dtype=float)
     n_steps = len(times) - 1
     M = cache.mass(space, space)
@@ -215,7 +217,7 @@ def _cg_time_forms(q_t):
     return Pw @ dlam.T, Pw @ lam.T, s, Pw
 
 
-def propagate_cg(space, times, q_t, ic, f, cache=None):
+def propagate_cg(space, times, q_t, ic, f, cache):
     """cG(q_t) time stepping with test functions of time degree q_t - 1.
 
     Continuity across slabs is enforced by construction; the slab start value
@@ -226,9 +228,8 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
     """
     if q_t < 1:
         raise ValueError("q_t must be >= 1")
-    cache = cache or FormCache()
     times = np.asarray(times, dtype=float)
-    n_steps = len(times) - 1
+    dts = np.diff(times)
     M, A = cache.mass(space, space), cache.stiffness(space, space)
     alpha, beta, sq, Pw = cache.factor(("cg_time_forms", q_t), lambda: _cg_time_forms(q_t))
     ndof = space.dof_count
@@ -236,39 +237,30 @@ def propagate_cg(space, times, q_t, ic, f, cache=None):
     Minc = cache.mass(space, ic.space)
     u0 = cache.step_operator(space, 0.0).solve(Minc @ ic.coefficients)
 
-    def slab_system(dt):
-        K = np.zeros((q_t * ndof, q_t * ndof))
-        for m in range(q_t):
-            for j in range(1, q_t + 1):
-                K[m * ndof:(m + 1) * ndof, (j - 1) * ndof:j * ndof] = (
-                    alpha[m, j] * M + dt * beta[m, j] * A
-                )
-        return K
-
+    # coeffs[n, 1:] holds slab n's time-integrated load against each test
+    # function until the slab's solution overwrites it
+    coeffs = np.zeros((len(dts), q_t + 1, ndof))
     if f is not None:  # (steps, q_t+3, dof), at every slab's quadrature times
-        loads = cache.load(space, times[:-1, None] + np.diff(times)[:, None] * sq, f)
-    coeffs = np.zeros((n_steps, q_t + 1, ndof))
+        loads = cache.load(space, times[:-1, None] + dts[:, None] * sq, f)
+        for m in range(q_t):
+            # one vector-matrix product per slab: a (q_t, q_t+3) matrix
+            # product per slab sums in another order for q_t >= 2
+            coeffs[:, m + 1] = ((dts[:, None, None] * Pw[m]) @ loads)[:, 0]
     prev = u0
     lu_dt = None
-    for n in range(n_steps):
-        t0 = times[n]
-        dt = times[n + 1] - t0
+    for n, dt in enumerate(dts):
         if dt != lu_dt:
             lu_dt = dt
-            lu = cache.factor(("cg_slab", space, q_t, round(dt, 15)),
-                              lambda: sla.lu_factor(slab_system(dt)))
-        F = np.zeros(q_t * ndof)
-        if f is not None:
-            # time-integrated load against each test function
-            for m in range(q_t):
-                F[m * ndof:(m + 1) * ndof] = dt * Pw[m] @ loads[n]
-        Mp, Ap = M @ prev, A @ prev
-        for m in range(q_t):
-            F[m * ndof:(m + 1) * ndof] -= alpha[m, 0] * Mp + dt * beta[m, 0] * Ap
-        sol = lapack_solution("dgetrs", *dgetrs(*lu, F))
+            lu = cache.factor(
+                ("cg_slab", space, q_t, round(dt, 15)),
+                lambda: sla.lu_factor(np.block(
+                    [[alpha[m, j] * M + dt * beta[m, j] * A
+                      for j in range(1, q_t + 1)] for m in range(q_t)])))
+        F = coeffs[n, 1:] - (alpha[:, :1] * (M @ prev)
+                             + dt * beta[:, :1] * (A @ prev))
+        sol = lapack_solution("dgetrs", *dgetrs(*lu, F.ravel()))
         coeffs[n, 0] = prev
-        for j in range(1, q_t + 1):
-            coeffs[n, j] = sol[(j - 1) * ndof:j * ndof]
+        coeffs[n, 1:] = sol.reshape(q_t, ndof)
         prev = coeffs[n, -1]
     _require_finite(coeffs, times)
     return Trajectory(space, times, q_t, coeffs, incoming=ic)

@@ -5,16 +5,20 @@ the synchronization times and re-solves every subdomain at every iteration,
 so it also checks that vpar's reuse of converged subdomains changes
 nothing.  dg0_equivalence_check re-solves an implicit-Euler trajectory as
 the dG(0) Galerkin method, with matrices assembled afresh and a dense solve.
+cg_per_slab steps cG(q_t) one slab and one test function at a time.
 """
 
 import numpy as np
+from scipy import linalg as sla
 
-from parapost.mesh import assemble_load, assemble_matrix, embed
+from parapost.mesh import (AssembledOperator, assemble_load, assemble_matrix,
+                           embed)
 from parapost.parareal import _synchronize
+from parapost.timestepping import _cg_time_forms
 
 
 def par_standard(partition, K_t, ic_coarse, fine_solver, coarse_solver,
-                 fine_space, sync_space="coarse"):
+                 fine_space, cache, sync_space="coarse"):
     """Standard Parareal: synchronization-time values only.
 
     Returns a list (one entry per iteration) of dicts with keys 'tilde'
@@ -39,8 +43,9 @@ def par_standard(partition, K_t, ic_coarse, fine_solver, coarse_solver,
         for p in range(1, P_t + 1):
             g_val = g_end(partition.coarse_grids[p - 1], u_tilde)
             f_val = f_end(partition.fine_grids[p - 1], u_tilde)
-            corr = f_val - embed(g_val, fine_space)
-            u_tilde = _synchronize(g_val, prev_corr[p], fine_space, sync_space)
+            corr = f_val - embed(g_val, fine_space, cache)
+            u_tilde = _synchronize(g_val, prev_corr[p], fine_space, sync_space,
+                                   cache)
             tilde.append(u_tilde)
             bar.append(f_val)
             corrs.append(corr)
@@ -67,3 +72,47 @@ def dg0_equivalence_check(traj, f):
         dev = max(dev, float(np.max(np.abs(u - traj.coeffs[n - 1, 0])))) if space.dof_count else 0.0
         prev_m = M @ u
     return dev
+
+
+def cg_per_slab(space, times, q_t, ic, f):
+    """Coefficients (steps, q_t+1, dof) of cG(q_t) stepping done slab by
+    slab: per slab and test function m, the time-integrated load and the
+    slab start value's terms form block m of the right-hand side, the slab
+    matrix is filled block by block, and the solution is copied out node by
+    node.  A slab LU is factored for the first step of each size rounded to
+    15 digits and reused for the others, as propagate_cg does."""
+    times = np.asarray(times, dtype=float)
+    M = assemble_matrix(space, space, "mass")
+    A = assemble_matrix(space, space, "stiffness")
+    alpha, beta, sq, Pw = _cg_time_forms(q_t)
+    ndof = space.dof_count
+    Minc = assemble_matrix(space, ic.space, "mass")
+    prev = AssembledOperator("mass", space, M + 0.0 * A).solve(
+        Minc @ ic.coefficients)
+    if f is not None:
+        loads = assemble_load(
+            space, times[:-1, None] + np.diff(times)[:, None] * sq, f)
+    coeffs = np.zeros((len(times) - 1, q_t + 1, ndof))
+    lus = {}
+    for n in range(len(times) - 1):
+        dt = times[n + 1] - times[n]
+        key = round(dt, 15)
+        if key not in lus:
+            K = np.zeros((q_t * ndof, q_t * ndof))
+            for m in range(q_t):
+                for j in range(1, q_t + 1):
+                    K[m * ndof:(m + 1) * ndof, (j - 1) * ndof:j * ndof] = (
+                        alpha[m, j] * M + dt * beta[m, j] * A)
+            lus[key] = sla.lu_factor(K)
+        F = np.zeros(q_t * ndof)
+        for m in range(q_t):
+            block = F[m * ndof:(m + 1) * ndof]
+            if f is not None:
+                block[:] = dt * Pw[m] @ loads[n]
+            block -= alpha[m, 0] * (M @ prev) + dt * beta[m, 0] * (A @ prev)
+        sol = sla.lu_solve(lus[key], F)
+        coeffs[n, 0] = prev
+        for j in range(1, q_t + 1):
+            coeffs[n, j] = sol[(j - 1) * ndof:j * ndof]
+        prev = coeffs[n, -1]
+    return coeffs

@@ -163,8 +163,8 @@ def test_property_standard_variational_equivalence():
         cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
         ic = coarse.interpolate(prob.u0)
         K_t = int(rng.integers(1, P_t + 2))
-        states = vpar(part, K_t, ic, fs, cs, fine)
-        std = par_standard(part, K_t, ic, fs, cs, fine)
+        states = vpar(part, K_t, ic, fs, cs, fine, cache)
+        std = par_standard(part, K_t, ic, fs, cs, fine, cache)
         for k in range(K_t):
             for p in range(P_t):
                 dev = np.max(np.abs(states[k].fine[p].end.coefficients
@@ -182,9 +182,9 @@ def test_property_finite_termination(P_t):
     fs = lambda g, ic: propagate_be(fine, g, ic, prob.f, cache)
     cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
     ic = coarse.interpolate(prob.u0)
-    states = vpar(part, P_t, ic, fs, cs, fine, sync_space="fine")
+    states = vpar(part, P_t, ic, fs, cs, fine, cache, sync_space="fine")
     serial = propagate_be(fine, np.linspace(0.0, 0.5, part.N_t + 1),
-                          embed(ic, fine), prob.f, cache)
+                          embed(ic, fine, cache), prob.f, cache)
     n_per = part.N_t // P_t
     for p in range(1, P_t + 1):
         dev = np.max(np.abs(states[-1].fine[p - 1].end.coefficients
@@ -196,7 +196,7 @@ def test_property_dg0_equivalence():
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), 2)
     traj = propagate_be(space, np.linspace(0.0, 0.5, 11),
-                        space.interpolate(prob.u0), prob.f)
+                        space.interpolate(prob.u0), prob.f, FormCache())
     assert dg0_equivalence_check(traj, prob.f) <= 1e-12
 
 
@@ -204,14 +204,15 @@ def test_property_galerkin_orthogonality():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), 2)
     rng = np.random.default_rng(55)
     grid = np.linspace(0.0, 0.4, 6)
+    cache = FormCache()
     traj = propagate_be(space, grid,
                         NodalField(space, rng.standard_normal(space.dof_count)),
-                        ZERO_F)
+                        ZERO_F, cache)
     n = len(grid) - 1
     coeffs = np.tile(rng.standard_normal(space.dof_count), (n, 2, 1))
     w = Trajectory(space, grid, 1, coeffs,
                    NodalField(space, coeffs[-1, -1].copy()))
-    res = ResidualEvaluator(ZERO_F).residual(traj, w)
+    res = ResidualEvaluator(ZERO_F, cache).residual(traj, w)
     assert np.max(np.abs(res)) <= 1e-12
 
 
@@ -219,7 +220,7 @@ def test_property_schwarz_fixed_point_and_convergence():
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
-    decomp = decompose_domain(mesh, 2, 0.2)
+    decomp = decompose_domain(mesh, 2, 0.2, 0.4)
     cache = FormCache()
     # fixed point: starting from the exact solution, sweeps do not move
     B = cache.mass(space, space) + 0.05 * cache.stiffness(space, space)
@@ -241,7 +242,7 @@ def test_property_spatial_split_identity():
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
     adj_space = FeSpace(mesh, 3)
-    decomp = decompose_domain(mesh, 2, 0.2)
+    decomp = decompose_domain(mesh, 2, 0.2, 0.4)
     grid = np.linspace(0.0, 0.5, 6)
     cache = FormCache()
     traj = propagate_be(space, grid, space.interpolate(prob.u0), prob.f,

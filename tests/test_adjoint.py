@@ -28,7 +28,7 @@ def test_backward_solve_matches_separable_exact_adjoint():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 20), 3)
     grid = np.linspace(0.0, T, 41)
     terminal = space.interpolate(lambda x: np.sin(np.pi * x))
-    adj = solve_backward_cg("test", space, grid, terminal)
+    adj = solve_backward_cg("test", space, grid, terminal, 3, FormCache())
     worst = 0.0
     for t in grid:
         got = adj.value_at_node(t).coefficients
@@ -43,7 +43,7 @@ def test_terminal_value_is_projected_terminal_data():
     grid = np.linspace(0.0, 0.2, 5)
     rng = np.random.default_rng(1)
     terminal = NodalField(space, rng.standard_normal(space.dof_count))
-    adj = solve_backward_cg("test", space, grid, terminal)
+    adj = solve_backward_cg("test", space, grid, terminal, 3, FormCache())
     got = adj.value_at_node(0.2).coefficients
     assert np.max(np.abs(got - terminal.coefficients)) < 1e-11
 
@@ -56,9 +56,10 @@ def test_backward_solve_linearity():
     tb = NodalField(space, rng.standard_normal(space.dof_count))
     a, b = 1.7, -0.4
     combo = NodalField(space, a * ta.coefficients + b * tb.coefficients)
-    adj_a = solve_backward_cg("a", space, grid, ta)
-    adj_b = solve_backward_cg("b", space, grid, tb)
-    adj_c = solve_backward_cg("c", space, grid, combo)
+    cache = FormCache()
+    adj_a = solve_backward_cg("a", space, grid, ta, 3, cache)
+    adj_b = solve_backward_cg("b", space, grid, tb, 3, cache)
+    adj_c = solve_backward_cg("c", space, grid, combo, 3, cache)
     dev = np.max(np.abs(adj_c.coeffs - (a * adj_a.coeffs + b * adj_b.coeffs)))
     assert dev < 1e-10
 
@@ -68,11 +69,11 @@ def test_single_subdomain_fine_adjoint_equals_direct():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 10), 3)
     cache = FormCache()
     psi = lambda x: np.sin(np.pi * x)
-    coarse = solve_coarse_adjoint(part, space, psi, cache=cache)
-    fines = solve_fine_adjoints(part, coarse, cache=cache)
+    coarse = solve_coarse_adjoint(part, space, psi, 3, cache)
+    fines = solve_fine_adjoints(part, coarse, 3, cache)
     assert len(fines) == 1
     direct = solve_backward_cg("direct", space, part.fine_grids[0],
-                               space.interpolate(psi), cache=cache)
+                               space.interpolate(psi), 3, cache)
     assert np.max(np.abs(fines[0].coeffs - direct.coeffs)) < 1e-11
 
 
@@ -81,9 +82,9 @@ def test_auxiliary_adjoints_keys_and_terminals():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 10), 3)
     cache = FormCache()
     psi = lambda x: np.sin(np.pi * x)
-    coarse = solve_coarse_adjoint(part, space, psi, cache=cache)
-    fines = solve_fine_adjoints(part, coarse, cache=cache)
-    aux = solve_auxiliary_adjoints(part, coarse, fines, cache=cache)
+    coarse = solve_coarse_adjoint(part, space, psi, 3, cache)
+    fines = solve_fine_adjoints(part, coarse, 3, cache)
+    aux = solve_auxiliary_adjoints(part, coarse, fines, 3, cache)
     assert sorted(aux) == [2, 3, 4]
     for p in (2, 3, 4):
         t = part.sync_times[p - 1]
@@ -101,8 +102,8 @@ def test_adjoint_jump_shrinks_under_coarse_refinement():
     def max_jump(nhat_t):
         part = TimePartition.uniform(1.0, 5, nhat_t, 4)
         cache = FormCache()
-        coarse = solve_coarse_adjoint(part, space, psi, cache=cache)
-        fines = solve_fine_adjoints(part, coarse, cache=cache)
+        coarse = solve_coarse_adjoint(part, space, psi, 3, cache)
+        fines = solve_fine_adjoints(part, coarse, 3, cache)
         worst = 0.0
         for p in range(2, 6):
             t = part.sync_times[p - 1]
@@ -120,7 +121,7 @@ def test_slab_index_validation():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 2)
     grid = np.linspace(0.0, 0.4, 5)
     terminal = space.interpolate(lambda x: np.sin(np.pi * x))
-    adj = solve_backward_cg("t", space, grid, terminal)
+    adj = solve_backward_cg("t", space, grid, terminal, 3, FormCache())
     assert adj.slab_index(0.1, 0.2) == 1
     with pytest.raises(ValueError):
         adj.slab_index(0.1, 0.3)
@@ -131,8 +132,8 @@ def test_slab_index_validation():
 def test_spatial_adjoint_global_solve_residual():
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 3)
-    decomp = decompose_domain(mesh, 2, 0.2)
-    solver = SpatialAdjointSolver(space, 0.01, decomp)
+    decomp = decompose_domain(mesh, 2, 0.2, 0.4)
+    solver = SpatialAdjointSolver(space, 0.01, decomp, FormCache())
     weight = space.interpolate(lambda x: np.sin(2 * np.pi * x))
     Phi = solver.solve_global(weight)
     M = assemble_matrix(space, space, "mass")
@@ -148,8 +149,8 @@ def test_spatial_adjoint_subdomain_recursion_residual():
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 3)
     dt = 0.01
-    decomp = decompose_domain(mesh, 2, 0.2)
-    solver = SpatialAdjointSolver(space, dt, decomp)
+    decomp = decompose_domain(mesh, 2, 0.2, 0.4)
+    solver = SpatialAdjointSolver(space, dt, decomp, FormCache())
     weight = space.interpolate(lambda x: np.sin(np.pi * x))
     K_s = 3
     chi = solver.solve_subdomain(weight, K_s)
@@ -189,8 +190,8 @@ def test_spatial_adjoint_mirror_symmetry():
     # subdomain adjoints under x -> 1 - x
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 3)
-    decomp = decompose_domain(mesh, 2, 0.2)
-    solver = SpatialAdjointSolver(space, 0.02, decomp)
+    decomp = decompose_domain(mesh, 2, 0.2, 0.4)
+    solver = SpatialAdjointSolver(space, 0.02, decomp, FormCache())
     weight = space.interpolate(lambda x: np.sin(np.pi * x))
     chi = solver.solve_subdomain(weight, 2)
     for ks in range(2):
@@ -211,7 +212,7 @@ def test_homogeneous_backward_solves_assemble_no_load(monkeypatch):
     grid = np.linspace(0.0, 0.3, 4)
     terminal = space.interpolate(lambda x: np.sin(np.pi * x))
     cache = FormCache()
-    solve_backward_cg("test", space, grid, terminal, cache=cache)
+    solve_backward_cg("test", space, grid, terminal, 3, cache)
     assert calls == []
     propagate_cg(space, grid, 3, terminal,
                  lambda x, t: np.sin(np.pi * x) * t, cache)
@@ -222,4 +223,5 @@ def test_nonfinite_adjoint_names_its_family():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 2)
     terminal = NodalField(space, np.full(space.dof_count, np.nan))
     with pytest.raises(ValueError, match=r"fine\(2\) adjoint.* n=1"):
-        solve_backward_cg("fine(2)", space, np.linspace(0.0, 0.4, 5), terminal)
+        solve_backward_cg("fine(2)", space, np.linspace(0.0, 0.4, 5),
+                          terminal, 3, FormCache())

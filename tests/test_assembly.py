@@ -252,3 +252,16 @@ def test_cached_load_is_assembled_once_and_read_only():
     assert cache.load(space, TIMES[:2], f) is not block
     with pytest.raises(ValueError, match="read-only"):
         block[0, 0] = 1.0
+
+
+def test_cached_matrices_are_read_only():
+    # every later caller shares the cached matrix, so none may write into it
+    cache = FormCache()
+    coarse, fine = FeSpace(MESHES[0], 1), FeSpace(MESHES[0], 2)
+    for mat in (cache.mass(fine, fine), cache.stiffness(fine, coarse)):
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            mat *= 2.0
+    assert np.array_equal(cache.mass(fine, fine),
+                          assemble_matrix(fine, fine, "mass"))

@@ -13,6 +13,7 @@ from parapost.adjoint import (
     solve_fine_adjoints,
 )
 from parapost.estimator import (
+    N_QUAD_T,
     ErrorBreakdown,
     ResidualEvaluator,
     dd_split,
@@ -57,8 +58,9 @@ def test_galerkin_orthogonality_be():
     rng = np.random.default_rng(21)
     ic = NodalField(space, rng.standard_normal(space.dof_count))
     grid = np.linspace(0.0, 0.4, 6)
-    traj = propagate_be(space, grid, ic, ZERO_F)
-    ev = ResidualEvaluator(ZERO_F)
+    cache = FormCache()
+    traj = propagate_be(space, grid, ic, ZERO_F, cache)
+    ev = ResidualEvaluator(ZERO_F, cache)
     w = _constant_in_time_weight(space, grid,
                                  rng.standard_normal(space.dof_count))
     res = ev.residual(traj, w)
@@ -72,12 +74,13 @@ def test_galerkin_orthogonality_cg():
     rng = np.random.default_rng(22)
     ic = NodalField(space, rng.standard_normal(space.dof_count))
     grid = np.linspace(0.0, 0.4, 5)
-    traj = propagate_cg(space, grid, 2, ic, ZERO_F)
+    cache = FormCache()
+    traj = propagate_cg(space, grid, 2, ic, ZERO_F, cache)
     n = len(grid) - 1
     coeffs = rng.standard_normal((n, 2, space.dof_count))  # linear in time
     w = Trajectory(space, grid, 1, coeffs,
                    NodalField(space, coeffs[-1, -1].copy()))
-    ev = ResidualEvaluator(ZERO_F)
+    ev = ResidualEvaluator(ZERO_F, cache)
     res = ev.residual(traj, w)
     assert np.max(np.abs(res)) < 1e-12
 
@@ -88,13 +91,14 @@ def test_residual_be_single_dof_oracle():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 2), 1)
     ic = NodalField(space, np.array([0.5]))
     grid = np.array([0.0, 0.1, 0.2])
-    traj = propagate_be(space, grid, ic, ZERO_F)
+    cache = FormCache()
+    traj = propagate_be(space, grid, ic, ZERO_F, cache)
     # weight linear in time in the same space, values a_n at the grid times
     a = np.array([0.8, -0.3, 0.6])
     coeffs = np.array([[[a[0]], [a[1]]], [[a[1]], [a[2]]]])
     w = Trajectory(space, grid, 1, coeffs,
                    NodalField(space, np.array([a[2]])))
-    ev = ResidualEvaluator(ZERO_F)
+    ev = ResidualEvaluator(ZERO_F, cache)
     res = ev.residual(traj, w)
     u = np.concatenate([ic.coefficients, traj.coeffs[:, 0, 0]])
     for n in (1, 2):
@@ -140,10 +144,10 @@ def test_iteration_component_vanishes_at_finite_termination():
     part = TimePartition.uniform(0.5, 4, 8, 2)
     cache = FormCache()
     fs = lambda g, ic: propagate_be(space, g, ic, prob.f, cache)
-    states = vpar(part, 4, space.interpolate(prob.u0), fs, fs, space)
-    coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, cache=cache)
-    fine_adjs = solve_fine_adjoints(part, coarse_adj, cache=cache)
-    aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, cache=cache)
+    states = vpar(part, 4, space.interpolate(prob.u0), fs, fs, space, cache)
+    coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, 3, cache)
+    fine_adjs = solve_fine_adjoints(part, coarse_adj, 3, cache)
+    aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, 3, cache)
     adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
     true_err = prob.true_qoi() - qoi_eval(prob.psi, states[-1].fine[-1].end)
     bd = tpa_breakdown(part, states[-1], adjoints, prob, true_err, cache)
@@ -153,13 +157,14 @@ def test_iteration_component_vanishes_at_finite_termination():
 
 @pytest.mark.parametrize("breakdown", [
     tpa_breakdown,
-    lambda *args: stpa_breakdown(*args, decomp=None),
+    lambda *args, cache: stpa_breakdown(*args, decomp=None, cache=cache),
 ], ids=["tpa_breakdown", "stpa_breakdown"])
 def test_missing_adjoint_family_rejected(breakdown):
     prob = build_manufactured(2, 1, 0.5)
     part = TimePartition.uniform(0.5, 2, 4, 2)
     with pytest.raises(ValueError, match="missing adjoint family 'aux'"):
-        breakdown(part, None, {"coarse": None, "fine": None}, prob, 0.0)
+        breakdown(part, None, {"coarse": None, "fine": None}, prob, 0.0,
+                  cache=FormCache())
 
 
 def _schwarz_step_setup(K_s=2):
@@ -167,7 +172,7 @@ def _schwarz_step_setup(K_s=2):
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
     adj_space = FeSpace(mesh, 3)
-    decomp = decompose_domain(mesh, 2, 0.2)
+    decomp = decompose_domain(mesh, 2, 0.2, 0.4)
     grid = np.linspace(0.0, 0.5, 6)
     cache = FormCache()
     traj = propagate_be(space, grid, space.interpolate(prob.u0), prob.f,
@@ -238,10 +243,11 @@ def test_dd_split_requires_sweep_records():
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
+    cache = FormCache()
     traj = propagate_be(space, np.linspace(0.0, 0.5, 6),
-                        space.interpolate(prob.u0), prob.f)
-    decomp = decompose_domain(mesh, 2, 0.2)
-    ev = ResidualEvaluator(prob.f)
+                        space.interpolate(prob.u0), prob.f, cache)
+    decomp = decompose_domain(mesh, 2, 0.2, 0.4)
+    ev = ResidualEvaluator(prob.f, cache)
     with pytest.raises(ValueError):
         dd_split(traj, 1, decomp, FeSpace(mesh, 3).interpolate(np.sin), ev)
 
@@ -253,14 +259,15 @@ def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():
     mesh = SpatialMesh.uniform(0.0, 1.0, 8)
     coarse, fine, adj_space = (FeSpace(mesh, q) for q in (1, 2, 3))
     part = TimePartition.uniform(0.5, 2, 4, 2)
-    decomp = decompose_domain(mesh, 2, 0.25)
+    decomp = decompose_domain(mesh, 2, 0.25, 0.4)
     cache = FormCache()
     fs = lambda g, ic: propagate_be(fine, g, ic, prob.f, cache, decomp, 2)
     cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
-    state = vpar(part, 2, coarse.interpolate(prob.u0), fs, cs, fine)[-1]
-    coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, cache=cache)
-    fine_adjs = solve_fine_adjoints(part, coarse_adj, cache=cache)
-    aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, cache=cache)
+    state = vpar(part, 2, coarse.interpolate(prob.u0), fs, cs, fine,
+                 cache)[-1]
+    coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, 3, cache)
+    fine_adjs = solve_fine_adjoints(part, coarse_adj, 3, cache)
+    aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, 3, cache)
     adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
     stpa_breakdown(part, state, adjoints, prob, 1.0, decomp, cache)
     bad = fine_adjs[1]
@@ -296,7 +303,7 @@ def test_component_sum_is_reported_total():
 
 
 def coarse_error_estimate(partition, state, coarse_adjoint, problem,
-                          true_error, cache=None):
+                          true_error, cache):
     """Dual-weighted estimate of the coarse-scale solution's QoI error."""
     ev = ResidualEvaluator(problem.f, cache)
     total = 0.0
@@ -305,8 +312,8 @@ def coarse_error_estimate(partition, state, coarse_adjoint, problem,
     # corrections C_p^{k-1} recovered from the synchronized incoming values
     fine_space = state.fine[0].space
     for p in range(1, partition.P_t):
-        corr_prev = (embed(state.coarse[p].incoming, fine_space)
-                     - embed(state.coarse[p - 1].end, fine_space))
+        corr_prev = (embed(state.coarse[p].incoming, fine_space, cache)
+                     - embed(state.coarse[p - 1].end, fine_space, cache))
         total -= ev.pair(coarse_adjoint.value_at_node(partition.sync_times[p]),
                          corr_prev)
     adj0 = coarse_adjoint.value_at_node(0.0)
@@ -324,9 +331,9 @@ def test_coarse_error_estimate_effectivity():
     cache = FormCache()
     fs = lambda g, ic: propagate_be(fine, g, ic, prob.f, cache)
     cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
-    states = vpar(part, 2, coarse.interpolate(prob.u0), fs, cs, fine)
+    states = vpar(part, 2, coarse.interpolate(prob.u0), fs, cs, fine, cache)
     state = states[-1]
-    coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, cache=cache)
+    coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, 3, cache)
     true_err = prob.true_qoi() - qoi_eval(prob.psi, state.coarse[-1].end)
     bd = coarse_error_estimate(part, state, coarse_adj, prob, true_err, cache)
     assert 0.95 < bd.effectivity < 1.05
@@ -359,7 +366,7 @@ def residual_be(self, traj, weight):
         u_n = traj.values[n]
         au = A_x @ u_n
         acc = 0.0
-        for q in range(self.n_quad_t):
+        for q in range(N_QUAD_T):
             acc += self._w[q] * (loads[n - 1, q] @ phi_q[q] - phi_q[q] @ au)
         acc *= dt
         phi_left = weight.slab_eval(slab, [0.0])[0]
@@ -393,7 +400,7 @@ def residual_cg(self, traj, weight):
         u_q = traj.slab_eval(n - 1, self._s)
         du_q = dlam.T @ traj.coeffs[n - 1] / dt
         acc = 0.0
-        for q in range(self.n_quad_t):
+        for q in range(N_QUAD_T):
             acc += self._w[q] * (
                 loads[n - 1, q] @ phi_q[q]
                 - phi_q[q] @ (A_x @ u_q[q])
@@ -453,7 +460,7 @@ def test_residual_matches_the_two_loop_oracle(kind, q_t, n_el, q_s, extra_w,
     if kind == "cg":
         traj = propagate_cg(space, grid, q_t, ic, f, cache)
     elif kind == "schwarz":
-        decomp = decompose_domain(mesh, 2, 0.5)
+        decomp = decompose_domain(mesh, 2, 0.5, 0.4)
         traj = propagate_be(space, grid, ic, f, cache, decomp, 2)
     else:
         traj = propagate_be(space, grid, ic, f, cache)

@@ -108,7 +108,7 @@ def test_projection_identity_on_space():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 9), 2)
     rng = np.random.default_rng(0)
     fld = NodalField(space, rng.standard_normal(space.dof_count))
-    assert embed(fld, space) is fld
+    assert embed(fld, space, FormCache()) is fld
     out = space.interpolate(fld)
     assert np.max(np.abs(out.coefficients - fld.coefficients)) < 1e-12
 
@@ -126,7 +126,8 @@ def test_projection_interpolation_second_order():
     e_in = l2err(pin)
     assert e_in < 0.5 * (np.pi / 20) ** 2  # O(h^2)
     # embedding into a richer space re-expresses the same function
-    assert l2err(embed(pin, FeSpace(space.mesh, 3))) == pytest.approx(
+    assert l2err(embed(pin, FeSpace(space.mesh, 3),
+                       FormCache())) == pytest.approx(
         e_in, rel=1e-8)
 
 
@@ -134,7 +135,8 @@ def test_projection_zero():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 5), 3)
     out = space.interpolate(lambda x: np.zeros_like(x))
     assert np.max(np.abs(out.coefficients)) < 1e-14
-    assert np.max(np.abs(embed(out, FeSpace(space.mesh, 4)).coefficients)) == 0.0
+    up = embed(out, FeSpace(space.mesh, 4), FormCache())
+    assert np.max(np.abs(up.coefficients)) == 0.0
 
 
 def test_solve_spd_identity_and_scalar():
@@ -204,7 +206,7 @@ def test_nested_embedding_pointwise():
     coarse, fine = FeSpace(mesh, 1), FeSpace(mesh, 3)
     rng = np.random.default_rng(3)
     fld = NodalField(coarse, rng.standard_normal(coarse.dof_count))
-    up = embed(fld, fine)
+    up = embed(fld, fine, FormCache())
     xs = rng.uniform(0.0, 1.0, 70)
     assert np.max(np.abs(fld(xs) - up(xs))) < 1e-13
 

@@ -28,7 +28,7 @@ def test_decompose_two_subdomains_beta_02():
     # 20 elements, 2 subdomains, 20% overlap extension: blocks of 10 extended
     # by 2 elements across the interior edge
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
-    d = decompose_domain(mesh, 2, 0.2)
+    d = decompose_domain(mesh, 2, 0.2, 0.4)
     assert d.ranges == ((0, 12), (8, 20))
     overlaps = _overlaps(d)
     assert overlaps[(0, 1)] == (8, 12)
@@ -38,18 +38,18 @@ def test_decompose_two_subdomains_beta_02():
 
 def test_decompose_four_subdomains_beta_01():
     mesh = SpatialMesh.uniform(0.0, 1.0, 40)
-    d = decompose_domain(mesh, 4, 0.1)  # block 10, extension 1
+    d = decompose_domain(mesh, 4, 0.1, 0.4)  # block 10, extension 1
     assert d.ranges == ((0, 11), (9, 21), (19, 31), (29, 40))
 
 
 def test_decompose_rejects_bad_inputs():
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     with pytest.raises(ValueError):
-        decompose_domain(mesh, 3, 0.2)     # 20 not divisible by 3
+        decompose_domain(mesh, 3, 0.2, 0.4)     # 20 not divisible by 3
     with pytest.raises(ValueError):
-        decompose_domain(mesh, 10, 0.01)   # extension rounds to zero
+        decompose_domain(mesh, 10, 0.01, 0.4)   # extension rounds to zero
     with pytest.raises(ValueError):
-        decompose_domain(mesh, 0, 0.2)
+        decompose_domain(mesh, 0, 0.2, 0.4)
     # damping outside 0 < tau * m < 2, m = 2 overlapping subdomains here
     for tau in (0.0, -0.4, 1.0, 2.0, float("nan")):
         with pytest.raises(ValueError, match="tau"):
@@ -61,7 +61,7 @@ def test_decompose_rejects_bad_inputs():
 def test_subdomain_dof_sets_structure():
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
-    d = decompose_domain(mesh, 2, 0.2)
+    d = decompose_domain(mesh, 2, 0.2, 0.4)
     covered = set()
     for i in range(2):
         interior, trace = subdomain_dof_sets(space, d, i)
@@ -92,7 +92,7 @@ def test_schwarz_many_sweeps_converges_to_direct():
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
-    d = decompose_domain(mesh, 2, 0.2)
+    d = decompose_domain(mesh, 2, 0.2, 0.4)
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
     cache = FormCache()
@@ -104,7 +104,7 @@ def test_schwarz_many_sweeps_converges_to_direct():
 def test_sweep_fixed_point():
     mesh = SpatialMesh.uniform(0.0, 1.0, 12)
     space = FeSpace(mesh, 2)
-    d = decompose_domain(mesh, 2, 0.25)
+    d = decompose_domain(mesh, 2, 0.25, 0.4)
     cache = FormCache()
     B = cache.mass(space, space) + 0.02 * cache.stiffness(space, space)
     rng = np.random.default_rng(9)
@@ -120,7 +120,7 @@ def test_blend_identity_from_record():
     # U^{k+1} = (1 - tau P_s) U^k + tau sum_i Pi_i U_loc_i
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
-    d = decompose_domain(mesh, 2, 0.2)
+    d = decompose_domain(mesh, 2, 0.2, 0.4)
     cache = FormCache()
     B = cache.mass(space, space) + 0.05 * cache.stiffness(space, space)
     rng = np.random.default_rng(4)
@@ -139,7 +139,7 @@ def test_blend_identity_from_record():
 def test_locals_match_iterate_outside_closure():
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
-    d = decompose_domain(mesh, 2, 0.2)
+    d = decompose_domain(mesh, 2, 0.2, 0.4)
     cache = FormCache()
     B = cache.mass(space, space) + 0.05 * cache.stiffness(space, space)
     rng = np.random.default_rng(6)
@@ -157,7 +157,7 @@ def test_locals_match_iterate_outside_closure():
 def test_local_solves_satisfy_restricted_system():
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
-    d = decompose_domain(mesh, 2, 0.2)
+    d = decompose_domain(mesh, 2, 0.2, 0.4)
     cache = FormCache()
     B = cache.mass(space, space) + 0.05 * cache.stiffness(space, space)
     rng = np.random.default_rng(8)
@@ -175,7 +175,7 @@ def test_schwarz_stepping_rejects_zero_sweeps():
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
-    d = decompose_domain(mesh, 2, 0.2)
+    d = decompose_domain(mesh, 2, 0.2, 0.4)
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
     with pytest.raises(ValueError):
@@ -186,10 +186,10 @@ def test_records_are_retained_per_step():
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 8)
     space = FeSpace(mesh, 1)
-    d = decompose_domain(mesh, 2, 0.25)
+    d = decompose_domain(mesh, 2, 0.25, 0.4)
     ic = space.interpolate(prob.u0)
     traj = propagate_be(space, np.linspace(0.0, 0.5, 5), ic, prob.f,
-                        decomp=d, K_s=3)
+                        FormCache(), decomp=d, K_s=3)
     assert len(traj.schwarz_records) == 4
     for rec in traj.schwarz_records:
         assert len(rec.iterates) == 4      # guess + 3 sweeps
@@ -200,7 +200,7 @@ def test_records_are_retained_per_step():
 def test_many_sweeps_solve_the_step_system():
     mesh = SpatialMesh.uniform(0.0, 1.0, 12)
     space = FeSpace(mesh, 2)
-    d = decompose_domain(mesh, 2, 0.25)
+    d = decompose_domain(mesh, 2, 0.25, 0.4)
     cache = FormCache()
     B = cache.step_operator(space, 0.02)
     rng = np.random.default_rng(12)
@@ -214,11 +214,11 @@ def test_many_sweeps_solve_the_step_system():
 def test_sweeper_is_built_once_per_space_dt_and_decomposition():
     mesh = SpatialMesh.uniform(0.0, 1.0, 12)
     space = FeSpace(mesh, 2)
-    d = decompose_domain(mesh, 2, 0.25)
+    d = decompose_domain(mesh, 2, 0.25, 0.4)
     cache = FormCache()
     a = AdditiveSchwarz.cached(cache, space, 0.02, d)
     assert AdditiveSchwarz.cached(cache, space, 0.02, d) is a
     assert AdditiveSchwarz.cached(cache, space, 0.04, d) is not a
-    other = decompose_domain(mesh, 2, 0.25)
+    other = decompose_domain(mesh, 2, 0.25, 0.4)
     assert AdditiveSchwarz.cached(cache, space, 0.02, other) is not a
     assert len({d, other}) == 2

@@ -27,7 +27,7 @@ from parapost.timestepping import (
     propagate_cg,
 )
 
-from oracles import dg0_equivalence_check
+from oracles import cg_per_slab, dg0_equivalence_check
 
 
 def _single_dof_space():
@@ -64,7 +64,7 @@ def test_be_single_step_scalar():
     # u_1 = 0.1 / (1/3 + 0.4)
     space = _single_dof_space()
     ic = NodalField(space, np.array([0.3]))
-    traj = propagate_be(space, np.array([0.0, 0.1]), ic, ZERO_F)
+    traj = propagate_be(space, np.array([0.0, 0.1]), ic, ZERO_F, FormCache())
     assert traj.field(1).coefficients[0] == pytest.approx(0.1 / (1.0 / 3.0 + 0.4), abs=1e-15)
 
 
@@ -75,7 +75,8 @@ def test_cg1_single_step_scalar():
     u0 = 0.3
     dt = 0.1
     ic = NodalField(space, np.array([u0]))
-    traj = propagate_cg(space, np.array([0.0, dt]), 1, ic, ZERO_F)
+    traj = propagate_cg(space, np.array([0.0, dt]), 1, ic, ZERO_F,
+                        FormCache())
     M, A = 1.0 / 3.0, 4.0
     expected = (M - 0.5 * dt * A) / (M + 0.5 * dt * A) * u0
     assert traj.coeffs[0, 1][0] == pytest.approx(expected, abs=1e-15)
@@ -120,7 +121,7 @@ def test_dg0_equivalence_and_negative_control():
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), 2)
     traj = propagate_be(space, np.linspace(0.0, 0.5, 11),
-                        space.interpolate(prob.u0), prob.f)
+                        space.interpolate(prob.u0), prob.f, FormCache())
     assert dg0_equivalence_check(traj, prob.f) < 1e-12
     # perturbing the trajectory must be detected
     traj.coeffs[2, 0] += 1e-6
@@ -167,7 +168,7 @@ def test_cg_continuity_across_slabs():
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
     traj = propagate_cg(space, np.linspace(0.0, 0.5, 6), 2,
-                        space.interpolate(prob.u0), prob.f)
+                        space.interpolate(prob.u0), prob.f, FormCache())
     for n in range(traj.n_steps - 1):
         assert np.array_equal(traj.coeffs[n, -1], traj.coeffs[n + 1, 0])
 
@@ -176,7 +177,7 @@ def test_cg_at_matches_nodes():
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
     traj = propagate_cg(space, np.linspace(0.0, 0.5, 6), 2,
-                        space.interpolate(prob.u0), prob.f)
+                        space.interpolate(prob.u0), prob.f, FormCache())
     for n in range(traj.n_steps + 1):
         got = traj.at(traj.times[n]).coefficients
         want = traj.field(n).coefficients
@@ -188,7 +189,7 @@ def test_cg_at_rejects_times_outside_the_grid():
     prob = build_manufactured(2, 1, 1.0)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
     traj = propagate_cg(space, np.linspace(0.0, 1.0, 5), 1,
-                        space.interpolate(prob.u0), prob.f)
+                        space.interpolate(prob.u0), prob.f, FormCache())
     for t in (5.0, -0.1, 1.0 + 1e-9):
         with pytest.raises(ValueError, match=r"outside the grid span \[0\.0, 1\.0\]"):
             traj.at(t)
@@ -209,8 +210,8 @@ def test_cross_space_incoming_projection():
     rng = np.random.default_rng(2)
     ic = NodalField(coarse, rng.standard_normal(coarse.dof_count))
     dt = 0.1
-    traj = propagate_be(fine, np.array([0.0, dt]), ic, ZERO_F)
     cache = FormCache()
+    traj = propagate_be(fine, np.array([0.0, dt]), ic, ZERO_F, cache)
     M = cache.mass(fine, fine)
     A = cache.stiffness(fine, fine)
     Minc = cache.mass(fine, coarse)
@@ -225,7 +226,7 @@ def test_be_trajectory_is_the_dg0_field():
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
     traj = propagate_be(space, np.linspace(0.0, 0.5, 6),
-                        space.interpolate(prob.u0), prob.f)
+                        space.interpolate(prob.u0), prob.f, FormCache())
     assert traj.q_t == 0 and traj.coeffs.shape == (5, 1, space.dof_count)
     assert traj.schwarz_records is None
     U = traj.coeffs[:, 0]
@@ -253,11 +254,27 @@ def test_trajectory_rejects_coefficients_that_do_not_fit_the_grid():
     assert Trajectory(space, times, 1, np.zeros((4, 2, dof)), ic).n_steps == 4
 
 
+@pytest.mark.parametrize("q_t", [1, 2, 3])
+@pytest.mark.parametrize("forced", [True, False])
+def test_cg_stepping_equals_the_per_slab_loop(q_t, forced):
+    # the steps of this grid differ in their last bits, so the slab LU of
+    # the first step is reused for steps of other exact sizes
+    mesh = SpatialMesh.uniform(0.0, 1.0, 6)
+    space, inc_space = FeSpace(mesh, 2), FeSpace(mesh, 3)
+    grid = np.linspace(0.0, 0.7, 8)
+    assert len(set(np.diff(grid))) > 1
+    rng = np.random.default_rng(q_t)
+    ic = NodalField(inc_space, rng.standard_normal(inc_space.dof_count))
+    f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
+    traj = propagate_cg(space, grid, q_t, ic, f, FormCache())
+    assert np.array_equal(traj.coeffs, cg_per_slab(space, grid, q_t, ic, f))
+
+
 def test_cg_rejects_bad_degree():
     space = _single_dof_space()
     ic = NodalField(space, np.array([1.0]))
     with pytest.raises(ValueError):
-        propagate_cg(space, np.array([0.0, 0.1]), 0, ic, ZERO_F)
+        propagate_cg(space, np.array([0.0, 0.1]), 0, ic, ZERO_F, FormCache())
 
 
 def test_cg_homogeneous_none_equals_zero_forcing():
@@ -278,7 +295,7 @@ def test_cg_slab_factors_die_with_their_cache():
     mesh = SpatialMesh.uniform(0.0, 1.0, 6)
     space = FeSpace(mesh, 2)
     adj_space = FeSpace(mesh, 3)
-    decomp = decompose_domain(mesh, 2, 0.35)
+    decomp = decompose_domain(mesh, 2, 0.35, 0.4)
     cache = FormCache()
     ic = space.interpolate(lambda x: np.sin(np.pi * x))
     grid = np.linspace(0.0, 0.2, 3)
@@ -325,12 +342,12 @@ def test_forced_propagation_assembles_all_loads_in_one_call(monkeypatch,
     space = FeSpace(mesh, 2)
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
-    decomp = decompose_domain(mesh, 2, 0.25)
+    decomp = decompose_domain(mesh, 2, 0.25, 0.4)
     if stepping == "cg":
-        propagate_cg(space, grid, 2, ic, prob.f)
+        propagate_cg(space, grid, 2, ic, prob.f, FormCache())
         assert calls == [(5, 2 + 3)]  # every slab's q_t+3 quadrature times
     else:
-        propagate_be(space, grid, ic, prob.f, None,
+        propagate_be(space, grid, ic, prob.f, FormCache(),
                      *((decomp, 2) if stepping == "schwarz" else ()))
         assert calls == [(5,)]
 
@@ -347,10 +364,10 @@ def test_nan_mid_trajectory_names_first_bad_step(stepping):
     nan_f = lambda x, t: prob.f(x, t) * (np.nan if 0.25 < t < 0.35 else 1.0)
     with pytest.raises(ValueError, match=r"step n=3, t=0\.3$"):
         if stepping == "cg":
-            propagate_cg(space, grid, 2, ic, nan_f)
+            propagate_cg(space, grid, 2, ic, nan_f, FormCache())
         else:
-            propagate_be(space, grid, ic, nan_f, None,
-                         *((decompose_domain(mesh, 2, 0.25), 2)
+            propagate_be(space, grid, ic, nan_f, FormCache(),
+                         *((decompose_domain(mesh, 2, 0.25, 0.4), 2)
                            if stepping == "schwarz" else ()))
 
 
@@ -399,7 +416,8 @@ def test_direct_lapack_solves_equal_scipy_wrappers(monkeypatch, routine):
     grid = np.linspace(0.0, 0.5, 6)
     cache = FormCache()
     propagate_be(space, grid, ic, prob.f, cache)
-    propagate_be(space, grid, ic, prob.f, cache, decompose_domain(mesh, 2, 0.25), 3)
+    propagate_be(space, grid, ic, prob.f, cache,
+                 decompose_domain(mesh, 2, 0.25, 0.4), 3)
     propagate_cg(space, grid, 2, ic, prob.f, cache)
     assert seen
     for args, x in seen:
