@@ -45,7 +45,9 @@ part = TimePartition.uniform(prob.T, P_t=5, Nhat_t=20, r=4)
 # one cache for the whole experiment: every solve, embedding and residual
 # below shares its matrices, load blocks and factorizations
 cache = FormCache()
-fine = lambda grid, ic: propagate_be(fine_space, grid, ic, prob.f, cache)
+# the fine solver gets all the fine solves of an iteration at once and
+# steps them together; the coarse solver gets one subdomain at a time
+fine = lambda grids, ics: propagate_be(fine_space, grids, ics, prob.f, cache)
 crse = lambda grid, ic: propagate_be(coarse_space, grid, ic, prob.f, cache)
 
 # two Parareal iterations from the interpolated initial condition

@@ -91,6 +91,7 @@ class SpatialAdjointSolver:
 
     def __init__(self, space, dt, decomp, cache):
         self.space = space
+        self.dt = dt
         self.decomp = decomp
         self._B_op = cache.step_operator(space, dt)
         self.M = cache.mass(space, space)
@@ -113,10 +114,18 @@ class SpatialAdjointSolver:
         return cache.factor(("spatial_adjoint", space, round(dt, 15), decomp),
                             lambda: cls(space, dt, decomp, cache))
 
+    def _require_finite(self, kind, values):
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite {kind} spatial adjoint "
+                             f"(dt={self.dt:.6g})")
+        return values
+
     def solve_global(self, weight):
-        """Phi solving B(v, Phi) = (weight, v) for all v (B symmetric)."""
+        """Phi solving B(v, Phi) = (weight, v) for all v (B symmetric); a
+        non-finite Phi raises a ValueError naming the adjoint and dt."""
         rhs = self.M @ weight.coefficients
-        return NodalField(self.space, self._B_op.solve(rhs))
+        return NodalField(self.space, self._require_finite(
+            "global", self._B_op.solve(rhs)))
 
     def solve_subdomain(self, weight, K_s):
         """Backward recursion for the per-sweep subdomain adjoints.
@@ -125,6 +134,7 @@ class SpatialAdjointSolver:
         full-length coefficient vectors, zero outside the interior of
         subdomain i; on its interior rows
         B chi_i^{k_s} = tau (Mm weight - Bm sum_{l > k_s} chi_i^l).
+        A non-finite chi raises a ValueError naming the adjoint and dt.
         """
         tau, P_s = self.decomp.tau, self.decomp.P_s
         ndof = self.space.dof_count
@@ -137,4 +147,5 @@ class SpatialAdjointSolver:
                     i, tMw[interior] - tau * (self._Bm[i] @ running))
                 chi[ks - 1][i][interior] = x
                 running = running + x
+        self._require_finite("subdomain", chi)
         return chi

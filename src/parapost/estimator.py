@@ -249,8 +249,8 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
     Splits the fine discretization component into temporal (D_t), spatial
     (D_s) and Schwarz-iteration (D_k) parts; A, C, K are as in the
     time-parallel decomposition but on the Schwarz trajectories.  decomp is
-    the decomposition the fine solves were swept over; a non-finite E_K or
-    E_N raises, naming p and n.
+    the decomposition the fine solves were swept over; a non-finite
+    spatial adjoint, E_K or E_N raises, naming p and n.
     """
     _require_families(adjoints)
     ev = ResidualEvaluator(problem.f, cache)
@@ -261,7 +261,10 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
         res = ev.residual(traj, adjoints["fine"][p - 1])
         for n in range(1, traj.n_steps + 1):
             phi_val = adjoints["fine"][p - 1].value_at_node(traj.times[n])
-            E_K, E_N = dd_split(traj, n, decomp, phi_val, ev)
+            try:
+                E_K, E_N = dd_split(traj, n, decomp, phi_val, ev)
+            except ValueError as exc:
+                raise ValueError(f"{exc} at p={p}, n={n}") from exc
             if not (math.isfinite(E_K) and math.isfinite(E_N)):
                 raise ValueError(f"non-finite E_K={E_K}, E_N={E_N} at p={p}, n={n}")
             D_t += res[n - 1] - E_K - E_N

@@ -251,8 +251,11 @@ def run_experiment(config):
         def coarse_solver(grid, ic):
             return propagate_cg(coarse_space, grid, config.qhat_t, ic, f, cache)
 
-        def fine_solver(grid, ic):
-            return propagate_cg(fine_space, grid, config.q_t, ic, f, cache)
+        def fine_solver(grids, ics):
+            # one grid at a time: a multi-column dgetrs is not bitwise the
+            # one-column solve
+            return [propagate_cg(fine_space, grid, config.q_t, ic, f, cache)
+                    for grid, ic in zip(grids, ics)]
     else:
         decomp = (decompose_domain(mesh, config.P_s, config.beta, config.tau)
                   if config.schwarz else None)
@@ -260,8 +263,8 @@ def run_experiment(config):
         def coarse_solver(grid, ic):
             return propagate_be(coarse_space, grid, ic, f, cache)
 
-        def fine_solver(grid, ic):
-            return propagate_be(fine_space, grid, ic, f, cache, decomp,
+        def fine_solver(grids, ics):
+            return propagate_be(fine_space, grids, ics, f, cache, decomp,
                                 config.K_s)
 
     initial = coarse_space.interpolate(problem.u0)

@@ -20,11 +20,18 @@ from scipy.linalg.lapack import dpbtrs
 N_QUAD = 10
 
 
+def _read_only(a):
+    """a, made read-only, for an array that every later caller shares (the
+    lru_cached tables are shared by the whole process)."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=32)
 def gauss_rule(n):
     """Gauss-Legendre nodes/weights on [0, 1], exact for degree 2n-1."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _read_only(0.5 * (x + 1.0)), _read_only(0.5 * w)
 
 
 @lru_cache(maxsize=16)
@@ -35,7 +42,7 @@ def _lagrange_coeffs(q):
     """
     nodes = np.linspace(0.0, 1.0, q + 1)
     V = np.vander(nodes, increasing=True)
-    return np.linalg.inv(V).T
+    return _read_only(np.linalg.inv(V).T)
 
 
 def lagrange_values(q, s):
@@ -48,9 +55,7 @@ def lagrange_values(q, s):
 @lru_cache(maxsize=16)
 def _quadrature_basis(q, n_quad):
     """Transposed degree-q basis at the n_quad-point Gauss nodes, (n_quad, q+1)."""
-    out = lagrange_values(q, gauss_rule(n_quad)[0]).T
-    out.flags.writeable = False
-    return out
+    return _read_only(lagrange_values(q, gauss_rule(n_quad)[0]).T)
 
 
 def lagrange_derivs(q, s):
@@ -225,6 +230,8 @@ class AssembledOperator:
             ) from exc
 
     def solve(self, rhs):
+        """The solution for one right-hand side, or for each column of a
+        (dof, P) block in one multi-column solve."""
         return lapack_solution("dpbtrs", *dpbtrs(self._cho, rhs))
 
 
@@ -277,11 +284,13 @@ def assemble_load(space, t, f):
     """Load vectors with entries (f(., t), phi_i), N_QUAD-point Gauss rule per element.
 
     A scalar time t gives shape (dof,), an array of times t.shape + (dof,).
-    f is called once per time, with that scalar time, on the flattened
-    (n_elements, N_QUAD) grid of quadrature points; a scalar result is
-    broadcast to every point.  One contraction and one scatter serve all
-    times.  f=None (homogeneous problem) gives exact zeros without
-    evaluating anything.
+    f must broadcast like a numpy ufunc: it is called once per block, as
+    f(x[None, :], times[:, None]), with x the flattened (n_elements, N_QUAD)
+    grid of quadrature points and times the block's T times, and its result
+    is broadcast to shape (T, len(x)), so a scalar result holds at every
+    point and time.  One contraction and one scatter serve all times.
+    f=None (homogeneous problem) gives exact zeros without evaluating
+    anything.
     """
     t = np.asarray(t, dtype=float)
     n, times = space.dof_count, t.reshape(-1)
@@ -291,9 +300,7 @@ def assemble_load(space, t, f):
     s, w = gauss_rule(N_QUAD)
     h = mesh.widths[:, None]
     x = (mesh.boundaries[:-1, None] + h * s[None, :]).ravel()
-    fx = np.empty((len(times), x.size))
-    for k, tk in enumerate(times):
-        fx[k] = f(x, tk)
+    fx = np.broadcast_to(f(x[None, :], times[:, None]), (len(times), x.size))
     fx = fx.reshape(len(times), mesh.n_elements, N_QUAD)
     contrib = ((w * fx) @ _quadrature_basis(space.degree, N_QUAD)) * h
     keep = space.element_dofs >= 0  # one bincount, time k's dofs offset by k*n
@@ -325,9 +332,8 @@ class FormCache:
     def matrix(self, row_space, col_space, kind):
         key = (row_space, col_space, kind)
         if key not in self._mats:
-            mat = assemble_matrix(row_space, col_space, kind)
-            mat.flags.writeable = False
-            self._mats[key] = mat
+            self._mats[key] = _read_only(
+                assemble_matrix(row_space, col_space, kind))
         return self._mats[key]
 
     def mass(self, row_space, col_space):
@@ -350,13 +356,8 @@ class FormCache:
         """assemble_load(space, t, f), assembled once per (space, f, exact
         times) and read-only."""
         t = np.asarray(t, dtype=float)
-
-        def build():
-            out = assemble_load(space, t, f)
-            out.flags.writeable = False
-            return out
-
-        return self.factor(("load", space, f, t.shape, t.tobytes()), build)
+        return self.factor(("load", space, f, t.shape, t.tobytes()),
+                           lambda: _read_only(assemble_load(space, t, f)))
 
     def interpolate(self, field, target_space):
         """target_space.interpolate(field), by a NodalGather built once per

@@ -3,8 +3,11 @@
 The variational form retains full coarse and fine space-time trajectories for
 every iteration (the error estimator evaluates fields at every
 synchronization time of the reported iteration).  Solvers are closures
-mapping (step grid, incoming field) to a trajectory; fine solves within one
-iteration are mutually independent.
+mapping step grids and incoming fields to trajectories.  Within one
+iteration the fine solves are mutually independent once the coarse sweep
+has fixed their incoming values, so each iteration runs its serial coarse
+sweep first and then hands all its fine solves to the fine solver in one
+call, which may step them together.
 
 The value handed to subdomain p at T_{p-1} is the synchronized value
 Uhat^{p-1}(T_{p-1}) + C_{p-1}^{k-1} (with C_0 = 0), which makes the standard
@@ -53,17 +56,41 @@ def _synchronize(coarse_end, corr, fine_space, sync_space, cache):
     return embed(coarse_end, fine_space, cache) + corr
 
 
+def _fine_solves(fine_solver, grids, syncs, k):
+    """The fine trajectories of subdomains k..P_t, by one fine_solver call.
+
+    If the call raises, the subdomains are solved one at a time to name the
+    first that fails."""
+    try:
+        return fine_solver(grids, syncs)
+    except Exception as exc:
+        for p, (grid, sync) in enumerate(zip(grids, syncs), start=k):
+            try:
+                fine_solver([grid], [sync])
+            except Exception as col_exc:
+                raise RuntimeError(
+                    f"solver failure on subdomain p={p}, iteration k_t={k}: "
+                    f"{col_exc}") from col_exc
+        raise RuntimeError(
+            f"solver failure on subdomains p={k}..{k + len(grids) - 1}, "
+            f"iteration k_t={k}: {exc}") from exc
+
+
 def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
          cache, sync_space="coarse"):
     """Variational Parareal: returns the states of all K_t iterations.
 
     ic_coarse is Uhat_0 in the coarse space; fine_space is the space the
-    corrections live in (coarse fields embed into it exactly).  Iteration k
-    solves subdomains k..P_t only: for p < k its state holds iteration
-    k-1's coarse and fine trajectories and corrections, the same objects,
-    since subdomain p's incoming value is unchanged from iteration p on.
-    That holds only if both solvers are pure functions of (grid, incoming).
-    The embeddings between the coarse and fine spaces are the cache's.
+    corrections live in (coarse fields embed into it exactly).
+    coarse_solver(grid, incoming) returns one trajectory;
+    fine_solver(grids, incomings) returns the trajectories of a list of
+    subdomain grids, in order.  Iteration k solves subdomains k..P_t only:
+    first the serial coarse sweep, then one fine_solver call for all of
+    them.  For p < k its state holds iteration k-1's coarse and fine
+    trajectories and corrections, the same objects, since subdomain p's
+    incoming value is unchanged from iteration p on.  That holds only if
+    both solvers are pure functions of (grid, incoming).  The embeddings
+    between the coarse and fine spaces are the cache's.
     """
     if K_t < 1:
         raise ValueError("K_t must be >= 1")
@@ -75,20 +102,24 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
     for k in range(1, K_t + 1):
         prev_corrs = corrs
         coarse, fine, corrs = coarse[:k - 1], fine[:k - 1], corrs[:k - 1]
+        syncs = []
         for p in range(k, P_t + 1):
             # synchronized value handed to subdomain p (C_0 = 0)
             sync = ic_coarse if p == 1 else _synchronize(
                 coarse[p - 2].end, prev_corrs[p - 2], fine_space, sync_space,
                 cache)
             try:
-                ct = coarse_solver(partition.coarse_grids[p - 1], sync)
-                ft = fine_solver(partition.fine_grids[p - 1], sync)
+                coarse.append(coarse_solver(partition.coarse_grids[p - 1],
+                                            sync))
             except Exception as exc:
                 raise RuntimeError(
                     f"solver failure on subdomain p={p}, iteration k_t={k}: "
                     f"{exc}") from exc
-            coarse.append(ct)
-            fine.append(ft)
-            corrs.append(ft.end - embed(ct.end, fine_space, cache))
+            syncs.append(sync)
+        if syncs:  # an iteration past P_t has nothing left to solve
+            fine += _fine_solves(fine_solver,
+                                 list(partition.fine_grids[k - 1:]), syncs, k)
+        corrs += [ft.end - embed(ct.end, fine_space, cache)
+                  for ft, ct in zip(fine[k - 1:], coarse[k - 1:], strict=True)]
         states.append(PararealState(k, coarse, fine, corrs, ic_coarse))
     return states

@@ -105,6 +105,13 @@ class SchwarzSweepRecord:
     iterates: list
     locals_: list
 
+    def column(self, c):
+        """The record of column c of a multi-column solve, as views of this
+        one's arrays."""
+        return SchwarzSweepRecord([u[:, c] for u in self.iterates],
+                                  [[u[:, c] for u in sweep]
+                                   for sweep in self.locals_])
+
 
 class AdditiveSchwarz:
     """Additive Schwarz sweeps for a fixed step operator B = M + dt*A.
@@ -135,17 +142,26 @@ class AdditiveSchwarz:
         )
 
     def local_solve(self, i, rhs):
-        """Solve the interior block of B on subdomain i."""
+        """Solve the interior block of B on subdomain i, for one right-hand
+        side or each column of a block."""
         return lapack_solution("dpotrs", *dpotrs(self._chol[i], rhs))
 
     def solve(self, rhs, guess, K_s):
         """Run K_s sweeps from the given initial guess; returns the final
-        iterate and the full sweep record."""
+        iterate and the full sweep record.
+
+        rhs and guess are one vector each or (dof, P) blocks of P columns,
+        swept together with one local solve per subdomain and sweep; each
+        column of the result and of the record (record.column) is bitwise
+        that of its own one-vector solve.  The record's arrays keep the
+        guess's memory order, so a Fortran-ordered guess gives contiguous
+        columns.
+        """
         if K_s < 1:
             raise ValueError("K_s must be >= 1")
         tau, P_s = self.decomp.tau, self.decomp.P_s
         u = np.array(guess, dtype=float)
-        record = SchwarzSweepRecord(iterates=[u.copy()], locals_=[])
+        record = SchwarzSweepRecord(iterates=[np.copy(u)], locals_=[])
         for k in range(K_s):
             locals_k = []
             acc = (1.0 - tau * P_s) * u
@@ -153,11 +169,11 @@ class AdditiveSchwarz:
                 r = rhs[interior] - self._coupling[i] @ u[trace]
                 # u_loc equals u outside the interior, so it is also the
                 # subdomain's contribution to the blend
-                u_loc = u.copy()
+                u_loc = np.copy(u)
                 u_loc[interior] = self.local_solve(i, r)
                 locals_k.append(u_loc)
                 acc += tau * u_loc
             u = acc
-            record.iterates.append(u.copy())
+            record.iterates.append(np.copy(u))
             record.locals_.append(locals_k)
         return u, record

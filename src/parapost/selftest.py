@@ -25,7 +25,7 @@ def _check_parareal_exactness():
     coarse, fine = FeSpace(mesh, 1), FeSpace(mesh, 2)
     part = TimePartition.uniform(0.5, 4, 8, 2)
     cache = FormCache()
-    fs = lambda g, ic: propagate_be(fine, g, ic, prob.f, cache)
+    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
     cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
     ic = coarse.interpolate(prob.u0)
     states = vpar(part, 4, ic, fs, cs, fine, cache, sync_space="fine")

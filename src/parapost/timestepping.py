@@ -159,44 +159,76 @@ def _require_finite(coeffs, times):
         raise ValueError(f"non-finite solution at step n={n}, t={times[n]:.6g}")
 
 
+def _shared_factors(dts, solver_of):
+    """One step's columns grouped by the factor they share: a (columns,
+    solver) pair per distinct round(dt, 15) key (the cache's), the solver
+    fetched for the dt of the key's first column."""
+    keys = [round(dt, 15) for dt in dts]
+    return [(np.flatnonzero([k == key for k in keys]),
+             solver_of(dts[keys.index(key)])) for key in dict.fromkeys(keys)]
+
+
 def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     """Implicit Euler over a step grid: (M + dt A) U_n = (U_{n-1}, .) + dt l(t_n).
 
-    Each step's SPD system is solved directly (banded Cholesky) or, given an
-    OverlapDecomposition, by K_s additive Schwarz sweeps from a zero guess;
-    the trajectory then carries the per-step sweep records in
-    traj.schwarz_records (index n-1 for step n).  The loads l(t_n) are the
-    cache's block for the grid.  The incoming value may live in a different
-    space on the same mesh; its first-step contribution is the exact
-    cross-space L2 pairing.  A non-finite step value raises a ValueError
-    naming the first such step n and its time t.
+    times is one step grid with ic its incoming value, giving one
+    Trajectory, or a stack of P grids with equal step counts (shape
+    (P, steps+1)) with ic a sequence of P incoming values, giving a list of
+    P Trajectories.  The columns of a stack are stepped together: each
+    step's P systems are one multi-column solve, columns splitting only
+    where their step sizes key different factors, and every column's values
+    are bitwise those of its own single-grid call.  Each step's SPD system
+    is solved directly (banded Cholesky) or, given an OverlapDecomposition,
+    by K_s additive Schwarz sweeps from a zero guess; the trajectory then
+    carries the per-step sweep records in traj.schwarz_records (index n-1
+    for step n).  The loads l(t_n) are the cache's block for each grid.  An
+    incoming value may live in a different space on the same mesh; its
+    first-step contribution is the exact cross-space L2 pairing.  A
+    non-finite step value raises a ValueError naming the first such step n
+    of the first such column, and its time t.
     """
     if decomp is not None and (K_s is None or K_s < 1):
         raise ValueError("K_s must be >= 1")
     times = np.asarray(times, dtype=float)
-    n_steps = len(times) - 1
+    grids, ics = (times[None], [ic]) if times.ndim == 1 else (times, list(ic))
+    if len(ics) != len(grids):
+        raise ValueError(f"{len(grids)} grids but {len(ics)} incoming values")
+    P, n_steps, ndof = len(grids), grids.shape[1] - 1, space.dof_count
     M = cache.mass(space, space)
-    coeffs = np.zeros((n_steps, 1, space.dof_count))
-    prev_m = cache.mass(space, ic.space) @ ic.coefficients  # (U_0, phi_i)
-    loads = cache.load(space, times[1:], f)
-    records = [] if decomp is not None else None
-    solver_dt = None
+    coeffs = np.zeros((P, n_steps, 1, ndof))
+    # (U_0, phi_i) per column; every matrix-vector product here is one
+    # column's, as a product with a block of columns sums in another order
+    prev_m = np.array([cache.mass(space, u0.space) @ u0.coefficients
+                       for u0 in ics])
+    loads = np.stack([cache.load(space, g[1:], f) for g in grids], axis=1)
+    records = [[] for _ in range(P)]
+    solver_dts = None
     for n in range(1, n_steps + 1):
-        dt = times[n] - times[n - 1]
-        if dt != solver_dt:
-            solver_dt = dt
-            solver = (cache.step_operator(space, dt) if decomp is None else
-                      AdditiveSchwarz.cached(cache, space, dt, decomp))
-        rhs = prev_m + dt * loads[n - 1]
-        if decomp is None:
-            u = solver.solve(rhs)
-        else:
-            u, rec = solver.solve(rhs, np.zeros(space.dof_count), K_s)
-            records.append(rec)
-        coeffs[n - 1, 0] = u
-        prev_m = M @ u
-    _require_finite(coeffs, times)
-    return Trajectory(space, times, 0, coeffs, ic, records)
+        dts = grids[:, n] - grids[:, n - 1]
+        if not np.array_equal(dts, solver_dts):
+            solver_dts = dts
+            groups = _shared_factors(
+                dts, lambda dt: cache.step_operator(space, dt) if decomp is None
+                else AdditiveSchwarz.cached(cache, space, dt, decomp))
+        rhs = prev_m + dts[:, None] * loads[n - 1]
+        u = np.empty_like(rhs)
+        for cols, solver in groups:
+            b = rhs[cols].T  # (dof, columns)
+            if decomp is None:
+                u[cols] = solver.solve(b).T
+                continue
+            x, rec = solver.solve(b, np.zeros_like(b), K_s)
+            u[cols] = x.T
+            for c, j in enumerate(cols):
+                records[j].append(rec.column(c))
+        coeffs[:, n - 1, 0] = u
+        prev_m = np.array([M @ col for col in u])
+    for j in range(P):
+        _require_finite(coeffs[j], grids[j])
+    trajs = [Trajectory(space, grids[j], 0, coeffs[j], ics[j],
+                        records[j] if decomp is not None else None)
+             for j in range(P)]
+    return trajs[0] if times.ndim == 1 else trajs
 
 
 def _cg_time_forms(q_t):

@@ -159,7 +159,7 @@ def test_property_standard_variational_equivalence():
         coarse, fine = FeSpace(mesh, qhat), FeSpace(mesh, q)
         part = TimePartition.uniform(0.5, P_t, nhat, r)
         cache = FormCache()
-        fs = lambda g, ic: propagate_be(fine, g, ic, prob.f, cache)
+        fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
         cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
         ic = coarse.interpolate(prob.u0)
         K_t = int(rng.integers(1, P_t + 2))
@@ -179,7 +179,7 @@ def test_property_finite_termination(P_t):
     coarse, fine = FeSpace(mesh, 1), FeSpace(mesh, 2)
     part = TimePartition.uniform(0.5, P_t, 2 * P_t, 2)
     cache = FormCache()
-    fs = lambda g, ic: propagate_be(fine, g, ic, prob.f, cache)
+    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
     cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
     ic = coarse.interpolate(prob.u0)
     states = vpar(part, P_t, ic, fs, cs, fine, cache, sync_space="fine")

@@ -225,3 +225,19 @@ def test_nonfinite_adjoint_names_its_family():
     with pytest.raises(ValueError, match=r"fine\(2\) adjoint.* n=1"):
         solve_backward_cg("fine(2)", space, np.linspace(0.0, 0.4, 5),
                           terminal, 3, FormCache())
+
+
+@pytest.mark.parametrize("kind", ["global", "subdomain"])
+def test_nonfinite_spatial_adjoint_names_itself_and_dt(kind):
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space = FeSpace(mesh, 3)
+    decomp = decompose_domain(mesh, 2, 0.25, 0.4)
+    solver = SpatialAdjointSolver(space, 0.0625, decomp, FormCache())
+    weight = space.interpolate(lambda x: np.sin(np.pi * x))
+    weight.coefficients[5] = np.nan
+    with pytest.raises(ValueError,
+                       match=rf"non-finite {kind} spatial adjoint \(dt=0\.0625\)"):
+        if kind == "global":
+            solver.solve_global(weight)
+        else:
+            solver.solve_subdomain(weight, 2)

@@ -186,18 +186,22 @@ def test_load_over_times_equals_stacked_scalar_calls(mesh):
         assert not np.any(zeros)
 
 
-def test_load_over_times_calls_forcing_once_per_scalar_time():
+def test_load_over_times_calls_forcing_once_per_block():
+    # the forcing broadcasts: one call for the whole block, with the
+    # quadrature points as a row and the block's times as a column
     space = FeSpace(MESHES[1], 2)
     seen = []
 
     def f(x, t):
-        seen.append(t)
-        assert np.ndim(t) == 0 and x.shape == (space.mesh.n_elements * 10,)
+        seen.append((x.shape, np.array(t, copy=True)))
         return np.cos(x) * t
 
     grid = TIMES.reshape(2, 2)
     out = assemble_load(space, grid, f)
-    assert seen == list(TIMES)
+    assert len(seen) == 1
+    assert seen[0][0] == (1, space.mesh.n_elements * 10)
+    assert seen[0][1].shape == (len(TIMES), 1)
+    assert np.array_equal(seen[0][1][:, 0], TIMES)
     assert out.shape == (2, 2, space.dof_count)
     assert np.array_equal(out[1, 0], assemble_load(space, grid[1, 0], f))
 
@@ -265,3 +269,15 @@ def test_cached_matrices_are_read_only():
             mat *= 2.0
     assert np.array_equal(cache.mass(fine, fine),
                           assemble_matrix(fine, fine, "mass"))
+
+
+def test_lru_cached_tables_are_read_only():
+    # gauss_rule and _lagrange_coeffs are cached for the whole process, so
+    # one caller's write would reach every later run
+    tables = [*mesh_module.gauss_rule(5), mesh_module._lagrange_coeffs(3),
+              mesh_module._quadrature_basis(2, 10)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    s, w = mesh_module.gauss_rule(5)
+    assert abs(w.sum() - 1.0) < 1e-15 and np.all((s > 0) & (s < 1))

@@ -143,8 +143,9 @@ def test_iteration_component_vanishes_at_finite_termination():
     adj_space = FeSpace(mesh, 3)
     part = TimePartition.uniform(0.5, 4, 8, 2)
     cache = FormCache()
-    fs = lambda g, ic: propagate_be(space, g, ic, prob.f, cache)
-    states = vpar(part, 4, space.interpolate(prob.u0), fs, fs, space, cache)
+    fs = lambda gs, ics: propagate_be(space, gs, ics, prob.f, cache)
+    cs = lambda g, ic: propagate_be(space, g, ic, prob.f, cache)
+    states = vpar(part, 4, space.interpolate(prob.u0), fs, cs, space, cache)
     coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, 3, cache)
     fine_adjs = solve_fine_adjoints(part, coarse_adj, 3, cache)
     aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, 3, cache)
@@ -253,15 +254,15 @@ def test_dd_split_requires_sweep_records():
 
 
 def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():
-    # the spatial adjoint solves do no finiteness check of their own, so a
-    # NaN in a fine adjoint reaches E_K and E_N and must be reported there
+    # a NaN in a fine adjoint makes the step's spatial adjoints non-finite:
+    # their solver raises, and the split names the subdomain and step
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 8)
     coarse, fine, adj_space = (FeSpace(mesh, q) for q in (1, 2, 3))
     part = TimePartition.uniform(0.5, 2, 4, 2)
     decomp = decompose_domain(mesh, 2, 0.25, 0.4)
     cache = FormCache()
-    fs = lambda g, ic: propagate_be(fine, g, ic, prob.f, cache, decomp, 2)
+    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache, decomp, 2)
     cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
     state = vpar(part, 2, coarse.interpolate(prob.u0), fs, cs, fine,
                  cache)[-1]
@@ -329,7 +330,7 @@ def test_coarse_error_estimate_effectivity():
     adj_space = FeSpace(mesh, 3)
     part = TimePartition.uniform(2.0, 10, 40, 2)
     cache = FormCache()
-    fs = lambda g, ic: propagate_be(fine, g, ic, prob.f, cache)
+    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
     cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
     states = vpar(part, 2, coarse.interpolate(prob.u0), fs, cs, fine, cache)
     state = states[-1]

@@ -18,7 +18,7 @@ def _setup(nhat_s=8, qhat=1, q=2, P_t=4, Nhat_t=8, r=2, T=0.5, nu=2, mu=1):
     coarse, fine = FeSpace(mesh, qhat), FeSpace(mesh, q)
     part = TimePartition.uniform(T, P_t, Nhat_t, r)
     cache = FormCache()
-    fs = lambda g, ic: propagate_be(fine, g, ic, prob.f, cache)
+    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
     cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
     ic = coarse.interpolate(prob.u0)
     return prob, part, coarse, fine, fs, cs, ic, cache
@@ -118,19 +118,25 @@ def test_standard_variational_equivalence_randomized(sync_space):
 
 
 def test_vpar_solves_each_subdomain_until_its_incoming_value_converges():
-    # iteration k solves subdomains k..P_t only: 4 + 3 + 2 + 1 solves of
-    # each kind at P_t = 4, however many iterations follow
+    # iteration k solves subdomains k..P_t only: 4 + 3 + 2 + 1 coarse solves
+    # at P_t = 4, however many iterations follow, and one fine call per
+    # iteration, for subdomains k..P_t in order
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8)
-    calls = {"fine": 0, "coarse": 0}
+    coarse_calls, fine_batches = [], []
 
-    def counted(kind, solver):
-        def solve(grid, ic_):
-            calls[kind] += 1
-            return solver(grid, ic_)
-        return solve
+    def counted_coarse(grid, ic_):
+        coarse_calls.append(grid)
+        return cs(grid, ic_)
 
-    vpar(part, 6, ic, counted("fine", fs), counted("coarse", cs), fine, cache)
-    assert calls == {"fine": 10, "coarse": 10}
+    def counted_fine(grids, ics):
+        fine_batches.append([p for g in grids
+                             for p, h in enumerate(part.fine_grids, 1)
+                             if h is g])
+        return fs(grids, ics)
+
+    vpar(part, 6, ic, counted_fine, counted_coarse, fine, cache)
+    assert len(coarse_calls) == 10
+    assert fine_batches == [[1, 2, 3, 4], [2, 3, 4], [3, 4], [4]]
 
 
 @pytest.mark.parametrize("sync_space", ["coarse", "fine"])
@@ -171,13 +177,11 @@ def test_unknown_sync_space_rejected():
 def test_solver_failure_is_located():
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8)
 
-    calls = {"n": 0}
-
-    def flaky(grid, ic_):
-        calls["n"] += 1
-        if calls["n"] == 3:
+    def flaky(grids, ics):
+        # fails on every call whose batch holds subdomain 3
+        if any(g is part.fine_grids[2] for g in grids):
             raise FloatingPointError("boom")
-        return propagate_be(fine, grid, ic_, prob.f, cache)
+        return propagate_be(fine, grids, ics, prob.f, cache)
 
     with pytest.raises(RuntimeError) as err:
         vpar(part, 2, ic, flaky, cs, fine, cache)
@@ -189,13 +193,14 @@ def test_nonfinite_forcing_names_subdomain_iteration_and_step(stepping):
     # the forcing turns NaN after t = 0.3: inside subdomain 3 ([0.25, 0.375],
     # fine steps of 1/32), whose second step ends at t = 0.3125
     prob, part, coarse, fine, fs, cs, ic, cache = _setup()
-    nan_f = lambda x, t: prob.f(x, t) * (np.nan if t > 0.3 else 1.0)
+    nan_f = lambda x, t: prob.f(x, t) * np.where(t > 0.3, np.nan, 1.0)
     decomp = decompose_domain(fine.mesh, 2, 0.25, 0.4)
     fine_solvers = {
-        "be": lambda g, ic_: propagate_be(fine, g, ic_, nan_f, cache),
-        "cg": lambda g, ic_: propagate_cg(fine, g, 1, ic_, nan_f, cache),
-        "schwarz": lambda g, ic_: propagate_be(fine, g, ic_, nan_f, cache,
-                                               decomp, 2),
+        "be": lambda gs, ics: propagate_be(fine, gs, ics, nan_f, cache),
+        "cg": lambda gs, ics: [propagate_cg(fine, g, 1, ic_, nan_f, cache)
+                               for g, ic_ in zip(gs, ics)],
+        "schwarz": lambda gs, ics: propagate_be(fine, gs, ics, nan_f, cache,
+                                                decomp, 2),
     }
     with pytest.raises(RuntimeError, match=r"p=3, iteration k_t=1: "
                        r".*step n=2, t=0\.3125") as err:

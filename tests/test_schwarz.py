@@ -222,3 +222,24 @@ def test_sweeper_is_built_once_per_space_dt_and_decomposition():
     other = decompose_domain(mesh, 2, 0.25, 0.4)
     assert AdditiveSchwarz.cached(cache, space, 0.02, other) is not a
     assert len({d, other}) == 2
+
+
+def test_block_of_columns_sweeps_bitwise_as_one_column_at_a_time():
+    # four subdomains, so the inner two couple to two trace dofs each
+    mesh = SpatialMesh.uniform(0.0, 1.0, 16)
+    space = FeSpace(mesh, 2)
+    d = decompose_domain(mesh, 4, 0.25, 0.4)
+    sweeper = AdditiveSchwarz.cached(FormCache(), space, 0.03, d)
+    rng = np.random.default_rng(21)
+    rhs = rng.standard_normal((3, space.dof_count)).T  # (dof, 3), Fortran order
+    guess = rng.standard_normal((3, space.dof_count)).T
+    u, rec = sweeper.solve(rhs, guess, 3)
+    for c in range(3):
+        u_c, rec_c = sweeper.solve(rhs[:, c].copy(), guess[:, c].copy(), 3)
+        assert np.array_equal(u[:, c], u_c)
+        col = rec.column(c)
+        for got, want in zip(col.iterates, rec_c.iterates, strict=True):
+            assert got.flags.c_contiguous and np.array_equal(got, want)
+        for got_k, want_k in zip(col.locals_, rec_c.locals_, strict=True):
+            for got, want in zip(got_k, want_k, strict=True):
+                assert got.flags.c_contiguous and np.array_equal(got, want)

@@ -270,6 +270,47 @@ def test_cg_stepping_equals_the_per_slab_loop(q_t, forced):
     assert np.array_equal(traj.coeffs, cg_per_slab(space, grid, q_t, ic, f))
 
 
+@pytest.mark.parametrize("stepping", ["direct", "schwarz"])
+def test_stacked_grids_step_bitwise_as_one_call_per_grid(stepping):
+    # the partition's three grids have step sizes that differ in their last
+    # bits and share one factor; the fourth grid's steps are four times as
+    # long, so each step splits the batch in two
+    prob = build_manufactured(2, 2, 1.0)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 12)
+    space, inc_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
+    part = TimePartition.uniform(0.6, 3, 6, 3)
+    grids = [*part.fine_grids, np.linspace(0.6, 1.4, 7)]
+    assert len(set(np.diff(part.fine_grids).ravel())) > 1
+    solver = ((decompose_domain(mesh, 4, 0.25, 0.4), 3)
+              if stepping == "schwarz" else ())
+    rng = np.random.default_rng(8)
+    ics = [NodalField(s, rng.standard_normal(s.dof_count))
+           for s in (space, inc_space, space, inc_space)]
+    cache = FormCache()
+    batch = propagate_be(space, grids, ics, prob.f, cache, *solver)
+    assert len(batch) == 4
+    for grid, ic, got in zip(grids, ics, batch, strict=True):
+        want = propagate_be(space, grid, ic, prob.f, cache, *solver)
+        assert got.incoming is ic and np.array_equal(got.times, grid)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        if not solver:
+            assert got.schwarz_records is None
+            continue
+        for rec, rec_1 in zip(got.schwarz_records, want.schwarz_records,
+                              strict=True):
+            for k, u in enumerate(rec_1.iterates):
+                assert np.array_equal(rec.iterates[k], u)
+            for k, sweep in enumerate(rec_1.locals_, start=1):
+                for i, u in enumerate(sweep):
+                    assert np.array_equal(rec.locals_[k - 1][i], u)
+    if solver:
+        # columns that shared a solve hold views of its arrays
+        a, b = (traj.schwarz_records[0].iterates[1] for traj in batch[:2])
+        assert a.base is not None and a.base is b.base
+    with pytest.raises(ValueError, match="4 grids but 3 incoming values"):
+        propagate_be(space, grids, ics[:3], prob.f, cache, *solver)
+
+
 def test_cg_rejects_bad_degree():
     space = _single_dof_space()
     ic = NodalField(space, np.array([1.0]))
@@ -361,7 +402,8 @@ def test_nan_mid_trajectory_names_first_bad_step(stepping):
     space = FeSpace(mesh, 2)
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
-    nan_f = lambda x, t: prob.f(x, t) * (np.nan if 0.25 < t < 0.35 else 1.0)
+    nan_f = lambda x, t: prob.f(x, t) * np.where((0.25 < t) & (t < 0.35),
+                                                  np.nan, 1.0)
     with pytest.raises(ValueError, match=r"step n=3, t=0\.3$"):
         if stepping == "cg":
             propagate_cg(space, grid, 2, ic, nan_f, FormCache())
