@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import SpatialAdjointSolver
 from .mesh import (assemble_load, embed, gauss_rule, lagrange_derivs,
                    lagrange_values)
+from .schwarz import AdditiveSchwarz
 
 
 # Gauss points per time step of the residual integrals: cubic-in-time
@@ -208,37 +208,45 @@ def dd_split(traj, n, decomp, phi_val, ev):
     """Thm-2 split of the step-n algebraic error into discretization (E^N)
     and Schwarz-iteration (E^K) parts, for a Schwarz-solved trajectory.
 
-    The spatial adjoints live in phi_val's space; their solver is the one
-    cached in ev.cache for that space, the step's dt and the decomposition.
+    The spatial adjoints live in phi_val's space: the global one is solved
+    with the cached step operator, the per-sweep subdomain ones by the
+    cached sweeper of that space, the step's dt and the decomposition.  A
+    non-finite spatial adjoint raises a ValueError naming it and dt.
     """
     if traj.schwarz_records is None:
         raise ValueError("trajectory carries no Schwarz sweep record")
     rec = traj.schwarz_records[n - 1]
     K_s = len(rec.locals_)
-    space3 = phi_val.space
+    cache, space3 = ev.cache, phi_val.space
     dt = traj.times[n] - traj.times[n - 1]
-    spatial_solver = SpatialAdjointSolver.cached(ev.cache, space3, dt, decomp)
-    M3x = ev.cache.mass(space3, traj.space)
-    B3x = ev.cache.factor(  # one dense M + dt*A per exact dt
+    M3x = cache.mass(space3, traj.space)
+    # one dense M + dt*A per exact dt, not per_step's: shared across the
+    # steps of a linspace grid, it moves 19 registry values past 1e-12
+    # relative (D_s by up to 8.9e-7 on pardd_fine_time[r=2], D_k by 1.4e-11)
+    B3x = cache.factor(
         ("step_matrix", space3, traj.space, dt),
-        lambda: M3x + dt * ev.cache.stiffness(space3, traj.space))
+        lambda: M3x + dt * cache.stiffness(space3, traj.space))
     # the step's right-hand functional evaluated on degree-3 fields
     if n == 1:
-        M3inc = ev.cache.mass(space3, traj.incoming.space)
+        M3inc = cache.mass(space3, traj.incoming.space)
         ell = M3inc @ traj.incoming.coefficients
     else:
         ell = M3x @ traj.field(n - 1).coefficients
     ell = ell + dt * ev.load(space3, traj, ends=True)[n - 1]
 
-    Phi = spatial_solver.solve_global(phi_val)
-    chi = spatial_solver.solve_subdomain(phi_val, K_s)
+    Phi = cache.step_operator(space3, dt).solve(
+        cache.mass(space3, space3) @ phi_val.coefficients)
+    if not np.isfinite(Phi).all():
+        raise ValueError(f"non-finite global spatial adjoint (dt={dt:.6g})")
+    sweeper = AdditiveSchwarz.cached(cache, space3, dt, decomp)
+    chi = sweeper.adjoint(phi_val, K_s)
     E_N = 0.0
     for ks in range(1, K_s + 1):
         for i in range(decomp.P_s):
             c = chi[ks - 1][i]
             E_N += c @ ell - c @ (B3x @ rec.locals_[ks - 1][i])
     u_n = traj.field(n).coefficients
-    E_K = Phi.coefficients @ ell - Phi.coefficients @ (B3x @ u_n) - E_N
+    E_K = Phi @ ell - Phi @ (B3x @ u_n) - E_N
     return E_K, E_N
 
 

@@ -172,11 +172,6 @@ class NodalField:
         assert other.space is self.space
         return NodalField(self.space, self.coefficients - other.coefficients)
 
-    def __mul__(self, s):
-        return NodalField(self.space, self.coefficients * s)
-
-    __rmul__ = __mul__
-
 
 def eval_field(space, coefficients, x):
     """Evaluate an FE function with the given coefficients at points x."""
@@ -316,13 +311,13 @@ class FormCache:
 
     matrix() memoizes assembled matrices and load() assembled load blocks,
     both read-only since every later caller shares them; factor() memoizes
-    whatever else is built once per key: solvers (banded step operators, cG
-    slab LU, Schwarz sweepers, spatial adjoint solvers), each keeping only
-    its factors and the blocks it cuts, and the nodal gathers of
-    interpolate().  Keys hold the space objects themselves (spaces
-    hash by identity), so an entry keeps its spaces alive exactly as long as
-    the cache lives and can never be confused with a later space that reuses
-    a freed address.
+    whatever else is built once per key, such as the nodal gathers of
+    interpolate(), and per_step() the solvers built once per step size
+    (banded step operators, cG slab LU, Schwarz sweepers), each keeping only
+    its factors and the blocks it cuts.  Keys hold the space objects
+    themselves (spaces hash by identity), so an entry keeps its spaces alive
+    exactly as long as the cache lives and can never be confused with a
+    later space that reuses a freed address.
     """
 
     def __init__(self):
@@ -343,14 +338,14 @@ class FormCache:
         return self.matrix(row_space, col_space, "stiffness")
 
     def step_operator(self, space, dt):
-        """Banded SPD operator M + dt*A, cached per (space, dt); dt = 0 is
-        the mass operator (M + 0*A equals M exactly)."""
-        return self.factor(
-            ("step", space, round(dt, 15)),
+        """Banded SPD operator M + dt*A, one per (space, step size); dt = 0
+        is the mass operator (M + 0*A equals M exactly)."""
+        return self.per_step(
+            space, dt,
             lambda: AssembledOperator(
                 "step", space,
                 self.mass(space, space) + dt * self.stiffness(space, space)),
-        )
+            "step")
 
     def load(self, space, t, f):
         """assemble_load(space, t, f), assembled once per (space, f, exact
@@ -366,6 +361,13 @@ class FormCache:
                              lambda: NodalGather(field.space,
                                                  target_space.dof_coords))
         return NodalField(target_space, gather(field.coefficients))
+
+    def per_step(self, space, dt, build, *key):
+        """The solver build() returns for step size dt, built once per (key,
+        space, dt to 15 digits) from the first dt of its key.  The steps of
+        a linspace grid, and of its time reversal, differ in the last bits;
+        this is the one place that decides they share a solver."""
+        return self.factor(key + (space, round(dt, 15)), build)
 
     def factor(self, key, build):
         """The object build() returns, built once per key."""

@@ -4,17 +4,19 @@ Used as the per-time-step solver at the fine scale: each sweep solves the
 P_s local Dirichlet problems against the current iterate's trace values and
 blends them with a Richardson parameter tau.  The full sweep history is
 recorded for the a posteriori error split.  The subdomain factorizations
-are set up here once per (space, dt, decomposition) and shared with the
-spatial adjoints.
+are set up here once per (space, step size, decomposition), and the same
+sweeper runs its sweeps backwards as the per-sweep subdomain adjoints of
+that split.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
 from scipy.linalg.lapack import dpotrs
 
-from .mesh import lapack_solution
+from .mesh import assemble_matrix, lapack_solution
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +55,7 @@ def decompose_domain(mesh, P_s, beta, tau):
     ext = int(round(beta * block))
     if P_s > 1 and ext < 1:
         raise ValueError(
-            f"beta={beta} yields no overlap; need beta >= {0.5 / block} "
+            f"beta={beta} yields no overlap; need beta > {0.5 / block} "
             f"for at least one overlap element"
         )
     ranges = []
@@ -113,33 +115,41 @@ class SchwarzSweepRecord:
                                    for sweep in self.locals_])
 
 
+def _cut(M, A, dt, rows, cols):
+    """The rows x cols block of M + dt*A, cut from M and A before summing:
+    elementwise the block of the dense sum, which is never formed."""
+    ix = np.ix_(rows, cols)
+    return M[ix] + dt * A[ix]
+
+
 class AdditiveSchwarz:
-    """Additive Schwarz sweeps for a fixed step operator B = M + dt*A.
+    """Additive Schwarz sweeps for a fixed step operator B = M + dt*A, and
+    the same sweeps run backwards as the per-sweep subdomain adjoints.
 
     Keeps, per subdomain, the upper Cholesky factor of B's interior block
-    and the interior x trace coupling block, both cut once from B; B itself
-    is not kept.
+    and the interior x trace coupling block, both cut from the cache's M and
+    A; B itself is never formed.
     """
 
-    def __init__(self, space, B_dense, decomp):
+    def __init__(self, space, dt, decomp, cache):
         self.space = space
+        self.dt = dt
         self.decomp = decomp
         self.sets = [subdomain_dof_sets(space, decomp, i)
                      for i in range(decomp.P_s)]
-        self._chol = [sla.cho_factor(B_dense[np.ix_(interior, interior)])[0]
+        M, A = cache.mass(space, space), cache.stiffness(space, space)
+        self._chol = [sla.cho_factor(_cut(M, A, dt, interior, interior))[0]
                       for interior, _ in self.sets]
-        self._coupling = [B_dense[np.ix_(interior, trace)]
+        self._coupling = [_cut(M, A, dt, interior, trace)
                           for interior, trace in self.sets]
 
     @classmethod
     def cached(cls, cache, space, dt, decomp):
         """The sweeper of the step operator M + dt*A, built once per
-        (space, dt, decomposition) and owned by the FormCache."""
-        return cache.factor(
-            ("schwarz", space, round(dt, 15), decomp),
-            lambda: cls(space, cache.mass(space, space)
-                        + dt * cache.stiffness(space, space), decomp),
-        )
+        (space, step size, decomposition) and owned by the FormCache."""
+        return cache.per_step(space, dt,
+                              lambda: cls(space, dt, decomp, cache),
+                              "schwarz", decomp)
 
     def local_solve(self, i, rhs):
         """Solve the interior block of B on subdomain i, for one right-hand
@@ -177,3 +187,42 @@ class AdditiveSchwarz:
             record.iterates.append(np.copy(u))
             record.locals_.append(locals_k)
         return u, record
+
+    @cached_property
+    def _counted(self):
+        """The mass matrix and, per subdomain, the interior block of the step
+        matrix, with each element counted once per subdomain covering it: on
+        the interior rows of subdomain i they equal the sum over j of the
+        matrices restricted to the overlaps of i and j.  Built on first use."""
+        Mm, Am = (sum(assemble_matrix(self.space, self.space, kind,
+                                      self.decomp.elements(j))
+                      for j in range(self.decomp.P_s))
+                  for kind in ("mass", "stiffness"))
+        return Mm, [_cut(Mm, Am, self.dt, interior, interior)
+                    for interior, _ in self.sets]
+
+    def adjoint(self, weight, K_s):
+        """Per-sweep subdomain adjoints of K_s sweeps for a weight field in
+        this sweeper's space: the sweeps run backwards.
+
+        Returns chi[k_s][i] (1-based k_s flattened to index k_s-1) as
+        full-length coefficient vectors, zero outside the interior of
+        subdomain i; on its interior rows
+        B chi_i^{k_s} = tau (Mm weight - Bm sum_{l > k_s} chi_i^l).
+        A non-finite chi raises a ValueError naming the adjoint and dt.
+        """
+        Mm, Bm = self._counted
+        tau, P_s = self.decomp.tau, self.decomp.P_s
+        ndof = self.space.dof_count
+        chi = [[np.zeros(ndof) for _ in range(P_s)] for _ in range(K_s)]
+        tMw = tau * (Mm @ weight.coefficients)
+        for i, (interior, _) in enumerate(self.sets):
+            running = np.zeros(len(interior))  # sum_{l > k_s} chi_i^l
+            for ks in range(K_s, 0, -1):
+                x = self.local_solve(i, tMw[interior] - tau * (Bm[i] @ running))
+                chi[ks - 1][i][interior] = x
+                running = running + x
+        if not np.isfinite(chi).all():
+            raise ValueError(f"non-finite subdomain spatial adjoint "
+                             f"(dt={self.dt:.6g})")
+        return chi

@@ -161,11 +161,10 @@ def _require_finite(coeffs, times):
 
 def _shared_factors(dts, solver_of):
     """One step's columns grouped by the factor they share: a (columns,
-    solver) pair per distinct round(dt, 15) key (the cache's), the solver
-    fetched for the dt of the key's first column."""
-    keys = [round(dt, 15) for dt in dts]
-    return [(np.flatnonzero([k == key for k in keys]),
-             solver_of(dts[keys.index(key)])) for key in dict.fromkeys(keys)]
+    solver) pair per distinct solver the cache returns for their dts."""
+    solvers = [solver_of(dt) for dt in dts]
+    return [(np.flatnonzero([s is solver for s in solvers]), solver)
+            for solver in dict.fromkeys(solvers)]
 
 
 def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
@@ -283,11 +282,12 @@ def propagate_cg(space, times, q_t, ic, f, cache):
     for n, dt in enumerate(dts):
         if dt != lu_dt:
             lu_dt = dt
-            lu = cache.factor(
-                ("cg_slab", space, q_t, round(dt, 15)),
+            lu = cache.per_step(
+                space, dt,
                 lambda: sla.lu_factor(np.block(
                     [[alpha[m, j] * M + dt * beta[m, j] * A
-                      for j in range(1, q_t + 1)] for m in range(q_t)])))
+                      for j in range(1, q_t + 1)] for m in range(q_t)])),
+                "cg_slab", q_t)
         F = coeffs[n, 1:] - (alpha[:, :1] * (M @ prev)
                              + dt * beta[:, :1] * (A @ prev))
         sol = lapack_solution("dgetrs", *dgetrs(*lu, F.ravel()))

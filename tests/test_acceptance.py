@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from parapost.estimator import ResidualEvaluator, dd_split
-from parapost.adjoint import SpatialAdjointSolver
 from parapost.harness import ExperimentConfig, TABLE_REGISTRY, \
     build_manufactured, reproduce_table, run_experiment
 from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, \
@@ -223,11 +222,10 @@ def test_property_schwarz_fixed_point_and_convergence():
     decomp = decompose_domain(mesh, 2, 0.2, 0.4)
     cache = FormCache()
     # fixed point: starting from the exact solution, sweeps do not move
-    B = cache.mass(space, space) + 0.05 * cache.stiffness(space, space)
     rng = np.random.default_rng(77)
     rhs = rng.standard_normal(space.dof_count)
     exact = cache.step_operator(space, 0.05).solve(rhs)
-    u, _ = AdditiveSchwarz(space, B, decomp).solve(rhs, exact, 5)
+    u, _ = AdditiveSchwarz(space, 0.05, decomp, cache).solve(rhs, exact, 5)
     assert np.max(np.abs(u - exact)) <= 1e-10
     # convergence: 50 sweeps per step reproduce the direct stepping
     ic = space.interpolate(prob.u0)
@@ -247,7 +245,6 @@ def test_property_spatial_split_identity():
     cache = FormCache()
     traj = propagate_be(space, grid, space.interpolate(prob.u0), prob.f,
                         cache, decomp=decomp, K_s=2)
-    solver = SpatialAdjointSolver(adj_space, grid[1] - grid[0], decomp, cache)
     ev = ResidualEvaluator(prob.f, cache)
     phi_val = adj_space.interpolate(lambda x: np.sin(np.pi * x))
     for n in range(1, traj.n_steps + 1):
@@ -261,8 +258,10 @@ def test_property_spatial_split_identity():
         else:
             ell = M3x @ traj.field(n - 1).coefficients
         ell = ell + dt * assemble_load(adj_space, grid[n], ev.f)
-        Phi = solver.solve_global(phi_val)
-        lhs = Phi.coefficients @ (ell - B3x @ traj.field(n).coefficients)
+        # the global spatial adjoint: B Phi = M phi_val
+        Phi = ev.cache.step_operator(adj_space, dt).solve(
+            ev.cache.mass(adj_space, adj_space) @ phi_val.coefficients)
+        lhs = Phi @ (ell - B3x @ traj.field(n).coefficients)
         assert abs((E_K + E_N) - lhs) <= 1e-14 * max(1.0, abs(lhs))
 
 

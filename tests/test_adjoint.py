@@ -1,11 +1,11 @@
-"""Backward temporal adjoints and the per-step spatial adjoints."""
+"""Backward temporal adjoints and the per-step spatial adjoints (the global
+one by the step operator, the per-sweep subdomain ones by the sweeper)."""
 
 import numpy as np
 import pytest
 
 import parapost.mesh as mesh_module
 from parapost.adjoint import (
-    SpatialAdjointSolver,
     solve_auxiliary_adjoints,
     solve_backward_cg,
     solve_coarse_adjoint,
@@ -18,8 +18,9 @@ from parapost.mesh import (
     SpatialMesh,
     assemble_matrix,
 )
-from parapost.schwarz import decompose_domain, subdomain_dof_sets
-from parapost.timestepping import TimePartition, propagate_cg
+from parapost.estimator import ResidualEvaluator, dd_split
+from parapost.schwarz import AdditiveSchwarz, decompose_domain, subdomain_dof_sets
+from parapost.timestepping import TimePartition, propagate_be, propagate_cg
 
 
 def test_backward_solve_matches_separable_exact_adjoint():
@@ -132,13 +133,14 @@ def test_slab_index_validation():
 def test_spatial_adjoint_global_solve_residual():
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 3)
-    decomp = decompose_domain(mesh, 2, 0.2, 0.4)
-    solver = SpatialAdjointSolver(space, 0.01, decomp, FormCache())
+    cache = FormCache()
     weight = space.interpolate(lambda x: np.sin(2 * np.pi * x))
-    Phi = solver.solve_global(weight)
+    # dd_split's global adjoint: the cached step operator's solve
+    Phi = cache.step_operator(space, 0.01).solve(
+        cache.mass(space, space) @ weight.coefficients)
     M = assemble_matrix(space, space, "mass")
     B = M + 0.01 * assemble_matrix(space, space, "stiffness")
-    res = B @ Phi.coefficients - M @ weight.coefficients
+    res = B @ Phi - M @ weight.coefficients
     assert np.max(np.abs(res)) < 1e-12
 
 
@@ -150,10 +152,10 @@ def test_spatial_adjoint_subdomain_recursion_residual():
     space = FeSpace(mesh, 3)
     dt = 0.01
     decomp = decompose_domain(mesh, 2, 0.2, 0.4)
-    solver = SpatialAdjointSolver(space, dt, decomp, FormCache())
+    sweeper = AdditiveSchwarz(space, dt, decomp, FormCache())
     weight = space.interpolate(lambda x: np.sin(np.pi * x))
     K_s = 3
-    chi = solver.solve_subdomain(weight, K_s)
+    chi = sweeper.adjoint(weight, K_s)
     tau, P_s = decomp.tau, decomp.P_s
     ndof = space.dof_count
     B = (assemble_matrix(space, space, "mass")
@@ -191,9 +193,9 @@ def test_spatial_adjoint_mirror_symmetry():
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 3)
     decomp = decompose_domain(mesh, 2, 0.2, 0.4)
-    solver = SpatialAdjointSolver(space, 0.02, decomp, FormCache())
+    sweeper = AdditiveSchwarz(space, 0.02, decomp, FormCache())
     weight = space.interpolate(lambda x: np.sin(np.pi * x))
-    chi = solver.solve_subdomain(weight, 2)
+    chi = sweeper.adjoint(weight, 2)
     for ks in range(2):
         mirrored = chi[ks][1][::-1]  # dof coords are symmetric about 0.5
         assert np.max(np.abs(chi[ks][0] - mirrored)) < 1e-12
@@ -229,15 +231,22 @@ def test_nonfinite_adjoint_names_its_family():
 
 @pytest.mark.parametrize("kind", ["global", "subdomain"])
 def test_nonfinite_spatial_adjoint_names_itself_and_dt(kind):
+    # the global adjoint is dd_split's own solve, which runs first; the
+    # subdomain adjoints are the sweeper's
     mesh = SpatialMesh.uniform(0.0, 1.0, 8)
     space = FeSpace(mesh, 3)
     decomp = decompose_domain(mesh, 2, 0.25, 0.4)
-    solver = SpatialAdjointSolver(space, 0.0625, decomp, FormCache())
+    cache = FormCache()
     weight = space.interpolate(lambda x: np.sin(np.pi * x))
     weight.coefficients[5] = np.nan
     with pytest.raises(ValueError,
                        match=rf"non-finite {kind} spatial adjoint \(dt=0\.0625\)"):
         if kind == "global":
-            solver.solve_global(weight)
+            fwd = FeSpace(mesh, 2)
+            traj = propagate_be(fwd, np.linspace(0.0, 0.125, 3),
+                                fwd.interpolate(np.sin), None, cache,
+                                decomp=decomp, K_s=2)
+            dd_split(traj, 1, decomp, weight, ResidualEvaluator(None, cache))
         else:
-            solver.solve_subdomain(weight, 2)
+            AdditiveSchwarz.cached(cache, space, 0.0625, decomp).adjoint(
+                weight, 2)

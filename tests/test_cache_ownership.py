@@ -1,12 +1,19 @@
 """One FormCache per experiment: no function of the package defaults its
 cache or builds a private one, so every solve, embedding and residual of an
 experiment shares the factorizations and assembled forms of the cache that
-run_experiment (or a selftest check) built and passed down."""
+run_experiment (or a selftest check) built and passed down.  Which step
+sizes share a solver is decided by FormCache.per_step alone."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import parapost
+from parapost.mesh import FeSpace, FormCache, SpatialMesh
+from parapost.schwarz import AdditiveSchwarz, decompose_domain
+from parapost.timestepping import propagate_cg
 
 SRC = Path(parapost.__file__).parent
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -58,3 +65,65 @@ def test_only_an_experiment_builds_a_form_cache():
               if (module, scope) != ("harness", "run_experiment")
               and not (module == "selftest" and scope.startswith("_check_"))}
     assert others == set()
+
+
+def _rounds_a_step_size(node):
+    """Whether a call rounds to a number of digits, the form of the step-size
+    key (round(x, n), np.round(x, n) or x.round(n)), or rounds anything
+    named like a step size."""
+    func = node.func
+    if getattr(func, "id", getattr(func, "attr", None)) not in ("round",
+                                                                 "around"):
+        return False
+    method = (isinstance(func, ast.Attribute)
+              and getattr(func.value, "id", None) not in ("np", "numpy"))
+    digits = len(node.args) + len(node.keywords) > (0 if method else 1)
+    return digits or any("dt" in n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name))
+
+
+def test_only_per_step_rounds_a_step_size():
+    # every solver built once per step size shares the one key of
+    # FormCache.per_step, so no two sites can disagree on which steps match
+    rounders = [(module, scope) for module, scope, node in _nodes()
+                if isinstance(node, ast.Call) and _rounds_a_step_size(node)]
+    assert rounders == [("mesh", "FormCache.per_step")]
+
+
+def _step_operator(cache, space, decomp, dt):
+    cache.step_operator(space, dt)
+
+
+def _sweeper(cache, space, decomp, dt):
+    AdditiveSchwarz.cached(cache, space, dt, decomp)
+
+
+def _cg_slab_lu(cache, space, decomp, dt):
+    propagate_cg(space, [0.0, dt], 2, space.interpolate(np.sin), None, cache)
+
+
+FETCH = {"step": _step_operator, "schwarz": _sweeper, "cg_slab": _cg_slab_lu}
+
+
+@pytest.mark.parametrize("kind", FETCH)
+def test_per_step_shares_one_solver_across_a_linspace_grid(monkeypatch, kind):
+    dts = np.diff(np.linspace(0.0, 0.7, 8))
+    assert len(set(dts)) > 1  # the steps differ in the last bits
+    cache = FormCache()
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space, decomp = FeSpace(mesh, 2), decompose_domain(mesh, 2, 0.25, 0.4)
+    got = []
+    per_step = cache.per_step
+
+    def recording(space, dt, build, *key):
+        solver = per_step(space, dt, build, *key)
+        if key[0] == kind:
+            got.append(solver)
+        return solver
+
+    monkeypatch.setattr(cache, "per_step", recording)
+    for dt in [*dts, 0.05]:
+        FETCH[kind](cache, space, decomp, dt)
+    assert len(got) == len(dts) + 1
+    assert all(solver is got[0] for solver in got[:-1])
+    assert got[-1] is not got[0]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parapost.adjoint import (
-    SpatialAdjointSolver,
     solve_auxiliary_adjoints,
     solve_coarse_adjoint,
     solve_fine_adjoints,
@@ -33,7 +32,7 @@ from parapost.mesh import (
     qoi_eval,
 )
 from parapost.parareal import vpar
-from parapost.schwarz import decompose_domain
+from parapost.schwarz import AdditiveSchwarz, decompose_domain
 from parapost.timestepping import (
     TimePartition,
     Trajectory,
@@ -178,20 +177,19 @@ def _schwarz_step_setup(K_s=2):
     cache = FormCache()
     traj = propagate_be(space, grid, space.interpolate(prob.u0), prob.f,
                         cache, decomp=decomp, K_s=K_s)
-    # the solver dd_split looks up for these steps
-    solver = SpatialAdjointSolver.cached(cache, adj_space, grid[1] - grid[0],
-                                         decomp)
+    # the sweeper whose adjoints dd_split takes for these steps
+    sweeper = AdditiveSchwarz.cached(cache, adj_space, grid[1] - grid[0], decomp)
     ev = ResidualEvaluator(prob.f, cache)
     phi_val = adj_space.interpolate(lambda x: np.sin(np.pi * x) * (1 + x))
-    return traj, solver, ev, phi_val
+    return traj, sweeper, ev, phi_val
 
 
 def test_dd_split_sums_to_global_weighted_algebraic_error():
-    traj, solver, ev, phi_val = _schwarz_step_setup()
+    traj, sweeper, ev, phi_val = _schwarz_step_setup()
     for n in (1, 3, 5):
-        E_K, E_N = dd_split(traj, n, solver.decomp, phi_val, ev)
+        E_K, E_N = dd_split(traj, n, sweeper.decomp, phi_val, ev)
         dt = traj.times[n] - traj.times[n - 1]
-        space3 = solver.space
+        space3 = sweeper.space
         M3x = ev.cache.mass(space3, traj.space)
         B3x = M3x + dt * ev.cache.stiffness(space3, traj.space)
         if n == 1:
@@ -200,27 +198,28 @@ def test_dd_split_sums_to_global_weighted_algebraic_error():
         else:
             ell = M3x @ traj.field(n - 1).coefficients
         ell = ell + dt * assemble_load(space3, traj.times[n], ev.f)
-        Phi = solver.solve_global(phi_val)
-        lhs = Phi.coefficients @ ell - Phi.coefficients @ (B3x @ traj.field(n).coefficients)
+        Phi = ev.cache.step_operator(space3, dt).solve(
+            ev.cache.mass(space3, space3) @ phi_val.coefficients)
+        lhs = Phi @ ell - Phi @ (B3x @ traj.field(n).coefficients)
         scale = max(1.0, abs(lhs))
         assert abs((E_K + E_N) - lhs) < 1e-14 * scale
 
 
 def test_dd_split_summation_order_invariance():
-    traj, solver, ev, phi_val = _schwarz_step_setup(K_s=4)
+    traj, sweeper, ev, phi_val = _schwarz_step_setup(K_s=4)
     n = 2
-    E_K, E_N = dd_split(traj, n, solver.decomp, phi_val, ev)
+    E_K, E_N = dd_split(traj, n, sweeper.decomp, phi_val, ev)
     # recompute E_N summing subdomains first, sweeps second
     rec = traj.schwarz_records[n - 1]
     K_s = len(rec.locals_)
     dt = traj.times[n] - traj.times[n - 1]
-    space3 = solver.space
+    space3 = sweeper.space
     M3x = ev.cache.mass(space3, traj.space)
     B3x = M3x + dt * ev.cache.stiffness(space3, traj.space)
     ell = M3x @ traj.field(n - 1).coefficients + dt * assemble_load(space3, traj.times[n], ev.f)
-    chi = solver.solve_subdomain(phi_val, K_s)
+    chi = sweeper.adjoint(phi_val, K_s)
     E_N_alt = 0.0
-    for i in range(solver.decomp.P_s):
+    for i in range(sweeper.decomp.P_s):
         for ks in range(1, K_s + 1):
             c = chi[ks - 1][i]
             E_N_alt += c @ ell - c @ (B3x @ rec.locals_[ks - 1][i])
@@ -230,11 +229,11 @@ def test_dd_split_summation_order_invariance():
 def test_dd_split_iteration_part_shrinks_when_converged():
     # more sweeps remove the algebraic error, so E_K decays toward zero while
     # the discretization part E_N does not
-    few, solver_f, ev_f, phi_f = _schwarz_step_setup(K_s=2)
-    many, solver_m, ev_m, phi_m = _schwarz_step_setup(K_s=60)
+    few, sweeper_f, ev_f, phi_f = _schwarz_step_setup(K_s=2)
+    many, sweeper_m, ev_m, phi_m = _schwarz_step_setup(K_s=60)
     for n in (1, 4):
-        E_K_few, E_N_few = dd_split(few, n, solver_f.decomp, phi_f, ev_f)
-        E_K_many, E_N_many = dd_split(many, n, solver_m.decomp, phi_m, ev_m)
+        E_K_few, E_N_few = dd_split(few, n, sweeper_f.decomp, phi_f, ev_f)
+        E_K_many, E_N_many = dd_split(many, n, sweeper_m.decomp, phi_m, ev_m)
         assert abs(E_K_many) < 1e-6
         assert abs(E_K_many) < 1e-3 * abs(E_K_few)
         assert abs(E_N_many) > 1e-6
@@ -255,7 +254,7 @@ def test_dd_split_requires_sweep_records():
 
 def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():
     # a NaN in a fine adjoint makes the step's spatial adjoints non-finite:
-    # their solver raises, and the split names the subdomain and step
+    # the global one raises first, and the split names the subdomain and step
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 8)
     coarse, fine, adj_space = (FeSpace(mesh, q) for q in (1, 2, 3))

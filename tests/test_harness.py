@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 import parapost.mesh as mesh_module
+import parapost.schwarz as schwarz_module
 from parapost import cli, harness
-from parapost.adjoint import SpatialAdjointSolver
 from parapost.cli import main as cli_main
 from parapost.harness import (
     ExperimentConfig,
@@ -132,29 +132,30 @@ def test_config_rejects_bad_values_by_name(overrides, name):
 
 def test_stpa_run_builds_one_sweeper_per_space(monkeypatch):
     # the fine solves of every Parareal iteration share one cached sweeper,
-    # the spatial adjoints reuse the factorizations of a second one, and
-    # every step's split shares one spatial adjoint solver
-    built, spatial_built = [], []
+    # every step's split takes its subdomain adjoints from a second one, and
+    # that one builds its overlap-counted blocks once
+    built, counted = [], []
     init = AdditiveSchwarz.__init__
-    spatial_init = SpatialAdjointSolver.__init__
+    assemble = schwarz_module.assemble_matrix
 
-    def counting_init(self, space, B_dense, decomp):
+    def counting_init(self, space, *args):
         built.append(space.degree)
-        init(self, space, B_dense, decomp)
+        init(self, space, *args)
 
-    def counting_spatial_init(self, space, *args, **kwargs):
-        spatial_built.append(space.degree)
-        spatial_init(self, space, *args, **kwargs)
+    def counting_assemble(row_space, col_space, kind, elements):
+        counted.append((row_space.degree, kind))
+        return assemble(row_space, col_space, kind, elements)
 
     monkeypatch.setattr(AdditiveSchwarz, "__init__", counting_init)
-    monkeypatch.setattr(SpatialAdjointSolver, "__init__",
-                        counting_spatial_init)
+    monkeypatch.setattr(schwarz_module, "assemble_matrix", counting_assemble)
     cfg = ExperimentConfig(Nhat_t=4, r=2, P_t=2, K_t=2, Nhat_s=8, qhat_s=1,
                            q_s=2, schwarz=True, P_s=2, K_s=2, beta=0.25,
                            nu=2, mu=2, T=0.5)
     run_experiment(cfg)
     assert sorted(built) == [cfg.q_s, cfg.adjoint_space_degree]
-    assert spatial_built == [cfg.adjoint_space_degree]
+    assert counted == [(cfg.adjoint_space_degree, kind)
+                       for kind in ("mass", "stiffness")
+                       for _ in range(cfg.P_s)]
 
 
 @pytest.mark.parametrize("overrides", [

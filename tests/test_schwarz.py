@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from parapost.harness import build_manufactured
 from parapost.mesh import FeSpace, FormCache, SpatialMesh
@@ -58,6 +59,15 @@ def test_decompose_rejects_bad_inputs():
     assert decompose_domain(mesh, 1, 0.2, tau=1.99).tau == 1.99
 
 
+def test_decompose_states_the_strict_overlap_bound():
+    # blocks of 2 elements: round(beta * 2) >= 1 needs beta > 0.25, as
+    # round(0.5) is 0, so the stated bound itself is rejected
+    mesh = SpatialMesh.uniform(0.0, 1.0, 10)
+    with pytest.raises(ValueError, match=r"need beta > 0\.25 "):
+        decompose_domain(mesh, 5, 0.25, 0.4)
+    assert decompose_domain(mesh, 5, 0.2501, 0.4).ranges[0] == (0, 3)
+
+
 def test_subdomain_dof_sets_structure():
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
@@ -106,11 +116,10 @@ def test_sweep_fixed_point():
     space = FeSpace(mesh, 2)
     d = decompose_domain(mesh, 2, 0.25, 0.4)
     cache = FormCache()
-    B = cache.mass(space, space) + 0.02 * cache.stiffness(space, space)
     rng = np.random.default_rng(9)
     rhs = rng.standard_normal(space.dof_count)
     exact = cache.step_operator(space, 0.02).solve(rhs)
-    sweeper = AdditiveSchwarz(space, B, d)
+    sweeper = AdditiveSchwarz(space, 0.02, d, cache)
     u, _ = sweeper.solve(rhs, exact, 4)
     assert np.max(np.abs(u - exact)) < 1e-11
 
@@ -122,10 +131,9 @@ def test_blend_identity_from_record():
     space = FeSpace(mesh, 2)
     d = decompose_domain(mesh, 2, 0.2, 0.4)
     cache = FormCache()
-    B = cache.mass(space, space) + 0.05 * cache.stiffness(space, space)
     rng = np.random.default_rng(4)
     rhs = rng.standard_normal(space.dof_count)
-    sweeper = AdditiveSchwarz(space, B, d)
+    sweeper = AdditiveSchwarz(space, 0.05, d, cache)
     guess = rng.standard_normal(space.dof_count)
     _, rec = sweeper.solve(rhs, guess, 3)
     tau, P_s = d.tau, d.P_s
@@ -141,10 +149,9 @@ def test_locals_match_iterate_outside_closure():
     space = FeSpace(mesh, 2)
     d = decompose_domain(mesh, 2, 0.2, 0.4)
     cache = FormCache()
-    B = cache.mass(space, space) + 0.05 * cache.stiffness(space, space)
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal(space.dof_count)
-    sweeper = AdditiveSchwarz(space, B, d)
+    sweeper = AdditiveSchwarz(space, 0.05, d, cache)
     _, rec = sweeper.solve(rhs, np.zeros(space.dof_count), 2)
     for k in range(2):
         for i in range(d.P_s):
@@ -162,13 +169,27 @@ def test_local_solves_satisfy_restricted_system():
     B = cache.mass(space, space) + 0.05 * cache.stiffness(space, space)
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(space.dof_count)
-    sweeper = AdditiveSchwarz(space, B, d)
+    sweeper = AdditiveSchwarz(space, 0.05, d, cache)
     _, rec = sweeper.solve(rhs, np.zeros(space.dof_count), 2)
     for k in range(2):
         for i in range(d.P_s):
             interior, _ = subdomain_dof_sets(space, d, i)
             res = (B @ rec.locals_[k][i])[interior] - rhs[interior]
             assert np.max(np.abs(res)) < 1e-11
+
+
+def test_sweeper_blocks_are_cut_bitwise_from_the_step_matrix():
+    # M[ix] + dt*A[ix] is elementwise the cut of the dense M + dt*A
+    mesh = SpatialMesh.uniform(0.0, 1.0, 16)
+    space = FeSpace(mesh, 2)
+    d = decompose_domain(mesh, 4, 0.25, 0.4)
+    cache = FormCache()
+    B = cache.mass(space, space) + 0.03 * cache.stiffness(space, space)
+    sweeper = AdditiveSchwarz(space, 0.03, d, cache)
+    for i, (interior, trace) in enumerate(sweeper.sets):
+        assert np.array_equal(sweeper._coupling[i], B[np.ix_(interior, trace)])
+        assert np.array_equal(sweeper._chol[i], sla.cho_factor(
+            B[np.ix_(interior, interior)])[0])
 
 
 def test_schwarz_stepping_rejects_zero_sweeps():

@@ -329,10 +329,11 @@ def test_cg_homogeneous_none_equals_zero_forcing():
 
 
 def test_cg_slab_factors_die_with_their_cache():
-    # the slab factorizations, the Schwarz sweepers and the spatial adjoint
-    # solvers belong to the FormCache passed in: once the cache, the spaces
-    # and the decomposition are dropped nothing else keeps them alive, and
-    # reference counting alone frees them (no cycle waits for the collector)
+    # the slab factorizations and the Schwarz sweepers, with the blocks
+    # their adjoints build, belong to the FormCache passed in: once the
+    # cache, the spaces and the decomposition are dropped nothing else keeps
+    # them alive, and reference counting alone frees them (no cycle waits
+    # for the collector)
     mesh = SpatialMesh.uniform(0.0, 1.0, 6)
     space = FeSpace(mesh, 2)
     adj_space = FeSpace(mesh, 3)
