@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (assemble_load, embed, gauss_rule, lagrange_derivs,
-                   lagrange_values)
+from .mesh import (assemble_load, dots, embed, gauss_rule, groups,
+                   lagrange_derivs, lagrange_values, matvecs)
 from .schwarz import AdditiveSchwarz
 
 
@@ -102,35 +102,39 @@ class ResidualEvaluator:
         M_x = self.cache.mass(ws, ts)
         M_inc = self.cache.mass(ws, traj.incoming.space)
         dg0 = traj.q_t == 0
-        dlam = lagrange_derivs(traj.q_t, self._s)
         lam_w = lagrange_values(weight.q_t, self._s).T  # (nq, q_w+1)
         lam_w0 = lagrange_values(weight.q_t, [0.0]).T
-        lam_u = lagrange_values(traj.q_t, self._s).T
         loads = self.load(ws, traj)
-        out = np.zeros(traj.n_steps)
-        for n in range(1, traj.n_steps + 1):
-            t0, t1 = traj.times[n - 1], traj.times[n]
-            dt = t1 - t0
-            slab = weight.slab_index(t0, t1)
-            phi_q = lam_w @ weight.coeffs[slab]  # (nq, dof_w)
-            c = traj.coeffs[n - 1]
-            Au_q = ([A_x @ c[0]] * N_QUAD_T if dg0 else
-                    [A_x @ u for u in lam_u @ c])
-            du_q = dlam.T @ c / dt
-            acc = 0.0
-            for q in range(N_QUAD_T):
-                r = loads[n - 1, q] @ phi_q[q] - phi_q[q] @ Au_q[q]
-                if not dg0:
-                    r -= phi_q[q] @ (M_x @ du_q[q])
-                acc += self._w[q] * r
-            out[n - 1] = acc * dt
-            if n == 1:
-                jump = M_x @ c[0] - M_inc @ traj.incoming.coefficients
-            elif dg0:
-                jump = M_x @ (c[0] - traj.coeffs[n - 2, 0])
-            else:
-                continue
-            out[n - 1] -= (lam_w0 @ weight.coeffs[slab])[0] @ jump
+        c = traj.coeffs
+        dts = np.diff(traj.times)
+        slabs = [weight.slab_index(t0, t1)
+                 for t0, t1 in zip(traj.times[:-1], traj.times[1:])]
+        # every step's products at once, each by the one BLAS call of its own
+        # step's product (mesh.matvecs, mesh.dots)
+        W = weight.coeffs[slabs]
+        phi_q = np.matmul(lam_w, W)  # (steps, nq, dof_w)
+        if dg0:
+            Au = matvecs(A_x, c[:, 0])
+            Au_q = [Au] * N_QUAD_T
+        else:
+            u_q = np.matmul(lagrange_values(traj.q_t, self._s).T, c)
+            Au_q = [matvecs(A_x, u_q[:, q]) for q in range(N_QUAD_T)]
+            du_q = (np.matmul(lagrange_derivs(traj.q_t, self._s).T, c)
+                    / dts[:, None, None])
+        acc = np.zeros(traj.n_steps)
+        for q in range(N_QUAD_T):
+            r = dots(loads[:, q], phi_q[:, q]) - dots(phi_q[:, q], Au_q[q])
+            if not dg0:
+                r -= dots(phi_q[:, q], matvecs(M_x, du_q[:, q]))
+            acc += self._w[q] * r
+        out = acc * dts
+        # the jumps: against the incoming value at n = 1, and for q_t = 0 at
+        # every later node; for cG they are exactly zero and skipped
+        jumps = (M_x @ c[0, 0] - M_inc @ traj.incoming.coefficients)[None]
+        if dg0:
+            jumps = np.vstack([jumps, matvecs(M_x, c[1:, 0] - c[:-1, 0])])
+        phi0 = np.matmul(lam_w0, W[:len(jumps)])[:, 0]
+        out[:len(jumps)] -= dots(phi0, jumps)
         return out
 
 
@@ -204,50 +208,107 @@ def tpa_breakdown(partition, state, adjoints, problem, true_error, cache):
     return ErrorBreakdown("TPA", comps, true_error)
 
 
-def dd_split(traj, n, decomp, phi_val, ev):
-    """Thm-2 split of the step-n algebraic error into discretization (E^N)
-    and Schwarz-iteration (E^K) parts, for a Schwarz-solved trajectory.
+def _step_functionals(traj, space3, ev):
+    """Each step's right-hand functional evaluated on degree-3 fields,
+    (steps, dof3): the previous value's (the incoming one's at n = 1) mass
+    pairing plus dt times the step-end load."""
+    cache = ev.cache
+    prev = np.empty((traj.n_steps, space3.dof_count))
+    prev[0] = (cache.mass(space3, traj.incoming.space)
+               @ traj.incoming.coefficients)
+    prev[1:] = matvecs(cache.mass(space3, traj.space), traj.coeffs[:-1, -1])
+    loads = ev.load(space3, traj, ends=True)
+    return prev + np.diff(traj.times)[:, None] * loads
 
-    The spatial adjoints live in phi_val's space: the global one is solved
-    with the cached step operator, the per-sweep subdomain ones by the
-    cached sweeper of that space, the step's dt and the decomposition.  A
-    non-finite spatial adjoint raises a ValueError naming it and dt.
+
+def dd_split(trajs, weights, decomp, ev):
+    """Thm-2 split of every step's algebraic error into discretization (E^N)
+    and Schwarz-iteration (E^K) parts, for Schwarz-solved trajectories
+    sharing one space.
+
+    Step n of trajs[p-1] is weighted by the nodal field weights[p-1][n-1],
+    all in one space, in which the spatial adjoints live.  Returns (E_K,
+    E_N), one entry per step, in (p, n) order.  The steps are split
+    together, grouped by the cached sweeper of their step size and by their
+    sweep count: per group one multi-column solve with the cached step
+    operator gives the global adjoints and one backward recursion of the
+    sweeper the per-sweep subdomain ones, and every value is bitwise that
+    of the step's own split.  A non-finite spatial adjoint raises a
+    ValueError naming it, dt, p and n: a global one first, for the first
+    step that has one, then a subdomain one, for the first step of a group
+    that has one.
     """
-    if traj.schwarz_records is None:
+    if any(traj.schwarz_records is None for traj in trajs):
         raise ValueError("trajectory carries no Schwarz sweep record")
-    rec = traj.schwarz_records[n - 1]
-    K_s = len(rec.locals_)
-    cache, space3 = ev.cache, phi_val.space
-    dt = traj.times[n] - traj.times[n - 1]
-    M3x = cache.mass(space3, traj.space)
+    cache, space3, space = ev.cache, weights[0][0].space, trajs[0].space
+    where = [(p, n) for p, traj in enumerate(trajs, 1)
+             for n in range(1, traj.n_steps + 1)]
+    records = [rec for traj in trajs for rec in traj.schwarz_records]
+    dts = np.concatenate([np.diff(traj.times) for traj in trajs]).tolist()
+    ell = np.concatenate([_step_functionals(traj, space3, ev)
+                          for traj in trajs])
+    u_n = np.concatenate([traj.coeffs[:, -1] for traj in trajs])
+    phi = np.array([w.coefficients for ws in weights for w in ws])
+    distinct = dict.fromkeys(dts)
+    sweepers = {dt: AdditiveSchwarz.cached(cache, space3, dt, decomp)
+                for dt in distinct}
     # one dense M + dt*A per exact dt, not per_step's: shared across the
     # steps of a linspace grid, it moves 19 registry values past 1e-12
     # relative (D_s by up to 8.9e-7 on pardd_fine_time[r=2], D_k by 1.4e-11)
-    B3x = cache.factor(
-        ("step_matrix", space3, traj.space, dt),
-        lambda: M3x + dt * cache.stiffness(space3, traj.space))
-    # the step's right-hand functional evaluated on degree-3 fields
-    if n == 1:
-        M3inc = cache.mass(space3, traj.incoming.space)
-        ell = M3inc @ traj.incoming.coefficients
-    else:
-        ell = M3x @ traj.field(n - 1).coefficients
-    ell = ell + dt * ev.load(space3, traj, ends=True)[n - 1]
+    M3x = cache.mass(space3, space)
+    B3x = {dt: cache.factor(
+        ("step_matrix", space3, space, dt),
+        lambda: M3x + dt * cache.stiffness(space3, space)) for dt in distinct}
 
-    Phi = cache.step_operator(space3, dt).solve(
-        cache.mass(space3, space3) @ phi_val.coefficients)
-    if not np.isfinite(Phi).all():
-        raise ValueError(f"non-finite global spatial adjoint (dt={dt:.6g})")
-    sweeper = AdditiveSchwarz.cached(cache, space3, dt, decomp)
-    chi = sweeper.adjoint(phi_val, K_s)
-    E_N = 0.0
-    for ks in range(1, K_s + 1):
-        for i in range(decomp.P_s):
-            c = chi[ks - 1][i]
-            E_N += c @ ell - c @ (B3x @ rec.locals_[ks - 1][i])
-    u_n = traj.field(n).coefficients
-    E_K = Phi @ ell - Phi @ (B3x @ u_n) - E_N
-    return E_K, E_N
+    def b3x_times(X, by_dt):
+        """B3x @ x for each row x of X, with the B3x of each row's exact dt."""
+        out = np.empty((len(X), space3.dof_count))
+        for dt, rows in by_dt:
+            out[rows] = matvecs(B3x[dt], X[rows])
+        return out
+
+    def fail(kind, j, exc=None):
+        p, n = where[j]
+        raise ValueError(f"non-finite {kind} spatial adjoint "
+                         f"(dt={dts[j]:.6g}) at p={p}, n={n}") from exc
+
+    # the step operator and the sweeper share per_step's key, so the
+    # operator of a group's first step serves the group
+    by_sweeper = [(sweeper, K_s, cols, groups([dts[j] for j in cols]))
+                  for (sweeper, K_s), cols in groups(
+                      [(sweepers[dt], len(rec.locals_))
+                       for dt, rec in zip(dts, records)])]
+    E_K = np.empty(len(dts))
+    finite = np.empty(len(dts), dtype=bool)
+    for _, _, cols, by_dt in by_sweeper:
+        Phi = cache.step_operator(space3, dts[cols[0]]).solve(
+            matvecs(cache.mass(space3, space3), phi[cols]).T).T
+        finite[cols] = np.isfinite(Phi).all(axis=1)
+        E_K[cols] = (dots(Phi, ell[cols])
+                     - dots(Phi, b3x_times(u_n[cols], by_dt)))
+    if not finite.all():
+        fail("global", int(np.argmin(finite)))
+    E_N = np.zeros(len(dts))
+    for sweeper, K_s, cols, by_dt in by_sweeper:
+        terms = np.empty((K_s, decomp.P_s, len(cols)))
+        try:
+            for ks, i, chi in sweeper.adjoint(phi[cols], K_s):
+                local = np.array([records[j].locals_[ks - 1][i] for j in cols])
+                terms[ks - 1, i] = (dots(chi, ell[cols])
+                                    - dots(chi, b3x_times(local, by_dt)))
+        except ValueError as exc:
+            # the first column whose own recursion fails
+            for j in cols:
+                try:
+                    for _ in sweeper.adjoint(phi[j:j + 1], K_s):
+                        pass
+                except ValueError:
+                    fail("subdomain", j, exc)
+            raise
+        for ks in range(K_s):  # summed as the step's own split sums them
+            for i in range(decomp.P_s):
+                E_N[cols] += terms[ks, i]
+    return E_K - E_N, E_N
 
 
 def stpa_breakdown(partition, state, adjoints, problem, true_error,
@@ -257,24 +318,26 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
     Splits the fine discretization component into temporal (D_t), spatial
     (D_s) and Schwarz-iteration (D_k) parts; A, C, K are as in the
     time-parallel decomposition but on the Schwarz trajectories.  decomp is
-    the decomposition the fine solves were swept over; a non-finite
-    spatial adjoint, E_K or E_N raises, naming p and n.
+    the decomposition the fine solves were swept over; one dd_split call
+    splits every step, and a non-finite spatial adjoint, E_K or E_N raises,
+    naming p and n.
     """
     _require_families(adjoints)
     ev = ResidualEvaluator(problem.f, cache)
     fine_space = state.fine[0].space
+    fine_adjs = adjoints["fine"]
+    split = zip(*dd_split(
+        state.fine, [[adj.value_at_node(t) for t in traj.times[1:]]
+                     for traj, adj in zip(state.fine, fine_adjs)], decomp, ev))
     D_t = D_s = D_k = 0.0
     for p in range(1, partition.P_t + 1):
         traj = state.fine[p - 1]
-        res = ev.residual(traj, adjoints["fine"][p - 1])
+        res = ev.residual(traj, fine_adjs[p - 1])
         for n in range(1, traj.n_steps + 1):
-            phi_val = adjoints["fine"][p - 1].value_at_node(traj.times[n])
-            try:
-                E_K, E_N = dd_split(traj, n, decomp, phi_val, ev)
-            except ValueError as exc:
-                raise ValueError(f"{exc} at p={p}, n={n}") from exc
+            E_K, E_N = next(split)
             if not (math.isfinite(E_K) and math.isfinite(E_N)):
-                raise ValueError(f"non-finite E_K={E_K}, E_N={E_N} at p={p}, n={n}")
+                raise ValueError(f"non-finite E_K={E_K}, E_N={E_N} "
+                                 f"at p={p}, n={n}")
             D_t += res[n - 1] - E_K - E_N
             D_s += E_N
             D_k += E_K

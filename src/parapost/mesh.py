@@ -3,8 +3,8 @@
 Provides uniform meshes, nodal FE spaces of arbitrary degree with nodal
 interpolation (and exact embedding into a richer space), assembly of
 mass/stiffness/load forms (including cross-space and element-restricted
-variants), banded SPD solves, and evaluation of terminal-time quantities of
-interest.
+variants), banded SPD solves, row-by-row products of blocks, and evaluation
+of terminal-time quantities of interest.
 
 All objects are immutable after construction and safe to share.
 """
@@ -235,6 +235,29 @@ def lapack_solution(routine, x, info):
     if info != 0:
         raise sla.LinAlgError(f"{routine} returned info={info}")
     return x
+
+
+# Row by row products of a block: a matrix product with a block of columns,
+# B @ X.T, sums in another order than B @ x does for each column, but numpy's
+# stacked matmul makes the one-vector BLAS call (dgemv, ddot) once per row,
+# so each row is bitwise that row's own product.
+
+def matvecs(B, X):
+    """B @ x for each row x of X, as the rows of a (rows, B.shape[0]) array."""
+    return np.matmul(B, X[..., None])[..., 0]
+
+
+def dots(X, Y):
+    """x @ y for each pair of rows of X and Y."""
+    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
+
+
+def groups(keys):
+    """(key, indices) per distinct key of a sequence, in first-seen order."""
+    index = {}
+    for j, key in enumerate(keys):
+        index.setdefault(key, []).append(j)
+    return [(key, np.array(js)) for key, js in index.items()]
 
 
 def assemble_matrix(row_space, col_space, kind, elements=None):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy.linalg.lapack import dpotrs
 
-from .mesh import assemble_matrix, lapack_solution
+from .mesh import assemble_matrix, lapack_solution, matvecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,28 +201,30 @@ class AdditiveSchwarz:
         return Mm, [_cut(Mm, Am, self.dt, interior, interior)
                     for interior, _ in self.sets]
 
-    def adjoint(self, weight, K_s):
-        """Per-sweep subdomain adjoints of K_s sweeps for a weight field in
-        this sweeper's space: the sweeps run backwards.
+    def adjoint(self, weights, K_s):
+        """Per-sweep subdomain adjoints of K_s sweeps for a (columns, dof)
+        block of weights in this sweeper's space: the sweeps run backwards.
 
-        Returns chi[k_s][i] (1-based k_s flattened to index k_s-1) as
-        full-length coefficient vectors, zero outside the interior of
-        subdomain i; on its interior rows
-        B chi_i^{k_s} = tau (Mm weight - Bm sum_{l > k_s} chi_i^l).
+        Yields (k_s, i, chi) for each subdomain i and, within it, k_s from
+        K_s down to 1, with chi the (columns, dof) block of the adjoints
+        chi_i^{k_s}, zero outside the interior of subdomain i; on its
+        interior rows B chi_i^{k_s} = tau (Mm weight - Bm sum_{l > k_s}
+        chi_i^l).  The columns are swept together with one local solve per
+        subdomain and sweep, and each is bitwise its own one-row block's.
         A non-finite chi raises a ValueError naming the adjoint and dt.
         """
         Mm, Bm = self._counted
-        tau, P_s = self.decomp.tau, self.decomp.P_s
-        ndof = self.space.dof_count
-        chi = [[np.zeros(ndof) for _ in range(P_s)] for _ in range(K_s)]
-        tMw = tau * (Mm @ weight.coefficients)
+        tau = self.decomp.tau
+        tMw = tau * matvecs(Mm, weights)
         for i, (interior, _) in enumerate(self.sets):
-            running = np.zeros(len(interior))  # sum_{l > k_s} chi_i^l
+            running = np.zeros((len(weights), len(interior)))  # sum_{l > k_s}
             for ks in range(K_s, 0, -1):
-                x = self.local_solve(i, tMw[interior] - tau * (Bm[i] @ running))
-                chi[ks - 1][i][interior] = x
+                r = tMw[:, interior] - tau * matvecs(Bm[i], running)
+                x = self.local_solve(i, r.T).T
+                if not np.isfinite(x).all():
+                    raise ValueError(f"non-finite subdomain spatial adjoint "
+                                     f"(dt={self.dt:.6g})")
+                chi = np.zeros_like(tMw)
+                chi[:, interior] = x
+                yield ks, i, chi
                 running = running + x
-        if not np.isfinite(chi).all():
-            raise ValueError(f"non-finite subdomain spatial adjoint "
-                             f"(dt={self.dt:.6g})")
-        return chi

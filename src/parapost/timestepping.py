@@ -17,9 +17,11 @@ from scipy.linalg.lapack import dgetrs
 from .mesh import (
     NodalField,
     gauss_rule,
+    groups,
     lagrange_values,
     lagrange_derivs,
     lapack_solution,
+    matvecs,
 )
 from .schwarz import AdditiveSchwarz
 
@@ -159,14 +161,6 @@ def _require_finite(coeffs, times):
         raise ValueError(f"non-finite solution at step n={n}, t={times[n]:.6g}")
 
 
-def _shared_factors(dts, solver_of):
-    """One step's columns grouped by the factor they share: a (columns,
-    solver) pair per distinct solver the cache returns for their dts."""
-    solvers = [solver_of(dt) for dt in dts]
-    return [(np.flatnonzero([s is solver for s in solvers]), solver)
-            for solver in dict.fromkeys(solvers)]
-
-
 def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     """Implicit Euler over a step grid: (M + dt A) U_n = (U_{n-1}, .) + dt l(t_n).
 
@@ -196,22 +190,22 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     M = cache.mass(space, space)
     coeffs = np.zeros((P, n_steps, 1, ndof))
     # (U_0, phi_i) per column; every matrix-vector product here is one
-    # column's, as a product with a block of columns sums in another order
+    # column's (mesh.matvecs), as a product with a block of columns sums in
+    # another order
     prev_m = np.array([cache.mass(space, u0.space) @ u0.coefficients
                        for u0 in ics])
     loads = np.stack([cache.load(space, g[1:], f) for g in grids], axis=1)
     records = [[] for _ in range(P)]
-    solver_dts = None
-    for n in range(1, n_steps + 1):
-        dts = grids[:, n] - grids[:, n - 1]
-        if not np.array_equal(dts, solver_dts):
-            solver_dts = dts
-            groups = _shared_factors(
-                dts, lambda dt: cache.step_operator(space, dt) if decomp is None
-                else AdditiveSchwarz.cached(cache, space, dt, decomp))
+    steps = np.diff(grids, axis=1).T  # (n_steps, P)
+    # one lookup per distinct exact dt, in step order, so each solver is
+    # still built from the first dt of its key
+    solvers = {dt: cache.step_operator(space, dt) if decomp is None
+               else AdditiveSchwarz.cached(cache, space, dt, decomp)
+               for dt in dict.fromkeys(steps.ravel().tolist())}
+    for n, dts in enumerate(steps, 1):
         rhs = prev_m + dts[:, None] * loads[n - 1]
         u = np.empty_like(rhs)
-        for cols, solver in groups:
+        for solver, cols in groups([solvers[dt] for dt in dts.tolist()]):
             b = rhs[cols].T  # (dof, columns)
             if decomp is None:
                 u[cols] = solver.solve(b).T
@@ -221,7 +215,7 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
             for c, j in enumerate(cols):
                 records[j].append(rec.column(c))
         coeffs[:, n - 1, 0] = u
-        prev_m = np.array([M @ col for col in u])
+        prev_m = matvecs(M, u)
     for j in range(P):
         _require_finite(coeffs[j], grids[j])
     trajs = [Trajectory(space, grids[j], 0, coeffs[j], ics[j],
@@ -277,17 +271,17 @@ def propagate_cg(space, times, q_t, ic, f, cache):
             # one vector-matrix product per slab: a (q_t, q_t+3) matrix
             # product per slab sums in another order for q_t >= 2
             coeffs[:, m + 1] = ((dts[:, None, None] * Pw[m]) @ loads)[:, 0]
+    # one lookup per distinct exact dt, in slab order, so each LU is still
+    # built from the first dt of its key
+    lus = {dt: cache.per_step(
+        space, dt,
+        lambda: sla.lu_factor(np.block(
+            [[alpha[m, j] * M + dt * beta[m, j] * A
+              for j in range(1, q_t + 1)] for m in range(q_t)])),
+        "cg_slab", q_t) for dt in dict.fromkeys(dts.tolist())}
     prev = u0
-    lu_dt = None
     for n, dt in enumerate(dts):
-        if dt != lu_dt:
-            lu_dt = dt
-            lu = cache.per_step(
-                space, dt,
-                lambda: sla.lu_factor(np.block(
-                    [[alpha[m, j] * M + dt * beta[m, j] * A
-                      for j in range(1, q_t + 1)] for m in range(q_t)])),
-                "cg_slab", q_t)
+        lu = lus[dt]
         F = coeffs[n, 1:] - (alpha[:, :1] * (M @ prev)
                              + dt * beta[:, :1] * (A @ prev))
         sol = lapack_solution("dgetrs", *dgetrs(*lu, F.ravel()))

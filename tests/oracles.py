@@ -6,6 +6,8 @@ so it also checks that vpar's reuse of converged subdomains changes
 nothing.  dg0_equivalence_check re-solves an implicit-Euler trajectory as
 the dG(0) Galerkin method, with matrices assembled afresh and a dense solve.
 cg_per_slab steps cG(q_t) one slab and one test function at a time.
+dd_split_per_step splits one Schwarz-solved step at a time, with its own
+spatial adjoints and one-vector products.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from scipy import linalg as sla
 from parapost.mesh import (AssembledOperator, assemble_load, assemble_matrix,
                            embed)
 from parapost.parareal import _synchronize
+from parapost.schwarz import AdditiveSchwarz
 from parapost.timestepping import _cg_time_forms
 
 
@@ -116,3 +119,54 @@ def cg_per_slab(space, times, q_t, ic, f):
             coeffs[n, j] = sol[(j - 1) * ndof:j * ndof]
         prev = coeffs[n, -1]
     return coeffs
+
+
+def subdomain_adjoints(sweeper, weight, K_s):
+    """chi[k_s - 1][i], the per-sweep subdomain adjoints of one weight field,
+    by the backward recursion run one subdomain and one sweep at a time
+    with one-vector solves and products."""
+    Mm, Bm = sweeper._counted
+    tau, P_s = sweeper.decomp.tau, sweeper.decomp.P_s
+    ndof = sweeper.space.dof_count
+    chi = [[np.zeros(ndof) for _ in range(P_s)] for _ in range(K_s)]
+    tMw = tau * (Mm @ weight.coefficients)
+    for i, (interior, _) in enumerate(sweeper.sets):
+        running = np.zeros(len(interior))  # sum_{l > k_s} chi_i^l
+        for ks in range(K_s, 0, -1):
+            x = sweeper.local_solve(i, tMw[interior] - tau * (Bm[i] @ running))
+            chi[ks - 1][i][interior] = x
+            running = running + x
+    return chi
+
+
+def dd_split_per_step(traj, n, decomp, phi_val, ev):
+    """(E_K, E_N) of step n of a Schwarz-solved trajectory weighted by
+    phi_val, with the global adjoint solved by the cached step operator and
+    the subdomain ones by the cached sweeper of the step's dt, each looked
+    up for this step alone."""
+    rec = traj.schwarz_records[n - 1]
+    K_s = len(rec.locals_)
+    cache, space3 = ev.cache, phi_val.space
+    dt = traj.times[n] - traj.times[n - 1]
+    M3x = cache.mass(space3, traj.space)
+    B3x = cache.factor(
+        ("step_matrix", space3, traj.space, dt),
+        lambda: M3x + dt * cache.stiffness(space3, traj.space))
+    if n == 1:
+        M3inc = cache.mass(space3, traj.incoming.space)
+        ell = M3inc @ traj.incoming.coefficients
+    else:
+        ell = M3x @ traj.field(n - 1).coefficients
+    ell = ell + dt * ev.load(space3, traj, ends=True)[n - 1]
+    Phi = cache.step_operator(space3, dt).solve(
+        cache.mass(space3, space3) @ phi_val.coefficients)
+    sweeper = AdditiveSchwarz.cached(cache, space3, dt, decomp)
+    chi = subdomain_adjoints(sweeper, phi_val, K_s)
+    E_N = 0.0
+    for ks in range(1, K_s + 1):
+        for i in range(decomp.P_s):
+            c = chi[ks - 1][i]
+            E_N += c @ ell - c @ (B3x @ rec.locals_[ks - 1][i])
+    u_n = traj.field(n).coefficients
+    E_K = Phi @ ell - Phi @ (B3x @ u_n) - E_N
+    return E_K, E_N

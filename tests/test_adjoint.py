@@ -144,6 +144,12 @@ def test_spatial_adjoint_global_solve_residual():
     assert np.max(np.abs(res)) < 1e-12
 
 
+def _chi(sweeper, weight, K_s):
+    """The subdomain adjoints of one weight field, keyed (k_s, i)."""
+    return {(ks, i): chi[0] for ks, i, chi
+            in sweeper.adjoint(weight.coefficients[None], K_s)}
+
+
 def test_spatial_adjoint_subdomain_recursion_residual():
     # rebuild the backward recursion's right-hand sides from the matrices
     # restricted to each overlap Omega_i & Omega_j, summed over j, and check
@@ -155,7 +161,7 @@ def test_spatial_adjoint_subdomain_recursion_residual():
     sweeper = AdditiveSchwarz(space, dt, decomp, FormCache())
     weight = space.interpolate(lambda x: np.sin(np.pi * x))
     K_s = 3
-    chi = sweeper.adjoint(weight, K_s)
+    chi = _chi(sweeper, weight, K_s)
     tau, P_s = decomp.tau, decomp.P_s
     ndof = space.dof_count
     B = (assemble_matrix(space, space, "mass")
@@ -180,11 +186,11 @@ def test_spatial_adjoint_subdomain_recursion_residual():
                 rhs += M_ov[(i, j)] @ weight.coefficients
                 rhs -= B_ov[(i, j)] @ running
             rhs *= tau
-            res = (B @ chi[ks - 1][i])[interior] - rhs[interior]
+            res = (B @ chi[ks, i])[interior] - rhs[interior]
             assert np.max(np.abs(res)) < 1e-12
             outside = np.setdiff1d(np.arange(ndof), interior)
-            assert np.max(np.abs(chi[ks - 1][i][outside])) == 0.0
-            running += chi[ks - 1][i]
+            assert np.max(np.abs(chi[ks, i][outside])) == 0.0
+            running += chi[ks, i]
 
 
 def test_spatial_adjoint_mirror_symmetry():
@@ -195,10 +201,10 @@ def test_spatial_adjoint_mirror_symmetry():
     decomp = decompose_domain(mesh, 2, 0.2, 0.4)
     sweeper = AdditiveSchwarz(space, 0.02, decomp, FormCache())
     weight = space.interpolate(lambda x: np.sin(np.pi * x))
-    chi = sweeper.adjoint(weight, 2)
-    for ks in range(2):
-        mirrored = chi[ks][1][::-1]  # dof coords are symmetric about 0.5
-        assert np.max(np.abs(chi[ks][0] - mirrored)) < 1e-12
+    chi = _chi(sweeper, weight, 2)
+    for ks in (1, 2):
+        mirrored = chi[ks, 1][::-1]  # dof coords are symmetric about 0.5
+        assert np.max(np.abs(chi[ks, 0] - mirrored)) < 1e-12
 
 
 def test_homogeneous_backward_solves_assemble_no_load(monkeypatch):
@@ -246,7 +252,8 @@ def test_nonfinite_spatial_adjoint_names_itself_and_dt(kind):
             traj = propagate_be(fwd, np.linspace(0.0, 0.125, 3),
                                 fwd.interpolate(np.sin), None, cache,
                                 decomp=decomp, K_s=2)
-            dd_split(traj, 1, decomp, weight, ResidualEvaluator(None, cache))
+            dd_split([traj], [[weight] * 2], decomp,
+                     ResidualEvaluator(None, cache))
         else:
-            AdditiveSchwarz.cached(cache, space, 0.0625, decomp).adjoint(
-                weight, 2)
+            list(AdditiveSchwarz.cached(cache, space, 0.0625, decomp).adjoint(
+                weight.coefficients[None], 2))

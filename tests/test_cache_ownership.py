@@ -13,7 +13,7 @@ import pytest
 import parapost
 from parapost.mesh import FeSpace, FormCache, SpatialMesh
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
-from parapost.timestepping import propagate_cg
+from parapost.timestepping import propagate_be, propagate_cg
 
 SRC = Path(parapost.__file__).parent
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -127,3 +127,37 @@ def test_per_step_shares_one_solver_across_a_linspace_grid(monkeypatch, kind):
     assert len(got) == len(dts) + 1
     assert all(solver is got[0] for solver in got[:-1])
     assert got[-1] is not got[0]
+
+
+PROPAGATE = {
+    "step": lambda space, grid, decomp, cache: propagate_be(
+        space, grid, space.interpolate(np.sin), None, cache),
+    "schwarz": lambda space, grid, decomp, cache: propagate_be(
+        space, grid, space.interpolate(np.sin), None, cache, decomp, 2),
+    "cg_slab": lambda space, grid, decomp, cache: propagate_cg(
+        space, grid, 2, space.interpolate(np.sin), None, cache),
+}
+
+
+@pytest.mark.parametrize("kind", PROPAGATE)
+def test_a_propagation_looks_up_each_step_size_once(monkeypatch, kind):
+    # the step sizes of this grid differ in the last bits and come back
+    # after others: one lookup per distinct dt, not one per change of dt
+    grid = np.linspace(0.0, 0.9, 13)
+    dts = np.diff(grid).tolist()
+    changes = sum(a != b for a, b in zip(dts, dts[1:]))
+    assert changes >= len(set(dts)) > 1
+    cache = FormCache()
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space, decomp = FeSpace(mesh, 2), decompose_domain(mesh, 2, 0.25, 0.4)
+    looked_up = []
+    per_step = cache.per_step
+
+    def counting(space, dt, build, *key):
+        if key[0] == kind:
+            looked_up.append(dt)
+        return per_step(space, dt, build, *key)
+
+    monkeypatch.setattr(cache, "per_step", counting)
+    PROPAGATE[kind](space, grid, decomp, cache)
+    assert looked_up == list(dict.fromkeys(dts))

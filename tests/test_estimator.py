@@ -31,6 +31,7 @@ from parapost.mesh import (
     lagrange_derivs,
     qoi_eval,
 )
+import parapost.schwarz as schwarz_module
 from parapost.parareal import vpar
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
 from parapost.timestepping import (
@@ -39,6 +40,8 @@ from parapost.timestepping import (
     propagate_be,
     propagate_cg,
 )
+
+from oracles import dd_split_per_step
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 
@@ -184,10 +187,15 @@ def _schwarz_step_setup(K_s=2):
     return traj, sweeper, ev, phi_val
 
 
+def _split_every_step(traj, sweeper, ev, phi_val):
+    """dd_split of every step of one trajectory, each weighted by phi_val."""
+    return dd_split([traj], [[phi_val] * traj.n_steps], sweeper.decomp, ev)
+
+
 def test_dd_split_sums_to_global_weighted_algebraic_error():
     traj, sweeper, ev, phi_val = _schwarz_step_setup()
+    E_K, E_N = _split_every_step(traj, sweeper, ev, phi_val)
     for n in (1, 3, 5):
-        E_K, E_N = dd_split(traj, n, sweeper.decomp, phi_val, ev)
         dt = traj.times[n] - traj.times[n - 1]
         space3 = sweeper.space
         M3x = ev.cache.mass(space3, traj.space)
@@ -202,13 +210,13 @@ def test_dd_split_sums_to_global_weighted_algebraic_error():
             ev.cache.mass(space3, space3) @ phi_val.coefficients)
         lhs = Phi @ ell - Phi @ (B3x @ traj.field(n).coefficients)
         scale = max(1.0, abs(lhs))
-        assert abs((E_K + E_N) - lhs) < 1e-14 * scale
+        assert abs((E_K[n - 1] + E_N[n - 1]) - lhs) < 1e-14 * scale
 
 
 def test_dd_split_summation_order_invariance():
     traj, sweeper, ev, phi_val = _schwarz_step_setup(K_s=4)
     n = 2
-    E_K, E_N = dd_split(traj, n, sweeper.decomp, phi_val, ev)
+    E_N = _split_every_step(traj, sweeper, ev, phi_val)[1][n - 1]
     # recompute E_N summing subdomains first, sweeps second
     rec = traj.schwarz_records[n - 1]
     K_s = len(rec.locals_)
@@ -217,11 +225,12 @@ def test_dd_split_summation_order_invariance():
     M3x = ev.cache.mass(space3, traj.space)
     B3x = M3x + dt * ev.cache.stiffness(space3, traj.space)
     ell = M3x @ traj.field(n - 1).coefficients + dt * assemble_load(space3, traj.times[n], ev.f)
-    chi = sweeper.adjoint(phi_val, K_s)
+    chi = {(ks, i): c[0] for ks, i, c in
+           sweeper.adjoint(phi_val.coefficients[None], K_s)}
     E_N_alt = 0.0
     for i in range(sweeper.decomp.P_s):
         for ks in range(1, K_s + 1):
-            c = chi[ks - 1][i]
+            c = chi[ks, i]
             E_N_alt += c @ ell - c @ (B3x @ rec.locals_[ks - 1][i])
     assert abs(E_N - E_N_alt) < 1e-13 * max(1.0, abs(E_N))
 
@@ -231,12 +240,12 @@ def test_dd_split_iteration_part_shrinks_when_converged():
     # the discretization part E_N does not
     few, sweeper_f, ev_f, phi_f = _schwarz_step_setup(K_s=2)
     many, sweeper_m, ev_m, phi_m = _schwarz_step_setup(K_s=60)
+    E_K_few, _ = _split_every_step(few, sweeper_f, ev_f, phi_f)
+    E_K_many, E_N_many = _split_every_step(many, sweeper_m, ev_m, phi_m)
     for n in (1, 4):
-        E_K_few, E_N_few = dd_split(few, n, sweeper_f.decomp, phi_f, ev_f)
-        E_K_many, E_N_many = dd_split(many, n, sweeper_m.decomp, phi_m, ev_m)
-        assert abs(E_K_many) < 1e-6
-        assert abs(E_K_many) < 1e-3 * abs(E_K_few)
-        assert abs(E_N_many) > 1e-6
+        assert abs(E_K_many[n - 1]) < 1e-6
+        assert abs(E_K_many[n - 1]) < 1e-3 * abs(E_K_few[n - 1])
+        assert abs(E_N_many[n - 1]) > 1e-6
 
 
 def test_dd_split_requires_sweep_records():
@@ -248,8 +257,106 @@ def test_dd_split_requires_sweep_records():
                         space.interpolate(prob.u0), prob.f, cache)
     decomp = decompose_domain(mesh, 2, 0.2, 0.4)
     ev = ResidualEvaluator(prob.f, cache)
-    with pytest.raises(ValueError):
-        dd_split(traj, 1, decomp, FeSpace(mesh, 3).interpolate(np.sin), ev)
+    with pytest.raises(ValueError, match="no Schwarz sweep record"):
+        dd_split([traj], [[FeSpace(mesh, 3).interpolate(np.sin)] * 5],
+                 decomp, ev)
+
+
+@settings(max_examples=40, deadline=None)
+@given(P_s=st.integers(1, 3), K_s=st.integers(1, 3),
+       last_K_s=st.integers(1, 3), steps=st.integers(1, 4),
+       P_t=st.integers(1, 3), q_s=st.integers(1, 2), q_inc=st.integers(1, 3),
+       T=st.sampled_from([0.3, 0.7, 0.9]), forced=st.booleans(),
+       seed=st.integers(0, 10**6))
+def test_dd_split_matches_the_per_step_oracle(P_s, K_s, last_K_s, steps, P_t,
+                                              q_s, q_inc, T, forced, seed):
+    # every step of several trajectories split together is bitwise its own
+    # split, on linspace grids whose steps differ in the last bits, with
+    # incoming values in other spaces and the last trajectory possibly swept
+    # another number of times; the oracle looks its solvers up step by step
+    # in a cache of its own
+    rng = np.random.default_rng(seed)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 12)
+    space, space3 = FeSpace(mesh, q_s), FeSpace(mesh, q_s + 1)
+    decomp = decompose_domain(mesh, P_s, 0.25, 0.4)
+    grids = np.array(TimePartition.uniform(T, P_t, P_t, steps).fine_grids)
+    ics = []
+    for p in range(P_t):
+        inc = FeSpace(mesh, 1 + (q_inc + p) % 3)
+        ics.append(NodalField(inc, rng.standard_normal(inc.dof_count)))
+    f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
+    cache = FormCache()
+    trajs = propagate_be(space, grids, ics, f, cache, decomp, K_s)
+    trajs[-1] = propagate_be(space, grids[-1], ics[-1], f, cache, decomp,
+                             last_K_s)
+    weights = [[NodalField(space3, rng.standard_normal(space3.dof_count))
+                for _ in range(steps)] for _ in range(P_t)]
+    E_K, E_N = dd_split(trajs, weights, decomp, ResidualEvaluator(f, cache))
+    ev = ResidualEvaluator(f, FormCache())
+    want = np.array([dd_split_per_step(traj, n, decomp, weights[p][n - 1], ev)
+                     for p, traj in enumerate(trajs)
+                     for n in range(1, steps + 1)])
+    assert np.array_equal(E_K, want[:, 0])
+    assert np.array_equal(E_N, want[:, 1])
+
+
+def test_dd_split_names_the_first_step_with_a_nonfinite_subdomain_adjoint(
+        monkeypatch):
+    # a local solve that fails on a zero right-hand side: the zero weight of
+    # step n=2 of p=2 has a finite (zero) global adjoint, and only its
+    # subdomain recursion fails, inside a block with finite columns
+    prob = build_manufactured(2, 2, 0.5)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space, space3 = FeSpace(mesh, 2), FeSpace(mesh, 3)
+    decomp = decompose_domain(mesh, 2, 0.25, 0.4)
+    cache = FormCache()
+    grids = np.array(TimePartition.uniform(0.5, 2, 2, 2).fine_grids)
+    ic = space.interpolate(prob.u0)
+    trajs = propagate_be(space, grids, [ic, ic], prob.f, cache, decomp, 2)
+    weights = [[space3.interpolate(np.sin)] * 2 for _ in range(2)]
+    weights[1][1] = NodalField(space3, np.zeros(space3.dof_count))
+    real = AdditiveSchwarz.local_solve
+
+    def failing(self, i, rhs):
+        x = real(self, i, rhs)
+        x[:, ~np.any(rhs, axis=0)] = np.nan
+        return x
+
+    monkeypatch.setattr(AdditiveSchwarz, "local_solve", failing)
+    with pytest.raises(ValueError, match=r"non-finite subdomain spatial "
+                       r"adjoint \(dt=0\.125\) at p=2, n=2$"):
+        dd_split(trajs, weights, decomp, ResidualEvaluator(prob.f, cache))
+
+
+def test_stpa_split_solves_each_sweeper_group_once(monkeypatch):
+    # the subdomain adjoints of all steps that share a sweeper are one
+    # backward recursion: K_s * P_s local solves per group, not per step
+    cfg = ExperimentConfig(Nhat_t=4, r=2, P_t=2, K_t=2, Nhat_s=8, qhat_s=1,
+                           q_s=2, nu=2, mu=1, T=0.5, schwarz=True, P_s=2,
+                           K_s=3, beta=0.25)
+    groups, inside = [], []
+    real_adjoint, real_dpotrs = AdditiveSchwarz.adjoint, schwarz_module.dpotrs
+
+    def adjoint(self, weights, K_s):
+        groups.append([len(weights), 0])
+        inside.append(True)
+        try:
+            yield from real_adjoint(self, weights, K_s)
+        finally:
+            inside.pop()
+
+    def dpotrs(*args, **kwargs):
+        if inside:
+            groups[-1][1] += 1
+        return real_dpotrs(*args, **kwargs)
+
+    monkeypatch.setattr(AdditiveSchwarz, "adjoint", adjoint)
+    monkeypatch.setattr(schwarz_module, "dpotrs", dpotrs)
+    run_experiment(cfg)
+    steps = cfg.r * cfg.Nhat_t
+    assert sum(columns for columns, _ in groups) == steps
+    assert len(groups) < steps
+    assert all(solves == cfg.K_s * cfg.P_s for _, solves in groups)
 
 
 def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():

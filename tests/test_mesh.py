@@ -14,7 +14,9 @@ from parapost.mesh import (
     SpatialMesh,
     assemble_load,
     assemble_matrix,
+    dots,
     embed,
+    matvecs,
     qoi_eval,
 )
 
@@ -255,3 +257,19 @@ def test_mass_solve_is_the_zero_step_operator():
     rhs = np.random.default_rng(2).standard_normal(space.dof_count)
     assert np.array_equal(cache.step_operator(space, 0.0).solve(rhs),
                           AssembledOperator("mass", space, M).solve(rhs))
+
+
+@pytest.mark.parametrize("shape", [(239, 159), (239, 239)])
+def test_blas_stacked_gemv_and_dot_are_bitwise_per_row(shape):
+    # the bitwise-equality contracts of the batched step loops, residuals
+    # and D_s/D_k split rest on this property of numpy's BLAS calls, at the
+    # sizes of the degree-3 adjoint space (239 dofs) and the degree-2
+    # forward space (159) of pardd_fine_time: a numpy or BLAS build without
+    # it fails here by name
+    rng = np.random.default_rng(11)
+    B = rng.standard_normal(shape)
+    X = rng.standard_normal((40, shape[1]))
+    Y = rng.standard_normal((40, shape[1]))
+    assert np.array_equal(matvecs(B, X), np.array([B @ x for x in X]))
+    assert np.array_equal(dots(X, Y),
+                          np.array([x @ y for x, y in zip(X, Y)]))

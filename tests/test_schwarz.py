@@ -5,13 +5,15 @@ import pytest
 from scipy import linalg as sla
 
 from parapost.harness import build_manufactured
-from parapost.mesh import FeSpace, FormCache, SpatialMesh
+from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh
 from parapost.schwarz import (
     AdditiveSchwarz,
     decompose_domain,
     subdomain_dof_sets,
 )
 from parapost.timestepping import propagate_be
+
+from oracles import subdomain_adjoints
 
 
 def _overlaps(d):
@@ -264,3 +266,24 @@ def test_block_of_columns_sweeps_bitwise_as_one_column_at_a_time():
         for got_k, want_k in zip(col.locals_, rec_c.locals_, strict=True):
             for got, want in zip(got_k, want_k, strict=True):
                 assert got.flags.c_contiguous and np.array_equal(got, want)
+
+
+def test_block_of_weights_adjoint_bitwise_as_one_weight_at_a_time():
+    # the backward recursion of a block of weights yields, per subdomain and
+    # sweep, rows bitwise those of each weight's own one-row block and of
+    # the one-vector recursion
+    mesh = SpatialMesh.uniform(0.0, 1.0, 16)
+    space = FeSpace(mesh, 3)
+    d = decompose_domain(mesh, 4, 0.25, 0.4)
+    sweeper = AdditiveSchwarz.cached(FormCache(), space, 0.03, d)
+    weights = np.random.default_rng(5).standard_normal((5, space.dof_count))
+    K_s = 3
+    block = list(sweeper.adjoint(weights, K_s))
+    assert [(ks, i) for ks, i, _ in block] == [
+        (ks, i) for i in range(4) for ks in range(K_s, 0, -1)]
+    for c, w in enumerate(weights):
+        one = list(sweeper.adjoint(w[None], K_s))
+        oracle = subdomain_adjoints(sweeper, NodalField(space, w), K_s)
+        for (ks, i, chi), (_, _, chi_c) in zip(block, one, strict=True):
+            assert np.array_equal(chi[c], chi_c[0])
+            assert np.array_equal(chi[c], oracle[ks - 1][i])

@@ -350,7 +350,7 @@ def test_cg_slab_factors_die_with_their_cache():
         assert AdditiveSchwarz.cached(cache, space, grid[1], decomp).space is space
         ev = ResidualEvaluator(ZERO_F, cache)
         phi = adj_space.interpolate(lambda x: np.sin(np.pi * x))
-        dd_split(traj, 1, decomp, phi, ev)
+        dd_split([traj], [[phi] * traj.n_steps], decomp, ev)
         refs = [weakref.ref(obj) for obj in (cache, space, adj_space, decomp)]
         del space, adj_space, decomp, cache, ic, traj, ev, phi
         assert [ref() for ref in refs] == [None] * 4
