@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (assemble_load, dots, embed, gauss_rule, groups,
+from .mesh import (_read_only, assemble_load, dots, embed, gauss_rule, groups,
                    lagrange_derivs, lagrange_values, matvecs)
 from .schwarz import AdditiveSchwarz
 
@@ -80,10 +80,10 @@ class ResidualEvaluator:
 
     def pair_analytic(self, fn, b):
         """(fn, b) for an analytic fn, by the fixed 10-point load rule; the
-        load vector is assembled once per (space, fn)."""
+        load vector is assembled once per (space, fn), read-only."""
         vec = self.cache.factor(
             ("analytic_load", b.space, fn),
-            lambda: assemble_load(b.space, 0.0, lambda x, t: fn(x)))
+            lambda: _read_only(assemble_load(b.space, 0.0, lambda x, t: fn(x))))
         return vec @ b.coefficients
 
     def residual(self, traj, weight):
@@ -238,12 +238,12 @@ def dd_split(trajs, weights, decomp, ev):
     step that has one, then a subdomain one, for the first step of a group
     that has one.
     """
-    if any(traj.schwarz_records is None for traj in trajs):
+    if any(traj.sweeps is None for traj in trajs):
         raise ValueError("trajectory carries no Schwarz sweep record")
     cache, space3, space = ev.cache, weights[0][0].space, trajs[0].space
     where = [(p, n) for p, traj in enumerate(trajs, 1)
              for n in range(1, traj.n_steps + 1)]
-    records = [rec for traj in trajs for rec in traj.schwarz_records]
+    sweeps = [step for traj in trajs for step in traj.sweeps]
     dts = np.concatenate([np.diff(traj.times) for traj in trajs]).tolist()
     ell = np.concatenate([_step_functionals(traj, space3, ev)
                           for traj in trajs])
@@ -258,7 +258,8 @@ def dd_split(trajs, weights, decomp, ev):
     M3x = cache.mass(space3, space)
     B3x = {dt: cache.factor(
         ("step_matrix", space3, space, dt),
-        lambda: M3x + dt * cache.stiffness(space3, space)) for dt in distinct}
+        lambda: _read_only(M3x + dt * cache.stiffness(space3, space)))
+        for dt in distinct}
 
     def b3x_times(X, by_dt):
         """B3x @ x for each row x of X, with the B3x of each row's exact dt."""
@@ -276,8 +277,8 @@ def dd_split(trajs, weights, decomp, ev):
     # operator of a group's first step serves the group
     by_sweeper = [(sweeper, K_s, cols, groups([dts[j] for j in cols]))
                   for (sweeper, K_s), cols in groups(
-                      [(sweepers[dt], len(rec.locals_))
-                       for dt, rec in zip(dts, records)])]
+                      [(sweepers[dt], len(step))
+                       for dt, step in zip(dts, sweeps)])]
     E_K = np.empty(len(dts))
     finite = np.empty(len(dts), dtype=bool)
     for _, _, cols, by_dt in by_sweeper:
@@ -293,7 +294,7 @@ def dd_split(trajs, weights, decomp, ev):
         terms = np.empty((K_s, decomp.P_s, len(cols)))
         try:
             for ks, i, chi in sweeper.adjoint(phi[cols], K_s):
-                local = np.array([records[j].locals_[ks - 1][i] for j in cols])
+                local = np.array([sweeps[j][ks - 1, i] for j in cols])
                 terms[ks - 1, i] = (dots(chi, ell[cols])
                                     - dots(chi, b3x_times(local, by_dt)))
         except ValueError as exc:

@@ -2,11 +2,11 @@
 
 Used as the per-time-step solver at the fine scale: each sweep solves the
 P_s local Dirichlet problems against the current iterate's trace values and
-blends them with a Richardson parameter tau.  The full sweep history is
-recorded for the a posteriori error split.  The subdomain factorizations
-are set up here once per (space, step size, decomposition), and the same
-sweeper runs its sweeps backwards as the per-sweep subdomain adjoints of
-that split.
+blends them with a Richardson parameter tau.  Every sweep's local
+solutions are kept, as one array, for the a posteriori error split.  The
+subdomain factorizations are set up here once per (space, step size,
+decomposition), and the same sweeper runs its sweeps backwards as the
+per-sweep subdomain adjoints of that split.
 """
 
 from dataclasses import dataclass
@@ -95,26 +95,6 @@ def subdomain_dof_sets(space, decomp, i):
     return np.nonzero(inside)[0], np.nonzero(on_trace)[0]
 
 
-@dataclass
-class SchwarzSweepRecord:
-    """Per-sweep local solutions and blended global iterates for one solve.
-
-    iterates[0] is the initial guess; iterates[k] the blend after sweep k.
-    locals_[k-1][i] is the full-length local solution of subdomain i in sweep
-    k (iterate values outside the subdomain interior).
-    """
-
-    iterates: list
-    locals_: list
-
-    def column(self, c):
-        """The record of column c of a multi-column solve, as views of this
-        one's arrays."""
-        return SchwarzSweepRecord([u[:, c] for u in self.iterates],
-                                  [[u[:, c] for u in sweep]
-                                   for sweep in self.locals_])
-
-
 def _cut(M, A, dt, rows, cols):
     """The rows x cols block of M + dt*A, cut from M and A before summing:
     elementwise the block of the dense sum, which is never formed."""
@@ -158,35 +138,35 @@ class AdditiveSchwarz:
 
     def solve(self, rhs, guess, K_s):
         """Run K_s sweeps from the given initial guess; returns the final
-        iterate and the full sweep record.
+        iterate and the sweep history.
 
-        rhs and guess are one vector each or (dof, P) blocks of P columns,
-        swept together with one local solve per subdomain and sweep; each
-        column of the result and of the record (record.column) is bitwise
-        that of its own one-vector solve.  The record's arrays keep the
-        guess's memory order, so a Fortran-ordered guess gives contiguous
-        columns.
+        The history sweeps, shape (K_s, P_s) + rhs.shape, holds in
+        sweeps[k-1, i] the full-length local solution of subdomain i in
+        sweep k: the solve on the interior of subdomain i, and the iterate
+        before sweep k elsewhere.  Of the iterate only the last is kept:
+        iterate k is (1 - tau P_s) iterate k-1 + tau sum_i sweeps[k-1, i],
+        summed in i order.  rhs and guess are one vector each or (dof, P)
+        blocks of P columns, swept together with one local solve per
+        subdomain and sweep; each column of the result and of the history
+        is bitwise that of its own one-vector solve.
         """
         if K_s < 1:
             raise ValueError("K_s must be >= 1")
         tau, P_s = self.decomp.tau, self.decomp.P_s
         u = np.array(guess, dtype=float)
-        record = SchwarzSweepRecord(iterates=[np.copy(u)], locals_=[])
+        sweeps = np.empty((K_s, P_s) + np.shape(rhs))
         for k in range(K_s):
-            locals_k = []
             acc = (1.0 - tau * P_s) * u
             for i, (interior, trace) in enumerate(self.sets):
                 r = rhs[interior] - self._coupling[i] @ u[trace]
-                # u_loc equals u outside the interior, so it is also the
-                # subdomain's contribution to the blend
-                u_loc = np.copy(u)
+                # the local solution equals u outside the interior, so it is
+                # also the subdomain's contribution to the blend
+                u_loc = sweeps[k, i]
+                u_loc[...] = u
                 u_loc[interior] = self.local_solve(i, r)
-                locals_k.append(u_loc)
                 acc += tau * u_loc
             u = acc
-            record.iterates.append(np.copy(u))
-            record.locals_.append(locals_k)
-        return u, record
+        return u, sweeps
 
     @cached_property
     def _counted(self):

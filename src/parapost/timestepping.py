@@ -16,6 +16,7 @@ from scipy.linalg.lapack import dgetrs
 
 from .mesh import (
     NodalField,
+    _read_only,
     gauss_rule,
     groups,
     lagrange_values,
@@ -81,21 +82,27 @@ class Trajectory:
     jumps at every node.  Forward solutions of both integrators and the
     backward adjoints are all of this type; incoming is the value fed to a
     forward solve (possibly in another space), or an adjoint's terminal
-    datum.  schwarz_records holds the per-step sweep records of a
-    Schwarz-swept implicit-Euler solve (index n-1 for step n), else None.
+    datum.  sweeps is the sweep history of a Schwarz-swept implicit-Euler
+    solve, shape (steps, K_s, P_s, dof): sweeps[n-1] is step n's
+    AdditiveSchwarz.solve history; else None.
     """
 
-    def __init__(self, space, times, q_t, coeffs, incoming, schwarz_records=None):
+    def __init__(self, space, times, q_t, coeffs, incoming, sweeps=None):
         self.space = space
         self.times = np.asarray(times, dtype=float)
         self.q_t = q_t
         self.coeffs = coeffs
         self.incoming = incoming
-        self.schwarz_records = schwarz_records
+        self.sweeps = sweeps
         want = (len(self.times) - 1, q_t + 1, space.dof_count)
         if q_t < 0 or coeffs.shape != want:
             raise ValueError(f"coefficients of shape {coeffs.shape} do not fit "
                              f"q_t={q_t} on this grid: want {want}")
+        if sweeps is not None and (
+                sweeps.ndim != 4
+                or (sweeps.shape[0], sweeps.shape[3]) != (want[0], want[2])):
+            raise ValueError(f"sweeps of shape {sweeps.shape} do not fit this "
+                             f"grid: want ({want[0]}, K_s, P_s, {want[2]})")
 
     @property
     def n_steps(self):
@@ -123,26 +130,6 @@ class Trajectory:
                 and abs(self.times[n + 1] - t1) < NODE_TOL):
             raise ValueError(f"[{t0}, {t1}] is not a slab of this grid")
         return n
-
-    def slab_eval(self, n, s):
-        """Coefficient vectors at local coordinates s in [0,1] of slab n,
-        shape (len(s), dof)."""
-        return lagrange_values(self.q_t, s).T @ self.coeffs[n]
-
-    def at(self, t):
-        """Solution at a time in the grid's span (to NODE_TOL); outside, raises.
-
-        At an interior node t_n this is slab n's start value: for q_t = 0
-        the right limit U_{n+1}, where field(n) gives U_n; at the last node
-        both give the end value."""
-        if not self.times[0] - NODE_TOL <= t <= self.times[-1] + NODE_TOL:
-            raise ValueError(f"t={t} is outside the grid span "
-                             f"[{self.times[0]}, {self.times[-1]}]")
-        n = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
-                        self.n_steps - 1))
-        t0, t1 = self.times[n], self.times[n + 1]
-        s = (t - t0) / (t1 - t0)
-        return NodalField(self.space, self.slab_eval(n, [s])[0])
 
     def value_at_node(self, t):
         """Exact nodal value at a grid node (to NODE_TOL), as field(n)."""
@@ -172,9 +159,9 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     where their step sizes key different factors, and every column's values
     are bitwise those of its own single-grid call.  Each step's SPD system
     is solved directly (banded Cholesky) or, given an OverlapDecomposition,
-    by K_s additive Schwarz sweeps from a zero guess; the trajectory then
-    carries the per-step sweep records in traj.schwarz_records (index n-1
-    for step n).  The loads l(t_n) are the cache's block for each grid.  An
+    by K_s additive Schwarz sweeps from a zero guess; the trajectories then
+    carry views of one (P, steps, K_s, P_s, dof) array of sweep histories
+    in traj.sweeps.  The loads l(t_n) are the cache's block for each grid.  An
     incoming value may live in a different space on the same mesh; its
     first-step contribution is the exact cross-space L2 pairing.  A
     non-finite step value raises a ValueError naming the first such step n
@@ -195,7 +182,8 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     prev_m = np.array([cache.mass(space, u0.space) @ u0.coefficients
                        for u0 in ics])
     loads = np.stack([cache.load(space, g[1:], f) for g in grids], axis=1)
-    records = [[] for _ in range(P)]
+    sweeps = None if decomp is None else np.empty(
+        (P, n_steps, K_s, decomp.P_s, ndof))
     steps = np.diff(grids, axis=1).T  # (n_steps, P)
     # one lookup per distinct exact dt, in step order, so each solver is
     # still built from the first dt of its key
@@ -210,16 +198,15 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
             if decomp is None:
                 u[cols] = solver.solve(b).T
                 continue
-            x, rec = solver.solve(b, np.zeros_like(b), K_s)
+            x, history = solver.solve(b, np.zeros_like(b), K_s)
             u[cols] = x.T
-            for c, j in enumerate(cols):
-                records[j].append(rec.column(c))
+            sweeps[cols, n - 1] = np.moveaxis(history, -1, 0)
         coeffs[:, n - 1, 0] = u
         prev_m = matvecs(M, u)
     for j in range(P):
         _require_finite(coeffs[j], grids[j])
     trajs = [Trajectory(space, grids[j], 0, coeffs[j], ics[j],
-                        records[j] if decomp is not None else None)
+                        None if sweeps is None else sweeps[j])
              for j in range(P)]
     return trajs[0] if times.ndim == 1 else trajs
 
@@ -230,7 +217,8 @@ def _cg_time_forms(q_t):
     Test functions are Legendre polynomials P_m of degree < q_t, integrated
     by the (q_t+3)-point Gauss rule (s, w).  Returns (alpha, beta, s, Pw)
     with alpha[m, j] = int lam_j' P_m ds, beta[m, j] = int lam_j P_m ds and
-    Pw[m, i] = P_m(s_i) w_i, the weights of a time-integrated load.
+    Pw[m, i] = P_m(s_i) w_i, the weights of a time-integrated load, all
+    read-only, as a FormCache shares them with every later caller.
     """
     s, w = gauss_rule(q_t + 3)
     lam = lagrange_values(q_t, s)
@@ -239,7 +227,7 @@ def _cg_time_forms(q_t):
     P = np.array([np.polynomial.legendre.Legendre.basis(m)(2 * s - 1)
                   for m in range(q_t)])
     Pw = P * w[None, :]
-    return Pw @ dlam.T, Pw @ lam.T, s, Pw
+    return tuple(map(_read_only, (Pw @ dlam.T, Pw @ lam.T, s, Pw)))
 
 
 def propagate_cg(space, times, q_t, ic, f, cache):

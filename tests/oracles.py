@@ -7,17 +7,19 @@ nothing.  dg0_equivalence_check re-solves an implicit-Euler trajectory as
 the dG(0) Galerkin method, with matrices assembled afresh and a dense solve.
 cg_per_slab steps cG(q_t) one slab and one test function at a time.
 dd_split_per_step splits one Schwarz-solved step at a time, with its own
-spatial adjoints and one-vector products.
+spatial adjoints and one-vector products.  sweep_iterates rebuilds the
+Schwarz iterates from a sweep history, and slab_eval and at evaluate a
+Trajectory inside its slabs.
 """
 
 import numpy as np
 from scipy import linalg as sla
 
-from parapost.mesh import (AssembledOperator, assemble_load, assemble_matrix,
-                           embed)
+from parapost.mesh import (AssembledOperator, NodalField, assemble_load,
+                           assemble_matrix, embed, lagrange_values)
 from parapost.parareal import _synchronize
 from parapost.schwarz import AdditiveSchwarz
-from parapost.timestepping import _cg_time_forms
+from parapost.timestepping import NODE_TOL, _cg_time_forms
 
 
 def par_standard(partition, K_t, ic_coarse, fine_solver, coarse_solver,
@@ -144,8 +146,8 @@ def dd_split_per_step(traj, n, decomp, phi_val, ev):
     phi_val, with the global adjoint solved by the cached step operator and
     the subdomain ones by the cached sweeper of the step's dt, each looked
     up for this step alone."""
-    rec = traj.schwarz_records[n - 1]
-    K_s = len(rec.locals_)
+    sweeps = traj.sweeps[n - 1]
+    K_s = len(sweeps)
     cache, space3 = ev.cache, phi_val.space
     dt = traj.times[n] - traj.times[n - 1]
     M3x = cache.mass(space3, traj.space)
@@ -166,7 +168,45 @@ def dd_split_per_step(traj, n, decomp, phi_val, ev):
     for ks in range(1, K_s + 1):
         for i in range(decomp.P_s):
             c = chi[ks - 1][i]
-            E_N += c @ ell - c @ (B3x @ rec.locals_[ks - 1][i])
+            E_N += c @ ell - c @ (B3x @ sweeps[ks - 1, i])
     u_n = traj.field(n).coefficients
     E_K = Phi @ ell - Phi @ (B3x @ u_n) - E_N
     return E_K, E_N
+
+
+def sweep_iterates(guess, sweeps, tau):
+    """The iterates u^0 = guess, ..., u^{K_s} of a Schwarz solve, rebuilt
+    from its sweep history: u^k = (1 - tau P_s) u^{k-1} + tau sum_i
+    sweeps[k-1, i], summed in subdomain order as AdditiveSchwarz.solve
+    blends them."""
+    P_s = sweeps.shape[1]
+    iterates = [np.array(guess, dtype=float)]
+    for sweep in sweeps:
+        u = (1.0 - tau * P_s) * iterates[-1]
+        for u_loc in sweep:
+            u = u + tau * u_loc
+        iterates.append(u)
+    return iterates
+
+
+def slab_eval(traj, n, s):
+    """Coefficient vectors of a Trajectory at local coordinates s in [0,1]
+    of slab n, shape (len(s), dof)."""
+    return lagrange_values(traj.q_t, s).T @ traj.coeffs[n]
+
+
+def at(traj, t):
+    """A Trajectory's value at a time in its grid's span (to NODE_TOL);
+    outside, raises.
+
+    At an interior node t_n this is slab n's start value: for q_t = 0 the
+    right limit U_{n+1}, where field(n) gives U_n; at the last node both
+    give the end value."""
+    times = traj.times
+    if not times[0] - NODE_TOL <= t <= times[-1] + NODE_TOL:
+        raise ValueError(f"t={t} is outside the grid span "
+                         f"[{times[0]}, {times[-1]}]")
+    n = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0,
+                    traj.n_steps - 1))
+    s = (t - times[n]) / (times[n + 1] - times[n])
+    return NodalField(traj.space, slab_eval(traj, n, [s])[0])

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parapost.estimator import ResidualEvaluator, dd_split
 from parapost.harness import ExperimentConfig, TABLE_REGISTRY, \
@@ -187,6 +188,38 @@ def test_property_finite_termination(P_t):
     n_per = part.N_t // P_t
     for p in range(1, P_t + 1):
         dev = np.max(np.abs(states[-1].fine[p - 1].end.coefficients
+                            - serial.field(p * n_per).coefficients))
+        assert dev < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(P_t=st.integers(1, 4), r=st.integers(1, 3),
+       degrees=st.tuples(st.integers(1, 3), st.integers(1, 3)).map(sorted),
+       schwarz=st.one_of(st.none(), st.tuples(st.integers(1, 3),
+                                              st.integers(1, 3))))
+def test_property_finite_termination_over_configs(P_t, r, degrees, schwarz):
+    # after K_t = P_t iterations synchronized in the fine space, Parareal
+    # reproduces one serial fine solve with the same step solver: direct, or
+    # K_s Schwarz sweeps over P_s subdomains, whose histories vpar carries
+    prob = build_manufactured(2, 1, 0.5)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 12)
+    coarse, fine = (FeSpace(mesh, q) for q in degrees)
+    part = TimePartition.uniform(0.5, P_t, 2 * P_t, r)
+    solver = () if schwarz is None else (
+        decompose_domain(mesh, schwarz[0], 0.25, 0.4), schwarz[1])
+    cache = FormCache()
+    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache, *solver)
+    cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
+    ic = coarse.interpolate(prob.u0)
+    states = vpar(part, P_t, ic, fs, cs, fine, cache, sync_space="fine")
+    serial = propagate_be(fine, np.linspace(0.0, 0.5, part.N_t + 1),
+                          embed(ic, fine, cache), prob.f, cache, *solver)
+    n_per = part.N_t // P_t
+    for p, traj in enumerate(states[-1].fine, start=1):
+        if schwarz is not None:
+            assert traj.sweeps.shape == (n_per, schwarz[1], schwarz[0],
+                                         fine.dof_count)
+        dev = np.max(np.abs(traj.end.coefficients
                             - serial.field(p * n_per).coefficients))
         assert dev < 1e-10
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import parapost
+import parapost.harness as harness
+from parapost.harness import ExperimentConfig, run_experiment
 from parapost.mesh import FeSpace, FormCache, SpatialMesh
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
 from parapost.timestepping import propagate_be, propagate_cg
@@ -161,3 +163,34 @@ def test_a_propagation_looks_up_each_step_size_once(monkeypatch, kind):
     monkeypatch.setattr(cache, "per_step", counting)
     PROPAGATE[kind](space, grid, decomp, cache)
     assert looked_up == list(dict.fromkeys(dts))
+
+
+# the FormCache.factor entries that hold tables every later caller of the
+# experiment reads, as opposed to a solver's own factors
+SHARED_TABLES = ("load", "analytic_load", "cg_time_forms", "step_matrix")
+
+
+def test_every_table_an_experiment_shares_is_read_only(monkeypatch):
+    # one write to a shared table would reach every later read of the
+    # experiment; a small STPA run fills every kind (its adjoints are cG)
+    caches = []
+
+    class Recorded(FormCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(harness, "FormCache", Recorded)
+    run_experiment(ExperimentConfig(Nhat_t=4, r=2, P_t=2, K_t=2, Nhat_s=8,
+                                    qhat_s=1, q_s=2, nu=2, mu=1, T=0.5,
+                                    schwarz=True, P_s=2, K_s=2, beta=0.25))
+    (cache,) = caches
+    tables = {kind: [] for kind in SHARED_TABLES}
+    for key, value in cache._factors.items():
+        if key[0] in tables:
+            tables[key[0]] += value if isinstance(value, tuple) else [value]
+    tables["matrix"] = list(cache._mats.values())
+    for kind, arrays in tables.items():
+        assert arrays, kind
+        for a in arrays:
+            assert not a.flags.writeable, kind

@@ -41,7 +41,7 @@ from parapost.timestepping import (
     propagate_cg,
 )
 
-from oracles import dd_split_per_step
+from oracles import dd_split_per_step, slab_eval
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 
@@ -218,8 +218,8 @@ def test_dd_split_summation_order_invariance():
     n = 2
     E_N = _split_every_step(traj, sweeper, ev, phi_val)[1][n - 1]
     # recompute E_N summing subdomains first, sweeps second
-    rec = traj.schwarz_records[n - 1]
-    K_s = len(rec.locals_)
+    sweeps = traj.sweeps[n - 1]
+    K_s = len(sweeps)
     dt = traj.times[n] - traj.times[n - 1]
     space3 = sweeper.space
     M3x = ev.cache.mass(space3, traj.space)
@@ -231,7 +231,7 @@ def test_dd_split_summation_order_invariance():
     for i in range(sweeper.decomp.P_s):
         for ks in range(1, K_s + 1):
             c = chi[ks, i]
-            E_N_alt += c @ ell - c @ (B3x @ rec.locals_[ks - 1][i])
+            E_N_alt += c @ ell - c @ (B3x @ sweeps[ks - 1, i])
     assert abs(E_N - E_N_alt) < 1e-13 * max(1.0, abs(E_N))
 
 
@@ -469,14 +469,14 @@ def residual_be(self, traj, weight):
         t0, t1 = traj.times[n - 1], traj.times[n]
         dt = t1 - t0
         slab = weight.slab_index(t0, t1)
-        phi_q = weight.slab_eval(slab, self._s)  # (nq, dof_w)
+        phi_q = slab_eval(weight, slab, self._s)  # (nq, dof_w)
         u_n = traj.values[n]
         au = A_x @ u_n
         acc = 0.0
         for q in range(N_QUAD_T):
             acc += self._w[q] * (loads[n - 1, q] @ phi_q[q] - phi_q[q] @ au)
         acc *= dt
-        phi_left = weight.slab_eval(slab, [0.0])[0]
+        phi_left = slab_eval(weight, slab, [0.0])[0]
         if n == 1:
             jump = phi_left @ (M_x @ u_n - inc_m)
         else:
@@ -503,8 +503,8 @@ def residual_cg(self, traj, weight):
         t0, t1 = traj.times[n - 1], traj.times[n]
         dt = t1 - t0
         slab = weight.slab_index(t0, t1)
-        phi_q = weight.slab_eval(slab, self._s)
-        u_q = traj.slab_eval(n - 1, self._s)
+        phi_q = slab_eval(weight, slab, self._s)
+        u_q = slab_eval(traj, n - 1, self._s)
         du_q = dlam.T @ traj.coeffs[n - 1] / dt
         acc = 0.0
         for q in range(N_QUAD_T):
@@ -517,7 +517,7 @@ def residual_cg(self, traj, weight):
     # projection discontinuity at the trajectory start
     M_inc = self.cache.mass(ws, traj.incoming.space)
     slab0 = weight.slab_index(traj.times[0], traj.times[1])
-    phi0 = weight.slab_eval(slab0, [0.0])[0]
+    phi0 = slab_eval(weight, slab0, [0.0])[0]
     out[0] -= phi0 @ (M_x @ traj.coeffs[0, 0]
                       - M_inc @ traj.incoming.coefficients)
     return out

@@ -13,7 +13,7 @@ from parapost.schwarz import (
 )
 from parapost.timestepping import propagate_be
 
-from oracles import subdomain_adjoints
+from oracles import subdomain_adjoints, sweep_iterates
 
 
 def _overlaps(d):
@@ -127,8 +127,9 @@ def test_sweep_fixed_point():
 
 
 def test_blend_identity_from_record():
-    # every recorded iterate satisfies
-    # U^{k+1} = (1 - tau P_s) U^k + tau sum_i Pi_i U_loc_i
+    # every iterate is the blend of the history's local solutions,
+    # U^{k+1} = (1 - tau P_s) U^k + tau sum_i Pi_i U_loc_i: the iterates
+    # rebuilt from the history are bitwise those of k sweeps, for every k
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space = FeSpace(mesh, 2)
     d = decompose_domain(mesh, 2, 0.2, 0.4)
@@ -137,13 +138,11 @@ def test_blend_identity_from_record():
     rhs = rng.standard_normal(space.dof_count)
     sweeper = AdditiveSchwarz(space, 0.05, d, cache)
     guess = rng.standard_normal(space.dof_count)
-    _, rec = sweeper.solve(rhs, guess, 3)
-    tau, P_s = d.tau, d.P_s
-    for k in range(3):
-        blend = (1 - tau * P_s) * rec.iterates[k]
-        for i in range(P_s):
-            blend = blend + tau * rec.locals_[k][i]
-        assert np.max(np.abs(rec.iterates[k + 1] - blend)) < 1e-14
+    u, sweeps = sweeper.solve(rhs, guess, 3)
+    iterates = sweep_iterates(guess, sweeps, d.tau)
+    assert len(iterates) == 4 and np.array_equal(iterates[-1], u)
+    for k in range(1, 3):
+        assert np.array_equal(iterates[k], sweeper.solve(rhs, guess, k)[0])
 
 
 def test_locals_match_iterate_outside_closure():
@@ -154,13 +153,15 @@ def test_locals_match_iterate_outside_closure():
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal(space.dof_count)
     sweeper = AdditiveSchwarz(space, 0.05, d, cache)
-    _, rec = sweeper.solve(rhs, np.zeros(space.dof_count), 2)
+    guess = np.zeros(space.dof_count)
+    _, sweeps = sweeper.solve(rhs, guess, 2)
+    iterates = sweep_iterates(guess, sweeps, d.tau)
     for k in range(2):
         for i in range(d.P_s):
             interior, _ = subdomain_dof_sets(space, d, i)
             outside = np.setdiff1d(np.arange(space.dof_count), interior)
-            assert np.array_equal(rec.locals_[k][i][outside],
-                                  rec.iterates[k][outside])
+            assert np.array_equal(sweeps[k, i][outside],
+                                  iterates[k][outside])
 
 
 def test_local_solves_satisfy_restricted_system():
@@ -172,11 +173,11 @@ def test_local_solves_satisfy_restricted_system():
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(space.dof_count)
     sweeper = AdditiveSchwarz(space, 0.05, d, cache)
-    _, rec = sweeper.solve(rhs, np.zeros(space.dof_count), 2)
+    _, sweeps = sweeper.solve(rhs, np.zeros(space.dof_count), 2)
     for k in range(2):
         for i in range(d.P_s):
             interior, _ = subdomain_dof_sets(space, d, i)
-            res = (B @ rec.locals_[k][i])[interior] - rhs[interior]
+            res = (B @ sweeps[k, i])[interior] - rhs[interior]
             assert np.max(np.abs(res)) < 1e-11
 
 
@@ -213,11 +214,12 @@ def test_records_are_retained_per_step():
     ic = space.interpolate(prob.u0)
     traj = propagate_be(space, np.linspace(0.0, 0.5, 5), ic, prob.f,
                         FormCache(), decomp=d, K_s=3)
-    assert len(traj.schwarz_records) == 4
-    for rec in traj.schwarz_records:
-        assert len(rec.iterates) == 4      # guess + 3 sweeps
-        assert len(rec.locals_) == 3
-        assert np.max(np.abs(rec.iterates[0])) == 0.0  # zero initial guess
+    assert traj.sweeps.shape == (4, 3, 2, space.dof_count)  # 4 steps, 3 sweeps
+    for i in range(d.P_s):
+        # zero initial guess: outside its subdomain's interior, a first
+        # sweep's local solution is the guess
+        interior, _ = subdomain_dof_sets(space, d, i)
+        assert not np.delete(traj.sweeps[:, 0, i], interior, axis=1).any()
 
 
 def test_many_sweeps_solve_the_step_system():
@@ -229,9 +231,9 @@ def test_many_sweeps_solve_the_step_system():
     rng = np.random.default_rng(12)
     rhs = rng.standard_normal(space.dof_count)
     sweeper = AdditiveSchwarz.cached(cache, space, 0.02, d)
-    u, rec = sweeper.solve(rhs, np.zeros(space.dof_count), 40)
+    u, sweeps = sweeper.solve(rhs, np.zeros(space.dof_count), 40)
     assert np.max(np.abs(u - B.solve(rhs))) < 1e-6
-    assert len(rec.locals_) == 40
+    assert sweeps.shape == (40, 2, space.dof_count)
 
 
 def test_sweeper_is_built_once_per_space_dt_and_decomposition():
@@ -256,16 +258,12 @@ def test_block_of_columns_sweeps_bitwise_as_one_column_at_a_time():
     rng = np.random.default_rng(21)
     rhs = rng.standard_normal((3, space.dof_count)).T  # (dof, 3), Fortran order
     guess = rng.standard_normal((3, space.dof_count)).T
-    u, rec = sweeper.solve(rhs, guess, 3)
+    u, sweeps = sweeper.solve(rhs, guess, 3)
+    assert sweeps.shape == (3, 4) + rhs.shape
     for c in range(3):
-        u_c, rec_c = sweeper.solve(rhs[:, c].copy(), guess[:, c].copy(), 3)
+        u_c, sweeps_c = sweeper.solve(rhs[:, c].copy(), guess[:, c].copy(), 3)
         assert np.array_equal(u[:, c], u_c)
-        col = rec.column(c)
-        for got, want in zip(col.iterates, rec_c.iterates, strict=True):
-            assert got.flags.c_contiguous and np.array_equal(got, want)
-        for got_k, want_k in zip(col.locals_, rec_c.locals_, strict=True):
-            for got, want in zip(got_k, want_k, strict=True):
-                assert got.flags.c_contiguous and np.array_equal(got, want)
+        assert np.array_equal(sweeps[..., c], sweeps_c)
 
 
 def test_block_of_weights_adjoint_bitwise_as_one_weight_at_a_time():

@@ -27,7 +27,7 @@ from parapost.timestepping import (
     propagate_cg,
 )
 
-from oracles import cg_per_slab, dg0_equivalence_check
+from oracles import at, cg_per_slab, dg0_equivalence_check
 
 
 def _single_dof_space():
@@ -179,7 +179,7 @@ def test_cg_at_matches_nodes():
     traj = propagate_cg(space, np.linspace(0.0, 0.5, 6), 2,
                         space.interpolate(prob.u0), prob.f, FormCache())
     for n in range(traj.n_steps + 1):
-        got = traj.at(traj.times[n]).coefficients
+        got = at(traj, traj.times[n]).coefficients
         want = traj.field(n).coefficients
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -192,14 +192,14 @@ def test_cg_at_rejects_times_outside_the_grid():
                         space.interpolate(prob.u0), prob.f, FormCache())
     for t in (5.0, -0.1, 1.0 + 1e-9):
         with pytest.raises(ValueError, match=r"outside the grid span \[0\.0, 1\.0\]"):
-            traj.at(t)
+            at(traj, t)
     # in the span (within 1e-10 of its ends) the values are the slab
     # polynomial's, bitwise
     for t in (0.0, 0.1, 0.25, 0.6, 1.0, 1.0 + 1e-11, -1e-11):
         n = int(np.clip(np.searchsorted(traj.times, t, side="right") - 1, 0, 3))
         s = (t - traj.times[n]) / (traj.times[n + 1] - traj.times[n])
         want = lagrange_values(1, [s]).T[0] @ traj.coeffs[n]
-        assert np.array_equal(traj.at(t).coefficients, want)
+        assert np.array_equal(at(traj, t).coefficients, want)
 
 
 def test_cross_space_incoming_projection():
@@ -228,7 +228,7 @@ def test_be_trajectory_is_the_dg0_field():
     traj = propagate_be(space, np.linspace(0.0, 0.5, 6),
                         space.interpolate(prob.u0), prob.f, FormCache())
     assert traj.q_t == 0 and traj.coeffs.shape == (5, 1, space.dof_count)
-    assert traj.schwarz_records is None
+    assert traj.sweeps is None
     U = traj.coeffs[:, 0]
     for read in (lambda: traj.field(0), lambda: traj.value_at_node(0.0)):
         with pytest.raises(ValueError, match="no value at times"):
@@ -236,8 +236,8 @@ def test_be_trajectory_is_the_dg0_field():
     for n in range(1, 6):
         assert np.array_equal(traj.field(n).coefficients, U[n - 1])
     for n in range(5):
-        assert np.array_equal(traj.at(traj.times[n]).coefficients, U[n])
-    assert np.array_equal(traj.at(0.5).coefficients, traj.end.coefficients)
+        assert np.array_equal(at(traj, traj.times[n]).coefficients, U[n])
+    assert np.array_equal(at(traj, 0.5).coefficients, traj.end.coefficients)
 
 
 def test_trajectory_rejects_coefficients_that_do_not_fit_the_grid():
@@ -252,6 +252,21 @@ def test_trajectory_rejects_coefficients_that_do_not_fit_the_grid():
         with pytest.raises(ValueError, match="do not fit"):
             Trajectory(space, times, q_t, np.zeros(shape), ic)
     assert Trajectory(space, times, 1, np.zeros((4, 2, dof)), ic).n_steps == 4
+
+
+def test_trajectory_rejects_a_sweep_history_that_does_not_fit_the_grid():
+    # the history of four steps of 3 sweeps over 2 subdomains is (4, 3, 2, dof)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 1)
+    dof = space.dof_count
+    ic = NodalField(space, np.zeros(dof))
+    times = np.linspace(0.0, 1.0, 5)
+    coeffs = np.zeros((4, 1, dof))
+    for shape in ((5, 3, 2, dof), (4, 3, 2, dof + 1), (4, 3, dof), (3, 2, dof),
+                  (4, 3, 2, 1, dof)):
+        with pytest.raises(ValueError, match="sweeps of shape .* do not fit"):
+            Trajectory(space, times, 0, coeffs, ic, np.zeros(shape))
+    sweeps = np.zeros((4, 3, 2, dof))
+    assert Trajectory(space, times, 0, coeffs, ic, sweeps).sweeps is sweeps
 
 
 @pytest.mark.parametrize("q_t", [1, 2, 3])
@@ -294,19 +309,15 @@ def test_stacked_grids_step_bitwise_as_one_call_per_grid(stepping):
         assert got.incoming is ic and np.array_equal(got.times, grid)
         assert np.array_equal(got.coeffs, want.coeffs)
         if not solver:
-            assert got.schwarz_records is None
+            assert got.sweeps is None
             continue
-        for rec, rec_1 in zip(got.schwarz_records, want.schwarz_records,
-                              strict=True):
-            for k, u in enumerate(rec_1.iterates):
-                assert np.array_equal(rec.iterates[k], u)
-            for k, sweep in enumerate(rec_1.locals_, start=1):
-                for i, u in enumerate(sweep):
-                    assert np.array_equal(rec.locals_[k - 1][i], u)
+        assert got.sweeps.flags.c_contiguous
+        assert np.array_equal(got.sweeps, want.sweeps)
     if solver:
-        # columns that shared a solve hold views of its arrays
-        a, b = (traj.schwarz_records[0].iterates[1] for traj in batch[:2])
-        assert a.base is not None and a.base is b.base
+        # the trajectories of one call hold views of one array, also those
+        # whose steps were solved apart
+        assert all(traj.sweeps.base is batch[0].sweeps.base is not None
+                   for traj in batch)
     with pytest.raises(ValueError, match="4 grids but 3 incoming values"):
         propagate_be(space, grids, ics[:3], prob.f, cache, *solver)
 
