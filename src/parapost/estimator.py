@@ -208,44 +208,45 @@ def tpa_breakdown(partition, state, adjoints, problem, true_error, cache):
     return ErrorBreakdown("TPA", comps, true_error)
 
 
-def _step_functionals(traj, space3, ev):
-    """Each step's right-hand functional evaluated on degree-3 fields,
-    (steps, dof3): the previous value's (the incoming one's at n = 1) mass
-    pairing plus dt times the step-end load."""
+def _step_functionals(traj, space, ev):
+    """Each step's right-hand functional evaluated on the fields of a space,
+    (steps, dof): the previous value's (the incoming one's at n = 1) mass
+    pairing plus dt times the step-end load.  In traj's own space these are
+    bitwise the right-hand sides its implicit-Euler steps solved."""
     cache = ev.cache
-    prev = np.empty((traj.n_steps, space3.dof_count))
-    prev[0] = (cache.mass(space3, traj.incoming.space)
+    prev = np.empty((traj.n_steps, space.dof_count))
+    prev[0] = (cache.mass(space, traj.incoming.space)
                @ traj.incoming.coefficients)
-    prev[1:] = matvecs(cache.mass(space3, traj.space), traj.coeffs[:-1, -1])
-    loads = ev.load(space3, traj, ends=True)
+    prev[1:] = matvecs(cache.mass(space, traj.space), traj.coeffs[:-1, -1])
+    loads = ev.load(space, traj, ends=True)
     return prev + np.diff(traj.times)[:, None] * loads
 
 
-def dd_split(trajs, weights, decomp, ev):
+def dd_split(trajs, weights, decomp, K_s, ev):
     """Thm-2 split of every step's algebraic error into discretization (E^N)
-    and Schwarz-iteration (E^K) parts, for Schwarz-solved trajectories
-    sharing one space.
+    and Schwarz-iteration (E^K) parts, for trajectories sharing one space
+    whose steps were solved by K_s sweeps over decomp from a zero guess.
 
     Step n of trajs[p-1] is weighted by the nodal field weights[p-1][n-1],
     all in one space, in which the spatial adjoints live.  Returns (E_K,
     E_N), one entry per step, in (p, n) order.  The steps are split
-    together, grouped by the cached sweeper of their step size and by their
-    sweep count: per group one multi-column solve with the cached step
-    operator gives the global adjoints and one backward recursion of the
-    sweeper the per-sweep subdomain ones, and every value is bitwise that
-    of the step's own split.  A non-finite spatial adjoint raises a
-    ValueError naming it, dt, p and n: a global one first, for the first
-    step that has one, then a subdomain one, for the first step of a group
-    that has one.
+    together, grouped by the cached sweeper of their step size: per group
+    one multi-column solve each gives the global adjoints (step operator)
+    and replays the steps' sweeps (the forward space's sweeper), and one
+    backward recursion of the sweeper the per-sweep subdomain adjoints;
+    every value is bitwise that of the step's own split.  A ValueError
+    names dt, p and n of the first step whose global adjoint is non-finite,
+    then per group of the first step whose replay misses its value by over
+    1e-12 relative (another decomposition, K_s or step solver), or whose
+    subdomain adjoint is non-finite.
     """
-    if any(traj.sweeps is None for traj in trajs):
-        raise ValueError("trajectory carries no Schwarz sweep record")
     cache, space3, space = ev.cache, weights[0][0].space, trajs[0].space
     where = [(p, n) for p, traj in enumerate(trajs, 1)
              for n in range(1, traj.n_steps + 1)]
-    sweeps = [step for traj in trajs for step in traj.sweeps]
     dts = np.concatenate([np.diff(traj.times) for traj in trajs]).tolist()
     ell = np.concatenate([_step_functionals(traj, space3, ev)
+                          for traj in trajs])
+    rhs = np.concatenate([_step_functionals(traj, space, ev)
                           for traj in trajs])
     u_n = np.concatenate([traj.coeffs[:, -1] for traj in trajs])
     phi = np.array([w.coefficients for ws in weights for w in ws])
@@ -268,33 +269,37 @@ def dd_split(trajs, weights, decomp, ev):
             out[rows] = matvecs(B3x[dt], X[rows])
         return out
 
-    def fail(kind, j, exc=None):
+    def fail(what, j, exc=None):
         p, n = where[j]
-        raise ValueError(f"non-finite {kind} spatial adjoint "
-                         f"(dt={dts[j]:.6g}) at p={p}, n={n}") from exc
+        raise ValueError(f"{what} (dt={dts[j]:.6g}) at p={p}, n={n}") from exc
 
-    # the step operator and the sweeper share per_step's key, so the
-    # operator of a group's first step serves the group
-    by_sweeper = [(sweeper, K_s, cols, groups([dts[j] for j in cols]))
-                  for (sweeper, K_s), cols in groups(
-                      [(sweepers[dt], len(step))
-                       for dt, step in zip(dts, sweeps)])]
+    # the step operator and both sweepers share per_step's key, so those of
+    # a group's first step serve the group
+    by_sweeper = [(sweeper, cols, groups([dts[j] for j in cols]))
+                  for sweeper, cols in groups([sweepers[dt] for dt in dts])]
     E_K = np.empty(len(dts))
     finite = np.empty(len(dts), dtype=bool)
-    for _, _, cols, by_dt in by_sweeper:
+    for _, cols, by_dt in by_sweeper:
         Phi = cache.step_operator(space3, dts[cols[0]]).solve(
             matvecs(cache.mass(space3, space3), phi[cols]).T).T
         finite[cols] = np.isfinite(Phi).all(axis=1)
         E_K[cols] = (dots(Phi, ell[cols])
                      - dots(Phi, b3x_times(u_n[cols], by_dt)))
     if not finite.all():
-        fail("global", int(np.argmin(finite)))
+        fail("non-finite global spatial adjoint", int(np.argmin(finite)))
     E_N = np.zeros(len(dts))
-    for sweeper, K_s, cols, by_dt in by_sweeper:
+    for sweeper, cols, by_dt in by_sweeper:
+        u, sweeps = AdditiveSchwarz.cached(
+            cache, space, dts[cols[0]], decomp).solve(rhs[cols].T, 0, K_s)
+        off = np.abs(u.T - u_n[cols]).max(axis=1, initial=0.0)
+        bad = ~(off <= 1e-12 * np.abs(u_n[cols]).max(axis=1, initial=0.0))
+        if bad.any():
+            fail(f"the step value is not that of {K_s} Schwarz sweeps over "
+                 f"this decomposition", cols[np.argmax(bad)])
         terms = np.empty((K_s, decomp.P_s, len(cols)))
         try:
             for ks, i, chi in sweeper.adjoint(phi[cols], K_s):
-                local = np.array([sweeps[j][ks - 1, i] for j in cols])
+                local = np.ascontiguousarray(sweeps[ks - 1, i].T)
                 terms[ks - 1, i] = (dots(chi, ell[cols])
                                     - dots(chi, b3x_times(local, by_dt)))
         except ValueError as exc:
@@ -304,7 +309,7 @@ def dd_split(trajs, weights, decomp, ev):
                     for _ in sweeper.adjoint(phi[j:j + 1], K_s):
                         pass
                 except ValueError:
-                    fail("subdomain", j, exc)
+                    fail("non-finite subdomain spatial adjoint", j, exc)
             raise
         for ks in range(K_s):  # summed as the step's own split sums them
             for i in range(decomp.P_s):
@@ -313,15 +318,15 @@ def dd_split(trajs, weights, decomp, ev):
 
 
 def stpa_breakdown(partition, state, adjoints, problem, true_error,
-                   decomp, cache):
+                   decomp, K_s, cache):
     """Error decomposition for the space-time parallel solver.
 
     Splits the fine discretization component into temporal (D_t), spatial
     (D_s) and Schwarz-iteration (D_k) parts; A, C, K are as in the
-    time-parallel decomposition but on the Schwarz trajectories.  decomp is
-    the decomposition the fine solves were swept over; one dd_split call
-    splits every step, and a non-finite spatial adjoint, E_K or E_N raises,
-    naming p and n.
+    time-parallel decomposition but on the Schwarz trajectories.  Each fine
+    step was solved by K_s sweeps over decomp; one dd_split call splits
+    every step, and a step that does not replay, a non-finite spatial
+    adjoint, E_K or E_N raises, naming p and n.
     """
     _require_families(adjoints)
     ev = ResidualEvaluator(problem.f, cache)
@@ -329,7 +334,8 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
     fine_adjs = adjoints["fine"]
     split = zip(*dd_split(
         state.fine, [[adj.value_at_node(t) for t in traj.times[1:]]
-                     for traj, adj in zip(state.fine, fine_adjs)], decomp, ev))
+                     for traj, adj in zip(state.fine, fine_adjs)],
+        decomp, K_s, ev))
     D_t = D_s = D_k = 0.0
     for p in range(1, partition.P_t + 1):
         traj = state.fine[p - 1]

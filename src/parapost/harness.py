@@ -286,7 +286,7 @@ def run_experiment(config):
 
     if config.schwarz:
         breakdown = stpa_breakdown(partition, state, adjoints, problem,
-                                   true_error, decomp, cache)
+                                   true_error, decomp, config.K_s, cache)
     else:
         breakdown = tpa_breakdown(partition, state, adjoints, problem,
                                   true_error, cache)
@@ -312,6 +312,11 @@ def emit_report(records, fmt="csv", path=None, sweep_param=None,
     if not records:
         raise ValueError("no records to report")
     if fmt == "csv":
+        modes = dict.fromkeys(rec.mode for rec in records)
+        if len(modes) > 1:
+            raise ValueError(f"a CSV report has one header, but the "
+                             f"{' and '.join(modes)} columns differ; use "
+                             f"--format json")
         header = list(records[0].column_names())
         if sweep_param is not None:
             header = [sweep_param] + header
@@ -352,8 +357,8 @@ def run_sweep(base_config, param, values):
             for v in values]
 
 
-# Named configurations mirroring the published tables.  TPA and cG sweeps
-# use nu=4, mu=1; the Schwarz sweeps use nu=4, mu=2.
+# Named configurations mirroring the published tables.  The TPA and cG
+# tables use nu=4, mu=1; the Schwarz tables use nu=4, mu=2.
 TABLE_REGISTRY = {
     "par_iterations": dict(
         base=dict(Nhat_t=20, r=16, P_t=10, Nhat_s=20, qhat_s=1, q_s=2,

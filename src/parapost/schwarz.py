@@ -2,8 +2,8 @@
 
 Used as the per-time-step solver at the fine scale: each sweep solves the
 P_s local Dirichlet problems against the current iterate's trace values and
-blends them with a Richardson parameter tau.  Every sweep's local
-solutions are kept, as one array, for the a posteriori error split.  The
+blends them with a Richardson parameter tau.  A solve returns every
+sweep's local solutions, which the a posteriori error split replays.  The
 subdomain factorizations are set up here once per (space, step size,
 decomposition), and the same sweeper runs its sweeps backwards as the
 per-sweep subdomain adjoints of that split.
@@ -145,15 +145,16 @@ class AdditiveSchwarz:
         sweep k: the solve on the interior of subdomain i, and the iterate
         before sweep k elsewhere.  Of the iterate only the last is kept:
         iterate k is (1 - tau P_s) iterate k-1 + tau sum_i sweeps[k-1, i],
-        summed in i order.  rhs and guess are one vector each or (dof, P)
-        blocks of P columns, swept together with one local solve per
-        subdomain and sweep; each column of the result and of the history
-        is bitwise that of its own one-vector solve.
+        summed in i order.  rhs is one vector or a (dof, P) block of P
+        columns, swept together with one local solve per subdomain and
+        sweep; each column of the result and of the history is bitwise that
+        of its own one-vector solve.  guess has rhs's shape, or is a scalar
+        taken for every entry.
         """
         if K_s < 1:
             raise ValueError("K_s must be >= 1")
         tau, P_s = self.decomp.tau, self.decomp.P_s
-        u = np.array(guess, dtype=float)
+        u = np.array(np.broadcast_to(guess, np.shape(rhs)), dtype=float)
         sweeps = np.empty((K_s, P_s) + np.shape(rhs))
         for k in range(K_s):
             acc = (1.0 - tau * P_s) * u

@@ -1,7 +1,7 @@
 """Temporal partitions and the coarse/fine propagators.
 
 Implicit Euler, with each step solved directly or by additive Schwarz
-sweeps, and cG(q_t) continuous-in-time Galerkin stepping.  Both return the
+iteration, and cG(q_t) continuous-in-time Galerkin stepping.  Both return the
 one space-time field type, Trajectory: implicit Euler is its q_t = 0 case,
 the piecewise-constant-in-time Galerkin method dG(0), and cG(q_t) its
 q_t >= 1 case.  Propagations on distinct temporal subdomains share no
@@ -82,27 +82,20 @@ class Trajectory:
     jumps at every node.  Forward solutions of both integrators and the
     backward adjoints are all of this type; incoming is the value fed to a
     forward solve (possibly in another space), or an adjoint's terminal
-    datum.  sweeps is the sweep history of a Schwarz-swept implicit-Euler
-    solve, shape (steps, K_s, P_s, dof): sweeps[n-1] is step n's
-    AdditiveSchwarz.solve history; else None.
+    datum.  A Schwarz-swept solve keeps only its step values: the split of
+    its steps (estimator.dd_split) replays the iteration from them.
     """
 
-    def __init__(self, space, times, q_t, coeffs, incoming, sweeps=None):
+    def __init__(self, space, times, q_t, coeffs, incoming):
         self.space = space
         self.times = np.asarray(times, dtype=float)
         self.q_t = q_t
         self.coeffs = coeffs
         self.incoming = incoming
-        self.sweeps = sweeps
         want = (len(self.times) - 1, q_t + 1, space.dof_count)
         if q_t < 0 or coeffs.shape != want:
             raise ValueError(f"coefficients of shape {coeffs.shape} do not fit "
                              f"q_t={q_t} on this grid: want {want}")
-        if sweeps is not None and (
-                sweeps.ndim != 4
-                or (sweeps.shape[0], sweeps.shape[3]) != (want[0], want[2])):
-            raise ValueError(f"sweeps of shape {sweeps.shape} do not fit this "
-                             f"grid: want ({want[0]}, K_s, P_s, {want[2]})")
 
     @property
     def n_steps(self):
@@ -159,11 +152,10 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     where their step sizes key different factors, and every column's values
     are bitwise those of its own single-grid call.  Each step's SPD system
     is solved directly (banded Cholesky) or, given an OverlapDecomposition,
-    by K_s additive Schwarz sweeps from a zero guess; the trajectories then
-    carry views of one (P, steps, K_s, P_s, dof) array of sweep histories
-    in traj.sweeps.  The loads l(t_n) are the cache's block for each grid.  An
-    incoming value may live in a different space on the same mesh; its
-    first-step contribution is the exact cross-space L2 pairing.  A
+    by K_s additive Schwarz iterations from a zero guess, of which only the
+    final iterate is kept.  The loads l(t_n) are the cache's block for each
+    grid.  An incoming value may live in a different space on the same mesh;
+    its first-step contribution is the exact cross-space L2 pairing.  A
     non-finite step value raises a ValueError naming the first such step n
     of the first such column, and its time t.
     """
@@ -182,8 +174,6 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     prev_m = np.array([cache.mass(space, u0.space) @ u0.coefficients
                        for u0 in ics])
     loads = np.stack([cache.load(space, g[1:], f) for g in grids], axis=1)
-    sweeps = None if decomp is None else np.empty(
-        (P, n_steps, K_s, decomp.P_s, ndof))
     steps = np.diff(grids, axis=1).T  # (n_steps, P)
     # one lookup per distinct exact dt, in step order, so each solver is
     # still built from the first dt of its key
@@ -195,18 +185,13 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
         u = np.empty_like(rhs)
         for solver, cols in groups([solvers[dt] for dt in dts.tolist()]):
             b = rhs[cols].T  # (dof, columns)
-            if decomp is None:
-                u[cols] = solver.solve(b).T
-                continue
-            x, history = solver.solve(b, np.zeros_like(b), K_s)
+            x = solver.solve(b) if decomp is None else solver.solve(b, 0, K_s)[0]
             u[cols] = x.T
-            sweeps[cols, n - 1] = np.moveaxis(history, -1, 0)
         coeffs[:, n - 1, 0] = u
         prev_m = matvecs(M, u)
     for j in range(P):
         _require_finite(coeffs[j], grids[j])
-    trajs = [Trajectory(space, grids[j], 0, coeffs[j], ics[j],
-                        None if sweeps is None else sweeps[j])
+    trajs = [Trajectory(space, grids[j], 0, coeffs[j], ics[j])
              for j in range(P)]
     return trajs[0] if times.ndim == 1 else trajs
 

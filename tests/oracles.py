@@ -7,9 +7,9 @@ nothing.  dg0_equivalence_check re-solves an implicit-Euler trajectory as
 the dG(0) Galerkin method, with matrices assembled afresh and a dense solve.
 cg_per_slab steps cG(q_t) one slab and one test function at a time.
 dd_split_per_step splits one Schwarz-solved step at a time, with its own
-spatial adjoints and one-vector products.  sweep_iterates rebuilds the
-Schwarz iterates from a sweep history, and slab_eval and at evaluate a
-Trajectory inside its slabs.
+replay of the step's sweeps, spatial adjoints and one-vector products.
+sweep_iterates rebuilds the Schwarz iterates from a sweep history, and
+slab_eval and at evaluate a Trajectory inside its slabs.
 """
 
 import numpy as np
@@ -141,25 +141,32 @@ def subdomain_adjoints(sweeper, weight, K_s):
     return chi
 
 
-def dd_split_per_step(traj, n, decomp, phi_val, ev):
-    """(E_K, E_N) of step n of a Schwarz-solved trajectory weighted by
-    phi_val, with the global adjoint solved by the cached step operator and
-    the subdomain ones by the cached sweeper of the step's dt, each looked
-    up for this step alone."""
-    sweeps = traj.sweeps[n - 1]
-    K_s = len(sweeps)
+def dd_split_per_step(traj, n, decomp, K_s, phi_val, ev, solve_cache):
+    """(E_K, E_N) of step n of a trajectory whose steps were solved by K_s
+    Schwarz sweeps over decomp, weighted by phi_val.  The step's sweeps are
+    replayed by a one-vector solve with the sweeper of solve_cache, the
+    cache the trajectory was solved with; the global adjoint is solved by
+    ev.cache's step operator and the subdomain ones by its sweeper of the
+    step's dt, each looked up for this step alone."""
     cache, space3 = ev.cache, phi_val.space
     dt = traj.times[n] - traj.times[n - 1]
+
+    def ell(space):
+        """Step n's right-hand functional on the fields of a space."""
+        if n == 1:
+            prev = (cache.mass(space, traj.incoming.space)
+                    @ traj.incoming.coefficients)
+        else:
+            prev = cache.mass(space, traj.space) @ traj.field(n - 1).coefficients
+        return prev + dt * ev.load(space, traj, ends=True)[n - 1]
+
+    _, sweeps = AdditiveSchwarz.cached(solve_cache, traj.space, dt, decomp
+                                       ).solve(ell(traj.space), 0, K_s)
     M3x = cache.mass(space3, traj.space)
     B3x = cache.factor(
         ("step_matrix", space3, traj.space, dt),
         lambda: M3x + dt * cache.stiffness(space3, traj.space))
-    if n == 1:
-        M3inc = cache.mass(space3, traj.incoming.space)
-        ell = M3inc @ traj.incoming.coefficients
-    else:
-        ell = M3x @ traj.field(n - 1).coefficients
-    ell = ell + dt * ev.load(space3, traj, ends=True)[n - 1]
+    ell3 = ell(space3)
     Phi = cache.step_operator(space3, dt).solve(
         cache.mass(space3, space3) @ phi_val.coefficients)
     sweeper = AdditiveSchwarz.cached(cache, space3, dt, decomp)
@@ -168,9 +175,9 @@ def dd_split_per_step(traj, n, decomp, phi_val, ev):
     for ks in range(1, K_s + 1):
         for i in range(decomp.P_s):
             c = chi[ks - 1][i]
-            E_N += c @ ell - c @ (B3x @ sweeps[ks - 1, i])
+            E_N += c @ ell3 - c @ (B3x @ sweeps[ks - 1, i])
     u_n = traj.field(n).coefficients
-    E_K = Phi @ ell - Phi @ (B3x @ u_n) - E_N
+    E_K = Phi @ ell3 - Phi @ (B3x @ u_n) - E_N
     return E_K, E_N
 
 

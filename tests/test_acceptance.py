@@ -200,7 +200,7 @@ def test_property_finite_termination(P_t):
 def test_property_finite_termination_over_configs(P_t, r, degrees, schwarz):
     # after K_t = P_t iterations synchronized in the fine space, Parareal
     # reproduces one serial fine solve with the same step solver: direct, or
-    # K_s Schwarz sweeps over P_s subdomains, whose histories vpar carries
+    # K_s Schwarz sweeps over P_s subdomains
     prob = build_manufactured(2, 1, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 12)
     coarse, fine = (FeSpace(mesh, q) for q in degrees)
@@ -216,9 +216,6 @@ def test_property_finite_termination_over_configs(P_t, r, degrees, schwarz):
                           embed(ic, fine, cache), prob.f, cache, *solver)
     n_per = part.N_t // P_t
     for p, traj in enumerate(states[-1].fine, start=1):
-        if schwarz is not None:
-            assert traj.sweeps.shape == (n_per, schwarz[1], schwarz[0],
-                                         fine.dof_count)
         dev = np.max(np.abs(traj.end.coefficients
                             - serial.field(p * n_per).coefficients))
         assert dev < 1e-10
@@ -280,7 +277,7 @@ def test_property_spatial_split_identity():
                         cache, decomp=decomp, K_s=2)
     ev = ResidualEvaluator(prob.f, cache)
     phi_val = adj_space.interpolate(lambda x: np.sin(np.pi * x))
-    E_K, E_N = dd_split([traj], [[phi_val] * traj.n_steps], decomp, ev)
+    E_K, E_N = dd_split([traj], [[phi_val] * traj.n_steps], decomp, 2, ev)
     for n in range(1, traj.n_steps + 1):
         dt = grid[1] - grid[0]
         M3x = ev.cache.mass(adj_space, space)

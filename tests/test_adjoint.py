@@ -252,7 +252,7 @@ def test_nonfinite_spatial_adjoint_names_itself_and_dt(kind):
             traj = propagate_be(fwd, np.linspace(0.0, 0.125, 3),
                                 fwd.interpolate(np.sin), None, cache,
                                 decomp=decomp, K_s=2)
-            dd_split([traj], [[weight] * 2], decomp,
+            dd_split([traj], [[weight] * 2], decomp, 2,
                      ResidualEvaluator(None, cache))
         else:
             list(AdditiveSchwarz.cached(cache, space, 0.0625, decomp).adjoint(

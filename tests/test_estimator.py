@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from parapost.adjoint import (
     solve_auxiliary_adjoints,
@@ -31,6 +31,7 @@ from parapost.mesh import (
     lagrange_derivs,
     qoi_eval,
 )
+import parapost.harness as harness_module
 import parapost.schwarz as schwarz_module
 from parapost.parareal import vpar
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
@@ -160,7 +161,8 @@ def test_iteration_component_vanishes_at_finite_termination():
 
 @pytest.mark.parametrize("breakdown", [
     tpa_breakdown,
-    lambda *args, cache: stpa_breakdown(*args, decomp=None, cache=cache),
+    lambda *args, cache: stpa_breakdown(*args, decomp=None, K_s=None,
+                                        cache=cache),
 ], ids=["tpa_breakdown", "stpa_breakdown"])
 def test_missing_adjoint_family_rejected(breakdown):
     prob = build_manufactured(2, 1, 0.5)
@@ -187,14 +189,16 @@ def _schwarz_step_setup(K_s=2):
     return traj, sweeper, ev, phi_val
 
 
-def _split_every_step(traj, sweeper, ev, phi_val):
-    """dd_split of every step of one trajectory, each weighted by phi_val."""
-    return dd_split([traj], [[phi_val] * traj.n_steps], sweeper.decomp, ev)
+def _split_every_step(traj, sweeper, ev, phi_val, K_s):
+    """dd_split of every step of one trajectory solved by K_s sweeps, each
+    weighted by phi_val."""
+    return dd_split([traj], [[phi_val] * traj.n_steps], sweeper.decomp, K_s,
+                    ev)
 
 
 def test_dd_split_sums_to_global_weighted_algebraic_error():
     traj, sweeper, ev, phi_val = _schwarz_step_setup()
-    E_K, E_N = _split_every_step(traj, sweeper, ev, phi_val)
+    E_K, E_N = _split_every_step(traj, sweeper, ev, phi_val, 2)
     for n in (1, 3, 5):
         dt = traj.times[n] - traj.times[n - 1]
         space3 = sweeper.space
@@ -214,14 +218,17 @@ def test_dd_split_sums_to_global_weighted_algebraic_error():
 
 
 def test_dd_split_summation_order_invariance():
-    traj, sweeper, ev, phi_val = _schwarz_step_setup(K_s=4)
-    n = 2
-    E_N = _split_every_step(traj, sweeper, ev, phi_val)[1][n - 1]
-    # recompute E_N summing subdomains first, sweeps second
-    sweeps = traj.sweeps[n - 1]
-    K_s = len(sweeps)
+    n, K_s = 2, 4
+    traj, sweeper, ev, phi_val = _schwarz_step_setup(K_s)
+    E_N = _split_every_step(traj, sweeper, ev, phi_val, K_s)[1][n - 1]
+    # recompute E_N summing subdomains first, sweeps second, from the step's
+    # sweeps replayed by a one-vector solve
     dt = traj.times[n] - traj.times[n - 1]
-    space3 = sweeper.space
+    space, space3 = traj.space, sweeper.space
+    rhs = (ev.cache.mass(space, space) @ traj.field(n - 1).coefficients
+           + dt * assemble_load(space, traj.times[n], ev.f))
+    _, sweeps = AdditiveSchwarz.cached(ev.cache, space, dt, sweeper.decomp
+                                       ).solve(rhs, 0, K_s)
     M3x = ev.cache.mass(space3, traj.space)
     B3x = M3x + dt * ev.cache.stiffness(space3, traj.space)
     ell = M3x @ traj.field(n - 1).coefficients + dt * assemble_load(space3, traj.times[n], ev.f)
@@ -240,8 +247,8 @@ def test_dd_split_iteration_part_shrinks_when_converged():
     # the discretization part E_N does not
     few, sweeper_f, ev_f, phi_f = _schwarz_step_setup(K_s=2)
     many, sweeper_m, ev_m, phi_m = _schwarz_step_setup(K_s=60)
-    E_K_few, _ = _split_every_step(few, sweeper_f, ev_f, phi_f)
-    E_K_many, E_N_many = _split_every_step(many, sweeper_m, ev_m, phi_m)
+    E_K_few, _ = _split_every_step(few, sweeper_f, ev_f, phi_f, 2)
+    E_K_many, E_N_many = _split_every_step(many, sweeper_m, ev_m, phi_m, 60)
     for n in (1, 4):
         assert abs(E_K_many[n - 1]) < 1e-6
         assert abs(E_K_many[n - 1]) < 1e-3 * abs(E_K_few[n - 1])
@@ -249,31 +256,54 @@ def test_dd_split_iteration_part_shrinks_when_converged():
 
 
 def test_dd_split_requires_sweep_records():
+    # the split replays each step's sweeps from its right-hand side, so it
+    # requires steps that are K_s sweeps over the decomposition it is given:
+    # a second trajectory solved directly, swept once more, or swept over
+    # another overlap raises at its first step, and one whose third step
+    # value moves by 1e-9 relative raises there; 1e-14 relative passes
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
-    space = FeSpace(mesh, 2)
-    cache = FormCache()
-    traj = propagate_be(space, np.linspace(0.0, 0.5, 6),
-                        space.interpolate(prob.u0), prob.f, cache)
+    space, space3 = FeSpace(mesh, 2), FeSpace(mesh, 3)
     decomp = decompose_domain(mesh, 2, 0.2, 0.4)
-    ev = ResidualEvaluator(prob.f, cache)
-    with pytest.raises(ValueError, match="no Schwarz sweep record"):
-        dd_split([traj], [[FeSpace(mesh, 3).interpolate(np.sin)] * 5],
-                 decomp, ev)
+    cache = FormCache()
+    ic = space.interpolate(prob.u0)
+    grids = np.array(TimePartition.uniform(1.0, 2, 2, 5).fine_grids)
+    first = propagate_be(space, grids[0], ic, prob.f, cache, decomp, 2)
+
+    def split(second):
+        weights = [[space3.interpolate(np.sin)] * 5] * 2
+        return dd_split([first, second], weights, decomp, 2,
+                        ResidualEvaluator(prob.f, cache))
+
+    def moved(rel):
+        traj = propagate_be(space, grids[1], ic, prob.f, cache, decomp, 2)
+        coeffs = traj.coeffs.copy()
+        coeffs[2] *= 1.0 + rel
+        return Trajectory(space, traj.times, 0, coeffs, ic)
+
+    other = decompose_domain(mesh, 2, 0.3, 0.4)
+    for second, n in (
+            (propagate_be(space, grids[1], ic, prob.f, cache), 1),
+            (propagate_be(space, grids[1], ic, prob.f, cache, decomp, 3), 1),
+            (propagate_be(space, grids[1], ic, prob.f, cache, other, 2), 1),
+            (moved(1e-9), 3)):
+        with pytest.raises(ValueError, match=rf"not that of 2 Schwarz sweeps "
+                           rf".* at p=2, n={n}$"):
+            split(second)
+    split(moved(1e-14))
 
 
 @settings(max_examples=40, deadline=None)
-@given(P_s=st.integers(1, 3), K_s=st.integers(1, 3),
-       last_K_s=st.integers(1, 3), steps=st.integers(1, 4),
+@given(P_s=st.integers(1, 3), K_s=st.integers(1, 3), steps=st.integers(1, 4),
        P_t=st.integers(1, 3), q_s=st.integers(1, 2), q_inc=st.integers(1, 3),
        T=st.sampled_from([0.3, 0.7, 0.9]), forced=st.booleans(),
        seed=st.integers(0, 10**6))
-def test_dd_split_matches_the_per_step_oracle(P_s, K_s, last_K_s, steps, P_t,
-                                              q_s, q_inc, T, forced, seed):
+def test_dd_split_matches_the_per_step_oracle(P_s, K_s, steps, P_t, q_s,
+                                              q_inc, T, forced, seed):
     # every step of several trajectories split together is bitwise its own
     # split, on linspace grids whose steps differ in the last bits, with
-    # incoming values in other spaces and the last trajectory possibly swept
-    # another number of times; the oracle looks its solvers up step by step
+    # incoming values in other spaces; the oracle replays each step's sweeps
+    # with the solve's sweeper and looks its adjoint solvers up step by step
     # in a cache of its own
     rng = np.random.default_rng(seed)
     mesh = SpatialMesh.uniform(0.0, 1.0, 12)
@@ -287,13 +317,13 @@ def test_dd_split_matches_the_per_step_oracle(P_s, K_s, last_K_s, steps, P_t,
     f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
     cache = FormCache()
     trajs = propagate_be(space, grids, ics, f, cache, decomp, K_s)
-    trajs[-1] = propagate_be(space, grids[-1], ics[-1], f, cache, decomp,
-                             last_K_s)
     weights = [[NodalField(space3, rng.standard_normal(space3.dof_count))
                 for _ in range(steps)] for _ in range(P_t)]
-    E_K, E_N = dd_split(trajs, weights, decomp, ResidualEvaluator(f, cache))
+    E_K, E_N = dd_split(trajs, weights, decomp, K_s,
+                        ResidualEvaluator(f, cache))
     ev = ResidualEvaluator(f, FormCache())
-    want = np.array([dd_split_per_step(traj, n, decomp, weights[p][n - 1], ev)
+    want = np.array([dd_split_per_step(traj, n, decomp, K_s, weights[p][n - 1],
+                                       ev, cache)
                      for p, traj in enumerate(trajs)
                      for n in range(1, steps + 1)])
     assert np.array_equal(E_K, want[:, 0])
@@ -325,7 +355,7 @@ def test_dd_split_names_the_first_step_with_a_nonfinite_subdomain_adjoint(
     monkeypatch.setattr(AdditiveSchwarz, "local_solve", failing)
     with pytest.raises(ValueError, match=r"non-finite subdomain spatial "
                        r"adjoint \(dt=0\.125\) at p=2, n=2$"):
-        dd_split(trajs, weights, decomp, ResidualEvaluator(prob.f, cache))
+        dd_split(trajs, weights, decomp, 2, ResidualEvaluator(prob.f, cache))
 
 
 def test_stpa_split_solves_each_sweeper_group_once(monkeypatch):
@@ -376,22 +406,37 @@ def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():
     fine_adjs = solve_fine_adjoints(part, coarse_adj, 3, cache)
     aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, 3, cache)
     adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
-    stpa_breakdown(part, state, adjoints, prob, 1.0, decomp, cache)
+    stpa_breakdown(part, state, adjoints, prob, 1.0, decomp, 2, cache)
     bad = fine_adjs[1]
     coeffs = bad.coeffs.copy()
     coeffs[1, -1, 3] = np.nan  # the weight at the end of step n=2
     fine_adjs[1] = Trajectory(bad.space, bad.times, bad.q_t, coeffs,
                               bad.incoming)
     with pytest.raises(ValueError, match=r"p=2, n=2"):
-        stpa_breakdown(part, state, adjoints, prob, 1.0, decomp, cache)
+        stpa_breakdown(part, state, adjoints, prob, 1.0, decomp, 2, cache)
 
 
-def test_stpa_collapses_to_tpa_without_spatial_splitting():
-    base = dict(Nhat_t=10, r=2, P_t=5, K_t=2, Nhat_s=10, qhat_s=1, q_s=2,
-                nu=2, mu=2, T=0.5)
+# small Schwarz configs: P_t <= 3 temporal subdomains of r fine steps per
+# coarse step, on linspace grids whose steps differ in their last bits, so
+# the split's replay groups steps of unequal exact size
+_SMALL_STPA = dict(P_t=st.integers(1, 3), r=st.integers(1, 3),
+                   K_s=st.integers(1, 3), Nhat_s=st.sampled_from([8, 12]))
+
+
+def _small_stpa_base(P_t, r, Nhat_s):
+    return dict(Nhat_t=2 * P_t, r=r, P_t=P_t, K_t=min(2, P_t), Nhat_s=Nhat_s,
+                qhat_s=1, q_s=2, nu=2, mu=2, T=0.5)
+
+
+@settings(max_examples=15, deadline=None)
+@given(**_SMALL_STPA)
+@example(P_t=5, r=2, K_s=1, Nhat_s=10)
+def test_stpa_collapses_to_tpa_without_spatial_splitting(P_t, r, K_s, Nhat_s):
+    # one subdomain with tau = 1 solves each step exactly in every sweep
+    base = _small_stpa_base(P_t, r, Nhat_s)
     tpa = run_experiment(ExperimentConfig(**base))
     stpa = run_experiment(ExperimentConfig(**base, schwarz=True, P_s=1,
-                                           K_s=1, tau=1.0))
+                                           K_s=K_s, tau=1.0))
     assert abs(stpa.true_error - tpa.true_error) < 1e-10
     assert abs(stpa.estimated_error - tpa.estimated_error) < 1e-10
     d_sum = (stpa.components["D_t"] + stpa.components["D_s"]
@@ -399,6 +444,35 @@ def test_stpa_collapses_to_tpa_without_spatial_splitting():
     assert abs(d_sum - tpa.components["D"]) < 1e-10
     for name in ("K", "C", "A"):
         assert abs(stpa.components[name] - tpa.components[name]) < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(P_s=st.integers(1, 3), **_SMALL_STPA)
+def test_stpa_splits_the_tpa_discretization_part_exactly(P_t, r, P_s, K_s,
+                                                        Nhat_s):
+    # on one Schwarz state and one set of adjoints, D_t + D_s + D_k is D,
+    # the same residuals summed in another order: over every config of
+    # these ranges the gap is at most 3.3e-16 of |D_t| + |D_s| + |D_k|, so
+    # 1e-12 leaves room for another BLAS; K, C and A are the same terms
+    assume(Nhat_s % P_s == 0)
+    cfg = ExperimentConfig(**_small_stpa_base(P_t, r, Nhat_s), schwarz=True,
+                           P_s=P_s, K_s=K_s, beta=0.25, tau=0.4)
+    tpa = []
+
+    def stpa_and_tpa(partition, state, adjoints, problem, true_error, decomp,
+                     K_s, cache):
+        tpa.append(tpa_breakdown(partition, state, adjoints, problem,
+                                 true_error, cache).components)
+        return stpa_breakdown(partition, state, adjoints, problem, true_error,
+                              decomp, K_s, cache)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness_module, "stpa_breakdown", stpa_and_tpa)
+        stpa = run_experiment(cfg).components
+    D = [stpa[name] for name in ("D_t", "D_s", "D_k")]
+    assert abs(sum(D) - tpa[0]["D"]) <= 1e-12 * sum(map(abs, D))
+    for name in ("K", "C", "A"):
+        assert stpa[name] == tpa[0][name]
 
 
 def test_component_sum_is_reported_total():

@@ -264,6 +264,24 @@ def test_emit_report_errors(tmp_path):
         emit_report([rec], path=str(tmp_path / "no" / "such" / "dir" / "x.csv"))
 
 
+def test_cli_sweep_over_modes_reports_only_as_json(tmp_path, capsys):
+    # the TPA and STPA rows have different columns: under one CSV header the
+    # STPA row's D_s would be read as K
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in SMALL.items())
+                   + "beta = 0.5\n")
+    out = tmp_path / "out.csv"
+    sweep = ["sweep", "--config", str(cfg), "--param", "schwarz",
+             "--values", "0,1"]
+    assert cli_main(sweep + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "TPA and STPA" in err
+    assert "--format json" in err and not out.exists()
+    assert cli_main(sweep + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [rec["mode"] for rec in payload] == ["TPA", "STPA"]
+
+
 def test_sweep_values_converted_by_field_type(tmp_path, capsys):
     off = run_sweep(ExperimentConfig(**SMALL), "schwarz", ["false"])
     assert off[0].config["schwarz"] is False and off[0].mode == "TPA"

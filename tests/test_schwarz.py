@@ -207,19 +207,22 @@ def test_schwarz_stepping_rejects_zero_sweeps():
 
 
 def test_records_are_retained_per_step():
-    prob = build_manufactured(2, 2, 0.5)
+    # the history of four steps' right-hand sides swept together from a zero
+    # guess: per sweep and subdomain, one local solution per step
     mesh = SpatialMesh.uniform(0.0, 1.0, 8)
     space = FeSpace(mesh, 1)
     d = decompose_domain(mesh, 2, 0.25, 0.4)
-    ic = space.interpolate(prob.u0)
-    traj = propagate_be(space, np.linspace(0.0, 0.5, 5), ic, prob.f,
-                        FormCache(), decomp=d, K_s=3)
-    assert traj.sweeps.shape == (4, 3, 2, space.dof_count)  # 4 steps, 3 sweeps
+    sweeper = AdditiveSchwarz.cached(FormCache(), space, 0.125, d)
+    rhs = np.random.default_rng(4).standard_normal((4, space.dof_count)).T
+    u, sweeps = sweeper.solve(rhs, 0, 3)
+    assert sweeps.shape == (3, 2, space.dof_count, 4)  # 3 sweeps, 4 steps
+    assert np.array_equal(u, sweeper.solve(rhs, np.zeros_like(rhs), 3)[0])
     for i in range(d.P_s):
         # zero initial guess: outside its subdomain's interior, a first
         # sweep's local solution is the guess
         interior, _ = subdomain_dof_sets(space, d, i)
-        assert not np.delete(traj.sweeps[:, 0, i], interior, axis=1).any()
+        assert not np.delete(sweeps[0, i], interior, axis=0).any()
+        assert np.all(sweeps[0, i][interior] != 0.0)
 
 
 def test_many_sweeps_solve_the_step_system():

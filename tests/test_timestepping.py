@@ -228,7 +228,6 @@ def test_be_trajectory_is_the_dg0_field():
     traj = propagate_be(space, np.linspace(0.0, 0.5, 6),
                         space.interpolate(prob.u0), prob.f, FormCache())
     assert traj.q_t == 0 and traj.coeffs.shape == (5, 1, space.dof_count)
-    assert traj.sweeps is None
     U = traj.coeffs[:, 0]
     for read in (lambda: traj.field(0), lambda: traj.value_at_node(0.0)):
         with pytest.raises(ValueError, match="no value at times"):
@@ -252,21 +251,6 @@ def test_trajectory_rejects_coefficients_that_do_not_fit_the_grid():
         with pytest.raises(ValueError, match="do not fit"):
             Trajectory(space, times, q_t, np.zeros(shape), ic)
     assert Trajectory(space, times, 1, np.zeros((4, 2, dof)), ic).n_steps == 4
-
-
-def test_trajectory_rejects_a_sweep_history_that_does_not_fit_the_grid():
-    # the history of four steps of 3 sweeps over 2 subdomains is (4, 3, 2, dof)
-    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 1)
-    dof = space.dof_count
-    ic = NodalField(space, np.zeros(dof))
-    times = np.linspace(0.0, 1.0, 5)
-    coeffs = np.zeros((4, 1, dof))
-    for shape in ((5, 3, 2, dof), (4, 3, 2, dof + 1), (4, 3, dof), (3, 2, dof),
-                  (4, 3, 2, 1, dof)):
-        with pytest.raises(ValueError, match="sweeps of shape .* do not fit"):
-            Trajectory(space, times, 0, coeffs, ic, np.zeros(shape))
-    sweeps = np.zeros((4, 3, 2, dof))
-    assert Trajectory(space, times, 0, coeffs, ic, sweeps).sweeps is sweeps
 
 
 @pytest.mark.parametrize("q_t", [1, 2, 3])
@@ -308,16 +292,6 @@ def test_stacked_grids_step_bitwise_as_one_call_per_grid(stepping):
         want = propagate_be(space, grid, ic, prob.f, cache, *solver)
         assert got.incoming is ic and np.array_equal(got.times, grid)
         assert np.array_equal(got.coeffs, want.coeffs)
-        if not solver:
-            assert got.sweeps is None
-            continue
-        assert got.sweeps.flags.c_contiguous
-        assert np.array_equal(got.sweeps, want.sweeps)
-    if solver:
-        # the trajectories of one call hold views of one array, also those
-        # whose steps were solved apart
-        assert all(traj.sweeps.base is batch[0].sweeps.base is not None
-                   for traj in batch)
     with pytest.raises(ValueError, match="4 grids but 3 incoming values"):
         propagate_be(space, grids, ics[:3], prob.f, cache, *solver)
 
@@ -361,7 +335,7 @@ def test_cg_slab_factors_die_with_their_cache():
         assert AdditiveSchwarz.cached(cache, space, grid[1], decomp).space is space
         ev = ResidualEvaluator(ZERO_F, cache)
         phi = adj_space.interpolate(lambda x: np.sin(np.pi * x))
-        dd_split([traj], [[phi] * traj.n_steps], decomp, ev)
+        dd_split([traj], [[phi] * traj.n_steps], decomp, 2, ev)
         refs = [weakref.ref(obj) for obj in (cache, space, adj_space, decomp)]
         del space, adj_space, decomp, cache, ic, traj, ev, phi
         assert [ref() for ref in refs] == [None] * 4
