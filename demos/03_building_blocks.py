@@ -9,7 +9,7 @@ identity directly.
 Run:  python3 demos/03_building_blocks.py
 """
 
-import numpy as np
+import math
 
 from parapost import (
     FeSpace,
@@ -72,14 +72,18 @@ aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, adj_q_t,
                                     cache)
 adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
 
-bd = tpa_breakdown(part, state, adjoints, prob, true_err, cache)
+# the breakdown sees only the discrete solution and the adjoints; the
+# estimate is the sum of its components, and only here, where the exact
+# solution is known, is it compared with the true error
+components = tpa_breakdown(part, state, adjoints, prob, cache)
+estimate = math.fsum(components.values())
 
 print("\ncomponents:")
-for name, val in bd.components.items():
+for name, val in components.items():
     print(f"  {name}  {val:+.6e}")
-print(f"\nestimated error {bd.estimated_total:+.6e}")
-print(f"effectivity     {bd.effectivity:.4f}")
+print(f"\nestimated error {estimate:+.6e}")
+print(f"effectivity     {estimate / true_err:.4f}")
 
-gap = abs(bd.estimated_total - true_err)
+gap = abs(estimate - true_err)
 print(f"\n|estimate - truth| = {gap:.2e} "
       f"({gap / abs(true_err):.1%} of the true error)")

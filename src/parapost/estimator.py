@@ -13,7 +13,6 @@ here is a pure function of immutable trajectories and adjoints.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,33 +24,6 @@ from .schwarz import AdditiveSchwarz
 # Gauss points per time step of the residual integrals: cubic-in-time
 # weights against smooth forcing
 N_QUAD_T = 5
-
-TPA_COMPONENTS = ("D", "K", "C", "A")
-STPA_COMPONENTS = ("D_t", "D_s", "D_k", "K", "C", "A")
-
-
-@dataclass
-class ErrorBreakdown:
-    """Named error components, their exact sum, and the effectivity ratio."""
-
-    mode: str
-    components: dict
-    true_error: float
-
-    @property
-    def estimated_total(self):
-        return math.fsum(self.components.values())
-
-    @property
-    def effectivity(self):
-        return effectivity(self.estimated_total, self.true_error)
-
-
-def effectivity(estimated, true_err):
-    """Ratio of estimated to true error; NaN flags an undefined ratio."""
-    if true_err == 0.0:
-        return float("nan")
-    return estimated / true_err
 
 
 class ResidualEvaluator:
@@ -188,8 +160,9 @@ def _ack_terms(partition, state, adjoints, ev, u0, fine_space):
     return A, C, K
 
 
-def tpa_breakdown(partition, state, adjoints, problem, true_error, cache):
-    """Error decomposition for the time-parallel solver at one iteration.
+def tpa_breakdown(partition, state, adjoints, problem, cache):
+    """Error decomposition for the time-parallel solver at one iteration:
+    the components {'D', 'K', 'C', 'A'}, whose sum is the error estimate.
 
     adjoints holds 'coarse', 'fine' (list over p) and 'aux' (dict keyed by
     p = 2..P_t); problem supplies f and the analytic initial condition.  The
@@ -204,8 +177,7 @@ def tpa_breakdown(partition, state, adjoints, problem, true_error, cache):
     D += _ic_error_pair(ev, adjoints["fine"][0].value_at_node(0.0),
                         problem.u0, state.initial)
     A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0, fine_space)
-    comps = {"D": D, "K": K, "C": C, "A": A}
-    return ErrorBreakdown("TPA", comps, true_error)
+    return {"D": D, "K": K, "C": C, "A": A}
 
 
 def _step_functionals(traj, space, ev):
@@ -253,14 +225,12 @@ def dd_split(trajs, weights, decomp, K_s, ev):
     distinct = dict.fromkeys(dts)
     sweepers = {dt: AdditiveSchwarz.cached(cache, space3, dt, decomp)
                 for dt in distinct}
-    # one dense M + dt*A per exact dt, not per_step's: shared across the
-    # steps of a linspace grid, it moves 19 registry values past 1e-12
-    # relative (D_s by up to 8.9e-7 on pardd_fine_time[r=2], D_k by 1.4e-11)
-    M3x = cache.mass(space3, space)
-    B3x = {dt: cache.factor(
-        ("step_matrix", space3, space, dt),
-        lambda: _read_only(M3x + dt * cache.stiffness(space3, space)))
-        for dt in distinct}
+    # one dense M + dt*A per exact dt, not per_step's, built for this call
+    # alone: shared across the steps of a linspace grid, it moves 19
+    # registry values past 1e-12 relative (D_s by up to 8.9e-7 on
+    # pardd_fine_time[r=2], D_k by 1.4e-11)
+    M3x, A3x = cache.mass(space3, space), cache.stiffness(space3, space)
+    B3x = {dt: M3x + dt * A3x for dt in distinct}
 
     def b3x_times(X, by_dt):
         """B3x @ x for each row x of X, with the B3x of each row's exact dt."""
@@ -317,9 +287,9 @@ def dd_split(trajs, weights, decomp, K_s, ev):
     return E_K - E_N, E_N
 
 
-def stpa_breakdown(partition, state, adjoints, problem, true_error,
-                   decomp, K_s, cache):
-    """Error decomposition for the space-time parallel solver.
+def stpa_breakdown(partition, state, adjoints, problem, decomp, K_s, cache):
+    """Error decomposition for the space-time parallel solver: the components
+    {'D_t', 'D_s', 'D_k', 'K', 'C', 'A'}, whose sum is the error estimate.
 
     Splits the fine discretization component into temporal (D_t), spatial
     (D_s) and Schwarz-iteration (D_k) parts; A, C, K are as in the
@@ -351,5 +321,4 @@ def stpa_breakdown(partition, state, adjoints, problem, true_error,
     D_t += _ic_error_pair(ev, adjoints["fine"][0].value_at_node(0.0),
                           problem.u0, state.initial)
     A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0, fine_space)
-    comps = {"D_t": D_t, "D_s": D_s, "D_k": D_k, "K": K, "C": C, "A": A}
-    return ErrorBreakdown("STPA", comps, true_error)
+    return {"D_t": D_t, "D_s": D_s, "D_k": D_k, "K": K, "C": C, "A": A}

@@ -19,12 +19,7 @@ from .adjoint import (
     solve_coarse_adjoint,
     solve_fine_adjoints,
 )
-from .estimator import (
-    STPA_COMPONENTS,
-    TPA_COMPONENTS,
-    stpa_breakdown,
-    tpa_breakdown,
-)
+from .estimator import stpa_breakdown, tpa_breakdown
 from .mesh import FeSpace, FormCache, SpatialMesh, qoi_eval
 from .parareal import vpar
 from .schwarz import decompose_domain
@@ -135,8 +130,6 @@ class ExperimentConfig:
     tau: float = 0.4
     adjoint_time_degree: int = 3
     adjoint_space_degree: int = 3
-    format: str = "csv"
-    path: str = ""
 
     def __post_init__(self):
         # every value (e.g. text from a config file) as its field's type
@@ -168,14 +161,18 @@ class ExperimentConfig:
             raise ValueError("qhat_s must not exceed q_s")
         if self.integrator not in ("be", "cg"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.schwarz:
             if self.integrator != "be":
                 raise ValueError("the Schwarz fine solver requires integrator 'be'")
             mesh = SpatialMesh.uniform(0.0, 1.0, self.Nhat_s)
             decompose_domain(mesh, self.P_s, self.beta, self.tau)
         return self
+
+    @property
+    def mode(self):
+        """The decomposition a run reports: 'STPA' with the Schwarz fine
+        solver, else 'TPA'."""
+        return "STPA" if self.schwarz else "TPA"
 
     @staticmethod
     def from_mapping(d):
@@ -206,9 +203,17 @@ class ExperimentConfig:
         return ExperimentConfig.from_mapping(data)
 
 
+def effectivity(estimated, true_err):
+    """Ratio of estimated to true error; NaN flags an undefined ratio."""
+    if true_err == 0.0:
+        return float("nan")
+    return estimated / true_err
+
+
 @dataclass
 class RunRecord:
-    """One experiment's configuration echo, components and effectivity."""
+    """One experiment's configuration echo, components and effectivity; the
+    components are in the order their breakdown returns them."""
 
     config: dict
     mode: str
@@ -221,18 +226,16 @@ class RunRecord:
     wall_time: float
 
     def column_names(self):
-        names = TPA_COMPONENTS if self.mode == "TPA" else STPA_COMPONENTS
-        return ("est_err", "gamma") + tuple(names)
+        return ("est_err", "gamma") + tuple(self.components)
 
     def row(self):
-        names = TPA_COMPONENTS if self.mode == "TPA" else STPA_COMPONENTS
-        return (self.estimated_error, self.effectivity) + tuple(
-            self.components[n] for n in names
-        )
+        return ((self.estimated_error, self.effectivity)
+                + tuple(self.components.values()))
 
 
 def run_experiment(config):
-    """Run TPA or STPA at the final Parareal iteration and estimate the error."""
+    """Run TPA or STPA at the final Parareal iteration, estimate the error and
+    compare the estimate with the manufactured solution's true error."""
     config.validate()
     t_start = time.perf_counter()
     problem = build_manufactured(
@@ -285,55 +288,62 @@ def run_experiment(config):
     adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
 
     if config.schwarz:
-        breakdown = stpa_breakdown(partition, state, adjoints, problem,
-                                   true_error, decomp, config.K_s, cache)
+        components = stpa_breakdown(partition, state, adjoints, problem,
+                                    decomp, config.K_s, cache)
     else:
-        breakdown = tpa_breakdown(partition, state, adjoints, problem,
-                                  true_error, cache)
+        components = tpa_breakdown(partition, state, adjoints, problem, cache)
+    estimated = math.fsum(components.values())
 
     wall = time.perf_counter() - t_start
     return RunRecord(
         config=asdict(config),
-        mode=breakdown.mode,
-        components=dict(breakdown.components),
-        estimated_error=breakdown.estimated_total,
+        mode=config.mode,
+        components=components,
+        estimated_error=estimated,
         true_error=true_error,
-        effectivity=breakdown.effectivity,
+        effectivity=effectivity(estimated, true_error),
         true_qoi=true_qoi,
         computed_qoi=computed_qoi,
         wall_time=wall,
     )
 
 
-def emit_report(records, fmt="csv", path=None, sweep_param=None,
-                sweep_values=None):
+def require_one_mode(fmt, modes):
+    """Reject a CSV report whose rows (of these modes, 'TPA' or 'STPA') have
+    different columns: one header cannot name them."""
+    modes = dict.fromkeys(modes)
+    if fmt == "csv" and len(modes) > 1:
+        raise ValueError(f"a CSV report has one header, but the "
+                         f"{' and '.join(modes)} columns differ; use "
+                         f"--format json")
+
+
+def emit_report(records, fmt="csv", path=None, sweep_param=None):
     """Serialize run records to CSV or JSON; returns the text and optionally
-    writes it to a file.  Numbers are full-precision scientific notation."""
+    writes it to a file.  Numbers are full-precision scientific notation.
+    With a sweep_param, each row is labelled by that field's value in its
+    record's config."""
     if not records:
         raise ValueError("no records to report")
+    require_one_mode(fmt, (rec.mode for rec in records))
     if fmt == "csv":
-        modes = dict.fromkeys(rec.mode for rec in records)
-        if len(modes) > 1:
-            raise ValueError(f"a CSV report has one header, but the "
-                             f"{' and '.join(modes)} columns differ; use "
-                             f"--format json")
         header = list(records[0].column_names())
         if sweep_param is not None:
             header = [sweep_param] + header
         lines = [",".join(header)]
-        for idx, rec in enumerate(records):
+        for rec in records:
             vals = ["%.17e" % v for v in rec.row()]
             if sweep_param is not None:
-                vals = [str(sweep_values[idx])] + vals
+                vals = [str(rec.config[sweep_param])] + vals
             lines.append(",".join(vals))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = []
-        for idx, rec in enumerate(records):
+        for rec in records:
             d = asdict(rec)
             if sweep_param is not None:
                 d["sweep_param"] = sweep_param
-                d["sweep_value"] = sweep_values[idx]
+                d["sweep_value"] = rec.config[sweep_param]
             payload.append(d)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -347,14 +357,20 @@ def emit_report(records, fmt="csv", path=None, sweep_param=None,
     return text
 
 
-def run_sweep(base_config, param, values):
-    """Run the base config once per parameter value, in order; each value is
-    converted to the field's type.  An unknown param raises a ValueError
-    before anything runs."""
+def sweep_configs(base_config, param, values):
+    """The base config with param set to each value in turn, each converted
+    to the field's type and validated: an unknown param or a bad value, at
+    any position, raises a ValueError before any sweep runs."""
     if param not in ExperimentConfig.__dataclass_fields__:
         raise ValueError(f"unknown sweep parameter {param!r}")
-    return [run_experiment(replace(base_config, **{param: v}).validate())
-            for v in values]
+    return [replace(base_config, **{param: v}).validate() for v in values]
+
+
+def run_sweep(base_config, param, values):
+    """Run the base config once per parameter value, in order, after every
+    config of the sweep has validated (sweep_configs)."""
+    return [run_experiment(cfg)
+            for cfg in sweep_configs(base_config, param, values)]
 
 
 # Named configurations mirroring the published tables.  The TPA and cG

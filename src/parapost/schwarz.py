@@ -82,17 +82,15 @@ def decompose_domain(mesh, P_s, beta, tau):
 def subdomain_dof_sets(space, decomp, i):
     """(interior, trace) dof indices of subdomain i in a space.
 
-    interior: nodes strictly inside Omega_i (excluding the outer boundary);
-    trace: nodes on the internal boundary of Omega_i.
+    Subdomain i holds the elements lo..hi-1, so with q nodes per element its
+    interior nodes are lo*q+1 .. hi*q-1 and its trace the end nodes lo*q and
+    hi*q that are not on the outer boundary; dof j is node j+1.
     """
+    q, N = space.degree, space.mesh.n_elements
     lo, hi = decomp.ranges[i]
-    x_lo = space.mesh.boundaries[lo]
-    x_hi = space.mesh.boundaries[hi]
-    coords = space.dof_coords
-    tol = 1e-12 * (space.mesh.b - space.mesh.a)
-    inside = (coords > x_lo + tol) & (coords < x_hi - tol)
-    on_trace = (np.abs(coords - x_lo) <= tol) | (np.abs(coords - x_hi) <= tol)
-    return np.nonzero(inside)[0], np.nonzero(on_trace)[0]
+    trace = [node for node, inner in ((lo * q, lo > 0), (hi * q, hi < N))
+             if inner]
+    return np.arange(lo * q, hi * q - 1), np.array(trace, dtype=int) - 1
 
 
 def _cut(M, A, dt, rows, cols):

@@ -10,6 +10,7 @@ dd_split_per_step splits one Schwarz-solved step at a time, with its own
 replay of the step's sweeps, spatial adjoints and one-vector products.
 sweep_iterates rebuilds the Schwarz iterates from a sweep history, and
 slab_eval and at evaluate a Trajectory inside its slabs.
+subdomain_dof_sets_by_coords finds a subdomain's dofs by their coordinates.
 """
 
 import numpy as np
@@ -162,10 +163,8 @@ def dd_split_per_step(traj, n, decomp, K_s, phi_val, ev, solve_cache):
 
     _, sweeps = AdditiveSchwarz.cached(solve_cache, traj.space, dt, decomp
                                        ).solve(ell(traj.space), 0, K_s)
-    M3x = cache.mass(space3, traj.space)
-    B3x = cache.factor(
-        ("step_matrix", space3, traj.space, dt),
-        lambda: M3x + dt * cache.stiffness(space3, traj.space))
+    B3x = (cache.mass(space3, traj.space)
+           + dt * cache.stiffness(space3, traj.space))
     ell3 = ell(space3)
     Phi = cache.step_operator(space3, dt).solve(
         cache.mass(space3, space3) @ phi_val.coefficients)
@@ -217,3 +216,18 @@ def at(traj, t):
                     traj.n_steps - 1))
     s = (t - times[n]) / (times[n + 1] - times[n])
     return NodalField(traj.space, slab_eval(traj, n, [s])[0])
+
+
+def subdomain_dof_sets_by_coords(space, decomp, i):
+    """(interior, trace) dof indices of subdomain i in a space, found by
+    comparing the dof coordinates with the subdomain's end points to within
+    1e-12 of the domain length: interior strictly between them, trace on
+    them."""
+    lo, hi = decomp.ranges[i]
+    x_lo = space.mesh.boundaries[lo]
+    x_hi = space.mesh.boundaries[hi]
+    coords = space.dof_coords
+    tol = 1e-12 * (space.mesh.b - space.mesh.a)
+    inside = (coords > x_lo + tol) & (coords < x_hi - tol)
+    on_trace = (np.abs(coords - x_lo) <= tol) | (np.abs(coords - x_hi) <= tol)
+    return np.nonzero(inside)[0], np.nonzero(on_trace)[0]

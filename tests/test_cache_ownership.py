@@ -167,7 +167,7 @@ def test_a_propagation_looks_up_each_step_size_once(monkeypatch, kind):
 
 # the FormCache.factor entries that hold tables every later caller of the
 # experiment reads, as opposed to a solver's own factors
-SHARED_TABLES = ("load", "analytic_load", "cg_time_forms", "step_matrix")
+SHARED_TABLES = ("load", "analytic_load", "cg_time_forms")
 
 
 def test_every_table_an_experiment_shares_is_read_only(monkeypatch):

@@ -111,7 +111,6 @@ BAD_CONFIGS = [
     (dict(Nhat_s="20.5"), "Nhat_s"),
     (dict(nu="fast"), "nu"),
     (dict(schwarz="maybe"), "schwarz"),
-    (dict(format="xml"), "format"),
 ]
 
 
@@ -235,7 +234,7 @@ def test_emit_report_csv_shapes(tmp_path):
     assert len(lines) == 2
     assert lines[0] == "est_err,gamma,D,K,C,A"
     sweep = run_sweep(ExperimentConfig(**SMALL), "K_t", [1, 2, 3])
-    text3 = emit_report(sweep, sweep_param="K_t", sweep_values=[1, 2, 3])
+    text3 = emit_report(sweep, sweep_param="K_t")
     lines3 = text3.strip().split("\n")
     assert len(lines3) == 4
     assert lines3[0].startswith("K_t,est_err,gamma")
@@ -264,22 +263,69 @@ def test_emit_report_errors(tmp_path):
         emit_report([rec], path=str(tmp_path / "no" / "such" / "dir" / "x.csv"))
 
 
-def test_cli_sweep_over_modes_reports_only_as_json(tmp_path, capsys):
-    # the TPA and STPA rows have different columns: under one CSV header the
-    # STPA row's D_s would be read as K
+@pytest.fixture
+def runs(monkeypatch):
+    """The configs of every run_experiment call, through the harness or the
+    CLI, in call order; each call still runs."""
+    configs = []
+
+    def counting(config):
+        configs.append(config)
+        return run_experiment(config)
+
+    monkeypatch.setattr(harness, "run_experiment", counting)
+    monkeypatch.setattr(cli, "run_experiment", counting)
+    return configs
+
+
+def _config_file(tmp_path, **overrides):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in SMALL.items())
-                   + "beta = 0.5\n")
+    cfg.write_text("".join(f"{k} = {v}\n"
+                           for k, v in dict(SMALL, **overrides).items()))
+    return str(cfg)
+
+
+def test_cli_sweep_over_modes_reports_only_as_json(tmp_path, capsys, runs):
+    # the TPA and STPA rows have different columns: under one CSV header the
+    # STPA row's D_s would be read as K; the modes follow from the configs,
+    # so the CSV sweep is rejected before any experiment runs
     out = tmp_path / "out.csv"
-    sweep = ["sweep", "--config", str(cfg), "--param", "schwarz",
-             "--values", "0,1"]
+    sweep = ["sweep", "--config", _config_file(tmp_path, beta=0.5),
+             "--param", "schwarz", "--values", "0,1"]
     assert cli_main(sweep + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "TPA and STPA" in err
     assert "--format json" in err and not out.exists()
+    assert runs == []
     assert cli_main(sweep + ["--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [rec["mode"] for rec in payload] == ["TPA", "STPA"]
+    assert [cfg.mode for cfg in runs] == ["TPA", "STPA"]
+
+
+@pytest.mark.parametrize("param, values, message", [
+    ("K_t", "1,2,banana", "K_t must be int"),
+    ("P_t", "2,3", "not divisible"),
+], ids=["K_t=1,2,banana", "P_t=2,3"])
+def test_cli_sweep_validates_every_value_before_running(tmp_path, capsys,
+                                                        runs, param, values,
+                                                        message):
+    # a value that fails, at any position, stops the sweep before its first
+    # experiment (SMALL has Nhat_t = 4, which P_t = 3 does not divide)
+    assert cli_main(["sweep", "--config", _config_file(tmp_path),
+                     "--param", param, "--values", values]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert runs == []
+
+
+def test_run_sweep_validates_every_value_before_running(runs):
+    with pytest.raises(ValueError, match="not divisible"):
+        run_sweep(ExperimentConfig(**SMALL), "P_t", [1, 2, 3])
+    with pytest.raises(ValueError, match="K_s must be >= 1"):
+        run_sweep(ExperimentConfig(**SMALL, schwarz=True, beta=0.5), "K_s",
+                  [1, 0])
+    assert runs == []
 
 
 def test_sweep_values_converted_by_field_type(tmp_path, capsys):
@@ -329,8 +375,12 @@ def test_cli_json_format(tmp_path, capsys):
 
 
 def test_cli_error_paths(tmp_path, capsys):
-    assert cli_main(["reproduce", "--table", "bogus"]) == 2
-    assert "known tables" in capsys.readouterr().err
+    # an unknown table is a usage error: argparse lists the known ones
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["reproduce", "--table", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and all(name in err for name in TABLE_REGISTRY)
     missing = tmp_path / "missing.txt"
     assert cli_main(["run", "--config", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
@@ -356,16 +406,12 @@ def test_cli_selftest_passes_every_check(capsys):
     assert "4/4 checks passed" in capsys.readouterr().out
 
 
-def test_cli_rejects_bad_format_before_running(tmp_path, capsys, monkeypatch):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("run_experiment called on an invalid config")
-
-    monkeypatch.setattr(cli, "run_experiment", must_not_run)
-    cfg = tmp_path / "xml.txt"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in SMALL.items())
-                   + "format = xml\n")
-    assert cli_main(["run", "--config", str(cfg)]) == 1
-    assert "format" in capsys.readouterr().err
+def test_cli_rejects_bad_format_before_running(tmp_path, capsys, runs):
+    # the report format is a flag, not a config field
+    assert cli_main(["run", "--config",
+                     _config_file(tmp_path, format="xml")]) == 1
+    assert "unknown config keys: ['format']" in capsys.readouterr().err
+    assert runs == []
 
 
 def test_cli_sweep_rejects_unknown_param_before_running(tmp_path, capsys,

@@ -13,7 +13,8 @@ from parapost.schwarz import (
 )
 from parapost.timestepping import propagate_be
 
-from oracles import subdomain_adjoints, sweep_iterates
+from oracles import (subdomain_adjoints, subdomain_dof_sets_by_coords,
+                     sweep_iterates)
 
 
 def _overlaps(d):
@@ -84,6 +85,31 @@ def test_subdomain_dof_sets_structure():
         assert len(trace) == 1
         covered |= set(interior) | set(trace)
     assert covered == set(range(space.dof_count))
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+def test_subdomain_dof_sets_match_the_coordinate_oracle(graded):
+    # the node-index sets are the dofs inside and on the ends of each
+    # subdomain, as found from their coordinates
+    compared = 0
+    for N in (4, 6, 10, 12, 20):
+        bounds = np.linspace(0.0, 1.0, N + 1)
+        mesh = SpatialMesh(0.0, 1.0, bounds**2 if graded else bounds)
+        for q in range(1, 5):
+            space = FeSpace(mesh, q)
+            for P_s in range(1, 6):
+                for beta in (0.1, 0.25, 0.5):
+                    try:
+                        d = decompose_domain(mesh, P_s, beta, 0.4)
+                    except ValueError:
+                        continue
+                    for i in range(P_s):
+                        got = subdomain_dof_sets(space, d, i)
+                        want = subdomain_dof_sets_by_coords(space, d, i)
+                        for g, w in zip(got, want):
+                            assert np.array_equal(g, w), (N, q, P_s, beta, i)
+                        compared += 1
+    assert compared > 100
 
 
 def test_schwarz_collapse_single_subdomain():
