@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .mesh import (_read_only, assemble_load, dots, embed, gauss_rule, groups,
-                   lagrange_derivs, lagrange_values, matvecs)
+                   lagrange_derivs, lagrange_values, matvecs, pairings)
 from .schwarz import AdditiveSchwarz
 
 
@@ -27,7 +27,8 @@ N_QUAD_T = 5
 
 
 class ResidualEvaluator:
-    """Evaluates dual-weighted residuals and mixed-space pairings.
+    """Evaluates dual-weighted residuals and mixed-space pairings, each as
+    one stacked call over many pairs.
 
     Takes its matrices and load blocks from the cache; time quadrature is
     N_QUAD_T-point Gauss per step.
@@ -45,21 +46,30 @@ class ResidualEvaluator:
             traj.times[:-1, None] + np.diff(traj.times)[:, None] * self._s)
         return self.cache.load(space, times, self.f)
 
-    def pair(self, a, b):
-        """L2 inner product of two nodal fields in (possibly) different spaces."""
-        G = self.cache.mass(a.space, b.space)
-        return a.coefficients @ G @ b.coefficients
+    def pairs(self, lefts, rights):
+        """L2 inner products of two equally long lists of nodal fields, the
+        lefts in one space and the rights in one (possibly other) space, by
+        one stacked product; each is bitwise a @ G @ b."""
+        if not lefts:
+            return np.zeros(0)
+        return pairings(np.array([a.coefficients for a in lefts]),
+                        self.cache.mass(lefts[0].space, rights[0].space),
+                        np.array([b.coefficients for b in rights]))
 
-    def pair_analytic(self, fn, b):
-        """(fn, b) for an analytic fn, by the fixed 10-point load rule; the
-        load vector is assembled once per (space, fn), read-only."""
+    def pair_analytic(self, fn, fields):
+        """(fn, b) for each field b of one space, an analytic fn by the fixed
+        10-point load rule; the load vector is assembled once per (space,
+        fn), read-only."""
+        space = fields[0].space
         vec = self.cache.factor(
-            ("analytic_load", b.space, fn),
-            lambda: _read_only(assemble_load(b.space, 0.0, lambda x, t: fn(x))))
-        return vec @ b.coefficients
+            ("analytic_load", space, fn),
+            lambda: _read_only(assemble_load(space, 0.0, lambda x, t: fn(x))))
+        C = np.array([b.coefficients for b in fields])
+        return dots(np.broadcast_to(vec, C.shape), C)
 
-    def residual(self, traj, weight):
-        """Per-step dual-weighted residuals of a trajectory of any q_t.
+    def residual(self, pairs):
+        """Per-step dual-weighted residuals of (trajectory, weight) pairs of
+        any q_t, (pairs, steps): row j is that of pairs[j].
 
         R_n = int_{I_n} [l(phi) - a(U, phi) - (U_dot, phi)] dt
               - ([U]_{n-1}, phi(t_{n-1}^+)),
@@ -68,45 +78,74 @@ class ResidualEvaluator:
         jumps are exactly zero and skipped; for q_t = 0 (implicit Euler as
         dG(0)) U is constant on each step, so it takes one stiffness product
         per step and no U_dot term, and the jumps carry the time stepping.
+
+        All pairs share the trajectory space, the weight space, both q_t and
+        the step count; a ValueError names the first pair that does not.
+        The trajectory-side products (loads, A U, M U_dot, jumps) are formed
+        once per distinct trajectory and phi per distinct weight, and every
+        row's products go through mesh.matvecs/mesh.dots, so each row is
+        bitwise the residual of its pair alone.
         """
-        ws, ts = weight.space, traj.space
+        shared = ("trajectory space", "weight space", "trajectory q_t",
+                  "weight q_t", "step count")
+        key = [(t.space, w.space, t.q_t, w.q_t, t.n_steps) for t, w in pairs]
+        for j, k in enumerate(key):
+            if k != key[0]:
+                what = next(n for n, a, b in zip(shared, k, key[0]) if a != b)
+                raise ValueError(f"residual pair {j} differs from pair 0 in "
+                                 f"its {what}")
+        (traj0, weight0), n_steps = pairs[0], key[0][4]
+        ws, ts = weight0.space, traj0.space
         A_x = self.cache.stiffness(ws, ts)
         M_x = self.cache.mass(ws, ts)
-        M_inc = self.cache.mass(ws, traj.incoming.space)
-        dg0 = traj.q_t == 0
-        lam_w = lagrange_values(weight.q_t, self._s).T  # (nq, q_w+1)
-        lam_w0 = lagrange_values(weight.q_t, [0.0]).T
-        loads = self.load(ws, traj)
-        c = traj.coeffs
-        dts = np.diff(traj.times)
-        slabs = [weight.slab_index(t0, t1)
-                 for t0, t1 in zip(traj.times[:-1], traj.times[1:])]
-        # every step's products at once, each by the one BLAS call of its own
-        # step's product (mesh.matvecs, mesh.dots)
-        W = weight.coeffs[slabs]
-        phi_q = np.matmul(lam_w, W)  # (steps, nq, dof_w)
+        dg0 = traj0.q_t == 0
+        lam_w = lagrange_values(weight0.q_t, self._s).T  # (nq, q_w+1)
+        lam_w0 = lagrange_values(weight0.q_t, [0.0]).T
+        # the trajectory side, once per distinct trajectory: (trajs, steps, ...)
+        index = {}
+        of_traj = np.array([index.setdefault(traj, len(index))
+                            for traj, _ in pairs])
+        trajs = list(index)
+        c = np.array([traj.coeffs for traj in trajs])
+        dts = np.array([np.diff(traj.times) for traj in trajs])
+        loads = np.array([self.load(ws, traj) for traj in trajs])
         if dg0:
-            Au = matvecs(A_x, c[:, 0])
-            Au_q = [Au] * N_QUAD_T
+            Au_q = matvecs(A_x, c[:, :, :1])  # one product serves every q
         else:
-            u_q = np.matmul(lagrange_values(traj.q_t, self._s).T, c)
-            Au_q = [matvecs(A_x, u_q[:, q]) for q in range(N_QUAD_T)]
-            du_q = (np.matmul(lagrange_derivs(traj.q_t, self._s).T, c)
-                    / dts[:, None, None])
-        acc = np.zeros(traj.n_steps)
-        for q in range(N_QUAD_T):
-            r = dots(loads[:, q], phi_q[:, q]) - dots(phi_q[:, q], Au_q[q])
-            if not dg0:
-                r -= dots(phi_q[:, q], matvecs(M_x, du_q[:, q]))
-            acc += self._w[q] * r
-        out = acc * dts
+            u_q = np.matmul(lagrange_values(traj0.q_t, self._s).T, c)
+            du_q = (np.matmul(lagrange_derivs(traj0.q_t, self._s).T, c)
+                    / dts[:, :, None, None])
+            Au_q, Mdu_q = matvecs(A_x, u_q), matvecs(M_x, du_q)
         # the jumps: against the incoming value at n = 1, and for q_t = 0 at
         # every later node; for cG they are exactly zero and skipped
-        jumps = (M_x @ c[0, 0] - M_inc @ traj.incoming.coefficients)[None]
+        jumps = np.array([
+            [M_x @ traj.coeffs[0, 0] - self.cache.mass(ws, traj.incoming.space)
+             @ traj.incoming.coefficients] for traj in trajs])
         if dg0:
-            jumps = np.vstack([jumps, matvecs(M_x, c[1:, 0] - c[:-1, 0])])
-        phi0 = np.matmul(lam_w0, W[:len(jumps)])[:, 0]
-        out[:len(jumps)] -= dots(phi0, jumps)
+            jumps = np.concatenate(
+                [jumps, matvecs(M_x, c[:, 1:, 0] - c[:, :-1, 0])], axis=1)
+        out = np.empty((len(pairs), n_steps))
+        # phi at the quadrature points, per distinct weight
+        for weight, rows in groups([weight for _, weight in pairs]):
+            ti = of_traj[rows]
+            slabs = np.array([[weight.slab_index(t0, t1) for t0, t1
+                               in zip(trajs[i].times[:-1], trajs[i].times[1:])]
+                              for i in ti])
+            W = weight.coeffs[slabs]
+            phi_q = np.matmul(lam_w, W)  # (rows, steps, nq, dof_w)
+            acc = np.zeros((len(rows), n_steps))
+            for q in range(N_QUAD_T):
+                phi = phi_q[:, :, q]
+                r = (dots(loads[ti, :, q], phi)
+                     - dots(phi, Au_q[ti, :, 0 if dg0 else q]))
+                if not dg0:
+                    r -= dots(phi, Mdu_q[ti, :, q])
+                acc += self._w[q] * r
+            res = acc * dts[ti]
+            n_jumps = jumps.shape[1]
+            phi0 = np.matmul(lam_w0, W[:, :n_jumps])[:, :, 0]
+            res[:, :n_jumps] -= dots(phi0, jumps[ti])
+            out[rows] = res
         return out
 
 
@@ -119,10 +158,11 @@ def _jump_at_sync(state, p, fine_space, kind, cache):
     return left - incoming
 
 
-def _ic_error_pair(ev, adj_field, u0, initial):
-    """(adj_field, u0 - Uhat_0): analytic initial condition minus its coarse
-    approximation, weighted by an adjoint field at t = 0."""
-    return ev.pair_analytic(u0, adj_field) - ev.pair(initial, adj_field)
+def _ic_error_pairs(ev, adj_fields, u0, initial):
+    """(adj_field, u0 - Uhat_0) for each adjoint field at t = 0: the analytic
+    initial condition minus its coarse approximation, weighted."""
+    return (ev.pair_analytic(u0, adj_fields)
+            - ev.pairs([initial] * len(adj_fields), adj_fields))
 
 
 def _require_families(adjoints):
@@ -132,31 +172,50 @@ def _require_families(adjoints):
 
 
 def _ack_terms(partition, state, adjoints, ev, u0, fine_space):
-    """The A, C and K components, shared by the TPA and STPA decompositions."""
+    """The A, C and K components, shared by the TPA and STPA decompositions.
+
+    Each family of terms is one stacked call: the residuals of every coarse
+    trajectory k < p against every auxiliary adjoint psi_p, the pairings of
+    psi_p(T_{k-1}) with the coarse jumps, and the K, C and initial-condition
+    pairings.  The terms are summed in the order of the per-p sum
+    A_p = sum_k R(Uhat_k, psi_p) + sum_k (psi_p(T_{k-1}), [Uhat]_{k-1})
+    + (psi_p(0), u_0 - Uhat_0), so each component is bitwise that sum.
+    """
     coarse_adj = adjoints["coarse"]
     fine_adjs = adjoints["fine"]
     aux_adjs = adjoints["aux"]
-    P_t = partition.P_t
+    sync = partition.sync_times
+    ps = range(2, partition.P_t + 1)
+    if not ps:
+        return 0.0, 0.0, 0.0
     # coarse-solution jumps at T_{p-1}, p = 2..P_t: each weights C and A terms
     coarse_jumps = {p: _jump_at_sync(state, p, fine_space, "coarse", ev.cache)
-                    for p in range(2, P_t + 1)}
+                    for p in ps}
+    phats = [coarse_adj.value_at_node(sync[p - 1]) for p in ps]
+    K_terms = ev.pairs(phats, [_jump_at_sync(state, p, fine_space, "fine",
+                                             ev.cache) for p in ps])
+    C_terms = ev.pairs([fine_adjs[p - 1].value_at_node(sync[p - 1]) - phat
+                        for p, phat in zip(ps, phats)],
+                       [coarse_jumps[p] for p in ps])
+    res_keys = [(p, k) for p in ps for k in range(1, p)]
+    residuals = ev.residual([(state.coarse[k - 1], aux_adjs[p])
+                             for p, k in res_keys])
+    jump_keys = [(p, k) for p in ps for k in range(2, p)]
+    jump_terms = ev.pairs([aux_adjs[p].value_at_node(sync[k - 1])
+                           for p, k in jump_keys],
+                          [coarse_jumps[k] for _, k in jump_keys])
+    ic_terms = _ic_error_pairs(ev, [aux_adjs[p].value_at_node(0.0)
+                                    for p in ps], u0, state.initial)
+    a = dict.fromkeys(ps, 0.0)
+    for (p, _), row in zip(res_keys, residuals):
+        a[p] += float(np.sum(row))
+    for (p, _), term in zip(jump_keys, jump_terms):
+        a[p] += term
     K = C = A = 0.0
-    for p in range(2, P_t + 1):
-        t_sync = partition.sync_times[p - 1]
-        phat = coarse_adj.value_at_node(t_sync)
-        pfine = fine_adjs[p - 1].value_at_node(t_sync)
-        K += ev.pair(phat, _jump_at_sync(state, p, fine_space, "fine",
-                                         ev.cache))
-        C += ev.pair(pfine - phat, coarse_jumps[p])
-        aux = aux_adjs[p]
-        a_p = 0.0
-        for k in range(1, p):
-            a_p += float(np.sum(ev.residual(state.coarse[k - 1], aux)))
-        for k in range(2, p):
-            a_p += ev.pair(aux.value_at_node(partition.sync_times[k - 1]),
-                           coarse_jumps[k])
-        a_p += _ic_error_pair(ev, aux.value_at_node(0.0), u0, state.initial)
-        A += a_p
+    for i, p in enumerate(ps):
+        K += K_terms[i]
+        C += C_terms[i]
+        A += a[p] + ic_terms[i]
     return A, C, K
 
 
@@ -173,9 +232,10 @@ def tpa_breakdown(partition, state, adjoints, problem, cache):
     fine_space = state.fine[0].space
     D = 0.0
     for p in range(1, partition.P_t + 1):
-        D += float(np.sum(ev.residual(state.fine[p - 1], adjoints["fine"][p - 1])))
-    D += _ic_error_pair(ev, adjoints["fine"][0].value_at_node(0.0),
-                        problem.u0, state.initial)
+        D += float(np.sum(ev.residual(
+            [(state.fine[p - 1], adjoints["fine"][p - 1])])))
+    D += _ic_error_pairs(ev, [adjoints["fine"][0].value_at_node(0.0)],
+                         problem.u0, state.initial)[0]
     A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0, fine_space)
     return {"D": D, "K": K, "C": C, "A": A}
 
@@ -309,7 +369,7 @@ def stpa_breakdown(partition, state, adjoints, problem, decomp, K_s, cache):
     D_t = D_s = D_k = 0.0
     for p in range(1, partition.P_t + 1):
         traj = state.fine[p - 1]
-        res = ev.residual(traj, fine_adjs[p - 1])
+        res = ev.residual([(traj, fine_adjs[p - 1])])[0]
         for n in range(1, traj.n_steps + 1):
             E_K, E_N = next(split)
             if not (math.isfinite(E_K) and math.isfinite(E_N)):
@@ -318,7 +378,7 @@ def stpa_breakdown(partition, state, adjoints, problem, decomp, K_s, cache):
             D_t += res[n - 1] - E_K - E_N
             D_s += E_N
             D_k += E_K
-    D_t += _ic_error_pair(ev, adjoints["fine"][0].value_at_node(0.0),
-                          problem.u0, state.initial)
+    D_t += _ic_error_pairs(ev, [adjoints["fine"][0].value_at_node(0.0)],
+                           problem.u0, state.initial)[0]
     A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0, fine_space)
     return {"D_t": D_t, "D_s": D_s, "D_k": D_k, "K": K, "C": C, "A": A}

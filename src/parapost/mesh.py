@@ -252,6 +252,11 @@ def dots(X, Y):
     return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
 
 
+def pairings(X, G, Y):
+    """x @ G @ y for each pair of rows of the 2-d X and Y."""
+    return dots(np.matmul(X[:, None, :], G)[:, 0], Y)
+
+
 def groups(keys):
     """(key, indices) per distinct key of a sequence, in first-seen order."""
     index = {}

@@ -8,8 +8,9 @@ the dG(0) Galerkin method, with matrices assembled afresh and a dense solve.
 cg_per_slab steps cG(q_t) one slab and one test function at a time.
 dd_split_per_step splits one Schwarz-solved step at a time, with its own
 replay of the step's sweeps, spatial adjoints and one-vector products.
-sweep_iterates rebuilds the Schwarz iterates from a sweep history, and
-slab_eval and at evaluate a Trajectory inside its slabs.
+ack_terms_per_pair sums the A, C and K components one residual and one
+pairing at a time.  sweep_iterates rebuilds the Schwarz iterates from a
+sweep history, and slab_eval and at evaluate a Trajectory inside its slabs.
 subdomain_dof_sets_by_coords finds a subdomain's dofs by their coordinates.
 """
 
@@ -18,6 +19,7 @@ from scipy import linalg as sla
 
 from parapost.mesh import (AssembledOperator, NodalField, assemble_load,
                            assemble_matrix, embed, lagrange_values)
+from parapost.estimator import _jump_at_sync
 from parapost.parareal import _synchronize
 from parapost.schwarz import AdditiveSchwarz
 from parapost.timestepping import NODE_TOL, _cg_time_forms
@@ -178,6 +180,45 @@ def dd_split_per_step(traj, n, decomp, K_s, phi_val, ev, solve_cache):
     u_n = traj.field(n).coefficients
     E_K = Phi @ ell3 - Phi @ (B3x @ u_n) - E_N
     return E_K, E_N
+
+
+def ack_terms_per_pair(partition, state, adjoints, ev, u0, fine_space):
+    """(A, C, K) by a double loop over (k, p): per p, one one-pair residual
+    call per coarse trajectory k < p and one pairing x @ G @ y per jump,
+    summed in the order of A_p = sum_k R(Uhat_k, psi_p)
+    + sum_k (psi_p(T_{k-1}), [Uhat]_{k-1}) + (psi_p(0), u_0 - Uhat_0)."""
+    cache = ev.cache
+
+    def pair(a, b):
+        return a.coefficients @ cache.mass(a.space, b.space) @ b.coefficients
+
+    def ic_error_pair(adj_field):
+        u0_load = assemble_load(adj_field.space, 0.0, lambda x, t: u0(x))
+        return u0_load @ adj_field.coefficients - pair(state.initial,
+                                                       adj_field)
+
+    coarse_adj, fine_adjs = adjoints["coarse"], adjoints["fine"]
+    aux_adjs = adjoints["aux"]
+    P_t = partition.P_t
+    coarse_jumps = {p: _jump_at_sync(state, p, fine_space, "coarse", cache)
+                    for p in range(2, P_t + 1)}
+    K = C = A = 0.0
+    for p in range(2, P_t + 1):
+        t_sync = partition.sync_times[p - 1]
+        phat = coarse_adj.value_at_node(t_sync)
+        pfine = fine_adjs[p - 1].value_at_node(t_sync)
+        K += pair(phat, _jump_at_sync(state, p, fine_space, "fine", cache))
+        C += pair(pfine - phat, coarse_jumps[p])
+        aux = aux_adjs[p]
+        a_p = 0.0
+        for k in range(1, p):
+            a_p += float(np.sum(ev.residual([(state.coarse[k - 1], aux)])[0]))
+        for k in range(2, p):
+            a_p += pair(aux.value_at_node(partition.sync_times[k - 1]),
+                        coarse_jumps[k])
+        a_p += ic_error_pair(aux.value_at_node(0.0))
+        A += a_p
+    return A, C, K
 
 
 def sweep_iterates(guess, sweeps, tau):

@@ -241,7 +241,7 @@ def test_property_galerkin_orthogonality():
     coeffs = np.tile(rng.standard_normal(space.dof_count), (n, 2, 1))
     w = Trajectory(space, grid, 1, coeffs,
                    NodalField(space, coeffs[-1, -1].copy()))
-    res = ResidualEvaluator(ZERO_F, cache).residual(traj, w)
+    res = ResidualEvaluator(ZERO_F, cache).residual([(traj, w)])[0]
     assert np.max(np.abs(res)) <= 1e-12
 
 

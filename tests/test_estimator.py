@@ -14,6 +14,7 @@ from parapost.adjoint import (
 from parapost.estimator import (
     N_QUAD_T,
     ResidualEvaluator,
+    _ack_terms,
     dd_split,
     stpa_breakdown,
     tpa_breakdown,
@@ -30,6 +31,7 @@ from parapost.mesh import (
     lagrange_derivs,
     qoi_eval,
 )
+import parapost.estimator as estimator_module
 import parapost.harness as harness_module
 import parapost.schwarz as schwarz_module
 from parapost.parareal import vpar
@@ -41,7 +43,7 @@ from parapost.timestepping import (
     propagate_cg,
 )
 
-from oracles import dd_split_per_step, slab_eval
+from oracles import ack_terms_per_pair, dd_split_per_step, slab_eval
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 
@@ -65,7 +67,7 @@ def test_galerkin_orthogonality_be():
     ev = ResidualEvaluator(ZERO_F, cache)
     w = _constant_in_time_weight(space, grid,
                                  rng.standard_normal(space.dof_count))
-    res = ev.residual(traj, w)
+    res = ev.residual([(traj, w)])[0]
     assert np.max(np.abs(res)) < 1e-12
 
 
@@ -83,7 +85,7 @@ def test_galerkin_orthogonality_cg():
     w = Trajectory(space, grid, 1, coeffs,
                    NodalField(space, coeffs[-1, -1].copy()))
     ev = ResidualEvaluator(ZERO_F, cache)
-    res = ev.residual(traj, w)
+    res = ev.residual([(traj, w)])[0]
     assert np.max(np.abs(res)) < 1e-12
 
 
@@ -101,7 +103,7 @@ def test_residual_be_single_dof_oracle():
     w = Trajectory(space, grid, 1, coeffs,
                    NodalField(space, np.array([a[2]])))
     ev = ResidualEvaluator(ZERO_F, cache)
-    res = ev.residual(traj, w)
+    res = ev.residual([(traj, w)])[0]
     u = np.concatenate([ic.coefficients, traj.coeffs[:, 0, 0]])
     for n in (1, 2):
         dt = 0.1
@@ -483,17 +485,19 @@ def coarse_error_estimate(partition, state, coarse_adjoint, problem, cache):
     ev = ResidualEvaluator(problem.f, cache)
     total = 0.0
     for p in range(1, partition.P_t + 1):
-        total += float(np.sum(ev.residual(state.coarse[p - 1], coarse_adjoint)))
+        total += float(np.sum(ev.residual([(state.coarse[p - 1],
+                                             coarse_adjoint)])))
     # corrections C_p^{k-1} recovered from the synchronized incoming values
     fine_space = state.fine[0].space
     for p in range(1, partition.P_t):
         corr_prev = (embed(state.coarse[p].incoming, fine_space, cache)
                      - embed(state.coarse[p - 1].end, fine_space, cache))
-        total -= ev.pair(coarse_adjoint.value_at_node(partition.sync_times[p]),
-                         corr_prev)
+        total -= ev.pairs(
+            [coarse_adjoint.value_at_node(partition.sync_times[p])],
+            [corr_prev])[0]
     adj0 = coarse_adjoint.value_at_node(0.0)
-    total += (ev.pair_analytic(problem.u0, adj0)
-              - ev.pair(state.initial, adj0))
+    total += (ev.pair_analytic(problem.u0, [adj0])[0]
+              - ev.pairs([state.initial], [adj0])[0])
     return total
 
 
@@ -643,4 +647,149 @@ def test_residual_matches_the_two_loop_oracle(kind, q_t, n_el, q_s, extra_w,
     weight = Trajectory(w_space, w_grid, qw_t, coeffs,
                         NodalField(w_space, coeffs[-1, -1].copy()))
     ev = ResidualEvaluator(f, cache)
-    assert np.array_equal(ev.residual(traj, weight), _oracle(ev, traj, weight))
+    assert np.array_equal(ev.residual([(traj, weight)])[0],
+                          _oracle(ev, traj, weight))
+
+
+def _trajectory(kind, space, grid, rng, f, cache, q_t=1):
+    """A forward trajectory of one integrator from a random incoming value."""
+    ic = NodalField(space, rng.standard_normal(space.dof_count))
+    if kind == "cg":
+        return propagate_cg(space, grid, q_t, ic, f, cache)
+    if kind == "schwarz":
+        decomp = decompose_domain(space.mesh, 2, 0.5, 0.4)
+        return propagate_be(space, grid, ic, f, cache, decomp, 2)
+    return propagate_be(space, grid, ic, f, cache)
+
+
+def _weight(space, grid, q_t, rng):
+    coeffs = rng.standard_normal((len(grid) - 1, q_t + 1, space.dof_count))
+    return Trajectory(space, grid, q_t, coeffs,
+                      NodalField(space, coeffs[-1, -1].copy()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["be", "schwarz", "cg"]), q_t=st.integers(1, 2),
+       steps=st.integers(1, 3), n_traj=st.integers(1, 3),
+       n_weight=st.integers(1, 3), qw_t=st.integers(1, 3),
+       forced=st.booleans(), seed=st.integers(0, 10**6))
+def test_stacked_residual_rows_are_their_pairs_own(kind, q_t, steps, n_traj,
+                                                   n_weight, qw_t, forced,
+                                                   seed):
+    # one call over pairs of trajectories on different windows of the
+    # weights' grid, repeated and in any order: every row is bitwise the
+    # one-pair call's
+    rng = np.random.default_rng(seed)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 6)
+    space, w_space = FeSpace(mesh, 2), FeSpace(mesh, 3)
+    f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
+    w_grid = np.linspace(0.0, 0.1 * (steps * n_traj), steps * n_traj + 1)
+    cache = FormCache()
+    trajs = [_trajectory(kind, space, w_grid[i * steps:(i + 1) * steps + 1],
+                         rng, f, cache, q_t) for i in range(n_traj)]
+    weights = [_weight(w_space, w_grid, qw_t, rng) for _ in range(n_weight)]
+    pairs = [(trajs[i], weights[j])
+             for i, j in rng.integers(0, [n_traj, n_weight], (5, 2))]
+    ev = ResidualEvaluator(f, cache)
+    assert np.array_equal(ev.residual(pairs),
+                          np.array([ev.residual([pair])[0] for pair in pairs]))
+
+
+@pytest.mark.parametrize("what", ["trajectory space", "weight space",
+                                  "trajectory q_t", "weight q_t",
+                                  "step count"])
+def test_stacked_residual_names_the_first_mismatched_pair(what):
+    rng = np.random.default_rng(5)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 6)
+    space, w_space = FeSpace(mesh, 2), FeSpace(mesh, 3)
+    grid = np.linspace(0.0, 0.3, 4)
+    cache = FormCache()
+    traj = _trajectory("be", space, grid, rng, None, cache)
+    weight = _weight(w_space, grid, 1, rng)
+    odd = {"trajectory space": (_trajectory("be", FeSpace(mesh, 2), grid, rng,
+                                            None, cache), weight),
+           "weight space": (traj, _weight(FeSpace(mesh, 3), grid, 1, rng)),
+           "trajectory q_t": (_trajectory("cg", space, grid, rng, None,
+                                          cache), weight),
+           "weight q_t": (traj, _weight(w_space, grid, 2, rng)),
+           "step count": (_trajectory("be", space, grid[:3], rng, None,
+                                      cache), weight)}[what]
+    ev = ResidualEvaluator(None, cache)
+    with pytest.raises(ValueError,
+                       match=rf"^residual pair 2 differs from pair 0 in its "
+                             rf"{what}$"):
+        ev.residual([(traj, weight), (traj, weight), odd, odd])
+
+
+@settings(max_examples=25, deadline=None)
+@given(solver=st.sampled_from(["be", "cg", "schwarz"]), P_t=st.integers(1, 4),
+       K_t=st.integers(1, 4), r=st.integers(1, 2), q_t=st.integers(1, 2))
+@example(solver="be", P_t=1, K_t=1, r=2, q_t=1)
+@example(solver="cg", P_t=2, K_t=1, r=2, q_t=1)
+@example(solver="schwarz", P_t=2, K_t=2, r=1, q_t=1)
+def test_ack_terms_match_the_per_pair_oracle(solver, P_t, K_t, r, q_t):
+    # the stacked A, C and K are bitwise the double loop over (k, p), for
+    # both integrators, with and without Schwarz and K_t from 1 to P_t: at
+    # P_t = 1 there is no pair (exact zeros), at P_t = 2 one residual pair
+    # and no jump pair
+    cfg = ExperimentConfig(
+        Nhat_t=2 * P_t, r=r, P_t=P_t, K_t=min(K_t, P_t), Nhat_s=8, qhat_s=1,
+        q_s=2, nu=2, mu=2, T=0.5, q_t=q_t,
+        integrator="cg" if solver == "cg" else "be",
+        schwarz=solver == "schwarz", beta=0.25)
+    terms = []
+
+    def record(partition, state, adjoints, problem, *rest):
+        ev = ResidualEvaluator(problem.f, rest[-1])
+        args = (partition, state, adjoints, ev, problem.u0,
+                state.fine[0].space)
+        terms.append((_ack_terms(*args), ack_terms_per_pair(*args)))
+        return {}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness_module, "tpa_breakdown", record)
+        mp.setattr(harness_module, "stpa_breakdown", record)
+        run_experiment(cfg)
+    (stacked, oracle), = terms
+    assert stacked == oracle
+    if P_t == 1:
+        assert stacked == (0.0, 0.0, 0.0)
+
+
+def test_tpa_stacks_the_A_residuals_and_each_pairing_family(monkeypatch):
+    # at P_t = 10 the 45 A residuals are one call over 9 weight groups, and
+    # the K, C, A-jump and A initial-condition pairings one product each
+    # (after the one pairing of D's initial condition)
+    cfg = ExperimentConfig(Nhat_t=20, r=2, P_t=10, K_t=2, Nhat_s=8,
+                           qhat_s=1, q_s=2, nu=2, mu=1, T=0.5)
+    calls, products = [], []
+    real_residual = ResidualEvaluator.residual
+    real_groups, real_pairings = estimator_module.groups, estimator_module.pairings
+
+    def residual(self, pairs):
+        calls.append([len(pairs)])
+        try:
+            return real_residual(self, pairs)
+        finally:
+            calls[-1] = tuple(calls[-1])
+
+    def groups(keys):
+        out = real_groups(keys)
+        if calls and isinstance(calls[-1], list):
+            calls[-1].append(len(out))
+        return out
+
+    def pairings(X, G, Y):
+        products.append(len(X))
+        return real_pairings(X, G, Y)
+
+    monkeypatch.setattr(ResidualEvaluator, "residual", residual)
+    monkeypatch.setattr(estimator_module, "groups", groups)
+    monkeypatch.setattr(estimator_module, "pairings", pairings)
+    run_experiment(cfg)
+    P_t = cfg.P_t
+    # (pairs, weight groups): D one pair per subdomain, A every coarse
+    # trajectory k < p against every auxiliary adjoint psi_p
+    assert calls == [(1, 1)] * P_t + [(P_t * (P_t - 1) // 2, P_t - 1)]
+    assert products == [1, P_t - 1, P_t - 1, (P_t - 1) * (P_t - 2) // 2,
+                        P_t - 1]

@@ -17,6 +17,7 @@ from parapost.mesh import (
     dots,
     embed,
     matvecs,
+    pairings,
     qoi_eval,
 )
 
@@ -259,17 +260,23 @@ def test_mass_solve_is_the_zero_step_operator():
                           AssembledOperator("mass", space, M).solve(rhs))
 
 
-@pytest.mark.parametrize("shape", [(239, 159), (239, 239)])
+@pytest.mark.parametrize("shape", [(239, 159), (239, 239), (59, 39)])
 def test_blas_stacked_gemv_and_dot_are_bitwise_per_row(shape):
-    # the bitwise-equality contracts of the batched step loops, residuals
-    # and D_s/D_k split rest on this property of numpy's BLAS calls, at the
-    # sizes of the degree-3 adjoint space (239 dofs) and the degree-2
-    # forward space (159) of pardd_fine_time: a numpy or BLAS build without
-    # it fails here by name
+    # the bitwise-equality contracts of the batched step loops, residuals,
+    # pairings and D_s/D_k split rest on this property of numpy's BLAS
+    # calls, at the sizes of the degree-3 adjoint space (239 dofs) and the
+    # degree-2 forward space (159) of pardd_fine_time, and of the cG rows
+    # (59 and 39): a numpy or BLAS build without it fails here by name
     rng = np.random.default_rng(11)
     B = rng.standard_normal(shape)
     X = rng.standard_normal((40, shape[1]))
     Y = rng.standard_normal((40, shape[1]))
+    L = rng.standard_normal((40, shape[0]))
     assert np.array_equal(matvecs(B, X), np.array([B @ x for x in X]))
     assert np.array_equal(dots(X, Y),
                           np.array([x @ y for x, y in zip(X, Y)]))
+    assert np.array_equal(dots(np.broadcast_to(X[0], Y.shape), Y),
+                          np.array([X[0] @ y for y in Y]))
+    assert np.array_equal(pairings(L, B, X),
+                          np.array([l @ B @ x for l, x in zip(L, X)]))
+    assert pairings(L[:0], B, X[:0]).shape == (0,)
