@@ -16,9 +16,7 @@ field type the forward solvers also return (implicit Euler as its q_t = 0
 case), so field(n) and value_at_node give exact nodal values.
 """
 
-import numpy as np
-
-from .timestepping import Trajectory, propagate_cg
+from .timestepping import Trajectory, _as_stack, _first_nonfinite, _step_cg
 
 
 def solve_backward_cg(kind, space, times, terminal, q_t, cache):
@@ -26,18 +24,27 @@ def solve_backward_cg(kind, space, times, terminal, q_t, cache):
     terminal field, as a forward cG(q_t) solve of the time-reversed problem.
 
     Returns the adjoint as a cG(q_t) Trajectory on the grid, with the terminal
-    field as its incoming value; kind names the adjoint in errors.
+    field as its incoming value; kind names the adjoint in errors.  Given a
+    (P, steps+1) stack of grids, a sequence of P terminal fields and a
+    sequence of P names, it steps all P together and returns P adjoints,
+    each bitwise its own single-grid call's; a non-finite value names the
+    first column that has one.  The time-reversed solve is stored in
+    reversed slab and time-node order, so each adjoint is a forward-ordered
+    row of the one stacked array and nothing is copied.
     """
-    times = np.asarray(times, dtype=float)
-    rev = times[-1] - times[::-1]
-    try:
-        traj = propagate_cg(space, rev, q_t, terminal, None, cache)
-    except ValueError as exc:
-        raise ValueError(f"{kind} adjoint (time reversed, t -> "
-                         f"{times[-1]:.6g} - t): {exc}") from exc
-    # reverse slab order and time-node order within slabs
-    coeffs = traj.coeffs[::-1, ::-1, :].copy()
-    return Trajectory(space, times, q_t, coeffs, incoming=terminal)
+    grids, terms, stacked = _as_stack(times, terminal)
+    kinds = list(kind) if stacked else [kind]
+    if len(kinds) != len(grids):
+        raise ValueError(f"{len(grids)} grids but {len(kinds)} names")
+    revs = (grids[:, -1:] - grids)[:, ::-1]
+    coeffs = _step_cg(space, revs, q_t, terms, None, cache, reverse=True)
+    if bad := _first_nonfinite(coeffs[:, ::-1, ::-1], revs):
+        j, message = bad
+        raise ValueError(f"{kinds[j]} adjoint (time reversed, t -> "
+                         f"{grids[j, -1]:.6g} - t): {message}")
+    adjs = [Trajectory(space, grids[j], q_t, coeffs[j], terms[j])
+            for j in range(len(terms))]
+    return adjs if stacked else adjs[0]
 
 
 def solve_coarse_adjoint(partition, space, psi, q_t, cache):
@@ -50,16 +57,14 @@ def solve_coarse_adjoint(partition, space, psi, q_t, cache):
 
 def solve_fine_adjoints(partition, coarse_adjoint, q_t, cache):
     """Independent backward solves on each subdomain's fine grid, with
-    terminal data taken from the coarse adjoint at T_p."""
-    out = []
-    space = coarse_adjoint.space
-    for p in range(1, partition.P_t + 1):
-        term = coarse_adjoint.value_at_node(partition.sync_times[p])
-        adj = solve_backward_cg(
-            f"fine({p})", space, partition.fine_grids[p - 1], term, q_t, cache
-        )
-        out.append(adj)
-    return out
+    terminal data taken from the coarse adjoint at T_p, stepped together
+    as one stack."""
+    ps = range(1, partition.P_t + 1)
+    return solve_backward_cg(
+        [f"fine({p})" for p in ps], coarse_adjoint.space,
+        partition.fine_grids,
+        [coarse_adjoint.value_at_node(partition.sync_times[p]) for p in ps],
+        q_t, cache)
 
 
 def solve_auxiliary_adjoints(partition, coarse_adjoint, fine_adjoints,

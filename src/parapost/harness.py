@@ -255,10 +255,7 @@ def run_experiment(config):
             return propagate_cg(coarse_space, grid, config.qhat_t, ic, f, cache)
 
         def fine_solver(grids, ics):
-            # one grid at a time: a multi-column dgetrs is not bitwise the
-            # one-column solve
-            return [propagate_cg(fine_space, grid, config.q_t, ic, f, cache)
-                    for grid, ic in zip(grids, ics)]
+            return propagate_cg(fine_space, grids, config.q_t, ics, f, cache)
     else:
         decomp = (decompose_domain(mesh, config.P_s, config.beta, config.tau)
                   if config.schwarz else None)

@@ -165,12 +165,22 @@ class NodalField:
         return eval_field(self.space, self.coefficients, x)
 
     def __add__(self, other):
-        assert other.space is self.space
+        self._require_same_space(other)
         return NodalField(self.space, self.coefficients + other.coefficients)
 
     def __sub__(self, other):
-        assert other.space is self.space
+        self._require_same_space(other)
         return NodalField(self.space, self.coefficients - other.coefficients)
+
+    def _require_same_space(self, other):
+        """Raise a ValueError unless other lives in this field's space: two
+        spaces with equal dof counts would otherwise combine silently."""
+        if other.space is not self.space:
+            raise ValueError(
+                "fields of different spaces: degree "
+                f"{self.space.degree} on {self.space.mesh.n_elements} "
+                f"elements and degree {other.space.degree} on "
+                f"{other.space.mesh.n_elements} elements")
 
 
 def eval_field(space, coefficients, x):
@@ -345,7 +355,9 @@ class FormCache:
     its factors and the blocks it cuts.  Keys hold the space objects
     themselves (spaces hash by identity), so an entry keeps its spaces alive
     exactly as long as the cache lives and can never be confused with a
-    later space that reuses a freed address.
+    later space that reuses a freed address.  Its cached solvers must not be
+    shared across threads: scipy's dgetrs wrapper rewrites the pivot array
+    of a slab LU in place during each call.
     """
 
     def __init__(self):

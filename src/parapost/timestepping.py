@@ -4,8 +4,9 @@ Implicit Euler, with each step solved directly or by additive Schwarz
 iteration, and cG(q_t) continuous-in-time Galerkin stepping.  Both return the
 one space-time field type, Trajectory: implicit Euler is its q_t = 0 case,
 the piecewise-constant-in-time Galerkin method dG(0), and cG(q_t) its
-q_t >= 1 case.  Propagations on distinct temporal subdomains share no
-mutable state.
+q_t >= 1 case.  Both take one step grid or a stack of grids with equal
+step counts, stepped together; the one-grid call is the stack's one-row
+case.  Propagations on distinct temporal subdomains share no mutable state.
 """
 
 from dataclasses import dataclass
@@ -132,13 +133,35 @@ class Trajectory:
         return self.field(k)
 
 
-def _require_finite(coeffs, times):
-    """Raise a ValueError naming the first step n whose coefficients
-    (coeffs[n-1]) are not all finite, and its end time t_n."""
-    bad = ~np.isfinite(coeffs).all(axis=(1, 2))
-    if bad.any():
-        n = int(np.argmax(bad)) + 1
-        raise ValueError(f"non-finite solution at step n={n}, t={times[n]:.6g}")
+def _first_nonfinite(coeffs, grids):
+    """None if a (P, steps, nodes, dof) stack of coefficients is all
+    finite; else (j, message) for the first column j that is not, the
+    message naming its first step n whose coefficients (coeffs[j, n-1]) are
+    not all finite, and its end time t_n."""
+    # a sum is finite only if every term is, so one reduction clears the
+    # common case, whatever the strides of coeffs
+    if np.isfinite(np.add.reduce(coeffs, axis=None)):
+        return None
+    bad = ~np.isfinite(coeffs).all(axis=(2, 3))
+    if not bad.any():  # the sum overflowed
+        return None
+    j = int(np.argmax(bad.any(axis=1)))
+    n = int(np.argmax(bad[j])) + 1
+    return j, f"non-finite solution at step n={n}, t={grids[j, n]:.6g}"
+
+
+def _as_stack(times, ic):
+    """(grids, incomings, stacked) of a propagation's arguments: one step
+    grid with its incoming value, or a (P, steps+1) stack of grids with a
+    sequence of P incoming values, as a (P, steps+1) array and a list."""
+    times = np.asarray(times, dtype=float)
+    stacked = times.ndim == 2
+    grids, ics = (times, list(ic)) if stacked else (times[None], [ic])
+    if grids.shape[1] < 2:
+        raise ValueError("a step grid needs at least two times")
+    if len(ics) != len(grids):
+        raise ValueError(f"{len(grids)} grids but {len(ics)} incoming values")
+    return grids, ics, stacked
 
 
 def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
@@ -161,10 +184,7 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     """
     if decomp is not None and (K_s is None or K_s < 1):
         raise ValueError("K_s must be >= 1")
-    times = np.asarray(times, dtype=float)
-    grids, ics = (times[None], [ic]) if times.ndim == 1 else (times, list(ic))
-    if len(ics) != len(grids):
-        raise ValueError(f"{len(grids)} grids but {len(ics)} incoming values")
+    grids, ics, stacked = _as_stack(times, ic)
     P, n_steps, ndof = len(grids), grids.shape[1] - 1, space.dof_count
     M = cache.mass(space, space)
     coeffs = np.zeros((P, n_steps, 1, ndof))
@@ -189,11 +209,11 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
             u[cols] = x.T
         coeffs[:, n - 1, 0] = u
         prev_m = matvecs(M, u)
-    for j in range(P):
-        _require_finite(coeffs[j], grids[j])
+    if bad := _first_nonfinite(coeffs, grids):
+        raise ValueError(bad[1])
     trajs = [Trajectory(space, grids[j], 0, coeffs[j], ics[j])
              for j in range(P)]
-    return trajs[0] if times.ndim == 1 else trajs
+    return trajs if stacked else trajs[0]
 
 
 def _cg_time_forms(q_t):
@@ -218,48 +238,90 @@ def _cg_time_forms(q_t):
 def propagate_cg(space, times, q_t, ic, f, cache):
     """cG(q_t) time stepping with test functions of time degree q_t - 1.
 
+    times is one step grid with ic its incoming value, giving one
+    Trajectory, or a (P, steps+1) stack of grids with ic a sequence of P
+    incoming values, giving a list of P Trajectories, each bitwise that of
+    its own single-grid call (see _step_cg).  The loads are the cache's block
+    for each grid's slab quadrature times; f=None is a homogeneous problem:
+    no load is assembled.  A non-finite slab solution raises a ValueError
+    naming the first such step of the first such column, and its end time.
+    """
+    grids, ics, stacked = _as_stack(times, ic)
+    coeffs = _step_cg(space, grids, q_t, ics, f, cache)
+    if bad := _first_nonfinite(coeffs, grids):
+        raise ValueError(bad[1])
+    trajs = [Trajectory(space, grids[j], q_t, coeffs[j], ics[j])
+             for j in range(len(ics))]
+    return trajs if stacked else trajs[0]
+
+
+def _step_cg(space, grids, q_t, ics, f, cache, reverse=False):
+    """The (P, steps, q_t+1, dof) coefficients of the cG(q_t) solutions on
+    a (P, steps+1) stack of grids from incoming values ics; with reverse,
+    each column is stored in reversed slab and time-node order, which is
+    the forward order of a time-reversed solve.
+
     Continuity across slabs is enforced by construction; the slab start value
-    is the L2 projection of the incoming value into the solve space.  The
-    loads are the cache's block for the slabs' quadrature times; f=None is a
-    homogeneous problem: no load is assembled.  A non-finite slab solution
-    raises a ValueError naming the first such step and its end time.
+    is the L2 projection of the incoming value into the solve space (the
+    mass operator is looked up once per call).  Each slab forms the
+    right-hand sides of all columns together, with one stacked product of M
+    and one of A (one gemv per column, as in mesh.matvecs), and then makes
+    one single-column dgetrs per column, since a multi-column dgetrs sums in
+    another order.  The slab LUs are looked up once per distinct exact dt,
+    in grid-major order, so each is built from the first dt of its key.
+    Nothing here checks finiteness: the callers do, naming what they solve.
     """
     if q_t < 1:
         raise ValueError("q_t must be >= 1")
-    times = np.asarray(times, dtype=float)
-    dts = np.diff(times)
+    # (P, steps): np.diff's values, without its call overhead
+    dts = grids[:, 1:] - grids[:, :-1]
     M, A = cache.mass(space, space), cache.stiffness(space, space)
     alpha, beta, sq, Pw = cache.factor(("cg_time_forms", q_t), lambda: _cg_time_forms(q_t))
-    ndof = space.dof_count
-
-    Minc = cache.mass(space, ic.space)
-    u0 = cache.step_operator(space, 0.0).solve(Minc @ ic.coefficients)
-
-    # coeffs[n, 1:] holds slab n's time-integrated load against each test
-    # function until the slab's solution overwrites it
-    coeffs = np.zeros((len(dts), q_t + 1, ndof))
-    if f is not None:  # (steps, q_t+3, dof), at every slab's quadrature times
-        loads = cache.load(space, times[:-1, None] + dts[:, None] * sq, f)
-        for m in range(q_t):
-            # one vector-matrix product per slab: a (q_t, q_t+3) matrix
-            # product per slab sums in another order for q_t >= 2
-            coeffs[:, m + 1] = ((dts[:, None, None] * Pw[m]) @ loads)[:, 0]
-    # one lookup per distinct exact dt, in slab order, so each LU is still
-    # built from the first dt of its key
+    project = cache.step_operator(space, 0.0)
+    starts = [project.solve(cache.mass(space, u0.space) @ u0.coefficients)
+              for u0 in ics]
+    # building an LU takes several dense slab-sized matrices, so the
+    # coefficients are allocated after the LUs are built
     lus = {dt: cache.per_step(
         space, dt,
         lambda: sla.lu_factor(np.block(
             [[alpha[m, j] * M + dt * beta[m, j] * A
               for j in range(1, q_t + 1)] for m in range(q_t)])),
-        "cg_slab", q_t) for dt in dict.fromkeys(dts.tolist())}
-    prev = u0
-    for n, dt in enumerate(dts):
-        lu = lus[dt]
-        F = coeffs[n, 1:] - (alpha[:, :1] * (M @ prev)
-                             + dt * beta[:, :1] * (A @ prev))
-        sol = lapack_solution("dgetrs", *dgetrs(*lu, F.ravel()))
-        coeffs[n, 0] = prev
-        coeffs[n, 1:] = sol.reshape(q_t, ndof)
-        prev = coeffs[n, -1]
-    _require_finite(coeffs, times)
-    return Trajectory(space, times, q_t, coeffs, incoming=ic)
+        "cg_slab", q_t) for dt in dict.fromkeys(dts.ravel().tolist())}
+    out = np.empty((len(grids), dts.shape[1], q_t + 1, space.dof_count))
+    coeffs = out[:, ::-1, ::-1] if reverse else out
+    coeffs[:, 0, 0] = starts
+    # loads[n] is slab n's time-integrated load against each test function,
+    # (P, q_t, dof), held in coeffs[:, n, 1:] until the slab's solution
+    # overwrites it; a homogeneous problem subtracts from the scalar 0.0
+    for j in range(len(grids)) if f is not None else ():
+        # (steps, q_t+3, dof), at every slab's quadrature times
+        dt = dts[j]
+        block = cache.load(space, grids[j, :-1, None] + dt[:, None] * sq, f)
+        for m in range(q_t):
+            # one vector-matrix product per slab: a (q_t, q_t+3) matrix
+            # product per slab sums in another order for q_t >= 2
+            coeffs[j, :, m + 1] = ((dt[:, None, None] * Pw[m]) @ block)[:, 0]
+    loads = (coeffs[:, :, 1:, :, None].swapaxes(0, 1) if f is not None
+             else [0.0] * dts.shape[1])
+    # per column and slab, the factors of the slab start value's terms,
+    # alpha[m, 0] and dt * beta[m, 0], as the single-grid products form them
+    a0 = alpha[:, :1, None]
+    dt_b0 = np.multiply.outer(dts, beta[:, :1, None])  # (P, steps, q_t, 1, 1)
+    # F holds every column's slab right-hand side, which the solves
+    # overwrite in place (dgetrs with overwrite_b) with the slab solution;
+    # prev views each column's slab start value as a (dof, 1) block, so a
+    # stacked product with it is one gemv per column (see mesh.matvecs)
+    F = np.empty((len(grids), q_t, space.dof_count, 1))
+    rhs = F.reshape(len(F), -1)  # one row per column, a view of F
+    prev = coeffs[:, 0, :1, :, None]
+    for n, (slab_lus, load) in enumerate(zip(
+            [[lus[dt] for dt in col] for col in dts.T.tolist()], loads)):
+        np.subtract(load, a0 * np.matmul(M, prev)
+                    + dt_b0[:, n] * np.matmul(A, prev), out=F)
+        for lu, b in zip(slab_lus, rhs):
+            lapack_solution("dgetrs", *dgetrs(*lu, b, 0, 1))
+        coeffs[:, n, 1:] = F[..., 0]
+        prev = F[:, -1:]
+    coeffs[:, 1:, 0] = coeffs[:, :-1, -1]
+    return out

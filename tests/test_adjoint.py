@@ -78,6 +78,31 @@ def test_single_subdomain_fine_adjoint_equals_direct():
     assert np.max(np.abs(fines[0].coeffs - direct.coeffs)) < 1e-11
 
 
+@pytest.mark.parametrize("q_t", [1, 2, 3])
+def test_stacked_backward_columns_are_their_own_calls(q_t):
+    # the partition's grids have steps that differ in their last bits, and
+    # so do their time reversals; the fourth grid's steps are twice as long
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 3)
+    part = TimePartition.uniform(0.6, 3, 6, 2)
+    grids = [*part.fine_grids, np.linspace(0.6, 1.4, 5)]
+    rng = np.random.default_rng(q_t)
+    terms = [NodalField(space, rng.standard_normal(space.dof_count))
+             for _ in grids]
+    names = [f"col({j})" for j in range(len(grids))]
+    cache = FormCache()
+    batch = solve_backward_cg(names, space, grids, terms, q_t, cache)
+    assert len(batch) == 4
+    for name, grid, term, got in zip(names, grids, terms, batch, strict=True):
+        want = solve_backward_cg(name, space, grid, term, q_t, cache)
+        assert got.incoming is term and np.array_equal(got.times, grid)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        # each adjoint is a forward-ordered row of one stacked array
+        assert got.coeffs.flags.c_contiguous
+        assert got.coeffs.base is batch[0].coeffs.base
+    with pytest.raises(ValueError, match="4 grids but 3 names"):
+        solve_backward_cg(names[:3], space, grids, terms, q_t, cache)
+
+
 def test_auxiliary_adjoints_keys_and_terminals():
     part = TimePartition.uniform(1.0, 4, 8, 2)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 10), 3)
@@ -233,6 +258,22 @@ def test_nonfinite_adjoint_names_its_family():
     with pytest.raises(ValueError, match=r"fine\(2\) adjoint.* n=1"):
         solve_backward_cg("fine(2)", space, np.linspace(0.0, 0.4, 5),
                           terminal, 3, FormCache())
+
+
+def test_nonfinite_fine_adjoint_names_its_subdomain():
+    # the coarse adjoint is NaN at T_2 only, so of the P_t = 3 fine adjoints
+    # solved as one stack, fine(2) is the one whose first step is not finite
+    part = TimePartition.uniform(0.6, 3, 6, 2)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 2)
+    cache = FormCache()
+    coarse = solve_coarse_adjoint(part, space, lambda x: np.sin(np.pi * x),
+                                  3, cache)
+    k = int(np.argmin(np.abs(coarse.times - part.sync_times[2])))
+    coarse.coeffs[k - 1, -1, 1] = np.nan
+    terminal = coarse.value_at_node(part.sync_times[2])
+    assert np.isnan(terminal.coefficients).any()
+    with pytest.raises(ValueError, match=r"^fine\(2\) adjoint .* n=1, "):
+        solve_fine_adjoints(part, coarse, 3, cache)
 
 
 @pytest.mark.parametrize("kind", ["global", "subdomain"])

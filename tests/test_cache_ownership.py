@@ -132,37 +132,53 @@ def test_per_step_shares_one_solver_across_a_linspace_grid(monkeypatch, kind):
 
 
 PROPAGATE = {
-    "step": lambda space, grid, decomp, cache: propagate_be(
-        space, grid, space.interpolate(np.sin), None, cache),
-    "schwarz": lambda space, grid, decomp, cache: propagate_be(
-        space, grid, space.interpolate(np.sin), None, cache, decomp, 2),
-    "cg_slab": lambda space, grid, decomp, cache: propagate_cg(
-        space, grid, 2, space.interpolate(np.sin), None, cache),
+    "step": lambda space, times, ic, decomp, cache: propagate_be(
+        space, times, ic, None, cache),
+    "schwarz": lambda space, times, ic, decomp, cache: propagate_be(
+        space, times, ic, None, cache, decomp, 2),
+    "cg_slab": lambda space, times, ic, decomp, cache: propagate_cg(
+        space, times, 2, ic, None, cache),
 }
+
+# the order in which a stacked call meets the step sizes of its (P, steps)
+# grid: implicit Euler looks each step's solvers up step by step across the
+# columns; cG looks its slab LUs up before stepping, grid by grid
+STACK_ORDER = {"step": np.transpose, "schwarz": np.transpose,
+               "cg_slab": np.asarray}
 
 
 @pytest.mark.parametrize("kind", PROPAGATE)
 def test_a_propagation_looks_up_each_step_size_once(monkeypatch, kind):
     # the step sizes of this grid differ in the last bits and come back
-    # after others: one lookup per distinct dt, not one per change of dt
+    # after others: one lookup per distinct dt, not one per change of dt.
+    # The stack adds a grid with steps of another size, which also differ
+    # in the last bits: still one lookup per distinct dt, in stack order
     grid = np.linspace(0.0, 0.9, 13)
     dts = np.diff(grid).tolist()
     changes = sum(a != b for a, b in zip(dts, dts[1:]))
     assert changes >= len(set(dts)) > 1
+    stack = np.stack([grid, np.linspace(0.9, 1.5, 13)])
+    stack_dts = STACK_ORDER[kind](np.diff(stack, axis=1)).ravel().tolist()
+    assert len(set(stack_dts)) > len(set(dts))
     cache = FormCache()
     mesh = SpatialMesh.uniform(0.0, 1.0, 8)
     space, decomp = FeSpace(mesh, 2), decompose_domain(mesh, 2, 0.25, 0.4)
+    ic = space.interpolate(np.sin)
     looked_up = []
     per_step = cache.per_step
 
     def counting(space, dt, build, *key):
-        if key[0] == kind:
-            looked_up.append(dt)
+        looked_up.append((key[0], dt))
         return per_step(space, dt, build, *key)
 
     monkeypatch.setattr(cache, "per_step", counting)
-    PROPAGATE[kind](space, grid, decomp, cache)
-    assert looked_up == list(dict.fromkeys(dts))
+    for times, ics, steps in ((grid, ic, dts), (stack, [ic, ic], stack_dts)):
+        looked_up.clear()
+        PROPAGATE[kind](space, times, ics, decomp, cache)
+        assert ([dt for k, dt in looked_up if k == kind]
+                == list(dict.fromkeys(steps)))
+        if kind == "cg_slab":  # the incoming values' mass projection
+            assert [dt for k, dt in looked_up if k == "step"] == [0.0]
 
 
 # the FormCache.factor entries that hold tables every later caller of the

@@ -248,6 +248,22 @@ def test_form_cache_reuse():
     assert op1 is op2
 
 
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_fields_of_different_spaces_do_not_combine(op):
+    # both spaces have 7 dofs, so only the space check tells them apart; it
+    # is a ValueError, which python -O does not strip as it strips asserts
+    quad = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 2)
+    linear = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), 1)
+    assert quad.dof_count == linear.dof_count == 7
+    a, b = quad.interpolate(np.sin), linear.interpolate(np.sin)
+    combine = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y}[op]
+    with pytest.raises(ValueError, match="degree 2 on 4 elements and "
+                       "degree 1 on 8 elements"):
+        combine(a, b)
+    same = combine(a, quad.interpolate(np.cos))
+    assert same.space is quad
+
+
 def test_mass_solve_is_the_zero_step_operator():
     # M + 0*A equals M bit for bit, so the dt = 0 step operator is the
     # banded mass operator
@@ -280,3 +296,8 @@ def test_blas_stacked_gemv_and_dot_are_bitwise_per_row(shape):
     assert np.array_equal(pairings(L, B, X),
                           np.array([l @ B @ x for l, x in zip(L, X)]))
     assert pairings(L[:0], B, X[:0]).shape == (0,)
+    # the cG slab loop's form: each row a (dof, 1) block of a strided stack
+    S = rng.standard_normal((40, 3, shape[1]))[:, ::-2, None, :, None]
+    assert np.array_equal(np.matmul(B, S)[..., 0],
+                          np.array([[B @ s[0, :, 0] for s in row]
+                                    for row in S])[:, :, None])

@@ -197,8 +197,7 @@ def test_nonfinite_forcing_names_subdomain_iteration_and_step(stepping):
     decomp = decompose_domain(fine.mesh, 2, 0.25, 0.4)
     fine_solvers = {
         "be": lambda gs, ics: propagate_be(fine, gs, ics, nan_f, cache),
-        "cg": lambda gs, ics: [propagate_cg(fine, g, 1, ic_, nan_f, cache)
-                               for g, ic_ in zip(gs, ics)],
+        "cg": lambda gs, ics: propagate_cg(fine, gs, 1, ics, nan_f, cache),
         "schwarz": lambda gs, ics: propagate_be(fine, gs, ics, nan_f, cache,
                                                 decomp, 2),
     }

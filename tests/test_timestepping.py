@@ -296,6 +296,49 @@ def test_stacked_grids_step_bitwise_as_one_call_per_grid(stepping):
         propagate_be(space, grids, ics[:3], prob.f, cache, *solver)
 
 
+@pytest.mark.parametrize("q_t", [1, 2, 3])
+@pytest.mark.parametrize("forced", [True, False])
+def test_stacked_cg_columns_step_bitwise_as_their_own_calls(q_t, forced):
+    # the partition's three grids have steps that differ in their last bits
+    # and share one slab LU; the fourth grid's steps are four times as long;
+    # the incoming values live in two spaces
+    mesh = SpatialMesh.uniform(0.0, 1.0, 6)
+    space, inc_space = FeSpace(mesh, 2), FeSpace(mesh, 3)
+    part = TimePartition.uniform(0.6, 3, 6, 3)
+    grids = [*part.fine_grids, np.linspace(0.6, 1.4, 7)]
+    assert len(set(np.diff(part.fine_grids).ravel())) > 1
+    rng = np.random.default_rng(10 * q_t + forced)
+    ics = [NodalField(s, rng.standard_normal(s.dof_count))
+           for s in (space, inc_space, inc_space, space)]
+    f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
+    cache = FormCache()
+    batch = propagate_cg(space, grids, q_t, ics, f, cache)
+    assert len(batch) == 4
+    for grid, ic, got in zip(grids, ics, batch, strict=True):
+        want = propagate_cg(space, grid, q_t, ic, f, cache)
+        assert got.incoming is ic and np.array_equal(got.times, grid)
+        assert got.q_t == q_t and np.array_equal(got.coeffs, want.coeffs)
+    # a one-grid stack is the one-grid call, as a list
+    (alone,) = propagate_cg(space, grids[:1], q_t, ics[:1], f, cache)
+    assert np.array_equal(alone.coeffs, batch[0].coeffs)
+    with pytest.raises(ValueError, match="4 grids but 3 incoming values"):
+        propagate_cg(space, grids, q_t, ics[:3], f, cache)
+    with pytest.raises(ValueError, match="at least two times"):
+        propagate_cg(space, grids[0][:1], q_t, ics[0], f, cache)
+
+
+def test_stacked_cg_names_the_first_nonfinite_step():
+    # column 1 of the stack starts from NaN: its first slab is the first
+    # non-finite step, although column 0 is finite
+    mesh = SpatialMesh.uniform(0.0, 1.0, 6)
+    space = FeSpace(mesh, 2)
+    part = TimePartition.uniform(0.6, 3, 6, 2)
+    ics = [space.interpolate(np.sin) for _ in range(3)]
+    ics[1] = NodalField(space, np.full(space.dof_count, np.nan))
+    with pytest.raises(ValueError, match=r"step n=1, t=0\.25$"):
+        propagate_cg(space, part.fine_grids, 1, ics, None, FormCache())
+
+
 def test_cg_rejects_bad_degree():
     space = _single_dof_space()
     ic = NodalField(space, np.array([1.0]))
@@ -421,7 +464,8 @@ def test_cg_time_forms_built_once_per_degree_per_cache(monkeypatch):
 SCIPY_SOLVES = {
     "dpbtrs": (mesh_module, lambda c, b: sla.cho_solve_banded((c, False), b)),
     "dpotrs": (schwarz, lambda c, b: sla.cho_solve((c, False), b)),
-    "dgetrs": (timestepping, lambda lu, piv, b: sla.lu_solve((lu, piv), b)),
+    "dgetrs": (timestepping, lambda lu, piv, b, trans=0, overwrite_b=0:
+               sla.lu_solve((lu, piv), b, trans=trans)),
 }
 
 
@@ -432,8 +476,11 @@ def test_direct_lapack_solves_equal_scipy_wrappers(monkeypatch, routine):
     seen = []
 
     def recording(*args):
+        # the inputs as given and the solution as returned: a solve may
+        # overwrite its right-hand side, and the caller may reuse it
+        given = [np.array(a, copy=True) for a in args]
         x, info = real(*args)
-        seen.append(([np.array(a, copy=True) for a in args], x))
+        seen.append((given, np.array(x, copy=True)))
         return x, info
 
     monkeypatch.setattr(module, routine, recording)
