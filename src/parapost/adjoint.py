@@ -50,9 +50,8 @@ def solve_backward_cg(kind, space, times, terminal, q_t, cache):
 def solve_coarse_adjoint(partition, space, psi, q_t, cache):
     """Global backward solve on the coarse grid with terminal data the nodal
     interpolant of psi."""
-    grid = partition.coarse_grid_global()
-    return solve_backward_cg("coarse", space, grid, space.interpolate(psi),
-                             q_t, cache)
+    return solve_backward_cg("coarse", space, partition.coarse_grid,
+                             space.interpolate(psi), q_t, cache)
 
 
 def solve_fine_adjoints(partition, coarse_adjoint, q_t, cache):
@@ -69,16 +68,16 @@ def solve_fine_adjoints(partition, coarse_adjoint, q_t, cache):
 
 def solve_auxiliary_adjoints(partition, coarse_adjoint, fine_adjoints,
                              q_t, cache):
-    """Backward solves on (0, T_{p-1}] with terminal data the fine/coarse
-    adjoint jump at T_{p-1}; returned dict is keyed by p = 2..P_t."""
+    """Backward solves on (0, T_{p-1}], the global coarse grid's prefix, with
+    terminal data the fine/coarse adjoint jump at T_{p-1}; returned dict is
+    keyed by p = 2..P_t."""
     out = {}
-    space = coarse_adjoint.space
+    grid, nhat_p = partition.coarse_grid, partition.coarse_grids.shape[1] - 1
     for p in range(2, partition.P_t + 1):
         t_sync = partition.sync_times[p - 1]
         term = (fine_adjoints[p - 1].value_at_node(t_sync)
                 - coarse_adjoint.value_at_node(t_sync))
-        grid = partition.coarse_grid_upto(p)
         out[p] = solve_backward_cg(
-            f"auxiliary({p})", space, grid, term, q_t, cache
-        )
+            f"auxiliary({p})", coarse_adjoint.space,
+            grid[:(p - 1) * nhat_p + 1], term, q_t, cache)
     return out

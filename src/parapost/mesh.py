@@ -131,7 +131,6 @@ class FeSpace:
         for e in range(N):
             x0, x1 = mesh.boundaries[e], mesh.boundaries[e + 1]
             nodes[e * q : e * q + q + 1] = x0 + (x1 - x0) * ref
-        self.node_coords = nodes
         # element -> global dof indices (-1 marks a constrained boundary node)
         emap = np.empty((N, q + 1), dtype=int)
         for e in range(N):

@@ -30,7 +30,6 @@ from .mesh import NodalField, embed
 class PararealState:
     """Trajectories and corrections for one Parareal iteration."""
 
-    iteration: int
     coarse: list          # per subdomain, coarse-space trajectory
     fine: list            # per subdomain, fine-space trajectory
     corrections: list     # C_p^{k_t}, fine-space NodalField, p = 1..P_t
@@ -59,14 +58,14 @@ def _synchronize(coarse_end, corr, fine_space, sync_space, cache):
 def _fine_solves(fine_solver, grids, syncs, k):
     """The fine trajectories of subdomains k..P_t, by one fine_solver call.
 
-    If the call raises, the subdomains are solved one at a time to name the
-    first that fails."""
+    If the call raises, the subdomains are solved one at a time, each as a
+    one-row stack, to name the first that fails."""
     try:
         return fine_solver(grids, syncs)
     except Exception as exc:
         for p, (grid, sync) in enumerate(zip(grids, syncs), start=k):
             try:
-                fine_solver([grid], [sync])
+                fine_solver(grid[None], [sync])
             except Exception as col_exc:
                 raise RuntimeError(
                     f"solver failure on subdomain p={p}, iteration k_t={k}: "
@@ -83,12 +82,12 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
     ic_coarse is Uhat_0 in the coarse space; fine_space is the space the
     corrections live in (coarse fields embed into it exactly).
     coarse_solver(grid, incoming) returns one trajectory;
-    fine_solver(grids, incomings) returns the trajectories of a list of
-    subdomain grids, in order.  Iteration k solves subdomains k..P_t only:
-    first the serial coarse sweep, then one fine_solver call for all of
-    them.  For p < k its state holds iteration k-1's coarse and fine
-    trajectories and corrections, the same objects, since subdomain p's
-    incoming value is unchanged from iteration p on.  That holds only if
+    fine_solver(grids, incomings) returns the trajectories of a stack of
+    rows of partition.fine_grids, in order.  Iteration k solves subdomains
+    k..P_t only: first the serial coarse sweep, then one fine_solver call
+    for all of them.  For p < k its state holds iteration k-1's coarse and
+    fine trajectories and corrections, the same objects, since subdomain
+    p's incoming value is unchanged from iteration p on.  That holds only if
     both solvers are pure functions of (grid, incoming).  The embeddings
     between the coarse and fine spaces are the cache's.
     """
@@ -117,9 +116,9 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
                     f"{exc}") from exc
             syncs.append(sync)
         if syncs:  # an iteration past P_t has nothing left to solve
-            fine += _fine_solves(fine_solver,
-                                 list(partition.fine_grids[k - 1:]), syncs, k)
+            fine += _fine_solves(fine_solver, partition.fine_grids[k - 1:],
+                                 syncs, k)
         corrs += [ft.end - embed(ct.end, fine_space, cache)
                   for ft, ct in zip(fine[k - 1:], coarse[k - 1:], strict=True)]
-        states.append(PararealState(k, coarse, fine, corrs, ic_coarse))
+        states.append(PararealState(coarse, fine, corrs, ic_coarse))
     return states

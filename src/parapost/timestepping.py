@@ -33,15 +33,16 @@ NODE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TimePartition:
-    """P_t temporal subdomains with per-subdomain coarse and fine step grids."""
+    """P_t temporal subdomains; coarse_grids and fine_grids are read-only
+    (P_t, steps + 1) stacks, row p - 1 the grid of subdomain p."""
 
     T: float
     P_t: int
     Nhat_t: int
     r: int
     sync_times: np.ndarray
-    coarse_grids: tuple
-    fine_grids: tuple
+    coarse_grids: np.ndarray
+    fine_grids: np.ndarray
 
     @staticmethod
     def uniform(T, P_t, Nhat_t, r):
@@ -49,27 +50,23 @@ class TimePartition:
             raise ValueError("P_t, Nhat_t and r must be positive")
         if Nhat_t % P_t != 0:
             raise ValueError(f"Nhat_t={Nhat_t} must be divisible by P_t={P_t}")
-        sync = np.linspace(0.0, T, P_t + 1)
+        sync = _read_only(np.linspace(0.0, T, P_t + 1))
         nhat_p = Nhat_t // P_t
-        coarse, fine = [], []
-        for p in range(P_t):
-            coarse.append(np.linspace(sync[p], sync[p + 1], nhat_p + 1))
-            fine.append(np.linspace(sync[p], sync[p + 1], r * nhat_p + 1))
-        return TimePartition(T, P_t, Nhat_t, r, sync, tuple(coarse), tuple(fine))
+        # row p is bitwise np.linspace(sync[p], sync[p + 1], n + 1)
+        coarse, fine = (
+            _read_only(np.linspace(sync[:-1], sync[1:], n + 1, axis=1))
+            for n in (nhat_p, r * nhat_p))
+        return TimePartition(T, P_t, Nhat_t, r, sync, coarse, fine)
 
     @property
     def N_t(self):
         return self.r * self.Nhat_t
 
-    def coarse_grid_upto(self, p):
-        """Concatenated coarse grid over [0, T_{p-1}] (subdomains 1..p-1)."""
-        parts = [self.coarse_grids[0]]
-        for k in range(1, p - 1):
-            parts.append(self.coarse_grids[k][1:])
-        return np.concatenate(parts)
-
-    def coarse_grid_global(self):
-        return self.coarse_grid_upto(self.P_t + 1)
+    @property
+    def coarse_grid(self):
+        """The global coarse grid over [0, T], the subdomains' coarse grids
+        joined at the synchronization times."""
+        return np.append(self.coarse_grids[:, :-1], self.sync_times[-1])
 
 
 class Trajectory:

@@ -41,7 +41,7 @@ def par_standard(partition, K_t, ic_coarse, fine_solver, coarse_solver,
         return coarse_solver(grid, ic).end
 
     def f_end(grid, ic):
-        return fine_solver([grid], [ic])[0].end
+        return fine_solver(grid[None], [ic])[0].end
 
     out = []
     prev_corr = [None] * (P_t + 1)

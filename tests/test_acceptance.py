@@ -100,6 +100,23 @@ def test_par_iterations_runtime(par_iterations):
         assert rec.wall_time < 30.0, f"K_t={k}: {rec.wall_time:.1f}s"
 
 
+# K against its differenced counterpart e(K_t) - e(P_t): by finite
+# termination K_t = P_t is the converged run.  K(P_t) is not 0 under
+# coarse-space synchronization (-6.63e-4 on par_iterations), so it is
+# subtracted.  Measured ratios at K_t = 1, 2, 3: 0.9504, 0.9485, 0.9459 on
+# par_iterations and 1.0347, 1.0367, 1.0386 on cg_iterations.  TPA rows
+# only: on pardd_iterations the ratio reads -3.67, -0.34, -0.10.
+@pytest.mark.parametrize("table", ["par_iterations", "cg_iterations"])
+def test_iteration_component_tracks_the_differenced_error(registry, table):
+    base = TABLE_REGISTRY[table]["base"]
+    converged = run_experiment(ExperimentConfig(**dict(base, K_t=base["P_t"])))
+    for k in (1, 2, 3):
+        rec = registry[table][k]
+        ratio = ((rec.components["K"] - converged.components["K"])
+                 / (rec.true_error - converged.true_error))
+        assert 0.9 <= ratio <= 1.1, f"{table} K_t={k}: ratio {ratio:.4f}"
+
+
 # --- criterion 2: coarse time refinement sweep ---------------------------
 
 def test_par_coarse_time_discretization_component(par_coarse_time):

@@ -84,7 +84,7 @@ def test_stacked_backward_columns_are_their_own_calls(q_t):
     # so do their time reversals; the fourth grid's steps are twice as long
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 3)
     part = TimePartition.uniform(0.6, 3, 6, 2)
-    grids = [*part.fine_grids, np.linspace(0.6, 1.4, 5)]
+    grids = np.vstack((part.fine_grids, np.linspace(0.6, 1.4, 5)))
     rng = np.random.default_rng(q_t)
     terms = [NodalField(space, rng.standard_normal(space.dof_count))
              for _ in grids]

@@ -266,7 +266,7 @@ def test_dd_split_requires_sweep_records():
     decomp = decompose_domain(mesh, 2, 0.2, 0.4)
     cache = FormCache()
     ic = space.interpolate(prob.u0)
-    grids = np.array(TimePartition.uniform(1.0, 2, 2, 5).fine_grids)
+    grids = TimePartition.uniform(1.0, 2, 2, 5).fine_grids
     first = propagate_be(space, grids[0], ic, prob.f, cache, decomp, 2)
 
     def split(second):
@@ -308,7 +308,7 @@ def test_dd_split_matches_the_per_step_oracle(P_s, K_s, steps, P_t, q_s,
     mesh = SpatialMesh.uniform(0.0, 1.0, 12)
     space, space3 = FeSpace(mesh, q_s), FeSpace(mesh, q_s + 1)
     decomp = decompose_domain(mesh, P_s, 0.25, 0.4)
-    grids = np.array(TimePartition.uniform(T, P_t, P_t, steps).fine_grids)
+    grids = TimePartition.uniform(T, P_t, P_t, steps).fine_grids
     ics = []
     for p in range(P_t):
         inc = FeSpace(mesh, 1 + (q_inc + p) % 3)
@@ -339,7 +339,7 @@ def test_dd_split_names_the_first_step_with_a_nonfinite_subdomain_adjoint(
     space, space3 = FeSpace(mesh, 2), FeSpace(mesh, 3)
     decomp = decompose_domain(mesh, 2, 0.25, 0.4)
     cache = FormCache()
-    grids = np.array(TimePartition.uniform(0.5, 2, 2, 2).fine_grids)
+    grids = TimePartition.uniform(0.5, 2, 2, 2).fine_grids
     ic = space.interpolate(prob.u0)
     trajs = propagate_be(space, grids, [ic, ic], prob.f, cache, decomp, 2)
     weights = [[space3.interpolate(np.sin)] * 2 for _ in range(2)]

@@ -1,7 +1,12 @@
 """Manufactured problems, configs, experiment runs, reports and the CLI."""
 
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +409,32 @@ def test_cli_rejects_json_config_that_is_not_an_object(tmp_path, capsys,
 def test_cli_selftest_passes_every_check(capsys):
     assert cli_main(["selftest"]) == 0
     assert "4/4 checks passed" in capsys.readouterr().out
+
+
+def test_no_package_module_has_an_assert_statement():
+    # python -O strips assert statements, so a check written as one passes
+    # whatever it finds
+    src = Path(harness.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_selftest_fails_its_checks_under_optimization():
+    # under python -O, an effectivity of NaN fails both effectivity checks
+    script = (
+        "import types\n"
+        "from parapost import selftest\n"
+        "selftest.run_experiment = lambda cfg: types.SimpleNamespace("
+        "effectivity=float('nan'))\n"
+        "print([name for name, _ in selftest.run_selftest()])\n")
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(
+                              Path(harness.__file__).parents[1])))
+    assert (done.stdout.splitlines()[-1]
+            == "['tpa-effectivity', 'stpa-effectivity']")
 
 
 def test_cli_rejects_bad_format_before_running(tmp_path, capsys, runs):

@@ -131,7 +131,7 @@ def test_vpar_solves_each_subdomain_until_its_incoming_value_converges():
     def counted_fine(grids, ics):
         fine_batches.append([p for g in grids
                              for p, h in enumerate(part.fine_grids, 1)
-                             if h is g])
+                             if np.array_equal(h, g)])
         return fs(grids, ics)
 
     vpar(part, 6, ic, counted_fine, counted_coarse, fine, cache)
@@ -179,7 +179,7 @@ def test_solver_failure_is_located():
 
     def flaky(grids, ics):
         # fails on every call whose batch holds subdomain 3
-        if any(g is part.fine_grids[2] for g in grids):
+        if any(np.array_equal(g, part.fine_grids[2]) for g in grids):
             raise FloatingPointError("boom")
         return propagate_be(fine, grids, ics, prob.f, cache)
 

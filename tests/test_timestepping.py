@@ -1,6 +1,7 @@
 """Temporal partitions, implicit Euler and cG(q_t) propagation."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -48,8 +49,35 @@ def test_partition_uniform_grids():
         assert part.coarse_grids[p][0] == part.sync_times[p]
         assert part.coarse_grids[p][-1] == part.sync_times[p + 1]
     assert part.N_t == 24
-    g = part.coarse_grid_global()
+    g = part.coarse_grid
     assert np.allclose(g, np.linspace(0.0, 2.0, 9))
+
+
+def test_partition_grids_are_read_only_stacks_of_per_subdomain_grids():
+    # each row of the stacks is bitwise the per-subdomain np.linspace, and
+    # the global coarse grid is bitwise the subdomains' coarse grids joined
+    # at the synchronization times
+    for T, P_t, nhat_p, r in itertools.product(
+            (0.3, 0.5, 0.6, 1.0, 2.0, 3.7), range(1, 7), (1, 2, 3),
+            (1, 2, 3, 4, 8, 16)):
+        part = TimePartition.uniform(T, P_t, P_t * nhat_p, r)
+        sync = part.sync_times
+        assert part.coarse_grids.shape == (P_t, nhat_p + 1)
+        assert part.fine_grids.shape == (P_t, r * nhat_p + 1)
+        for p in range(P_t):
+            assert np.array_equal(part.coarse_grids[p], np.linspace(
+                sync[p], sync[p + 1], nhat_p + 1))
+            assert np.array_equal(part.fine_grids[p], np.linspace(
+                sync[p], sync[p + 1], r * nhat_p + 1))
+        joined = np.concatenate([part.coarse_grids[0]]
+                                + [g[1:] for g in part.coarse_grids[1:]])
+        assert np.array_equal(part.coarse_grid, joined)
+    part = TimePartition.uniform(1.0, 4, 8, 2)
+    for grids in (part.sync_times, part.coarse_grids, part.fine_grids):
+        with pytest.raises(ValueError, match="read-only"):
+            grids[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            grids[-1:] += 1.0
 
 
 def test_partition_rejects_bad_divisibility():
@@ -278,7 +306,7 @@ def test_stacked_grids_step_bitwise_as_one_call_per_grid(stepping):
     mesh = SpatialMesh.uniform(0.0, 1.0, 12)
     space, inc_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
     part = TimePartition.uniform(0.6, 3, 6, 3)
-    grids = [*part.fine_grids, np.linspace(0.6, 1.4, 7)]
+    grids = np.vstack((part.fine_grids, np.linspace(0.6, 1.4, 7)))
     assert len(set(np.diff(part.fine_grids).ravel())) > 1
     solver = ((decompose_domain(mesh, 4, 0.25, 0.4), 3)
               if stepping == "schwarz" else ())
@@ -305,7 +333,7 @@ def test_stacked_cg_columns_step_bitwise_as_their_own_calls(q_t, forced):
     mesh = SpatialMesh.uniform(0.0, 1.0, 6)
     space, inc_space = FeSpace(mesh, 2), FeSpace(mesh, 3)
     part = TimePartition.uniform(0.6, 3, 6, 3)
-    grids = [*part.fine_grids, np.linspace(0.6, 1.4, 7)]
+    grids = np.vstack((part.fine_grids, np.linspace(0.6, 1.4, 7)))
     assert len(set(np.diff(part.fine_grids).ravel())) > 1
     rng = np.random.default_rng(10 * q_t + forced)
     ics = [NodalField(s, rng.standard_normal(s.dof_count))
