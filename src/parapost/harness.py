@@ -12,7 +12,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .adjoint import (
     solve_auxiliary_adjoints,
@@ -20,7 +19,7 @@ from .adjoint import (
     solve_fine_adjoints,
 )
 from .estimator import stpa_breakdown, tpa_breakdown
-from .mesh import FeSpace, FormCache, SpatialMesh, qoi_eval
+from .mesh import N_QUAD, FeSpace, FormCache, SpatialMesh, gauss_rule, qoi_eval
 from .parareal import vpar
 from .schwarz import decompose_domain
 from .timestepping import TimePartition, propagate_be, propagate_cg
@@ -58,23 +57,40 @@ class ManufacturedProblem:
         return vals
 
     def true_qoi(self):
-        """Q(u) = cos(nu*pi*T) * int psi(x) sin(mu*pi*x) dx, adaptive quadrature."""
-        val, _ = quad(
-            lambda x: self.qoi_scale
-            * (x - self.qoi_lo) ** 2
-            * (x - self.qoi_hi) ** 2
-            * math.sin(self.mu * math.pi * x),
-            self.qoi_lo,
-            self.qoi_hi,
-            epsabs=1e-13,
-            epsrel=1e-13,
-        )
+        """Q(u) = cos(nu*pi*T) * int psi(x) sin(mu*pi*x) dx over (qoi_lo,
+        qoi_hi), by the N_QUAD-point Gauss rule on ceil(|mu| (qoi_hi -
+        qoi_lo)) equal panels, so each panel holds at most half a period of
+        the sine; the panel sums are added by math.fsum."""
+        lo, hi = self.qoi_lo, self.qoi_hi
+        panels = math.ceil(abs(self.mu) * (hi - lo))
+        s, w = gauss_rule(N_QUAD)
+        edges = np.linspace(lo, hi, panels + 1)
+        h = np.diff(edges)
+        x = edges[:-1, None] + h[:, None] * s
+        integrand = (self.qoi_scale * (x - lo) ** 2 * (x - hi) ** 2
+                     * np.sin(self.mu * np.pi * x))
+        val = math.fsum((h[:, None] * w * integrand).ravel())
         return math.cos(self.nu * math.pi * self.T) * val
+
+
+def _check_problem(mu, qoi_lo, qoi_hi):
+    """Reject a manufactured problem on the spatial domain [0, 1] whose
+    solution or QoI support leaves it: u = cos(nu pi t) sin(mu pi x) vanishes
+    at x = 1 only for an integer mu, and qoi_eval integrates over the mesh
+    only, so the support (qoi_lo, qoi_hi) must lie in [0, 1]."""
+    if not float(mu).is_integer():
+        raise ValueError(f"mu must be an integer, so that sin(mu pi x) "
+                         f"vanishes at x = 1, got {mu}")
+    if qoi_lo < 0.0:
+        raise ValueError(f"qoi_lo={qoi_lo} lies outside the domain [0, 1]")
+    if qoi_hi > 1.0:
+        raise ValueError(f"qoi_hi={qoi_hi} lies outside the domain [0, 1]")
 
 
 def build_manufactured(nu, mu, T, qoi_lo=0.2, qoi_hi=0.6, qoi_scale=10000.0):
     if nu == 0 or mu == 0:
         raise ValueError("nu and mu must be nonzero")
+    _check_problem(mu, qoi_lo, qoi_hi)
     return ManufacturedProblem(nu, mu, T, qoi_lo, qoi_hi, qoi_scale)
 
 
@@ -152,6 +168,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.T <= 0:
             raise ValueError(f"T must be > 0, got {self.T}")
+        _check_problem(self.mu, self.qoi_lo, self.qoi_hi)
         if not self.qoi_lo < self.qoi_hi:
             raise ValueError(
                 f"qoi_lo={self.qoi_lo} must be below qoi_hi={self.qoi_hi}")

@@ -123,21 +123,17 @@ class FeSpace:
         self.mesh = mesh
         self.degree = degree
         q, N = degree, mesh.n_elements
-        self.n_nodes = q * N + 1
         self.dof_count = q * N - 1
-        # node coordinates, element by element
-        nodes = np.empty(self.n_nodes)
-        ref = np.linspace(0.0, 1.0, q + 1)
-        for e in range(N):
-            x0, x1 = mesh.boundaries[e], mesh.boundaries[e + 1]
-            nodes[e * q : e * q + q + 1] = x0 + (x1 - x0) * ref
         # element -> global dof indices (-1 marks a constrained boundary node)
-        emap = np.empty((N, q + 1), dtype=int)
-        for e in range(N):
-            g = e * q + np.arange(q + 1)
-            emap[e] = np.where((g == 0) | (g == self.n_nodes - 1), -1, g - 1)
+        emap = q * np.arange(N)[:, None] + np.arange(q + 1) - 1
+        emap[0, 0] = emap[-1, -1] = -1
         self.element_dofs = emap
-        self.dof_coords = nodes[1:-1]
+        # node coordinates x0 + (x1 - x0) * ref per element; a shared node is
+        # the next element's x0, and the two boundary nodes are dropped
+        ref = np.linspace(0.0, 1.0, q + 1)
+        x0 = mesh.boundaries[:-1, None]
+        local = x0 + (mesh.boundaries[1:, None] - x0) * ref
+        self.dof_coords = local[:, :q].ravel()[1:]
 
     def interpolate(self, fn):
         """Nodal interpolation of a callable fn(x) (boundary values dropped)."""

@@ -12,6 +12,8 @@ ack_terms_per_pair sums the A, C and K components one residual and one
 pairing at a time.  sweep_iterates rebuilds the Schwarz iterates from a
 sweep history, and slab_eval and at evaluate a Trajectory inside its slabs.
 subdomain_dof_sets_by_coords finds a subdomain's dofs by their coordinates.
+fe_space_nodes_per_element builds an FeSpace's node coordinates and element
+dof map one element at a time.
 """
 
 import numpy as np
@@ -272,3 +274,21 @@ def subdomain_dof_sets_by_coords(space, decomp, i):
     inside = (coords > x_lo + tol) & (coords < x_hi - tol)
     on_trace = (np.abs(coords - x_lo) <= tol) | (np.abs(coords - x_hi) <= tol)
     return np.nonzero(inside)[0], np.nonzero(on_trace)[0]
+
+
+def fe_space_nodes_per_element(mesh, q):
+    """(node coordinates, element -> dof map) of the degree-q FeSpace on
+    mesh, built element by element: element e writes nodes e*q ... e*q + q,
+    so a shared node keeps the next element's x0."""
+    N = mesh.n_elements
+    n_nodes = q * N + 1
+    nodes = np.empty(n_nodes)
+    ref = np.linspace(0.0, 1.0, q + 1)
+    for e in range(N):
+        x0, x1 = mesh.boundaries[e], mesh.boundaries[e + 1]
+        nodes[e * q : e * q + q + 1] = x0 + (x1 - x0) * ref
+    emap = np.empty((N, q + 1), dtype=int)
+    for e in range(N):
+        g = e * q + np.arange(q + 1)
+        emap[e] = np.where((g == 0) | (g == n_nodes - 1), -1, g - 1)
+    return nodes, emap

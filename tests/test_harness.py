@@ -66,6 +66,21 @@ def test_true_qoi_values():
                      * math.sin(math.pi * x), 0.2, 0.6,
                      epsabs=1e-13, epsrel=1e-13)
     assert prob.true_qoi() == pytest.approx(oracle, abs=1e-12)
+    # the composite Gauss rule against quad, to 1e-12 of int psi, for
+    # integer mu up to 40 (up to 40 panels) and supports across [0, 1]
+    for nu, T, qoi_scale in [(4, 2.0, 1e4), (2, 0.5, 1.0), (0.75, 1.3, 250.0)]:
+        for lo, hi in [(0.0, 1.0), (0.9, 1.0), (0.2, 0.6), (0.0, 0.1),
+                       (0.33, 0.71), (0.05, 0.95)]:
+            int_psi = qoi_scale * (hi - lo) ** 5 / 30
+            for mu in [s * m for m in range(1, 41) for s in (1, -1)]:
+                prob = build_manufactured(nu, mu, T, lo, hi, qoi_scale)
+                val, _ = quad(lambda x: qoi_scale * (x - lo) ** 2
+                              * (x - hi) ** 2 * math.sin(mu * math.pi * x),
+                              lo, hi, epsabs=1e-13 * int_psi, epsrel=1e-13,
+                              limit=200)
+                oracle = math.cos(nu * math.pi * T) * val
+                assert (abs(prob.true_qoi() - oracle) <= 1e-12 * int_psi
+                        ), (nu, T, qoi_scale, lo, hi, mu)
 
 
 def test_build_manufactured_rejects_degenerate():
@@ -73,6 +88,14 @@ def test_build_manufactured_rejects_degenerate():
         build_manufactured(0, 1, 2.0)
     with pytest.raises(ValueError):
         build_manufactured(4, 0, 2.0)
+    # sin(mu pi x) vanishes at x = 1 for an integer mu only, and the QoI
+    # support must lie in the domain [0, 1]
+    with pytest.raises(ValueError, match="mu"):
+        build_manufactured(4, 1.5, 2.0)
+    with pytest.raises(ValueError, match="qoi_lo"):
+        build_manufactured(4, 1, 2.0, qoi_lo=-0.4, qoi_hi=0.2)
+    with pytest.raises(ValueError, match="qoi_hi"):
+        build_manufactured(4, 1, 2.0, qoi_lo=0.5, qoi_hi=1.5)
 
 
 def test_config_validation_errors():
@@ -110,6 +133,12 @@ BAD_CONFIGS = [
     (dict(schwarz=True, tau=2.0), "tau"),
     (dict(nu=float("inf")), "nu"),
     (dict(qoi_lo=0.6, qoi_hi=0.2), "qoi_lo"),
+    # u = cos(nu pi t) sin(mu pi x) must vanish at x = 1
+    (dict(mu=1.5), "mu"),
+    (dict(mu=2.5), "mu"),
+    # the QoI support must lie in the spatial domain [0, 1]
+    (dict(qoi_lo=0.5, qoi_hi=1.5), "qoi_hi"),
+    (dict(qoi_lo=-0.4, qoi_hi=0.2), "qoi_lo"),
     # values that the field's type cannot hold are rejected, not truncated
     (dict(r=2.5), "r"),
     (dict(K_t=1.9), "K_t"),
@@ -435,6 +464,20 @@ def test_selftest_fails_its_checks_under_optimization():
                               Path(harness.__file__).parents[1])))
     assert (done.stdout.splitlines()[-1]
             == "['tpa-effectivity', 'stpa-effectivity']")
+
+
+def test_import_loads_no_scipy_integrate():
+    # a fresh `import parapost` (and its CLI) loads numpy and scipy.linalg
+    # only: scipy.integrate and what it pulls in took over 40 % of the
+    # start-up time
+    script = ("import sys, parapost, parapost.cli\n"
+              "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
+              "'scipy.special') if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(
+                              Path(harness.__file__).parents[1])))
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_rejects_bad_format_before_running(tmp_path, capsys, runs):

@@ -20,6 +20,7 @@ from parapost.mesh import (
     pairings,
     qoi_eval,
 )
+from oracles import fe_space_nodes_per_element
 
 
 def test_mesh_uniform_invariants():
@@ -41,6 +42,24 @@ def test_dof_count_formula():
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     for q in (1, 2, 3):
         assert FeSpace(mesh, q).dof_count == q * 20 - 1
+
+
+def test_fe_space_nodes_equal_the_per_element_loop():
+    # the broadcast node coordinates and dof map are bitwise those of the
+    # element-by-element construction, on uniform and graded meshes
+    rng = np.random.default_rng(5)
+    for N in range(1, 21):
+        graded = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, N - 1)),
+                                 [1.0]))
+        for mesh in (SpatialMesh.uniform(0.0, 1.0, N),
+                     SpatialMesh(0.0, 1.0, np.linspace(0.0, 1.0, N + 1) ** 2),
+                     SpatialMesh(0.0, 1.0, graded)):
+            for q in (1, 2, 3, 4):
+                space = FeSpace(mesh, q)
+                nodes, emap = fe_space_nodes_per_element(mesh, q)
+                assert np.array_equal(space.dof_coords, nodes[1:-1])
+                assert np.array_equal(space.element_dofs, emap)
+                assert space.element_dofs.dtype == emap.dtype
 
 
 def _mass_and_stiffness(space):
