@@ -16,7 +16,30 @@ field type the forward solvers also return (implicit Euler as its q_t = 0
 case), so field(n) and value_at_node give exact nodal values.
 """
 
+import numpy as np
+
 from .timestepping import Trajectory, _as_stack, _first_nonfinite, _step_cg
+
+
+def _solve_backward(kinds, space, grids, terms, q_t, cache):
+    """The backward cG(q_t) adjoints of grids, longest first, with their
+    terminal fields, as one _step_cg stack aligned at the ends in solve
+    order: each is a forward-ordered view out[j, :steps] of one array and
+    bitwise its own single-grid solve.  A non-finite value names the first
+    such column by its entry of kinds."""
+    first = [len(grids[0]) - len(g) for g in grids]
+    revs = np.zeros((len(grids), len(grids[0])))
+    for rev, g, s in zip(revs, grids, first):
+        rev[s:] = (g[-1] - g)[::-1]
+    out = _step_cg(space, revs, q_t, terms, None, cache, reverse=True,
+                   first=first)
+    adjs = [Trajectory(space, g, q_t, c[:len(g) - 1], term)
+            for g, c, term in zip(grids, out, terms)]
+    for kind, adj, rev, s in zip(kinds, adjs, revs, first):
+        if bad := _first_nonfinite(adj.coeffs[None, ::-1, ::-1], rev[None, s:]):
+            raise ValueError(f"{kind} adjoint (time reversed, t -> "
+                             f"{adj.times[-1]:.6g} - t): {bad[1]}")
+    return adjs
 
 
 def solve_backward_cg(kind, space, times, terminal, q_t, cache):
@@ -26,24 +49,15 @@ def solve_backward_cg(kind, space, times, terminal, q_t, cache):
     Returns the adjoint as a cG(q_t) Trajectory on the grid, with the terminal
     field as its incoming value; kind names the adjoint in errors.  Given a
     (P, steps+1) stack of grids, a sequence of P terminal fields and a
-    sequence of P names, it steps all P together and returns P adjoints,
-    each bitwise its own single-grid call's; a non-finite value names the
-    first column that has one.  The time-reversed solve is stored in
-    reversed slab and time-node order, so each adjoint is a forward-ordered
-    row of the one stacked array and nothing is copied.
+    sequence of P names, it steps all P together (see _solve_backward) and
+    returns P adjoints, each bitwise its own single-grid call's; a
+    non-finite value names the first column that has one.
     """
     grids, terms, stacked = _as_stack(times, terminal)
     kinds = list(kind) if stacked else [kind]
     if len(kinds) != len(grids):
         raise ValueError(f"{len(grids)} grids but {len(kinds)} names")
-    revs = (grids[:, -1:] - grids)[:, ::-1]
-    coeffs = _step_cg(space, revs, q_t, terms, None, cache, reverse=True)
-    if bad := _first_nonfinite(coeffs[:, ::-1, ::-1], revs):
-        j, message = bad
-        raise ValueError(f"{kinds[j]} adjoint (time reversed, t -> "
-                         f"{grids[j, -1]:.6g} - t): {message}")
-    adjs = [Trajectory(space, grids[j], q_t, coeffs[j], terms[j])
-            for j in range(len(terms))]
+    adjs = _solve_backward(kinds, space, grids, terms, q_t, cache)
     return adjs if stacked else adjs[0]
 
 
@@ -70,14 +84,16 @@ def solve_auxiliary_adjoints(partition, coarse_adjoint, fine_adjoints,
                              q_t, cache):
     """Backward solves on (0, T_{p-1}], the global coarse grid's prefix, with
     terminal data the fine/coarse adjoint jump at T_{p-1}; returned dict is
-    keyed by p = 2..P_t."""
-    out = {}
+    keyed by p = 2..P_t.  All are stepped as one ragged stack, longest
+    (p = P_t) first, each bitwise its own solve_backward_cg call; a
+    non-finite value names the first auxiliary(p) in that order."""
     grid, nhat_p = partition.coarse_grid, partition.coarse_grids.shape[1] - 1
-    for p in range(2, partition.P_t + 1):
-        t_sync = partition.sync_times[p - 1]
-        term = (fine_adjoints[p - 1].value_at_node(t_sync)
-                - coarse_adjoint.value_at_node(t_sync))
-        out[p] = solve_backward_cg(
-            f"auxiliary({p})", coarse_adjoint.space,
-            grid[:(p - 1) * nhat_p + 1], term, q_t, cache)
-    return out
+    ps, sync = range(partition.P_t, 1, -1), partition.sync_times
+    if not ps:
+        return {}
+    adjs = _solve_backward(
+        [f"auxiliary({p})" for p in ps], coarse_adjoint.space,
+        [grid[:(p - 1) * nhat_p + 1] for p in ps],
+        [fine_adjoints[p - 1].value_at_node(sync[p - 1])
+         - coarse_adjoint.value_at_node(sync[p - 1]) for p in ps], q_t, cache)
+    return dict(sorted(zip(ps, adjs)))

@@ -39,12 +39,10 @@ class ResidualEvaluator:
         self.cache = cache
         self._s, self._w = gauss_rule(N_QUAD_T)
 
-    def load(self, space, traj, ends=False):
-        """traj's loads in space, (steps, N_QUAD_T, dof) at the Gauss times of
-        its steps or, if ends, (steps, dof) at times[1:]."""
-        times = traj.times[1:] if ends else (
-            traj.times[:-1, None] + np.diff(traj.times)[:, None] * self._s)
-        return self.cache.load(space, times, self.f)
+    def load(self, space, traj):
+        """traj's loads in space at its step ends, (steps, dof): the cache's
+        block at times[1:]."""
+        return self.cache.load(space, traj.times[1:], self.f)
 
     def pairs(self, lefts, rights):
         """L2 inner products of two equally long lists of nodal fields, the
@@ -82,9 +80,10 @@ class ResidualEvaluator:
         All pairs share the trajectory space, the weight space, both q_t and
         the step count; a ValueError names the first pair that does not.
         The trajectory-side products (loads, A U, M U_dot, jumps) are formed
-        once per distinct trajectory and phi per distinct weight, and every
-        row's products go through mesh.matvecs/mesh.dots, so each row is
-        bitwise the residual of its pair alone.
+        once per distinct trajectory, each pair's weight slabs are one
+        slab_index lookup, and one quadrature loop serves all rows.  Every
+        row's products go through mesh.matvecs and mesh.dots, so each row
+        is bitwise the residual of its pair alone.
         """
         shared = ("trajectory space", "weight space", "trajectory q_t",
                   "weight q_t", "step count")
@@ -99,23 +98,25 @@ class ResidualEvaluator:
         A_x = self.cache.stiffness(ws, ts)
         M_x = self.cache.mass(ws, ts)
         dg0 = traj0.q_t == 0
-        lam_w = lagrange_values(weight0.q_t, self._s).T  # (nq, q_w+1)
-        lam_w0 = lagrange_values(weight0.q_t, [0.0]).T
         # the trajectory side, once per distinct trajectory: (trajs, steps, ...)
         index = {}
-        of_traj = np.array([index.setdefault(traj, len(index))
-                            for traj, _ in pairs])
+        ti = np.array([index.setdefault(traj, len(index)) for traj, _ in pairs])
         trajs = list(index)
         c = np.array([traj.coeffs for traj in trajs])
-        dts = np.array([np.diff(traj.times) for traj in trajs])
-        loads = np.array([self.load(ws, traj) for traj in trajs])
+        grids = np.array([traj.times for traj in trajs])
+        dts = grids[:, 1:] - grids[:, :-1]
+        # uncached loads, one block per trajectory: one for all would hold
+        # 6.7 MB of temporaries at once for pardd_fine_time[r=8]'s D
+        loads = np.array([assemble_load(ws, times, self.f) for times
+                          in grids[:, :-1, None] + dts[:, :, None] * self._s])
         if dg0:
             Au_q = matvecs(A_x, c[:, :, :1])  # one product serves every q
         else:
-            u_q = np.matmul(lagrange_values(traj0.q_t, self._s).T, c)
-            du_q = (np.matmul(lagrange_derivs(traj0.q_t, self._s).T, c)
-                    / dts[:, :, None, None])
-            Au_q, Mdu_q = matvecs(A_x, u_q), matvecs(M_x, du_q)
+            # U and U_dot at the quadrature points, not kept past the products
+            Au_q = matvecs(
+                A_x, np.matmul(lagrange_values(traj0.q_t, self._s).T, c))
+            Mdu_q = matvecs(M_x, np.matmul(lagrange_derivs(
+                traj0.q_t, self._s).T, c) / dts[:, :, None, None])
         # the jumps: against the incoming value at n = 1, and for q_t = 0 at
         # every later node; for cG they are exactly zero and skipped
         jumps = np.array([
@@ -124,29 +125,25 @@ class ResidualEvaluator:
         if dg0:
             jumps = np.concatenate(
                 [jumps, matvecs(M_x, c[:, 1:, 0] - c[:, :-1, 0])], axis=1)
-        out = np.empty((len(pairs), n_steps))
-        # phi at the quadrature points, per distinct weight
-        for weight, rows in groups([weight for _, weight in pairs]):
-            ti = of_traj[rows]
-            slabs = np.array([[weight.slab_index(t0, t1) for t0, t1
-                               in zip(trajs[i].times[:-1], trajs[i].times[1:])]
-                              for i in ti])
-            W = weight.coeffs[slabs]
-            phi_q = np.matmul(lam_w, W)  # (rows, steps, nq, dof_w)
-            acc = np.zeros((len(rows), n_steps))
-            for q in range(N_QUAD_T):
-                phi = phi_q[:, :, q]
-                r = (dots(loads[ti, :, q], phi)
-                     - dots(phi, Au_q[ti, :, 0 if dg0 else q]))
-                if not dg0:
-                    r -= dots(phi, Mdu_q[ti, :, q])
-                acc += self._w[q] * r
-            res = acc * dts[ti]
-            n_jumps = jumps.shape[1]
-            phi0 = np.matmul(lam_w0, W[:, :n_jumps])[:, :, 0]
-            res[:, :n_jumps] -= dots(phi0, jumps[ti])
-            out[rows] = res
-        return out
+        # each row's weight coefficients on its trajectory's steps, and phi
+        # at the quadrature points: (pairs, steps, nq, dof_w)
+        W = np.array([weight.coeffs[weight.slab_index(
+            grids[i, :-1], grids[i, 1:])] for i, (_, weight) in zip(ti, pairs)])
+        phi_q = np.matmul(lagrange_values(weight0.q_t, self._s).T, W)
+        acc = np.zeros((len(pairs), n_steps))
+        for q in range(N_QUAD_T):
+            phi = phi_q[:, :, q]
+            r = (dots(loads[ti, :, q], phi)
+                 - dots(phi, Au_q[ti, :, 0 if dg0 else q]))
+            if not dg0:
+                r -= dots(phi, Mdu_q[ti, :, q])
+            acc += self._w[q] * r
+        res = acc * dts[ti]
+        n_jumps = jumps.shape[1]
+        phi0 = np.matmul(lagrange_values(weight0.q_t, [0.0]).T,
+                         W[:, :n_jumps])[:, :, 0]
+        res[:, :n_jumps] -= dots(phi0, jumps[ti])
+        return res
 
 
 def _jump_at_sync(state, p, fine_space, kind, cache):
@@ -225,15 +222,15 @@ def tpa_breakdown(partition, state, adjoints, problem, cache):
 
     adjoints holds 'coarse', 'fine' (list over p) and 'aux' (dict keyed by
     p = 2..P_t); problem supplies f and the analytic initial condition.  The
-    residuals take their matrices and loads from the experiment's cache.
+    residuals take their matrices from the experiment's cache; D's are one
+    residual call, summed row by row in p order as the per-p loop summed.
     """
     _require_families(adjoints)
     ev = ResidualEvaluator(problem.f, cache)
     fine_space = state.fine[0].space
     D = 0.0
-    for p in range(1, partition.P_t + 1):
-        D += float(np.sum(ev.residual(
-            [(state.fine[p - 1], adjoints["fine"][p - 1])])))
+    for row in ev.residual(list(zip(state.fine, adjoints["fine"]))):
+        D += float(np.sum(row))
     D += _ic_error_pairs(ev, [adjoints["fine"][0].value_at_node(0.0)],
                          problem.u0, state.initial)[0]
     A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0, fine_space)
@@ -250,7 +247,7 @@ def _step_functionals(traj, space, ev):
     prev[0] = (cache.mass(space, traj.incoming.space)
                @ traj.incoming.coefficients)
     prev[1:] = matvecs(cache.mass(space, traj.space), traj.coeffs[:-1, -1])
-    loads = ev.load(space, traj, ends=True)
+    loads = ev.load(space, traj)
     return prev + np.diff(traj.times)[:, None] * loads
 
 
@@ -355,8 +352,9 @@ def stpa_breakdown(partition, state, adjoints, problem, decomp, K_s, cache):
     (D_s) and Schwarz-iteration (D_k) parts; A, C, K are as in the
     time-parallel decomposition but on the Schwarz trajectories.  Each fine
     step was solved by K_s sweeps over decomp; one dd_split call splits
-    every step, and a step that does not replay, a non-finite spatial
-    adjoint, E_K or E_N raises, naming p and n.
+    every step and one residual call weights them all, and a step that does
+    not replay, a non-finite spatial adjoint, E_K or E_N raises, naming p
+    and n.
     """
     _require_families(adjoints)
     ev = ResidualEvaluator(problem.f, cache)
@@ -367,10 +365,8 @@ def stpa_breakdown(partition, state, adjoints, problem, decomp, K_s, cache):
                      for traj, adj in zip(state.fine, fine_adjs)],
         decomp, K_s, ev))
     D_t = D_s = D_k = 0.0
-    for p in range(1, partition.P_t + 1):
-        traj = state.fine[p - 1]
-        res = ev.residual([(traj, fine_adjs[p - 1])])[0]
-        for n in range(1, traj.n_steps + 1):
+    for p, res in enumerate(ev.residual(list(zip(state.fine, fine_adjs))), 1):
+        for n in range(1, len(res) + 1):
             E_K, E_N = next(split)
             if not (math.isfinite(E_K) and math.isfinite(E_N)):
                 raise ValueError(f"non-finite E_K={E_K}, E_N={E_N} "

@@ -10,6 +10,7 @@ import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, asdict, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -204,7 +205,7 @@ class ExperimentConfig:
     @staticmethod
     def from_file(path):
         """Read a config from JSON or from 'key = value' lines."""
-        text = open(path).read()
+        text = Path(path).read_text()
         try:
             data = json.loads(text)
         except json.JSONDecodeError:

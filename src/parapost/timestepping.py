@@ -12,8 +12,7 @@ case.  Propagations on distinct temporal subdomains share no mutable state.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .mesh import (
     NodalField,
@@ -113,14 +112,19 @@ class Trajectory:
         return self.field(self.n_steps)
 
     def slab_index(self, t0, t1):
-        """Index of the slab [t0, t1] (ends to NODE_TOL); raises if the
-        interval is not a slab."""
-        n = int(np.searchsorted(self.times, 0.5 * (t0 + t1)) - 1)
-        if not (0 <= n < self.n_steps
-                and abs(self.times[n] - t0) < NODE_TOL
-                and abs(self.times[n + 1] - t1) < NODE_TOL):
-            raise ValueError(f"[{t0}, {t1}] is not a slab of this grid")
-        return n
+        """Index of the slab [t0, t1] (ends to NODE_TOL), or for arrays of
+        ends an array of indices, by one lookup; raises naming the first
+        interval that is not a slab."""
+        t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+        n = np.searchsorted(self.times, 0.5 * (t0 + t1)) - 1
+        m = np.clip(n, 0, self.n_steps - 1)
+        ok = ((n == m) & (np.abs(self.times[m] - t0) < NODE_TOL)
+              & (np.abs(self.times[m + 1] - t1) < NODE_TOL))
+        if not ok.all():
+            j = np.argmin(ok)
+            raise ValueError(f"[{t0.flat[j]}, {t1.flat[j]}] is not a slab of "
+                             f"this grid")
+        return n if n.ndim else int(n)
 
     def value_at_node(self, t):
         """Exact nodal value at a grid node (to NODE_TOL), as field(n)."""
@@ -252,46 +256,63 @@ def propagate_cg(space, times, q_t, ic, f, cache):
     return trajs if stacked else trajs[0]
 
 
-def _step_cg(space, grids, q_t, ics, f, cache, reverse=False):
+def _slab_lu(M, A, alpha, beta, dt):
+    """LU factors (lu, piv) of the cG(q_t) slab matrix of blocks alpha[m, j]
+    M + dt beta[m, j] A (m < q_t, 1 <= j <= q_t), built and factored in one
+    Fortran-order array."""
+    q_t, n = len(alpha), len(M)
+    S = np.empty((q_t * n, q_t * n), order="F")
+    for m in range(q_t):
+        for j in range(1, q_t + 1):
+            S[m * n:(m + 1) * n, (j - 1) * n:j * n] = (
+                alpha[m, j] * M + dt * beta[m, j] * A)
+    lu, piv, info = dgetrf(S, overwrite_a=True)
+    return lapack_solution("dgetrf", (lu, piv), info)
+
+
+def _step_cg(space, grids, q_t, ics, f, cache, reverse=False, first=None):
     """The (P, steps, q_t+1, dof) coefficients of the cG(q_t) solutions on
     a (P, steps+1) stack of grids from incoming values ics; with reverse,
     each column is stored in reversed slab and time-node order, which is
-    the forward order of a time-reversed solve.
+    the forward order of a time-reversed solve.  A ragged stack gives
+    first, the nondecreasing slab each column starts at (all end at the
+    last), so the active columns are a prefix; earlier slabs are unset.
 
     Continuity across slabs is enforced by construction; the slab start value
     is the L2 projection of the incoming value into the solve space (the
     mass operator is looked up once per call).  Each slab forms the
-    right-hand sides of all columns together, with one stacked product of M
-    and one of A (one gemv per column, as in mesh.matvecs), and then makes
-    one single-column dgetrs per column, since a multi-column dgetrs sums in
-    another order.  The slab LUs are looked up once per distinct exact dt,
-    in grid-major order, so each is built from the first dt of its key.
-    Nothing here checks finiteness: the callers do, naming what they solve.
+    right-hand sides of all active columns together, with one stacked
+    product of M and one of A (one gemv per column, as in mesh.matvecs), and
+    then makes one single-column dgetrs per column, since a multi-column
+    dgetrs sums in another order.  The slab LUs (_slab_lu) are looked up
+    once per distinct exact dt of the solved slabs, in grid-major order, so
+    each is built from the first dt of its key.  Nothing here checks
+    finiteness: the callers do, naming what they solve.
     """
     if q_t < 1:
         raise ValueError("q_t must be >= 1")
+    P, n_slabs = grids.shape[0], grids.shape[1] - 1
+    first = [0] * P if first is None else list(first)
     # (P, steps): np.diff's values, without its call overhead
     dts = grids[:, 1:] - grids[:, :-1]
     M, A = cache.mass(space, space), cache.stiffness(space, space)
     alpha, beta, sq, Pw = cache.factor(("cg_time_forms", q_t), lambda: _cg_time_forms(q_t))
     project = cache.step_operator(space, 0.0)
-    starts = [project.solve(cache.mass(space, u0.space) @ u0.coefficients)
-              for u0 in ics]
-    # building an LU takes several dense slab-sized matrices, so the
-    # coefficients are allocated after the LUs are built
+    starts = np.array([project.solve(cache.mass(space, u0.space)
+                                     @ u0.coefficients) for u0 in ics])
+    # building an LU takes a dense slab-sized matrix, so the coefficients
+    # are allocated after the LUs are built
     lus = {dt: cache.per_step(
-        space, dt,
-        lambda: sla.lu_factor(np.block(
-            [[alpha[m, j] * M + dt * beta[m, j] * A
-              for j in range(1, q_t + 1)] for m in range(q_t)])),
-        "cg_slab", q_t) for dt in dict.fromkeys(dts.ravel().tolist())}
-    out = np.empty((len(grids), dts.shape[1], q_t + 1, space.dof_count))
+        space, dt, lambda: _slab_lu(M, A, alpha, beta, dt), "cg_slab", q_t)
+        for dt in dict.fromkeys(
+            dt for row, s in zip(dts.tolist(), first) for dt in row[s:])}
+    out = np.empty((P, n_slabs, q_t + 1, space.dof_count))
     coeffs = out[:, ::-1, ::-1] if reverse else out
     coeffs[:, 0, 0] = starts
-    # loads[n] is slab n's time-integrated load against each test function,
-    # (P, q_t, dof), held in coeffs[:, n, 1:] until the slab's solution
+    # slab n's time-integrated load against each test function, (q_t, dof)
+    # per column, is held in coeffs[:, n, 1:] until the slab's solution
     # overwrites it; a homogeneous problem subtracts from the scalar 0.0
-    for j in range(len(grids)) if f is not None else ():
+    for j in range(P) if f is not None else ():
         # (steps, q_t+3, dof), at every slab's quadrature times
         dt = dts[j]
         block = cache.load(space, grids[j, :-1, None] + dt[:, None] * sq, f)
@@ -299,26 +320,32 @@ def _step_cg(space, grids, q_t, ics, f, cache, reverse=False):
             # one vector-matrix product per slab: a (q_t, q_t+3) matrix
             # product per slab sums in another order for q_t >= 2
             coeffs[j, :, m + 1] = ((dt[:, None, None] * Pw[m]) @ block)[:, 0]
-    loads = (coeffs[:, :, 1:, :, None].swapaxes(0, 1) if f is not None
-             else [0.0] * dts.shape[1])
     # per column and slab, the factors of the slab start value's terms,
     # alpha[m, 0] and dt * beta[m, 0], as the single-grid products form them
     a0 = alpha[:, :1, None]
     dt_b0 = np.multiply.outer(dts, beta[:, :1, None])  # (P, steps, q_t, 1, 1)
     # F holds every column's slab right-hand side, which the solves
-    # overwrite in place (dgetrs with overwrite_b) with the slab solution;
-    # prev views each column's slab start value as a (dof, 1) block, so a
-    # stacked product with it is one gemv per column (see mesh.matvecs)
-    F = np.empty((len(grids), q_t, space.dof_count, 1))
-    rhs = F.reshape(len(F), -1)  # one row per column, a view of F
-    prev = coeffs[:, 0, :1, :, None]
-    for n, (slab_lus, load) in enumerate(zip(
-            [[lus[dt] for dt in col] for col in dts.T.tolist()], loads)):
-        np.subtract(load, a0 * np.matmul(M, prev)
-                    + dt_b0[:, n] * np.matmul(A, prev), out=F)
-        for lu, b in zip(slab_lus, rhs):
-            lapack_solution("dgetrs", *dgetrs(*lu, b, 0, 1))
-        coeffs[:, n, 1:] = F[..., 0]
-        prev = F[:, -1:]
+    # overwrite in place (dgetrs with overwrite_b) with the slab solution,
+    # after its last block held the start value; prev views each column's
+    # start value as a (dof, 1) block, so a stacked product with it is one
+    # gemv per column (see mesh.matvecs)
+    F = np.empty((P, q_t, space.dof_count, 1))
+    F[:, -1, :, 0] = starts
+    rhs = F.reshape(P, -1)  # one row per column, a view of F
+    by_slab = dts.T.tolist()
+    bounds = sorted(set(first)) + [n_slabs]
+    for s, e in zip(bounds, bounds[1:]):
+        k = sum(j <= s for j in first)  # the columns active on slabs s..e-1
+        Fk, prev, rhs_k = F[:k], F[:k, -1:], rhs[:k]
+        loads = (coeffs[:k, :, 1:, :, None].swapaxes(0, 1) if f is not None
+                 else [0.0] * n_slabs)
+        for n in range(s, e):
+            np.subtract(loads[n], a0 * np.matmul(M, prev)
+                        + dt_b0[:k, n] * np.matmul(A, prev), out=Fk)
+            for dt, b in zip(by_slab[n], rhs_k):
+                lapack_solution("dgetrs", *dgetrs(*lus[dt], b, 0, 1))
+            coeffs[:k, n, 1:] = Fk[..., 0]
     coeffs[:, 1:, 0] = coeffs[:, :-1, -1]
+    for j in range(first.count(0), P):  # the later-starting columns
+        coeffs[j, first[j], 0] = starts[j]
     return out

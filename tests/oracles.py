@@ -163,7 +163,7 @@ def dd_split_per_step(traj, n, decomp, K_s, phi_val, ev, solve_cache):
                     @ traj.incoming.coefficients)
         else:
             prev = cache.mass(space, traj.space) @ traj.field(n - 1).coefficients
-        return prev + dt * ev.load(space, traj, ends=True)[n - 1]
+        return prev + dt * ev.load(space, traj)[n - 1]
 
     _, sweeps = AdditiveSchwarz.cached(solve_cache, traj.space, dt, decomp
                                        ).solve(ell(traj.space), 0, K_s)

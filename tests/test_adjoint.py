@@ -121,6 +121,59 @@ def test_auxiliary_adjoints_keys_and_terminals():
         assert abs(aux[p].times[0]) < 1e-14  # solved back to t = 0
 
 
+def _aux_setup(P_t=10, nhat_p=2):
+    part = TimePartition.uniform(1.0, P_t, nhat_p * P_t, 2)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 3)
+    cache = FormCache()
+    coarse = solve_coarse_adjoint(part, space, lambda x: np.sin(np.pi * x),
+                                  3, cache)
+    return part, coarse, solve_fine_adjoints(part, coarse, 3, cache), cache
+
+
+def test_auxiliary_adjoints_are_each_their_own_solve():
+    # P_t = 10 with two coarse steps per subdomain: psi_p, p = 10..2, are
+    # one ragged stack, each a prefix view of one array and bitwise its
+    # own single-grid solve on the coarse grid's prefix up to T_{p-1}
+    part, coarse, fines, cache = _aux_setup()
+    aux = solve_auxiliary_adjoints(part, coarse, fines, 3, cache)
+    assert list(aux) == list(range(2, 11))
+    grid = part.coarse_grid
+    for p, adj in aux.items():
+        t = part.sync_times[p - 1]
+        own = solve_backward_cg(
+            f"auxiliary({p})", coarse.space, grid[:2 * (p - 1) + 1],
+            fines[p - 1].value_at_node(t) - coarse.value_at_node(t), 3, cache)
+        assert np.array_equal(adj.times, own.times)
+        assert np.array_equal(adj.coeffs, own.coeffs)
+        assert np.array_equal(adj.incoming.coefficients,
+                              own.incoming.coefficients)
+        assert adj.coeffs.flags.c_contiguous
+        assert adj.coeffs.base is aux[2].coeffs.base
+
+
+def test_nonfinite_auxiliary_adjoint_names_its_p():
+    # the jump at T_3 alone is NaN, so of the ragged stack psi_4 alone is
+    # not finite, from its first time-reversed step on
+    part, coarse, fines, cache = _aux_setup()
+    fines[3].coeffs[0, 0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^auxiliary\(4\) adjoint \(time "
+                       r"reversed, t -> 0\.3 - t\): .* n=1, t=0\.05$"):
+        solve_auxiliary_adjoints(part, coarse, fines, 3, cache)
+
+
+def test_slab_index_of_arrays():
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 2)
+    grid = np.linspace(0.0, 0.4, 5)
+    terminal = space.interpolate(lambda x: np.sin(np.pi * x))
+    adj = solve_backward_cg("t", space, grid, terminal, 3, FormCache())
+    got = adj.slab_index(grid[1:-1], grid[2:])
+    assert got.tolist() == [adj.slab_index(a, b)
+                            for a, b in zip(grid[1:-1], grid[2:])] == [1, 2, 3]
+    # the first interval that is not a slab is named
+    with pytest.raises(ValueError, match=r"^\[0\.2, 0\.25\] is not a slab"):
+        adj.slab_index(np.array([0.1, 0.2, 0.1]), np.array([0.2, 0.25, 0.3]))
+
+
 def test_adjoint_jump_shrinks_under_coarse_refinement():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 10), 3)
     psi = lambda x: np.sin(np.pi * x)

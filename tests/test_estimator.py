@@ -15,6 +15,7 @@ from parapost.estimator import (
     N_QUAD_T,
     ResidualEvaluator,
     _ack_terms,
+    _ic_error_pairs,
     dd_split,
     stpa_breakdown,
     tpa_breakdown,
@@ -31,6 +32,7 @@ from parapost.mesh import (
     lagrange_derivs,
     qoi_eval,
 )
+import parapost.adjoint as adjoint_module
 import parapost.estimator as estimator_module
 import parapost.harness as harness_module
 import parapost.schwarz as schwarz_module
@@ -535,7 +537,8 @@ def residual_be(self, traj, weight):
     M_x = self.cache.mass(ws, ts)
     M_inc = self.cache.mass(ws, traj.incoming.space)
     inc_m = M_inc @ traj.incoming.coefficients
-    loads = self.load(ws, traj)
+    loads = assemble_load(ws, traj.times[:-1, None]
+                          + np.diff(traj.times)[:, None] * self._s, self.f)
     out = np.zeros(traj.n_steps)
     for n in range(1, traj.n_steps + 1):
         t0, t1 = traj.times[n - 1], traj.times[n]
@@ -569,7 +572,8 @@ def residual_cg(self, traj, weight):
     A_x = self.cache.stiffness(ws, ts)
     M_x = self.cache.mass(ws, ts)
     dlam = lagrange_derivs(traj.q_t, self._s)
-    loads = self.load(ws, traj)
+    loads = assemble_load(ws, traj.times[:-1, None]
+                          + np.diff(traj.times)[:, None] * self._s, self.f)
     out = np.zeros(traj.n_steps)
     for n in range(1, traj.n_steps + 1):
         t0, t1 = traj.times[n - 1], traj.times[n]
@@ -756,40 +760,87 @@ def test_ack_terms_match_the_per_pair_oracle(solver, P_t, K_t, r, q_t):
         assert stacked == (0.0, 0.0, 0.0)
 
 
+@settings(max_examples=15, deadline=None)
+@given(solver=st.sampled_from(["be", "cg", "schwarz"]), P_t=st.integers(1, 4),
+       r=st.integers(1, 2))
+@example(solver="be", P_t=4, r=2)
+@example(solver="schwarz", P_t=3, r=2)
+def test_D_is_bitwise_the_per_subdomain_sum(solver, P_t, r):
+    # D (TPA) and D_t (STPA) weight the P_t fine trajectories by one
+    # residual call; each is bitwise the per-p sum of single-pair calls
+    cfg = ExperimentConfig(
+        Nhat_t=2 * P_t, r=r, P_t=P_t, K_t=min(2, P_t), Nhat_s=8, qhat_s=1,
+        q_s=2, nu=2, mu=2, T=0.5, integrator="cg" if solver == "cg" else "be",
+        schwarz=solver == "schwarz", beta=0.25)
+    checked = []
+
+    def record(partition, state, adjoints, problem, *rest):
+        cache, fine, adjs = rest[-1], state.fine, adjoints["fine"]
+        ev = ResidualEvaluator(problem.f, cache)
+        rows = [ev.residual([pair])[0] for pair in zip(fine, adjs)]
+        D = 0.0
+        if rest[:-1]:
+            decomp, K_s = rest[:-1]
+            got = stpa_breakdown(partition, state, adjoints, problem, decomp,
+                                 K_s, cache)["D_t"]
+            split = zip(*dd_split(
+                fine, [[adj.value_at_node(t) for t in traj.times[1:]]
+                       for traj, adj in zip(fine, adjs)], decomp, K_s, ev))
+            for res in rows:
+                for r_n, (E_K, E_N) in zip(res, split):
+                    D += r_n - E_K - E_N
+        else:
+            got = tpa_breakdown(partition, state, adjoints, problem, cache)["D"]
+            for res in rows:
+                D += float(np.sum(res))
+        D += _ic_error_pairs(ev, [adjs[0].value_at_node(0.0)], problem.u0,
+                             state.initial)[0]
+        checked.append(got == D)
+        return {}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness_module, "tpa_breakdown", record)
+        mp.setattr(harness_module, "stpa_breakdown", record)
+        run_experiment(cfg)
+    assert checked == [True]
+
+
 def test_tpa_stacks_the_A_residuals_and_each_pairing_family(monkeypatch):
-    # at P_t = 10 the 45 A residuals are one call over 9 weight groups, and
-    # the K, C, A-jump and A initial-condition pairings one product each
-    # (after the one pairing of D's initial condition)
+    # at P_t = 10 D's 10 residuals are one call and the 45 A residuals
+    # another; the auxiliary adjoints are one ragged _step_cg stack (after
+    # the coarse adjoint and the stack of fine adjoints); the K, C, A-jump
+    # and A initial-condition pairings are one product each (after the one
+    # pairing of D's initial condition)
     cfg = ExperimentConfig(Nhat_t=20, r=2, P_t=10, K_t=2, Nhat_s=8,
                            qhat_s=1, q_s=2, nu=2, mu=1, T=0.5)
-    calls, products = [], []
+    calls, products, stacks = [], [], []
     real_residual = ResidualEvaluator.residual
-    real_groups, real_pairings = estimator_module.groups, estimator_module.pairings
+    real_pairings = estimator_module.pairings
+    real_step_cg = adjoint_module._step_cg
 
     def residual(self, pairs):
-        calls.append([len(pairs)])
-        try:
-            return real_residual(self, pairs)
-        finally:
-            calls[-1] = tuple(calls[-1])
-
-    def groups(keys):
-        out = real_groups(keys)
-        if calls and isinstance(calls[-1], list):
-            calls[-1].append(len(out))
-        return out
+        calls.append(len(pairs))
+        return real_residual(self, pairs)
 
     def pairings(X, G, Y):
         products.append(len(X))
         return real_pairings(X, G, Y)
 
+    def step_cg(space, grids, *args, **kwargs):
+        stacks.append((len(grids), kwargs.get("first")))
+        return real_step_cg(space, grids, *args, **kwargs)
+
     monkeypatch.setattr(ResidualEvaluator, "residual", residual)
-    monkeypatch.setattr(estimator_module, "groups", groups)
     monkeypatch.setattr(estimator_module, "pairings", pairings)
+    monkeypatch.setattr(adjoint_module, "_step_cg", step_cg)
     run_experiment(cfg)
-    P_t = cfg.P_t
-    # (pairs, weight groups): D one pair per subdomain, A every coarse
-    # trajectory k < p against every auxiliary adjoint psi_p
-    assert calls == [(1, 1)] * P_t + [(P_t * (P_t - 1) // 2, P_t - 1)]
+    P_t, nhat_p = cfg.P_t, cfg.Nhat_t // cfg.P_t
+    # D one pair per subdomain, A every coarse trajectory k < p against
+    # every auxiliary adjoint psi_p
+    assert calls == [P_t, P_t * (P_t - 1) // 2]
     assert products == [1, P_t - 1, P_t - 1, (P_t - 1) * (P_t - 2) // 2,
                         P_t - 1]
+    # psi_p, longest (p = P_t) first, starts at slab (P_t - p) * nhat_p
+    assert stacks == [(1, [0]), (P_t, [0] * P_t),
+                      (P_t - 1, [(P_t - p) * nhat_p
+                                 for p in range(P_t, 1, -1)])]

@@ -384,6 +384,26 @@ def test_cg_homogeneous_none_equals_zero_forcing():
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
+@pytest.mark.parametrize("q_t, degree", [(1, 2), (2, 2), (3, 3)])
+def test_slab_lu_is_lu_factor_of_the_block_matrix(q_t, degree):
+    # the slab matrix built in place and factored by dgetrf: its factors
+    # and pivots are bitwise lu_factor's of the np.block-built matrix, and
+    # a singular slab raises instead of warning
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), degree)
+    cache = FormCache()
+    M, A = cache.mass(space, space), cache.stiffness(space, space)
+    alpha, beta, _, _ = timestepping._cg_time_forms(q_t)
+    dt = 0.2 / 7
+    lu, piv = timestepping._slab_lu(M, A, alpha, beta, dt)
+    ref_lu, ref_piv = sla.lu_factor(np.block(
+        [[alpha[m, j] * M + dt * beta[m, j] * A for j in range(1, q_t + 1)]
+         for m in range(q_t)]))
+    assert np.array_equal(lu, ref_lu)
+    assert np.array_equal(piv, ref_piv)
+    with pytest.raises(sla.LinAlgError, match="dgetrf returned info="):
+        timestepping._slab_lu(0.0 * M, 0.0 * A, alpha, beta, dt)
+
+
 def test_cg_slab_factors_die_with_their_cache():
     # the slab factorizations and the Schwarz sweepers, with the blocks
     # their adjoints build, belong to the FormCache passed in: once the
