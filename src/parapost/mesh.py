@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg.lapack import dpbtrs
+from numpy.polynomial import legendre
+
+from ._lapack import dpbtrf, dpbtrs
 
 # Gauss points per element of the load vectors and the QoI integral
 N_QUAD = 10
@@ -30,7 +31,7 @@ def _read_only(a):
 @lru_cache(maxsize=32)
 def gauss_rule(n):
     """Gauss-Legendre nodes/weights on [0, 1], exact for degree 2n-1."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = legendre.leggauss(n)
     return _read_only(0.5 * (x + 1.0)), _read_only(0.5 * w)
 
 
@@ -221,9 +222,12 @@ class AssembledOperator:
         ab = np.zeros((u + 1, n))
         for i in range(u + 1):
             ab[u - i, i:] = np.diagonal(dense, offset=i)
+        # a NaN passes LAPACK's pivot test (ajj <= 0) and would factor
+        if not np.isfinite(ab).all():
+            raise ValueError("array must not contain infs or NaNs")
         try:
-            self._cho = sla.cholesky_banded(ab, lower=False)
-        except sla.LinAlgError as exc:
+            self._cho = lapack_solution("dpbtrf", *dpbtrf(ab, lower=0))
+        except np.linalg.LinAlgError as exc:
             raise ValueError(
                 f"{kind} operator is not positive definite "
                 "(likely an assembly bug)"
@@ -236,9 +240,9 @@ class AssembledOperator:
 
 
 def lapack_solution(routine, x, info):
-    """x of a direct LAPACK solve's (x, info); nonzero info raises."""
+    """x of a direct LAPACK call's (x, info); nonzero info raises."""
     if info != 0:
-        raise sla.LinAlgError(f"{routine} returned info={info}")
+        raise np.linalg.LinAlgError(f"{routine} returned info={info}")
     return x
 
 

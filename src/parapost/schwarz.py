@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg.lapack import dpotrs
 
+from ._lapack import dpotrf, dpotrs
 from .mesh import assemble_matrix, lapack_solution, matvecs
 
 
@@ -100,6 +99,15 @@ def _cut(M, A, dt, rows, cols):
     return M[ix] + dt * A[ix]
 
 
+def _cholesky(B):
+    """The upper Cholesky factor of B, with B's lower triangle left in
+    place, as scipy's cho_factor returns it."""
+    # a NaN passes LAPACK's pivot test (ajj <= 0) and would factor
+    if not np.isfinite(B).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return lapack_solution("dpotrf", *dpotrf(B, lower=0, clean=0))
+
+
 class AdditiveSchwarz:
     """Additive Schwarz sweeps for a fixed step operator B = M + dt*A, and
     the same sweeps run backwards as the per-sweep subdomain adjoints.
@@ -116,7 +124,7 @@ class AdditiveSchwarz:
         self.sets = [subdomain_dof_sets(space, decomp, i)
                      for i in range(decomp.P_s)]
         M, A = cache.mass(space, space), cache.stiffness(space, space)
-        self._chol = [sla.cho_factor(_cut(M, A, dt, interior, interior))[0]
+        self._chol = [_cholesky(_cut(M, A, dt, interior, interior))
                       for interior, _ in self.sets]
         self._coupling = [_cut(M, A, dt, interior, trace)
                           for interior, trace in self.sets]

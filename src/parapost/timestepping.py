@@ -12,8 +12,9 @@ case.  Propagations on distinct temporal subdomains share no mutable state.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from numpy.polynomial import legendre
 
+from ._lapack import dgetrf, dgetrs
 from .mesh import (
     NodalField,
     _read_only,
@@ -230,7 +231,7 @@ def _cg_time_forms(q_t):
     lam = lagrange_values(q_t, s)
     dlam = lagrange_derivs(q_t, s)
     # Legendre on [0,1]
-    P = np.array([np.polynomial.legendre.Legendre.basis(m)(2 * s - 1)
+    P = np.array([legendre.Legendre.basis(m)(2 * s - 1)
                   for m in range(q_t)])
     Pw = P * w[None, :]
     return tuple(map(_read_only, (Pw @ dlam.T, Pw @ lam.T, s, Pw)))

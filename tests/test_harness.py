@@ -450,6 +450,16 @@ def test_no_package_module_has_an_assert_statement():
     assert found == []
 
 
+def _fresh_python(script, *flags):
+    """The last line a fresh interpreter, given flags, prints running
+    script, with this parapost first on its path."""
+    done = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(
+                              Path(harness.__file__).parents[1])))
+    return done.stdout.splitlines()[-1]
+
+
 def test_selftest_fails_its_checks_under_optimization():
     # under python -O, an effectivity of NaN fails both effectivity checks
     script = (
@@ -458,26 +468,35 @@ def test_selftest_fails_its_checks_under_optimization():
         "selftest.run_experiment = lambda cfg: types.SimpleNamespace("
         "effectivity=float('nan'))\n"
         "print([name for name, _ in selftest.run_selftest()])\n")
-    done = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=str(
-                              Path(harness.__file__).parents[1])))
-    assert (done.stdout.splitlines()[-1]
+    assert (_fresh_python(script, "-O")
             == "['tpa-effectivity', 'stpa-effectivity']")
 
 
-def test_import_loads_no_scipy_integrate():
-    # a fresh `import parapost` (and its CLI) loads numpy and scipy.linalg
-    # only: scipy.integrate and what it pulls in took over 40 % of the
-    # start-up time
-    script = ("import sys, parapost, parapost.cli\n"
-              "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
-              "'scipy.special') if m in sys.modules))\n")
-    done = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=str(
-                              Path(harness.__file__).parents[1])))
-    assert done.stdout.splitlines()[-1] == "[]"
+def test_import_loads_only_scipys_lapack_extension():
+    # a fresh `import parapost` (and its CLI) loads numpy and, of scipy,
+    # the Fortran LAPACK extension alone: the scipy.linalg package init,
+    # through scipy._lib, took about two thirds of the benchmark's set-up
+    # time, and scipy.integrate before it over 40 %
+    assert _fresh_python(
+        "import sys, parapost, parapost.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    ) == "['scipy.linalg._flapack']"
+
+
+def test_run_experiment_imports_nothing_after_set_up():
+    # every module a run needs is imported with parapost, so a fresh
+    # process's first run pays no import: one cG row and one Schwarz row
+    assert _fresh_python(
+        "import sys, parapost\n"
+        "from parapost.harness import TABLE_REGISTRY, ExperimentConfig\n"
+        "configs = [ExperimentConfig.from_mapping(dict(\n"
+        "    TABLE_REGISTRY[name]['base'], **{TABLE_REGISTRY[name]['param']:\n"
+        "    TABLE_REGISTRY[name]['values'][0]}))\n"
+        "    for name in ('cg_iterations', 'pardd_fine_time')]\n"
+        "before = set(sys.modules)\n"
+        "for config in configs:\n"
+        "    parapost.run_experiment(config)\n"
+        "print(sorted(set(sys.modules) - before))\n") == "[]"
 
 
 def test_cli_rejects_bad_format_before_running(tmp_path, capsys, runs):

@@ -1,13 +1,18 @@
 """Temporal partitions, implicit Euler and cG(q_t) propagation."""
 
 import gc
+import importlib.machinery
+import importlib.util
 import itertools
+import re
+import sys
 import weakref
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
+import parapost._lapack as _lapack
 import parapost.mesh as mesh_module
 import parapost.schwarz as schwarz
 import parapost.timestepping as timestepping
@@ -508,27 +513,54 @@ def test_cg_time_forms_built_once_per_degree_per_cache(monkeypatch):
 
 
 # each LAPACK routine called directly, its module, and the scipy.linalg
-# wrapper it replaced
-SCIPY_SOLVES = {
+# wrapper it replaced, given the same arguments
+SCIPY_WRAPPERS = {
+    "dpbtrf": (mesh_module, lambda ab, lower:
+               sla.cholesky_banded(ab, lower=bool(lower))),
     "dpbtrs": (mesh_module, lambda c, b: sla.cho_solve_banded((c, False), b)),
+    "dpotrf": (schwarz, lambda a, lower, clean:
+               sla.cho_factor(a, lower=bool(lower))[0]),
     "dpotrs": (schwarz, lambda c, b: sla.cho_solve((c, False), b)),
     "dgetrs": (timestepping, lambda lu, piv, b, trans=0, overwrite_b=0:
                sla.lu_solve((lu, piv), b, trans=trans)),
 }
 
 
-@pytest.mark.parametrize("routine", sorted(SCIPY_SOLVES))
+def test_lapack_routines_are_scipys():
+    # the routines are the very objects scipy.linalg.lapack exports, so
+    # every factor and solution is scipy's own, bitwise
+    from scipy.linalg import lapack
+
+    assert sorted(_lapack.__all__) == sorted(
+        ["dgetrf", "dgetrs", "dpbtrf", "dpbtrs", "dpotrf", "dpotrs"])
+    for name in _lapack.__all__:
+        assert getattr(_lapack, name) is getattr(lapack, name)
+
+
+def test_missing_lapack_extension_names_its_path(monkeypatch, tmp_path):
+    # no fallback to `import scipy.linalg`: a scipy without the extension
+    # file is an ImportError naming the file
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    with pytest.raises(ImportError, match=re.escape(
+            str(tmp_path / "linalg" / "_flapack"))):
+        _lapack._load_flapack()
+
+
+@pytest.mark.parametrize("routine", sorted(SCIPY_WRAPPERS))
 def test_direct_lapack_solves_equal_scipy_wrappers(monkeypatch, routine):
-    module, wrapper = SCIPY_SOLVES[routine]
+    module, wrapper = SCIPY_WRAPPERS[routine]
     real = getattr(module, routine)
     seen = []
 
-    def recording(*args):
-        # the inputs as given and the solution as returned: a solve may
+    def recording(*args, **kwargs):
+        # the inputs as given and the result as returned: a solve may
         # overwrite its right-hand side, and the caller may reuse it
         given = [np.array(a, copy=True) for a in args]
-        x, info = real(*args)
-        seen.append((given, np.array(x, copy=True)))
+        x, info = real(*args, **kwargs)
+        seen.append((given, kwargs, np.array(x, copy=True)))
         return x, info
 
     monkeypatch.setattr(module, routine, recording)
@@ -543,5 +575,19 @@ def test_direct_lapack_solves_equal_scipy_wrappers(monkeypatch, routine):
                  decompose_domain(mesh, 2, 0.25, 0.4), 3)
     propagate_cg(space, grid, 2, ic, prob.f, cache)
     assert seen
-    for args, x in seen:
-        assert np.array_equal(x, wrapper(*args))
+    for args, kwargs, x in seen:
+        assert np.array_equal(x, wrapper(*args, **kwargs))
+
+
+@pytest.mark.parametrize("solver", ["direct", "schwarz"])
+def test_nan_step_size_is_rejected_before_factoring(solver):
+    # a NaN passes LAPACK's Cholesky pivot test, so the step operator's
+    # entries are checked before they are factored, as scipy's wrappers did
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space, cache = FeSpace(mesh, 2), FormCache()
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        if solver == "direct":
+            cache.step_operator(space, float("nan"))
+        else:
+            AdditiveSchwarz(space, float("nan"),
+                            decompose_domain(mesh, 2, 0.25, 0.4), cache)
