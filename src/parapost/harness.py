@@ -19,7 +19,7 @@ from .adjoint import (
     solve_coarse_adjoint,
     solve_fine_adjoints,
 )
-from .estimator import stpa_breakdown, tpa_breakdown
+from .estimator import N_QUAD_T, stpa_breakdown, tpa_breakdown
 from .mesh import N_QUAD, FeSpace, FormCache, SpatialMesh, gauss_rule, qoi_eval
 from .parareal import vpar
 from .schwarz import decompose_domain
@@ -179,6 +179,13 @@ class ExperimentConfig:
             raise ValueError("qhat_s must not exceed q_s")
         if self.integrator not in ("be", "cg"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
+        # the residual's N_QUAD_T-point time rule is exact to degree 2 N_QUAD_T - 1
+        traj_qt = max(self.q_t, self.qhat_t) if self.integrator == "cg" else 0
+        if self.adjoint_time_degree + traj_qt > 2 * N_QUAD_T - 1:
+            raise ValueError(
+                f"adjoint_time_degree={self.adjoint_time_degree} plus the "
+                f"trajectories' time degree {traj_qt} exceeds 2 N_QUAD_T - 1 = "
+                f"{2 * N_QUAD_T - 1}")
         if self.schwarz:
             if self.integrator != "be":
                 raise ValueError("the Schwarz fine solver requires integrator 'be'")
@@ -301,6 +308,8 @@ def run_experiment(config):
     aux_adjs = solve_auxiliary_adjoints(partition, coarse_adj, fine_adjs,
                                         adj_qt, cache)
     adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
+    # no later step solves a cG slab: free the forward and adjoint slab LUs
+    cache.release("cg_slab")
 
     if config.schwarz:
         components = stpa_breakdown(partition, state, adjoints, problem,

@@ -351,12 +351,14 @@ class FormCache:
     whatever else is built once per key, such as the nodal gathers of
     interpolate(), and per_step() the solvers built once per step size
     (banded step operators, cG slab LU, Schwarz sweepers), each keeping only
-    its factors and the blocks it cuts.  Keys hold the space objects
-    themselves (spaces hash by identity), so an entry keeps its spaces alive
-    exactly as long as the cache lives and can never be confused with a
-    later space that reuses a freed address.  Its cached solvers must not be
-    shared across threads: scipy's dgetrs wrapper rewrites the pivot array
-    of a slab LU in place during each call.
+    its factors and the blocks it cuts.  release() drops the entries of one
+    kind: the cG slab LUs, the largest, live only until the adjoint solves
+    end, as no later step of the estimate solves a slab.  Keys hold the
+    space objects themselves (spaces hash by identity), so an entry keeps
+    its spaces alive exactly as long as the cache lives and can never be
+    confused with a later space that reuses a freed address.  Its cached
+    solvers must not be shared across threads: scipy's dgetrs wrapper
+    rewrites the pivot array of a slab LU in place during each call.
     """
 
     def __init__(self):
@@ -407,6 +409,11 @@ class FormCache:
         a linspace grid, and of its time reversal, differ in the last bits;
         this is the one place that decides they share a solver."""
         return self.factor(key + (space, round(dt, 15)), build)
+
+    def release(self, kind):
+        """Drop every entry whose key starts with kind; a lookup rebuilds it."""
+        self._factors = {key: value for key, value in self._factors.items()
+                         if key[0] != kind}
 
     def factor(self, key, build):
         """The object build() returns, built once per key."""

@@ -5,6 +5,7 @@ run_experiment (or a selftest check) built and passed down.  Which step
 sizes share a solver is decided by FormCache.per_step alone."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -210,3 +211,59 @@ def test_every_table_an_experiment_shares_is_read_only(monkeypatch):
         assert arrays, kind
         for a in arrays:
             assert not a.flags.writeable, kind
+
+
+def test_release_drops_one_kind_and_a_later_lookup_rebuilds():
+    cache = FormCache()
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 1)
+    step = cache.step_operator(space, 0.1)
+    slab = cache.per_step(space, 0.1, object, "cg_slab", 1)
+    cache.release("cg_slab")
+    assert cache.step_operator(space, 0.1) is step
+    assert cache.per_step(space, 0.1, object, "cg_slab", 1) is not slab
+
+
+SMALL = dict(Nhat_t=4, r=2, P_t=2, K_t=2, Nhat_s=8, qhat_s=1, q_s=2, nu=2,
+             mu=1, T=0.5)
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(**SMALL),
+    ExperimentConfig(**SMALL, integrator="cg", qhat_t=1, q_t=2),
+    ExperimentConfig(**SMALL, schwarz=True, P_s=2, K_s=2, beta=0.25),
+], ids=["be", "cg", "stpa"])
+def test_the_estimate_runs_without_slab_factors(monkeypatch, config):
+    # the adjoints are solved once, and no later step solves a slab, so the
+    # dense cG slab LUs (forward and adjoint) are gone before the breakdown
+    seen = []
+
+    def spy(breakdown):
+        def checked(*args):
+            cache = args[-1]
+            seen.append([key for key in cache._factors
+                         if key[0] == "cg_slab"])
+            return breakdown(*args)
+        return checked
+
+    for name in ("tpa_breakdown", "stpa_breakdown"):
+        monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
+    run_experiment(config)
+    assert seen == [[]]
+
+
+def test_a_pardd_fine_time_run_stays_under_its_traced_peak():
+    # pardd_fine_time[r=8] peaks at 11.96 MB traced, at the auxiliary adjoint
+    # solve, where the coarse- and fine-step adjoint slab LUs (4.1 MB each)
+    # are live; kept until the experiment ends, they lift the breakdown's
+    # peak to 19.44 MB.  The warm-up run leaves module imports and lazily
+    # built tables out of the traced peak
+    entry = harness.TABLE_REGISTRY["pardd_fine_time"]
+    config = ExperimentConfig.from_mapping(dict(entry["base"], r=8))
+    run_experiment(config)
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6

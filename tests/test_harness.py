@@ -125,6 +125,10 @@ BAD_CONFIGS = [
     (dict(integrator="cg", qhat_t=0), "qhat_t"),
     (dict(adjoint_time_degree=0), "adjoint_time_degree"),
     (dict(adjoint_space_degree=0), "adjoint_space_degree"),
+    # the residual's time rule must integrate the adjoint times the
+    # trajectory: 9 = 2 N_QUAD_T - 1 is the cap, and cG(1) adds one degree
+    (dict(integrator="cg", adjoint_time_degree=9), "adjoint_time_degree"),
+    (dict(adjoint_time_degree=10), "adjoint_time_degree"),
     (dict(T=-1.0), "T"),
     (dict(T=float("nan")), "T"),
     (dict(tau=float("nan")), "tau"),
