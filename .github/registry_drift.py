@@ -10,7 +10,8 @@
         (the rule of bench/components.py); exits 1 on any value over it or on
         a row or value of OLD_DIR missing from NEW_DIR.  Rows and values only
         in NEW_DIR (a new table, sweep value or component) are listed, not
-        failed.
+        failed.  The summary line counts the values that moved at all and
+        gives the largest relative difference.
 """
 
 import json
@@ -56,7 +57,7 @@ def rows(directory):
 
 def compare(old_dir, new_dir):
     old, new = rows(old_dir), rows(new_dir)
-    bad = compared = 0
+    bad = compared = moved = 0
     worst = 0.0
     for label in sorted(set(old) | set(new)):
         if label not in new:
@@ -80,13 +81,14 @@ def compare(old_dir, new_dir):
             same = x == y or (math.isnan(x) and math.isnan(y))
             rel = 0.0 if same else abs(x - y) / scale
             compared += 1
+            moved += not same
             worst = max(worst, rel)
             if not rel <= RTOL:
                 print(f"{label} {key}: {x!r} -> {y!r} (rel {rel:.3e})")
                 bad += 1
     print(f"{len(set(old) | set(new))} rows, {compared} values compared, "
-          f"largest relative difference {worst:.3e}, {bad} missing on the "
-          f"new side or over {RTOL:g}")
+          f"{moved} moved, largest relative difference {worst:.3e}, {bad} "
+          f"missing on the new side or over {RTOL:g}")
     return 1 if bad or not compared else 0
 
 

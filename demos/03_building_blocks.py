@@ -22,7 +22,7 @@ from parapost import (
     solve_auxiliary_adjoints,
     solve_coarse_adjoint,
     solve_fine_adjoints,
-    tpa_breakdown,
+    stpa_breakdown,
     vpar,
 )
 
@@ -72,10 +72,11 @@ aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, adj_q_t,
                                     cache)
 adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
 
-# the breakdown sees only the discrete solution and the adjoints; the
-# estimate is the sum of its components, and only here, where the exact
-# solution is known, is it compared with the true error
-components = tpa_breakdown(part, state, adjoints, prob, cache)
+# the breakdown sees only the discrete solution and the adjoints (no
+# Schwarz decomposition here, so D is not split); the estimate is the sum of
+# its components, and only here, where the exact solution is known, is it
+# compared with the true error
+components = stpa_breakdown(part, state, adjoints, prob, None, None, cache)
 estimate = math.fsum(components.values())
 
 print("\ncomponents:")

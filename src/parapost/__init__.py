@@ -16,7 +16,7 @@ from .adjoint import (
     solve_coarse_adjoint,
     solve_fine_adjoints,
 )
-from .estimator import ResidualEvaluator, stpa_breakdown, tpa_breakdown
+from .estimator import ResidualEvaluator, stpa_breakdown
 from .harness import (
     ExperimentConfig,
     build_manufactured,
@@ -33,5 +33,5 @@ __all__ = [
     "SpatialMesh", "FeSpace", "FormCache", "TimePartition",
     "propagate_be", "propagate_cg", "decompose_domain", "vpar",
     "solve_coarse_adjoint", "solve_fine_adjoints", "solve_auxiliary_adjoints",
-    "ResidualEvaluator", "tpa_breakdown", "stpa_breakdown", "qoi_eval",
+    "ResidualEvaluator", "stpa_breakdown", "qoi_eval",
 ]

@@ -1,11 +1,12 @@
-"""Adjoint-weighted residuals and the error decompositions for both solvers.
+"""Adjoint-weighted residuals and the error decomposition for both solvers.
 
 The time-parallel decomposition splits the terminal QoI error into a fine
 discretization part D, an auxiliary part A from the adjoint discontinuities
 at synchronization times, a coarse-solution jump part C, and an iteration
 part K.  With a Schwarz fine solver, D further splits into a temporal part
 D_t, a spatial discretization part D_s and a Schwarz iteration part D_k via
-per-step global/subdomain spatial adjoints.
+per-step global/subdomain spatial adjoints.  Each component is the math.fsum
+of its terms, so it is correctly rounded and does not depend on their order.
 
 Every forward solution is a Trajectory, implicit Euler as its q_t = 0 (dG(0))
 case and cG as q_t >= 1, so one residual loop weights them all.  Everything
@@ -162,21 +163,14 @@ def _ic_error_pairs(ev, adj_fields, u0, initial):
             - ev.pairs([initial] * len(adj_fields), adj_fields))
 
 
-def _require_families(adjoints):
-    for name in ("coarse", "fine", "aux"):
-        if name not in adjoints:
-            raise ValueError(f"missing adjoint family {name!r}")
-
-
 def _ack_terms(partition, state, adjoints, ev, u0, fine_space):
     """The A, C and K components, shared by the TPA and STPA decompositions.
 
     Each family of terms is one stacked call: the residuals of every coarse
     trajectory k < p against every auxiliary adjoint psi_p, the pairings of
     psi_p(T_{k-1}) with the coarse jumps, and the K, C and initial-condition
-    pairings.  The terms are summed in the order of the per-p sum
-    A_p = sum_k R(Uhat_k, psi_p) + sum_k (psi_p(T_{k-1}), [Uhat]_{k-1})
-    + (psi_p(0), u_0 - Uhat_0), so each component is bitwise that sum.
+    pairings.  A is the fsum of its residual rows, jump pairings and
+    initial pairings, C and K the fsums of their pairings.
     """
     coarse_adj = adjoints["coarse"]
     fine_adjs = adjoints["fine"]
@@ -194,47 +188,16 @@ def _ack_terms(partition, state, adjoints, ev, u0, fine_space):
     C_terms = ev.pairs([fine_adjs[p - 1].value_at_node(sync[p - 1]) - phat
                         for p, phat in zip(ps, phats)],
                        [coarse_jumps[p] for p in ps])
-    res_keys = [(p, k) for p in ps for k in range(1, p)]
     residuals = ev.residual([(state.coarse[k - 1], aux_adjs[p])
-                             for p, k in res_keys])
+                             for p in ps for k in range(1, p)])
     jump_keys = [(p, k) for p in ps for k in range(2, p)]
     jump_terms = ev.pairs([aux_adjs[p].value_at_node(sync[k - 1])
                            for p, k in jump_keys],
                           [coarse_jumps[k] for _, k in jump_keys])
     ic_terms = _ic_error_pairs(ev, [aux_adjs[p].value_at_node(0.0)
                                     for p in ps], u0, state.initial)
-    a = dict.fromkeys(ps, 0.0)
-    for (p, _), row in zip(res_keys, residuals):
-        a[p] += float(np.sum(row))
-    for (p, _), term in zip(jump_keys, jump_terms):
-        a[p] += term
-    K = C = A = 0.0
-    for i, p in enumerate(ps):
-        K += K_terms[i]
-        C += C_terms[i]
-        A += a[p] + ic_terms[i]
-    return A, C, K
-
-
-def tpa_breakdown(partition, state, adjoints, problem, cache):
-    """Error decomposition for the time-parallel solver at one iteration:
-    the components {'D', 'K', 'C', 'A'}, whose sum is the error estimate.
-
-    adjoints holds 'coarse', 'fine' (list over p) and 'aux' (dict keyed by
-    p = 2..P_t); problem supplies f and the analytic initial condition.  The
-    residuals take their matrices from the experiment's cache; D's are one
-    residual call, summed row by row in p order as the per-p loop summed.
-    """
-    _require_families(adjoints)
-    ev = ResidualEvaluator(problem.f, cache)
-    fine_space = state.fine[0].space
-    D = 0.0
-    for row in ev.residual(list(zip(state.fine, adjoints["fine"]))):
-        D += float(np.sum(row))
-    D += _ic_error_pairs(ev, [adjoints["fine"][0].value_at_node(0.0)],
-                         problem.u0, state.initial)[0]
-    A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0, fine_space)
-    return {"D": D, "K": K, "C": C, "A": A}
+    A = math.fsum(np.concatenate([residuals.ravel(), jump_terms, ic_terms]))
+    return A, math.fsum(C_terms), math.fsum(K_terms)
 
 
 def _step_functionals(traj, space, ev):
@@ -258,16 +221,18 @@ def dd_split(trajs, weights, decomp, K_s, ev):
 
     Step n of trajs[p-1] is weighted by the nodal field weights[p-1][n-1],
     all in one space, in which the spatial adjoints live.  Returns (E_K,
-    E_N), one entry per step, in (p, n) order.  The steps are split
-    together, grouped by the cached sweeper of their step size: per group
-    one multi-column solve each gives the global adjoints (step operator)
-    and replays the steps' sweeps (the forward space's sweeper), and one
-    backward recursion of the sweeper the per-sweep subdomain adjoints;
-    every value is bitwise that of the step's own split.  A ValueError
-    names dt, p and n of the first step whose global adjoint is non-finite,
-    then per group of the first step whose replay misses its value by over
-    1e-12 relative (another decomposition, K_s or step solver), or whose
-    subdomain adjoint is non-finite.
+    E_N), one entry per step, in (p, n) order: a step's E_N is the fsum of
+    its (k_s, i) subdomain terms, and its E_K the global adjoint's term less
+    E_N.  The steps are split together, grouped by the cached sweeper of
+    their step size: per group one multi-column solve each gives the global
+    adjoints (step operator) and replays the steps' sweeps (the forward
+    space's sweeper), and one backward recursion of the sweeper the
+    per-sweep subdomain adjoints; every value is bitwise that of the step's
+    own split.  A ValueError names dt, p and n of the first step whose
+    global adjoint is non-finite, then per group of the first step whose
+    replay misses its value by over 1e-12 relative (another decomposition,
+    K_s or step solver), whose subdomain adjoint is non-finite, or which
+    has a non-finite E_N term.
     """
     cache, space3, space = ev.cache, weights[0][0].space, trajs[0].space
     where = [(p, n) for p, traj in enumerate(trajs, 1)
@@ -314,7 +279,7 @@ def dd_split(trajs, weights, decomp, K_s, ev):
                      - dots(Phi, b3x_times(u_n[cols], by_dt)))
     if not finite.all():
         fail("non-finite global spatial adjoint", int(np.argmin(finite)))
-    E_N = np.zeros(len(dts))
+    E_N = np.empty(len(dts))
     for sweeper, cols, by_dt in by_sweeper:
         u, sweeps = AdditiveSchwarz.cached(
             cache, space, dts[cols[0]], decomp).solve(rhs[cols].T, 0, K_s)
@@ -338,43 +303,54 @@ def dd_split(trajs, weights, decomp, K_s, ev):
                 except ValueError:
                     fail("non-finite subdomain spatial adjoint", j, exc)
             raise
-        for ks in range(K_s):  # summed as the step's own split sums them
-            for i in range(decomp.P_s):
-                E_N[cols] += terms[ks, i]
+        terms = terms.reshape(-1, len(cols)).T
+        finite = np.isfinite(terms).all(axis=1)
+        if not finite.all():
+            fail("non-finite E_N term", cols[np.argmin(finite)])
+        E_N[cols] = [math.fsum(step) for step in terms]
     return E_K - E_N, E_N
 
 
 def stpa_breakdown(partition, state, adjoints, problem, decomp, K_s, cache):
-    """Error decomposition for the space-time parallel solver: the components
-    {'D_t', 'D_s', 'D_k', 'K', 'C', 'A'}, whose sum is the error estimate.
+    """Error decomposition at one iteration: the components, whose sum is the
+    error estimate, each the math.fsum of its terms.
 
-    Splits the fine discretization component into temporal (D_t), spatial
-    (D_s) and Schwarz-iteration (D_k) parts; A, C, K are as in the
-    time-parallel decomposition but on the Schwarz trajectories.  Each fine
-    step was solved by K_s sweeps over decomp; one dd_split call splits
-    every step and one residual call weights them all, and a step that does
-    not replay, a non-finite spatial adjoint, E_K or E_N raises, naming p
-    and n.
+    adjoints holds 'coarse', 'fine' (list over p) and 'aux' (dict keyed by
+    p = 2..P_t); problem supplies f and the analytic initial condition; the
+    residuals take their matrices from the experiment's cache.  With decomp
+    None (the time-parallel solver) the components are {'D', 'K', 'C', 'A'};
+    D's terms are the per-step residuals of one residual call and the
+    initial-condition pairing.  With a decomposition, each fine step was
+    solved by K_s sweeps over it, and D splits into {'D_t', 'D_s', 'D_k'} by
+    one dd_split call: D_k sums the steps' E_K, D_s their E_N, and D_t
+    takes D's terms less both.  A step that does not replay, a non-finite
+    spatial adjoint, E_K or E_N raises, naming p and n.
     """
-    _require_families(adjoints)
+    for name in ("coarse", "fine", "aux"):
+        if name not in adjoints:
+            raise ValueError(f"missing adjoint family {name!r}")
     ev = ResidualEvaluator(problem.f, cache)
-    fine_space = state.fine[0].space
     fine_adjs = adjoints["fine"]
-    split = zip(*dd_split(
-        state.fine, [[adj.value_at_node(t) for t in traj.times[1:]]
-                     for traj, adj in zip(state.fine, fine_adjs)],
-        decomp, K_s, ev))
-    D_t = D_s = D_k = 0.0
-    for p, res in enumerate(ev.residual(list(zip(state.fine, fine_adjs))), 1):
-        for n in range(1, len(res) + 1):
-            E_K, E_N = next(split)
-            if not (math.isfinite(E_K) and math.isfinite(E_N)):
-                raise ValueError(f"non-finite E_K={E_K}, E_N={E_N} "
-                                 f"at p={p}, n={n}")
-            D_t += res[n - 1] - E_K - E_N
-            D_s += E_N
-            D_k += E_K
-    D_t += _ic_error_pairs(ev, [adjoints["fine"][0].value_at_node(0.0)],
-                           problem.u0, state.initial)[0]
-    A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0, fine_space)
-    return {"D_t": D_t, "D_s": D_s, "D_k": D_k, "K": K, "C": C, "A": A}
+    if decomp is not None:
+        E_K, E_N = dd_split(
+            state.fine, [[adj.value_at_node(t) for t in traj.times[1:]]
+                         for traj, adj in zip(state.fine, fine_adjs)],
+            decomp, K_s, ev)
+        finite = np.isfinite(E_K) & np.isfinite(E_N)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            p, n = divmod(j, state.fine[0].n_steps)
+            raise ValueError(f"non-finite E_K={E_K[j]}, E_N={E_N[j]} "
+                             f"at p={p + 1}, n={n + 1}")
+    D = np.concatenate([
+        ev.residual(list(zip(state.fine, fine_adjs))).ravel(),
+        _ic_error_pairs(ev, [fine_adjs[0].value_at_node(0.0)], problem.u0,
+                        state.initial)])
+    A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0,
+                         state.fine[0].space)
+    if decomp is None:
+        parts = {"D": math.fsum(D)}
+    else:
+        parts = {"D_t": math.fsum(np.concatenate([D, -E_K, -E_N])),
+                 "D_s": math.fsum(E_N), "D_k": math.fsum(E_K)}
+    return {**parts, "K": K, "C": C, "A": A}

@@ -19,7 +19,7 @@ from .adjoint import (
     solve_coarse_adjoint,
     solve_fine_adjoints,
 )
-from .estimator import N_QUAD_T, stpa_breakdown, tpa_breakdown
+from .estimator import N_QUAD_T, stpa_breakdown
 from .mesh import N_QUAD, FeSpace, FormCache, SpatialMesh, gauss_rule, qoi_eval
 from .parareal import vpar
 from .schwarz import decompose_domain
@@ -274,6 +274,8 @@ def run_experiment(config):
     partition = TimePartition.uniform(config.T, config.P_t, config.Nhat_t, config.r)
     cache = FormCache()
     f = problem.f
+    decomp = (decompose_domain(mesh, config.P_s, config.beta, config.tau)
+              if config.schwarz else None)
 
     if config.integrator == "cg":
         def coarse_solver(grid, ic):
@@ -282,9 +284,6 @@ def run_experiment(config):
         def fine_solver(grids, ics):
             return propagate_cg(fine_space, grids, config.q_t, ics, f, cache)
     else:
-        decomp = (decompose_domain(mesh, config.P_s, config.beta, config.tau)
-                  if config.schwarz else None)
-
         def coarse_solver(grid, ic):
             return propagate_be(coarse_space, grid, ic, f, cache)
 
@@ -311,11 +310,8 @@ def run_experiment(config):
     # no later step solves a cG slab: free the forward and adjoint slab LUs
     cache.release("cg_slab")
 
-    if config.schwarz:
-        components = stpa_breakdown(partition, state, adjoints, problem,
-                                    decomp, config.K_s, cache)
-    else:
-        components = tpa_breakdown(partition, state, adjoints, problem, cache)
+    components = stpa_breakdown(partition, state, adjoints, problem, decomp,
+                                config.K_s, cache)
     estimated = math.fsum(components.values())
 
     wall = time.perf_counter() - t_start

@@ -8,13 +8,16 @@ the dG(0) Galerkin method, with matrices assembled afresh and a dense solve.
 cg_per_slab steps cG(q_t) one slab and one test function at a time.
 dd_split_per_step splits one Schwarz-solved step at a time, with its own
 replay of the step's sweeps, spatial adjoints and one-vector products.
-ack_terms_per_pair sums the A, C and K components one residual and one
-pairing at a time.  sweep_iterates rebuilds the Schwarz iterates from a
-sweep history, and slab_eval and at evaluate a Trajectory inside its slabs.
+ack_terms_per_pair forms the terms of the A, C and K components one
+residual and one pairing at a time, and fsums them.  sweep_iterates
+rebuilds the Schwarz iterates from a sweep history, and slab_eval and at
+evaluate a Trajectory inside its slabs.
 subdomain_dof_sets_by_coords finds a subdomain's dofs by their coordinates.
 fe_space_nodes_per_element builds an FeSpace's node coordinates and element
 dof map one element at a time.
 """
+
+import math
 
 import numpy as np
 from scipy import linalg as sla
@@ -152,7 +155,8 @@ def dd_split_per_step(traj, n, decomp, K_s, phi_val, ev, solve_cache):
     replayed by a one-vector solve with the sweeper of solve_cache, the
     cache the trajectory was solved with; the global adjoint is solved by
     ev.cache's step operator and the subdomain ones by its sweeper of the
-    step's dt, each looked up for this step alone."""
+    step's dt, each looked up for this step alone.  E_N is the math.fsum of
+    the (k_s, i) terms, each formed alone."""
     cache, space3 = ev.cache, phi_val.space
     dt = traj.times[n] - traj.times[n - 1]
 
@@ -174,11 +178,12 @@ def dd_split_per_step(traj, n, decomp, K_s, phi_val, ev, solve_cache):
         cache.mass(space3, space3) @ phi_val.coefficients)
     sweeper = AdditiveSchwarz.cached(cache, space3, dt, decomp)
     chi = subdomain_adjoints(sweeper, phi_val, K_s)
-    E_N = 0.0
+    terms = []
     for ks in range(1, K_s + 1):
         for i in range(decomp.P_s):
             c = chi[ks - 1][i]
-            E_N += c @ ell3 - c @ (B3x @ sweeps[ks - 1, i])
+            terms.append(c @ ell3 - c @ (B3x @ sweeps[ks - 1, i]))
+    E_N = math.fsum(terms)
     u_n = traj.field(n).coefficients
     E_K = Phi @ ell3 - Phi @ (B3x @ u_n) - E_N
     return E_K, E_N
@@ -187,8 +192,10 @@ def dd_split_per_step(traj, n, decomp, K_s, phi_val, ev, solve_cache):
 def ack_terms_per_pair(partition, state, adjoints, ev, u0, fine_space):
     """(A, C, K) by a double loop over (k, p): per p, one one-pair residual
     call per coarse trajectory k < p and one pairing x @ G @ y per jump,
-    summed in the order of A_p = sum_k R(Uhat_k, psi_p)
-    + sum_k (psi_p(T_{k-1}), [Uhat]_{k-1}) + (psi_p(0), u_0 - Uhat_0)."""
+    each term computed alone; each component is the math.fsum of its terms,
+    A's those of A_p = sum_k R(Uhat_k, psi_p)
+    + sum_k (psi_p(T_{k-1}), [Uhat]_{k-1}) + (psi_p(0), u_0 - Uhat_0)
+    over p."""
     cache = ev.cache
 
     def pair(a, b):
@@ -204,23 +211,22 @@ def ack_terms_per_pair(partition, state, adjoints, ev, u0, fine_space):
     P_t = partition.P_t
     coarse_jumps = {p: _jump_at_sync(state, p, fine_space, "coarse", cache)
                     for p in range(2, P_t + 1)}
-    K = C = A = 0.0
+    K, C, A = [], [], []
     for p in range(2, P_t + 1):
         t_sync = partition.sync_times[p - 1]
         phat = coarse_adj.value_at_node(t_sync)
         pfine = fine_adjs[p - 1].value_at_node(t_sync)
-        K += pair(phat, _jump_at_sync(state, p, fine_space, "fine", cache))
-        C += pair(pfine - phat, coarse_jumps[p])
+        K.append(pair(phat, _jump_at_sync(state, p, fine_space, "fine",
+                                          cache)))
+        C.append(pair(pfine - phat, coarse_jumps[p]))
         aux = aux_adjs[p]
-        a_p = 0.0
         for k in range(1, p):
-            a_p += float(np.sum(ev.residual([(state.coarse[k - 1], aux)])[0]))
+            A.extend(ev.residual([(state.coarse[k - 1], aux)])[0])
         for k in range(2, p):
-            a_p += pair(aux.value_at_node(partition.sync_times[k - 1]),
-                        coarse_jumps[k])
-        a_p += ic_error_pair(aux.value_at_node(0.0))
-        A += a_p
-    return A, C, K
+            A.append(pair(aux.value_at_node(partition.sync_times[k - 1]),
+                          coarse_jumps[k]))
+        A.append(ic_error_pair(aux.value_at_node(0.0)))
+    return math.fsum(A), math.fsum(C), math.fsum(K)
 
 
 def sweep_iterates(guess, sweeps, tau):

@@ -141,6 +141,19 @@ def test_pardd_iterations_temporal_component(pardd_iterations):
     assert within(pardd_iterations[6].components["D_t"], 1.45e-01, 0.10)
 
 
+# D_k against its differenced counterpart e(K_s) - e(K_s = 200), where the
+# Schwarz iteration has converged.  Measured ratios: 0.860 at K_s = 2 and
+# 0.890 at K_s = 6 on pardd_iterations (0.846-0.895 over K_s = 1..8), and
+# 0.859 at K_s = 2 on pardd_subdomains[P_s=2].  The ratio stays below 1
+# because K and C also move with K_s (ROADMAP item 5's cross-talk matrix).
+def test_schwarz_component_tracks_the_differenced_error(pardd_iterations):
+    base = TABLE_REGISTRY["pardd_iterations"]["base"]
+    converged = run_experiment(ExperimentConfig(**dict(base, K_s=200)))
+    for k, rec in pardd_iterations.items():
+        ratio = rec.components["D_k"] / (rec.true_error - converged.true_error)
+        assert 0.8 <= ratio <= 0.95, f"K_s={k}: ratio {ratio:.4f}"
+
+
 def test_pardd_iterations_effectivity(pardd_iterations):
     for k, rec in pardd_iterations.items():
         assert 0.98 <= rec.effectivity <= 1.02, f"K_s={k}"

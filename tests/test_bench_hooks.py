@@ -17,8 +17,10 @@ from parapost.adjoint import solve_backward_cg
 from parapost.harness import ExperimentConfig
 from parapost.schwarz import AdditiveSchwarz
 
-# the hooks whose attribute is gone; each of their layers reads zero
+# the hooks whose attribute is gone; each of their layers reads zero, but
+# estimator.breakdown, which the harness.stpa_breakdown hook fills alone
 MISSING_TODAY = [
+    "harness.tpa_breakdown",
     "adjoint.SpatialAdjointSolver.__init__",
     "adjoint.SpatialAdjointSolver.solve_global",
     "adjoint.SpatialAdjointSolver.solve_subdomain",

@@ -18,7 +18,6 @@ from parapost.estimator import (
     _ic_error_pairs,
     dd_split,
     stpa_breakdown,
-    tpa_breakdown,
 )
 from parapost.harness import (ExperimentConfig, build_manufactured,
                               effectivity, run_experiment)
@@ -155,22 +154,22 @@ def test_iteration_component_vanishes_at_finite_termination():
     aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, 3, cache)
     adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
     true_err = prob.true_qoi() - qoi_eval(prob.psi, states[-1].fine[-1].end)
-    components = tpa_breakdown(part, states[-1], adjoints, prob, cache)
+    components = stpa_breakdown(part, states[-1], adjoints, prob, None, None,
+                                cache)
     assert abs(components["K"]) < 1e-10
     assert abs(math.fsum(components.values()) / true_err - 1.0) < 0.05
 
 
-@pytest.mark.parametrize("breakdown", [
-    tpa_breakdown,
-    lambda *args, cache: stpa_breakdown(*args, decomp=None, K_s=None,
-                                        cache=cache),
-], ids=["tpa_breakdown", "stpa_breakdown"])
-def test_missing_adjoint_family_rejected(breakdown):
+@pytest.mark.parametrize("P_s", [None, 2],
+                         ids=["tpa_breakdown", "stpa_breakdown"])
+def test_missing_adjoint_family_rejected(P_s):
     prob = build_manufactured(2, 1, 0.5)
     part = TimePartition.uniform(0.5, 2, 4, 2)
+    decomp = (decompose_domain(SpatialMesh.uniform(0.0, 1.0, 8), P_s, 0.25,
+                               0.4) if P_s else None)
     with pytest.raises(ValueError, match="missing adjoint family 'aux'"):
-        breakdown(part, None, {"coarse": None, "fine": None}, prob,
-                  cache=FormCache())
+        stpa_breakdown(part, None, {"coarse": None, "fine": None}, prob,
+                       decomp, 2, FormCache())
 
 
 def _schwarz_step_setup(K_s=2):
@@ -390,9 +389,9 @@ def test_stpa_split_solves_each_sweeper_group_once(monkeypatch):
     assert all(solves == cfg.K_s * cfg.P_s for _, solves in groups)
 
 
-def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():
-    # a NaN in a fine adjoint makes the step's spatial adjoints non-finite:
-    # the global one raises first, and the split names the subdomain and step
+def _small_stpa_run():
+    """(partition, state, adjoints, problem, decomp, cache) of a small STPA
+    run: P_t = 2 subdomains of 4 fine steps, each 2 sweeps over P_s = 2."""
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 8)
     coarse, fine, adj_space = (FeSpace(mesh, q) for q in (1, 2, 3))
@@ -407,6 +406,14 @@ def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():
     fine_adjs = solve_fine_adjoints(part, coarse_adj, 3, cache)
     aux_adjs = solve_auxiliary_adjoints(part, coarse_adj, fine_adjs, 3, cache)
     adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
+    return part, state, adjoints, prob, decomp, cache
+
+
+def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():
+    # a NaN in a fine adjoint makes the step's spatial adjoints non-finite:
+    # the global one raises first, and the split names the subdomain and step
+    part, state, adjoints, prob, decomp, cache = _small_stpa_run()
+    fine_adjs = adjoints["fine"]
     stpa_breakdown(part, state, adjoints, prob, decomp, 2, cache)
     bad = fine_adjs[1]
     coeffs = bad.coeffs.copy()
@@ -415,6 +422,53 @@ def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():
                               bad.incoming)
     with pytest.raises(ValueError, match=r"p=2, n=2"):
         stpa_breakdown(part, state, adjoints, prob, decomp, 2, cache)
+
+
+@pytest.mark.parametrize("which", ["E_K", "E_N"])
+def test_stpa_breakdown_names_the_step_of_a_nonfinite_split_part(
+        monkeypatch, which):
+    # an inf in the split of step n=3 of p=2 (entry 4 + 2 of 2 x 4 steps)
+    # raises before any sum
+    part, state, adjoints, prob, decomp, cache = _small_stpa_run()
+    real = estimator_module.dd_split
+
+    def split(*args):
+        E_K, E_N = real(*args)
+        {"E_K": E_K, "E_N": E_N}[which][4 + 2] = np.inf
+        return E_K, E_N
+
+    monkeypatch.setattr(estimator_module, "dd_split", split)
+    with pytest.raises(ValueError, match=r"^non-finite E_K=.*, E_N=.* at "
+                       r"p=2, n=3$"):
+        stpa_breakdown(part, state, adjoints, prob, decomp, 2, cache)
+
+
+def test_dd_split_names_the_step_of_a_nonfinite_subdomain_term(monkeypatch):
+    # an inf in the weight-space functional of step n=2 of p=2 leaves the
+    # spatial adjoints finite; its E_N terms are not, and raise before fsum
+    # (the products that form them, 0 * inf among them, may warn)
+    prob = build_manufactured(2, 2, 0.5)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space, space3 = FeSpace(mesh, 2), FeSpace(mesh, 3)
+    decomp = decompose_domain(mesh, 2, 0.25, 0.4)
+    cache = FormCache()
+    grids = TimePartition.uniform(0.5, 2, 2, 2).fine_grids
+    ic = space.interpolate(prob.u0)
+    trajs = propagate_be(space, grids, [ic, ic], prob.f, cache, decomp, 2)
+    weights = [[space3.interpolate(np.sin)] * 2 for _ in range(2)]
+    real = estimator_module._step_functionals
+
+    def functionals(traj, space, ev):
+        out = real(traj, space, ev)
+        if space is space3 and traj is trajs[1]:
+            out[1] = np.inf
+        return out
+
+    monkeypatch.setattr(estimator_module, "_step_functionals", functionals)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"^non-finite E_N term \(dt=0\.125\) at p=2, "
+                              r"n=2$"):
+        dd_split(trajs, weights, decomp, 2, ResidualEvaluator(prob.f, cache))
 
 
 # small Schwarz configs: P_t <= 3 temporal subdomains of r fine steps per
@@ -451,17 +505,19 @@ def test_stpa_collapses_to_tpa_without_spatial_splitting(P_t, r, K_s, Nhat_s):
 @given(P_s=st.integers(1, 3), **_SMALL_STPA)
 def test_stpa_splits_the_tpa_discretization_part_exactly(P_t, r, P_s, K_s,
                                                         Nhat_s):
-    # on one Schwarz state and one set of adjoints, D_t + D_s + D_k is D,
-    # the same residuals summed in another order: over every config of
-    # these ranges the gap is at most 3.3e-16 of |D_t| + |D_s| + |D_k|, so
-    # 1e-12 leaves room for another BLAS; K, C and A are the same terms
+    # on one Schwarz state and one set of adjoints, D_t + D_s + D_k is D:
+    # D_t's terms are D's less the E_K and E_N terms that D_k and D_s sum,
+    # exactly.  D, each part and the fsum of the parts are each correctly
+    # rounded (within eps/2 of their exact sums), so that fsum is within
+    # 1.5 eps (|D_t| + |D_s| + |D_k|) of D; K, C and A are the same terms
     assume(Nhat_s % P_s == 0)
     cfg = ExperimentConfig(**_small_stpa_base(P_t, r, Nhat_s), schwarz=True,
                            P_s=P_s, K_s=K_s, beta=0.25, tau=0.4)
     tpa = []
 
     def stpa_and_tpa(partition, state, adjoints, problem, decomp, K_s, cache):
-        tpa.append(tpa_breakdown(partition, state, adjoints, problem, cache))
+        tpa.append(stpa_breakdown(partition, state, adjoints, problem, None,
+                                  None, cache))
         return stpa_breakdown(partition, state, adjoints, problem, decomp,
                               K_s, cache)
 
@@ -469,7 +525,8 @@ def test_stpa_splits_the_tpa_discretization_part_exactly(P_t, r, P_s, K_s,
         mp.setattr(harness_module, "stpa_breakdown", stpa_and_tpa)
         stpa = run_experiment(cfg).components
     D = [stpa[name] for name in ("D_t", "D_s", "D_k")]
-    assert abs(sum(D) - tpa[0]["D"]) <= 1e-12 * sum(map(abs, D))
+    eps = np.finfo(float).eps
+    assert abs(math.fsum(D) - tpa[0]["D"]) <= 2 * eps * sum(map(abs, D))
     for name in ("K", "C", "A"):
         assert stpa[name] == tpa[0][name]
 
@@ -751,7 +808,6 @@ def test_ack_terms_match_the_per_pair_oracle(solver, P_t, K_t, r, q_t):
         return {}
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness_module, "tpa_breakdown", record)
         mp.setattr(harness_module, "stpa_breakdown", record)
         run_experiment(cfg)
     (stacked, oracle), = terms
@@ -767,39 +823,32 @@ def test_ack_terms_match_the_per_pair_oracle(solver, P_t, K_t, r, q_t):
 @example(solver="schwarz", P_t=3, r=2)
 def test_D_is_bitwise_the_per_subdomain_sum(solver, P_t, r):
     # D (TPA) and D_t (STPA) weight the P_t fine trajectories by one
-    # residual call; each is bitwise the per-p sum of single-pair calls
+    # residual call; each is bitwise the fsum of single-pair calls' rows
     cfg = ExperimentConfig(
         Nhat_t=2 * P_t, r=r, P_t=P_t, K_t=min(2, P_t), Nhat_s=8, qhat_s=1,
         q_s=2, nu=2, mu=2, T=0.5, integrator="cg" if solver == "cg" else "be",
         schwarz=solver == "schwarz", beta=0.25)
     checked = []
 
-    def record(partition, state, adjoints, problem, *rest):
-        cache, fine, adjs = rest[-1], state.fine, adjoints["fine"]
+    def record(partition, state, adjoints, problem, decomp, K_s, cache):
+        fine, adjs = state.fine, adjoints["fine"]
         ev = ResidualEvaluator(problem.f, cache)
-        rows = [ev.residual([pair])[0] for pair in zip(fine, adjs)]
-        D = 0.0
-        if rest[:-1]:
-            decomp, K_s = rest[:-1]
-            got = stpa_breakdown(partition, state, adjoints, problem, decomp,
-                                 K_s, cache)["D_t"]
-            split = zip(*dd_split(
+        terms = [r_n for pair in zip(fine, adjs)
+                 for r_n in ev.residual([pair])[0]]
+        terms += list(_ic_error_pairs(ev, [adjs[0].value_at_node(0.0)],
+                                      problem.u0, state.initial))
+        got = stpa_breakdown(partition, state, adjoints, problem, decomp, K_s,
+                             cache)
+        if decomp is not None:
+            E_K, E_N = dd_split(
                 fine, [[adj.value_at_node(t) for t in traj.times[1:]]
-                       for traj, adj in zip(fine, adjs)], decomp, K_s, ev))
-            for res in rows:
-                for r_n, (E_K, E_N) in zip(res, split):
-                    D += r_n - E_K - E_N
+                       for traj, adj in zip(fine, adjs)], decomp, K_s, ev)
+            checked.append(got["D_t"] == math.fsum([*terms, *-E_K, *-E_N]))
         else:
-            got = tpa_breakdown(partition, state, adjoints, problem, cache)["D"]
-            for res in rows:
-                D += float(np.sum(res))
-        D += _ic_error_pairs(ev, [adjs[0].value_at_node(0.0)], problem.u0,
-                             state.initial)[0]
-        checked.append(got == D)
+            checked.append(got["D"] == math.fsum(terms))
         return {}
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness_module, "tpa_breakdown", record)
         mp.setattr(harness_module, "stpa_breakdown", record)
         run_experiment(cfg)
     assert checked == [True]

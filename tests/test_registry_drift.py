@@ -1,0 +1,56 @@
+"""The CI drift gate, .github/registry_drift.py compare, on tiny fixtures.
+
+Each side is a directory of T.json files as `parapost reproduce --format
+json` writes them.  The gate fails on a value over 1e-12 relative or on a
+row of the old side missing from the new one, and its summary line counts
+the values that moved at all.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+
+def _drift():
+    path = Path(__file__).resolve().parents[1] / ".github" / "registry_drift.py"
+    spec = importlib.util.spec_from_file_location("registry_drift", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(value, D):
+    return {"sweep_param": "r", "sweep_value": value,
+            "components": {"D": D, "K": -0.25, "C": 1e-3, "A": -2e-4},
+            "estimated_error": 0.2508, "effectivity": 1.001,
+            "computed_qoi": 0.75}
+
+
+def _write(directory, records):
+    directory.mkdir()
+    (directory / "t.json").write_text(json.dumps(records))
+    return directory
+
+
+@pytest.mark.parametrize("case, status, n_rows, moved", [
+    pytest.param("identical", 0, 1, 0, id="identical"),
+    pytest.param("move 1e-15", 0, 1, 1, id="move-1e-15"),
+    pytest.param("move 1e-9", 1, 1, 1, id="move-1e-9"),
+    pytest.param("missing row", 1, 2, 0, id="missing-row"),
+])
+def test_compare_counts_moved_values_and_fails_as_before(
+        tmp_path, capsys, case, status, n_rows, moved):
+    D = 0.5
+    old = [_record(2, D)] + ([_record(4, D)] if case == "missing row" else [])
+    new_D = {"move 1e-15": D * (1 + 1e-15), "move 1e-9": D * (1 + 1e-9)}
+    new = [_record(2, new_D.get(case, D))]
+    got = _drift().compare(_write(tmp_path / "old", old),
+                           _write(tmp_path / "new", new))
+    assert got == status
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith(f"{n_rows} rows, 7 values compared, {moved} "
+                              f"moved, largest relative difference ")
+    assert summary.endswith(f", {status} missing on the new side or over "
+                            f"1e-12")
