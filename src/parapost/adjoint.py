@@ -25,30 +25,21 @@ def _solve_backward(kinds, space, grids, terms, q_t, cache):
     """The backward cG(q_t) adjoints of grids, longest first, with their
     terminal fields, as one _step_cg stack aligned at the ends in solve
     order: each is a forward-ordered view out[j, :steps] of one array and
-    bitwise its own single-grid solve.  A non-finite value names the first
-    such column by its entry of kinds."""
+    bitwise its own single-grid solve.  The stack is checked once, in solve
+    order: a non-finite value names the first such column by its entry of
+    kinds, and its first such time-reversed step."""
     first = [len(grids[0]) - len(g) for g in grids]
     revs = np.zeros((len(grids), len(grids[0])))
     for rev, g, s in zip(revs, grids, first):
         rev[s:] = (g[-1] - g)[::-1]
     out = _step_cg(space, revs, q_t, terms, None, cache, reverse=True,
                    first=first)
-    adjs = [Trajectory(space, g, q_t, c[:len(g) - 1], term)
+    if bad := _first_nonfinite(out[:, ::-1, ::-1], revs, first):
+        j, what = bad
+        raise ValueError(f"{kinds[j]} adjoint (time reversed, t -> "
+                         f"{grids[j][-1]:.6g} - t): {what}")
+    return [Trajectory(space, g, q_t, c[:len(g) - 1], term)
             for g, c, term in zip(grids, out, terms)]
-    # one reduction over every column's solved slabs clears the common
-    # case (a sum is finite only if every term is); the slabs past a
-    # later-starting column's own are unset and stay out of it, through a
-    # mask that only a ragged stack needs (a masked sum is about 3x slower)
-    n = out.shape[1]
-    solved = ((np.arange(n) < np.subtract(n, first)[:, None])[:, :, None, None]
-              if any(first) else True)
-    if np.isfinite(np.add.reduce(out, axis=None, where=solved)):
-        return adjs
-    for kind, adj, rev, s in zip(kinds, adjs, revs, first):
-        if bad := _first_nonfinite(adj.coeffs[None, ::-1, ::-1], rev[None, s:]):
-            raise ValueError(f"{kind} adjoint (time reversed, t -> "
-                             f"{adj.times[-1]:.6g} - t): {bad[1]}")
-    return adjs
 
 
 def solve_backward_cg(kind, space, times, terminal, q_t, cache):

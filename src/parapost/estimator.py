@@ -59,6 +59,8 @@ class ResidualEvaluator:
         """(fn, b) for each field b of one space, an analytic fn by the fixed
         10-point load rule; the load vector is assembled once per (space,
         fn), read-only."""
+        if not fields:
+            return np.zeros(0)
         space = fields[0].space
         vec = self.cache.factor(
             ("analytic_load", space, fn),
@@ -84,8 +86,10 @@ class ResidualEvaluator:
         once per distinct trajectory, each pair's weight slabs are one
         slab_index lookup, and one quadrature loop serves all rows.  Every
         row's products go through mesh.matvecs and mesh.dots, so each row
-        is bitwise the residual of its pair alone.
+        is bitwise the residual of its pair alone; no pairs give (0, 0).
         """
+        if not pairs:
+            return np.zeros((0, 0))
         shared = ("trajectory space", "weight space", "trajectory q_t",
                   "weight q_t", "step count")
         key = [(t.space, w.space, t.q_t, w.q_t, t.n_steps) for t, w in pairs]
@@ -177,8 +181,6 @@ def _ack_terms(partition, state, adjoints, ev, u0, fine_space):
     aux_adjs = adjoints["aux"]
     sync = partition.sync_times
     ps = range(2, partition.P_t + 1)
-    if not ps:
-        return 0.0, 0.0, 0.0
     # coarse-solution jumps at T_{p-1}, p = 2..P_t: each weights C and A terms
     coarse_jumps = {p: _jump_at_sync(state, p, fine_space, "coarse", ev.cache)
                     for p in ps}
@@ -228,11 +230,12 @@ def dd_split(trajs, weights, decomp, K_s, ev):
     adjoints (step operator) and replays the steps' sweeps (the forward
     space's sweeper), and one backward recursion of the sweeper the
     per-sweep subdomain adjoints; every value is bitwise that of the step's
-    own split.  A ValueError names dt, p and n of the first step whose
+    own split.  The solvers do not check finiteness: this split checks
+    each block it stacks once, naming dt, p and n of the first step whose
     global adjoint is non-finite, then per group of the first step whose
     replay misses its value by over 1e-12 relative (another decomposition,
-    K_s or step solver), whose subdomain adjoint is non-finite, or which
-    has a non-finite E_N term.
+    K_s or step solver), whose subdomain adjoints or E_N terms are not all
+    finite, and last of the first step whose E_K is non-finite.
     """
     cache, space3, space = ev.cache, weights[0][0].space, trajs[0].space
     where = [(p, n) for p, traj in enumerate(trajs, 1)
@@ -261,9 +264,12 @@ def dd_split(trajs, weights, decomp, K_s, ev):
             out[rows] = matvecs(B3x[dt], X[rows])
         return out
 
-    def fail(what, j, exc=None):
-        p, n = where[j]
-        raise ValueError(f"{what} (dt={dts[j]:.6g}) at p={p}, n={n}") from exc
+    def check(ok, what, cols=range(len(dts))):
+        """Raise naming dt, p and n of the first step of cols not ok."""
+        if not ok.all():
+            j = cols[np.argmin(ok)]
+            p, n = where[j]
+            raise ValueError(f"{what} (dt={dts[j]:.6g}) at p={p}, n={n}")
 
     # the step operator and both sweepers share per_step's key, so those of
     # a group's first step serve the group
@@ -277,38 +283,29 @@ def dd_split(trajs, weights, decomp, K_s, ev):
         finite[cols] = np.isfinite(Phi).all(axis=1)
         E_K[cols] = (dots(Phi, ell[cols])
                      - dots(Phi, b3x_times(u_n[cols], by_dt)))
-    if not finite.all():
-        fail("non-finite global spatial adjoint", int(np.argmin(finite)))
+    check(finite, "non-finite global spatial adjoint")
     E_N = np.empty(len(dts))
     for sweeper, cols, by_dt in by_sweeper:
         u, sweeps = AdditiveSchwarz.cached(
             cache, space, dts[cols[0]], decomp).solve(rhs[cols].T, 0, K_s)
         off = np.abs(u.T - u_n[cols]).max(axis=1, initial=0.0)
-        bad = ~(off <= 1e-12 * np.abs(u_n[cols]).max(axis=1, initial=0.0))
-        if bad.any():
-            fail(f"the step value is not that of {K_s} Schwarz sweeps over "
-                 f"this decomposition", cols[np.argmax(bad)])
+        check(off <= 1e-12 * np.abs(u_n[cols]).max(axis=1, initial=0.0),
+              f"the step value is not that of {K_s} Schwarz sweeps over "
+              f"this decomposition", cols)
         terms = np.empty((K_s, decomp.P_s, len(cols)))
-        try:
-            for ks, i, chi in sweeper.adjoint(phi[cols], K_s):
-                local = np.ascontiguousarray(sweeps[ks - 1, i].T)
-                terms[ks - 1, i] = (dots(chi, ell[cols])
-                                    - dots(chi, b3x_times(local, by_dt)))
-        except ValueError as exc:
-            # the first column whose own recursion fails
-            for j in cols:
-                try:
-                    for _ in sweeper.adjoint(phi[j:j + 1], K_s):
-                        pass
-                except ValueError:
-                    fail("non-finite subdomain spatial adjoint", j, exc)
-            raise
+        finite = np.ones(len(cols), dtype=bool)
+        for ks, i, chi in sweeper.adjoint(phi[cols], K_s):
+            finite &= np.isfinite(chi).all(axis=1)
+            local = np.ascontiguousarray(sweeps[ks - 1, i].T)
+            terms[ks - 1, i] = (dots(chi, ell[cols])
+                                - dots(chi, b3x_times(local, by_dt)))
+        check(finite, "non-finite subdomain spatial adjoint", cols)
         terms = terms.reshape(-1, len(cols)).T
-        finite = np.isfinite(terms).all(axis=1)
-        if not finite.all():
-            fail("non-finite E_N term", cols[np.argmin(finite)])
+        check(np.isfinite(terms).all(axis=1), "non-finite E_N term", cols)
         E_N[cols] = [math.fsum(step) for step in terms]
-    return E_K - E_N, E_N
+    E_K -= E_N
+    check(np.isfinite(E_K), "non-finite E_K")
+    return E_K, E_N
 
 
 def stpa_breakdown(partition, state, adjoints, problem, decomp, K_s, cache):
@@ -323,8 +320,8 @@ def stpa_breakdown(partition, state, adjoints, problem, decomp, K_s, cache):
     initial-condition pairing.  With a decomposition, each fine step was
     solved by K_s sweeps over it, and D splits into {'D_t', 'D_s', 'D_k'} by
     one dd_split call: D_k sums the steps' E_K, D_s their E_N, and D_t
-    takes D's terms less both.  A step that does not replay, a non-finite
-    spatial adjoint, E_K or E_N raises, naming p and n.
+    takes D's terms less both.  dd_split names p, n and dt of a step that
+    does not replay or has a non-finite spatial adjoint, E_N term or E_K.
     """
     for name in ("coarse", "fine", "aux"):
         if name not in adjoints:
@@ -336,12 +333,6 @@ def stpa_breakdown(partition, state, adjoints, problem, decomp, K_s, cache):
             state.fine, [[adj.value_at_node(t) for t in traj.times[1:]]
                          for traj, adj in zip(state.fine, fine_adjs)],
             decomp, K_s, ev)
-        finite = np.isfinite(E_K) & np.isfinite(E_N)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            p, n = divmod(j, state.fine[0].n_steps)
-            raise ValueError(f"non-finite E_K={E_K[j]}, E_N={E_N[j]} "
-                             f"at p={p + 1}, n={n + 1}")
     D = np.concatenate([
         ev.residual(list(zip(state.fine, fine_adjs))).ravel(),
         _ic_error_pairs(ev, [fine_adjs[0].value_at_node(0.0)], problem.u0,

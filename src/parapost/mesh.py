@@ -222,9 +222,7 @@ class AssembledOperator:
         ab = np.zeros((u + 1, n))
         for i in range(u + 1):
             ab[u - i, i:] = np.diagonal(dense, offset=i)
-        # a NaN passes LAPACK's pivot test (ajj <= 0) and would factor
-        if not np.isfinite(ab).all():
-            raise ValueError("array must not contain infs or NaNs")
+        require_finite(ab)
         try:
             self._cho = lapack_solution("dpbtrf", *dpbtrf(ab, lower=0))
         except np.linalg.LinAlgError as exc:
@@ -237,6 +235,13 @@ class AssembledOperator:
         """The solution for one right-hand side, or for each column of a
         (dof, P) block in one multi-column solve."""
         return lapack_solution("dpbtrs", *dpbtrs(self._cho, rhs))
+
+
+def require_finite(a):
+    """Raise unless every entry of a matrix about to be factored is finite:
+    a NaN passes LAPACK's pivot test (ajj <= 0) and would factor."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def lapack_solution(routine, x, info):

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from ._lapack import dpotrf, dpotrs
-from .mesh import assemble_matrix, lapack_solution, matvecs
+from .mesh import assemble_matrix, lapack_solution, matvecs, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +102,7 @@ def _cut(M, A, dt, rows, cols):
 def _cholesky(B):
     """The upper Cholesky factor of B, with B's lower triangle left in
     place, as scipy's cho_factor returns it."""
-    # a NaN passes LAPACK's pivot test (ajj <= 0) and would factor
-    if not np.isfinite(B).all():
-        raise ValueError("array must not contain infs or NaNs")
+    require_finite(B)
     return lapack_solution("dpotrf", *dpotrf(B, lower=0, clean=0))
 
 
@@ -198,7 +196,8 @@ class AdditiveSchwarz:
         interior rows B chi_i^{k_s} = tau (Mm weight - Bm sum_{l > k_s}
         chi_i^l).  The columns are swept together with one local solve per
         subdomain and sweep, and each is bitwise its own one-row block's.
-        A non-finite chi raises a ValueError naming the adjoint and dt.
+        Nothing here checks finiteness: the caller, which knows each
+        column's step, does (estimator.dd_split).
         """
         Mm, Bm = self._counted
         tau = self.decomp.tau
@@ -208,9 +207,6 @@ class AdditiveSchwarz:
             for ks in range(K_s, 0, -1):
                 r = tMw[:, interior] - tau * matvecs(Bm[i], running)
                 x = self.local_solve(i, r.T).T
-                if not np.isfinite(x).all():
-                    raise ValueError(f"non-finite subdomain spatial adjoint "
-                                     f"(dt={self.dt:.6g})")
                 chi = np.zeros_like(tMw)
                 chi[:, interior] = x
                 yield ks, i, chi

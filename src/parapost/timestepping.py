@@ -135,21 +135,27 @@ class Trajectory:
         return self.field(k)
 
 
-def _first_nonfinite(coeffs, grids):
+def _first_nonfinite(coeffs, grids, first=None):
     """None if a (P, steps, nodes, dof) stack of coefficients is all
     finite; else (j, message) for the first column j that is not, the
-    message naming its first step n whose coefficients (coeffs[j, n-1]) are
-    not all finite, and its end time t_n."""
+    message naming its first step n whose coefficients are not all finite,
+    and its end time t_n.  A ragged stack gives first as _step_cg takes
+    it: step n of column j is slab first[j] + n - 1, and the unset slabs
+    before first[j] are not read."""
+    first = np.zeros(len(coeffs), int) if first is None else np.asarray(first)
+    solved = np.arange(coeffs.shape[1]) >= first[:, None]  # (P, steps)
     # a sum is finite only if every term is, so one reduction clears the
-    # common case, whatever the strides of coeffs
-    if np.isfinite(np.add.reduce(coeffs, axis=None)):
+    # common case, whatever the strides of coeffs; only a ragged stack
+    # needs the mask (a masked sum is about 3x slower)
+    where = solved[:, :, None, None] if first.any() else True
+    if np.isfinite(np.add.reduce(coeffs, axis=None, where=where)):
         return None
-    bad = ~np.isfinite(coeffs).all(axis=(2, 3))
+    bad = solved & ~np.isfinite(coeffs).all(axis=(2, 3))
     if not bad.any():  # the sum overflowed
         return None
-    j = int(np.argmax(bad.any(axis=1)))
-    n = int(np.argmax(bad[j])) + 1
-    return j, f"non-finite solution at step n={n}, t={grids[j, n]:.6g}"
+    j, m = divmod(int(np.argmax(bad)), bad.shape[1])
+    return j, (f"non-finite solution at step n={m - first[j] + 1}, "
+               f"t={grids[j, m + 1]:.6g}")
 
 
 def _as_stack(times, ic):

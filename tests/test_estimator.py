@@ -130,6 +130,14 @@ def test_tpa_single_subdomain_has_no_coupling_terms():
     assert abs(rec.effectivity - 1.0) < 0.05
 
 
+def test_stacked_calls_on_no_pairs_are_empty():
+    # at P_t = 1 every A, C and K family is an empty stack, whose fsum is 0.0
+    ev = ResidualEvaluator(ZERO_F, FormCache())
+    assert ev.residual([]).shape == (0, 0)
+    assert ev.pair_analytic(np.sin, []).shape == (0,)
+    assert ev.pairs([], []).shape == (0,)
+
+
 def test_tpa_first_iteration_has_zero_coarse_jump():
     cfg = ExperimentConfig(Nhat_t=10, r=2, P_t=5, K_t=1, Nhat_s=10,
                            qhat_s=1, q_s=2, nu=2, mu=1, T=0.5)
@@ -334,7 +342,9 @@ def test_dd_split_names_the_first_step_with_a_nonfinite_subdomain_adjoint(
         monkeypatch):
     # a local solve that fails on a zero right-hand side: the zero weight of
     # step n=2 of p=2 has a finite (zero) global adjoint, and only its
-    # subdomain recursion fails, inside a block with finite columns
+    # subdomain recursion fails, inside a block with finite columns; the
+    # split names it from the one recursion of the steps' one sweeper
+    # group, and runs no column's recursion again
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 8)
     space, space3 = FeSpace(mesh, 2), FeSpace(mesh, 3)
@@ -352,10 +362,19 @@ def test_dd_split_names_the_first_step_with_a_nonfinite_subdomain_adjoint(
         x[:, ~np.any(rhs, axis=0)] = np.nan
         return x
 
+    recursions = []
+    real_adjoint = AdditiveSchwarz.adjoint
+
+    def adjoint(self, weights, K_s):
+        recursions.append(len(weights))
+        yield from real_adjoint(self, weights, K_s)
+
     monkeypatch.setattr(AdditiveSchwarz, "local_solve", failing)
+    monkeypatch.setattr(AdditiveSchwarz, "adjoint", adjoint)
     with pytest.raises(ValueError, match=r"non-finite subdomain spatial "
                        r"adjoint \(dt=0\.125\) at p=2, n=2$"):
         dd_split(trajs, weights, decomp, 2, ResidualEvaluator(prob.f, cache))
+    assert recursions == [4]
 
 
 def test_stpa_split_solves_each_sweeper_group_once(monkeypatch):
@@ -424,22 +443,38 @@ def test_stpa_split_names_subdomain_and_step_of_nonfinite_parts():
         stpa_breakdown(part, state, adjoints, prob, decomp, 2, cache)
 
 
-@pytest.mark.parametrize("which", ["E_K", "E_N"])
+@pytest.mark.parametrize("which", ["E_K"])
 def test_stpa_breakdown_names_the_step_of_a_nonfinite_split_part(
         monkeypatch, which):
-    # an inf in the split of step n=3 of p=2 (entry 4 + 2 of 2 x 4 steps)
-    # raises before any sum
+    # an overflow of E_K at step n=3 of p=2 (column 4 + 2 of the one group
+    # of 2 x 4 steps): its global adjoint and weight-space functional are
+    # scaled up, each still finite, as are its subdomain adjoints and E_N
+    # terms, but their products overflow (and warn), and dd_split checks
+    # E_K last.  An E_N is the fsum of terms dd_split already checked
+    # finite, so it needs no case here (see
+    # test_dd_split_names_the_step_of_a_nonfinite_subdomain_term)
     part, state, adjoints, prob, decomp, cache = _small_stpa_run()
-    real = estimator_module.dd_split
+    space3 = adjoints["fine"][0].space
+    global_adjoint = cache.step_operator(space3, 0.0625)
+    real_solve = global_adjoint.solve
+    real_functionals = estimator_module._step_functionals
 
-    def split(*args):
-        E_K, E_N = real(*args)
-        {"E_K": E_K, "E_N": E_N}[which][4 + 2] = np.inf
-        return E_K, E_N
+    def solve(rhs):
+        x = real_solve(rhs)
+        x[:, 4 + 2] *= 1e300
+        return x
 
-    monkeypatch.setattr(estimator_module, "dd_split", split)
-    with pytest.raises(ValueError, match=r"^non-finite E_K=.*, E_N=.* at "
-                       r"p=2, n=3$"):
+    def functionals(traj, space, ev):
+        out = real_functionals(traj, space, ev)
+        if space is space3 and traj is state.fine[1]:
+            out[2] *= 1e10
+        return out
+
+    monkeypatch.setattr(global_adjoint, "solve", solve)
+    monkeypatch.setattr(estimator_module, "_step_functionals", functionals)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=rf"^non-finite {which} \(dt=0\.0625\) at p=2, "
+                              r"n=3$"):
         stpa_breakdown(part, state, adjoints, prob, decomp, 2, cache)
 
 

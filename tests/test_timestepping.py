@@ -372,6 +372,28 @@ def test_stacked_cg_names_the_first_nonfinite_step():
         propagate_cg(space, part.fine_grids, 1, ics, None, FormCache())
 
 
+def test_first_nonfinite_of_a_ragged_stack_counts_from_each_first_slab():
+    # column 1 starts at slab 2 and column 2 at slab 3, as in the
+    # auxiliary adjoints' stack: an unset slab before a column's first
+    # holds whatever the allocation left, and is neither summed nor named
+    grids = np.array([np.linspace(0.0, 0.5, 6), np.linspace(0.0, 0.5, 6) - 1,
+                      np.linspace(0.0, 0.5, 6) + 1])
+    coeffs, first = np.ones((3, 5, 2, 4)), [0, 2, 3]
+    coeffs[1, :2] = np.nan
+    coeffs[2, :3] = np.finfo(float).max  # would overflow a sum over all
+    assert timestepping._first_nonfinite(coeffs, grids, first) is None
+    # slab m = 3 of column 1 is its step n = m - first[1] + 1 = 2, which
+    # ends at grids[1, m + 1]
+    coeffs[1, 3, 1, 2] = np.inf
+    coeffs[2, 4, 0, 0] = np.nan
+    assert timestepping._first_nonfinite(coeffs, grids, first) == (
+        1, "non-finite solution at step n=2, t=-0.6")
+    # without first, every slab is read and counted from slab 0
+    coeffs[2, :3] = 1.0
+    assert timestepping._first_nonfinite(coeffs, grids) == (
+        1, "non-finite solution at step n=1, t=-0.9")
+
+
 def test_cg_rejects_bad_degree():
     space = _single_dof_space()
     ic = NodalField(space, np.array([1.0]))
