@@ -51,8 +51,7 @@ fine = lambda grids, ics: propagate_be(fine_space, grids, ics, prob.f, cache)
 crse = lambda grid, ic: propagate_be(coarse_space, grid, ic, prob.f, cache)
 
 # two Parareal iterations from the interpolated initial condition
-states = vpar(part, 2, coarse_space.interpolate(prob.u0), fine, crse,
-              fine_space, cache)
+states = vpar(part, 2, coarse_space.interpolate(prob.u0), fine, crse, cache)
 state = states[-1]
 
 true_qoi = prob.true_qoi()

@@ -151,13 +151,12 @@ class ResidualEvaluator:
         return res
 
 
-def _jump_at_sync(state, p, fine_space, kind, cache):
-    """Solution jump at T_{p-1} (p >= 2): value from subdomain p-1 minus the
-    incoming value of subdomain p, expressed in the fine space."""
-    trajs = state.coarse if kind == "coarse" else state.fine
-    left = embed(trajs[p - 2].end, fine_space, cache)
-    incoming = embed(trajs[p - 1].incoming, fine_space, cache)
-    return left - incoming
+def _jump_at_sync(trajs, p, fine_space, cache):
+    """Solution jump of trajs at T_{p-1} (p >= 2): the end value of
+    subdomain p-1 minus the incoming value of subdomain p, expressed in the
+    fine space."""
+    return (embed(trajs[p - 2].end, fine_space, cache)
+            - embed(trajs[p - 1].incoming, fine_space, cache))
 
 
 def _ic_error_pairs(ev, adj_fields, u0, initial):
@@ -167,7 +166,7 @@ def _ic_error_pairs(ev, adj_fields, u0, initial):
             - ev.pairs([initial] * len(adj_fields), adj_fields))
 
 
-def _ack_terms(partition, state, adjoints, ev, u0, fine_space):
+def _ack_terms(partition, state, adjoints, ev, u0):
     """The A, C and K components, shared by the TPA and STPA decompositions.
 
     Each family of terms is one stacked call: the residuals of every coarse
@@ -181,11 +180,12 @@ def _ack_terms(partition, state, adjoints, ev, u0, fine_space):
     aux_adjs = adjoints["aux"]
     sync = partition.sync_times
     ps = range(2, partition.P_t + 1)
+    fine_space = state.fine[0].space
     # coarse-solution jumps at T_{p-1}, p = 2..P_t: each weights C and A terms
-    coarse_jumps = {p: _jump_at_sync(state, p, fine_space, "coarse", ev.cache)
+    coarse_jumps = {p: _jump_at_sync(state.coarse, p, fine_space, ev.cache)
                     for p in ps}
     phats = [coarse_adj.value_at_node(sync[p - 1]) for p in ps]
-    K_terms = ev.pairs(phats, [_jump_at_sync(state, p, fine_space, "fine",
+    K_terms = ev.pairs(phats, [_jump_at_sync(state.fine, p, fine_space,
                                              ev.cache) for p in ps])
     C_terms = ev.pairs([fine_adjs[p - 1].value_at_node(sync[p - 1]) - phat
                         for p, phat in zip(ps, phats)],
@@ -216,6 +216,7 @@ def _step_functionals(traj, space, ev):
     return prev + np.diff(traj.times)[:, None] * loads
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dd_split(trajs, weights, decomp, K_s, ev):
     """Thm-2 split of every step's algebraic error into discretization (E^N)
     and Schwarz-iteration (E^K) parts, for trajectories sharing one space
@@ -235,7 +236,9 @@ def dd_split(trajs, weights, decomp, K_s, ev):
     global adjoint is non-finite, then per group of the first step whose
     replay misses its value by over 1e-12 relative (another decomposition,
     K_s or step solver), whose subdomain adjoints or E_N terms are not all
-    finite, and last of the first step whose E_K is non-finite.
+    finite, and last of the first step whose E_K is non-finite.  Its
+    products overflow or turn invalid silently, so that under -W error
+    these checks, not a RuntimeWarning, report the step.
     """
     cache, space3, space = ev.cache, weights[0][0].space, trajs[0].space
     where = [(p, n) for p, traj in enumerate(trajs, 1)
@@ -337,8 +340,7 @@ def stpa_breakdown(partition, state, adjoints, problem, decomp, K_s, cache):
         ev.residual(list(zip(state.fine, fine_adjs))).ravel(),
         _ic_error_pairs(ev, [fine_adjs[0].value_at_node(0.0)], problem.u0,
                         state.initial)])
-    A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0,
-                         state.fine[0].space)
+    A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0)
     if decomp is None:
         parts = {"D": math.fsum(D)}
     else:

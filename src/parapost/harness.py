@@ -74,11 +74,15 @@ class ManufacturedProblem:
         return math.cos(self.nu * math.pi * self.T) * val
 
 
-def _check_problem(mu, qoi_lo, qoi_hi):
-    """Reject a manufactured problem on the spatial domain [0, 1] whose
-    solution or QoI support leaves it: u = cos(nu pi t) sin(mu pi x) vanishes
-    at x = 1 only for an integer mu, and qoi_eval integrates over the mesh
-    only, so the support (qoi_lo, qoi_hi) must lie in [0, 1]."""
+def _check_problem(nu, mu, qoi_lo, qoi_hi):
+    """Reject a manufactured problem that is trivial or whose solution or QoI
+    support leaves the spatial domain [0, 1]: nu and mu must be nonzero,
+    u = cos(nu pi t) sin(mu pi x) vanishes at x = 1 only for an integer mu,
+    and qoi_eval integrates over the mesh only, so the support (qoi_lo,
+    qoi_hi) must lie in [0, 1]."""
+    for name, value in (("nu", nu), ("mu", mu)):
+        if value == 0:
+            raise ValueError(f"{name} must be nonzero, got {value}")
     if not float(mu).is_integer():
         raise ValueError(f"mu must be an integer, so that sin(mu pi x) "
                          f"vanishes at x = 1, got {mu}")
@@ -89,9 +93,7 @@ def _check_problem(mu, qoi_lo, qoi_hi):
 
 
 def build_manufactured(nu, mu, T, qoi_lo=0.2, qoi_hi=0.6, qoi_scale=10000.0):
-    if nu == 0 or mu == 0:
-        raise ValueError("nu and mu must be nonzero")
-    _check_problem(mu, qoi_lo, qoi_hi)
+    _check_problem(nu, mu, qoi_lo, qoi_hi)
     return ManufacturedProblem(nu, mu, T, qoi_lo, qoi_hi, qoi_scale)
 
 
@@ -169,7 +171,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.T <= 0:
             raise ValueError(f"T must be > 0, got {self.T}")
-        _check_problem(self.mu, self.qoi_lo, self.qoi_hi)
+        _check_problem(self.nu, self.mu, self.qoi_lo, self.qoi_hi)
         if not self.qoi_lo < self.qoi_hi:
             raise ValueError(
                 f"qoi_lo={self.qoi_lo} must be below qoi_hi={self.qoi_hi}")
@@ -293,7 +295,7 @@ def run_experiment(config):
 
     initial = coarse_space.interpolate(problem.u0)
     states = vpar(partition, config.K_t, initial, fine_solver, coarse_solver,
-                  fine_space, cache)
+                  cache)
     state = states[-1]
 
     true_qoi = problem.true_qoi()

@@ -11,9 +11,12 @@ call, which may step them together.
 
 The value handed to subdomain p at T_{p-1} is the synchronized value
 Uhat^{p-1}(T_{p-1}) + C_{p-1}^{k-1} (with C_0 = 0), which makes the standard
-and variational forms agree at the synchronization times.  Synchronized
-values are kept in the coarse space: the fine-space correction is nodally
-interpolated onto the coarse space before it is added.
+and variational forms agree at the synchronization times.  There is one
+synchronization, in the coarse space: the correction is nodally interpolated
+onto the coarse space before it is added.  The corrections live in the fine
+space, which each reads from its own fine trajectory.  When the fine space is
+richer, K_t = P_t iterations reproduce the serial fine solve that hands on
+the coarse interpolant of each subdomain's fine end value.
 
 By finite termination (Gander & Vandewalle 2007) subdomain p receives the
 same incoming value at every iteration k >= p, so iteration k keeps the
@@ -36,25 +39,6 @@ class PararealState:
     initial: NodalField   # Uhat_0
 
 
-def _synchronize(coarse_end, corr, fine_space, sync_space, cache):
-    """Combine a coarse end value with the previous iteration's correction.
-
-    With sync_space='coarse' the correction is nodally interpolated onto the
-    coarse space so the synchronized value stays there (both propagators then
-    restart from the same coarse-space field).  With 'fine' the synchronized
-    value is the classic fine-space sum, which restores finite-termination
-    exactness (serial fine solve after P_t iterations) when the spaces differ.
-    The callers have validated sync_space.
-    """
-    if corr is None:
-        return coarse_end
-    if sync_space == "coarse":
-        space = coarse_end.space
-        return coarse_end + (corr if corr.space is space
-                             else cache.interpolate(corr, space))
-    return embed(coarse_end, fine_space, cache) + corr
-
-
 def _fine_solves(fine_solver, grids, syncs, k):
     """The fine trajectories of subdomains k..P_t, by one fine_solver call.
 
@@ -75,12 +59,11 @@ def _fine_solves(fine_solver, grids, syncs, k):
             f"iteration k_t={k}: {exc}") from exc
 
 
-def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
-         cache, sync_space="coarse"):
+def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, cache):
     """Variational Parareal: returns the states of all K_t iterations.
 
-    ic_coarse is Uhat_0 in the coarse space; fine_space is the space the
-    corrections live in (coarse fields embed into it exactly).
+    ic_coarse is Uhat_0 in the coarse space, which the fine trajectories'
+    space contains (coarse fields embed into it exactly).
     coarse_solver(grid, incoming) returns one trajectory;
     fine_solver(grids, incomings) returns the trajectories of a stack of
     rows of partition.fine_grids, in order.  Iteration k solves subdomains
@@ -93,8 +76,6 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
     """
     if K_t < 1:
         raise ValueError("K_t must be >= 1")
-    if sync_space not in ("coarse", "fine"):
-        raise ValueError(f"unknown sync_space {sync_space!r}")
     P_t = partition.P_t
     states = []
     coarse, fine, corrs = [], [], [None] * P_t  # corrs[p-1] = C_p^{k-1}
@@ -103,10 +84,13 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
         coarse, fine, corrs = coarse[:k - 1], fine[:k - 1], corrs[:k - 1]
         syncs = []
         for p in range(k, P_t + 1):
-            # synchronized value handed to subdomain p (C_0 = 0)
-            sync = ic_coarse if p == 1 else _synchronize(
-                coarse[p - 2].end, prev_corrs[p - 2], fine_space, sync_space,
-                cache)
+            # synchronized value handed to subdomain p (C_0 = 0), in the
+            # coarse space
+            sync = ic_coarse if p == 1 else coarse[p - 2].end
+            corr = None if p == 1 else prev_corrs[p - 2]
+            if corr is not None:
+                sync = sync + (corr if corr.space is sync.space
+                               else cache.interpolate(corr, sync.space))
             try:
                 coarse.append(coarse_solver(partition.coarse_grids[p - 1],
                                             sync))
@@ -118,7 +102,7 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, fine_space,
         if syncs:  # an iteration past P_t has nothing left to solve
             fine += _fine_solves(fine_solver, partition.fine_grids[k - 1:],
                                  syncs, k)
-        corrs += [ft.end - embed(ct.end, fine_space, cache)
+        corrs += [ft.end - embed(ct.end, ft.space, cache)
                   for ft, ct in zip(fine[k - 1:], coarse[k - 1:], strict=True)]
         states.append(PararealState(coarse, fine, corrs, ic_coarse))
     return states

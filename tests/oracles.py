@@ -3,8 +3,11 @@
 par_standard is Parareal in its standard form: it keeps only the values at
 the synchronization times and re-solves every subdomain at every iteration,
 so it also checks that vpar's reuse of converged subdomains changes
-nothing.  dg0_equivalence_check re-solves an implicit-Euler trajectory as
-the dG(0) Galerkin method, with matrices assembled afresh and a dense solve.
+nothing.  serial_coarse_handoff is the serial fine solve that Parareal
+reproduces after P_t iterations: subdomain by subdomain, each handing the
+coarse interpolant of its fine end value to the next.
+dg0_equivalence_check re-solves an implicit-Euler trajectory as the dG(0)
+Galerkin method, with matrices assembled afresh and a dense solve.
 cg_per_slab steps cG(q_t) one slab and one test function at a time.
 dd_split_per_step splits one Schwarz-solved step at a time, with its own
 replay of the step's sweeps, spatial adjoints and one-vector products.
@@ -24,22 +27,20 @@ from scipy import linalg as sla
 
 from parapost.mesh import (AssembledOperator, NodalField, assemble_load,
                            assemble_matrix, embed, lagrange_values)
-from parapost.estimator import _jump_at_sync
-from parapost.parareal import _synchronize
 from parapost.schwarz import AdditiveSchwarz
 from parapost.timestepping import NODE_TOL, _cg_time_forms
 
 
 def par_standard(partition, K_t, ic_coarse, fine_solver, coarse_solver,
-                 fine_space, cache, sync_space="coarse"):
+                 cache):
     """Standard Parareal: synchronization-time values only.
 
     Returns a list (one entry per iteration) of dicts with keys 'tilde'
-    (coarse synchronized values, fine space), 'bar' (fine values at T_p) and
-    'corrections'.
+    (synchronized values, coarse space), 'bar' (fine values at T_p) and
+    'corrections' (fine space).  The synchronized value is the coarse end
+    value plus the previous iteration's correction evaluated at the coarse
+    space's nodes.
     """
-    if sync_space not in ("coarse", "fine"):
-        raise ValueError(f"unknown sync_space {sync_space!r}")
     P_t = partition.P_t
 
     def g_end(grid, ic):
@@ -56,15 +57,26 @@ def par_standard(partition, K_t, ic_coarse, fine_solver, coarse_solver,
         for p in range(1, P_t + 1):
             g_val = g_end(partition.coarse_grids[p - 1], u_tilde)
             f_val = f_end(partition.fine_grids[p - 1], u_tilde)
-            corr = f_val - embed(g_val, fine_space, cache)
-            u_tilde = _synchronize(g_val, prev_corr[p], fine_space, sync_space,
-                                   cache)
+            corr = f_val - embed(g_val, f_val.space, cache)
+            u_tilde = (g_val if prev_corr[p] is None
+                       else g_val + g_val.space.interpolate(prev_corr[p]))
             tilde.append(u_tilde)
             bar.append(f_val)
             corrs.append(corr)
         out.append({"tilde": tilde, "bar": bar, "corrections": corrs})
         prev_corr = [None] + corrs
     return out
+
+
+def serial_coarse_handoff(partition, ic_coarse, fine_solver):
+    """The fine trajectories of a serial solve, subdomain by subdomain: the
+    first starts from ic_coarse, each later one from the coarse space's
+    nodal interpolant of the previous one's end value."""
+    trajs, ic = [], ic_coarse
+    for grid in partition.fine_grids:
+        trajs.append(fine_solver(grid[None], [ic])[0])
+        ic = ic_coarse.space.interpolate(trajs[-1].end)
+    return trajs
 
 
 def dg0_equivalence_check(traj, f):
@@ -189,14 +201,16 @@ def dd_split_per_step(traj, n, decomp, K_s, phi_val, ev, solve_cache):
     return E_K, E_N
 
 
-def ack_terms_per_pair(partition, state, adjoints, ev, u0, fine_space):
+def ack_terms_per_pair(partition, state, adjoints, ev, u0):
     """(A, C, K) by a double loop over (k, p): per p, one one-pair residual
     call per coarse trajectory k < p and one pairing x @ G @ y per jump,
     each term computed alone; each component is the math.fsum of its terms,
     A's those of A_p = sum_k R(Uhat_k, psi_p)
     + sum_k (psi_p(T_{k-1}), [Uhat]_{k-1}) + (psi_p(0), u_0 - Uhat_0)
-    over p."""
+    over p.  The jumps at T_{p-1} are the end value of subdomain p-1 minus
+    the incoming value of subdomain p, both embedded in the fine space."""
     cache = ev.cache
+    fine_space = state.fine[0].space
 
     def pair(a, b):
         return a.coefficients @ cache.mass(a.space, b.space) @ b.coefficients
@@ -206,18 +220,20 @@ def ack_terms_per_pair(partition, state, adjoints, ev, u0, fine_space):
         return u0_load @ adj_field.coefficients - pair(state.initial,
                                                        adj_field)
 
+    def jump(trajs, p):
+        return (embed(trajs[p - 2].end, fine_space, cache)
+                - embed(trajs[p - 1].incoming, fine_space, cache))
+
     coarse_adj, fine_adjs = adjoints["coarse"], adjoints["fine"]
     aux_adjs = adjoints["aux"]
     P_t = partition.P_t
-    coarse_jumps = {p: _jump_at_sync(state, p, fine_space, "coarse", cache)
-                    for p in range(2, P_t + 1)}
+    coarse_jumps = {p: jump(state.coarse, p) for p in range(2, P_t + 1)}
     K, C, A = [], [], []
     for p in range(2, P_t + 1):
         t_sync = partition.sync_times[p - 1]
         phat = coarse_adj.value_at_node(t_sync)
         pfine = fine_adjs[p - 1].value_at_node(t_sync)
-        K.append(pair(phat, _jump_at_sync(state, p, fine_space, "fine",
-                                          cache)))
+        K.append(pair(phat, jump(state.fine, p)))
         C.append(pair(pfine - phat, coarse_jumps[p]))
         aux = aux_adjs[p]
         for k in range(1, p):

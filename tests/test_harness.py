@@ -136,6 +136,9 @@ BAD_CONFIGS = [
     (dict(schwarz=True, tau=-0.4), "tau"),
     (dict(schwarz=True, tau=2.0), "tau"),
     (dict(nu=float("inf")), "nu"),
+    # u = cos(nu pi t) sin(mu pi x) is constant in t or zero
+    (dict(nu=0.0), "nu"),
+    (dict(mu=0.0), "mu"),
     (dict(qoi_lo=0.6, qoi_hi=0.2), "qoi_lo"),
     # u = cos(nu pi t) sin(mu pi x) must vanish at x = 1
     (dict(mu=1.5), "mu"),
@@ -344,7 +347,8 @@ def test_cli_sweep_over_modes_reports_only_as_json(tmp_path, capsys, runs):
 @pytest.mark.parametrize("param, values, message", [
     ("K_t", "1,2,banana", "K_t must be int"),
     ("P_t", "2,3", "not divisible"),
-], ids=["K_t=1,2,banana", "P_t=2,3"])
+    ("nu", "4,0", "nu must be nonzero"),
+], ids=["K_t=1,2,banana", "P_t=2,3", "nu=4,0"])
 def test_cli_sweep_validates_every_value_before_running(tmp_path, capsys,
                                                         runs, param, values,
                                                         message):

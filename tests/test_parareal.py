@@ -26,20 +26,9 @@ def _setup(nhat_s=8, qhat=1, q=2, P_t=4, Nhat_t=8, r=2, T=0.5, nu=2, mu=1):
 
 def test_single_subdomain_degenerates_to_serial():
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=1, Nhat_t=4)
-    states = vpar(part, 1, ic, fs, cs, fine, cache)
+    states = vpar(part, 1, ic, fs, cs, cache)
     serial = propagate_be(fine, part.fine_grids[0], ic, prob.f, cache)
     assert np.max(np.abs(states[0].fine[0].coeffs - serial.coeffs)) == 0.0
-
-
-def test_exactness_after_P_t_iterations_fine_sync():
-    prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8, r=2)
-    states = vpar(part, 4, ic, fs, cs, fine, cache, sync_space="fine")
-    serial = propagate_be(fine, np.linspace(0.0, 0.5, part.N_t + 1),
-                          embed(ic, fine, cache), prob.f, cache)
-    for p in range(1, 5):
-        got = states[-1].fine[p - 1].end.coefficients
-        want = serial.field(p * 4).coefficients
-        assert np.max(np.abs(got - want)) < 1e-10
 
 
 @pytest.mark.parametrize("P_t", [2, 3, 4])
@@ -48,7 +37,7 @@ def test_exactness_equal_spaces_default_sync(P_t):
     # the classic one, so finite termination holds at K_t = P_t
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(
         qhat=2, q=2, P_t=P_t, Nhat_t=4 * P_t, r=2)
-    states = vpar(part, P_t, ic, fs, cs, fine, cache)
+    states = vpar(part, P_t, ic, fs, cs, cache)
     n_per = part.N_t // P_t
     serial = propagate_be(fine, np.linspace(0.0, 0.5, part.N_t + 1), ic,
                           prob.f, cache)
@@ -60,7 +49,7 @@ def test_exactness_equal_spaces_default_sync(P_t):
 
 def test_fine_sync_iteration_is_stationary_after_P_t():
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=3, Nhat_t=6)
-    states = vpar(part, 5, ic, fs, cs, fine, cache, sync_space="fine")
+    states = vpar(part, 5, ic, fs, cs, cache)
     for k in (3, 4):  # iterations beyond finite termination change nothing
         for p in range(3):
             a = states[k].fine[p].end.coefficients
@@ -73,7 +62,7 @@ def test_coarse_sync_fixed_point_differs_from_serial_fine():
     # point that is not the serial fine solution: the iteration error
     # stagnates instead of vanishing
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8)
-    states = vpar(part, 10, ic, fs, cs, fine, cache)
+    states = vpar(part, 10, ic, fs, cs, cache)
     last = states[-1].fine[-1].end.coefficients
     prev = states[-2].fine[-1].end.coefficients
     assert np.max(np.abs(last - prev)) < 1e-10  # converged in its own right
@@ -83,8 +72,7 @@ def test_coarse_sync_fixed_point_differs_from_serial_fine():
     assert gap > 1e-8  # ... but to a different limit
 
 
-@pytest.mark.parametrize("sync_space", ["coarse", "fine"])
-def test_standard_variational_equivalence_randomized(sync_space):
+def test_standard_variational_equivalence_randomized():
     # 20 random small configurations: synchronized and fine end values of the
     # standard form agree with the variational form to machine precision
     rng = np.random.default_rng(314)
@@ -98,10 +86,8 @@ def test_standard_variational_equivalence_randomized(sync_space):
         K_t = int(rng.integers(1, P_t + 3))
         prob, part, coarse, fine, fs, cs, ic, cache = _setup(
             nhat_s=n_s, qhat=qhat, q=q, P_t=P_t, Nhat_t=P_t * nhat_per, r=r)
-        states = vpar(part, K_t, ic, fs, cs, fine, cache,
-                      sync_space=sync_space)
-        std = par_standard(part, K_t, ic, fs, cs, fine, cache,
-                           sync_space=sync_space)
+        states = vpar(part, K_t, ic, fs, cs, cache)
+        std = par_standard(part, K_t, ic, fs, cs, cache)
         for k in range(K_t):
             for p in range(P_t):
                 bar_v = states[k].fine[p].end.coefficients
@@ -134,15 +120,14 @@ def test_vpar_solves_each_subdomain_until_its_incoming_value_converges():
                              if np.array_equal(h, g)])
         return fs(grids, ics)
 
-    vpar(part, 6, ic, counted_fine, counted_coarse, fine, cache)
+    vpar(part, 6, ic, counted_fine, counted_coarse, cache)
     assert len(coarse_calls) == 10
     assert fine_batches == [[1, 2, 3, 4], [2, 3, 4], [3, 4], [4]]
 
 
-@pytest.mark.parametrize("sync_space", ["coarse", "fine"])
-def test_vpar_keeps_converged_subdomains_as_the_same_objects(sync_space):
+def test_vpar_keeps_converged_subdomains_as_the_same_objects():
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8)
-    states = vpar(part, 6, ic, fs, cs, fine, cache, sync_space=sync_space)
+    states = vpar(part, 6, ic, fs, cs, cache)
     for k in range(1, 6):
         for p in range(4):
             # states[k] is iteration k+1, which keeps subdomains 1..k
@@ -155,7 +140,7 @@ def test_vpar_keeps_converged_subdomains_as_the_same_objects(sync_space):
 
 def test_corrections_shrink_over_iterations():
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8, r=4)
-    states = vpar(part, 3, ic, fs, cs, fine, cache, sync_space="fine")
+    states = vpar(part, 3, ic, fs, cs, cache)
     norms = [max(np.max(np.abs(c.coefficients)) for c in s.corrections)
              for s in states]
     assert norms[1] < norms[0]
@@ -165,13 +150,7 @@ def test_corrections_shrink_over_iterations():
 def test_rejects_nonpositive_iteration_count():
     prob, part, coarse, fine, fs, cs, ic, cache = _setup()
     with pytest.raises(ValueError):
-        vpar(part, 0, ic, fs, cs, fine, cache)
-
-
-def test_unknown_sync_space_rejected():
-    prob, part, coarse, fine, fs, cs, ic, cache = _setup()
-    with pytest.raises(ValueError):
-        vpar(part, 1, ic, fs, cs, fine, cache, sync_space="banana")
+        vpar(part, 0, ic, fs, cs, cache)
 
 
 def test_solver_failure_is_located():
@@ -184,7 +163,7 @@ def test_solver_failure_is_located():
         return propagate_be(fine, grids, ics, prob.f, cache)
 
     with pytest.raises(RuntimeError) as err:
-        vpar(part, 2, ic, flaky, cs, fine, cache)
+        vpar(part, 2, ic, flaky, cs, cache)
     assert "p=3" in str(err.value) and "k_t=1" in str(err.value)
 
 
@@ -203,5 +182,5 @@ def test_nonfinite_forcing_names_subdomain_iteration_and_step(stepping):
     }
     with pytest.raises(RuntimeError, match=r"p=3, iteration k_t=1: "
                        r".*step n=2, t=0\.3125") as err:
-        vpar(part, 2, ic, fine_solvers[stepping], cs, fine, cache)
+        vpar(part, 2, ic, fine_solvers[stepping], cs, cache)
     assert isinstance(err.value.__cause__, ValueError)
