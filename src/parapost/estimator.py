@@ -82,11 +82,13 @@ class ResidualEvaluator:
 
         All pairs share the trajectory space, the weight space, both q_t and
         the step count; a ValueError names the first pair that does not.
-        The trajectory-side products (loads, A U, M U_dot, jumps) are formed
-        once per distinct trajectory, each pair's weight slabs are one
-        slab_index lookup, and one quadrature loop serves all rows.  Every
-        row's products go through mesh.matvecs and mesh.dots, so each row
-        is bitwise the residual of its pair alone; no pairs give (0, 0).
+        The trajectory-side products (A U, M U_dot, jumps) are formed once
+        per distinct trajectory, the loads of all of them by one uncached
+        assemble_load call, the weight slabs of each distinct weight by one
+        slab_index lookup over the grids of its pairs, and one quadrature
+        loop serves all rows.  Every row's products go through mesh.matvecs
+        and mesh.dots, so each row is bitwise the residual of its pair
+        alone; no pairs give (0, 0).
         """
         if not pairs:
             return np.zeros((0, 0))
@@ -110,10 +112,10 @@ class ResidualEvaluator:
         c = np.array([traj.coeffs for traj in trajs])
         grids = np.array([traj.times for traj in trajs])
         dts = grids[:, 1:] - grids[:, :-1]
-        # uncached loads, one block per trajectory: one for all would hold
-        # 6.7 MB of temporaries at once for pardd_fine_time[r=8]'s D
-        loads = np.array([assemble_load(ws, times, self.f) for times
-                          in grids[:, :-1, None] + dts[:, :, None] * self._s])
+        # uncached loads of every trajectory, (trajs, steps, nq, dof_w), by
+        # one call, which bounds its temporaries itself
+        loads = assemble_load(
+            ws, grids[:, :-1, None] + dts[:, :, None] * self._s, self.f)
         if dg0:
             Au_q = matvecs(A_x, c[:, :, :1])  # one product serves every q
         else:
@@ -130,10 +132,13 @@ class ResidualEvaluator:
         if dg0:
             jumps = np.concatenate(
                 [jumps, matvecs(M_x, c[:, 1:, 0] - c[:, :-1, 0])], axis=1)
-        # each row's weight coefficients on its trajectory's steps, and phi
-        # at the quadrature points: (pairs, steps, nq, dof_w)
-        W = np.array([weight.coeffs[weight.slab_index(
-            grids[i, :-1], grids[i, 1:])] for i, (_, weight) in zip(ti, pairs)])
+        # each row's weight coefficients on its trajectory's steps, by one
+        # slab lookup per distinct weight over the stacked grids of its
+        # pairs, and phi at the quadrature points: (pairs, steps, nq, dof_w)
+        W = np.empty((len(pairs), n_steps) + weight0.coeffs.shape[1:])
+        for weight, rows in groups([weight for _, weight in pairs]):
+            W[rows] = weight.coeffs[weight.slab_index(grids[ti[rows], :-1],
+                                                      grids[ti[rows], 1:])]
         phi_q = np.matmul(lagrange_values(weight0.q_t, self._s).T, W)
         acc = np.zeros((len(pairs), n_steps))
         for q in range(N_QUAD_T):

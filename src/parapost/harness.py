@@ -240,7 +240,10 @@ def effectivity(estimated, true_err):
 @dataclass
 class RunRecord:
     """One experiment's configuration echo, components and effectivity; the
-    components are in the order their breakdown returns them."""
+    components are in the order their breakdown returns them.  stages holds
+    the perf_counter seconds of the run's five phases, in run order:
+    forward (Parareal), coarse_adjoint, fine_adjoints, aux_adjoints and
+    breakdown; the rest of wall_time is setup and the QoI."""
 
     config: dict
     mode: str
@@ -251,6 +254,7 @@ class RunRecord:
     true_qoi: float
     computed_qoi: float
     wall_time: float
+    stages: dict
 
     def column_names(self):
         return ("est_err", "gamma") + tuple(self.components)
@@ -293,9 +297,18 @@ def run_experiment(config):
             return propagate_be(fine_space, grids, ics, f, cache, decomp,
                                 config.K_s)
 
+    stages = {}
+
+    def staged(name, fn, *args):
+        """fn(*args), its perf_counter time kept as stages[name]."""
+        start = time.perf_counter()
+        out = fn(*args)
+        stages[name] = time.perf_counter() - start
+        return out
+
     initial = coarse_space.interpolate(problem.u0)
-    states = vpar(partition, config.K_t, initial, fine_solver, coarse_solver,
-                  cache)
+    states = staged("forward", vpar, partition, config.K_t, initial,
+                    fine_solver, coarse_solver, cache)
     state = states[-1]
 
     true_qoi = problem.true_qoi()
@@ -303,17 +316,18 @@ def run_experiment(config):
     true_error = true_qoi - computed_qoi
 
     adj_qt = config.adjoint_time_degree
-    coarse_adj = solve_coarse_adjoint(partition, adj_space, problem.psi,
-                                      adj_qt, cache)
-    fine_adjs = solve_fine_adjoints(partition, coarse_adj, adj_qt, cache)
-    aux_adjs = solve_auxiliary_adjoints(partition, coarse_adj, fine_adjs,
-                                        adj_qt, cache)
+    coarse_adj = staged("coarse_adjoint", solve_coarse_adjoint, partition,
+                        adj_space, problem.psi, adj_qt, cache)
+    fine_adjs = staged("fine_adjoints", solve_fine_adjoints, partition,
+                       coarse_adj, adj_qt, cache)
+    aux_adjs = staged("aux_adjoints", solve_auxiliary_adjoints, partition,
+                      coarse_adj, fine_adjs, adj_qt, cache)
     adjoints = {"coarse": coarse_adj, "fine": fine_adjs, "aux": aux_adjs}
     # no later step solves a cG slab: free the forward and adjoint slab LUs
     cache.release("cg_slab")
 
-    components = stpa_breakdown(partition, state, adjoints, problem, decomp,
-                                config.K_s, cache)
+    components = staged("breakdown", stpa_breakdown, partition, state,
+                        adjoints, problem, decomp, config.K_s, cache)
     estimated = math.fsum(components.values())
 
     wall = time.perf_counter() - t_start
@@ -327,6 +341,7 @@ def run_experiment(config):
         true_qoi=true_qoi,
         computed_qoi=computed_qoi,
         wall_time=wall,
+        stages=stages,
     )
 
 

@@ -317,16 +317,26 @@ def assemble_matrix(row_space, col_space, kind, elements=None):
     return A
 
 
+# values of f per block of an assemble_load call (times x quadrature
+# points): its temporaries (f's values, their weighted copy, the element
+# contributions and their rows) grow with the block, not with the call
+_LOAD_BLOCK = 2**16
+
+
 def assemble_load(space, t, f):
     """Load vectors with entries (f(., t), phi_i), N_QUAD-point Gauss rule per element.
 
     A scalar time t gives shape (dof,), an array of times t.shape + (dof,).
-    f must broadcast like a numpy ufunc: it is called once per block, as
-    f(x[None, :], times[:, None]), with x the flattened (n_elements, N_QUAD)
-    grid of quadrature points and times the block's T times, and its result
-    is broadcast to shape (T, len(x)), so a scalar result holds at every
-    point and time.  One contraction and one scatter serve all times.
-    f=None (homogeneous problem) gives exact zeros without evaluating
+    f must broadcast like a numpy ufunc: it is called once per block of
+    times, as f(x[None, :], times[:, None]), with x the flattened
+    (n_elements, N_QUAD) grid of quadrature points and times the block's T
+    times, and its result is broadcast to shape (T, len(x)), so a scalar
+    result holds at every point and time.  A block takes as many times as
+    keep its T * len(x) values of f within _LOAD_BLOCK, and at least one;
+    one contraction and one scatter serve it.  Each time's load is its own
+    product and bins, so every load is bitwise that of its own call, and
+    the temporaries are bounded by the block however many times are asked
+    for.  f=None (homogeneous problem) gives exact zeros without evaluating
     anything.
     """
     t = np.asarray(t, dtype=float)
@@ -334,27 +344,41 @@ def assemble_load(space, t, f):
     if f is None:
         return np.zeros(t.shape + (n,))
     mesh = space.mesh
-    s, w = gauss_rule(N_QUAD)
     h = mesh.widths[:, None]
+    s = gauss_rule(N_QUAD)[0]
     x = (mesh.boundaries[:-1, None] + h * s[None, :]).ravel()
+    out = np.empty((len(times), n))
+    block = max(1, _LOAD_BLOCK // x.size)
+    for a in range(0, len(times), block):
+        out[a:a + block] = _load_block(space, x, h, times[a:a + block], f)
+    return out.reshape(t.shape + (n,))
+
+
+def _load_block(space, x, h, times, f):
+    """The (T, dof) loads of assemble_load at T times, at the quadrature
+    points x of elements of widths h: one contraction and one bincount,
+    time k's dofs offset by k*dof."""
+    n, mesh, w = space.dof_count, space.mesh, gauss_rule(N_QUAD)[1]
     fx = np.broadcast_to(f(x[None, :], times[:, None]), (len(times), x.size))
     fx = fx.reshape(len(times), mesh.n_elements, N_QUAD)
     contrib = ((w * fx) @ _quadrature_basis(space.degree, N_QUAD)) * h
-    keep = space.element_dofs >= 0  # one bincount, time k's dofs offset by k*n
+    keep = space.element_dofs >= 0
     rows = space.element_dofs[keep] + n * np.arange(len(times))[:, None]
-    out = np.bincount(rows.ravel(), weights=contrib[:, keep].ravel(),
-                      minlength=len(times) * n)
-    return out.reshape(t.shape + (n,))
+    return np.bincount(rows.ravel(), weights=contrib[:, keep].ravel(),
+                       minlength=len(times) * n).reshape(len(times), n)
 
 
 class FormCache:
     """The one owner of assembled matrices, load blocks, embeddings and every
     factorization, for the lifetime of one experiment.
 
-    matrix() memoizes assembled matrices and load() assembled load blocks,
-    both read-only since every later caller shares them; factor() memoizes
-    whatever else is built once per key, such as the nodal gathers of
-    interpolate(), and per_step() the solvers built once per step size
+    matrix() memoizes assembled matrices and load() the step-end load
+    blocks of implicit Euler and the estimator's splits, both read-only
+    since every later caller shares them; factor() memoizes whatever else
+    is built once per key, such as the nodal gathers of interpolate() and
+    the read-only time-integrated cG loads of a grid (timestepping's
+    "cg_load" blocks; the raw quadrature block they are integrated from is
+    not kept), and per_step() the solvers built once per step size
     (banded step operators, cG slab LU, Schwarz sweepers), each keeping only
     its factors and the blocks it cuts.  release() drops the entries of one
     kind: the cG slab LUs, the largest, live only until the adjoint solves

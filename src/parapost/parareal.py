@@ -39,21 +39,31 @@ class PararealState:
     initial: NodalField   # Uhat_0
 
 
+def _failure(p, k, exc):
+    """The RuntimeError naming subdomain p and iteration k of a solver
+    failure exc."""
+    return RuntimeError(f"solver failure on subdomain p={p}, iteration "
+                        f"k_t={k}: {exc}")
+
+
 def _fine_solves(fine_solver, grids, syncs, k):
     """The fine trajectories of subdomains k..P_t, by one fine_solver call.
 
-    If the call raises, the subdomains are solved one at a time, each as a
-    one-row stack, to name the first that fails."""
+    If the call raises an exception carrying the failing column j of the
+    stack (a propagation's non-finite value does), it names subdomain
+    p = k + j and nothing is solved again.  On any other exception the
+    subdomains are solved one at a time, each as a one-row stack, to name
+    the first that fails."""
     try:
         return fine_solver(grids, syncs)
     except Exception as exc:
+        if (j := getattr(exc, "column", None)) is not None:
+            raise _failure(k + j, k, exc) from exc
         for p, (grid, sync) in enumerate(zip(grids, syncs), start=k):
             try:
                 fine_solver(grid[None], [sync])
             except Exception as col_exc:
-                raise RuntimeError(
-                    f"solver failure on subdomain p={p}, iteration k_t={k}: "
-                    f"{col_exc}") from col_exc
+                raise _failure(p, k, col_exc) from col_exc
         raise RuntimeError(
             f"solver failure on subdomains p={k}..{k + len(grids) - 1}, "
             f"iteration k_t={k}: {exc}") from exc
@@ -66,13 +76,15 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, cache):
     space contains (coarse fields embed into it exactly).
     coarse_solver(grid, incoming) returns one trajectory;
     fine_solver(grids, incomings) returns the trajectories of a stack of
-    rows of partition.fine_grids, in order.  Iteration k solves subdomains
-    k..P_t only: first the serial coarse sweep, then one fine_solver call
-    for all of them.  For p < k its state holds iteration k-1's coarse and
-    fine trajectories and corrections, the same objects, since subdomain
-    p's incoming value is unchanged from iteration p on.  That holds only if
-    both solvers are pure functions of (grid, incoming).  The embeddings
-    between the coarse and fine spaces are the cache's.
+    rows of partition.fine_grids, in order; an exception it raises with a
+    column attribute (the propagators' non-finite values) names that row
+    of the stack.  Iteration k solves subdomains k..P_t only: first the
+    serial coarse sweep, then one fine_solver call for all of them.  For
+    p < k its state holds iteration k-1's coarse and fine trajectories and
+    corrections, the same objects, since subdomain p's incoming value is
+    unchanged from iteration p on.  That holds only if both solvers are
+    pure functions of (grid, incoming).  The embeddings between the coarse
+    and fine spaces are the cache's.
     """
     if K_t < 1:
         raise ValueError("K_t must be >= 1")
@@ -95,9 +107,7 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, cache):
                 coarse.append(coarse_solver(partition.coarse_grids[p - 1],
                                             sync))
             except Exception as exc:
-                raise RuntimeError(
-                    f"solver failure on subdomain p={p}, iteration k_t={k}: "
-                    f"{exc}") from exc
+                raise _failure(p, k, exc) from exc
             syncs.append(sync)
         if syncs:  # an iteration past P_t has nothing left to solve
             fine += _fine_solves(fine_solver, partition.fine_grids[k - 1:],

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
+from . import mesh
 from ._lapack import dgetrf, dgetrs
 from .mesh import (
     NodalField,
@@ -158,6 +159,15 @@ def _first_nonfinite(coeffs, grids, first=None):
                f"t={grids[j, m + 1]:.6g}")
 
 
+def _nonfinite_error(bad):
+    """The ValueError of a propagation's _first_nonfinite result (j,
+    message), carrying the failing column j of its stack as its column
+    attribute, so that a caller that knows its rows re-runs nothing."""
+    exc = ValueError(bad[1])
+    exc.column = bad[0]
+    return exc
+
+
 def _as_stack(times, ic):
     """(grids, incomings, stacked) of a propagation's arguments: one step
     grid with its incoming value, or a (P, steps+1) stack of grids with a
@@ -188,7 +198,8 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     grid.  An incoming value may live in a different space on the same mesh;
     its first-step contribution is the exact cross-space L2 pairing.  A
     non-finite step value raises a ValueError naming the first such step n
-    of the first such column, and its time t.
+    of the first such column, and its time t, with that column's index in
+    the stack as its column attribute.
     """
     if decomp is not None and (K_s is None or K_s < 1):
         raise ValueError("K_s must be >= 1")
@@ -218,7 +229,7 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
         coeffs[:, n - 1, 0] = u
         prev_m = matvecs(M, u)
     if bad := _first_nonfinite(coeffs, grids):
-        raise ValueError(bad[1])
+        raise _nonfinite_error(bad)
     trajs = [Trajectory(space, grids[j], 0, coeffs[j], ics[j])
              for j in range(P)]
     return trajs if stacked else trajs[0]
@@ -249,15 +260,16 @@ def propagate_cg(space, times, q_t, ic, f, cache):
     times is one step grid with ic its incoming value, giving one
     Trajectory, or a (P, steps+1) stack of grids with ic a sequence of P
     incoming values, giving a list of P Trajectories, each bitwise that of
-    its own single-grid call (see _step_cg).  The loads are the cache's block
-    for each grid's slab quadrature times; f=None is a homogeneous problem:
+    its own single-grid call (see _step_cg).  The loads are the cache's
+    time-integrated block for each grid; f=None is a homogeneous problem:
     no load is assembled.  A non-finite slab solution raises a ValueError
-    naming the first such step of the first such column, and its end time.
+    naming the first such step of the first such column, and its end time,
+    with that column's index in the stack as its column attribute.
     """
     grids, ics, stacked = _as_stack(times, ic)
     coeffs = _step_cg(space, grids, q_t, ics, f, cache)
     if bad := _first_nonfinite(coeffs, grids):
-        raise ValueError(bad[1])
+        raise _nonfinite_error(bad)
     trajs = [Trajectory(space, grids[j], q_t, coeffs[j], ics[j])
              for j in range(len(ics))]
     return trajs if stacked else trajs[0]
@@ -277,6 +289,31 @@ def _slab_lu(M, A, alpha, beta, dt):
     return lapack_solution("dgetrf", (lu, piv), info)
 
 
+def _cg_loads(space, grid, q_t, f, cache):
+    """Each slab's load integrated against the cG(q_t) test functions, a
+    read-only (steps, q_t, dof) block: row [n, m] is dt_n sum_i Pw[m, i]
+    l(t_n + dt_n s_i) (see _cg_time_forms).  The cache builds it once per
+    (space, q_t, f, exact grid), from one mesh.assemble_load call at every
+    slab's q_t+3 quadrature times, which it does not keep."""
+    def build():
+        _, _, s, Pw = _time_forms(q_t, cache)
+        dt = grid[1:] - grid[:-1]
+        # (steps, q_t+3, dof), at every slab's quadrature times
+        block = mesh.assemble_load(space, grid[:-1, None] + dt[:, None] * s, f)
+        out = np.empty((len(dt), q_t, space.dof_count))
+        for m in range(q_t):
+            # one vector-matrix product per slab: a (q_t, q_t+3) matrix
+            # product per slab sums in another order for q_t >= 2
+            out[:, m] = ((dt[:, None, None] * Pw[m]) @ block)[:, 0]
+        return _read_only(out)
+    return cache.factor(("cg_load", space, q_t, f, grid.tobytes()), build)
+
+
+def _time_forms(q_t, cache):
+    """The cache's _cg_time_forms(q_t), built once per degree."""
+    return cache.factor(("cg_time_forms", q_t), lambda: _cg_time_forms(q_t))
+
+
 def _step_cg(space, grids, q_t, ics, f, cache, reverse=False, first=None):
     """The (P, steps, q_t+1, dof) coefficients of the cG(q_t) solutions on
     a (P, steps+1) stack of grids from incoming values ics; with reverse,
@@ -286,15 +323,18 @@ def _step_cg(space, grids, q_t, ics, f, cache, reverse=False, first=None):
     last), so the active columns are a prefix; earlier slabs are unset.
 
     Continuity across slabs is enforced by construction; the slab start value
-    is the L2 projection of the incoming value into the solve space (the
-    mass operator is looked up once per call).  Each slab forms the
-    right-hand sides of all active columns together, with one stacked
-    product of M and one of A (one gemv per column, as in mesh.matvecs), and
-    then makes one single-column dgetrs per column, since a multi-column
-    dgetrs sums in another order.  The slab LUs (_slab_lu) are looked up
-    once per distinct exact dt of the solved slabs, in grid-major order, so
-    each is built from the first dt of its key.  Nothing here checks
-    finiteness: the callers do, naming what they solve.
+    is the L2 projection of the incoming value into the solve space: one
+    mass product per column, then one multi-column banded solve for the
+    stack, which solves column by column.  Each column's time-integrated
+    loads are the cache's block for its grid (_cg_loads), so a grid solved
+    again assembles nothing.  Each slab forms the right-hand sides of all
+    active columns together, with one stacked product of M and one of A
+    (one gemv per column, as in mesh.matvecs), and then makes one
+    single-column dgetrs per column, since a multi-column dgetrs sums in
+    another order.  The slab LUs (_slab_lu) are looked up once per
+    distinct exact dt of the solved slabs, in grid-major order, so each is
+    built from the first dt of its key.  Nothing here checks finiteness:
+    the callers do, naming what they solve.
     """
     if q_t < 1:
         raise ValueError("q_t must be >= 1")
@@ -303,30 +343,23 @@ def _step_cg(space, grids, q_t, ics, f, cache, reverse=False, first=None):
     # (P, steps): np.diff's values, without its call overhead
     dts = grids[:, 1:] - grids[:, :-1]
     M, A = cache.mass(space, space), cache.stiffness(space, space)
-    alpha, beta, sq, Pw = cache.factor(("cg_time_forms", q_t), lambda: _cg_time_forms(q_t))
+    alpha, beta, _, _ = _time_forms(q_t, cache)
     project = cache.step_operator(space, 0.0)
-    starts = np.array([project.solve(cache.mass(space, u0.space)
-                                     @ u0.coefficients) for u0 in ics])
-    # building an LU takes a dense slab-sized matrix, so the coefficients
-    # are allocated after the LUs are built
+    starts = project.solve(np.array([
+        cache.mass(space, u0.space) @ u0.coefficients for u0 in ics]).T).T
+    # building an LU takes a dense slab-sized matrix, so the loads and the
+    # coefficients are allocated after the LUs are built
     lus = {dt: cache.per_step(
         space, dt, lambda: _slab_lu(M, A, alpha, beta, dt), "cg_slab", q_t)
         for dt in dict.fromkeys(
             dt for row, s in zip(dts.tolist(), first) for dt in row[s:])}
+    # (steps, P, q_t, dof, 1): slab n's time-integrated loads of every
+    # column; a homogeneous problem subtracts from the scalar 0.0
+    loads = (np.array([_cg_loads(space, g, q_t, f, cache) for g in grids])
+             .swapaxes(0, 1)[..., None] if f is not None else None)
     out = np.empty((P, n_slabs, q_t + 1, space.dof_count))
     coeffs = out[:, ::-1, ::-1] if reverse else out
     coeffs[:, 0, 0] = starts
-    # slab n's time-integrated load against each test function, (q_t, dof)
-    # per column, is held in coeffs[:, n, 1:] until the slab's solution
-    # overwrites it; a homogeneous problem subtracts from the scalar 0.0
-    for j in range(P) if f is not None else ():
-        # (steps, q_t+3, dof), at every slab's quadrature times
-        dt = dts[j]
-        block = cache.load(space, grids[j, :-1, None] + dt[:, None] * sq, f)
-        for m in range(q_t):
-            # one vector-matrix product per slab: a (q_t, q_t+3) matrix
-            # product per slab sums in another order for q_t >= 2
-            coeffs[j, :, m + 1] = ((dt[:, None, None] * Pw[m]) @ block)[:, 0]
     # per column and slab, the factors of the slab start value's terms,
     # alpha[m, 0] and dt * beta[m, 0], as the single-grid products form them
     a0 = alpha[:, :1, None]
@@ -344,10 +377,9 @@ def _step_cg(space, grids, q_t, ics, f, cache, reverse=False, first=None):
     for s, e in zip(bounds, bounds[1:]):
         k = sum(j <= s for j in first)  # the columns active on slabs s..e-1
         Fk, prev, rhs_k = F[:k], F[:k, -1:], rhs[:k]
-        loads = (coeffs[:k, :, 1:, :, None].swapaxes(0, 1) if f is not None
-                 else [0.0] * n_slabs)
         for n in range(s, e):
-            np.subtract(loads[n], a0 * np.matmul(M, prev)
+            np.subtract(0.0 if loads is None else loads[n, :k],
+                        a0 * np.matmul(M, prev)
                         + dt_b0[:k, n] * np.matmul(A, prev), out=Fk)
             for dt, b in zip(by_slab[n], rhs_k):
                 lapack_solution("dgetrs", *dgetrs(*lus[dt], b, 0, 1))

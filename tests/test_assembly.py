@@ -1,6 +1,8 @@
 """Array assembly of mass/stiffness/load forms, field evaluation and QoI
 sums against element-by-element oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,34 @@ def test_load_over_times_calls_forcing_once_per_block():
     assert np.array_equal(seen[0][1][:, 0], TIMES)
     assert out.shape == (2, 2, space.dof_count)
     assert np.array_equal(out[1, 0], assemble_load(space, grid[1, 0], f))
+
+
+def test_load_over_many_blocks_is_bitwise_per_time_and_bounded():
+    # 1000 times on 800 quadrature points take 13 blocks of at most
+    # _LOAD_BLOCK values of f: every row is bitwise its own call's, and the
+    # call holds 1.4 MB besides its result (14.7 MB as one block)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 80), 3)
+    prob = build_manufactured(4, 2, 1.0)
+    times = np.linspace(0.0, 1.0, 1000)
+    block = mesh_module._LOAD_BLOCK // (80 * 10)
+    seen = []
+
+    def f(x, t):
+        seen.append(len(t))
+        return prob.f(x, t)
+
+    assemble_load(space, times[:2], f)  # lazily built tables, untraced
+    seen.clear()
+    tracemalloc.start()
+    try:
+        got = assemble_load(space, times, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == [block] * (len(times) // block) + [len(times) % block]
+    assert peak - got.nbytes <= 2e6
+    want = np.array([assemble_load(space, t, prob.f) for t in times])
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"N{m.n_elements}")

@@ -184,12 +184,14 @@ def test_a_propagation_looks_up_each_step_size_once(monkeypatch, kind):
 
 # the FormCache.factor entries that hold tables every later caller of the
 # experiment reads, as opposed to a solver's own factors
-SHARED_TABLES = ("load", "analytic_load", "cg_time_forms")
+SHARED_TABLES = ("load", "analytic_load", "cg_time_forms", "cg_load")
 
 
 def test_every_table_an_experiment_shares_is_read_only(monkeypatch):
     # one write to a shared table would reach every later read of the
-    # experiment; a small STPA run fills every kind (its adjoints are cG)
+    # experiment; a small STPA run and a small cG run fill every kind
+    # between them (the STPA run's adjoints are cG, its forward loads
+    # implicit Euler's; the cG run's forward loads are time-integrated)
     caches = []
 
     class Recorded(FormCache):
@@ -198,15 +200,19 @@ def test_every_table_an_experiment_shares_is_read_only(monkeypatch):
             caches.append(self)
 
     monkeypatch.setattr(harness, "FormCache", Recorded)
-    run_experiment(ExperimentConfig(Nhat_t=4, r=2, P_t=2, K_t=2, Nhat_s=8,
-                                    qhat_s=1, q_s=2, nu=2, mu=1, T=0.5,
-                                    schwarz=True, P_s=2, K_s=2, beta=0.25))
-    (cache,) = caches
+    small = dict(Nhat_t=4, r=2, P_t=2, K_t=2, Nhat_s=8, qhat_s=1, q_s=2,
+                 nu=2, mu=1, T=0.5)
+    run_experiment(ExperimentConfig(**small, schwarz=True, P_s=2, K_s=2,
+                                    beta=0.25))
+    run_experiment(ExperimentConfig(**small, integrator="cg", q_t=2))
     tables = {kind: [] for kind in SHARED_TABLES}
-    for key, value in cache._factors.items():
-        if key[0] in tables:
-            tables[key[0]] += value if isinstance(value, tuple) else [value]
-    tables["matrix"] = list(cache._mats.values())
+    tables["matrix"] = []
+    for cache in caches:
+        for key, value in cache._factors.items():
+            if key[0] in tables:
+                tables[key[0]] += (value if isinstance(value, tuple)
+                                   else [value])
+        tables["matrix"] += cache._mats.values()
     for kind, arrays in tables.items():
         assert arrays, kind
         for a in arrays:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,43 @@ def test_run_record_contents():
     assert math.isfinite(rec.estimated_error)
     assert rec.true_error == pytest.approx(rec.true_qoi - rec.computed_qoi,
                                            abs=1e-15)
+
+
+STAGES = {"forward": "vpar", "coarse_adjoint": "solve_coarse_adjoint",
+          "fine_adjoints": "solve_fine_adjoints",
+          "aux_adjoints": "solve_auxiliary_adjoints",
+          "breakdown": "stpa_breakdown"}
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(integrator="cg", q_t=2),
+    dict(Nhat_s=8, schwarz=True, P_s=2, K_s=2, beta=0.25)],
+    ids=["be", "cg", "stpa"])
+def test_run_record_times_its_five_stages(overrides):
+    rec = run_experiment(ExperimentConfig(**dict(SMALL, **overrides)))
+    assert list(rec.stages) == list(STAGES)
+    assert all(t > 0.0 for t in rec.stages.values())
+    assert sum(rec.stages.values()) <= rec.wall_time
+    payload = json.loads(emit_report([rec], fmt="json"))
+    assert payload[0]["stages"] == rec.stages
+    # the CSV columns stay the estimate, gamma and the components
+    assert emit_report([rec]).splitlines()[0] == ",".join(rec.column_names())
+    assert rec.column_names() == ("est_err", "gamma", *rec.components)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_each_stage_times_its_own_phase(monkeypatch, stage):
+    # the phase's call, slowed by 50 ms, is billed to its stage alone
+    real = getattr(harness, STAGES[stage])
+
+    def slowed(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(harness, STAGES[stage], slowed)
+    rec = run_experiment(ExperimentConfig(**SMALL))
+    assert rec.stages[stage] >= 0.05
+    assert sum(rec.stages.values()) <= rec.wall_time
 
 
 def test_rerun_is_bitwise_deterministic():

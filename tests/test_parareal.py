@@ -47,16 +47,6 @@ def test_exactness_equal_spaces_default_sync(P_t):
         assert np.max(np.abs(got - want)) < 1e-10
 
 
-def test_fine_sync_iteration_is_stationary_after_P_t():
-    prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=3, Nhat_t=6)
-    states = vpar(part, 5, ic, fs, cs, cache)
-    for k in (3, 4):  # iterations beyond finite termination change nothing
-        for p in range(3):
-            a = states[k].fine[p].end.coefficients
-            b = states[k - 1].fine[p].end.coefficients
-            assert np.max(np.abs(a - b)) < 1e-11
-
-
 def test_coarse_sync_fixed_point_differs_from_serial_fine():
     # with qhat_s < q_s the coarse-space synchronization converges to a fixed
     # point that is not the serial fine solution: the iteration error
@@ -136,6 +126,11 @@ def test_vpar_keeps_converged_subdomains_as_the_same_objects():
             assert (states[k].coarse[p] is states[k - 1].coarse[p]) == kept
             assert (states[k].corrections[p]
                     is states[k - 1].corrections[p]) == kept
+    # iterations beyond finite termination change nothing, bit for bit
+    for k in (4, 5):
+        for p in range(4):
+            assert np.array_equal(states[k].fine[p].end.coefficients,
+                                  states[k - 1].fine[p].end.coefficients)
 
 
 def test_corrections_shrink_over_iterations():
@@ -184,3 +179,29 @@ def test_nonfinite_forcing_names_subdomain_iteration_and_step(stepping):
                        r".*step n=2, t=0\.3125") as err:
         vpar(part, 2, ic, fine_solvers[stepping], cs, cache)
     assert isinstance(err.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("stepping", ["be", "cg", "schwarz"])
+def test_a_nonfinite_fine_solve_is_located_without_a_rerun(stepping):
+    # the propagator's ValueError carries the failing column of its stack
+    # (subdomain 3 is column 2 of iteration 1's stack), so the subdomain is
+    # named from the one fine call, with no one-column retry
+    prob, part, coarse, fine, fs, cs, ic, cache = _setup()
+    nan_f = lambda x, t: prob.f(x, t) * np.where(t > 0.3, np.nan, 1.0)
+    decomp = decompose_domain(fine.mesh, 2, 0.25, 0.4)
+    propagate = {
+        "be": lambda gs, ics: propagate_be(fine, gs, ics, nan_f, cache),
+        "cg": lambda gs, ics: propagate_cg(fine, gs, 1, ics, nan_f, cache),
+        "schwarz": lambda gs, ics: propagate_be(fine, gs, ics, nan_f, cache,
+                                                decomp, 2),
+    }[stepping]
+    calls = []
+
+    def fine_solver(grids, ics):
+        calls.append(len(grids))
+        return propagate(grids, ics)
+
+    with pytest.raises(RuntimeError, match=r"p=3, iteration k_t=1: ") as err:
+        vpar(part, 2, ic, fine_solver, cs, cache)
+    assert calls == [part.P_t]
+    assert err.value.__cause__.column == 2
