@@ -25,16 +25,24 @@ def _solve_backward(kinds, space, grids, terms, q_t, cache):
     """The backward cG(q_t) adjoints of grids, longest first, with their
     terminal fields, as one _step_cg stack aligned at the ends in solve
     order: each is a forward-ordered view out[j, :steps] of one array and
-    bitwise its own single-grid solve.  The stack is checked once, in solve
-    order: a non-finite value names the first such column by its entry of
+    bitwise its own single-grid solve (see FormCache.per_step for when).
+    The stack is checked once, in solve order: a step of another size, or
+    else a non-finite value, names the first such column by its entry of
     kinds, and its first such time-reversed step."""
     first = [len(grids[0]) - len(g) for g in grids]
     revs = np.zeros((len(grids), len(grids[0])))
     for rev, g, s in zip(revs, grids, first):
         rev[s:] = (g[-1] - g)[::-1]
-    out = _step_cg(space, revs, q_t, terms, None, cache, reverse=True,
-                   first=first)
-    if bad := _first_nonfinite(out[:, ::-1, ::-1], revs, first):
+    top = max(max(abs(g[0]), abs(g[-1])) for g in grids)
+    try:
+        out = _step_cg(space, revs, q_t, terms, None, cache, reverse=top,
+                       first=first)
+        bad = _first_nonfinite(out[:, ::-1, ::-1], revs, first)
+    except ValueError as exc:  # a step of another size names its column
+        if not hasattr(exc, "column"):
+            raise
+        bad = exc.column, str(exc)
+    if bad:
         j, what = bad
         raise ValueError(f"{kinds[j]} adjoint (time reversed, t -> "
                          f"{grids[j][-1]:.6g} - t): {what}")
@@ -50,8 +58,8 @@ def solve_backward_cg(kind, space, times, terminal, q_t, cache):
     field as its incoming value; kind names the adjoint in errors.  Given a
     (P, steps+1) stack of grids, a sequence of P terminal fields and a
     sequence of P names, it steps all P together (see _solve_backward) and
-    returns P adjoints, each bitwise its own single-grid call's; a
-    non-finite value names the first column that has one.
+    returns P adjoints, each bitwise its own single-grid call's; a step of
+    another size, or a non-finite value, names the first such column.
     """
     grids, terms, stacked = _as_stack(times, terminal)
     kinds = list(kind) if stacked else [kind]

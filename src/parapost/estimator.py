@@ -231,19 +231,19 @@ def dd_split(trajs, weights, decomp, K_s, ev):
     all in one space, in which the spatial adjoints live.  Returns (E_K,
     E_N), one entry per step, in (p, n) order: a step's E_N is the fsum of
     its (k_s, i) subdomain terms, and its E_K the global adjoint's term less
-    E_N.  The steps are split together, grouped by the cached sweeper of
-    their step size: per group one multi-column solve each gives the global
-    adjoints (step operator) and replays the steps' sweeps (the forward
-    space's sweeper), and one backward recursion of the sweeper the
-    per-sweep subdomain adjoints; every value is bitwise that of the step's
-    own split.  The solvers do not check finiteness: this split checks
-    each block it stacks once, naming dt, p and n of the first step whose
-    global adjoint is non-finite, then per group of the first step whose
+    E_N.  The steps are split together by the cached solvers of the first
+    step's size: one multi-column solve each gives the global adjoints
+    (step operator) and replays the steps' sweeps (the forward space's
+    sweeper), and one backward recursion of the sweeper the per-sweep
+    subdomain adjoints; every value is bitwise that of the step's own split
+    if its size has the first's FormCache.per_step key.  The solvers do not
+    check finiteness: this split checks each block it stacks once, naming
+    dt, p and n of the first step whose global adjoint is non-finite, whose
     replay misses its value by over 1e-12 relative (another decomposition,
-    K_s or step solver), whose subdomain adjoints or E_N terms are not all
-    finite, and last of the first step whose E_K is non-finite.  Its
-    products overflow or turn invalid silently, so that under -W error
-    these checks, not a RuntimeWarning, report the step.
+    K_s, step solver or step size), whose subdomain adjoints or E_N terms
+    are not all finite, and last whose E_K is non-finite.  Its products
+    overflow or turn invalid silently, so that under -W error these checks,
+    not a RuntimeWarning, report the step.
     """
     cache, space3, space = ev.cache, weights[0][0].space, trajs[0].space
     where = [(p, n) for p, traj in enumerate(trajs, 1)
@@ -255,62 +255,49 @@ def dd_split(trajs, weights, decomp, K_s, ev):
                           for traj in trajs])
     u_n = np.concatenate([traj.coeffs[:, -1] for traj in trajs])
     phi = np.array([w.coefficients for ws in weights for w in ws])
-    distinct = dict.fromkeys(dts)
-    sweepers = {dt: AdditiveSchwarz.cached(cache, space3, dt, decomp)
-                for dt in distinct}
     # one dense M + dt*A per exact dt, not per_step's, built for this call
     # alone: shared across the steps of a linspace grid, it moves 19
     # registry values past 1e-12 relative (D_s by up to 8.9e-7 on
     # pardd_fine_time[r=2], D_k by 1.4e-11)
     M3x, A3x = cache.mass(space3, space), cache.stiffness(space3, space)
-    B3x = {dt: M3x + dt * A3x for dt in distinct}
+    by_dt = groups(dts)
+    B3x = {dt: M3x + dt * A3x for dt, _ in by_dt}
 
-    def b3x_times(X, by_dt):
+    def b3x_times(X):
         """B3x @ x for each row x of X, with the B3x of each row's exact dt."""
         out = np.empty((len(X), space3.dof_count))
         for dt, rows in by_dt:
             out[rows] = matvecs(B3x[dt], X[rows])
         return out
 
-    def check(ok, what, cols=range(len(dts))):
-        """Raise naming dt, p and n of the first step of cols not ok."""
+    def check(ok, what):
+        """Raise naming dt, p and n of the first step not ok."""
         if not ok.all():
-            j = cols[np.argmin(ok)]
+            j = int(np.argmin(ok))
             p, n = where[j]
             raise ValueError(f"{what} (dt={dts[j]:.6g}) at p={p}, n={n}")
 
-    # the step operator and both sweepers share per_step's key, so those of
-    # a group's first step serve the group
-    by_sweeper = [(sweeper, cols, groups([dts[j] for j in cols]))
-                  for sweeper, cols in groups([sweepers[dt] for dt in dts])]
-    E_K = np.empty(len(dts))
-    finite = np.empty(len(dts), dtype=bool)
-    for _, cols, by_dt in by_sweeper:
-        Phi = cache.step_operator(space3, dts[cols[0]]).solve(
-            matvecs(cache.mass(space3, space3), phi[cols]).T).T
-        finite[cols] = np.isfinite(Phi).all(axis=1)
-        E_K[cols] = (dots(Phi, ell[cols])
-                     - dots(Phi, b3x_times(u_n[cols], by_dt)))
-    check(finite, "non-finite global spatial adjoint")
-    E_N = np.empty(len(dts))
-    for sweeper, cols, by_dt in by_sweeper:
-        u, sweeps = AdditiveSchwarz.cached(
-            cache, space, dts[cols[0]], decomp).solve(rhs[cols].T, 0, K_s)
-        off = np.abs(u.T - u_n[cols]).max(axis=1, initial=0.0)
-        check(off <= 1e-12 * np.abs(u_n[cols]).max(axis=1, initial=0.0),
-              f"the step value is not that of {K_s} Schwarz sweeps over "
-              f"this decomposition", cols)
-        terms = np.empty((K_s, decomp.P_s, len(cols)))
-        finite = np.ones(len(cols), dtype=bool)
-        for ks, i, chi in sweeper.adjoint(phi[cols], K_s):
-            finite &= np.isfinite(chi).all(axis=1)
-            local = np.ascontiguousarray(sweeps[ks - 1, i].T)
-            terms[ks - 1, i] = (dots(chi, ell[cols])
-                                - dots(chi, b3x_times(local, by_dt)))
-        check(finite, "non-finite subdomain spatial adjoint", cols)
-        terms = terms.reshape(-1, len(cols)).T
-        check(np.isfinite(terms).all(axis=1), "non-finite E_N term", cols)
-        E_N[cols] = [math.fsum(step) for step in terms]
+    Phi = cache.step_operator(space3, dts[0]).solve(
+        matvecs(cache.mass(space3, space3), phi).T).T
+    check(np.isfinite(Phi).all(axis=1), "non-finite global spatial adjoint")
+    E_K = dots(Phi, ell) - dots(Phi, b3x_times(u_n))
+    u, sweeps = AdditiveSchwarz.cached(cache, space, dts[0], decomp).solve(
+        rhs.T, 0, K_s)
+    off = np.abs(u.T - u_n).max(axis=1, initial=0.0)
+    check(off <= 1e-12 * np.abs(u_n).max(axis=1, initial=0.0),
+          f"the step value is not that of {K_s} Schwarz sweeps over this "
+          f"decomposition or step size")
+    terms = np.empty((K_s, decomp.P_s, len(dts)))
+    finite = np.ones(len(dts), dtype=bool)
+    sweeper = AdditiveSchwarz.cached(cache, space3, dts[0], decomp)
+    for ks, i, chi in sweeper.adjoint(phi, K_s):
+        finite &= np.isfinite(chi).all(axis=1)
+        local = np.ascontiguousarray(sweeps[ks - 1, i].T)
+        terms[ks - 1, i] = dots(chi, ell) - dots(chi, b3x_times(local))
+    check(finite, "non-finite subdomain spatial adjoint")
+    terms = terms.reshape(-1, len(dts)).T
+    check(np.isfinite(terms).all(axis=1), "non-finite E_N term")
+    E_N = np.array([math.fsum(step) for step in terms])
     E_K -= E_N
     check(np.isfinite(E_K), "non-finite E_K")
     return E_K, E_N

@@ -434,9 +434,11 @@ class FormCache:
 
     def per_step(self, space, dt, build, *key):
         """The solver build() returns for step size dt, built once per (key,
-        space, dt to 15 digits) from the first dt of its key.  The steps of
-        a linspace grid, and of its time reversal, differ in the last bits;
-        this is the one place that decides they share a solver."""
+        space, dt to 15 digits) from the first dt of its key.  Each solving
+        call looks one up, for its first step's size, and serves every step
+        with it; this is the one place that decides which calls share one.
+        A stack's column is bitwise its own call if its first step has the
+        stack's key; a uniform partition's rows can straddle the key."""
         return self.factor(key + (space, round(dt, 15)), build)
 
     def release(self, kind):

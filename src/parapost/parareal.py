@@ -50,7 +50,7 @@ def _fine_solves(fine_solver, grids, syncs, k):
     """The fine trajectories of subdomains k..P_t, by one fine_solver call.
 
     If the call raises an exception carrying the failing column j of the
-    stack (a propagation's non-finite value does), it names subdomain
+    stack (a propagation's step errors do), it names subdomain
     p = k + j and nothing is solved again.  On any other exception the
     subdomains are solved one at a time, each as a one-row stack, to name
     the first that fails."""
@@ -77,14 +77,15 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, cache):
     coarse_solver(grid, incoming) returns one trajectory;
     fine_solver(grids, incomings) returns the trajectories of a stack of
     rows of partition.fine_grids, in order; an exception it raises with a
-    column attribute (the propagators' non-finite values) names that row
+    column attribute (a propagator's step errors) names that row
     of the stack.  Iteration k solves subdomains k..P_t only: first the
     serial coarse sweep, then one fine_solver call for all of them.  For
     p < k its state holds iteration k-1's coarse and fine trajectories and
     corrections, the same objects, since subdomain p's incoming value is
     unchanged from iteration p on.  That holds only if both solvers are
-    pure functions of (grid, incoming).  The embeddings between the coarse
-    and fine spaces are the cache's.
+    pure functions of (grid, incoming), as the propagators are for rows
+    that share row 0's FormCache.per_step key.  The embeddings between the
+    coarse and fine spaces are the cache's.
     """
     if K_t < 1:
         raise ValueError("K_t must be >= 1")

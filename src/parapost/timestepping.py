@@ -5,10 +5,12 @@ iteration, and cG(q_t) continuous-in-time Galerkin stepping.  Both return the
 one space-time field type, Trajectory: implicit Euler is its q_t = 0 case,
 the piecewise-constant-in-time Galerkin method dG(0), and cG(q_t) its
 q_t >= 1 case.  Both take one step grid or a stack of grids with equal
-step counts, stepped together; the one-grid call is the stack's one-row
-case.  Propagations on distinct temporal subdomains share no mutable state.
+step counts and one step size, stepped together; the one-grid call is the
+stack's one-row case.  Propagations on distinct temporal subdomains share
+no mutable state.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,6 @@ from .mesh import (
     NodalField,
     _read_only,
     gauss_rule,
-    groups,
     lagrange_values,
     lagrange_derivs,
     lapack_solution,
@@ -159,13 +160,36 @@ def _first_nonfinite(coeffs, grids, first=None):
                f"t={grids[j, m + 1]:.6g}")
 
 
-def _nonfinite_error(bad):
-    """The ValueError of a propagation's _first_nonfinite result (j,
-    message), carrying the failing column j of its stack as its column
-    attribute, so that a caller that knows its rows re-runs nothing."""
+def _column_error(bad):
+    """The ValueError of a propagation's failing column (j, message), with
+    j as its column attribute, so a caller that knows its rows re-runs
+    nothing."""
     exc = ValueError(bad[1])
     exc.column = bad[0]
     return exc
+
+
+def _step_sizes(grids, first, top=None):
+    """(dts, dt) of a (P, steps+1) stack of grids: its step sizes (np.diff's
+    values, without its call overhead) and the one step size of a call on
+    it, the first solved one (first as _step_cg takes it, a list), which
+    every solved step must match to 1e-12 relative plus 8 ulps of top, the
+    largest |time| the grids come from (their own by default), as a
+    linspace grid's steps spread by up to 2; else a _column_error names
+    the first step that does not, and its end time."""
+    dts = grids[:, 1:] - grids[:, :-1]
+    dt = float(dts[0, first[0]])
+    if top is None:  # fmax skips a NaN time, which fails at its own step
+        top = np.fmax.reduce(np.abs(grids), axis=None)
+    ok = np.abs(dts - dt) <= 1e-12 * abs(dt) + 8 * math.ulp(top)
+    if any(first):  # the unset slabs before first[j] are not read
+        ok |= np.arange(dts.shape[1]) < np.array(first)[:, None]
+    if not ok.all():
+        j, m = divmod(int(np.argmin(ok)), ok.shape[1])
+        raise _column_error((j, f"step n={m - first[j] + 1}, t="
+                                f"{grids[j, m + 1]:.6g}, has size "
+                                f"{dts[j, m]:.6g}, not the call's {dt:.6g}"))
+    return dts, dt
 
 
 def _as_stack(times, ic):
@@ -189,22 +213,27 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     Trajectory, or a stack of P grids with equal step counts (shape
     (P, steps+1)) with ic a sequence of P incoming values, giving a list of
     P Trajectories.  The columns of a stack are stepped together: each
-    step's P systems are one multi-column solve, columns splitting only
-    where their step sizes key different factors, and every column's values
-    are bitwise those of its own single-grid call.  Each step's SPD system
-    is solved directly (banded Cholesky) or, given an OverlapDecomposition,
-    by K_s additive Schwarz iterations from a zero guess, of which only the
-    final iterate is kept.  The loads l(t_n) are the cache's block for each
-    grid.  An incoming value may live in a different space on the same mesh;
-    its first-step contribution is the exact cross-space L2 pairing.  A
-    non-finite step value raises a ValueError naming the first such step n
-    of the first such column, and its time t, with that column's index in
-    the stack as its column attribute.
+    step's P systems are one multi-column solve, and every column's values
+    are bitwise those of its own single-grid call (FormCache.per_step says
+    when).  Each step's SPD system is solved by the one solver of the first
+    step's size: directly (banded Cholesky) or, given an
+    OverlapDecomposition, by K_s additive Schwarz iterations from a zero
+    guess, of which only the final iterate is kept; each step's right-hand
+    side takes its own exact dt.  The loads l(t_n) are the cache's block
+    for each grid.  An incoming value may live in a different space on the
+    same mesh; its first-step contribution is the exact cross-space L2
+    pairing.  A step of another size (_step_sizes) or a non-finite step
+    value raises a ValueError naming the first such step n of the first
+    such column, and its time t, with that column's index in the stack as
+    its column attribute.
     """
     if decomp is not None and (K_s is None or K_s < 1):
         raise ValueError("K_s must be >= 1")
     grids, ics, stacked = _as_stack(times, ic)
     P, n_steps, ndof = len(grids), grids.shape[1] - 1, space.dof_count
+    steps, dt = _step_sizes(grids, [0] * P)
+    solver = (cache.step_operator(space, dt) if decomp is None
+              else AdditiveSchwarz.cached(cache, space, dt, decomp))
     M = cache.mass(space, space)
     coeffs = np.zeros((P, n_steps, 1, ndof))
     # (U_0, phi_i) per column; every matrix-vector product here is one
@@ -213,23 +242,13 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     prev_m = np.array([cache.mass(space, u0.space) @ u0.coefficients
                        for u0 in ics])
     loads = np.stack([cache.load(space, g[1:], f) for g in grids], axis=1)
-    steps = np.diff(grids, axis=1).T  # (n_steps, P)
-    # one lookup per distinct exact dt, in step order, so each solver is
-    # still built from the first dt of its key
-    solvers = {dt: cache.step_operator(space, dt) if decomp is None
-               else AdditiveSchwarz.cached(cache, space, dt, decomp)
-               for dt in dict.fromkeys(steps.ravel().tolist())}
-    for n, dts in enumerate(steps, 1):
-        rhs = prev_m + dts[:, None] * loads[n - 1]
-        u = np.empty_like(rhs)
-        for solver, cols in groups([solvers[dt] for dt in dts.tolist()]):
-            b = rhs[cols].T  # (dof, columns)
-            x = solver.solve(b) if decomp is None else solver.solve(b, 0, K_s)[0]
-            u[cols] = x.T
-        coeffs[:, n - 1, 0] = u
-        prev_m = matvecs(M, u)
+    for n, dts in enumerate(steps.T, 1):
+        b = (prev_m + dts[:, None] * loads[n - 1]).T  # (dof, P)
+        x = solver.solve(b) if decomp is None else solver.solve(b, 0, K_s)[0]
+        coeffs[:, n - 1, 0] = x.T
+        prev_m = matvecs(M, coeffs[:, n - 1, 0])
     if bad := _first_nonfinite(coeffs, grids):
-        raise _nonfinite_error(bad)
+        raise _column_error(bad)
     trajs = [Trajectory(space, grids[j], 0, coeffs[j], ics[j])
              for j in range(P)]
     return trajs if stacked else trajs[0]
@@ -260,16 +279,18 @@ def propagate_cg(space, times, q_t, ic, f, cache):
     times is one step grid with ic its incoming value, giving one
     Trajectory, or a (P, steps+1) stack of grids with ic a sequence of P
     incoming values, giving a list of P Trajectories, each bitwise that of
-    its own single-grid call (see _step_cg).  The loads are the cache's
-    time-integrated block for each grid; f=None is a homogeneous problem:
-    no load is assembled.  A non-finite slab solution raises a ValueError
-    naming the first such step of the first such column, and its end time,
-    with that column's index in the stack as its column attribute.
+    its own single-grid call (see _step_cg; FormCache.per_step says when).
+    The loads are the cache's time-integrated block for each grid; f=None
+    is a homogeneous problem: no load is assembled.  A step of another size
+    than the first (_step_sizes) or a non-finite slab solution raises a
+    ValueError naming the first such step of the first such column, and
+    its end time, with that column's index in the stack as its column
+    attribute.
     """
     grids, ics, stacked = _as_stack(times, ic)
     coeffs = _step_cg(space, grids, q_t, ics, f, cache)
     if bad := _first_nonfinite(coeffs, grids):
-        raise _nonfinite_error(bad)
+        raise _column_error(bad)
     trajs = [Trajectory(space, grids[j], q_t, coeffs[j], ics[j])
              for j in range(len(ics))]
     return trajs if stacked else trajs[0]
@@ -314,13 +335,14 @@ def _time_forms(q_t, cache):
     return cache.factor(("cg_time_forms", q_t), lambda: _cg_time_forms(q_t))
 
 
-def _step_cg(space, grids, q_t, ics, f, cache, reverse=False, first=None):
+def _step_cg(space, grids, q_t, ics, f, cache, reverse=None, first=None):
     """The (P, steps, q_t+1, dof) coefficients of the cG(q_t) solutions on
-    a (P, steps+1) stack of grids from incoming values ics; with reverse,
-    each column is stored in reversed slab and time-node order, which is
-    the forward order of a time-reversed solve.  A ragged stack gives
-    first, the nondecreasing slab each column starts at (all end at the
-    last), so the active columns are a prefix; earlier slabs are unset.
+    a (P, steps+1) stack of grids from incoming values ics; given reverse,
+    the largest |time| of the grids these time-reverse, each column is
+    stored in reversed slab and time-node order, which is the forward order
+    of a time-reversed solve.  A ragged stack gives first, the nondecreasing
+    slab each column starts at (all end at the last), so the active columns
+    are a prefix; earlier slabs are unset.
 
     Continuity across slabs is enforced by construction; the slab start value
     is the L2 projection of the incoming value into the solve space: one
@@ -331,34 +353,31 @@ def _step_cg(space, grids, q_t, ics, f, cache, reverse=False, first=None):
     active columns together, with one stacked product of M and one of A
     (one gemv per column, as in mesh.matvecs), and then makes one
     single-column dgetrs per column, since a multi-column dgetrs sums in
-    another order.  The slab LUs (_slab_lu) are looked up once per
-    distinct exact dt of the solved slabs, in grid-major order, so each is
-    built from the first dt of its key.  Nothing here checks finiteness:
-    the callers do, naming what they solve.
+    another order.  One slab LU (_slab_lu), of the first solved step's
+    size (_step_sizes), serves every slab; each slab's right-hand side
+    takes its own exact dt.  Nothing here checks finiteness: the callers
+    do, naming what they solve.
     """
     if q_t < 1:
         raise ValueError("q_t must be >= 1")
     P, n_slabs = grids.shape[0], grids.shape[1] - 1
     first = [0] * P if first is None else list(first)
-    # (P, steps): np.diff's values, without its call overhead
-    dts = grids[:, 1:] - grids[:, :-1]
+    dts, dt = _step_sizes(grids, first, reverse)
     M, A = cache.mass(space, space), cache.stiffness(space, space)
     alpha, beta, _, _ = _time_forms(q_t, cache)
     project = cache.step_operator(space, 0.0)
     starts = project.solve(np.array([
         cache.mass(space, u0.space) @ u0.coefficients for u0 in ics]).T).T
-    # building an LU takes a dense slab-sized matrix, so the loads and the
-    # coefficients are allocated after the LUs are built
-    lus = {dt: cache.per_step(
-        space, dt, lambda: _slab_lu(M, A, alpha, beta, dt), "cg_slab", q_t)
-        for dt in dict.fromkeys(
-            dt for row, s in zip(dts.tolist(), first) for dt in row[s:])}
+    # building the LU takes a dense slab-sized matrix, so the loads and the
+    # coefficients are allocated after it is built
+    lu = cache.per_step(space, dt, lambda: _slab_lu(M, A, alpha, beta, dt),
+                        "cg_slab", q_t)
     # (steps, P, q_t, dof, 1): slab n's time-integrated loads of every
     # column; a homogeneous problem subtracts from the scalar 0.0
     loads = (np.array([_cg_loads(space, g, q_t, f, cache) for g in grids])
              .swapaxes(0, 1)[..., None] if f is not None else None)
     out = np.empty((P, n_slabs, q_t + 1, space.dof_count))
-    coeffs = out[:, ::-1, ::-1] if reverse else out
+    coeffs = out if reverse is None else out[:, ::-1, ::-1]
     coeffs[:, 0, 0] = starts
     # per column and slab, the factors of the slab start value's terms,
     # alpha[m, 0] and dt * beta[m, 0], as the single-grid products form them
@@ -372,7 +391,6 @@ def _step_cg(space, grids, q_t, ics, f, cache, reverse=False, first=None):
     F = np.empty((P, q_t, space.dof_count, 1))
     F[:, -1, :, 0] = starts
     rhs = F.reshape(P, -1)  # one row per column, a view of F
-    by_slab = dts.T.tolist()
     bounds = sorted(set(first)) + [n_slabs]
     for s, e in zip(bounds, bounds[1:]):
         k = sum(j <= s for j in first)  # the columns active on slabs s..e-1
@@ -381,8 +399,8 @@ def _step_cg(space, grids, q_t, ics, f, cache, reverse=False, first=None):
             np.subtract(0.0 if loads is None else loads[n, :k],
                         a0 * np.matmul(M, prev)
                         + dt_b0[:k, n] * np.matmul(A, prev), out=Fk)
-            for dt, b in zip(by_slab[n], rhs_k):
-                lapack_solution("dgetrs", *dgetrs(*lus[dt], b, 0, 1))
+            for b in rhs_k:
+                lapack_solution("dgetrs", *dgetrs(*lu, b, 0, 1))
             coeffs[:k, n, 1:] = Fk[..., 0]
     coeffs[:, 1:, 0] = coeffs[:, :-1, -1]
     for j in range(first.count(0), P):  # the later-starting columns

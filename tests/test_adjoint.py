@@ -81,7 +81,8 @@ def test_single_subdomain_fine_adjoint_equals_direct():
 @pytest.mark.parametrize("q_t", [1, 2, 3])
 def test_stacked_backward_columns_are_their_own_calls(q_t):
     # the partition's grids have steps that differ in their last bits, and
-    # so do their time reversals; the fourth grid's steps are twice as long
+    # so do their time reversals; the fourth grid's steps are four times as
+    # long, so it is solved in its own call
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 3)
     part = TimePartition.uniform(0.6, 3, 6, 2)
     grids = np.vstack((part.fine_grids, np.linspace(0.6, 1.4, 5)))
@@ -90,15 +91,19 @@ def test_stacked_backward_columns_are_their_own_calls(q_t):
              for _ in grids]
     names = [f"col({j})" for j in range(len(grids))]
     cache = FormCache()
-    batch = solve_backward_cg(names, space, grids, terms, q_t, cache)
+    batch = (solve_backward_cg(names[:3], space, grids[:3], terms[:3], q_t,
+                               cache)
+             + solve_backward_cg(names[3:], space, grids[3:], terms[3:], q_t,
+                                 cache))
     assert len(batch) == 4
-    for name, grid, term, got in zip(names, grids, terms, batch, strict=True):
+    for j, (name, grid, term, got) in enumerate(
+            zip(names, grids, terms, batch, strict=True)):
         want = solve_backward_cg(name, space, grid, term, q_t, cache)
         assert got.incoming is term and np.array_equal(got.times, grid)
         assert np.array_equal(got.coeffs, want.coeffs)
-        # each adjoint is a forward-ordered row of one stacked array
+        # each adjoint is a forward-ordered row of its call's stacked array
         assert got.coeffs.flags.c_contiguous
-        assert got.coeffs.base is batch[0].coeffs.base
+        assert got.coeffs.base is batch[0 if j < 3 else 3].coeffs.base
     with pytest.raises(ValueError, match="4 grids but 3 names"):
         solve_backward_cg(names[:3], space, grids, terms, q_t, cache)
 

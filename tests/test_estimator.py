@@ -265,10 +265,12 @@ def test_dd_split_iteration_part_shrinks_when_converged():
 
 def test_dd_split_requires_sweep_records():
     # the split replays each step's sweeps from its right-hand side, so it
-    # requires steps that are K_s sweeps over the decomposition it is given:
-    # a second trajectory solved directly, swept once more, or swept over
-    # another overlap raises at its first step, and one whose third step
-    # value moves by 1e-9 relative raises there; 1e-14 relative passes
+    # requires steps that are K_s sweeps over the decomposition it is given,
+    # with the sweeper of the first step's size: a second trajectory solved
+    # directly, swept once more, swept over another overlap, or stepped on
+    # a grid of twice the step size raises at its first step, and one whose
+    # third step value moves by 1e-9 relative raises there; 1e-14 relative
+    # passes
     prob = build_manufactured(2, 2, 0.5)
     mesh = SpatialMesh.uniform(0.0, 1.0, 20)
     space, space3 = FeSpace(mesh, 2), FeSpace(mesh, 3)
@@ -294,6 +296,8 @@ def test_dd_split_requires_sweep_records():
             (propagate_be(space, grids[1], ic, prob.f, cache), 1),
             (propagate_be(space, grids[1], ic, prob.f, cache, decomp, 3), 1),
             (propagate_be(space, grids[1], ic, prob.f, cache, other, 2), 1),
+            (propagate_be(space, np.linspace(0.5, 1.5, 6), ic, prob.f, cache,
+                          decomp, 2), 1),
             (moved(1e-9), 3)):
         with pytest.raises(ValueError, match=rf"not that of 2 Schwarz sweeps "
                            rf".* at p=2, n={n}$"):
@@ -378,13 +382,18 @@ def test_dd_split_names_the_first_step_with_a_nonfinite_subdomain_adjoint(
 
 
 def test_stpa_split_solves_each_sweeper_group_once(monkeypatch):
-    # the subdomain adjoints of all steps that share a sweeper are one
-    # backward recursion: K_s * P_s local solves per group, not per step
+    # the subdomain adjoints of all steps are one backward recursion per
+    # dd_split call: K_s * P_s local solves per call, not per step
     cfg = ExperimentConfig(Nhat_t=4, r=2, P_t=2, K_t=2, Nhat_s=8, qhat_s=1,
                            q_s=2, nu=2, mu=1, T=0.5, schwarz=True, P_s=2,
                            K_s=3, beta=0.25)
-    groups, inside = [], []
+    groups, inside, splits = [], [], []
     real_adjoint, real_dpotrs = AdditiveSchwarz.adjoint, schwarz_module.dpotrs
+    real_split = estimator_module.dd_split
+
+    def dd_split(*args):
+        splits.append(args)
+        return real_split(*args)
 
     def adjoint(self, weights, K_s):
         groups.append([len(weights), 0])
@@ -401,10 +410,11 @@ def test_stpa_split_solves_each_sweeper_group_once(monkeypatch):
 
     monkeypatch.setattr(AdditiveSchwarz, "adjoint", adjoint)
     monkeypatch.setattr(schwarz_module, "dpotrs", dpotrs)
+    monkeypatch.setattr(estimator_module, "dd_split", dd_split)
     run_experiment(cfg)
     steps = cfg.r * cfg.Nhat_t
     assert sum(columns for columns, _ in groups) == steps
-    assert len(groups) < steps
+    assert len(groups) == len(splits) == 1
     assert all(solves == cfg.K_s * cfg.P_s for _, solves in groups)
 
 
@@ -504,8 +514,8 @@ def test_dd_split_names_the_step_of_a_nonfinite_subdomain_term(monkeypatch):
 
 
 # small Schwarz configs: P_t <= 3 temporal subdomains of r fine steps per
-# coarse step, on linspace grids whose steps differ in their last bits, so
-# the split's replay groups steps of unequal exact size
+# coarse step, on linspace grids whose steps differ in their last bits,
+# which the split's one sweeper must replay to 1e-12
 _SMALL_STPA = dict(P_t=st.integers(1, 3), r=st.integers(1, 3),
                    K_s=st.integers(1, 3), Nhat_s=st.sampled_from([8, 12]))
 

@@ -16,6 +16,7 @@ import parapost._lapack as _lapack
 import parapost.mesh as mesh_module
 import parapost.schwarz as schwarz
 import parapost.timestepping as timestepping
+from parapost.adjoint import solve_backward_cg
 from parapost.estimator import ResidualEvaluator, dd_split
 from parapost.harness import build_manufactured
 from parapost.mesh import (
@@ -306,7 +307,7 @@ def test_cg_stepping_equals_the_per_slab_loop(q_t, forced):
 def test_stacked_grids_step_bitwise_as_one_call_per_grid(stepping):
     # the partition's three grids have step sizes that differ in their last
     # bits and share one factor; the fourth grid's steps are four times as
-    # long, so each step splits the batch in two
+    # long, so it is stepped in its own call
     prob = build_manufactured(2, 2, 1.0)
     mesh = SpatialMesh.uniform(0.0, 1.0, 12)
     space, inc_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
@@ -319,7 +320,8 @@ def test_stacked_grids_step_bitwise_as_one_call_per_grid(stepping):
     ics = [NodalField(s, rng.standard_normal(s.dof_count))
            for s in (space, inc_space, space, inc_space)]
     cache = FormCache()
-    batch = propagate_be(space, grids, ics, prob.f, cache, *solver)
+    batch = (propagate_be(space, grids[:3], ics[:3], prob.f, cache, *solver)
+             + propagate_be(space, grids[3:], ics[3:], prob.f, cache, *solver))
     assert len(batch) == 4
     for grid, ic, got in zip(grids, ics, batch, strict=True):
         want = propagate_be(space, grid, ic, prob.f, cache, *solver)
@@ -333,8 +335,9 @@ def test_stacked_grids_step_bitwise_as_one_call_per_grid(stepping):
 @pytest.mark.parametrize("forced", [True, False])
 def test_stacked_cg_columns_step_bitwise_as_their_own_calls(q_t, forced):
     # the partition's three grids have steps that differ in their last bits
-    # and share one slab LU; the fourth grid's steps are four times as long;
-    # the incoming values live in two spaces
+    # and share one slab LU; the fourth grid's steps are four times as long,
+    # so it is stepped in its own call; the incoming values live in two
+    # spaces
     mesh = SpatialMesh.uniform(0.0, 1.0, 6)
     space, inc_space = FeSpace(mesh, 2), FeSpace(mesh, 3)
     part = TimePartition.uniform(0.6, 3, 6, 3)
@@ -345,7 +348,8 @@ def test_stacked_cg_columns_step_bitwise_as_their_own_calls(q_t, forced):
            for s in (space, inc_space, inc_space, space)]
     f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
     cache = FormCache()
-    batch = propagate_cg(space, grids, q_t, ics, f, cache)
+    batch = (propagate_cg(space, grids[:3], q_t, ics[:3], f, cache)
+             + propagate_cg(space, grids[3:], q_t, ics[3:], f, cache))
     assert len(batch) == 4
     for grid, ic, got in zip(grids, ics, batch, strict=True):
         want = propagate_cg(space, grid, q_t, ic, f, cache)
@@ -358,6 +362,108 @@ def test_stacked_cg_columns_step_bitwise_as_their_own_calls(q_t, forced):
         propagate_cg(space, grids, q_t, ics[:3], f, cache)
     with pytest.raises(ValueError, match="at least two times"):
         propagate_cg(space, grids[0][:1], q_t, ics[0], f, cache)
+
+
+CALLS = ["direct", "schwarz", "cg", "backward"]
+
+
+def _one_call(call, space, decomp):
+    """call(times, ics, cache): one implicit Euler (direct or Schwarz),
+    cG(2) or backward cG(2) call on a grid or a stack of grids; the
+    backward solve names column j col(j), and a lone grid a."""
+    return {
+        "direct": lambda g, ics, cache: propagate_be(space, g, ics, None,
+                                                     cache),
+        "schwarz": lambda g, ics, cache: propagate_be(space, g, ics, None,
+                                                      cache, decomp, 2),
+        "cg": lambda g, ics, cache: propagate_cg(space, g, 2, ics, None,
+                                                 cache),
+        "backward": lambda g, ics, cache: solve_backward_cg(
+            [f"col({j})" for j in range(len(g))] if np.ndim(g) == 2
+            else "a", space, g, ics, 2, cache),
+    }[call]
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_a_call_of_two_step_sizes_names_the_first_step_of_the_other(call):
+    # one factor serves a call, that of its first step's size: a stack
+    # whose second grid's steps are twice as long, and a grid whose second
+    # step is, raise naming the first step of another size and its column;
+    # a backward solve names the adjoint and the step on the time-reversed
+    # grid
+    mesh = SpatialMesh.uniform(0.0, 1.0, 6)
+    space = FeSpace(mesh, 2)
+    ic = space.interpolate(np.sin)
+    solve = _one_call(call, space, decompose_domain(mesh, 2, 0.25, 0.4))
+    forward = call != "backward"
+    cases = (
+        (np.array([[0.0, 0.1, 0.2], [0.2, 0.4, 0.6]]), [ic, ic], 1,
+         ("" if forward else "col(1) adjoint (time reversed, t -> 0.6 - t): ")
+         + f"step n=1, t={0.4 if forward else 0.2}, has size 0.2, not the "
+         f"call's 0.1"),
+        ([0.0, 0.1, 0.3], ic, 0,
+         ("" if forward else "a adjoint (time reversed, t -> 0.3 - t): ")
+         + "step n=2, t=0.3, has size "
+         + ("0.2, not the call's 0.1" if forward
+            else "0.1, not the call's 0.2")))
+    for times, ics, column, want in cases:
+        pattern = "^" + re.escape(want) + "$"
+        with pytest.raises(ValueError, match=pattern) as err:
+            solve(times, ics, FormCache())
+        if forward:
+            assert err.value.column == column
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_a_long_uniform_grid_is_one_step_size(call):
+    # a linspace grid's steps spread by a few ulps of its largest time, more
+    # than 1e-12 of the step from about 5,000 steps on: a grid of 10,000
+    # steps, and a stack of a partition's 32,000 fine steps, whose later
+    # rows lie far from 0 (which their time reversals, starting at 0, hide
+    # from the backward solve), are each solved by one call
+    mesh = SpatialMesh.uniform(0.0, 1.0, 6)
+    space = FeSpace(mesh, 1)
+    ic = space.interpolate(np.sin)
+    solve = _one_call(call, space, decompose_domain(mesh, 2, 0.25, 0.4))
+    part = TimePartition.uniform(3.0, 40, 4000, 8)
+    for times in (np.linspace(0.0, 1.0, 10001), part.fine_grids):
+        dts = np.diff(times)
+        assert np.ptp(dts) > 1e-12 * dts.min()
+        stacked = times.ndim == 2
+        got = solve(times, [ic] * len(times) if stacked else ic, FormCache())
+        for grid, traj in zip(np.atleast_2d(times), got if stacked else [got],
+                              strict=True):
+            assert np.array_equal(traj.times, grid)
+            assert np.isfinite(traj.coeffs).all()
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_a_row_off_the_stacks_step_key_takes_the_first_rows_solver(call):
+    # per_step keys a solver by the step size to 15 digits, and the rows of
+    # these uniform partitions have first solved steps (for the backward
+    # solve, last steps) on both sides of such a boundary: the rows of row
+    # 0's key are bitwise their own calls; row 2, solved with row 0's
+    # solver, matches its own call, which looks up its own key, to 1e-12
+    # relative, and is bitwise that call when it leads the stack
+    mesh = SpatialMesh.uniform(0.0, 1.0, 6)
+    space = FeSpace(mesh, 2)
+    ic = space.interpolate(np.sin)
+    solve = _one_call(call, space, decompose_domain(mesh, 2, 0.25, 0.4))
+    forward = call != "backward"
+    grids = TimePartition.uniform(*((2.6, 3, 3, 2) if forward
+                                    else (2.3, 3, 6, 2))).fine_grids
+    keys = [round(float(np.diff(g)[0 if forward else -1]), 15)
+            for g in grids]
+    assert keys[0] == keys[1] != keys[2]
+    cache = FormCache()
+    batch = solve(grids, [ic] * 3, cache)
+    own = [solve(g, ic, cache) for g in grids]
+    for j in (0, 1):
+        assert np.array_equal(batch[j].coeffs, own[j].coeffs)
+    off = np.abs(batch[2].coeffs - own[2].coeffs).max()
+    assert off <= 1e-12 * np.abs(own[2].coeffs).max()
+    led = solve(grids[2:], [ic], cache)[0]
+    assert np.array_equal(led.coeffs, own[2].coeffs)
 
 
 def test_stacked_cg_names_the_first_nonfinite_step():
