@@ -3,7 +3,9 @@
     python .github/registry_drift.py run SRC OUT_DIR
         runs `python -m parapost.cli reproduce --table T --format json` with
         SRC on PYTHONPATH for every table T of SRC's registry, writing
-        OUT_DIR/T.json; exits 1 if any table fails
+        OUT_DIR/T.json, and `python -m parapost.cli sweep ... --format json`
+        for every sweep S of STRADDLE_SWEEPS, writing OUT_DIR/S.json; exits
+        1 if any table or sweep fails
     python .github/registry_drift.py compare OLD_DIR NEW_DIR
         compares the components, estimated_error, effectivity and
         computed_qoi of every row present on both sides at 1e-12 relative
@@ -19,10 +21,22 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 RTOL = 1e-12
 SCALARS = ("estimated_error", "effectivity", "computed_qoi")
+# Drift rows only, with no effectivity gate, kept out of TABLE_REGISTRY.
+# Every registry row runs T = 2, whose grids straddle no FormCache.per_step
+# 15-digit key; on this partition the coarse steps span 0.433333333333333
+# and ...334 and the fine steps 0.144444444444444 and ...445, so a change
+# to which steps share a cached solver moves these rows' values.
+STRADDLE_BASE = dict(T=2.6, P_t=3, Nhat_t=6, r=3, K_t=2, Nhat_s=10, nu=2,
+                     mu=1, P_s=2, K_s=3, beta=0.2)
+STRADDLE_SWEEPS = {  # name: (base config, param, values)
+    "straddle_tpa": (STRADDLE_BASE, "schwarz", "false,true"),
+    "straddle_cg": (dict(STRADDLE_BASE, integrator="cg"), "q_t", "1,2"),
+}
 
 
 def run(src, out_dir):
@@ -34,13 +48,25 @@ def run(src, out_dir):
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     failed = 0
     for table in tables:
-        out = Path(out_dir, f"{table}.json").resolve()
-        done = subprocess.run(
-            [sys.executable, "-m", "parapost.cli", "reproduce", "--table",
-             table, "--format", "json", "--out", str(out)], env=env)
-        failed += done.returncode != 0
-        print(f"{table}: {'ok' if done.returncode == 0 else 'FAILED'}")
+        failed += _cli(env, out_dir, table, "reproduce", "--table", table)
+    with tempfile.TemporaryDirectory() as configs:
+        for name, (base, param, values) in STRADDLE_SWEEPS.items():
+            config = Path(configs, name)
+            config.write_text(json.dumps(base))
+            failed += _cli(env, out_dir, name, "sweep", "--config",
+                           str(config), "--param", param, "--values", values)
     return 1 if failed else 0
+
+
+def _cli(env, out_dir, name, *args):
+    """Run `python -m parapost.cli ARGS --format json`, writing
+    OUT_DIR/name.json; True if it fails."""
+    out = Path(out_dir, f"{name}.json").resolve()
+    done = subprocess.run(
+        [sys.executable, "-m", "parapost.cli", *args, "--format", "json",
+         "--out", str(out)], env=env)
+    print(f"{name}: {'ok' if done.returncode == 0 else 'FAILED'}")
+    return done.returncode != 0
 
 
 def rows(directory):

@@ -18,7 +18,8 @@ case), so field(n) and value_at_node give exact nodal values.
 
 import numpy as np
 
-from .timestepping import Trajectory, _as_stack, _first_nonfinite, _step_cg
+from .timestepping import (Trajectory, _as_stack, _check_finite, _largest_time,
+                           _step_cg)
 
 
 def _solve_backward(kinds, space, grids, terms, q_t, cache):
@@ -26,26 +27,24 @@ def _solve_backward(kinds, space, grids, terms, q_t, cache):
     terminal fields, as one _step_cg stack aligned at the ends in solve
     order: each is a forward-ordered view out[j, :steps] of one array and
     bitwise its own single-grid solve (see FormCache.per_step for when).
-    The stack is checked once, in solve order: a step of another size, or
-    else a non-finite value, names the first such column by its entry of
-    kinds, and its first such time-reversed step."""
+    Every column error is named by its column's entry of kinds: a
+    non-finite time of the forward grids (_largest_time, before they are
+    reversed) and, on the time-reversed grids, a step of another size or
+    else a non-finite value, checked once, in solve order."""
     first = [len(grids[0]) - len(g) for g in grids]
     revs = np.zeros((len(grids), len(grids[0])))
-    for rev, g, s in zip(revs, grids, first):
-        rev[s:] = (g[-1] - g)[::-1]
-    top = max(max(abs(g[0]), abs(g[-1])) for g in grids)
     try:
+        top = _largest_time(grids)  # g[-1] - g would warn at inf - inf
+        for rev, g, s in zip(revs, grids, first):
+            rev[s:] = (g[-1] - g)[::-1]
         out = _step_cg(space, revs, q_t, terms, None, cache, reverse=top,
                        first=first)
-        bad = _first_nonfinite(out[:, ::-1, ::-1], revs, first)
-    except ValueError as exc:  # a step of another size names its column
+        _check_finite(out[:, ::-1, ::-1], revs, first)
+    except ValueError as exc:
         if not hasattr(exc, "column"):
             raise
-        bad = exc.column, str(exc)
-    if bad:
-        j, what = bad
-        raise ValueError(f"{kinds[j]} adjoint (time reversed, t -> "
-                         f"{grids[j][-1]:.6g} - t): {what}")
+        raise ValueError(f"{kinds[exc.column]} adjoint (time reversed, t -> "
+                         f"{grids[exc.column][-1]:.6g} - t): {exc}") from None
     return [Trajectory(space, g, q_t, c[:len(g) - 1], term)
             for g, c, term in zip(grids, out, terms)]
 

@@ -158,7 +158,7 @@ class NodalField:
         self.coefficients = c
 
     def __call__(self, x):
-        return eval_field(self.space, self.coefficients, x)
+        return NodalGather(self.space, x)(self.coefficients)
 
     def __add__(self, other):
         self._require_same_space(other)
@@ -177,11 +177,6 @@ class NodalField:
                 f"{self.space.degree} on {self.space.mesh.n_elements} "
                 f"elements and degree {other.space.degree} on "
                 f"{other.space.mesh.n_elements} elements")
-
-
-def eval_field(space, coefficients, x):
-    """Evaluate an FE function with the given coefficients at points x."""
-    return NodalGather(space, x)(coefficients)
 
 
 class NodalGather:
@@ -372,17 +367,17 @@ class FormCache:
     """The one owner of assembled matrices, load blocks, embeddings and every
     factorization, for the lifetime of one experiment.
 
-    matrix() memoizes assembled matrices and load() the step-end load
-    blocks of implicit Euler and the estimator's splits, both read-only
-    since every later caller shares them; factor() memoizes whatever else
-    is built once per key, such as the nodal gathers of interpolate() and
-    the read-only time-integrated cG loads of a grid (timestepping's
-    "cg_load" blocks; the raw quadrature block they are integrated from is
-    not kept), and per_step() the solvers built once per step size
-    (banded step operators, cG slab LU, Schwarz sweepers), each keeping only
-    its factors and the blocks it cuts.  release() drops the entries of one
-    kind: the cG slab LUs, the largest, live only until the adjoint solves
-    end, as no later step of the estimate solves a slab.  Keys hold the
+    factor() builds each entry once per key, whose first element is its
+    kind: matrix() and load() the assembled matrices and the step-end load
+    blocks of implicit Euler and the estimator's splits, read-only since
+    every later caller shares them; interpolate() its nodal gathers; the
+    read-only time-integrated cG loads of a grid (timestepping's "cg_load"
+    blocks; the raw quadrature block they are integrated from is not kept)
+    and per_step() the solvers built once per step size (banded step
+    operators, cG slab LU, Schwarz sweepers), each keeping only its factors
+    and the blocks it cuts.  release() drops the entries of one kind: the
+    cG slab LUs, the largest, live only until the adjoint solves end, as no
+    later step of the estimate solves a slab.  Keys hold the
     space objects themselves (spaces hash by identity), so an entry keeps
     its spaces alive exactly as long as the cache lives and can never be
     confused with a later space that reuses a freed address.  Its cached
@@ -391,15 +386,12 @@ class FormCache:
     """
 
     def __init__(self):
-        self._mats = {}
         self._factors = {}
 
     def matrix(self, row_space, col_space, kind):
-        key = (row_space, col_space, kind)
-        if key not in self._mats:
-            self._mats[key] = _read_only(
-                assemble_matrix(row_space, col_space, kind))
-        return self._mats[key]
+        return self.factor(("matrix", row_space, col_space, kind),
+                           lambda: _read_only(
+                               assemble_matrix(row_space, col_space, kind)))
 
     def mass(self, row_space, col_space):
         return self.matrix(row_space, col_space, "mass")

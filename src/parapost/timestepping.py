@@ -137,13 +137,12 @@ class Trajectory:
         return self.field(k)
 
 
-def _first_nonfinite(coeffs, grids, first=None):
-    """None if a (P, steps, nodes, dof) stack of coefficients is all
-    finite; else (j, message) for the first column j that is not, the
-    message naming its first step n whose coefficients are not all finite,
-    and its end time t_n.  A ragged stack gives first as _step_cg takes
-    it: step n of column j is slab first[j] + n - 1, and the unset slabs
-    before first[j] are not read."""
+def _check_finite(coeffs, grids, first=None):
+    """Raise the _column_error of the first column j of a (P, steps, nodes,
+    dof) stack of coefficients that is not all finite, naming its first
+    such step n and end time t_n.  A ragged stack gives first as _step_cg
+    takes it: step n of column j is slab first[j] + n - 1, and the unset
+    slabs before first[j] are not read."""
     first = np.zeros(len(coeffs), int) if first is None else np.asarray(first)
     solved = np.arange(coeffs.shape[1]) >= first[:, None]  # (P, steps)
     # a sum is finite only if every term is, so one reduction clears the
@@ -151,22 +150,34 @@ def _first_nonfinite(coeffs, grids, first=None):
     # needs the mask (a masked sum is about 3x slower)
     where = solved[:, :, None, None] if first.any() else True
     if np.isfinite(np.add.reduce(coeffs, axis=None, where=where)):
-        return None
+        return
     bad = solved & ~np.isfinite(coeffs).all(axis=(2, 3))
-    if not bad.any():  # the sum overflowed
-        return None
-    j, m = divmod(int(np.argmax(bad)), bad.shape[1])
-    return j, (f"non-finite solution at step n={m - first[j] + 1}, "
-               f"t={grids[j, m + 1]:.6g}")
+    if bad.any():  # else the sum overflowed
+        j, m = divmod(int(np.argmax(bad)), bad.shape[1])
+        raise _column_error(j, "non-finite solution at step n="
+                            f"{m - first[j] + 1}, t={grids[j, m + 1]:.6g}")
 
 
-def _column_error(bad):
-    """The ValueError of a propagation's failing column (j, message), with
-    j as its column attribute, so a caller that knows its rows re-runs
-    nothing."""
-    exc = ValueError(bad[1])
-    exc.column = bad[0]
+def _column_error(j, message):
+    """The ValueError of a stacked solve's failing column j, with j as its
+    column attribute, so a caller that knows its rows names the row and
+    re-runs nothing."""
+    exc = ValueError(message)
+    exc.column = j
     return exc
+
+
+def _largest_time(grids):
+    """The largest |time| of a (P, n) stack or a sequence of step grids, by
+    one plain reduction, which a NaN propagates; a non-finite time raises
+    the _column_error naming its first column j, node n and value."""
+    top = float(np.abs(np.concatenate(grids, axis=None)).max())
+    if not math.isfinite(top):
+        j = next(j for j, g in enumerate(grids) if not np.isfinite(g).all())
+        n = int(np.argmin(np.isfinite(grids[j])))
+        raise _column_error(j, f"non-finite time at node n={n}, "
+                               f"t={grids[j][n]}")
+    return top
 
 
 def _step_sizes(grids, first, top=None):
@@ -174,21 +185,22 @@ def _step_sizes(grids, first, top=None):
     values, without its call overhead) and the one step size of a call on
     it, the first solved one (first as _step_cg takes it, a list), which
     every solved step must match to 1e-12 relative plus 8 ulps of top, the
-    largest |time| the grids come from (their own by default), as a
-    linspace grid's steps spread by up to 2; else a _column_error names
-    the first step that does not, and its end time."""
+    largest |time| the grids come from (by default their own, by
+    _largest_time, before any difference), as a linspace grid's steps
+    spread by up to 2; else a _column_error names the first step that does
+    not, and its end time."""
+    if top is None:
+        top = _largest_time(grids)
     dts = grids[:, 1:] - grids[:, :-1]
     dt = float(dts[0, first[0]])
-    if top is None:  # fmax skips a NaN time, which fails at its own step
-        top = np.fmax.reduce(np.abs(grids), axis=None)
     ok = np.abs(dts - dt) <= 1e-12 * abs(dt) + 8 * math.ulp(top)
     if any(first):  # the unset slabs before first[j] are not read
         ok |= np.arange(dts.shape[1]) < np.array(first)[:, None]
     if not ok.all():
         j, m = divmod(int(np.argmin(ok)), ok.shape[1])
-        raise _column_error((j, f"step n={m - first[j] + 1}, t="
-                                f"{grids[j, m + 1]:.6g}, has size "
-                                f"{dts[j, m]:.6g}, not the call's {dt:.6g}"))
+        raise _column_error(j, f"step n={m - first[j] + 1}, t="
+                               f"{grids[j, m + 1]:.6g}, has size "
+                               f"{dts[j, m]:.6g}, not the call's {dt:.6g}")
     return dts, dt
 
 
@@ -222,10 +234,10 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     side takes its own exact dt.  The loads l(t_n) are the cache's block
     for each grid.  An incoming value may live in a different space on the
     same mesh; its first-step contribution is the exact cross-space L2
-    pairing.  A step of another size (_step_sizes) or a non-finite step
-    value raises a ValueError naming the first such step n of the first
-    such column, and its time t, with that column's index in the stack as
-    its column attribute.
+    pairing.  A non-finite time, a step of another size (_step_sizes) or a
+    non-finite step value (_check_finite) raises a ValueError naming the
+    first such node or step n of the first such column, and its time t,
+    with that column's index in the stack as its column attribute.
     """
     if decomp is not None and (K_s is None or K_s < 1):
         raise ValueError("K_s must be >= 1")
@@ -247,8 +259,7 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
         x = solver.solve(b) if decomp is None else solver.solve(b, 0, K_s)[0]
         coeffs[:, n - 1, 0] = x.T
         prev_m = matvecs(M, coeffs[:, n - 1, 0])
-    if bad := _first_nonfinite(coeffs, grids):
-        raise _column_error(bad)
+    _check_finite(coeffs, grids)
     trajs = [Trajectory(space, grids[j], 0, coeffs[j], ics[j])
              for j in range(P)]
     return trajs if stacked else trajs[0]
@@ -281,16 +292,12 @@ def propagate_cg(space, times, q_t, ic, f, cache):
     incoming values, giving a list of P Trajectories, each bitwise that of
     its own single-grid call (see _step_cg; FormCache.per_step says when).
     The loads are the cache's time-integrated block for each grid; f=None
-    is a homogeneous problem: no load is assembled.  A step of another size
-    than the first (_step_sizes) or a non-finite slab solution raises a
-    ValueError naming the first such step of the first such column, and
-    its end time, with that column's index in the stack as its column
-    attribute.
+    is a homogeneous problem: no load is assembled.  It raises as
+    propagate_be does, naming a non-finite slab solution's step.
     """
     grids, ics, stacked = _as_stack(times, ic)
     coeffs = _step_cg(space, grids, q_t, ics, f, cache)
-    if bad := _first_nonfinite(coeffs, grids):
-        raise _column_error(bad)
+    _check_finite(coeffs, grids)
     trajs = [Trajectory(space, grids[j], q_t, coeffs[j], ics[j])
              for j in range(len(ics))]
     return trajs if stacked else trajs[0]
@@ -355,8 +362,8 @@ def _step_cg(space, grids, q_t, ics, f, cache, reverse=None, first=None):
     single-column dgetrs per column, since a multi-column dgetrs sums in
     another order.  One slab LU (_slab_lu), of the first solved step's
     size (_step_sizes), serves every slab; each slab's right-hand side
-    takes its own exact dt.  Nothing here checks finiteness: the callers
-    do, naming what they solve.
+    takes its own exact dt.  Nothing here checks the solutions'
+    finiteness: the callers do, naming what they solve.
     """
     if q_t < 1:
         raise ValueError("q_t must be >= 1")

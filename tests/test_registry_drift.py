@@ -1,4 +1,5 @@
-"""The CI drift gate, .github/registry_drift.py compare, on tiny fixtures.
+"""The CI drift gate, .github/registry_drift.py compare, on tiny fixtures,
+and the sweeps its run adds to the registry tables.
 
 Each side is a directory of T.json files as `parapost reproduce --format
 json` writes them.  The gate fails on a value over 1e-12 relative or on a
@@ -10,7 +11,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from parapost.harness import ExperimentConfig, sweep_configs
+from parapost.timestepping import TimePartition
 
 
 def _drift():
@@ -54,3 +59,18 @@ def test_compare_counts_moved_values_and_fails_as_before(
                               f"moved, largest relative difference ")
     assert summary.endswith(f", {status} missing on the new side or over "
                             f"1e-12")
+
+
+@pytest.mark.parametrize("name", sorted(_drift().STRADDLE_SWEEPS))
+def test_each_straddle_sweep_validates_and_straddles_a_per_step_key(name):
+    # the drift rows off the registry exist to see which steps share a
+    # cached solver: each config must run, and its coarse and fine grids
+    # must each hold steps on both sides of a 15-digit FormCache.per_step key
+    base, param, values = _drift().STRADDLE_SWEEPS[name]
+    for config in sweep_configs(ExperimentConfig.from_mapping(base), param,
+                                values.split(",")):
+        part = TimePartition.uniform(config.T, config.P_t, config.Nhat_t,
+                                     config.r)
+        for grids in (part.coarse_grids, part.fine_grids):
+            keys = {round(float(dt), 15) for dt in np.diff(grids).ravel()}
+            assert len(keys) == 2, keys

@@ -487,17 +487,47 @@ def test_first_nonfinite_of_a_ragged_stack_counts_from_each_first_slab():
     coeffs, first = np.ones((3, 5, 2, 4)), [0, 2, 3]
     coeffs[1, :2] = np.nan
     coeffs[2, :3] = np.finfo(float).max  # would overflow a sum over all
-    assert timestepping._first_nonfinite(coeffs, grids, first) is None
+    timestepping._check_finite(coeffs, grids, first)
     # slab m = 3 of column 1 is its step n = m - first[1] + 1 = 2, which
     # ends at grids[1, m + 1]
     coeffs[1, 3, 1, 2] = np.inf
     coeffs[2, 4, 0, 0] = np.nan
-    assert timestepping._first_nonfinite(coeffs, grids, first) == (
-        1, "non-finite solution at step n=2, t=-0.6")
+    with pytest.raises(ValueError, match=r"^non-finite solution at step "
+                       r"n=2, t=-0\.6$") as err:
+        timestepping._check_finite(coeffs, grids, first)
+    assert err.value.column == 1
     # without first, every slab is read and counted from slab 0
     coeffs[2, :3] = 1.0
-    assert timestepping._first_nonfinite(coeffs, grids) == (
-        1, "non-finite solution at step n=1, t=-0.9")
+    with pytest.raises(ValueError, match=r"^non-finite solution at step "
+                       r"n=1, t=-0\.9$") as err:
+        timestepping._check_finite(coeffs, grids)
+    assert err.value.column == 1
+
+
+@pytest.mark.parametrize("call", CALLS)
+@pytest.mark.parametrize("bad", [[0.0, np.inf, 0.2], [0.0, 0.1, np.inf],
+                                 [np.inf, 0.1, 0.2], [0.0, np.nan, 0.2]],
+                         ids=["inf-inside", "inf-last", "inf-first",
+                              "nan-inside"])
+def test_a_non_finite_grid_time_is_named_before_any_step(call, bad):
+    # the grids' largest |time| is taken before any difference, so under
+    # -W error an inf time raises no RuntimeWarning from inf - inf, and an
+    # inf time widens no step tolerance: the error names the column, the
+    # grid's first non-finite node and its time; a backward solve names the
+    # adjoint
+    mesh = SpatialMesh.uniform(0.0, 1.0, 6)
+    space = FeSpace(mesh, 2)
+    ic = space.interpolate(np.sin)
+    solve = _one_call(call, space, decompose_domain(mesh, 2, 0.25, 0.4))
+    n = int(np.argmin(np.isfinite(bad)))
+    want = f"non-finite time at node n={n}, t={bad[n]:.6g}"
+    with pytest.raises(ValueError) as err:
+        solve(np.array([[0.0, 0.1, 0.2], bad]), [ic, ic], FormCache())
+    if call == "backward":
+        assert str(err.value) == (f"col(1) adjoint (time reversed, t -> "
+                                  f"{bad[-1]:.6g} - t): {want}")
+    else:
+        assert str(err.value) == want and err.value.column == 1
 
 
 def test_cg_rejects_bad_degree():
