@@ -374,10 +374,12 @@ class FormCache:
     read-only time-integrated cG loads of a grid (timestepping's "cg_load"
     blocks; the raw quadrature block they are integrated from is not kept)
     and per_step() the solvers built once per step size (banded step
-    operators, cG slab LU, Schwarz sweepers), each keeping only its factors
-    and the blocks it cuts.  release() drops the entries of one kind: the
-    cG slab LUs, the largest, live only until the adjoint solves end, as no
-    later step of the estimate solves a slab.  Keys hold the
+    operators, Schwarz sweepers, and a cG degree's "cg_slab" entry: the
+    slab LU, its start-value tables and this cache's own M and A, all a
+    slab reads), each keeping only its factors and the blocks it cuts.
+    release() drops the entries of one kind: the cG slab LUs, the largest,
+    live only until the adjoint solves end, as no later step of the
+    estimate solves a slab.  Keys hold the
     space objects themselves (spaces hash by identity), so an entry keeps
     its spaces alive exactly as long as the cache lives and can never be
     confused with a later space that reuses a freed address.  Its cached

@@ -142,17 +142,14 @@ def _check_finite(coeffs, grids, first=None):
     dof) stack of coefficients that is not all finite, naming its first
     such step n and end time t_n.  A ragged stack gives first as _step_cg
     takes it: step n of column j is slab first[j] + n - 1, and the unset
-    slabs before first[j] are not read."""
-    first = np.zeros(len(coeffs), int) if first is None else np.asarray(first)
-    solved = np.arange(coeffs.shape[1]) >= first[:, None]  # (P, steps)
-    # a sum is finite only if every term is, so one reduction clears the
-    # common case, whatever the strides of coeffs; only a ragged stack
-    # needs the mask (a masked sum is about 3x slower)
-    where = solved[:, :, None, None] if first.any() else True
-    if np.isfinite(np.add.reduce(coeffs, axis=None, where=where)):
+    slabs before first[j] are not read.  One isfinite pass, which cannot
+    overflow as a sum can, clears an unragged stack."""
+    first = [0] * len(coeffs) if first is None else first
+    if not any(first) and np.isfinite(coeffs).all():
         return
-    bad = solved & ~np.isfinite(coeffs).all(axis=(2, 3))
-    if bad.any():  # else the sum overflowed
+    solved = np.arange(coeffs.shape[1]) >= np.asarray(first)[:, None]
+    bad = solved & ~np.isfinite(coeffs).all(axis=(2, 3))  # (P, steps)
+    if bad.any():
         j, m = divmod(int(np.argmax(bad)), bad.shape[1])
         raise _column_error(j, "non-finite solution at step n="
                             f"{m - first[j] + 1}, t={grids[j, m + 1]:.6g}")
@@ -168,10 +165,11 @@ def _column_error(j, message):
 
 
 def _largest_time(grids):
-    """The largest |time| of a (P, n) stack or a sequence of step grids, by
-    one plain reduction, which a NaN propagates; a non-finite time raises
-    the _column_error naming its first column j, node n and value."""
-    top = float(np.abs(np.concatenate(grids, axis=None)).max())
+    """The largest |time| of a (P, n) stack (not copied) or a sequence of
+    step grids, by one plain reduction, which a NaN propagates; a non-finite
+    time raises the _column_error naming its first column j, node n and t."""
+    every = grids if isinstance(grids, np.ndarray) else np.concatenate(grids)
+    top = float(np.abs(every).max())
     if not math.isfinite(top):
         j = next(j for j, g in enumerate(grids) if not np.isfinite(g).all())
         n = int(np.argmin(np.isfinite(grids[j])))
@@ -193,11 +191,12 @@ def _step_sizes(grids, first, top=None):
         top = _largest_time(grids)
     dts = grids[:, 1:] - grids[:, :-1]
     dt = float(dts[0, first[0]])
-    ok = np.abs(dts - dt) <= 1e-12 * abs(dt) + 8 * math.ulp(top)
-    if any(first):  # the unset slabs before first[j] are not read
-        ok |= np.arange(dts.shape[1]) < np.array(first)[:, None]
-    if not ok.all():
-        j, m = divmod(int(np.argmin(ok)), ok.shape[1])
+    off = np.abs(dts - dt)
+    for j in range(first.count(0), len(first)):  # the later-starting columns
+        off[j, :first[j]] = 0.0  # whose unset slabs are not read
+    tol = 1e-12 * abs(dt) + 8 * math.ulp(top)
+    if not off.max() <= tol:
+        j, m = divmod(int(np.argmax(~(off <= tol))), off.shape[1])
         raise _column_error(j, f"step n={m - first[j] + 1}, t="
                                f"{grids[j, m + 1]:.6g}, has size "
                                f"{dts[j, m]:.6g}, not the call's {dt:.6g}")
@@ -216,6 +215,12 @@ def _as_stack(times, ic):
     if len(ics) != len(grids):
         raise ValueError(f"{len(grids)} grids but {len(ics)} incoming values")
     return grids, ics, stacked
+
+
+def _columns(blocks):
+    """np.stack(blocks, axis=1), the cached blocks of a stack's grids as its
+    columns; a one-grid call views its one block instead of copying it."""
+    return blocks[0][:, None] if len(blocks) == 1 else np.stack(blocks, 1)
 
 
 def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
@@ -253,7 +258,7 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     # another order
     prev_m = np.array([cache.mass(space, u0.space) @ u0.coefficients
                        for u0 in ics])
-    loads = np.stack([cache.load(space, g[1:], f) for g in grids], axis=1)
+    loads = _columns([cache.load(space, g[1:], f) for g in grids])
     for n, dts in enumerate(steps.T, 1):
         b = (prev_m + dts[:, None] * loads[n - 1]).T  # (dof, P)
         x = solver.solve(b) if decomp is None else solver.solve(b, 0, K_s)[0]
@@ -356,40 +361,43 @@ def _step_cg(space, grids, q_t, ics, f, cache, reverse=None, first=None):
     mass product per column, then one multi-column banded solve for the
     stack, which solves column by column.  Each column's time-integrated
     loads are the cache's block for its grid (_cg_loads), so a grid solved
-    again assembles nothing.  Each slab forms the right-hand sides of all
-    active columns together, with one stacked product of M and one of A
-    (one gemv per column, as in mesh.matvecs), and then makes one
-    single-column dgetrs per column, since a multi-column dgetrs sums in
-    another order.  One slab LU (_slab_lu), of the first solved step's
-    size (_step_sizes), serves every slab; each slab's right-hand side
-    takes its own exact dt.  Nothing here checks the solutions'
-    finiteness: the callers do, naming what they solve.
+    again assembles nothing.  Per call it looks up one "cg_slab" entry, of
+    the first solved step's size (_step_sizes), holding the slab LU
+    (_slab_lu), alpha[:, :1], beta[:, :1] and the cache's M and A, which
+    serves every slab.  Per slab it forms all active columns' right-hand
+    sides, each with its own exact dt, by one stacked product of M and one
+    of A (one gemv per column, as in mesh.matvecs), then makes one
+    single-column dgetrs per column (a multi-column dgetrs sums in another
+    order) and checks their infos once.  Nothing here checks the
+    solutions' finiteness: the callers do, naming what they solve.
     """
     if q_t < 1:
         raise ValueError("q_t must be >= 1")
     P, n_slabs = grids.shape[0], grids.shape[1] - 1
     first = [0] * P if first is None else list(first)
     dts, dt = _step_sizes(grids, first, reverse)
-    M, A = cache.mass(space, space), cache.stiffness(space, space)
-    alpha, beta, _, _ = _time_forms(q_t, cache)
+
+    def slab():  # the entry holds no reference to the cache
+        M, A = cache.mass(space, space), cache.stiffness(space, space)
+        alpha, beta, _, _ = _time_forms(q_t, cache)
+        return (*_slab_lu(M, A, alpha, beta, dt), alpha[:, :1, None],
+                beta[:, :1, None], M, A)
+    # building the LU takes a dense slab-sized matrix, so the loads and the
+    # coefficients are allocated after it is built
+    lu, piv, a0, b0, M, A = cache.per_step(space, dt, slab, "cg_slab", q_t)
     project = cache.step_operator(space, 0.0)
     starts = project.solve(np.array([
         cache.mass(space, u0.space) @ u0.coefficients for u0 in ics]).T).T
-    # building the LU takes a dense slab-sized matrix, so the loads and the
-    # coefficients are allocated after it is built
-    lu = cache.per_step(space, dt, lambda: _slab_lu(M, A, alpha, beta, dt),
-                        "cg_slab", q_t)
     # (steps, P, q_t, dof, 1): slab n's time-integrated loads of every
     # column; a homogeneous problem subtracts from the scalar 0.0
-    loads = (np.array([_cg_loads(space, g, q_t, f, cache) for g in grids])
-             .swapaxes(0, 1)[..., None] if f is not None else None)
+    loads = (_columns([_cg_loads(space, g, q_t, f, cache) for g in grids])
+             [..., None] if f is not None else None)
     out = np.empty((P, n_slabs, q_t + 1, space.dof_count))
     coeffs = out if reverse is None else out[:, ::-1, ::-1]
     coeffs[:, 0, 0] = starts
     # per column and slab, the factors of the slab start value's terms,
     # alpha[m, 0] and dt * beta[m, 0], as the single-grid products form them
-    a0 = alpha[:, :1, None]
-    dt_b0 = np.multiply.outer(dts, beta[:, :1, None])  # (P, steps, q_t, 1, 1)
+    dt_b0 = np.multiply.outer(dts, b0)  # (P, steps, q_t, 1, 1)
     # F holds every column's slab right-hand side, which the solves
     # overwrite in place (dgetrs with overwrite_b) with the slab solution,
     # after its last block held the start value; prev views each column's
@@ -406,8 +414,8 @@ def _step_cg(space, grids, q_t, ics, f, cache, reverse=None, first=None):
             np.subtract(0.0 if loads is None else loads[n, :k],
                         a0 * np.matmul(M, prev)
                         + dt_b0[:k, n] * np.matmul(A, prev), out=Fk)
-            for b in rhs_k:
-                lapack_solution("dgetrs", *dgetrs(*lu, b, 0, 1))
+            infos = [dgetrs(lu, piv, b, 0, 1)[1] for b in rhs_k]
+            lapack_solution("dgetrs", None, next(filter(None, infos), 0))
             coeffs[:k, n, 1:] = Fk[..., 0]
     coeffs[:, 1:, 0] = coeffs[:, :-1, -1]
     for j in range(first.count(0), P):  # the later-starting columns

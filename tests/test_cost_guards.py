@@ -104,6 +104,30 @@ def test_a_second_solve_of_a_grid_assembles_no_load(monkeypatch):
     assert np.array_equal(again[1].coeffs, first.coeffs)
 
 
+def test_a_second_one_grid_cg_call_looks_up_four_entries_and_builds_none(
+        monkeypatch):
+    # a grid solved again pays per call one lookup each of its slab entry
+    # (LU, start-value tables, M and A), the incoming value's projection,
+    # its cross mass and the grid's time-integrated load block
+    prob = build_manufactured(2, 1, 0.5)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), 2)
+    grid, ic = np.linspace(0.0, 0.2, 3), space.interpolate(prob.u0)
+    cache = FormCache()
+    first = propagate_cg(space, grid, 1, ic, prob.f, cache)
+    looked_up, built = [], []
+    factor = cache.factor
+
+    def counting(key, build):
+        looked_up.append(key[0])
+        return factor(key, lambda: built.append(key[0]) or build())
+
+    monkeypatch.setattr(cache, "factor", counting)
+    again = propagate_cg(space, grid, 1, ic, prob.f, cache)
+    assert sorted(looked_up) == ["cg_load", "cg_slab", "matrix", "step"]
+    assert built == []
+    assert np.array_equal(again.coeffs, first.coeffs)
+
+
 def test_each_residual_call_assembles_its_loads_in_one_call(counted):
     assert [r["loads"] for r in counted["residuals"]] == [1, 1]  # D, then A
 

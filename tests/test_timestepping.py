@@ -504,6 +504,20 @@ def test_first_nonfinite_of_a_ragged_stack_counts_from_each_first_slab():
     assert err.value.column == 1
 
 
+def test_a_finite_stack_whose_sum_overflows_passes_the_check():
+    # every entry is finite but their sum is not: the check neither raises
+    # nor warns (tier-1 runs under -W error), and a NaN among them is still
+    # named by its column and step
+    grids = np.array([np.linspace(0.0, 0.5, 6), np.linspace(0.0, 0.5, 6) + 1])
+    coeffs = np.full((2, 5, 2, 4), np.finfo(float).max)
+    timestepping._check_finite(coeffs, grids)
+    coeffs[1, 3, 0, 2] = np.nan
+    with pytest.raises(ValueError, match=r"^non-finite solution at step "
+                       r"n=4, t=1\.4$") as err:
+        timestepping._check_finite(coeffs, grids)
+    assert err.value.column == 1
+
+
 @pytest.mark.parametrize("call", CALLS)
 @pytest.mark.parametrize("bad", [[0.0, np.inf, 0.2], [0.0, 0.1, np.inf],
                                  [np.inf, 0.1, 0.2], [0.0, np.nan, 0.2]],
@@ -565,6 +579,48 @@ def test_slab_lu_is_lu_factor_of_the_block_matrix(q_t, degree):
     assert np.array_equal(piv, ref_piv)
     with pytest.raises(sla.LinAlgError, match="dgetrf returned info="):
         timestepping._slab_lu(0.0 * M, 0.0 * A, alpha, beta, dt)
+
+
+def test_a_released_slab_entry_is_rebuilt_bitwise_without_a_dense_copy():
+    # one "cg_slab" entry per (space, q_t, step size) holds the slab LU, the
+    # start-value tables and the cache's own M and A, not copies of them;
+    # after release("cg_slab") the same calls rebuild every entry and
+    # return the same coefficients, bitwise
+    prob = build_manufactured(2, 1, 0.5)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space, adj_space = FeSpace(mesh, 2), FeSpace(mesh, 3)
+    grid = np.linspace(0.0, 0.5, 6)
+    ic, term = space.interpolate(prob.u0), adj_space.interpolate(prob.u0)
+    cache = FormCache()
+
+    def solve():
+        return ([propagate_cg(space, grid, q_t, ic, prob.f, cache).coeffs
+                 for q_t in (1, 2, 3)]
+                + [solve_backward_cg("coarse", adj_space, grid, term, 3,
+                                     cache).coeffs])
+
+    def entries():
+        return {key: value for key, value in cache._factors.items()
+                if key[0] == "cg_slab"}
+
+    before = solve()
+    built = entries()
+    assert sorted((key[1], key[2].degree) for key in built) == [
+        (1, 2), (2, 2), (3, 2), (3, 3)]
+    for (_, q_t, key_space, _), entry in built.items():
+        lu, piv, a0, b0, M, A = entry
+        n = key_space.dof_count
+        assert lu.shape == (q_t * n, q_t * n) and a0.shape == (q_t, 1, 1)
+        assert np.shares_memory(M, cache.mass(key_space, key_space))
+        assert np.shares_memory(A, cache.stiffness(key_space, key_space))
+    cache.release("cg_slab")
+    assert entries() == {}
+    after = solve()
+    rebuilt = entries()
+    assert rebuilt.keys() == built.keys()
+    assert all(rebuilt[key] is not built[key] for key in built)
+    for a, b in zip(before, after, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_cg_slab_factors_die_with_their_cache():
