@@ -19,27 +19,29 @@ case), so field(n) and value_at_node give exact nodal values.
 import numpy as np
 
 from .timestepping import (Trajectory, _as_stack, _check_finite, _largest_time,
-                           _step_cg)
+                           _step_slabs)
 
 
 def _solve_backward(kinds, space, grids, terms, q_t, cache):
     """The backward cG(q_t) adjoints of grids, longest first, with their
-    terminal fields, as one _step_cg stack aligned at the ends in solve
+    terminal fields, as one _step_slabs stack aligned at the ends in solve
     order: each is a forward-ordered view out[j, :steps] of one array and
     bitwise its own single-grid solve (see FormCache.per_step for when).
     Every column error is named by its column's entry of kinds: a
     non-finite time of the forward grids (_largest_time, before they are
     reversed) and, on the time-reversed grids, a step of another size or
-    else a non-finite value, checked once, in solve order."""
+    else a non-finite value, named in solve order by _check_finite if one
+    pass over the contiguous stack fails (as its unset ragged slabs may)."""
     first = [len(grids[0]) - len(g) for g in grids]
     revs = np.zeros((len(grids), len(grids[0])))
     try:
         top = _largest_time(grids)  # g[-1] - g would warn at inf - inf
         for rev, g, s in zip(revs, grids, first):
             rev[s:] = (g[-1] - g)[::-1]
-        out = _step_cg(space, revs, q_t, terms, None, cache, reverse=top,
-                       first=first)
-        _check_finite(out[:, ::-1, ::-1], revs, first)
+        out = _step_slabs(space, revs, q_t, terms, None, cache, reverse=top,
+                          first=first)
+        if not np.isfinite(out).all():
+            _check_finite(out[:, ::-1, ::-1], revs, first)
     except ValueError as exc:
         if not hasattr(exc, "column"):
             raise

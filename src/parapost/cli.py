@@ -10,6 +10,7 @@ from .harness import (
     reproduce_table,
     require_one_mode,
     run_experiment,
+    run_sweep,
     sweep_configs,
 )
 
@@ -29,10 +30,10 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     # every config, and the report's columns, are checked before any runs
-    configs = sweep_configs(ExperimentConfig.from_file(args.config),
-                            args.param, args.values.split(","))
-    require_one_mode(args.format, (cfg.mode for cfg in configs))
-    return _emit(args, [run_experiment(cfg) for cfg in configs], args.param)
+    sweep = (ExperimentConfig.from_file(args.config), args.param,
+             args.values.split(","))
+    require_one_mode(args.format, (c.mode for c in sweep_configs(*sweep)))
+    return _emit(args, run_sweep(*sweep), args.param)
 
 
 def _cmd_reproduce(args):

@@ -1,15 +1,12 @@
 """Temporal partitions and the coarse/fine propagators.
 
 Implicit Euler, with each step solved directly or by additive Schwarz
-iteration, and cG(q_t) continuous-in-time Galerkin stepping.  Both return the
-one space-time field type, Trajectory: implicit Euler is its q_t = 0 case,
-the piecewise-constant-in-time Galerkin method dG(0), and cG(q_t) its
-q_t >= 1 case.  Both take one step grid or a stack of grids with equal
-step counts and one step size, stepped together; the one-grid call is the
-stack's one-row case.  Propagations on distinct temporal subdomains share
-no mutable state.
+iteration, and cG(q_t) continuous-in-time Galerkin stepping run through one
+slab driver, _step_slabs, and return the one space-time field type,
+Trajectory: implicit Euler is its q_t = 0 case, the piecewise-constant-in-
+time Galerkin method dG(0), and cG(q_t) its q_t >= 1 case.  Propagations
+on distinct temporal subdomains share no mutable state.
 """
-
 import math
 from dataclasses import dataclass
 
@@ -25,7 +22,6 @@ from .mesh import (
     lagrange_values,
     lagrange_derivs,
     lapack_solution,
-    matvecs,
 )
 from .schwarz import AdditiveSchwarz
 
@@ -140,7 +136,7 @@ class Trajectory:
 def _check_finite(coeffs, grids, first=None):
     """Raise the _column_error of the first column j of a (P, steps, nodes,
     dof) stack of coefficients that is not all finite, naming its first
-    such step n and end time t_n.  A ragged stack gives first as _step_cg
+    such step n and end time t_n.  A ragged stack gives first as _step_slabs
     takes it: step n of column j is slab first[j] + n - 1, and the unset
     slabs before first[j] are not read.  One isfinite pass, which cannot
     overflow as a sum can, clears an unragged stack."""
@@ -181,7 +177,7 @@ def _largest_time(grids):
 def _step_sizes(grids, first, top=None):
     """(dts, dt) of a (P, steps+1) stack of grids: its step sizes (np.diff's
     values, without its call overhead) and the one step size of a call on
-    it, the first solved one (first as _step_cg takes it, a list), which
+    it, the first solved one (first as _step_slabs takes it, a list), which
     every solved step must match to 1e-12 relative plus 8 ulps of top, the
     largest |time| the grids come from (by default their own, by
     _largest_time, before any difference), as a linspace grid's steps
@@ -217,57 +213,44 @@ def _as_stack(times, ic):
     return grids, ics, stacked
 
 
-def _columns(blocks):
-    """np.stack(blocks, axis=1), the cached blocks of a stack's grids as its
-    columns; a one-grid call views its one block instead of copying it."""
-    return blocks[0][:, None] if len(blocks) == 1 else np.stack(blocks, 1)
+def _propagate(space, times, q_t, ic, f, cache, decomp=None, K_s=None):
+    """The dG(0) (q_t = 0) or cG(q_t) Trajectory of one step grid times from
+    its incoming value ic or, given a (P, steps+1) stack of grids with equal
+    step counts and a sequence ic of P incoming values, the list of P
+    Trajectories, stepped together by _step_slabs, each bitwise its own
+    single-grid call's (FormCache.per_step says when).  f=None is a
+    homogeneous problem: no load is assembled.  A non-finite time, a step
+    of another size (_step_sizes) or a non-finite step value (_check_finite)
+    raises a ValueError naming the first such node or step n of the first
+    such column, and its time t, with that column's index in the stack as
+    its column attribute."""
+    grids, ics, stacked = _as_stack(times, ic)
+    coeffs = _step_slabs(space, grids, q_t, ics, f, cache, decomp, K_s)
+    _check_finite(coeffs, grids)
+    trajs = [Trajectory(space, grids[j], q_t, coeffs[j], ics[j])
+             for j in range(len(ics))]
+    return trajs if stacked else trajs[0]
 
 
 def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
-    """Implicit Euler over a step grid: (M + dt A) U_n = (U_{n-1}, .) + dt l(t_n).
-
-    times is one step grid with ic its incoming value, giving one
-    Trajectory, or a stack of P grids with equal step counts (shape
-    (P, steps+1)) with ic a sequence of P incoming values, giving a list of
-    P Trajectories.  The columns of a stack are stepped together: each
-    step's P systems are one multi-column solve, and every column's values
-    are bitwise those of its own single-grid call (FormCache.per_step says
-    when).  Each step's SPD system is solved by the one solver of the first
-    step's size: directly (banded Cholesky) or, given an
-    OverlapDecomposition, by K_s additive Schwarz iterations from a zero
-    guess, of which only the final iterate is kept; each step's right-hand
-    side takes its own exact dt.  The loads l(t_n) are the cache's block
-    for each grid.  An incoming value may live in a different space on the
-    same mesh; its first-step contribution is the exact cross-space L2
-    pairing.  A non-finite time, a step of another size (_step_sizes) or a
-    non-finite step value (_check_finite) raises a ValueError naming the
-    first such node or step n of the first such column, and its time t,
-    with that column's index in the stack as its column attribute.
-    """
+    """Implicit Euler, (M + dt A) U_n = (U_{n-1}, .) + dt l(t_n), by
+    _propagate as dG(0): each step is solved directly (banded Cholesky) or,
+    given an OverlapDecomposition, by K_s additive Schwarz iterations from
+    a zero guess, keeping only the final iterate.  An incoming value may
+    live in another space on the same mesh: its first-step term is the
+    exact cross-space L2 pairing."""
     if decomp is not None and (K_s is None or K_s < 1):
         raise ValueError("K_s must be >= 1")
-    grids, ics, stacked = _as_stack(times, ic)
-    P, n_steps, ndof = len(grids), grids.shape[1] - 1, space.dof_count
-    steps, dt = _step_sizes(grids, [0] * P)
-    solver = (cache.step_operator(space, dt) if decomp is None
-              else AdditiveSchwarz.cached(cache, space, dt, decomp))
-    M = cache.mass(space, space)
-    coeffs = np.zeros((P, n_steps, 1, ndof))
-    # (U_0, phi_i) per column; every matrix-vector product here is one
-    # column's (mesh.matvecs), as a product with a block of columns sums in
-    # another order
-    prev_m = np.array([cache.mass(space, u0.space) @ u0.coefficients
-                       for u0 in ics])
-    loads = _columns([cache.load(space, g[1:], f) for g in grids])
-    for n, dts in enumerate(steps.T, 1):
-        b = (prev_m + dts[:, None] * loads[n - 1]).T  # (dof, P)
-        x = solver.solve(b) if decomp is None else solver.solve(b, 0, K_s)[0]
-        coeffs[:, n - 1, 0] = x.T
-        prev_m = matvecs(M, coeffs[:, n - 1, 0])
-    _check_finite(coeffs, grids)
-    trajs = [Trajectory(space, grids[j], 0, coeffs[j], ics[j])
-             for j in range(P)]
-    return trajs if stacked else trajs[0]
+    return _propagate(space, times, 0, ic, f, cache, decomp, K_s)
+
+
+def propagate_cg(space, times, q_t, ic, f, cache):
+    """cG(q_t) time stepping, with test functions of time degree q_t - 1, by
+    _propagate; the first slab starts from the incoming value's L2
+    projection into the solve space."""
+    if q_t < 1:
+        raise ValueError("q_t must be >= 1")
+    return _propagate(space, times, q_t, ic, f, cache)
 
 
 def _cg_time_forms(q_t):
@@ -289,25 +272,6 @@ def _cg_time_forms(q_t):
     return tuple(map(_read_only, (Pw @ dlam.T, Pw @ lam.T, s, Pw)))
 
 
-def propagate_cg(space, times, q_t, ic, f, cache):
-    """cG(q_t) time stepping with test functions of time degree q_t - 1.
-
-    times is one step grid with ic its incoming value, giving one
-    Trajectory, or a (P, steps+1) stack of grids with ic a sequence of P
-    incoming values, giving a list of P Trajectories, each bitwise that of
-    its own single-grid call (see _step_cg; FormCache.per_step says when).
-    The loads are the cache's time-integrated block for each grid; f=None
-    is a homogeneous problem: no load is assembled.  It raises as
-    propagate_be does, naming a non-finite slab solution's step.
-    """
-    grids, ics, stacked = _as_stack(times, ic)
-    coeffs = _step_cg(space, grids, q_t, ics, f, cache)
-    _check_finite(coeffs, grids)
-    trajs = [Trajectory(space, grids[j], q_t, coeffs[j], ics[j])
-             for j in range(len(ics))]
-    return trajs if stacked else trajs[0]
-
-
 def _slab_lu(M, A, alpha, beta, dt):
     """LU factors (lu, piv) of the cG(q_t) slab matrix of blocks alpha[m, j]
     M + dt beta[m, j] A (m < q_t, 1 <= j <= q_t), built and factored in one
@@ -322,12 +286,18 @@ def _slab_lu(M, A, alpha, beta, dt):
     return lapack_solution("dgetrf", (lu, piv), info)
 
 
-def _cg_loads(space, grid, q_t, f, cache):
-    """Each slab's load integrated against the cG(q_t) test functions, a
-    read-only (steps, q_t, dof) block: row [n, m] is dt_n sum_i Pw[m, i]
-    l(t_n + dt_n s_i) (see _cg_time_forms).  The cache builds it once per
-    (space, q_t, f, exact grid), from one mesh.assemble_load call at every
-    slab's q_t+3 quadrature times, which it does not keep."""
+def _slab_loads(space, grid, q_t, f, cache):
+    """Each slab's load integrated against its time test functions, a
+    read-only (steps, max(q_t, 1), dof) block.  dG(0)'s row [n, 0] is
+    l(t_n), the cache's step-end block, which _step_slabs weights by dt_n
+    for a whole stack at once.  cG(q_t)'s row [n, m] is dt_n sum_i
+    Pw[m, i] l(t_n + dt_n s_i) (see _cg_time_forms), a block the cache
+    builds once per (space, q_t, f, exact grid), from one
+    mesh.assemble_load call at every slab's q_t+3 quadrature times, which
+    it does not keep."""
+    if not q_t:
+        return cache.load(space, grid[1:], f)[:, None]
+
     def build():
         _, _, s, Pw = _time_forms(q_t, cache)
         dt = grid[1:] - grid[:-1]
@@ -347,77 +317,104 @@ def _time_forms(q_t, cache):
     return cache.factor(("cg_time_forms", q_t), lambda: _cg_time_forms(q_t))
 
 
-def _step_cg(space, grids, q_t, ics, f, cache, reverse=None, first=None):
-    """The (P, steps, q_t+1, dof) coefficients of the cG(q_t) solutions on
-    a (P, steps+1) stack of grids from incoming values ics; given reverse,
-    the largest |time| of the grids these time-reverse, each column is
-    stored in reversed slab and time-node order, which is the forward order
-    of a time-reversed solve.  A ragged stack gives first, the nondecreasing
-    slab each column starts at (all end at the last), so the active columns
-    are a prefix; earlier slabs are unset.
+def _slab_solver(space, q_t, dt, cache, decomp=None, K_s=None):
+    """(solve, a0, b0, M, A) of a call of step size dt: solve(rows)
+    overwrites each row of a (k, nodes * dof) block of slab right-hand sides
+    with its slab solution; a0 and b0 are alpha[:, 0] and beta[:, 0].  dG(0)
+    solves by the step operator M + dt A or, given decomp, K_s Schwarz
+    sweeps, with a0 = -1 and b0 None: a zero factor forms no product (0 *
+    inf is NaN).  cG(q_t) solves by its "cg_slab" entry (_slab_lu's LU, a0,
+    b0 and the cache's M and A), by one single-column dgetrs per row (a
+    multi-column one sums in another order), checking the infos once."""
+    if not q_t:
+        op = (cache.step_operator(space, dt) if decomp is None
+              else AdditiveSchwarz.cached(cache, space, dt, decomp))
 
-    Continuity across slabs is enforced by construction; the slab start value
-    is the L2 projection of the incoming value into the solve space: one
-    mass product per column, then one multi-column banded solve for the
-    stack, which solves column by column.  Each column's time-integrated
-    loads are the cache's block for its grid (_cg_loads), so a grid solved
-    again assembles nothing.  Per call it looks up one "cg_slab" entry, of
-    the first solved step's size (_step_sizes), holding the slab LU
-    (_slab_lu), alpha[:, :1], beta[:, :1] and the cache's M and A, which
-    serves every slab.  Per slab it forms all active columns' right-hand
-    sides, each with its own exact dt, by one stacked product of M and one
-    of A (one gemv per column, as in mesh.matvecs), then makes one
-    single-column dgetrs per column (a multi-column dgetrs sums in another
-    order) and checks their infos once.  Nothing here checks the
-    solutions' finiteness: the callers do, naming what they solve.
-    """
-    if q_t < 1:
-        raise ValueError("q_t must be >= 1")
-    P, n_slabs = grids.shape[0], grids.shape[1] - 1
-    first = [0] * P if first is None else list(first)
-    dts, dt = _step_sizes(grids, first, reverse)
+        def solve(rows):
+            b = rows.T
+            rows[...] = (op.solve(b) if decomp is None
+                         else op.solve(b, 0, K_s)[0]).T
+        return solve, -1.0, None, cache.mass(space, space), None
 
     def slab():  # the entry holds no reference to the cache
         M, A = cache.mass(space, space), cache.stiffness(space, space)
         alpha, beta, _, _ = _time_forms(q_t, cache)
         return (*_slab_lu(M, A, alpha, beta, dt), alpha[:, :1, None],
                 beta[:, :1, None], M, A)
-    # building the LU takes a dense slab-sized matrix, so the loads and the
-    # coefficients are allocated after it is built
     lu, piv, a0, b0, M, A = cache.per_step(space, dt, slab, "cg_slab", q_t)
-    project = cache.step_operator(space, 0.0)
-    starts = project.solve(np.array([
-        cache.mass(space, u0.space) @ u0.coefficients for u0 in ics]).T).T
-    # (steps, P, q_t, dof, 1): slab n's time-integrated loads of every
-    # column; a homogeneous problem subtracts from the scalar 0.0
-    loads = (_columns([_cg_loads(space, g, q_t, f, cache) for g in grids])
-             [..., None] if f is not None else None)
+
+    def solve(rows):
+        infos = [dgetrs(lu, piv, b, 0, 1)[1] for b in rows]
+        lapack_solution("dgetrs", None, next(filter(None, infos), 0))
+    return solve, a0, b0, M, A
+
+
+def _step_slabs(space, grids, q_t, ics, f, cache, decomp=None, K_s=None,
+                reverse=None, first=None):
+    """The (P, steps, q_t+1, dof) coefficients of the dG(0) (q_t = 0) or
+    cG(q_t) solutions on a (P, steps+1) stack of grids from incoming values
+    ics; given reverse, the largest |time| of the grids these time-reverse,
+    each column is stored in reversed slab and time-node order, which is
+    the forward order of a time-reversed solve.  A ragged cG stack gives
+    first, the nondecreasing slab each column starts at (all end at the
+    last), so the active columns are a prefix; earlier slabs are unset.
+
+    Slab n solves sum_j (alpha[m, j] M + dt beta[m, j] A) U_j = L_m - (a0[m]
+    M + dt b0[m] A) U_0 for its unknown nodes U_j, with L its loads
+    (_slab_loads) and U_0 the previous slab's end value.  On the first
+    slab dG(0)'s M U_0 is the incoming value's cross-space pairing, and
+    cG's U_0 that pairing's L2 projection (one multi-column banded solve).
+    Per call it looks up one _slab_solver, of the first solved step's size
+    (_step_sizes).  Per slab it forms all active columns' right-hand sides,
+    each with its own exact dt, by one stacked product of M and one of A,
+    and solves them in place.  Nothing here checks the solutions'
+    finiteness: the callers do, naming what they solve.
+    """
+    P, n_slabs, nodes = grids.shape[0], grids.shape[1] - 1, max(q_t, 1)
+    first = [0] * P if first is None else list(first)
+    dts, dt = _step_sizes(grids, first, reverse)
+    # a cG slab LU takes a dense slab-sized matrix: allocate after building it
+    solve, a0, b0, M, A = _slab_solver(space, q_t, dt, cache, decomp, K_s)
+    paired = np.array([cache.mass(space, u0.space) @ u0.coefficients
+                       for u0 in ics])
+    loads = None  # a homogeneous problem subtracts from the scalar 0.0
+    if f is not None:  # (steps, P, nodes, dof, 1); one grid views its block
+        blocks = [_slab_loads(space, g, q_t, f, cache) for g in grids]
+        loads = (blocks[0][:, None] if P == 1
+                 else np.stack(blocks, 1))[..., None]
+        if not q_t:  # dG(0)'s right-endpoint rule: dt_n l(t_n)
+            loads = dts.T[:, :, None, None, None] * loads
     out = np.empty((P, n_slabs, q_t + 1, space.dof_count))
     coeffs = out if reverse is None else out[:, ::-1, ::-1]
-    coeffs[:, 0, 0] = starts
-    # per column and slab, the factors of the slab start value's terms,
-    # alpha[m, 0] and dt * beta[m, 0], as the single-grid products form them
-    dt_b0 = np.multiply.outer(dts, b0)  # (P, steps, q_t, 1, 1)
-    # F holds every column's slab right-hand side, which the solves
-    # overwrite in place (dgetrs with overwrite_b) with the slab solution,
-    # after its last block held the start value; prev views each column's
-    # start value as a (dof, 1) block, so a stacked product with it is one
-    # gemv per column (see mesh.matvecs)
-    F = np.empty((P, q_t, space.dof_count, 1))
-    F[:, -1, :, 0] = starts
-    rhs = F.reshape(P, -1)  # one row per column, a view of F
+    # per slab and column dt * beta[m, 0], as the single-grid products form it
+    dt_b0 = None if b0 is None else np.multiply.outer(dts.T, b0)
+    # F holds every column's slab right-hand side, which the solves overwrite
+    # with the solution; prev views its last block, the next start value, as
+    # (dof, 1), so a stacked product with it is one gemv (see mesh.matvecs)
+    F = np.empty((P, nodes, space.dof_count, 1))
+    if q_t:  # cG's later-starting columns keep their start value in F
+        starts = cache.step_operator(space, 0.0).solve(paired.T).T
+        F[:, -1, :, 0] = starts
+    m0 = (np.matmul(M, F[:first.count(0), -1:]) if q_t  # slab 0's M U_0
+          else paired[:, None, :, None])
     bounds = sorted(set(first)) + [n_slabs]
     for s, e in zip(bounds, bounds[1:]):
         k = sum(j <= s for j in first)  # the columns active on slabs s..e-1
-        Fk, prev, rhs_k = F[:k], F[:k, -1:], rhs[:k]
+        Fk, prev = F[:k], F[:k, -1:]
+        loads_k = None if loads is None else loads[:, :k]
+        rows_k = Fk.reshape(k, -1)  # one row per column, a view of F
+        sol_k, coeffs_k = Fk[..., 0], coeffs[:k, :, -nodes:]
+        dt_b0_k = None if dt_b0 is None else dt_b0[:, :k]
         for n in range(s, e):
-            np.subtract(0.0 if loads is None else loads[n, :k],
-                        a0 * np.matmul(M, prev)
-                        + dt_b0[:k, n] * np.matmul(A, prev), out=Fk)
-            infos = [dgetrs(lu, piv, b, 0, 1)[1] for b in rhs_k]
-            lapack_solution("dgetrs", None, next(filter(None, infos), 0))
-            coeffs[:k, n, 1:] = Fk[..., 0]
-    coeffs[:, 1:, 0] = coeffs[:, :-1, -1]
-    for j in range(first.count(0), P):  # the later-starting columns
-        coeffs[j, first[j], 0] = starts[j]
+            terms = a0 * (np.matmul(M, prev) if n else m0)
+            if dt_b0_k is not None:
+                terms += dt_b0_k[n] * np.matmul(A, prev)
+            np.subtract(0.0 if loads_k is None else loads_k[n], terms, out=Fk)
+            solve(rows_k)
+            coeffs_k[:, n] = sol_k
+    if q_t:
+        coeffs[:, 0, 0] = starts
+        coeffs[:, 1:, 0] = coeffs[:, :-1, -1]
+        for j in range(first.count(0), P):  # the later-starting columns
+            coeffs[j, first[j], 0] = starts[j]
     return out

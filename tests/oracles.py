@@ -8,6 +8,7 @@ reproduces after P_t iterations: subdomain by subdomain, each handing the
 coarse interpolant of its fine end value to the next.
 dg0_equivalence_check re-solves an implicit-Euler trajectory as the dG(0)
 Galerkin method, with matrices assembled afresh and a dense solve.
+be_per_step steps implicit Euler one step and one vector at a time.
 cg_per_slab steps cG(q_t) one slab and one test function at a time.
 dd_split_per_step splits one Schwarz-solved step at a time, with its own
 replay of the step's sweeps, spatial adjoints and one-vector products.
@@ -97,6 +98,30 @@ def dg0_equivalence_check(traj, f):
         dev = max(dev, float(np.max(np.abs(u - traj.coeffs[n - 1, 0])))) if space.dof_count else 0.0
         prev_m = M @ u
     return dev
+
+
+def be_per_step(space, times, ic, f, cache, decomp=None, K_s=None):
+    """Coefficients (steps, 1, dof) of implicit Euler stepped one step at a
+    time: step n's right-hand side is the incoming value's cross-space
+    pairing M_x u_0 for n = 1 and M U_{n-1} after, each plus dt_n l(t_n)
+    assembled alone, and it is solved as one vector by the cache's step
+    operator of the step's size or, given decomp, by K_s Schwarz sweeps
+    from a zero guess with the cache's sweeper of that size."""
+    times = np.asarray(times, dtype=float)
+    M = cache.mass(space, space)
+    prev = cache.mass(space, ic.space) @ ic.coefficients
+    coeffs = np.zeros((len(times) - 1, 1, space.dof_count))
+    for n in range(1, len(times)):
+        dt = times[n] - times[n - 1]
+        rhs = prev + dt * assemble_load(space, times[n], f)
+        if decomp is None:
+            u = cache.step_operator(space, dt).solve(rhs)
+        else:
+            u = AdditiveSchwarz.cached(cache, space, dt, decomp).solve(
+                rhs, 0, K_s)[0]
+        coeffs[n - 1, 0] = u
+        prev = M @ u
+    return coeffs
 
 
 def cg_per_slab(space, times, q_t, ic, f):

@@ -4,6 +4,7 @@ one by the step operator, the per-sweep subdomain ones by the sweeper)."""
 import numpy as np
 import pytest
 
+import parapost.adjoint as adjoint_module
 import parapost.mesh as mesh_module
 from parapost.adjoint import (
     solve_auxiliary_adjoints,
@@ -164,6 +165,27 @@ def test_nonfinite_auxiliary_adjoint_names_its_p():
     with pytest.raises(ValueError, match=r"^auxiliary\(4\) adjoint \(time "
                        r"reversed, t -> 0\.3 - t\): .* n=1, t=0\.05$"):
         solve_auxiliary_adjoints(part, coarse, fines, 3, cache)
+
+
+def test_unset_slabs_of_a_ragged_stack_fail_no_finiteness_check(monkeypatch):
+    # a ragged stack's unset slabs come from np.empty; filled with NaN they
+    # fail the one pass over the whole stack, and the exact check, which
+    # does not read them, clears it
+    part, coarse, fines, cache = _aux_setup()
+    want = solve_auxiliary_adjoints(part, coarse, fines, 3, cache)
+    real = adjoint_module._step_slabs
+
+    def unset_nan(*args, first, **kwargs):
+        out = real(*args, first=first, **kwargs)
+        for j, s in enumerate(first):  # stored in time-reversed order
+            out[j, out.shape[1] - s:] = np.nan
+        return out
+
+    monkeypatch.setattr(adjoint_module, "_step_slabs", unset_nan)
+    got = solve_auxiliary_adjoints(part, coarse, fines, 3, cache)
+    assert list(got) == list(want)
+    for p in want:
+        assert np.array_equal(got[p].coeffs, want[p].coeffs)
 
 
 def test_slab_index_of_arrays():

@@ -897,7 +897,7 @@ def test_D_is_bitwise_the_per_subdomain_sum(solver, P_t, r):
 
 def test_tpa_stacks_the_A_residuals_and_each_pairing_family(monkeypatch):
     # at P_t = 10 D's 10 residuals are one call and the 45 A residuals
-    # another; the auxiliary adjoints are one ragged _step_cg stack (after
+    # another; the auxiliary adjoints are one ragged _step_slabs stack (after
     # the coarse adjoint and the stack of fine adjoints); the K, C, A-jump
     # and A initial-condition pairings are one product each (after the one
     # pairing of D's initial condition)
@@ -906,7 +906,7 @@ def test_tpa_stacks_the_A_residuals_and_each_pairing_family(monkeypatch):
     calls, products, stacks = [], [], []
     real_residual = ResidualEvaluator.residual
     real_pairings = estimator_module.pairings
-    real_step_cg = adjoint_module._step_cg
+    real_step_slabs = adjoint_module._step_slabs
 
     def residual(self, pairs):
         calls.append(len(pairs))
@@ -916,13 +916,13 @@ def test_tpa_stacks_the_A_residuals_and_each_pairing_family(monkeypatch):
         products.append(len(X))
         return real_pairings(X, G, Y)
 
-    def step_cg(space, grids, *args, **kwargs):
+    def step_slabs(space, grids, *args, **kwargs):
         stacks.append((len(grids), kwargs.get("first")))
-        return real_step_cg(space, grids, *args, **kwargs)
+        return real_step_slabs(space, grids, *args, **kwargs)
 
     monkeypatch.setattr(ResidualEvaluator, "residual", residual)
     monkeypatch.setattr(estimator_module, "pairings", pairings)
-    monkeypatch.setattr(adjoint_module, "_step_cg", step_cg)
+    monkeypatch.setattr(adjoint_module, "_step_slabs", step_slabs)
     run_experiment(cfg)
     P_t, nhat_p = cfg.P_t, cfg.Nhat_t // cfg.P_t
     # D one pair per subdomain, A every coarse trajectory k < p against

@@ -449,6 +449,24 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert len(lines) == 3 and lines[0].startswith("K_t,")
 
 
+def test_cli_sweep_takes_its_records_from_run_sweep(tmp_path, capsys,
+                                                   monkeypatch, runs):
+    # one sweep path: the CLI checks the configs and the report's columns,
+    # then reports what run_sweep returns
+    calls = []
+
+    def recording(base, param, values):
+        calls.append((param, list(values)))
+        return run_sweep(base, param, values)
+
+    monkeypatch.setattr(cli, "run_sweep", recording)
+    assert cli_main(["sweep", "--config", _config_file(tmp_path), "--param",
+                     "K_t", "--values", "1,2"]) == 0
+    assert calls == [("K_t", ["1", "2"])]
+    assert [cfg.K_t for cfg in runs] == [1, 2]
+    assert len(capsys.readouterr().out.strip().split("\n")) == 3
+
+
 def test_cli_json_format(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SMALL))

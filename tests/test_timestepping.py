@@ -34,7 +34,7 @@ from parapost.timestepping import (
     propagate_cg,
 )
 
-from oracles import at, cg_per_slab, dg0_equivalence_check
+from oracles import at, be_per_step, cg_per_slab, dg0_equivalence_check
 
 
 def _single_dof_space():
@@ -301,6 +301,26 @@ def test_cg_stepping_equals_the_per_slab_loop(q_t, forced):
     f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
     traj = propagate_cg(space, grid, q_t, ic, f, FormCache())
     assert np.array_equal(traj.coeffs, cg_per_slab(space, grid, q_t, ic, f))
+
+
+@pytest.mark.parametrize("stepping", ["direct", "schwarz"])
+@pytest.mark.parametrize("forced", [True, False])
+def test_be_stepping_equals_the_per_step_loop(stepping, forced):
+    # the steps of this grid differ in their last bits, so the solver of the
+    # first step serves steps of other exact sizes; the incoming value lives
+    # in another space
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space, inc_space = FeSpace(mesh, 2), FeSpace(mesh, 3)
+    grid = np.linspace(0.0, 0.7, 8)
+    assert len(set(np.diff(grid))) > 1
+    solver = ((decompose_domain(mesh, 2, 0.25, 0.4), 3)
+              if stepping == "schwarz" else ())
+    rng = np.random.default_rng(3 + forced)
+    ic = NodalField(inc_space, rng.standard_normal(inc_space.dof_count))
+    f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
+    traj = propagate_be(space, grid, ic, f, FormCache(), *solver)
+    assert np.array_equal(
+        traj.coeffs, be_per_step(space, grid, ic, f, FormCache(), *solver))
 
 
 @pytest.mark.parametrize("stepping", ["direct", "schwarz"])
