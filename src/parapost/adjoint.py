@@ -30,8 +30,7 @@ def _solve_backward(kinds, space, grids, terms, q_t, cache):
     Every column error is named by its column's entry of kinds: a
     non-finite time of the forward grids (_largest_time, before they are
     reversed) and, on the time-reversed grids, a step of another size or
-    else a non-finite value, named in solve order by _check_finite if one
-    pass over the contiguous stack fails (as its unset ragged slabs may)."""
+    else a non-finite value, named in solve order by _check_finite."""
     first = [len(grids[0]) - len(g) for g in grids]
     revs = np.zeros((len(grids), len(grids[0])))
     try:
@@ -40,8 +39,7 @@ def _solve_backward(kinds, space, grids, terms, q_t, cache):
             rev[s:] = (g[-1] - g)[::-1]
         out = _step_slabs(space, revs, q_t, terms, None, cache, reverse=top,
                           first=first)
-        if not np.isfinite(out).all():
-            _check_finite(out[:, ::-1, ::-1], revs, first)
+        _check_finite(out[:, ::-1, ::-1], revs, first)
     except ValueError as exc:
         if not hasattr(exc, "column"):
             raise

@@ -28,7 +28,8 @@ from .timestepping import TimePartition, propagate_be, propagate_cg
 
 @dataclass(frozen=True)
 class ManufacturedProblem:
-    """Forcing, exact solution, initial condition and QoI weight."""
+    """Forcing, exact solution, initial condition and QoI weight, built only
+    if all finite, nu != 0, mu a nonzero integer, 0 <= qoi_lo < qoi_hi <= 1."""
 
     nu: float
     mu: float
@@ -36,6 +37,24 @@ class ManufacturedProblem:
     qoi_lo: float = 0.2
     qoi_hi: float = 0.6
     qoi_scale: float = 10000.0
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name, value in (("nu", self.nu), ("mu", self.mu)):
+            if value == 0:
+                raise ValueError(f"{name} must be nonzero, got {value}")
+        if not float(self.mu).is_integer():
+            raise ValueError(f"mu must be an integer, so that sin(mu pi x) "
+                             f"vanishes at x = 1, got {self.mu}")
+        lo, hi = self.qoi_lo, self.qoi_hi
+        if lo < 0.0:
+            raise ValueError(f"qoi_lo={lo} lies outside the domain [0, 1]")
+        if hi > 1.0:
+            raise ValueError(f"qoi_hi={hi} lies outside the domain [0, 1]")
+        if not lo < hi:
+            raise ValueError(f"qoi_lo={lo} must be below qoi_hi={hi}")
 
     def f(self, x, t):
         return np.sin(self.mu * np.pi * x) * (
@@ -74,27 +93,7 @@ class ManufacturedProblem:
         return math.cos(self.nu * math.pi * self.T) * val
 
 
-def _check_problem(nu, mu, qoi_lo, qoi_hi):
-    """Reject a manufactured problem that is trivial or whose solution or QoI
-    support leaves the spatial domain [0, 1]: nu and mu must be nonzero,
-    u = cos(nu pi t) sin(mu pi x) vanishes at x = 1 only for an integer mu,
-    and qoi_eval integrates over the mesh only, so the support (qoi_lo,
-    qoi_hi) must lie in [0, 1]."""
-    for name, value in (("nu", nu), ("mu", mu)):
-        if value == 0:
-            raise ValueError(f"{name} must be nonzero, got {value}")
-    if not float(mu).is_integer():
-        raise ValueError(f"mu must be an integer, so that sin(mu pi x) "
-                         f"vanishes at x = 1, got {mu}")
-    if qoi_lo < 0.0:
-        raise ValueError(f"qoi_lo={qoi_lo} lies outside the domain [0, 1]")
-    if qoi_hi > 1.0:
-        raise ValueError(f"qoi_hi={qoi_hi} lies outside the domain [0, 1]")
-
-
-def build_manufactured(nu, mu, T, qoi_lo=0.2, qoi_hi=0.6, qoi_scale=10000.0):
-    _check_problem(nu, mu, qoi_lo, qoi_hi)
-    return ManufacturedProblem(nu, mu, T, qoi_lo, qoi_hi, qoi_scale)
+build_manufactured = ManufacturedProblem
 
 
 _FLAGS = {"1": True, "true": True, "yes": True,
@@ -124,14 +123,15 @@ class ExperimentConfig:
     """Flat experiment description; field names follow the usual notation
     (Nhat_t coarse time steps, r refinement factor, P_t temporal subdomains,
     K_t Parareal iterations, Nhat_s spatial elements, qhat_s/q_s coarse and
-    fine spatial degrees, P_s/K_s/beta/tau the Schwarz settings)."""
+    fine spatial degrees, P_s/K_s/beta/tau the Schwarz settings), converted
+    to its fields' types and checked (validate) when built."""
 
     nu: float = 4.0
     mu: float = 1.0
     T: float = 2.0
-    qoi_lo: float = 0.2
-    qoi_hi: float = 0.6
-    qoi_scale: float = 10000.0
+    qoi_lo: float = ManufacturedProblem.qoi_lo
+    qoi_hi: float = ManufacturedProblem.qoi_hi
+    qoi_scale: float = ManufacturedProblem.qoi_scale
     Nhat_t: int = 20
     r: int = 2
     P_t: int = 10
@@ -151,12 +151,13 @@ class ExperimentConfig:
     adjoint_space_degree: int = 3
 
     def __post_init__(self):
-        # every value (e.g. text from a config file) as its field's type
         for name, f in self.__dataclass_fields__.items():
             object.__setattr__(self, name,
                                _coerce(name, f.type, getattr(self, name)))
+        self.validate()
 
     def validate(self):
+        """The config unchanged, or a ValueError naming a bad field."""
         counts = ["P_t", "K_t", "Nhat_t", "r", "Nhat_s", "qhat_s", "q_s",
                   "qhat_t", "q_t", "adjoint_time_degree",
                   "adjoint_space_degree"]
@@ -165,16 +166,12 @@ class ExperimentConfig:
         for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("nu", "mu", "T", "qoi_lo", "qoi_hi", "qoi_scale",
-                     "beta", "tau"):
+        for name in ("beta", "tau"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        self.problem  # built, so checked
         if self.T <= 0:
             raise ValueError(f"T must be > 0, got {self.T}")
-        _check_problem(self.nu, self.mu, self.qoi_lo, self.qoi_hi)
-        if not self.qoi_lo < self.qoi_hi:
-            raise ValueError(
-                f"qoi_lo={self.qoi_lo} must be below qoi_hi={self.qoi_hi}")
         if self.Nhat_t % self.P_t != 0:
             raise ValueError(f"Nhat_t={self.Nhat_t} not divisible by P_t={self.P_t}")
         if self.qhat_s > self.q_s:
@@ -196,6 +193,12 @@ class ExperimentConfig:
         return self
 
     @property
+    def problem(self):
+        """The manufactured problem of the config's six problem fields."""
+        return ManufacturedProblem(self.nu, self.mu, self.T, self.qoi_lo,
+                                   self.qoi_hi, self.qoi_scale)
+
+    @property
     def mode(self):
         """The decomposition a run reports: 'STPA' with the Schwarz fine
         solver, else 'TPA'."""
@@ -209,7 +212,7 @@ class ExperimentConfig:
         unknown = set(d) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return ExperimentConfig(**d).validate()
+        return ExperimentConfig(**d)
 
     @staticmethod
     def from_file(path):
@@ -267,12 +270,8 @@ class RunRecord:
 def run_experiment(config):
     """Run TPA or STPA at the final Parareal iteration, estimate the error and
     compare the estimate with the manufactured solution's true error."""
-    config.validate()
     t_start = time.perf_counter()
-    problem = build_manufactured(
-        config.nu, config.mu, config.T,
-        config.qoi_lo, config.qoi_hi, config.qoi_scale,
-    )
+    problem = config.problem
     mesh = SpatialMesh.uniform(0.0, 1.0, config.Nhat_s)
     coarse_space = FeSpace(mesh, config.qhat_s)
     fine_space = FeSpace(mesh, config.q_s)
@@ -395,17 +394,17 @@ def emit_report(records, fmt="csv", path=None, sweep_param=None):
 
 
 def sweep_configs(base_config, param, values):
-    """The base config with param set to each value in turn, each converted
-    to the field's type and validated: an unknown param or a bad value, at
-    any position, raises a ValueError before any sweep runs."""
+    """The base config with param set to each value in turn, each built (so
+    converted and checked) before any is returned: an unknown param or a bad
+    value, at any position, raises a ValueError before any sweep runs."""
     if param not in ExperimentConfig.__dataclass_fields__:
         raise ValueError(f"unknown sweep parameter {param!r}")
-    return [replace(base_config, **{param: v}).validate() for v in values]
+    return [replace(base_config, **{param: v}) for v in values]
 
 
 def run_sweep(base_config, param, values):
     """Run the base config once per parameter value, in order, after every
-    config of the sweep has validated (sweep_configs)."""
+    config of the sweep has been built (sweep_configs)."""
     return [run_experiment(cfg)
             for cfg in sweep_configs(base_config, param, values)]
 

@@ -137,12 +137,12 @@ def _check_finite(coeffs, grids, first=None):
     """Raise the _column_error of the first column j of a (P, steps, nodes,
     dof) stack of coefficients that is not all finite, naming its first
     such step n and end time t_n.  A ragged stack gives first as _step_slabs
-    takes it: step n of column j is slab first[j] + n - 1, and the unset
-    slabs before first[j] are not read.  One isfinite pass, which cannot
-    overflow as a sum can, clears an unragged stack."""
-    first = [0] * len(coeffs) if first is None else first
-    if not any(first) and np.isfinite(coeffs).all():
+    takes it: step n of column j is slab first[j] + n - 1.  One isfinite
+    pass over the whole stack, which cannot overflow as a sum can, clears
+    it; only if that fails are the unset slabs before first[j] masked out."""
+    if np.isfinite(coeffs).all():
         return
+    first = [0] * len(coeffs) if first is None else first
     solved = np.arange(coeffs.shape[1]) >= np.asarray(first)[:, None]
     bad = solved & ~np.isfinite(coeffs).all(axis=(2, 3))  # (P, steps)
     if bad.any():

@@ -2,7 +2,8 @@
 cache or builds a private one, so every solve, embedding and residual of an
 experiment shares the factorizations and assembled forms of the cache that
 run_experiment (or a selftest check) built and passed down.  Which step
-sizes share a solver is decided by FormCache.per_step alone."""
+sizes share a solver is decided by FormCache.per_step alone, and whether a
+config is valid by ExperimentConfig.__post_init__ alone."""
 
 import ast
 import tracemalloc
@@ -91,6 +92,15 @@ def test_only_per_step_rounds_a_step_size():
     rounders = [(module, scope) for module, scope, node in _nodes()
                 if isinstance(node, ast.Call) and _rounds_a_step_size(node)]
     assert rounders == [("mesh", "FormCache.per_step")]
+
+
+def test_only_building_a_config_validates_it():
+    # a config checks itself when built, so no caller checks it again
+    callers = [(module, scope) for module, scope, node in _nodes()
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               == "validate"]
+    assert callers == [("harness", "ExperimentConfig.__post_init__")]
 
 
 def _step_operator(cache, space, decomp, dt):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,11 @@ def test_build_manufactured_rejects_degenerate():
         build_manufactured(4, 1, 2.0, qoi_lo=-0.4, qoi_hi=0.2)
     with pytest.raises(ValueError, match="qoi_hi"):
         build_manufactured(4, 1, 2.0, qoi_lo=0.5, qoi_hi=1.5)
+    # an empty support would make psi, and so the true QoI, zero
+    with pytest.raises(ValueError, match="qoi_lo"):
+        build_manufactured(4, 1, 2.0, qoi_lo=0.6, qoi_hi=0.2)
+    with pytest.raises(ValueError, match="qoi_lo"):
+        build_manufactured(4, 1, 2.0, qoi_lo=0.4, qoi_hi=0.4)
 
 
 def test_config_validation_errors():
@@ -161,6 +167,11 @@ BAD_CONFIGS = [
     "overrides, name", BAD_CONFIGS,
     ids=[",".join(f"{k}={v}" for k, v in o.items()) for o, _ in BAD_CONFIGS])
 def test_config_rejects_bad_values_by_name(overrides, name):
+    # a config is checked when built, also by dataclasses.replace
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig(**overrides)
+    with pytest.raises(ValueError, match=name):
+        replace(ExperimentConfig(), **overrides)
     with pytest.raises(ValueError, match=name):
         ExperimentConfig(**overrides).validate()
     with pytest.raises(ValueError, match=name):
