@@ -46,9 +46,12 @@ part = TimePartition.uniform(prob.T, P_t=5, Nhat_t=20, r=4)
 # below shares its matrices, load blocks and factorizations
 cache = FormCache()
 # the fine solver gets all the fine solves of an iteration at once and
-# steps them together; the coarse solver gets one subdomain at a time
+# steps them together; the coarse solver gets an iteration's serial sweep as
+# one chain of rows, each starting from the previous row's end value plus
+# its jump, the interpolated Parareal correction
 fine = lambda grids, ics: propagate_be(fine_space, grids, ics, prob.f, cache)
-crse = lambda grid, ic: propagate_be(coarse_space, grid, ic, prob.f, cache)
+crse = lambda grids, ic, jumps: propagate_be(coarse_space, grids, ic, prob.f,
+                                             cache, jumps=jumps)
 
 # two Parareal iterations from the interpolated initial condition
 states = vpar(part, 2, coarse_space.interpolate(prob.u0), fine, crse, cache)

@@ -22,7 +22,7 @@ from .adjoint import (
 from .estimator import N_QUAD_T, stpa_breakdown
 from .mesh import N_QUAD, FeSpace, FormCache, SpatialMesh, gauss_rule, qoi_eval
 from .parareal import vpar
-from .schwarz import decompose_domain
+from .schwarz import decompose_domain, overlap_ranges
 from .timestepping import TimePartition, propagate_be, propagate_cg
 
 
@@ -188,8 +188,7 @@ class ExperimentConfig:
         if self.schwarz:
             if self.integrator != "be":
                 raise ValueError("the Schwarz fine solver requires integrator 'be'")
-            mesh = SpatialMesh.uniform(0.0, 1.0, self.Nhat_s)
-            decompose_domain(mesh, self.P_s, self.beta, self.tau)
+            overlap_ranges(self.Nhat_s, self.P_s, self.beta, self.tau)
         return self
 
     @property
@@ -283,14 +282,15 @@ def run_experiment(config):
               if config.schwarz else None)
 
     if config.integrator == "cg":
-        def coarse_solver(grid, ic):
-            return propagate_cg(coarse_space, grid, config.qhat_t, ic, f, cache)
+        def coarse_solver(grids, ic, jumps):
+            return propagate_cg(coarse_space, grids, config.qhat_t, ic, f,
+                                cache, jumps)
 
         def fine_solver(grids, ics):
             return propagate_cg(fine_space, grids, config.q_t, ics, f, cache)
     else:
-        def coarse_solver(grid, ic):
-            return propagate_be(coarse_space, grid, ic, f, cache)
+        def coarse_solver(grids, ic, jumps):
+            return propagate_be(coarse_space, grids, ic, f, cache, jumps=jumps)
 
         def fine_solver(grids, ics):
             return propagate_be(fine_space, grids, ics, f, cache, decomp,

@@ -37,15 +37,22 @@ class OverlapDecomposition:
 
 
 def decompose_domain(mesh, P_s, beta, tau):
-    """Equal element blocks, each interior edge extended by round(beta * block)
-    elements on both sides and clamped to the domain.
+    """The OverlapDecomposition of a mesh by overlap_ranges."""
+    return OverlapDecomposition(
+        mesh, P_s, beta, tau, overlap_ranges(mesh.n_elements, P_s, beta, tau))
+
+
+def overlap_ranges(N, P_s, beta, tau):
+    """The (first_element, last_element_exclusive) blocks of P_s subdomains
+    of N elements: equal element blocks, each interior edge extended by
+    round(beta * block) elements on both sides and clamped to the domain,
+    or a ValueError naming the bad setting.
 
     The damping must satisfy 0 < tau * m < 2, with m the largest number of
     subdomains covering an element: in 1D m bounds the largest eigenvalue of
     the summed subdomain projections (a coloring argument, Toselli & Widlund
     2005), so the damped sweeps converge.
     """
-    N = mesh.n_elements
     if P_s < 1:
         raise ValueError("P_s must be >= 1")
     if N % P_s != 0:
@@ -57,15 +64,8 @@ def decompose_domain(mesh, P_s, beta, tau):
             f"beta={beta} yields no overlap; need beta > {0.5 / block} "
             f"for at least one overlap element"
         )
-    ranges = []
-    for i in range(P_s):
-        lo = i * block
-        hi = (i + 1) * block
-        if i > 0:
-            lo -= ext
-        if i < P_s - 1:
-            hi += ext
-        ranges.append((max(0, lo), min(N, hi)))
+    ranges = [(max(0, i * block - ext), min(N, (i + 1) * block + ext))
+              for i in range(P_s)]
     cover = np.zeros(N, dtype=int)
     for lo, hi in ranges:
         cover[lo:hi] += 1
@@ -75,7 +75,7 @@ def decompose_domain(mesh, P_s, beta, tau):
             f"tau={tau} does not give convergent sweeps; need "
             f"0 < tau * {m} < 2 ({m} subdomains overlap on some element)"
         )
-    return OverlapDecomposition(mesh, P_s, beta, tau, tuple(ranges))
+    return tuple(ranges)
 
 
 def subdomain_dof_sets(space, decomp, i):

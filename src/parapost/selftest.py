@@ -33,7 +33,8 @@ def _check_parareal_exactness():
     part = TimePartition.uniform(0.5, 4, 8, 2)
     cache = FormCache()
     fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
-    cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
+                                            jumps=jumps)
     ic = coarse.interpolate(prob.u0)
     states = vpar(part, 4, ic, fs, cs, cache)
     for p, (grid, got) in enumerate(zip(part.fine_grids, states[-1].fine), 1):

@@ -174,65 +174,77 @@ def _largest_time(grids):
     return top
 
 
-def _step_sizes(grids, first, top=None):
+def _step_sizes(grids, first, top=None, chained=False):
     """(dts, dt) of a (P, steps+1) stack of grids: its step sizes (np.diff's
-    values, without its call overhead) and the one step size of a call on
-    it, the first solved one (first as _step_slabs takes it, a list), which
+    values, without its call overhead) and the list of its calls' step sizes,
+    each the first solved one (first as _step_slabs takes it, a list), which
     every solved step must match to 1e-12 relative plus 8 ulps of top, the
-    largest |time| the grids come from (by default their own, by
-    _largest_time, before any difference), as a linspace grid's steps
-    spread by up to 2; else a _column_error names the first step that does
-    not, and its end time."""
+    largest |time| the grids come from (by default their own, by _largest_time,
+    before any difference), as a linspace grid's steps spread by up to 2; else
+    a _column_error names the first step that does not, and its end time.  Each
+    chained row is a call, of its own top."""
     if top is None:
         top = _largest_time(grids)
     dts = grids[:, 1:] - grids[:, :-1]
-    dt = float(dts[0, first[0]])
+    if chained:
+        dt, top = dts[:, :1], np.abs(grids).max(axis=1, keepdims=True)
+        ulp = np.spacing(top)
+    else:
+        dt, ulp = float(dts[0, first[0]]), math.ulp(top)
     off = np.abs(dts - dt)
     for j in range(first.count(0), len(first)):  # the later-starting columns
         off[j, :first[j]] = 0.0  # whose unset slabs are not read
-    tol = 1e-12 * abs(dt) + 8 * math.ulp(top)
-    if not off.max() <= tol:
+    tol = 1e-12 * abs(dt) + 8 * ulp
+    if not (off <= tol).all():
         j, m = divmod(int(np.argmax(~(off <= tol))), off.shape[1])
         raise _column_error(j, f"step n={m - first[j] + 1}, t="
                                f"{grids[j, m + 1]:.6g}, has size "
-                               f"{dts[j, m]:.6g}, not the call's {dt:.6g}")
-    return dts, dt
+                               f"{dts[j, m]:.6g}, not the call's "
+                               f"{dts[j, 0] if chained else dt:.6g}")
+    return dts, dt[:, 0].tolist() if chained else [dt]
 
 
-def _as_stack(times, ic):
+def _as_stack(times, ic, jumps=None):
     """(grids, incomings, stacked) of a propagation's arguments: one step
     grid with its incoming value, or a (P, steps+1) stack of grids with a
-    sequence of P incoming values, as a (P, steps+1) array and a list."""
+    sequence of P incoming values, or a chain's one and P - 1 jumps, as a
+    (P, steps+1) array and a list."""
     times = np.asarray(times, dtype=float)
     stacked = times.ndim == 2
-    grids, ics = (times, list(ic)) if stacked else (times[None], [ic])
+    grids = times if stacked else times[None]
+    ics = list(ic) if stacked and jumps is None else [ic]
     if grids.shape[1] < 2:
         raise ValueError("a step grid needs at least two times")
-    if len(ics) != len(grids):
-        raise ValueError(f"{len(grids)} grids but {len(ics)} incoming values")
+    n = len(ics) if jumps is None else 1 + len(jumps)  # a chain's: ic, jumps
+    if n != len(grids):
+        raise ValueError(f"{len(grids)} grids but {n} incoming values")
     return grids, ics, stacked
 
 
-def _propagate(space, times, q_t, ic, f, cache, decomp=None, K_s=None):
+def _propagate(space, times, q_t, ic, f, cache, decomp=None, K_s=None,
+               jumps=None):
     """The dG(0) (q_t = 0) or cG(q_t) Trajectory of one step grid times from
     its incoming value ic or, given a (P, steps+1) stack of grids with equal
     step counts and a sequence ic of P incoming values, the list of P
     Trajectories, stepped together by _step_slabs, each bitwise its own
-    single-grid call's (FormCache.per_step says when).  f=None is a
-    homogeneous problem: no load is assembled.  A non-finite time, a step
-    of another size (_step_sizes) or a non-finite step value (_check_finite)
-    raises a ValueError naming the first such node or step n of the first
-    such column, and its time t, with that column's index in the stack as
-    its column attribute."""
-    grids, ics, stacked = _as_stack(times, ic)
-    coeffs = _step_slabs(space, grids, q_t, ics, f, cache, decomp, K_s)
+    single-grid call's (FormCache.per_step says when); given jumps, a chain
+    (_step_slabs) from ic, each row its own call from its incoming value.
+    f=None is a homogeneous problem: no load is assembled.  A non-finite
+    time, a step of another size (_step_sizes) or a non-finite step value
+    (_check_finite) raises a ValueError naming the first such node or step
+    n of the first such column, and its time t, with that column's index in
+    the stack as its column attribute."""
+    grids, ics, stacked = _as_stack(times, ic, jumps)
+    coeffs = _step_slabs(space, grids, q_t, ics, f, cache, decomp, K_s,
+                         jumps=jumps)
     _check_finite(coeffs, grids)
     trajs = [Trajectory(space, grids[j], q_t, coeffs[j], ics[j])
              for j in range(len(ics))]
     return trajs if stacked else trajs[0]
 
 
-def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
+def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None,
+                 jumps=None):
     """Implicit Euler, (M + dt A) U_n = (U_{n-1}, .) + dt l(t_n), by
     _propagate as dG(0): each step is solved directly (banded Cholesky) or,
     given an OverlapDecomposition, by K_s additive Schwarz iterations from
@@ -241,16 +253,16 @@ def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None):
     exact cross-space L2 pairing."""
     if decomp is not None and (K_s is None or K_s < 1):
         raise ValueError("K_s must be >= 1")
-    return _propagate(space, times, 0, ic, f, cache, decomp, K_s)
+    return _propagate(space, times, 0, ic, f, cache, decomp, K_s, jumps)
 
 
-def propagate_cg(space, times, q_t, ic, f, cache):
+def propagate_cg(space, times, q_t, ic, f, cache, jumps=None):
     """cG(q_t) time stepping, with test functions of time degree q_t - 1, by
     _propagate; the first slab starts from the incoming value's L2
     projection into the solve space."""
     if q_t < 1:
         raise ValueError("q_t must be >= 1")
-    return _propagate(space, times, q_t, ic, f, cache)
+    return _propagate(space, times, q_t, ic, f, cache, jumps=jumps)
 
 
 def _cg_time_forms(q_t):
@@ -350,7 +362,7 @@ def _slab_solver(space, q_t, dt, cache, decomp=None, K_s=None):
 
 
 def _step_slabs(space, grids, q_t, ics, f, cache, decomp=None, K_s=None,
-                reverse=None, first=None):
+                reverse=None, first=None, jumps=None):
     """The (P, steps, q_t+1, dof) coefficients of the dG(0) (q_t = 0) or
     cG(q_t) solutions on a (P, steps+1) stack of grids from incoming values
     ics; given reverse, the largest |time| of the grids these time-reverse,
@@ -358,25 +370,27 @@ def _step_slabs(space, grids, q_t, ics, f, cache, decomp=None, K_s=None,
     the forward order of a time-reversed solve.  A ragged cG stack gives
     first, the nondecreasing slab each column starts at (all end at the
     last), so the active columns are a prefix; earlier slabs are unset.
+    Given jumps, the stack is a chain, solved one row after another: ics
+    holds row 0's incoming value and gains each later row j's, row j-1's
+    end value plus jumps[j-1] (None adds nothing).
 
     Slab n solves sum_j (alpha[m, j] M + dt beta[m, j] A) U_j = L_m - (a0[m]
     M + dt b0[m] A) U_0 for its unknown nodes U_j, with L its loads
     (_slab_loads) and U_0 the previous slab's end value.  On the first
     slab dG(0)'s M U_0 is the incoming value's cross-space pairing, and
     cG's U_0 that pairing's L2 projection (one multi-column banded solve).
-    Per call it looks up one _slab_solver, of the first solved step's size
-    (_step_sizes).  Per slab it forms all active columns' right-hand sides,
-    each with its own exact dt, by one stacked product of M and one of A,
-    and solves them in place.  Nothing here checks the solutions'
-    finiteness: the callers do, naming what they solve.
+    Per call, or chained row, it looks up one _slab_solver, of the first
+    solved step's size (_step_sizes).  Per slab it forms all active
+    columns' right-hand sides, each with its own exact dt, by one stacked
+    product of M and one of A, and solves them in place.  Nothing here
+    checks the solutions' finiteness: the callers do, naming what they
+    solve.
     """
     P, n_slabs, nodes = grids.shape[0], grids.shape[1] - 1, max(q_t, 1)
     first = [0] * P if first is None else list(first)
-    dts, dt = _step_sizes(grids, first, reverse)
+    dts, dt = _step_sizes(grids, first, reverse, jumps is not None)
     # a cG slab LU takes a dense slab-sized matrix: allocate after building it
-    solve, a0, b0, M, A = _slab_solver(space, q_t, dt, cache, decomp, K_s)
-    paired = np.array([cache.mass(space, u0.space) @ u0.coefficients
-                       for u0 in ics])
+    solve, a0, b0, M, A = _slab_solver(space, q_t, dt[0], cache, decomp, K_s)
     loads = None  # a homogeneous problem subtracts from the scalar 0.0
     if f is not None:  # (steps, P, nodes, dof, 1); one grid views its block
         blocks = [_slab_loads(space, g, q_t, f, cache) for g in grids]
@@ -390,23 +404,38 @@ def _step_slabs(space, grids, q_t, ics, f, cache, decomp=None, K_s=None,
     dt_b0 = None if b0 is None else np.multiply.outer(dts.T, b0)
     # F holds every column's slab right-hand side, which the solves overwrite
     # with the solution; prev views its last block, the next start value, as
-    # (dof, 1), so a stacked product with it is one gemv (see mesh.matvecs)
+    # (dof, 1), so a stacked product with it is one gemv (see mesh.matvecs),
+    # and the start value of an active column, which is set with its
+    # incoming value's pairing and, for cG, that pairing's projection
     F = np.empty((P, nodes, space.dof_count, 1))
-    if q_t:  # cG's later-starting columns keep their start value in F
-        starts = cache.step_operator(space, 0.0).solve(paired.T).T
-        F[:, -1, :, 0] = starts
-    m0 = (np.matmul(M, F[:first.count(0), -1:]) if q_t  # slab 0's M U_0
-          else paired[:, None, :, None])
+    paired, starts = np.empty((2, P, space.dof_count))
+    mass_op = cache.step_operator(space, 0.0) if q_t else None
+    # the columns lo..hi-1 active on slabs s..e-1: a prefix, or a chained row
     bounds = sorted(set(first)) + [n_slabs]
-    for s, e in zip(bounds, bounds[1:]):
-        k = sum(j <= s for j in first)  # the columns active on slabs s..e-1
-        Fk, prev = F[:k], F[:k, -1:]
-        loads_k = None if loads is None else loads[:, :k]
-        rows_k = Fk.reshape(k, -1)  # one row per column, a view of F
-        sol_k, coeffs_k = Fk[..., 0], coeffs[:k, :, -nodes:]
-        dt_b0_k = None if dt_b0 is None else dt_b0[:, :k]
+    segments = ([(0, sum(j <= s for j in first), s, e)
+                 for s, e in zip(bounds, bounds[1:])] if jumps is None
+                else [(j, j + 1, 0, n_slabs) for j in range(P)])
+    done = 0  # the columns whose start value is set
+    for lo, hi, s, e in segments:
+        if lo:  # a chained row: its incoming value, then its own solver
+            end = NodalField(space, coeffs[lo - 1, -1, -1])
+            ics.append(end if jumps[lo - 1] is None else end + jumps[lo - 1])
+            solve, a0, b0, M, A = _slab_solver(space, q_t, dt[lo], cache,
+                                               decomp, K_s)
+        for j in range(done, hi):
+            paired[j] = cache.mass(space, ics[j].space) @ ics[j].coefficients
+        if q_t:
+            F[done:hi, -1, :, 0] = starts[done:hi] = mass_op.solve(
+                paired[done:hi].T).T
+        done = hi
+        Fk, prev = F[lo:hi], F[lo:hi, -1:]
+        loads_k = None if loads is None else loads[:, lo:hi]
+        rows_k = Fk.reshape(hi - lo, -1)  # one row per column, a view of F
+        sol_k, coeffs_k = Fk[..., 0], coeffs[lo:hi, :, -nodes:]
+        dt_b0_k = None if dt_b0 is None else dt_b0[:, lo:hi]
+        m0 = paired[lo:hi, None, :, None]
         for n in range(s, e):
-            terms = a0 * (np.matmul(M, prev) if n else m0)
+            terms = a0 * (np.matmul(M, prev) if n or q_t else m0)
             if dt_b0_k is not None:
                 terms += dt_b0_k[n] * np.matmul(A, prev)
             np.subtract(0.0 if loads_k is None else loads_k[n], terms, out=Fk)

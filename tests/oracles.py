@@ -44,8 +44,8 @@ def par_standard(partition, K_t, ic_coarse, fine_solver, coarse_solver,
     """
     P_t = partition.P_t
 
-    def g_end(grid, ic):
-        return coarse_solver(grid, ic).end
+    def g_end(grid, ic):  # one subdomain at a time: a one-row chain
+        return coarse_solver(grid[None], ic, [])[0].end
 
     def f_end(grid, ic):
         return fine_solver(grid[None], [ic])[0].end

@@ -191,7 +191,8 @@ def test_property_standard_variational_equivalence():
         part = TimePartition.uniform(0.5, P_t, nhat, r)
         cache = FormCache()
         fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
-        cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
+        cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
+                                                jumps=jumps)
         ic = coarse.interpolate(prob.u0)
         K_t = int(rng.integers(1, P_t + 2))
         states = vpar(part, K_t, ic, fs, cs, cache)
@@ -221,7 +222,8 @@ def test_property_finite_termination(P_t):
     part = TimePartition.uniform(0.5, P_t, 2 * P_t, 2)
     cache = FormCache()
     fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
-    cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
+                                            jumps=jumps)
     ic = coarse.interpolate(prob.u0)
     states = vpar(part, P_t, ic, fs, cs, cache)
     assert _finite_termination_gap(
@@ -246,7 +248,8 @@ def test_property_finite_termination_over_configs(P_t, r, degrees, schwarz):
         decompose_domain(mesh, schwarz[0], 0.25, 0.4), schwarz[1])
     cache = FormCache()
     fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache, *solver)
-    cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
+                                            jumps=jumps)
     ic = coarse.interpolate(prob.u0)
     states = vpar(part, P_t, ic, fs, cs, cache)
     assert _finite_termination_gap(

@@ -2,10 +2,10 @@
 grid or once per weight must not come back once per call or per pair.
 
 The run has P_t = 3 subdomains and K_t = 3 iterations, so the serial coarse
-sweeps solve 3 + 2 + 1 coarse grids and the fine calls 3 + 2 + 1 fine
-grids, of which 3 + 3 are distinct.  Its breakdown makes two residual
-calls: D, 3 pairs with 3 distinct fine adjoints, and A, 3 pairs with 2
-distinct auxiliary adjoints.
+sweeps solve 3 + 2 + 1 coarse grids, by one chained call per iteration, and
+the fine calls 3 + 2 + 1 fine grids, of which 3 + 3 are distinct.  Its
+breakdown makes two residual calls: D, 3 pairs with 3 distinct fine
+adjoints, and A, 3 pairs with 2 distinct auxiliary adjoints.
 """
 
 import numpy as np
@@ -28,7 +28,7 @@ def counted():
     """The calls of one run of CG: the grids handed to the solvers, the load
     assemblies outside the residual (the forward solves') and, per residual
     call, its distinct weights, load assemblies and slab lookups."""
-    seen = dict(grids=0, forward=[], residuals=[])
+    seen = dict(grids=0, coarse_calls=0, forward=[], residuals=[])
     inside = []  # the counts of the residual call under way
     real_residual = estimator.ResidualEvaluator.residual
     real_index, real_vpar = Trajectory.slab_index, harness.vpar
@@ -62,9 +62,10 @@ def counted():
             seen["grids"] += len(grids)
             return fine_solver(grids, ics)
 
-        def coarse(grid, ic_):
-            seen["grids"] += 1
-            return coarse_solver(grid, ic_)
+        def coarse(grids, ic_, jumps):
+            seen["grids"] += len(grids)
+            seen["coarse_calls"] += 1
+            return coarse_solver(grids, ic_, jumps)
         return real_vpar(partition, K_t, ic, fine, coarse, cache)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -79,8 +80,9 @@ def counted():
 
 def test_the_forward_solves_assemble_each_grid_once(counted):
     # 12 grids solved, 6 distinct: one load block each, at every slab's
-    # q_t+3 quadrature times
+    # q_t+3 quadrature times; one coarse call per iteration
     assert counted["grids"] == 12
+    assert counted["coarse_calls"] == CG.K_t
     assert sorted(counted["forward"]) == (
         [(2, CG.qhat_t + 3)] * CG.P_t + [(4, CG.q_t + 3)] * CG.P_t)
 

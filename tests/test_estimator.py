@@ -155,7 +155,8 @@ def test_iteration_component_vanishes_at_finite_termination():
     part = TimePartition.uniform(0.5, 4, 8, 2)
     cache = FormCache()
     fs = lambda gs, ics: propagate_be(space, gs, ics, prob.f, cache)
-    cs = lambda g, ic: propagate_be(space, g, ic, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate_be(space, gs, ic, prob.f, cache,
+                                            jumps=jumps)
     states = vpar(part, 4, space.interpolate(prob.u0), fs, cs, cache)
     coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, 3, cache)
     fine_adjs = solve_fine_adjoints(part, coarse_adj, 3, cache)
@@ -428,7 +429,8 @@ def _small_stpa_run():
     decomp = decompose_domain(mesh, 2, 0.25, 0.4)
     cache = FormCache()
     fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache, decomp, 2)
-    cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
+                                            jumps=jumps)
     state = vpar(part, 2, coarse.interpolate(prob.u0), fs, cs, cache)[-1]
     coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, 3, cache)
     fine_adjs = solve_fine_adjoints(part, coarse_adj, 3, cache)
@@ -610,7 +612,8 @@ def test_coarse_error_estimate_effectivity():
     part = TimePartition.uniform(2.0, 10, 40, 2)
     cache = FormCache()
     fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
-    cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
+                                            jumps=jumps)
     states = vpar(part, 2, coarse.interpolate(prob.u0), fs, cs, cache)
     state = states[-1]
     coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, 3, cache)

@@ -183,6 +183,26 @@ def test_config_rejects_bad_values_by_name(overrides, name):
                 dict(entry["base"], **{entry["param"]: v}))
 
 
+def test_building_a_schwarz_config_builds_no_mesh_and_no_decomposition(
+        monkeypatch):
+    # P_s, beta and tau are checked on the element count alone
+    # (schwarz.overlap_ranges), and still named when bad
+    built = []
+    init = mesh_module.SpatialMesh.__post_init__
+    monkeypatch.setattr(mesh_module.SpatialMesh, "__post_init__",
+                        lambda self: built.append("mesh") or init(self))
+    for module in (harness, schwarz_module):
+        monkeypatch.setattr(module, "decompose_domain",
+                            lambda *args: built.append("decomposition"))
+    base = TABLE_REGISTRY["pardd_fine_time"]["base"]
+    replace(ExperimentConfig(**base), r=4).validate()
+    for overrides, name in [(dict(P_s=3), "P_s"), (dict(beta=0.01), "beta"),
+                            (dict(tau=2.0), "tau")]:
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**dict(base, **overrides))
+    assert built == []
+
+
 def test_stpa_run_builds_one_sweeper_per_space(monkeypatch):
     # the fine solves of every Parareal iteration share one cached sweeper,
     # every step's split takes its subdomain adjoints from a second one, and

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parapost.harness import build_manufactured
 from parapost.mesh import FeSpace, FormCache, SpatialMesh, embed
@@ -19,7 +20,8 @@ def _setup(nhat_s=8, qhat=1, q=2, P_t=4, Nhat_t=8, r=2, T=0.5, nu=2, mu=1):
     part = TimePartition.uniform(T, P_t, Nhat_t, r)
     cache = FormCache()
     fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
-    cs = lambda g, ic: propagate_be(coarse, g, ic, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
+                                            jumps=jumps)
     ic = coarse.interpolate(prob.u0)
     return prob, part, coarse, fine, fs, cs, ic, cache
 
@@ -95,24 +97,27 @@ def test_standard_variational_equivalence_randomized():
 
 def test_vpar_solves_each_subdomain_until_its_incoming_value_converges():
     # iteration k solves subdomains k..P_t only: 4 + 3 + 2 + 1 coarse solves
-    # at P_t = 4, however many iterations follow, and one fine call per
-    # iteration, for subdomains k..P_t in order
+    # at P_t = 4, however many iterations follow, by one coarse call (the
+    # serial sweep, chained) and one fine call per iteration, each for
+    # subdomains k..P_t in order
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8)
-    coarse_calls, fine_batches = [], []
+    coarse_batches, fine_batches = [], []
 
-    def counted_coarse(grid, ic_):
-        coarse_calls.append(grid)
-        return cs(grid, ic_)
+    def rows(grids, family):
+        return [p for g in grids for p, h in enumerate(family, 1)
+                if np.array_equal(h, g)]
+
+    def counted_coarse(grids, ic_, jumps):
+        coarse_batches.append(rows(grids, part.coarse_grids))
+        return cs(grids, ic_, jumps)
 
     def counted_fine(grids, ics):
-        fine_batches.append([p for g in grids
-                             for p, h in enumerate(part.fine_grids, 1)
-                             if np.array_equal(h, g)])
+        fine_batches.append(rows(grids, part.fine_grids))
         return fs(grids, ics)
 
     vpar(part, 6, ic, counted_fine, counted_coarse, cache)
-    assert len(coarse_calls) == 10
-    assert fine_batches == [[1, 2, 3, 4], [2, 3, 4], [3, 4], [4]]
+    assert coarse_batches == [[1, 2, 3, 4], [2, 3, 4], [3, 4], [4]]
+    assert fine_batches == coarse_batches
 
 
 def test_vpar_keeps_converged_subdomains_as_the_same_objects():
@@ -205,3 +210,73 @@ def test_a_nonfinite_fine_solve_is_located_without_a_rerun(stepping):
         vpar(part, 2, ic, fine_solver, cs, cache)
     assert calls == [part.P_t]
     assert err.value.__cause__.column == 2
+
+
+@pytest.mark.parametrize("stepping", ["be", "cg"])
+def test_a_nonfinite_coarse_sweep_is_located_before_any_fine_solve(stepping):
+    # the forcing turns NaN after t = 0.3, for the coarse solver only:
+    # inside subdomain 3 ([0.25, 0.375], coarse steps of 1/16), whose first
+    # step ends at t = 0.3125; the coarse sweep fails before the fine call
+    prob, part, coarse, fine, fs, cs, ic, cache = _setup()
+    nan_f = lambda x, t: prob.f(x, t) * np.where(t > 0.3, np.nan, 1.0)
+    coarse_solver = {
+        "be": lambda gs, ic_, jumps: propagate_be(coarse, gs, ic_, nan_f,
+                                                  cache, jumps=jumps),
+        "cg": lambda gs, ic_, jumps: propagate_cg(coarse, gs, 1, ic_, nan_f,
+                                                  cache, jumps),
+    }[stepping]
+    calls = []
+
+    def fine_solver(grids, ics):
+        calls.append(len(grids))
+        return fs(grids, ics)
+
+    with pytest.raises(RuntimeError, match=r"p=3, iteration k_t=1: "
+                       r".*step n=1, t=0\.3125") as err:
+        vpar(part, 2, ic, fine_solver, coarse_solver, cache)
+    assert isinstance(err.value.__cause__, ValueError)
+    assert calls == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(T=st.sampled_from([0.5, 1.1, 1.3, 2.0, 2.3, 2.6]),
+       P_t=st.integers(1, 5), nhat_per=st.integers(1, 3), r=st.integers(1, 3),
+       qhat_t=st.integers(0, 2), data=st.data())
+def test_every_coarse_row_is_its_own_one_grid_solve(T, P_t, nhat_per, r,
+                                                    qhat_t, data):
+    # qhat_t = 0 is implicit Euler, else cG(qhat_t).  Every coarse
+    # trajectory of every state, whichever chained call solved it, is
+    # bitwise a one-grid solve from its own incoming value, which is
+    # bitwise the previous row's end value plus the interpolated correction
+    # of the iteration that solved it; the drawn T include partitions whose
+    # rows straddle FormCache.per_step's 15-digit key
+    K_t = data.draw(st.integers(1, P_t + 1), label="K_t")
+    prob = build_manufactured(2, 1, T)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 4)
+    coarse, fine = FeSpace(mesh, 1), FeSpace(mesh, 2)
+    part = TimePartition.uniform(T, P_t, P_t * nhat_per, r)
+    cache = FormCache()
+
+    def solver(space):
+        if qhat_t:
+            return lambda times, ic, jumps=None: propagate_cg(
+                space, times, qhat_t, ic, prob.f, cache, jumps)
+        return lambda times, ic, jumps=None: propagate_be(
+            space, times, ic, prob.f, cache, jumps=jumps)
+
+    one_grid = solver(coarse)
+    ic = coarse.interpolate(prob.u0)
+    states = vpar(part, K_t, ic, solver(fine), one_grid, cache)
+    assert states[0].coarse[0].incoming is ic
+    for k, state in enumerate(states, 1):
+        for p, row in enumerate(state.coarse, 1):
+            own = one_grid(part.coarse_grids[p - 1], row.incoming)
+            assert np.array_equal(row.coeffs, own.coeffs)
+            solved_at = min(p, k)  # a row is kept from iteration p on
+            if p > 1:
+                want = state.coarse[p - 2].end
+                if solved_at > 1:
+                    corr = states[solved_at - 2].corrections[p - 2]
+                    want = want + cache.interpolate(corr, coarse)
+                assert np.array_equal(row.incoming.coefficients,
+                                      want.coefficients)

@@ -434,6 +434,55 @@ def test_a_call_of_two_step_sizes_names_the_first_step_of_the_other(call):
             assert err.value.column == column
 
 
+@pytest.mark.parametrize("q_t", [0, 1, 2])
+def test_each_chained_row_is_its_own_call_with_its_own_solver(q_t):
+    # rows [0, 0.1, 0.2] and [0.2, 0.2 + d, 0.2 + 2d], d = 0.1 + 1e-15: the
+    # second row's first step rounds to 0.100000000000001 at 15 digits, so
+    # the rows key different per_step solvers, and each row is bitwise its
+    # own one-grid call (q_t = 0 is implicit Euler) from its incoming value,
+    # the previous row's end value plus its jump, only if it looks up its own
+    prob = build_manufactured(2, 1, 0.5)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
+    d = 0.1 + 1e-15
+    grids = np.array([[0.0, 0.1, 0.2], [0.2, 0.2 + d, 0.2 + 2 * d]])
+    assert round(grids[1, 1] - grids[1, 0], 15) != 0.1
+    ic, jump = space.interpolate(prob.u0), space.interpolate(np.sin)
+    cache = FormCache()
+
+    def propagate(times, ic, jumps=None):
+        if q_t:
+            return propagate_cg(space, times, q_t, ic, prob.f, cache, jumps)
+        return propagate_be(space, times, ic, prob.f, cache, jumps=jumps)
+
+    rows = propagate(grids, ic, [jump])
+    assert rows[0].incoming is ic
+    assert np.array_equal(rows[1].incoming.coefficients,
+                          (rows[0].end + jump).coefficients)
+    for grid, row in zip(grids, rows):
+        assert np.array_equal(row.coeffs, propagate(grid, row.incoming).coeffs)
+
+
+@pytest.mark.parametrize("q_t", [0, 1])
+def test_a_chained_row_is_checked_against_its_own_first_step(q_t):
+    # a chain's rows are calls of their own: a row of twice the step size
+    # passes, and a row of two step sizes names itself as the column
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
+    ic = space.interpolate(np.sin)
+
+    def chain(*rows):
+        grids, jumps = np.array(rows), [None] * (len(rows) - 1)
+        if q_t:
+            return propagate_cg(space, grids, q_t, ic, None, FormCache(),
+                                jumps)
+        return propagate_be(space, grids, ic, None, FormCache(), jumps=jumps)
+
+    chain([0.0, 0.1, 0.2], [0.2, 0.4, 0.6])
+    with pytest.raises(ValueError, match=r"^step n=2, t=0\.7, has size 0\.1, "
+                       r"not the call's 0\.2$") as err:
+        chain([0.0, 0.1, 0.2], [0.2, 0.3, 0.4], [0.4, 0.6, 0.7])
+    assert err.value.column == 2
+
+
 @pytest.mark.parametrize("call", CALLS)
 def test_a_long_uniform_grid_is_one_step_size(call):
     # a linspace grid's steps spread by a few ulps of its largest time, more
