@@ -249,6 +249,10 @@ def dd_split(trajs, weights, decomp, K_s, ev):
     where = [(p, n) for p, traj in enumerate(trajs, 1)
              for n in range(1, traj.n_steps + 1)]
     dts = np.concatenate([np.diff(traj.times) for traj in trajs]).tolist()
+    # the adjoint-space step-end loads (the "load" entries _step_functionals
+    # reads) of all trajectories of one step count by one call
+    for _, js in groups([traj.n_steps for traj in trajs]):
+        cache.loads(space3, [trajs[j].times[1:] for j in js], ev.f)
     ell = np.concatenate([_step_functionals(traj, space3, ev)
                           for traj in trajs])
     rhs = np.concatenate([_step_functionals(traj, space, ev)

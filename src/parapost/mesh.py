@@ -10,7 +10,7 @@ All objects are immutable after construction and safe to share.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -183,7 +183,8 @@ class NodalGather:
     """Evaluation of the fields of one space at fixed points x: per local
     basis function j, the points whose element has a free dof there, that
     dof and the basis value.  Building it does the element search and the
-    basis evaluation; each call only gathers, summing in j order."""
+    basis evaluation; each call only gathers, summing in j order, from a
+    vector or each row of a (rows, dof) block, bitwise the row's own call."""
 
     def __init__(self, space, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -198,6 +199,11 @@ class NodalGather:
             self._terms.append((mask, g[mask], basis[j, mask]))
 
     def __call__(self, coefficients):
+        if coefficients.ndim == 2:
+            vals = np.zeros((len(coefficients), self._n))
+            for mask, g, b in self._terms:
+                vals[:, mask] += b * coefficients[:, g]
+            return vals
         vals = np.zeros(self._n)
         for mask, g, b in self._terms:
             vals[mask] += b * coefficients[g]
@@ -368,15 +374,16 @@ class FormCache:
     factorization, for the lifetime of one experiment.
 
     factor() builds each entry once per key, whose first element is its
-    kind: matrix() and load() the assembled matrices and the step-end load
-    blocks of implicit Euler and the estimator's splits, read-only since
-    every later caller shares them; interpolate() its nodal gathers; the
-    read-only time-integrated cG loads of a grid (timestepping's "cg_load"
-    blocks; the raw quadrature block they are integrated from is not kept)
-    and per_step() the solvers built once per step size (banded step
-    operators, Schwarz sweepers, and a cG degree's "cg_slab" entry: the
-    slab LU, its start-value tables and this cache's own M and A, all a
-    slab reads), each keeping only its factors and the blocks it cuts.
+    kind, and factors() several by one call: matrix() and load() the
+    assembled matrices and the step-end load blocks of implicit Euler and
+    the estimator's splits, read-only since every later caller shares them;
+    gather() its nodal gathers; the read-only time-integrated cG loads of a
+    grid (timestepping's "cg_load" blocks; the raw quadrature block they
+    are integrated from is not kept) and per_step() the solvers built once
+    per step size (banded step operators, Schwarz sweepers, and a cG
+    degree's "cg_slab" entry: the slab LU, its start-value tables and this
+    cache's own M and A, all a slab reads), each keeping only its factors
+    and the blocks it cuts.
     release() drops the entries of one kind: the cG slab LUs, the largest,
     live only until the adjoint solves end, as no later step of the
     estimate solves a slab.  Keys hold the
@@ -414,17 +421,25 @@ class FormCache:
     def load(self, space, t, f):
         """assemble_load(space, t, f), assembled once per (space, f, exact
         times) and read-only."""
-        t = np.asarray(t, dtype=float)
-        return self.factor(("load", space, f, t.shape, t.tobytes()),
-                           lambda: _read_only(assemble_load(space, t, f)))
+        return self.loads(space, [t], f)[0]
+
+    def loads(self, space, ts, f):
+        """load(space, t, f) for each row t of a stack of times ts, those not
+        yet cached by one assemble_load call (each row bitwise its own)."""
+        ts = np.asarray(ts, dtype=float)
+        return self.factors(
+            [("load", space, f, t.shape, t.tobytes()) for t in ts],
+            lambda js: map(_read_only, assemble_load(space, ts[js], f)))
+
+    def gather(self, space, target_space):
+        """The NodalGather of space's fields at target_space's nodes."""
+        return self.factor(("gather", space, target_space),
+                           lambda: NodalGather(space, target_space.dof_coords))
 
     def interpolate(self, field, target_space):
-        """target_space.interpolate(field), by a NodalGather built once per
-        (field space, target space)."""
-        gather = self.factor(("gather", field.space, target_space),
-                             lambda: NodalGather(field.space,
-                                                 target_space.dof_coords))
-        return NodalField(target_space, gather(field.coefficients))
+        """target_space.interpolate(field), by the cache's gather."""
+        return NodalField(target_space, self.gather(
+            field.space, target_space)(field.coefficients))
 
     def per_step(self, space, dt, build, *key):
         """The solver build() returns for step size dt, built once per (key,
@@ -446,15 +461,34 @@ class FormCache:
             self._factors[key] = build()
         return self._factors[key]
 
+    def factors(self, keys, build):
+        """The factor() of each key, built by one call build(js) that returns
+        the objects of the keys at indices js, one per key not yet built."""
+        todo = {key: j for j, key in enumerate(keys)
+                if key not in self._factors}
+        if not todo:
+            return [self.factor(key, None) for key in keys]
+        built = dict(zip(todo, build(list(todo.values()))))
+        return [self.factor(key, partial(built.get, key)) for key in keys]
+
 
 def embed(field, target_space, cache):
     """Exact re-expression of a field in a richer nested space (same mesh),
     by the cache's nodal gather."""
     if field.space is target_space:
         return field
-    if field.space.degree > target_space.degree:
+    return NodalField(target_space, embed_rows(
+        field.space, field.coefficients, target_space, cache))
+
+
+def embed_rows(space, rows, target_space, cache):
+    """The coefficients of embed for each row of a (rows, dof) block of
+    space's fields, by one stacked gather, each row bitwise its own embed."""
+    if space is target_space:
+        return rows
+    if space.degree > target_space.degree:
         raise ValueError("embed requires a target of equal or higher degree")
-    return cache.interpolate(field, target_space)
+    return cache.gather(space, target_space)(rows)
 
 
 def qoi_eval(psi, fld):

@@ -26,7 +26,9 @@ solves only subdomains k..P_t.
 
 from dataclasses import dataclass
 
-from .mesh import NodalField, embed
+import numpy as np
+
+from .mesh import NodalField, embed_rows
 
 
 @dataclass
@@ -77,30 +79,36 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, cache):
     value ic, each later row j from row j-1's end value plus jumps[j-1],
     the coarse-space correction I_c C_{k+j-1}^{k-1} (None at k = 1).  Then
     fine_solver(grids, ics), from the coarse rows' incoming values.  Each
-    returns its rows' trajectories in order; an exception it raises with a
-    column attribute (a propagator's step errors) names that row.  For
-    p < k the state holds iteration k-1's trajectories and corrections, the
-    same objects, as subdomain p's incoming value is unchanged from
-    iteration p on, if both solvers give each row as a pure function of its
-    grid and incoming value: the propagators do for a chain and for the
-    rows that share row 0's FormCache.per_step key.  The embeddings between
-    the coarse and fine spaces are the cache's.
+    returns its rows' trajectories in order, in one space; an exception it
+    raises with a column attribute (a propagator's step errors) names that
+    row.  The corrections of the rows, fine end minus embedded coarse end,
+    take one stacked gather, and so do the next iteration's coarse-space
+    jumps, each row bitwise its own.  For p < k the state holds iteration
+    k-1's trajectories and corrections, the same objects, as subdomain p's
+    incoming value is unchanged from iteration p on, if both solvers give
+    each row as a pure function of its grid and incoming value: the
+    propagators do for a chain and for the rows that share row 0's
+    FormCache.per_step key.  The embeddings between the coarse and fine
+    spaces are the cache's.
     """
     if K_t < 1:
         raise ValueError("K_t must be >= 1")
     P_t, space = partition.P_t, ic_coarse.space
-    onto_coarse = lambda corr: (corr if corr is None or corr.space is space
-                                else cache.interpolate(corr, space))
+    # the stacked end values (Trajectory.end) of rows of one space
+    ends = lambda trajs: np.array([t.coeffs[-1, -1] for t in trajs])
     states = []
-    coarse, fine, corrs = [], [], [None] * P_t  # corrs[p-1] = C_p^{k-1}
+    coarse, fine, corrs = [], [], []  # corrs[p-1] = C_p^{k-1}
     for k in range(1, K_t + 1):
-        prev_corrs = corrs
         coarse, fine, corrs = coarse[:k - 1], fine[:k - 1], corrs[:k - 1]
         if k <= P_t:  # an iteration past P_t has nothing left to solve
-            # the synchronized value handed to subdomain k (C_0 = 0)
-            sync = (ic_coarse if k == 1 else
-                    coarse[-1].end + onto_coarse(prev_corrs[k - 2]))
-            jumps = [onto_coarse(c) for c in prev_corrs[k - 1:-1]]
+            # the synchronized value handed to subdomain k (C_0 = 0) and the
+            # later rows' jumps, from iteration k-1's corrections
+            sync, jumps = ic_coarse, [None] * (P_t - k)
+            if k > 1:
+                onto = (block[:-1] if fine_space is space
+                        else cache.gather(fine_space, space)(block[:-1]))
+                sync = coarse[-1].end + NodalField(space, onto[0])
+                jumps = [NodalField(space, c) for c in onto[1:]]
             try:
                 coarse += coarse_solver(partition.coarse_grids[k - 1:], sync,
                                         jumps)
@@ -108,7 +116,10 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, cache):
                 raise _failure(k, k, exc, P_t - k + 1) from exc
             fine += _fine_solves(fine_solver, partition.fine_grids[k - 1:],
                                  [ct.incoming for ct in coarse[k - 1:]], k)
-        corrs += [ft.end - embed(ct.end, ft.space, cache)
-                  for ft, ct in zip(fine[k - 1:], coarse[k - 1:], strict=True)]
+            # C_p^k, p = k..P_t: fine end minus embedded coarse end
+            fine_space = fine[k - 1].space
+            block = ends(fine[k - 1:]) - embed_rows(
+                coarse[k - 1].space, ends(coarse[k - 1:]), fine_space, cache)
+            corrs += [NodalField(fine_space, c) for c in block]
         states.append(PararealState(coarse, fine, corrs, ic_coarse))
     return states

@@ -8,6 +8,7 @@ time Galerkin method dG(0), and cG(q_t) its q_t >= 1 case.  Propagations
 on distinct temporal subdomains share no mutable state.
 """
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +196,7 @@ def _step_sizes(grids, first, top=None, chained=False):
     for j in range(first.count(0), len(first)):  # the later-starting columns
         off[j, :first[j]] = 0.0  # whose unset slabs are not read
     tol = 1e-12 * abs(dt) + 8 * ulp
-    if not (off <= tol).all():
+    if not ((off <= tol).all() if chained else off.max() <= tol):
         j, m = divmod(int(np.argmax(~(off <= tol))), off.shape[1])
         raise _column_error(j, f"step n={m - first[j] + 1}, t="
                                f"{grids[j, m + 1]:.6g}, has size "
@@ -277,9 +278,8 @@ def _cg_time_forms(q_t):
     s, w = gauss_rule(q_t + 3)
     lam = lagrange_values(q_t, s)
     dlam = lagrange_derivs(q_t, s)
-    # Legendre on [0,1]
-    P = np.array([legendre.Legendre.basis(m)(2 * s - 1)
-                  for m in range(q_t)])
+    # Legendre on [0,1]: P_m is the series of coefficient vector e_m
+    P = np.array([legendre.legval(2 * s - 1, e) for e in np.eye(q_t)])
     Pw = P * w[None, :]
     return tuple(map(_read_only, (Pw @ dlam.T, Pw @ lam.T, s, Pw)))
 
@@ -298,30 +298,34 @@ def _slab_lu(M, A, alpha, beta, dt):
     return lapack_solution("dgetrf", (lu, piv), info)
 
 
-def _slab_loads(space, grid, q_t, f, cache):
-    """Each slab's load integrated against its time test functions, a
-    read-only (steps, max(q_t, 1), dof) block.  dG(0)'s row [n, 0] is
-    l(t_n), the cache's step-end block, which _step_slabs weights by dt_n
-    for a whole stack at once.  cG(q_t)'s row [n, m] is dt_n sum_i
-    Pw[m, i] l(t_n + dt_n s_i) (see _cg_time_forms), a block the cache
-    builds once per (space, q_t, f, exact grid), from one
-    mesh.assemble_load call at every slab's q_t+3 quadrature times, which
-    it does not keep."""
+def _slab_loads(space, grids, q_t, f, cache):
+    """Per grid of a (P, steps+1) stack, each slab's load integrated against
+    its time test functions, a read-only (steps, max(q_t, 1), dof) block.
+    dG(0)'s row [n, 0] is l(t_n), the cache's step-end block, which
+    _step_slabs weights by dt_n for a whole stack at once.  cG(q_t)'s row
+    [n, m] is dt_n sum_i Pw[m, i] l(t_n + dt_n s_i) (see _cg_time_forms),
+    the cache's "cg_load" entry per (space, q_t, f, exact grid).  The grids
+    not yet cached are assembled by one mesh.assemble_load call, at every
+    cG slab's q_t+3 quadrature times (a block the cache does not keep),
+    each grid's block bitwise that of its own one-grid call."""
     if not q_t:
-        return cache.load(space, grid[1:], f)[:, None]
+        return [b[:, None] for b in cache.loads(space, grids[:, 1:], f)]
 
-    def build():
+    def build(js):
         _, _, s, Pw = _time_forms(q_t, cache)
-        dt = grid[1:] - grid[:-1]
-        # (steps, q_t+3, dof), at every slab's quadrature times
-        block = mesh.assemble_load(space, grid[:-1, None] + dt[:, None] * s, f)
-        out = np.empty((len(dt), q_t, space.dof_count))
+        dt = grids[js, 1:] - grids[js, :-1]
+        # (grids, steps, q_t+3, dof), at every slab's quadrature times
+        block = mesh.assemble_load(
+            space, grids[js, :-1, None] + dt[..., None] * s, f)
+        out = np.empty(dt.shape + (q_t, space.dof_count))
         for m in range(q_t):
             # one vector-matrix product per slab: a (q_t, q_t+3) matrix
             # product per slab sums in another order for q_t >= 2
-            out[:, m] = ((dt[:, None, None] * Pw[m]) @ block)[:, 0]
-        return _read_only(out)
-    return cache.factor(("cg_load", space, q_t, f, grid.tobytes()), build)
+            out[:, :, m] = ((dt[..., None, None] * Pw[m]) @ block)[..., 0, :]
+        return map(_read_only, out)
+    raw, n = grids.tobytes(), grids.shape[1] * grids.itemsize  # g.tobytes()
+    return cache.factors([("cg_load", space, q_t, f, raw[j:j + n])
+                          for j in range(0, len(raw), n)], build)
 
 
 def _time_forms(q_t, cache):
@@ -370,30 +374,35 @@ def _step_slabs(space, grids, q_t, ics, f, cache, decomp=None, K_s=None,
     the forward order of a time-reversed solve.  A ragged cG stack gives
     first, the nondecreasing slab each column starts at (all end at the
     last), so the active columns are a prefix; earlier slabs are unset.
-    Given jumps, the stack is a chain, solved one row after another: ics
-    holds row 0's incoming value and gains each later row j's, row j-1's
-    end value plus jumps[j-1] (None adds nothing).
+    Given jumps (each None or a field of the solve space, checked once),
+    the stack is a chain, solved one row after another: ics holds row 0's
+    incoming value and gains each later row j's, row j-1's end value plus
+    jumps[j-1].
 
     Slab n solves sum_j (alpha[m, j] M + dt beta[m, j] A) U_j = L_m - (a0[m]
     M + dt b0[m] A) U_0 for its unknown nodes U_j, with L its loads
-    (_slab_loads) and U_0 the previous slab's end value.  On the first
-    slab dG(0)'s M U_0 is the incoming value's cross-space pairing, and
-    cG's U_0 that pairing's L2 projection (one multi-column banded solve).
-    Per call, or chained row, it looks up one _slab_solver, of the first
-    solved step's size (_step_sizes).  Per slab it forms all active
-    columns' right-hand sides, each with its own exact dt, by one stacked
-    product of M and one of A, and solves them in place.  Nothing here
-    checks the solutions' finiteness: the callers do, naming what they
-    solve.
+    (_slab_loads, for the whole stack) and U_0 the previous slab's end
+    value.  On the first slab dG(0)'s M U_0 is the incoming value's
+    cross-space pairing, and cG's U_0 that pairing's L2 projection, for all
+    columns before the slab loop by one multi-column banded solve, or for a
+    chained row as it starts.  Per call, or chained row, it uses the
+    _slab_solver of the first solved step's size (_step_sizes), looked up
+    once per distinct size.  Per slab it forms all active columns'
+    right-hand sides, each with its own exact dt, by one stacked product of
+    M and one of A, and solves them in place.  Nothing here checks the
+    solutions' finiteness: the callers do, naming what they solve.
     """
     P, n_slabs, nodes = grids.shape[0], grids.shape[1] - 1, max(q_t, 1)
     first = [0] * P if first is None else list(first)
     dts, dt = _step_sizes(grids, first, reverse, jumps is not None)
+    if jumps and any(u is not None and u.space is not space for u in jumps):
+        raise ValueError("a chain's jumps must live in its solve space")
     # a cG slab LU takes a dense slab-sized matrix: allocate after building it
-    solve, a0, b0, M, A = _slab_solver(space, q_t, dt[0], cache, decomp, K_s)
+    solvers = {dt[0]: _slab_solver(space, q_t, dt[0], cache, decomp, K_s)}
+    solve, a0, b0, M, A = solvers[dt[0]]
     loads = None  # a homogeneous problem subtracts from the scalar 0.0
     if f is not None:  # (steps, P, nodes, dof, 1); one grid views its block
-        blocks = [_slab_loads(space, g, q_t, f, cache) for g in grids]
+        blocks = _slab_loads(space, grids, q_t, f, cache)
         loads = (blocks[0][:, None] if P == 1
                  else np.stack(blocks, 1))[..., None]
         if not q_t:  # dG(0)'s right-endpoint rule: dt_n l(t_n)
@@ -405,44 +414,46 @@ def _step_slabs(space, grids, q_t, ics, f, cache, decomp=None, K_s=None,
     # F holds every column's slab right-hand side, which the solves overwrite
     # with the solution; prev views its last block, the next start value, as
     # (dof, 1), so a stacked product with it is one gemv (see mesh.matvecs),
-    # and the start value of an active column, which is set with its
-    # incoming value's pairing and, for cG, that pairing's projection
+    # and a cG column's start value until its first slab
     F = np.empty((P, nodes, space.dof_count, 1))
-    paired, starts = np.empty((2, P, space.dof_count))
-    mass_op = cache.step_operator(space, 0.0) if q_t else None
+    # each incoming value's cross-space pairing (dG(0)'s first-slab M U_0)
+    M0 = cache.mass(space, ics[0].space)  # and one lookup per row elsewhere
+    paired = np.array([(M0 if u.space is ics[0].space else cache.mass(
+        space, u.space)) @ u.coefficients for u in ics])
+    if q_t:
+        mass_op = cache.step_operator(space, 0.0)
+        starts = mass_op.solve(paired.T).T
+        F[:len(ics), -1, :, 0] = coeffs[:len(ics), 0, 0] = starts
     # the columns lo..hi-1 active on slabs s..e-1: a prefix, or a chained row
     bounds = sorted(set(first)) + [n_slabs]
-    segments = ([(0, sum(j <= s for j in first), s, e)
+    segments = ([(0, bisect_right(first, s), s, e)
                  for s, e in zip(bounds, bounds[1:])] if jumps is None
                 else [(j, j + 1, 0, n_slabs) for j in range(P)])
-    done = 0  # the columns whose start value is set
     for lo, hi, s, e in segments:
-        if lo:  # a chained row: its incoming value, then its own solver
-            end = NodalField(space, coeffs[lo - 1, -1, -1])
-            ics.append(end if jumps[lo - 1] is None else end + jumps[lo - 1])
-            solve, a0, b0, M, A = _slab_solver(space, q_t, dt[lo], cache,
-                                               decomp, K_s)
-        for j in range(done, hi):
-            paired[j] = cache.mass(space, ics[j].space) @ ics[j].coefficients
-        if q_t:
-            F[done:hi, -1, :, 0] = starts[done:hi] = mass_op.solve(
-                paired[done:hi].T).T
-        done = hi
+        if lo:  # a chained row: its incoming value, solver and start value
+            u = coeffs[lo - 1, -1, -1]
+            if jumps[lo - 1] is not None:
+                u = u + jumps[lo - 1].coefficients
+            ics.append(NodalField(space, u))
+            solve, a0, b0, M, A = solvers.get(dt[lo]) or solvers.setdefault(
+                dt[lo], _slab_solver(space, q_t, dt[lo], cache, decomp, K_s))
+            paired = (M @ u)[None]
+            if q_t:
+                F[lo, -1, :, 0] = coeffs[lo, 0, 0] = mass_op.solve(paired.T).T
         Fk, prev = F[lo:hi], F[lo:hi, -1:]
         loads_k = None if loads is None else loads[:, lo:hi]
         rows_k = Fk.reshape(hi - lo, -1)  # one row per column, a view of F
         sol_k, coeffs_k = Fk[..., 0], coeffs[lo:hi, :, -nodes:]
         dt_b0_k = None if dt_b0 is None else dt_b0[:, lo:hi]
-        m0 = paired[lo:hi, None, :, None]
         for n in range(s, e):
-            terms = a0 * (np.matmul(M, prev) if n or q_t else m0)
+            terms = a0 * (np.matmul(M, prev) if n or q_t
+                          else paired[:hi - lo, None, :, None])
             if dt_b0_k is not None:
                 terms += dt_b0_k[n] * np.matmul(A, prev)
             np.subtract(0.0 if loads_k is None else loads_k[n], terms, out=Fk)
             solve(rows_k)
             coeffs_k[:, n] = sol_k
     if q_t:
-        coeffs[:, 0, 0] = starts
         coeffs[:, 1:, 0] = coeffs[:, :-1, -1]
         for j in range(first.count(0), P):  # the later-starting columns
             coeffs[j, first[j], 0] = starts[j]

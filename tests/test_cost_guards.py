@@ -17,7 +17,8 @@ import parapost.mesh as mesh_module
 from parapost.harness import (ExperimentConfig, build_manufactured,
                               run_experiment)
 from parapost.mesh import FeSpace, FormCache, SpatialMesh
-from parapost.timestepping import Trajectory, propagate_cg
+from parapost.timestepping import (TimePartition, Trajectory, _slab_loads,
+                                   propagate_cg)
 
 CG = ExperimentConfig(Nhat_t=6, r=2, P_t=3, K_t=3, Nhat_s=8, qhat_s=1, q_s=2,
                       nu=2, mu=1, T=0.5, integrator="cg", qhat_t=1, q_t=2)
@@ -80,11 +81,12 @@ def counted():
 
 def test_the_forward_solves_assemble_each_grid_once(counted):
     # 12 grids solved, 6 distinct: one load block each, at every slab's
-    # q_t+3 quadrature times; one coarse call per iteration
+    # q_t+3 quadrature times, all P_t grids of a space by one call (the
+    # first iteration's); one coarse call per iteration
     assert counted["grids"] == 12
     assert counted["coarse_calls"] == CG.K_t
-    assert sorted(counted["forward"]) == (
-        [(2, CG.qhat_t + 3)] * CG.P_t + [(4, CG.q_t + 3)] * CG.P_t)
+    assert sorted(counted["forward"]) == [(CG.P_t, 2, CG.qhat_t + 3),
+                                          (CG.P_t, 4, CG.q_t + 3)]
 
 
 def test_a_second_solve_of_a_grid_assembles_no_load(monkeypatch):
@@ -104,6 +106,68 @@ def test_a_second_solve_of_a_grid_assembles_no_load(monkeypatch):
                          cache)
     assert len(calls) == 1
     assert np.array_equal(again[1].coeffs, first.coeffs)
+
+
+@pytest.mark.parametrize("q_t", [0, 1, 2])
+def test_a_stacks_new_grids_are_assembled_by_one_call(monkeypatch, q_t):
+    # the coarse rows of this partition have first steps on both sides of
+    # FormCache.per_step's 15-digit key; one assemble_load call builds the
+    # load blocks of all three (q_t = 0: implicit Euler's step-end loads),
+    # each bitwise, signed zeros included, the block of its own one-grid
+    # build, and a later stack assembles only its grids not yet cached
+    calls = []
+    real = mesh_module.assemble_load
+    monkeypatch.setattr(mesh_module, "assemble_load",
+                        lambda *args: calls.append(1) or real(*args))
+    prob = build_manufactured(2, 1, 2.6)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), 2)
+    grids = TimePartition.uniform(2.6, 3, 6, 3).coarse_grids
+    dts = (grids[:, 1] - grids[:, 0]).tolist()
+    assert len({round(dt, 15) for dt in dts}) == 2
+    cache = FormCache()
+    blocks = _slab_loads(space, grids, q_t, prob.f, cache)
+    assert len(calls) == 1
+    for grid, block in zip(grids, blocks, strict=True):
+        own = _slab_loads(space, grid[None], q_t, prob.f, FormCache())[0]
+        assert block.tobytes() == own.tobytes()
+        assert not block.flags.writeable
+    calls.clear()
+    other = grids[:1] + 1.0
+    again = _slab_loads(space, np.concatenate([other, grids, other]), q_t,
+                        prob.f, cache)
+    assert len(calls) == 1
+    assert all(np.shares_memory(a, b)
+               for a, b in zip(again[1:-1], blocks, strict=True))
+    assert np.shares_memory(again[0], again[-1])
+
+
+def test_the_split_assembles_its_adjoint_space_loads_in_one_call(
+        monkeypatch):
+    # dd_split's step functionals read the forward space's step-end loads,
+    # which the forward solves cached, and the adjoint space's, of every
+    # trajectory, which one call assembles at all their step ends
+    cfg = ExperimentConfig(Nhat_t=4, r=2, P_t=2, K_t=2, Nhat_s=8, qhat_s=1,
+                           q_s=2, nu=2, mu=2, T=0.5, schwarz=True, P_s=2,
+                           K_s=2, beta=0.25)
+    inside, calls = [], []
+    real_split, real_load = estimator.dd_split, mesh_module.assemble_load
+
+    def dd_split(*args):
+        inside.append(1)
+        try:
+            return real_split(*args)
+        finally:
+            inside.pop()
+
+    def assemble_load(space, t, f):
+        if inside:
+            calls.append((space.degree, np.shape(t)))
+        return real_load(space, t, f)
+
+    monkeypatch.setattr(estimator, "dd_split", dd_split)
+    monkeypatch.setattr(mesh_module, "assemble_load", assemble_load)
+    run_experiment(cfg)
+    assert calls == [(cfg.q_s + 1, (cfg.P_t, cfg.r * cfg.Nhat_t // cfg.P_t))]
 
 
 def test_a_second_one_grid_cg_call_looks_up_four_entries_and_builds_none(

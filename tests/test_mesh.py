@@ -16,6 +16,7 @@ from parapost.mesh import (
     assemble_matrix,
     dots,
     embed,
+    embed_rows,
     matvecs,
     pairings,
     qoi_eval,
@@ -256,6 +257,33 @@ def test_property_operator_symmetry_pd(n, q, seed):
     v = rng.standard_normal(space.dof_count)
     assert v @ M @ v > 0
     assert v @ A @ v > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 9), source=st.integers(1, 3), target=st.integers(1, 3),
+       rows=st.integers(0, 5), seed=st.integers(0, 10**6))
+def test_property_a_stacked_gather_is_its_rows_calls(n, source, target, rows,
+                                                     seed):
+    # a (rows, dof) block gathers each row bitwise, signed zeros included,
+    # as that row's own one-vector call, so stacked corrections and jumps
+    # are each their own interpolation, and embed_rows is embed row by row
+    mesh = SpatialMesh.uniform(0.0, 1.0, n)
+    src, dst = FeSpace(mesh, source), FeSpace(mesh, target)
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((rows, src.dof_count))
+    C[rng.random(C.shape) < 0.2] = -0.0
+    cache = FormCache()
+    gather = cache.gather(src, dst)
+    got = gather(C)
+    want = np.array([gather(c) for c in C]).reshape(rows, dst.dof_count)
+    assert got.tobytes() == want.tobytes()
+    if source <= target:
+        embedded = np.array([embed(NodalField(src, c), dst, cache).coefficients
+                             for c in C]).reshape(rows, dst.dof_count)
+        assert embed_rows(src, C, dst, cache).tobytes() == embedded.tobytes()
+    else:
+        with pytest.raises(ValueError, match="equal or higher degree"):
+            embed_rows(src, C, dst, cache)
 
 
 def test_form_cache_reuse():

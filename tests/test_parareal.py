@@ -269,6 +269,11 @@ def test_every_coarse_row_is_its_own_one_grid_solve(T, P_t, nhat_per, r,
     states = vpar(part, K_t, ic, solver(fine), one_grid, cache)
     assert states[0].coarse[0].incoming is ic
     for k, state in enumerate(states, 1):
+        for corr, ct, ft in zip(state.corrections, state.coarse, state.fine,
+                                strict=True):
+            assert np.array_equal(
+                corr.coefficients,
+                (ft.end - embed(ct.end, fine, cache)).coefficients)
         for p, row in enumerate(state.coarse, 1):
             own = one_grid(part.coarse_grids[p - 1], row.incoming)
             assert np.array_equal(row.coeffs, own.coeffs)
