@@ -10,7 +10,7 @@ All objects are immutable after construction and safe to share.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -436,11 +436,6 @@ class FormCache:
         return self.factor(("gather", space, target_space),
                            lambda: NodalGather(space, target_space.dof_coords))
 
-    def interpolate(self, field, target_space):
-        """target_space.interpolate(field), by the cache's gather."""
-        return NodalField(target_space, self.gather(
-            field.space, target_space)(field.coefficients))
-
     def per_step(self, space, dt, build, *key):
         """The solver build() returns for step size dt, built once per (key,
         space, dt to 15 digits) from the first dt of its key.  Each solving
@@ -462,14 +457,13 @@ class FormCache:
         return self._factors[key]
 
     def factors(self, keys, build):
-        """The factor() of each key, built by one call build(js) that returns
-        the objects of the keys at indices js, one per key not yet built."""
+        """The factor() of each key, those not yet built by one call build(js)
+        that returns the objects of the keys at indices js."""
         todo = {key: j for j, key in enumerate(keys)
                 if key not in self._factors}
-        if not todo:
-            return [self.factor(key, None) for key in keys]
-        built = dict(zip(todo, build(list(todo.values()))))
-        return [self.factor(key, partial(built.get, key)) for key in keys]
+        if todo:
+            self._factors.update(zip(todo, build(list(todo.values()))))
+        return [self.factor(key, None) for key in keys]
 
 
 def embed(field, target_space, cache):

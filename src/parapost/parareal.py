@@ -79,17 +79,17 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, cache):
     value ic, each later row j from row j-1's end value plus jumps[j-1],
     the coarse-space correction I_c C_{k+j-1}^{k-1} (None at k = 1).  Then
     fine_solver(grids, ics), from the coarse rows' incoming values.  Each
-    returns its rows' trajectories in order, in one space; an exception it
-    raises with a column attribute (a propagator's step errors) names that
-    row.  The corrections of the rows, fine end minus embedded coarse end,
-    take one stacked gather, and so do the next iteration's coarse-space
-    jumps, each row bitwise its own.  For p < k the state holds iteration
-    k-1's trajectories and corrections, the same objects, as subdomain p's
-    incoming value is unchanged from iteration p on, if both solvers give
-    each row as a pure function of its grid and incoming value: the
-    propagators do for a chain and for the rows that share row 0's
-    FormCache.per_step key.  The embeddings between the coarse and fine
-    spaces are the cache's.
+    returns its rows' trajectories in order, in one space (else a
+    ValueError); an exception it raises with a column attribute (a
+    propagator's step errors) names that row.  The corrections of the
+    rows, fine end minus embedded coarse end, take one stacked gather, and
+    so do the next iteration's coarse-space jumps, each row bitwise its
+    own.  For p < k the state holds iteration k-1's trajectories and
+    corrections, the same objects, as subdomain p's incoming value is
+    unchanged from iteration p on, if both solvers give each row as a pure
+    function of its grid and incoming value: the propagators do for a
+    chain and for the rows that share row 0's FormCache.per_step key.  The
+    embeddings between the coarse and fine spaces are the cache's.
     """
     if K_t < 1:
         raise ValueError("K_t must be >= 1")
@@ -117,9 +117,14 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, cache):
             fine += _fine_solves(fine_solver, partition.fine_grids[k - 1:],
                                  [ct.incoming for ct in coarse[k - 1:]], k)
             # C_p^k, p = k..P_t: fine end minus embedded coarse end
-            fine_space = fine[k - 1].space
+            if len(coarse) != P_t or len(fine) != P_t or any(
+                    t.space is not ts[k - 1].space
+                    for ts in (coarse, fine) for t in ts[k:]):
+                raise ValueError(f"iteration {k}: each solver must return "
+                                 f"{P_t - k + 1} trajectories in one space")
+            fine_space, coarse_space = fine[k - 1].space, coarse[k - 1].space
             block = ends(fine[k - 1:]) - embed_rows(
-                coarse[k - 1].space, ends(coarse[k - 1:]), fine_space, cache)
+                coarse_space, ends(coarse[k - 1:]), fine_space, cache)
             corrs += [NodalField(fine_space, c) for c in block]
         states.append(PararealState(coarse, fine, corrs, ic_coarse))
     return states

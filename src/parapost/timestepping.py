@@ -196,7 +196,7 @@ def _step_sizes(grids, first, top=None, chained=False):
     for j in range(first.count(0), len(first)):  # the later-starting columns
         off[j, :first[j]] = 0.0  # whose unset slabs are not read
     tol = 1e-12 * abs(dt) + 8 * ulp
-    if not ((off <= tol).all() if chained else off.max() <= tol):
+    if not (off <= tol).all():
         j, m = divmod(int(np.argmax(~(off <= tol))), off.shape[1])
         raise _column_error(j, f"step n={m - first[j] + 1}, t="
                                f"{grids[j, m + 1]:.6g}, has size "
@@ -298,6 +298,9 @@ def _slab_lu(M, A, alpha, beta, dt):
     return lapack_solution("dgetrf", (lu, piv), info)
 
 
+_QUAD_BLOCK = 2**20  # values of a cG stack's quadrature loads per call
+
+
 def _slab_loads(space, grids, q_t, f, cache):
     """Per grid of a (P, steps+1) stack, each slab's load integrated against
     its time test functions, a read-only (steps, max(q_t, 1), dof) block.
@@ -306,22 +309,26 @@ def _slab_loads(space, grids, q_t, f, cache):
     [n, m] is dt_n sum_i Pw[m, i] l(t_n + dt_n s_i) (see _cg_time_forms),
     the cache's "cg_load" entry per (space, q_t, f, exact grid).  The grids
     not yet cached are assembled by one mesh.assemble_load call, at every
-    cG slab's q_t+3 quadrature times (a block the cache does not keep),
-    each grid's block bitwise that of its own one-grid call."""
+    cG slab's q_t+3 quadrature times (a block the cache does not keep, by
+    as many calls as keep it within _QUAD_BLOCK values), each grid's block
+    bitwise that of its own one-grid call."""
     if not q_t:
         return [b[:, None] for b in cache.loads(space, grids[:, 1:], f)]
 
     def build(js):
         _, _, s, Pw = _time_forms(q_t, cache)
         dt = grids[js, 1:] - grids[js, :-1]
-        # (grids, steps, q_t+3, dof), at every slab's quadrature times
-        block = mesh.assemble_load(
-            space, grids[js, :-1, None] + dt[..., None] * s, f)
         out = np.empty(dt.shape + (q_t, space.dof_count))
-        for m in range(q_t):
-            # one vector-matrix product per slab: a (q_t, q_t+3) matrix
-            # product per slab sums in another order for q_t >= 2
-            out[:, :, m] = ((dt[..., None, None] * Pw[m]) @ block)[..., 0, :]
+        per = max(1, _QUAD_BLOCK // (dt[0].size * len(s) * out.shape[-1]))
+        for a in range(0, len(js), per):
+            d = dt[a:a + per]  # block: (grids, steps, q_t+3, dof) loads
+            block = mesh.assemble_load(
+                space, grids[js[a:a + per], :-1, None] + d[..., None] * s, f)
+            for m in range(q_t):
+                # one vector-matrix product per slab: a (q_t, q_t+3) matrix
+                # product per slab sums in another order for q_t >= 2
+                out[a:a + per, :, m] = (
+                    (d[..., None, None] * Pw[m]) @ block)[..., 0, :]
         return map(_read_only, out)
     raw, n = grids.tobytes(), grids.shape[1] * grids.itemsize  # g.tobytes()
     return cache.factors([("cg_load", space, q_t, f, raw[j:j + n])

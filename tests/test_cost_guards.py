@@ -14,6 +14,7 @@ import pytest
 import parapost.estimator as estimator
 import parapost.harness as harness
 import parapost.mesh as mesh_module
+import parapost.timestepping as timestepping
 from parapost.harness import (ExperimentConfig, build_manufactured,
                               run_experiment)
 from parapost.mesh import FeSpace, FormCache, SpatialMesh
@@ -139,6 +140,29 @@ def test_a_stacks_new_grids_are_assembled_by_one_call(monkeypatch, q_t):
     assert all(np.shares_memory(a, b)
                for a, b in zip(again[1:-1], blocks, strict=True))
     assert np.shares_memory(again[0], again[-1])
+
+
+@pytest.mark.parametrize("q_t", [1, 3])
+def test_a_cg_stacks_quadrature_loads_stay_within_their_block(monkeypatch,
+                                                              q_t):
+    # with room for two grids' quadrature loads per call, five new grids
+    # take three assemble_load calls of at most two grids each, and each
+    # grid's block is still bitwise that of its own one-grid build
+    shapes = []
+    real = mesh_module.assemble_load
+    monkeypatch.setattr(mesh_module, "assemble_load",
+                        lambda space, t, f: shapes.append(np.shape(t)[:2])
+                        or real(space, t, f))
+    prob = build_manufactured(2, 1, 2.6)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), 2)
+    grids = TimePartition.uniform(2.6, 5, 10, 3).coarse_grids
+    monkeypatch.setattr(timestepping, "_QUAD_BLOCK",
+                        2 * 2 * (q_t + 3) * space.dof_count + 1)
+    blocks = _slab_loads(space, grids, q_t, prob.f, FormCache())
+    assert shapes == [(2, 2), (2, 2), (1, 2)]
+    for grid, block in zip(grids, blocks, strict=True):
+        own = _slab_loads(space, grid[None], q_t, prob.f, FormCache())[0]
+        assert block.tobytes() == own.tobytes()
 
 
 def test_the_split_assembles_its_adjoint_space_loads_in_one_call(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parapost.harness import build_manufactured
-from parapost.mesh import FeSpace, FormCache, SpatialMesh, embed
+from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, embed
 from parapost.parareal import vpar
 from parapost.schwarz import decompose_domain
 from parapost.timestepping import TimePartition, propagate_be, propagate_cg
@@ -153,6 +153,21 @@ def test_rejects_nonpositive_iteration_count():
         vpar(part, 0, ic, fs, cs, cache)
 
 
+def test_rejects_solvers_that_return_too_few_rows_or_mixed_spaces():
+    # a (1, dof) block would broadcast against the others' rows, and a
+    # space of the same dof count would be subtracted without error
+    prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8)
+    twin = FeSpace(fine.mesh, fine.degree)  # equal dof count, not the space
+    retype = lambda t: type(t)(twin, t.times, t.q_t, t.coeffs, t.incoming)
+    short = lambda grids, ics: fs(grids, ics)[:1]
+    mixed = lambda grids, ics: fs(grids, ics)[:-1] + [retype(
+        fs(grids[-1:], ics[-1:])[0])]
+    for bad in (short, mixed):
+        with pytest.raises(ValueError, match=r"iteration 1: each solver must "
+                                             r"return 4 trajectories in one"):
+            vpar(part, 2, ic, bad, cs, cache)
+
+
 def test_solver_failure_is_located():
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=4, Nhat_t=8)
 
@@ -282,6 +297,7 @@ def test_every_coarse_row_is_its_own_one_grid_solve(T, P_t, nhat_per, r,
                 want = state.coarse[p - 2].end
                 if solved_at > 1:
                     corr = states[solved_at - 2].corrections[p - 2]
-                    want = want + cache.interpolate(corr, coarse)
+                    want = want + NodalField(coarse, cache.gather(
+                        corr.space, coarse)(corr.coefficients))
                 assert np.array_equal(row.incoming.coefficients,
                                       want.coefficients)
