@@ -14,6 +14,13 @@
         in NEW_DIR (a new table, sweep value or component) are listed, not
         failed.  The summary line counts the values that moved at all and
         gives the largest relative difference.
+    python .github/registry_drift.py cost OLD_DIR NEW_DIR
+        prints a Markdown table of what the estimate costs against the solve
+        it judges, per T.json on either side: the summed coarse_adjoint,
+        fine_adjoints, aux_adjoints and breakdown stage times of its rows
+        over their summed forward time, for OLD_DIR (base) and NEW_DIR
+        (this commit); a side without the file or its stages reads "-".
+        A report, not a gate: it exits 0.
 """
 
 import json
@@ -25,6 +32,8 @@ import tempfile
 from pathlib import Path
 
 RTOL = 1e-12
+ESTIMATE_STAGES = ("coarse_adjoint", "fine_adjoints", "aux_adjoints",
+                   "breakdown")
 SCALARS = ("estimated_error", "effectivity", "computed_qoi")
 # Drift rows only, with no effectivity gate, kept out of TABLE_REGISTRY.
 # Every registry row runs T = 2, whose grids straddle no FormCache.per_step
@@ -118,8 +127,32 @@ def compare(old_dir, new_dir):
     return 1 if bad or not compared else 0
 
 
+def estimate_per_solve(path):
+    """The estimate/solve ratio of the rows of one T.json, or None."""
+    try:
+        records = json.loads(Path(path).read_text())
+        est = sum(rec["stages"][k] for rec in records for k in ESTIMATE_STAGES)
+        return est / sum(rec["stages"]["forward"] for rec in records)
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+        return None
+
+
+def cost(old_dir, new_dir):
+    names = sorted({p.stem for d in (old_dir, new_dir)
+                    for p in Path(d).glob("*.json")})
+    print("### Estimate / solve (adjoint and breakdown stages over forward)")
+    print("| table | base | this commit |")
+    print("|---|---|---|")
+    for name in names:
+        ratios = (estimate_per_solve(Path(d, f"{name}.json"))
+                  for d in (old_dir, new_dir))
+        print(f"| {name} | " + " | ".join(
+            "-" if r is None else f"{r:.2f}" for r in ratios) + " |")
+    return 0
+
+
 if __name__ == "__main__":
-    commands = {"run": run, "compare": compare}
+    commands = {"run": run, "compare": compare, "cost": cost}
     if len(sys.argv) != 4 or sys.argv[1] not in commands:
         sys.exit(__doc__)
     sys.exit(commands[sys.argv[1]](*sys.argv[2:]))

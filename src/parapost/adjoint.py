@@ -13,11 +13,14 @@ meshes but with higher polynomial degree (ExperimentConfig's
 adjoint_space_degree and adjoint_time_degree, passed in explicitly).
 Each temporal adjoint is a Trajectory with q_t >= 1, the one space-time
 field type the forward solvers also return (implicit Euler as its q_t = 0
-case), so field(n) and value_at_node give exact nodal values.
+case), so its exact nodal values are index reads of its coefficients: a
+synchronization time T_p is node p * Nhat_t / P_t of the global coarse
+grid, and node 0 or the last node of a subdomain's own grid.
 """
 
 import numpy as np
 
+from .mesh import NodalField
 from .timestepping import (Trajectory, _as_stack, _check_finite, _largest_time,
                            _step_slabs)
 
@@ -77,14 +80,14 @@ def solve_coarse_adjoint(partition, space, psi, q_t, cache):
 
 def solve_fine_adjoints(partition, coarse_adjoint, q_t, cache):
     """Independent backward solves on each subdomain's fine grid, with
-    terminal data taken from the coarse adjoint at T_p, stepped together
-    as one stack."""
-    ps = range(1, partition.P_t + 1)
+    terminal data the coarse adjoint's (on the global coarse grid) at T_p,
+    stepped together as one stack."""
+    nhat_p, space = partition.coarse_grids.shape[1] - 1, coarse_adjoint.space
     return solve_backward_cg(
-        [f"fine({p})" for p in ps], coarse_adjoint.space,
+        [f"fine({p})" for p in range(1, partition.P_t + 1)], space,
         partition.fine_grids,
-        [coarse_adjoint.value_at_node(partition.sync_times[p]) for p in ps],
-        q_t, cache)
+        [NodalField(space, c)
+         for c in coarse_adjoint.coeffs[nhat_p - 1::nhat_p, -1]], q_t, cache)
 
 
 def solve_auxiliary_adjoints(partition, coarse_adjoint, fine_adjoints,
@@ -95,12 +98,13 @@ def solve_auxiliary_adjoints(partition, coarse_adjoint, fine_adjoints,
     (p = P_t) first, each bitwise its own solve_backward_cg call; a
     non-finite value names the first auxiliary(p) in that order."""
     grid, nhat_p = partition.coarse_grid, partition.coarse_grids.shape[1] - 1
-    ps, sync = range(partition.P_t, 1, -1), partition.sync_times
+    ps, space = range(partition.P_t, 1, -1), coarse_adjoint.space
     if not ps:
         return {}
     adjs = _solve_backward(
-        [f"auxiliary({p})" for p in ps], coarse_adjoint.space,
+        [f"auxiliary({p})" for p in ps], space,
         [grid[:(p - 1) * nhat_p + 1] for p in ps],
-        [fine_adjoints[p - 1].value_at_node(sync[p - 1])
-         - coarse_adjoint.value_at_node(sync[p - 1]) for p in ps], q_t, cache)
+        [NodalField(space, fine_adjoints[p - 1].coeffs[0, 0]
+                    - coarse_adjoint.coeffs[(p - 1) * nhat_p - 1, -1])
+         for p in ps], q_t, cache)
     return dict(sorted(zip(ps, adjs)))

@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
-from .mesh import (_read_only, assemble_load, dots, embed, gauss_rule, groups,
-                   lagrange_derivs, lagrange_values, matvecs, pairings)
+from .mesh import (_read_only, assemble_load, dots, embed_rows, gauss_rule,
+                   groups, lagrange_derivs, lagrange_values, matvecs,
+                   pairings)
 from .schwarz import AdditiveSchwarz
 
 
@@ -46,26 +47,24 @@ class ResidualEvaluator:
         return self.cache.load(space, traj.times[1:], self.f)
 
     def pairs(self, lefts, rights):
-        """L2 inner products of two equally long lists of nodal fields, the
-        lefts in one space and the rights in one (possibly other) space, by
-        one stacked product; each is bitwise a @ G @ b."""
-        if not lefts:
-            return np.zeros(0)
-        return pairings(np.array([a.coefficients for a in lefts]),
-                        self.cache.mass(lefts[0].space, rights[0].space),
-                        np.array([b.coefficients for b in rights]))
+        """L2 inner products a @ G @ b of the rows of two blocks of fields,
+        each side a (space, (rows, dof) block) pair, by one stacked product,
+        each bitwise its own; sides of unequal lengths raise a ValueError
+        naming both."""
+        (left_space, L), (right_space, R) = lefts, rights
+        if len(L) != len(R):
+            raise ValueError(f"{len(L)} left fields against {len(R)} right "
+                             f"fields")
+        return pairings(L, self.cache.mass(left_space, right_space), R)
 
     def pair_analytic(self, fn, fields):
-        """(fn, b) for each field b of one space, an analytic fn by the fixed
-        10-point load rule; the load vector is assembled once per (space,
-        fn), read-only."""
-        if not fields:
-            return np.zeros(0)
-        space = fields[0].space
+        """(fn, b) for each row b of a (space, (rows, dof) block) of fields,
+        an analytic fn by the fixed 10-point load rule; the load vector is
+        assembled once per (space, fn), read-only."""
+        space, C = fields
         vec = self.cache.factor(
             ("analytic_load", space, fn),
             lambda: _read_only(assemble_load(space, 0.0, lambda x, t: fn(x))))
-        C = np.array([b.coefficients for b in fields])
         return dots(np.broadcast_to(vec, C.shape), C)
 
     def residual(self, pairs):
@@ -83,12 +82,14 @@ class ResidualEvaluator:
         All pairs share the trajectory space, the weight space, both q_t and
         the step count; a ValueError names the first pair that does not.
         The trajectory-side products (A U, M U_dot, jumps) are formed once
-        per distinct trajectory, the loads of all of them by one uncached
-        assemble_load call, the weight slabs of each distinct weight by one
-        slab_index lookup over the grids of its pairs, and one quadrature
-        loop serves all rows.  Every row's products go through mesh.matvecs
-        and mesh.dots, so each row is bitwise the residual of its pair
-        alone; no pairs give (0, 0).
+        per distinct trajectory, those against the incoming values once per
+        distinct incoming space, and the loads of all of them by one
+        uncached assemble_load call.  A weight whose grid equals that of
+        each of its pairs takes its own slabs in order; any other takes them
+        by one slab_index lookup over the grids of its pairs.  One
+        quadrature loop serves all rows.  Every row's products go through
+        mesh.matvecs and mesh.dots, so each row is bitwise the residual of
+        its pair alone; no pairs give (0, 0).
         """
         if not pairs:
             return np.zeros((0, 0))
@@ -126,19 +127,23 @@ class ResidualEvaluator:
                 traj0.q_t, self._s).T, c) / dts[:, :, None, None])
         # the jumps: against the incoming value at n = 1, and for q_t = 0 at
         # every later node; for cG they are exactly zero and skipped
-        jumps = np.array([
-            [M_x @ traj.coeffs[0, 0] - self.cache.mass(ws, traj.incoming.space)
-             @ traj.incoming.coefficients] for traj in trajs])
+        jumps = matvecs(M_x, c[:, :1, 0])
+        for space, js in groups([traj.incoming.space for traj in trajs]):
+            jumps[js, 0] -= matvecs(self.cache.mass(ws, space), np.array(
+                [trajs[j].incoming.coefficients for j in js]))
         if dg0:
             jumps = np.concatenate(
                 [jumps, matvecs(M_x, c[:, 1:, 0] - c[:, :-1, 0])], axis=1)
-        # each row's weight coefficients on its trajectory's steps, by one
-        # slab lookup per distinct weight over the stacked grids of its
-        # pairs, and phi at the quadrature points: (pairs, steps, nq, dof_w)
+        # each row's weight coefficients on its trajectory's steps, its own
+        # slabs or by one slab lookup per distinct weight over the stacked
+        # grids of its pairs, and phi at the quadrature points: (pairs,
+        # steps, nq, dof_w)
         W = np.empty((len(pairs), n_steps) + weight0.coeffs.shape[1:])
         for weight, rows in groups([weight for _, weight in pairs]):
-            W[rows] = weight.coeffs[weight.slab_index(grids[ti[rows], :-1],
-                                                      grids[ti[rows], 1:])]
+            g = grids[ti[rows]]
+            W[rows] = weight.coeffs if (
+                g.shape[1] == len(weight.times) and (g == weight.times).all()
+            ) else weight.coeffs[weight.slab_index(g[:, :-1], g[:, 1:])]
         phi_q = np.matmul(lagrange_values(weight0.q_t, self._s).T, W)
         acc = np.zeros((len(pairs), n_steps))
         for q in range(N_QUAD_T):
@@ -156,19 +161,13 @@ class ResidualEvaluator:
         return res
 
 
-def _jump_at_sync(trajs, p, fine_space, cache):
-    """Solution jump of trajs at T_{p-1} (p >= 2): the end value of
-    subdomain p-1 minus the incoming value of subdomain p, expressed in the
-    fine space."""
-    return (embed(trajs[p - 2].end, fine_space, cache)
-            - embed(trajs[p - 1].incoming, fine_space, cache))
-
-
-def _ic_error_pairs(ev, adj_fields, u0, initial):
-    """(adj_field, u0 - Uhat_0) for each adjoint field at t = 0: the analytic
-    initial condition minus its coarse approximation, weighted."""
-    return (ev.pair_analytic(u0, adj_fields)
-            - ev.pairs([initial] * len(adj_fields), adj_fields))
+def _ic_error_pairs(ev, adj, u0, initial):
+    """(adj_field, u0 - Uhat_0) for each adjoint field of a (space, (rows,
+    dof) block) at t = 0: the analytic initial condition minus its coarse
+    approximation, weighted."""
+    rows = np.broadcast_to(initial.coefficients,
+                           (len(adj[1]), initial.space.dof_count))
+    return (ev.pair_analytic(u0, adj) - ev.pairs((initial.space, rows), adj))
 
 
 def _ack_terms(partition, state, adjoints, ev, u0):
@@ -178,31 +177,48 @@ def _ack_terms(partition, state, adjoints, ev, u0):
     trajectory k < p against every auxiliary adjoint psi_p, the pairings of
     psi_p(T_{k-1}) with the coarse jumps, and the K, C and initial-condition
     pairings.  A is the fsum of its residual rows, jump pairings and
-    initial pairings, C and K the fsums of their pairings.
+    initial pairings, C and K the fsums of their pairings.  The jumps at
+    T_{p-1} (end value of subdomain p-1 minus incoming value of subdomain p,
+    in the fine space) take one stacked embedding of each side per family,
+    and every adjoint value is an index read at its node (see adjoint).
     """
-    coarse_adj = adjoints["coarse"]
-    fine_adjs = adjoints["fine"]
-    aux_adjs = adjoints["aux"]
-    sync = partition.sync_times
-    ps = range(2, partition.P_t + 1)
-    fine_space = state.fine[0].space
-    # coarse-solution jumps at T_{p-1}, p = 2..P_t: each weights C and A terms
-    coarse_jumps = {p: _jump_at_sync(state.coarse, p, fine_space, ev.cache)
-                    for p in ps}
-    phats = [coarse_adj.value_at_node(sync[p - 1]) for p in ps]
-    K_terms = ev.pairs(phats, [_jump_at_sync(state.fine, p, fine_space,
-                                             ev.cache) for p in ps])
-    C_terms = ev.pairs([fine_adjs[p - 1].value_at_node(sync[p - 1]) - phat
-                        for p, phat in zip(ps, phats)],
-                       [coarse_jumps[p] for p in ps])
+    P_t, nhat_p = partition.P_t, partition.coarse_grids.shape[1] - 1
+    if P_t == 1:  # no synchronization time: every family is empty
+        return 0.0, 0.0, 0.0
+    coarse_adj, fine_adjs, aux_adjs = (adjoints[k]
+                                       for k in ("coarse", "fine", "aux"))
+    ws, ps = coarse_adj.space, range(2, P_t + 1)
+    fine_space, cache = state.fine[0].space, ev.cache
+
+    def embedded(fields):
+        """The coefficient rows of fields of one space in the fine space."""
+        if any(u.space is not fields[0].space for u in fields):
+            raise ValueError("the values of one side of the jumps at the "
+                             "synchronization times mix spaces")
+        return embed_rows(fields[0].space, np.array(
+            [u.coefficients for u in fields]), fine_space, cache)
+
+    def jumps(trajs):
+        """The (P_t - 1, dof) jumps of trajs at T_1..T_{P_t-1}."""
+        return (embedded([t.end for t in trajs[:-1]])
+                - embedded([t.incoming for t in trajs[1:]]))
+
+    coarse_jumps = jumps(state.coarse)  # each weights C and A terms
+    phats = coarse_adj.coeffs[nhat_p - 1:(P_t - 1) * nhat_p:nhat_p, -1]
+    K_terms = ev.pairs((ws, phats), (fine_space, jumps(state.fine)))
+    C_terms = ev.pairs((ws, np.array([fine_adjs[p - 1].coeffs[0, 0]
+                                      for p in ps]) - phats),
+                       (fine_space, coarse_jumps))
     residuals = ev.residual([(state.coarse[k - 1], aux_adjs[p])
                              for p in ps for k in range(1, p)])
-    jump_keys = [(p, k) for p in ps for k in range(2, p)]
-    jump_terms = ev.pairs([aux_adjs[p].value_at_node(sync[k - 1])
-                           for p, k in jump_keys],
-                          [coarse_jumps[k] for _, k in jump_keys])
-    ic_terms = _ic_error_pairs(ev, [aux_adjs[p].value_at_node(0.0)
-                                    for p in ps], u0, state.initial)
+    jump_keys = [(p, k) for p in ps for k in range(2, p)]  # none at P_t = 2
+    jump_terms = ev.pairs(
+        (ws, np.array([aux_adjs[p].coeffs[(k - 1) * nhat_p - 1, -1]
+                       for p, k in jump_keys]).reshape(-1, ws.dof_count)),
+        (fine_space, coarse_jumps[[k - 2 for _, k in jump_keys]]))
+    ic_terms = _ic_error_pairs(
+        ev, (ws, np.array([aux_adjs[p].coeffs[0, 0] for p in ps])), u0,
+        state.initial)
     A = math.fsum(np.concatenate([residuals.ravel(), jump_terms, ic_terms]))
     return A, math.fsum(C_terms), math.fsum(K_terms)
 
@@ -227,11 +243,11 @@ def dd_split(trajs, weights, decomp, K_s, ev):
     and Schwarz-iteration (E^K) parts, for trajectories sharing one space
     whose steps were solved by K_s sweeps over decomp from a zero guess.
 
-    Step n of trajs[p-1] is weighted by the nodal field weights[p-1][n-1],
-    all in one space, in which the spatial adjoints live.  Returns (E_K,
-    E_N), one entry per step, in (p, n) order: a step's E_N is the fsum of
-    its (k_s, i) subdomain terms, and its E_K the global adjoint's term less
-    E_N.  The steps are split together by the cached solvers of the first
+    weights is a (space, (steps, dof) block) pair: the steps of all trajs,
+    in (p, n) order, are weighted by its rows, fields of the space in which
+    the spatial adjoints live.  Returns (E_K, E_N), one entry per step, in
+    (p, n) order: a step's E_N is the fsum of its (k_s, i) subdomain terms,
+    and its E_K the global adjoint's term less E_N.  The steps are split together by the cached solvers of the first
     step's size: one multi-column solve each gives the global adjoints
     (step operator) and replays the steps' sweeps (the forward space's
     sweeper), and one backward recursion of the sweeper the per-sweep
@@ -245,7 +261,7 @@ def dd_split(trajs, weights, decomp, K_s, ev):
     overflow or turn invalid silently, so that under -W error these checks,
     not a RuntimeWarning, report the step.
     """
-    cache, space3, space = ev.cache, weights[0][0].space, trajs[0].space
+    cache, (space3, phi), space = ev.cache, weights, trajs[0].space
     where = [(p, n) for p, traj in enumerate(trajs, 1)
              for n in range(1, traj.n_steps + 1)]
     dts = np.concatenate([np.diff(traj.times) for traj in trajs]).tolist()
@@ -258,7 +274,6 @@ def dd_split(trajs, weights, decomp, K_s, ev):
     rhs = np.concatenate([_step_functionals(traj, space, ev)
                           for traj in trajs])
     u_n = np.concatenate([traj.coeffs[:, -1] for traj in trajs])
-    phi = np.array([w.coefficients for ws in weights for w in ws])
     # one dense M + dt*A per exact dt, not per_step's, built for this call
     # alone: shared across the steps of a linspace grid, it moves 19
     # registry values past 1e-12 relative (D_s by up to 8.9e-7 on
@@ -328,14 +343,13 @@ def stpa_breakdown(partition, state, adjoints, problem, decomp, K_s, cache):
     ev = ResidualEvaluator(problem.f, cache)
     fine_adjs = adjoints["fine"]
     if decomp is not None:
-        E_K, E_N = dd_split(
-            state.fine, [[adj.value_at_node(t) for t in traj.times[1:]]
-                         for traj, adj in zip(state.fine, fine_adjs)],
-            decomp, K_s, ev)
+        # each step weighted by its fine adjoint's value at the step's end
+        E_K, E_N = dd_split(state.fine, (fine_adjs[0].space, np.concatenate(
+            [adj.coeffs[:, -1] for adj in fine_adjs])), decomp, K_s, ev)
     D = np.concatenate([
         ev.residual(list(zip(state.fine, fine_adjs))).ravel(),
-        _ic_error_pairs(ev, [fine_adjs[0].value_at_node(0.0)], problem.u0,
-                        state.initial)])
+        _ic_error_pairs(ev, (fine_adjs[0].space, fine_adjs[0].coeffs[:1, 0]),
+                        problem.u0, state.initial)])
     A, C, K = _ack_terms(partition, state, adjoints, ev, problem.u0)
     if decomp is None:
         parts = {"D": math.fsum(D)}

@@ -280,29 +280,32 @@ def groups(keys):
     return [(key, np.array(js)) for key, js in index.items()]
 
 
+@lru_cache(maxsize=64)
+def _reference_block(qr, qc, kind):
+    """The read-only reference-element block of assemble_matrix between the
+    degree-qr and degree-qc bases, exact for the polynomial integrand."""
+    s, w = gauss_rule((qr + qc) // 2 + 1)
+    if kind == "mass":
+        br, bc = lagrange_values(qr, s), lagrange_values(qc, s)
+    elif kind == "stiffness":
+        br, bc = lagrange_derivs(qr, s), lagrange_derivs(qc, s)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return _read_only((br * w[None, :]) @ bc.T)
+
+
 def assemble_matrix(row_space, col_space, kind, elements=None):
     """Dense Galerkin matrix between two spaces on the same mesh.
 
     kind is 'mass' (phi_i phi_j) or 'stiffness' (phi_i' phi_j').  An element
     index subset restricts the integration domain (used for Schwarz overlaps).
-    Quadrature is exact for the polynomial integrand.
+    Each call scales and scatters the cached _reference_block.
     """
     if row_space.mesh is not col_space.mesh:
         if not np.array_equal(row_space.mesh.boundaries, col_space.mesh.boundaries):
             raise ValueError("row and column spaces must share a mesh")
     mesh = row_space.mesh
-    qr, qc = row_space.degree, col_space.degree
-    nq = (qr + qc) // 2 + 1
-    s, w = gauss_rule(nq)
-    if kind == "mass":
-        br = lagrange_values(qr, s)
-        bc = lagrange_values(qc, s)
-    elif kind == "stiffness":
-        br = lagrange_derivs(qr, s)
-        bc = lagrange_derivs(qc, s)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    local_ref = (br * w[None, :]) @ bc.T  # reference-element block
+    local_ref = _reference_block(row_space.degree, col_space.degree, kind)
     elems = (np.arange(mesh.n_elements) if elements is None
              else np.asarray(elements, dtype=int))
     h = mesh.widths[elems]

@@ -126,13 +126,6 @@ class Trajectory:
                              f"this grid")
         return n if n.ndim else int(n)
 
-    def value_at_node(self, t):
-        """Exact nodal value at a grid node (to NODE_TOL), as field(n)."""
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > NODE_TOL:
-            raise ValueError(f"{t} is not a node of this grid")
-        return self.field(k)
-
 
 def _check_finite(coeffs, grids, first=None):
     """Raise the _column_error of the first column j of a (P, steps, nodes,

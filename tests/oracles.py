@@ -14,8 +14,9 @@ dd_split_per_step splits one Schwarz-solved step at a time, with its own
 replay of the step's sweeps, spatial adjoints and one-vector products.
 ack_terms_per_pair forms the terms of the A, C and K components one
 residual and one pairing at a time, and fsums them.  sweep_iterates
-rebuilds the Schwarz iterates from a sweep history, and slab_eval and at
-evaluate a Trajectory inside its slabs.
+rebuilds the Schwarz iterates from a sweep history, slab_eval and at
+evaluate a Trajectory inside its slabs, and value_at_node reads it at a
+node of its grid by a search of its times.
 subdomain_dof_sets_by_coords finds a subdomain's dofs by their coordinates.
 fe_space_nodes_per_element builds an FeSpace's node coordinates and element
 dof map one element at a time.
@@ -256,17 +257,17 @@ def ack_terms_per_pair(partition, state, adjoints, ev, u0):
     K, C, A = [], [], []
     for p in range(2, P_t + 1):
         t_sync = partition.sync_times[p - 1]
-        phat = coarse_adj.value_at_node(t_sync)
-        pfine = fine_adjs[p - 1].value_at_node(t_sync)
+        phat = value_at_node(coarse_adj, t_sync)
+        pfine = value_at_node(fine_adjs[p - 1], t_sync)
         K.append(pair(phat, jump(state.fine, p)))
         C.append(pair(pfine - phat, coarse_jumps[p]))
         aux = aux_adjs[p]
         for k in range(1, p):
             A.extend(ev.residual([(state.coarse[k - 1], aux)])[0])
         for k in range(2, p):
-            A.append(pair(aux.value_at_node(partition.sync_times[k - 1]),
+            A.append(pair(value_at_node(aux, partition.sync_times[k - 1]),
                           coarse_jumps[k]))
-        A.append(ic_error_pair(aux.value_at_node(0.0)))
+        A.append(ic_error_pair(value_at_node(aux, 0.0)))
     return math.fsum(A), math.fsum(C), math.fsum(K)
 
 
@@ -306,6 +307,15 @@ def at(traj, t):
                     traj.n_steps - 1))
     s = (t - times[n]) / (times[n + 1] - times[n])
     return NodalField(traj.space, slab_eval(traj, n, [s])[0])
+
+
+def value_at_node(traj, t):
+    """A Trajectory's exact nodal value at a node of its grid (to NODE_TOL),
+    as its field(n), found by a search of its times."""
+    n = int(np.argmin(np.abs(traj.times - t)))
+    if abs(traj.times[n] - t) > NODE_TOL:
+        raise ValueError(f"{t} is not a node of this grid")
+    return traj.field(n)
 
 
 def subdomain_dof_sets_by_coords(space, decomp, i):

@@ -312,7 +312,8 @@ def test_property_spatial_split_identity():
                         cache, decomp=decomp, K_s=2)
     ev = ResidualEvaluator(prob.f, cache)
     phi_val = adj_space.interpolate(lambda x: np.sin(np.pi * x))
-    E_K, E_N = dd_split([traj], [[phi_val] * traj.n_steps], decomp, 2, ev)
+    E_K, E_N = dd_split([traj], (adj_space, np.array(
+        [phi_val.coefficients] * traj.n_steps)), decomp, 2, ev)
     for n in range(1, traj.n_steps + 1):
         dt = grid[1] - grid[0]
         M3x = ev.cache.mass(adj_space, space)

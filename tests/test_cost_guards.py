@@ -5,7 +5,9 @@ The run has P_t = 3 subdomains and K_t = 3 iterations, so the serial coarse
 sweeps solve 3 + 2 + 1 coarse grids, by one chained call per iteration, and
 the fine calls 3 + 2 + 1 fine grids, of which 3 + 3 are distinct.  Its
 breakdown makes two residual calls: D, 3 pairs with 3 distinct fine
-adjoints, and A, 3 pairs with 2 distinct auxiliary adjoints.
+adjoints, and A, 3 pairs with 2 distinct auxiliary adjoints.  Every
+adjoint value the estimate reads at a node is an index read, and the
+jumps at the synchronization times are stacked gathers.
 """
 
 import numpy as np
@@ -17,9 +19,11 @@ import parapost.mesh as mesh_module
 import parapost.timestepping as timestepping
 from parapost.harness import (ExperimentConfig, build_manufactured,
                               run_experiment)
-from parapost.mesh import FeSpace, FormCache, SpatialMesh
+from parapost.mesh import FeSpace, FormCache, NodalGather, SpatialMesh
 from parapost.timestepping import (TimePartition, Trajectory, _slab_loads,
                                    propagate_cg)
+
+from oracles import value_at_node
 
 CG = ExperimentConfig(Nhat_t=6, r=2, P_t=3, K_t=3, Nhat_s=8, qhat_s=1, q_s=2,
                       nu=2, mu=1, T=0.5, integrator="cg", qhat_t=1, q_t=2)
@@ -28,12 +32,17 @@ CG = ExperimentConfig(Nhat_t=6, r=2, P_t=3, K_t=3, Nhat_s=8, qhat_s=1, q_s=2,
 @pytest.fixture(scope="module")
 def counted():
     """The calls of one run of CG: the grids handed to the solvers, the load
-    assemblies outside the residual (the forward solves') and, per residual
-    call, its distinct weights, load assemblies and slab lookups."""
-    seen = dict(grids=0, coarse_calls=0, forward=[], residuals=[])
+    assemblies outside the residual (the forward solves'), per residual
+    call, its distinct weights, load assemblies and slab lookups, the slab
+    lookups and nodal-value searches of the whole run and the nodal gathers
+    of its breakdown."""
+    seen = dict(grids=0, coarse_calls=0, forward=[], residuals=[], lookups=0,
+                searches=0, breakdown_gathers=0)
     inside = []  # the counts of the residual call under way
+    in_breakdown = []
     real_residual = estimator.ResidualEvaluator.residual
     real_index, real_vpar = Trajectory.slab_index, harness.vpar
+    real_gather, real_breakdown = NodalGather.__call__, harness.stpa_breakdown
 
     def counting(module):
         real = module.assemble_load
@@ -55,9 +64,25 @@ def counted():
             seen["residuals"].append(inside.pop())
 
     def slab_index(self, t0, t1):
+        seen["lookups"] += 1
         if inside:
             inside[-1]["lookups"] += 1
         return real_index(self, t0, t1)
+
+    def search(self, t):
+        seen["searches"] += 1
+        return value_at_node(self, t)
+
+    def gather(self, coefficients):
+        seen["breakdown_gathers"] += bool(in_breakdown)
+        return real_gather(self, coefficients)
+
+    def breakdown(*args):
+        in_breakdown.append(1)
+        try:
+            return real_breakdown(*args)
+        finally:
+            in_breakdown.pop()
 
     def vpar(partition, K_t, ic, fine_solver, coarse_solver, cache):
         def fine(grids, ics):
@@ -75,6 +100,9 @@ def counted():
             mp.setattr(module, "assemble_load", counting(module))
         mp.setattr(estimator.ResidualEvaluator, "residual", residual)
         mp.setattr(Trajectory, "slab_index", slab_index)
+        mp.setattr(Trajectory, "value_at_node", search, raising=False)
+        mp.setattr(NodalGather, "__call__", gather)
+        mp.setattr(harness, "stpa_breakdown", breakdown)
         mp.setattr(harness, "vpar", vpar)
         run_experiment(CG)
     return seen
@@ -223,6 +251,21 @@ def test_each_residual_call_assembles_its_loads_in_one_call(counted):
 
 
 def test_slab_index_runs_once_per_distinct_weight(counted):
+    # at most once: a weight on the grid of each of its pairs (every fine
+    # adjoint of D, and psi_2 of A, on the first coarse grid) reads its own
+    # slabs, so only psi_3 of A, against coarse grids 1 and 2, looks its
+    # slabs up, and no other lookup is made in the run
     weights = [r["weights"] for r in counted["residuals"]]
     assert weights == [CG.P_t, CG.P_t - 1]
-    assert [r["lookups"] for r in counted["residuals"]] == weights
+    assert [r["lookups"] for r in counted["residuals"]] == [0, 1]
+    assert counted["lookups"] == 1
+
+
+def test_the_estimate_reads_nodal_values_by_index_and_gathers_per_stack(
+        counted):
+    # no adjoint value is searched for among its grid's times, and the
+    # breakdown's jumps at T_1..T_{P_t-1} take one gather per side that is
+    # not already in the fine space: the coarse jumps' end and incoming
+    # values, the fine jumps' incoming values
+    assert counted["searches"] == 0
+    assert counted["breakdown_gathers"] == 3

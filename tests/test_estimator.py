@@ -44,9 +44,16 @@ from parapost.timestepping import (
     propagate_cg,
 )
 
-from oracles import ack_terms_per_pair, dd_split_per_step, slab_eval
+from oracles import (ack_terms_per_pair, dd_split_per_step, slab_eval,
+                     value_at_node)
 
 ZERO_F = lambda x, t: np.zeros_like(x)
+
+
+def _side(*fields):
+    """(space, (rows, dof) block) of fields of one space, as
+    ResidualEvaluator.pairs and dd_split take them."""
+    return fields[0].space, np.array([u.coefficients for u in fields])
 
 
 def _constant_in_time_weight(space, times, coeffs):
@@ -130,12 +137,50 @@ def test_tpa_single_subdomain_has_no_coupling_terms():
     assert abs(rec.effectivity - 1.0) < 0.05
 
 
+def test_pairs_rejects_sides_of_unequal_lengths():
+    # 3 lefts against 1 right would broadcast to 3 values, and 2 against 3
+    # fail in numpy's broadcast: both name the two lengths
+    ev = ResidualEvaluator(ZERO_F, FormCache())
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 2)
+    rows = np.ones((3, space.dof_count))
+    for left, right in ((3, 1), (2, 3)):
+        with pytest.raises(ValueError, match=rf"^{left} left fields against "
+                                             rf"{right} right fields$"):
+            ev.pairs((space, rows[:left]), (space, rows[:right]))
+
+
+def test_the_jumps_at_the_synchronization_times_reject_mixed_spaces():
+    # each side of the jumps is one stacked gather from one space: an
+    # incoming value in another space of equal dof count raises, where it
+    # would otherwise be gathered as a field of the first
+    cfg = ExperimentConfig(Nhat_t=6, r=2, P_t=3, K_t=2, Nhat_s=8, qhat_s=1,
+                           q_s=2, nu=2, mu=2, T=0.5)
+    raised = []
+
+    def record(partition, state, adjoints, problem, decomp, K_s, cache):
+        inc = state.coarse[2].incoming
+        state.coarse[2].incoming = NodalField(
+            FeSpace(inc.space.mesh, inc.space.degree), inc.coefficients)
+        with pytest.raises(ValueError, match="mix spaces$"):
+            _ack_terms(partition, state, adjoints,
+                       ResidualEvaluator(problem.f, cache), problem.u0)
+        raised.append(1)
+        return {}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness_module, "stpa_breakdown", record)
+        run_experiment(cfg)
+    assert raised == [1]
+
+
 def test_stacked_calls_on_no_pairs_are_empty():
     # at P_t = 1 every A, C and K family is an empty stack, whose fsum is 0.0
     ev = ResidualEvaluator(ZERO_F, FormCache())
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 2)
+    empty = (space, np.zeros((0, space.dof_count)))
     assert ev.residual([]).shape == (0, 0)
-    assert ev.pair_analytic(np.sin, []).shape == (0,)
-    assert ev.pairs([], []).shape == (0,)
+    assert ev.pair_analytic(np.sin, empty).shape == (0,)
+    assert ev.pairs(empty, empty).shape == (0,)
 
 
 def test_tpa_first_iteration_has_zero_coarse_jump():
@@ -201,8 +246,8 @@ def _schwarz_step_setup(K_s=2):
 def _split_every_step(traj, sweeper, ev, phi_val, K_s):
     """dd_split of every step of one trajectory solved by K_s sweeps, each
     weighted by phi_val."""
-    return dd_split([traj], [[phi_val] * traj.n_steps], sweeper.decomp, K_s,
-                    ev)
+    return dd_split([traj], _side(*[phi_val] * traj.n_steps), sweeper.decomp,
+                    K_s, ev)
 
 
 def test_dd_split_sums_to_global_weighted_algebraic_error():
@@ -282,7 +327,7 @@ def test_dd_split_requires_sweep_records():
     first = propagate_be(space, grids[0], ic, prob.f, cache, decomp, 2)
 
     def split(second):
-        weights = [[space3.interpolate(np.sin)] * 5] * 2
+        weights = _side(*[space3.interpolate(np.sin)] * 10)
         return dd_split([first, second], weights, decomp, 2,
                         ResidualEvaluator(prob.f, cache))
 
@@ -330,13 +375,12 @@ def test_dd_split_matches_the_per_step_oracle(P_s, K_s, steps, P_t, q_s,
     f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
     cache = FormCache()
     trajs = propagate_be(space, grids, ics, f, cache, decomp, K_s)
-    weights = [[NodalField(space3, rng.standard_normal(space3.dof_count))
-                for _ in range(steps)] for _ in range(P_t)]
-    E_K, E_N = dd_split(trajs, weights, decomp, K_s,
+    weights = rng.standard_normal((P_t * steps, space3.dof_count))
+    E_K, E_N = dd_split(trajs, (space3, weights), decomp, K_s,
                         ResidualEvaluator(f, cache))
     ev = ResidualEvaluator(f, FormCache())
-    want = np.array([dd_split_per_step(traj, n, decomp, K_s, weights[p][n - 1],
-                                       ev, cache)
+    want = np.array([dd_split_per_step(traj, n, decomp, K_s, NodalField(
+                         space3, weights[p * steps + n - 1]), ev, cache)
                      for p, traj in enumerate(trajs)
                      for n in range(1, steps + 1)])
     assert np.array_equal(E_K, want[:, 0])
@@ -358,8 +402,8 @@ def test_dd_split_names_the_first_step_with_a_nonfinite_subdomain_adjoint(
     grids = TimePartition.uniform(0.5, 2, 2, 2).fine_grids
     ic = space.interpolate(prob.u0)
     trajs = propagate_be(space, grids, [ic, ic], prob.f, cache, decomp, 2)
-    weights = [[space3.interpolate(np.sin)] * 2 for _ in range(2)]
-    weights[1][1] = NodalField(space3, np.zeros(space3.dof_count))
+    weights = _side(*[space3.interpolate(np.sin)] * 4)
+    weights[1][3] = 0.0
     real = AdditiveSchwarz.local_solve
 
     def failing(self, i, rhs):
@@ -500,7 +544,7 @@ def test_dd_split_names_the_step_of_a_nonfinite_subdomain_term(monkeypatch):
     grids = TimePartition.uniform(0.5, 2, 2, 2).fine_grids
     ic = space.interpolate(prob.u0)
     trajs = propagate_be(space, grids, [ic, ic], prob.f, cache, decomp, 2)
-    weights = [[space3.interpolate(np.sin)] * 2 for _ in range(2)]
+    weights = _side(*[space3.interpolate(np.sin)] * 4)
     real = estimator_module._step_functionals
 
     def functionals(traj, space, ev):
@@ -596,11 +640,11 @@ def coarse_error_estimate(partition, state, coarse_adjoint, problem, cache):
         corr_prev = (embed(state.coarse[p].incoming, fine_space, cache)
                      - embed(state.coarse[p - 1].end, fine_space, cache))
         total -= ev.pairs(
-            [coarse_adjoint.value_at_node(partition.sync_times[p])],
-            [corr_prev])[0]
-    adj0 = coarse_adjoint.value_at_node(0.0)
-    total += (ev.pair_analytic(problem.u0, [adj0])[0]
-              - ev.pairs([state.initial], [adj0])[0])
+            _side(value_at_node(coarse_adjoint, partition.sync_times[p])),
+            _side(corr_prev))[0]
+    adj0 = _side(value_at_node(coarse_adjoint, 0.0))
+    total += (ev.pair_analytic(problem.u0, adj0)[0]
+              - ev.pairs(_side(state.initial), adj0)[0])
     return total
 
 
@@ -829,18 +873,25 @@ def test_stacked_residual_names_the_first_mismatched_pair(what):
 
 @settings(max_examples=25, deadline=None)
 @given(solver=st.sampled_from(["be", "cg", "schwarz"]), P_t=st.integers(1, 4),
-       K_t=st.integers(1, 4), r=st.integers(1, 2), q_t=st.integers(1, 2))
-@example(solver="be", P_t=1, K_t=1, r=2, q_t=1)
-@example(solver="cg", P_t=2, K_t=1, r=2, q_t=1)
-@example(solver="schwarz", P_t=2, K_t=2, r=1, q_t=1)
-def test_ack_terms_match_the_per_pair_oracle(solver, P_t, K_t, r, q_t):
+       K_t=st.integers(1, 4), r=st.integers(1, 2), q_t=st.integers(1, 2),
+       nhat_p=st.integers(1, 3), qhat_s=st.integers(1, 2))
+@example(solver="be", P_t=1, K_t=1, r=2, q_t=1, nhat_p=2, qhat_s=1)
+@example(solver="cg", P_t=2, K_t=1, r=2, q_t=1, nhat_p=2, qhat_s=1)
+@example(solver="schwarz", P_t=2, K_t=2, r=1, q_t=1, nhat_p=2, qhat_s=1)
+@example(solver="cg", P_t=4, K_t=2, r=1, q_t=2, nhat_p=3, qhat_s=2)
+@example(solver="be", P_t=4, K_t=3, r=2, q_t=1, nhat_p=1, qhat_s=1)
+def test_ack_terms_match_the_per_pair_oracle(solver, P_t, K_t, r, q_t, nhat_p,
+                                             qhat_s):
     # the stacked A, C and K are bitwise the double loop over (k, p), for
     # both integrators, with and without Schwarz and K_t from 1 to P_t: at
     # P_t = 1 there is no pair (exact zeros), at P_t = 2 one residual pair
-    # and no jump pair
+    # and no jump pair.  The adjoints' values at T_p are index reads at
+    # node p * nhat_p of the coarse grid, which the oracle finds by a
+    # search; with qhat_s = q_s the coarse values reach the fine space by
+    # a gather between two spaces of one degree
     cfg = ExperimentConfig(
-        Nhat_t=2 * P_t, r=r, P_t=P_t, K_t=min(K_t, P_t), Nhat_s=8, qhat_s=1,
-        q_s=2, nu=2, mu=2, T=0.5, q_t=q_t,
+        Nhat_t=nhat_p * P_t, r=r, P_t=P_t, K_t=min(K_t, P_t), Nhat_s=8,
+        qhat_s=qhat_s, q_s=2, nu=2, mu=2, T=0.5, q_t=q_t,
         integrator="cg" if solver == "cg" else "be",
         schwarz=solver == "schwarz", beta=0.25)
     terms = []
@@ -879,14 +930,15 @@ def test_D_is_bitwise_the_per_subdomain_sum(solver, P_t, r):
         ev = ResidualEvaluator(problem.f, cache)
         terms = [r_n for pair in zip(fine, adjs)
                  for r_n in ev.residual([pair])[0]]
-        terms += list(_ic_error_pairs(ev, [adjs[0].value_at_node(0.0)],
+        terms += list(_ic_error_pairs(ev, _side(value_at_node(adjs[0], 0.0)),
                                       problem.u0, state.initial))
         got = stpa_breakdown(partition, state, adjoints, problem, decomp, K_s,
                              cache)
         if decomp is not None:
             E_K, E_N = dd_split(
-                fine, [[adj.value_at_node(t) for t in traj.times[1:]]
-                       for traj, adj in zip(fine, adjs)], decomp, K_s, ev)
+                fine, _side(*[value_at_node(adj, t) for traj, adj in
+                              zip(fine, adjs) for t in traj.times[1:]]),
+                decomp, K_s, ev)
             checked.append(got["D_t"] == math.fsum([*terms, *-E_K, *-E_N]))
         else:
             checked.append(got["D"] == math.fsum(terms))

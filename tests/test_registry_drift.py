@@ -1,5 +1,5 @@
-"""The CI drift gate, .github/registry_drift.py compare, on tiny fixtures,
-and the sweeps its run adds to the registry tables.
+"""The CI drift gate, .github/registry_drift.py compare, and its cost
+report on tiny fixtures, and the sweeps its run adds to the registry tables.
 
 Each side is a directory of T.json files as `parapost reproduce --format
 json` writes them.  The gate fails on a value over 1e-12 relative or on a
@@ -74,3 +74,16 @@ def test_each_straddle_sweep_validates_and_straddles_a_per_step_key(name):
         for grids in (part.coarse_grids, part.fine_grids):
             keys = {round(float(dt), 15) for dt in np.diff(grids).ravel()}
             assert len(keys) == 2, keys
+
+
+def test_cost_reports_each_sides_estimate_per_solve_and_never_fails(
+        tmp_path, capsys):
+    # (0.5 + 1.0 + 0.5 + 1.0) / 2.0 per row; a side whose rows carry no
+    # stages reads "-", and the report exits 0 either way
+    stages = {"forward": 2.0, "coarse_adjoint": 0.5, "fine_adjoints": 1.0,
+              "aux_adjoints": 0.5, "breakdown": 1.0}
+    old = _write(tmp_path / "old", [dict(_record(v, 0.5), stages=stages)
+                                    for v in (2, 4)])
+    new = _write(tmp_path / "new", [_record(2, 0.5)])
+    assert _drift().cost(old, new) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "| t | 1.50 | - |"

@@ -263,9 +263,8 @@ def test_be_trajectory_is_the_dg0_field():
                         space.interpolate(prob.u0), prob.f, FormCache())
     assert traj.q_t == 0 and traj.coeffs.shape == (5, 1, space.dof_count)
     U = traj.coeffs[:, 0]
-    for read in (lambda: traj.field(0), lambda: traj.value_at_node(0.0)):
-        with pytest.raises(ValueError, match="no value at times"):
-            read()
+    with pytest.raises(ValueError, match="no value at times"):
+        traj.field(0)
     for n in range(1, 6):
         assert np.array_equal(traj.field(n).coefficients, U[n - 1])
     for n in range(5):
@@ -714,7 +713,8 @@ def test_cg_slab_factors_die_with_their_cache():
         assert AdditiveSchwarz.cached(cache, space, grid[1], decomp).space is space
         ev = ResidualEvaluator(ZERO_F, cache)
         phi = adj_space.interpolate(lambda x: np.sin(np.pi * x))
-        dd_split([traj], [[phi] * traj.n_steps], decomp, 2, ev)
+        weights = np.array([phi.coefficients] * traj.n_steps)
+        dd_split([traj], (adj_space, weights), decomp, 2, ev)
         refs = [weakref.ref(obj) for obj in (cache, space, adj_space, decomp)]
         del space, adj_space, decomp, cache, ic, traj, ev, phi
         assert [ref() for ref in refs] == [None] * 4
