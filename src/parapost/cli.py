@@ -10,7 +10,6 @@ from .harness import (
     reproduce_table,
     require_one_mode,
     run_experiment,
-    run_sweep,
     sweep_configs,
 )
 
@@ -30,10 +29,10 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     # every config, and the report's columns, are checked before any runs
-    sweep = (ExperimentConfig.from_file(args.config), args.param,
-             args.values.split(","))
-    require_one_mode(args.format, (c.mode for c in sweep_configs(*sweep)))
-    return _emit(args, run_sweep(*sweep), args.param)
+    configs = sweep_configs(ExperimentConfig.from_file(args.config),
+                            args.param, args.values.split(","))
+    require_one_mode(args.format, (c.mode for c in configs))
+    return _emit(args, [run_experiment(c) for c in configs], args.param)
 
 
 def _cmd_reproduce(args):

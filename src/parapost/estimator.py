@@ -41,11 +41,6 @@ class ResidualEvaluator:
         self.cache = cache
         self._s, self._w = gauss_rule(N_QUAD_T)
 
-    def load(self, space, traj):
-        """traj's loads in space at its step ends, (steps, dof): the cache's
-        block at times[1:]."""
-        return self.cache.load(space, traj.times[1:], self.f)
-
     def pairs(self, lefts, rights):
         """L2 inner products a @ G @ b of the rows of two blocks of fields,
         each side a (space, (rows, dof) block) pair, by one stacked product,
@@ -84,9 +79,11 @@ class ResidualEvaluator:
         The trajectory-side products (A U, M U_dot, jumps) are formed once
         per distinct trajectory, those against the incoming values once per
         distinct incoming space, and the loads of all of them by one
-        uncached assemble_load call.  A weight whose grid equals that of
-        each of its pairs takes its own slabs in order; any other takes them
-        by one slab_index lookup over the grids of its pairs.  One
+        uncached assemble_load call.  Each pair's grid must be a run of
+        consecutive nodes of its weight's grid, bitwise (a weight on a
+        nested grid, as the adjoints are): one exact search per distinct
+        weight finds where each of its pairs' grids starts, and a grid that
+        is not such a run raises a ValueError naming its pair.  One
         quadrature loop serves all rows.  Every row's products go through
         mesh.matvecs and mesh.dots, so each row is bitwise the residual of
         its pair alone; no pairs give (0, 0).
@@ -134,16 +131,20 @@ class ResidualEvaluator:
         if dg0:
             jumps = np.concatenate(
                 [jumps, matvecs(M_x, c[:, 1:, 0] - c[:, :-1, 0])], axis=1)
-        # each row's weight coefficients on its trajectory's steps, its own
-        # slabs or by one slab lookup per distinct weight over the stacked
-        # grids of its pairs, and phi at the quadrature points: (pairs,
-        # steps, nq, dof_w)
+        # each row's weight coefficients on its trajectory's steps, the
+        # slabs from the node where its grid starts in its weight's grid,
+        # and phi at the quadrature points: (pairs, steps, nq, dof_w)
         W = np.empty((len(pairs), n_steps) + weight0.coeffs.shape[1:])
+        run = np.arange(n_steps + 1)
         for weight, rows in groups([weight for _, weight in pairs]):
             g = grids[ti[rows]]
-            W[rows] = weight.coeffs if (
-                g.shape[1] == len(weight.times) and (g == weight.times).all()
-            ) else weight.coeffs[weight.slab_index(g[:, :-1], g[:, 1:])]
+            nodes = np.searchsorted(weight.times, g[:, :1]) + run
+            ok = (nodes[:, -1] < len(weight.times)) & (
+                weight.times[np.minimum(nodes, weight.n_steps)] == g).all(1)
+            if not ok.all():
+                raise ValueError(f"residual pair {rows[np.argmin(ok)]}: its "
+                                 f"grid is not a run of its weight's grid")
+            W[rows] = weight.coeffs[nodes[:, :-1]]
         phi_q = np.matmul(lagrange_values(weight0.q_t, self._s).T, W)
         acc = np.zeros((len(pairs), n_steps))
         for q in range(N_QUAD_T):
@@ -179,8 +180,11 @@ def _ack_terms(partition, state, adjoints, ev, u0):
     pairings.  A is the fsum of its residual rows, jump pairings and
     initial pairings, C and K the fsums of their pairings.  The jumps at
     T_{p-1} (end value of subdomain p-1 minus incoming value of subdomain p,
-    in the fine space) take one stacked embedding of each side per family,
-    and every adjoint value is an index read at its node (see adjoint).
+    in the fine space) take one stacked embedding of each family's end
+    values and one of the incoming values, which a subdomain's fine and
+    coarse trajectories share (vpar hands each fine solve its coarse row's;
+    a state where they differ raises a ValueError naming p), and every
+    adjoint value is an index read at its node (see adjoint).
     """
     P_t, nhat_p = partition.P_t, partition.coarse_grids.shape[1] - 1
     if P_t == 1:  # no synchronization time: every family is empty
@@ -198,10 +202,15 @@ def _ack_terms(partition, state, adjoints, ev, u0):
         return embed_rows(fields[0].space, np.array(
             [u.coefficients for u in fields]), fine_space, cache)
 
+    incoming = embedded([t.incoming for t in state.coarse[1:]])
+    for p in ps:
+        if state.fine[p - 1].incoming is not state.coarse[p - 1].incoming:
+            raise ValueError(f"the fine and coarse trajectories of subdomain "
+                             f"p={p} start from different incoming values")
+
     def jumps(trajs):
         """The (P_t - 1, dof) jumps of trajs at T_1..T_{P_t-1}."""
-        return (embedded([t.end for t in trajs[:-1]])
-                - embedded([t.incoming for t in trajs[1:]]))
+        return embedded([t.end for t in trajs[:-1]]) - incoming
 
     coarse_jumps = jumps(state.coarse)  # each weights C and A terms
     phats = coarse_adj.coeffs[nhat_p - 1:(P_t - 1) * nhat_p:nhat_p, -1]
@@ -233,7 +242,7 @@ def _step_functionals(traj, space, ev):
     prev[0] = (cache.mass(space, traj.incoming.space)
                @ traj.incoming.coefficients)
     prev[1:] = matvecs(cache.mass(space, traj.space), traj.coeffs[:-1, -1])
-    loads = ev.load(space, traj)
+    loads = cache.loads(space, [traj.times[1:]], ev.f)[0]
     return prev + np.diff(traj.times)[:, None] * loads
 
 

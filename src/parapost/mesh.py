@@ -158,7 +158,7 @@ class NodalField:
         self.coefficients = c
 
     def __call__(self, x):
-        return NodalGather(self.space, x)(self.coefficients)
+        return NodalGather(self.space, x)(self.coefficients[None])[0]
 
     def __add__(self, other):
         self._require_same_space(other)
@@ -183,8 +183,8 @@ class NodalGather:
     """Evaluation of the fields of one space at fixed points x: per local
     basis function j, the points whose element has a free dof there, that
     dof and the basis value.  Building it does the element search and the
-    basis evaluation; each call only gathers, summing in j order, from a
-    vector or each row of a (rows, dof) block, bitwise the row's own call."""
+    basis evaluation; each call only gathers, summing in j order, from each
+    row of a (rows, dof) block, bitwise the row's own one-row call."""
 
     def __init__(self, space, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -199,14 +199,9 @@ class NodalGather:
             self._terms.append((mask, g[mask], basis[j, mask]))
 
     def __call__(self, coefficients):
-        if coefficients.ndim == 2:
-            vals = np.zeros((len(coefficients), self._n))
-            for mask, g, b in self._terms:
-                vals[:, mask] += b * coefficients[:, g]
-            return vals
-        vals = np.zeros(self._n)
+        vals = np.zeros((len(coefficients), self._n))
         for mask, g, b in self._terms:
-            vals[mask] += b * coefficients[g]
+            vals[:, mask] += b * coefficients[:, g]
         return vals
 
 
@@ -214,15 +209,18 @@ class AssembledOperator:
     """Banded Cholesky factor of a symmetric positive definite Galerkin
     operator (a mass matrix, or a step operator M + dt*A).
 
-    Built from the dense matrix it is given, which it does not keep: only
-    the factor of the upper band (half-bandwidth the space degree) is held.
+    Built from the upper band (half-bandwidth the space degree) of M + dt*A
+    given the dense M and A, which it does not keep: each band entry is the
+    sum of M's and dt*A's, so no dense sum is formed, and only the band's
+    factor is held.
     """
 
-    def __init__(self, kind, space, dense):
-        u, n = space.degree, dense.shape[0]
+    def __init__(self, kind, space, M, A, dt):
+        u, n = space.degree, M.shape[0]
         ab = np.zeros((u + 1, n))
         for i in range(u + 1):
-            ab[u - i, i:] = np.diagonal(dense, offset=i)
+            ab[u - i, i:] = (np.diagonal(M, offset=i)
+                             + dt * np.diagonal(A, offset=i))
         require_finite(ab)
         try:
             self._cho = lapack_solution("dpbtrf", *dpbtrf(ab, lower=0))
@@ -377,7 +375,7 @@ class FormCache:
     factorization, for the lifetime of one experiment.
 
     factor() builds each entry once per key, whose first element is its
-    kind, and factors() several by one call: matrix() and load() the
+    kind, and factors() several by one call: matrix() and loads() the
     assembled matrices and the step-end load blocks of implicit Euler and
     the estimator's splits, read-only since every later caller shares them;
     gather() its nodal gathers; the read-only time-integrated cG loads of a
@@ -416,19 +414,15 @@ class FormCache:
         is the mass operator (M + 0*A equals M exactly)."""
         return self.per_step(
             space, dt,
-            lambda: AssembledOperator(
-                "step", space,
-                self.mass(space, space) + dt * self.stiffness(space, space)),
+            lambda: AssembledOperator("step", space, self.mass(space, space),
+                                      self.stiffness(space, space), dt),
             "step")
 
-    def load(self, space, t, f):
-        """assemble_load(space, t, f), assembled once per (space, f, exact
-        times) and read-only."""
-        return self.loads(space, [t], f)[0]
-
     def loads(self, space, ts, f):
-        """load(space, t, f) for each row t of a stack of times ts, those not
-        yet cached by one assemble_load call (each row bitwise its own)."""
+        """assemble_load(space, t, f) for each row t of a stack of times ts,
+        read-only, each assembled once per (space, f, exact times): those
+        not yet cached by one assemble_load call (each row bitwise its
+        own)."""
         ts = np.asarray(ts, dtype=float)
         return self.factors(
             [("load", space, f, t.shape, t.tobytes()) for t in ts],
@@ -469,18 +463,10 @@ class FormCache:
         return [self.factor(key, None) for key in keys]
 
 
-def embed(field, target_space, cache):
-    """Exact re-expression of a field in a richer nested space (same mesh),
-    by the cache's nodal gather."""
-    if field.space is target_space:
-        return field
-    return NodalField(target_space, embed_rows(
-        field.space, field.coefficients, target_space, cache))
-
-
 def embed_rows(space, rows, target_space, cache):
-    """The coefficients of embed for each row of a (rows, dof) block of
-    space's fields, by one stacked gather, each row bitwise its own embed."""
+    """The exact re-expression of each row of a (rows, dof) block of space's
+    fields in a richer nested space (same mesh), by the cache's nodal
+    gather, one stacked call, each row bitwise its own one-row call."""
     if space is target_space:
         return rows
     if space.degree > target_space.degree:

@@ -26,9 +26,6 @@ from .mesh import (
 )
 from .schwarz import AdditiveSchwarz
 
-# how far a time may be from a grid node or slab end and still name it
-NODE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class TimePartition:
@@ -56,10 +53,6 @@ class TimePartition:
             _read_only(np.linspace(sync[:-1], sync[1:], n + 1, axis=1))
             for n in (nhat_p, r * nhat_p))
         return TimePartition(T, P_t, Nhat_t, r, sync, coarse, fine)
-
-    @property
-    def N_t(self):
-        return self.r * self.Nhat_t
 
     @property
     def coarse_grid(self):
@@ -98,33 +91,10 @@ class Trajectory:
     def n_steps(self):
         return len(self.times) - 1
 
-    def field(self, n):
-        """Nodal value at times[n]: slab n-1's end value (U_n for q_t = 0), or
-        for n = 0 slab 0's start value, which a q_t = 0 field lacks."""
-        if n == 0 and self.q_t == 0:
-            raise ValueError("a q_t = 0 field has no value at times[0]; "
-                             "read its incoming value")
-        c = self.coeffs[n - 1, -1] if n else self.coeffs[0, 0]
-        return NodalField(self.space, c)
-
     @property
     def end(self):
-        return self.field(self.n_steps)
-
-    def slab_index(self, t0, t1):
-        """Index of the slab [t0, t1] (ends to NODE_TOL), or for arrays of
-        ends an array of indices, by one lookup; raises naming the first
-        interval that is not a slab."""
-        t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
-        n = np.searchsorted(self.times, 0.5 * (t0 + t1)) - 1
-        m = np.clip(n, 0, self.n_steps - 1)
-        ok = ((n == m) & (np.abs(self.times[m] - t0) < NODE_TOL)
-              & (np.abs(self.times[m + 1] - t1) < NODE_TOL))
-        if not ok.all():
-            j = np.argmin(ok)
-            raise ValueError(f"[{t0.flat[j]}, {t1.flat[j]}] is not a slab of "
-                             f"this grid")
-        return n if n.ndim else int(n)
+        """The value at the last node: the last slab's end value."""
+        return NodalField(self.space, self.coeffs[-1, -1])
 
 
 def _check_finite(coeffs, grids, first=None):

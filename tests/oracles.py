@@ -15,8 +15,10 @@ replay of the step's sweeps, spatial adjoints and one-vector products.
 ack_terms_per_pair forms the terms of the A, C and K components one
 residual and one pairing at a time, and fsums them.  sweep_iterates
 rebuilds the Schwarz iterates from a sweep history, slab_eval and at
-evaluate a Trajectory inside its slabs, and value_at_node reads it at a
-node of its grid by a search of its times.
+evaluate a Trajectory inside its slabs, node_value reads it at a node of
+its grid by index, value_at_node by a search of its times, and slab_index
+finds its slabs by a search to NODE_TOL.  embed re-expresses one field in
+a richer space.
 subdomain_dof_sets_by_coords finds a subdomain's dofs by their coordinates.
 fe_space_nodes_per_element builds an FeSpace's node coordinates and element
 dof map one element at a time.
@@ -28,9 +30,12 @@ import numpy as np
 from scipy import linalg as sla
 
 from parapost.mesh import (AssembledOperator, NodalField, assemble_load,
-                           assemble_matrix, embed, lagrange_values)
+                           assemble_matrix, embed_rows, lagrange_values)
 from parapost.schwarz import AdditiveSchwarz
-from parapost.timestepping import NODE_TOL, _cg_time_forms
+from parapost.timestepping import _cg_time_forms
+
+# how far a time may be from a grid node or slab end and still name it
+NODE_TOL = 1e-10
 
 
 def par_standard(partition, K_t, ic_coarse, fine_solver, coarse_solver,
@@ -138,7 +143,7 @@ def cg_per_slab(space, times, q_t, ic, f):
     alpha, beta, sq, Pw = _cg_time_forms(q_t)
     ndof = space.dof_count
     Minc = assemble_matrix(space, ic.space, "mass")
-    prev = AssembledOperator("mass", space, M + 0.0 * A).solve(
+    prev = AssembledOperator("mass", space, M, A, 0.0).solve(
         Minc @ ic.coefficients)
     if f is not None:
         loads = assemble_load(
@@ -204,8 +209,9 @@ def dd_split_per_step(traj, n, decomp, K_s, phi_val, ev, solve_cache):
             prev = (cache.mass(space, traj.incoming.space)
                     @ traj.incoming.coefficients)
         else:
-            prev = cache.mass(space, traj.space) @ traj.field(n - 1).coefficients
-        return prev + dt * ev.load(space, traj)[n - 1]
+            prev = (cache.mass(space, traj.space)
+                    @ node_value(traj, n - 1).coefficients)
+        return prev + dt * cache.loads(space, [traj.times[1:]], ev.f)[0][n - 1]
 
     _, sweeps = AdditiveSchwarz.cached(solve_cache, traj.space, dt, decomp
                                        ).solve(ell(traj.space), 0, K_s)
@@ -222,7 +228,7 @@ def dd_split_per_step(traj, n, decomp, K_s, phi_val, ev, solve_cache):
             c = chi[ks - 1][i]
             terms.append(c @ ell3 - c @ (B3x @ sweeps[ks - 1, i]))
     E_N = math.fsum(terms)
-    u_n = traj.field(n).coefficients
+    u_n = node_value(traj, n).coefficients
     E_K = Phi @ ell3 - Phi @ (B3x @ u_n) - E_N
     return E_K, E_N
 
@@ -297,7 +303,7 @@ def at(traj, t):
     outside, raises.
 
     At an interior node t_n this is slab n's start value: for q_t = 0 the
-    right limit U_{n+1}, where field(n) gives U_n; at the last node both
+    right limit U_{n+1}, where node_value(n) gives U_n; at the last node both
     give the end value."""
     times = traj.times
     if not times[0] - NODE_TOL <= t <= times[-1] + NODE_TOL:
@@ -309,13 +315,49 @@ def at(traj, t):
     return NodalField(traj.space, slab_eval(traj, n, [s])[0])
 
 
+def node_value(traj, n):
+    """A Trajectory's nodal value at times[n]: slab n-1's end value (U_n for
+    q_t = 0), or for n = 0 slab 0's start value, which a q_t = 0 field
+    lacks."""
+    if n == 0 and traj.q_t == 0:
+        raise ValueError("a q_t = 0 field has no value at times[0]; "
+                         "read its incoming value")
+    c = traj.coeffs[n - 1, -1] if n else traj.coeffs[0, 0]
+    return NodalField(traj.space, c)
+
+
 def value_at_node(traj, t):
     """A Trajectory's exact nodal value at a node of its grid (to NODE_TOL),
-    as its field(n), found by a search of its times."""
+    as its node_value, found by a search of its times."""
     n = int(np.argmin(np.abs(traj.times - t)))
     if abs(traj.times[n] - t) > NODE_TOL:
         raise ValueError(f"{t} is not a node of this grid")
-    return traj.field(n)
+    return node_value(traj, n)
+
+
+def slab_index(traj, t0, t1):
+    """Index of the slab [t0, t1] of a Trajectory's grid (ends to
+    NODE_TOL), or for arrays of ends an array of indices, by one search;
+    raises naming the first interval that is not a slab."""
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    n = np.searchsorted(traj.times, 0.5 * (t0 + t1)) - 1
+    m = np.clip(n, 0, traj.n_steps - 1)
+    ok = ((n == m) & (np.abs(traj.times[m] - t0) < NODE_TOL)
+          & (np.abs(traj.times[m + 1] - t1) < NODE_TOL))
+    if not ok.all():
+        j = np.argmin(ok)
+        raise ValueError(f"[{t0.flat[j]}, {t1.flat[j]}] is not a slab of "
+                         f"this grid")
+    return n if n.ndim else int(n)
+
+
+def embed(field, target_space, cache):
+    """Exact re-expression of a field in a richer nested space (same mesh),
+    by one one-row embed_rows call."""
+    if field.space is target_space:
+        return field
+    return NodalField(target_space, embed_rows(
+        field.space, field.coefficients[None], target_space, cache)[0])
 
 
 def subdomain_dof_sets_by_coords(space, decomp, i):

@@ -19,7 +19,7 @@ from parapost.parareal import vpar
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
 from parapost.timestepping import TimePartition, Trajectory, propagate_be
 
-from oracles import dg0_equivalence_check, par_standard, \
+from oracles import dg0_equivalence_check, node_value, par_standard, \
     serial_coarse_handoff
 
 ZERO_F = lambda x, t: np.zeros_like(x)
@@ -322,12 +322,12 @@ def test_property_spatial_split_identity():
             ell = ev.cache.mass(adj_space, traj.incoming.space) \
                 @ traj.incoming.coefficients
         else:
-            ell = M3x @ traj.field(n - 1).coefficients
+            ell = M3x @ node_value(traj, n - 1).coefficients
         ell = ell + dt * assemble_load(adj_space, grid[n], ev.f)
         # the global spatial adjoint: B Phi = M phi_val
         Phi = ev.cache.step_operator(adj_space, dt).solve(
             ev.cache.mass(adj_space, adj_space) @ phi_val.coefficients)
-        lhs = Phi @ (ell - B3x @ traj.field(n).coefficients)
+        lhs = Phi @ (ell - B3x @ node_value(traj, n).coefficients)
         assert (abs((E_K[n - 1] + E_N[n - 1]) - lhs)
                 <= 1e-14 * max(1.0, abs(lhs)))
 

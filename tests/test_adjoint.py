@@ -23,7 +23,7 @@ from parapost.estimator import ResidualEvaluator, dd_split
 from parapost.schwarz import AdditiveSchwarz, decompose_domain, subdomain_dof_sets
 from parapost.timestepping import TimePartition, propagate_be, propagate_cg
 
-from oracles import value_at_node
+from oracles import slab_index, value_at_node
 
 
 def test_backward_solve_matches_separable_exact_adjoint():
@@ -196,12 +196,13 @@ def test_slab_index_of_arrays():
     grid = np.linspace(0.0, 0.4, 5)
     terminal = space.interpolate(lambda x: np.sin(np.pi * x))
     adj = solve_backward_cg("t", space, grid, terminal, 3, FormCache())
-    got = adj.slab_index(grid[1:-1], grid[2:])
-    assert got.tolist() == [adj.slab_index(a, b)
+    got = slab_index(adj, grid[1:-1], grid[2:])
+    assert got.tolist() == [slab_index(adj, a, b)
                             for a, b in zip(grid[1:-1], grid[2:])] == [1, 2, 3]
     # the first interval that is not a slab is named
     with pytest.raises(ValueError, match=r"^\[0\.2, 0\.25\] is not a slab"):
-        adj.slab_index(np.array([0.1, 0.2, 0.1]), np.array([0.2, 0.25, 0.3]))
+        slab_index(adj, np.array([0.1, 0.2, 0.1]),
+                   np.array([0.2, 0.25, 0.3]))
 
 
 def test_adjoint_jump_shrinks_under_coarse_refinement():
@@ -231,9 +232,9 @@ def test_slab_index_validation():
     grid = np.linspace(0.0, 0.4, 5)
     terminal = space.interpolate(lambda x: np.sin(np.pi * x))
     adj = solve_backward_cg("t", space, grid, terminal, 3, FormCache())
-    assert adj.slab_index(0.1, 0.2) == 1
+    assert slab_index(adj, 0.1, 0.2) == 1
     with pytest.raises(ValueError):
-        adj.slab_index(0.1, 0.3)
+        slab_index(adj, 0.1, 0.3)
     with pytest.raises(ValueError):
         value_at_node(adj, 0.15)
 

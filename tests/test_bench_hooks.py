@@ -26,6 +26,7 @@ MISSING_TODAY = [
     "adjoint.SpatialAdjointSolver.solve_subdomain",
     "estimator.ResidualEvaluator.residual_be",
     "estimator.ResidualEvaluator.residual_cg",
+    "estimator.ResidualEvaluator.load",
     "timestepping.assemble_load",
     "schwarz.assemble_load",
     "timestepping.assemble_matrix",

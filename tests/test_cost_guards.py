@@ -6,8 +6,8 @@ sweeps solve 3 + 2 + 1 coarse grids, by one chained call per iteration, and
 the fine calls 3 + 2 + 1 fine grids, of which 3 + 3 are distinct.  Its
 breakdown makes two residual calls: D, 3 pairs with 3 distinct fine
 adjoints, and A, 3 pairs with 2 distinct auxiliary adjoints.  Every
-adjoint value the estimate reads at a node is an index read, and the
-jumps at the synchronization times are stacked gathers.
+adjoint value the estimate reads at a node or on a slab is an index read,
+and the jumps at the synchronization times are stacked gathers.
 """
 
 import numpy as np
@@ -33,15 +33,15 @@ CG = ExperimentConfig(Nhat_t=6, r=2, P_t=3, K_t=3, Nhat_s=8, qhat_s=1, q_s=2,
 def counted():
     """The calls of one run of CG: the grids handed to the solvers, the load
     assemblies outside the residual (the forward solves'), per residual
-    call, its distinct weights, load assemblies and slab lookups, the slab
-    lookups and nodal-value searches of the whole run and the nodal gathers
-    of its breakdown."""
-    seen = dict(grids=0, coarse_calls=0, forward=[], residuals=[], lookups=0,
-                searches=0, breakdown_gathers=0)
+    call, its distinct weights, load assemblies and the sizes of its
+    searches of sorted times, the nodal-value searches of the whole run and
+    the nodal gathers of its breakdown."""
+    seen = dict(grids=0, coarse_calls=0, forward=[], residuals=[], searches=0,
+                breakdown_gathers=0)
     inside = []  # the counts of the residual call under way
     in_breakdown = []
     real_residual = estimator.ResidualEvaluator.residual
-    real_index, real_vpar = Trajectory.slab_index, harness.vpar
+    real_sorted, real_vpar = np.searchsorted, harness.vpar
     real_gather, real_breakdown = NodalGather.__call__, harness.stpa_breakdown
 
     def counting(module):
@@ -57,17 +57,16 @@ def counted():
 
     def residual(self, pairs):
         inside.append(dict(weights=len({id(w) for _, w in pairs}), loads=0,
-                           lookups=0))
+                           lookups=[]))
         try:
             return real_residual(self, pairs)
         finally:
             seen["residuals"].append(inside.pop())
 
-    def slab_index(self, t0, t1):
-        seen["lookups"] += 1
+    def searchsorted(a, v, *args, **kwargs):
         if inside:
-            inside[-1]["lookups"] += 1
-        return real_index(self, t0, t1)
+            inside[-1]["lookups"].append(np.size(v))
+        return real_sorted(a, v, *args, **kwargs)
 
     def search(self, t):
         seen["searches"] += 1
@@ -99,7 +98,7 @@ def counted():
         for module in (mesh_module, estimator):
             mp.setattr(module, "assemble_load", counting(module))
         mp.setattr(estimator.ResidualEvaluator, "residual", residual)
-        mp.setattr(Trajectory, "slab_index", slab_index)
+        mp.setattr(np, "searchsorted", searchsorted)
         mp.setattr(Trajectory, "value_at_node", search, raising=False)
         mp.setattr(NodalGather, "__call__", gather)
         mp.setattr(harness, "stpa_breakdown", breakdown)
@@ -250,22 +249,21 @@ def test_each_residual_call_assembles_its_loads_in_one_call(counted):
     assert [r["loads"] for r in counted["residuals"]] == [1, 1]  # D, then A
 
 
-def test_slab_index_runs_once_per_distinct_weight(counted):
-    # at most once: a weight on the grid of each of its pairs (every fine
-    # adjoint of D, and psi_2 of A, on the first coarse grid) reads its own
-    # slabs, so only psi_3 of A, against coarse grids 1 and 2, looks its
-    # slabs up, and no other lookup is made in the run
+def test_the_residual_looks_up_one_start_per_distinct_weight(counted):
+    # one search per distinct weight, of one first time per pair: each fine
+    # adjoint of D against its own grid, psi_2 of A against coarse grid 1
+    # and psi_3 against coarse grids 1 and 2; no slab is searched for
     weights = [r["weights"] for r in counted["residuals"]]
     assert weights == [CG.P_t, CG.P_t - 1]
-    assert [r["lookups"] for r in counted["residuals"]] == [0, 1]
-    assert counted["lookups"] == 1
+    assert [r["lookups"] for r in counted["residuals"]] == [[1, 1, 1], [1, 2]]
+    assert not hasattr(Trajectory, "slab_index")
 
 
 def test_the_estimate_reads_nodal_values_by_index_and_gathers_per_stack(
         counted):
     # no adjoint value is searched for among its grid's times, and the
-    # breakdown's jumps at T_1..T_{P_t-1} take one gather per side that is
-    # not already in the fine space: the coarse jumps' end and incoming
-    # values, the fine jumps' incoming values
+    # breakdown's jumps at T_1..T_{P_t-1} take one gather per stack not
+    # already in the fine space: the coarse jumps' end values and the
+    # incoming values, which the fine jumps share
     assert counted["searches"] == 0
-    assert counted["breakdown_gathers"] == 3
+    assert counted["breakdown_gathers"] == 2

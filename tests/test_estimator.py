@@ -27,7 +27,6 @@ from parapost.mesh import (
     NodalField,
     SpatialMesh,
     assemble_load,
-    embed,
     lagrange_derivs,
     qoi_eval,
 )
@@ -44,8 +43,8 @@ from parapost.timestepping import (
     propagate_cg,
 )
 
-from oracles import (ack_terms_per_pair, dd_split_per_step, slab_eval,
-                     value_at_node)
+from oracles import (ack_terms_per_pair, dd_split_per_step, embed, node_value,
+                     slab_eval, slab_index, value_at_node)
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 
@@ -173,6 +172,31 @@ def test_the_jumps_at_the_synchronization_times_reject_mixed_spaces():
     assert raised == [1]
 
 
+def test_the_jumps_at_the_synchronization_times_share_the_incoming_values():
+    # the fine and coarse jumps take one gather of the incoming values,
+    # which vpar hands both trajectories of a subdomain: a fine trajectory
+    # started from another value raises naming its subdomain, where its K
+    # term would otherwise be paired with the coarse incoming value
+    cfg = ExperimentConfig(Nhat_t=6, r=2, P_t=3, K_t=2, Nhat_s=8, qhat_s=1,
+                           q_s=2, nu=2, mu=2, T=0.5)
+    raised = []
+
+    def record(partition, state, adjoints, problem, decomp, K_s, cache):
+        inc = state.fine[2].incoming
+        state.fine[2].incoming = NodalField(inc.space, inc.coefficients + 1.0)
+        with pytest.raises(ValueError, match="subdomain p=3 start from "
+                                             "different incoming values$"):
+            _ack_terms(partition, state, adjoints,
+                       ResidualEvaluator(problem.f, cache), problem.u0)
+        raised.append(1)
+        return {}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness_module, "stpa_breakdown", record)
+        run_experiment(cfg)
+    assert raised == [1]
+
+
 def test_stacked_calls_on_no_pairs_are_empty():
     # at P_t = 1 every A, C and K family is an empty stack, whose fsum is 0.0
     ev = ResidualEvaluator(ZERO_F, FormCache())
@@ -262,11 +286,11 @@ def test_dd_split_sums_to_global_weighted_algebraic_error():
             M3inc = ev.cache.mass(space3, traj.incoming.space)
             ell = M3inc @ traj.incoming.coefficients
         else:
-            ell = M3x @ traj.field(n - 1).coefficients
+            ell = M3x @ node_value(traj, n - 1).coefficients
         ell = ell + dt * assemble_load(space3, traj.times[n], ev.f)
         Phi = ev.cache.step_operator(space3, dt).solve(
             ev.cache.mass(space3, space3) @ phi_val.coefficients)
-        lhs = Phi @ ell - Phi @ (B3x @ traj.field(n).coefficients)
+        lhs = Phi @ ell - Phi @ (B3x @ node_value(traj, n).coefficients)
         scale = max(1.0, abs(lhs))
         assert abs((E_K[n - 1] + E_N[n - 1]) - lhs) < 1e-14 * scale
 
@@ -279,13 +303,14 @@ def test_dd_split_summation_order_invariance():
     # sweeps replayed by a one-vector solve
     dt = traj.times[n] - traj.times[n - 1]
     space, space3 = traj.space, sweeper.space
-    rhs = (ev.cache.mass(space, space) @ traj.field(n - 1).coefficients
+    rhs = (ev.cache.mass(space, space) @ node_value(traj, n - 1).coefficients
            + dt * assemble_load(space, traj.times[n], ev.f))
     _, sweeps = AdditiveSchwarz.cached(ev.cache, space, dt, sweeper.decomp
                                        ).solve(rhs, 0, K_s)
     M3x = ev.cache.mass(space3, traj.space)
     B3x = M3x + dt * ev.cache.stiffness(space3, traj.space)
-    ell = M3x @ traj.field(n - 1).coefficients + dt * assemble_load(space3, traj.times[n], ev.f)
+    ell = (M3x @ node_value(traj, n - 1).coefficients
+           + dt * assemble_load(space3, traj.times[n], ev.f))
     chi = {(ks, i): c[0] for ks, i, c in
            sweeper.adjoint(phi_val.coefficients[None], K_s)}
     E_N_alt = 0.0
@@ -689,7 +714,7 @@ def residual_be(self, traj, weight):
     for n in range(1, traj.n_steps + 1):
         t0, t1 = traj.times[n - 1], traj.times[n]
         dt = t1 - t0
-        slab = weight.slab_index(t0, t1)
+        slab = slab_index(weight, t0, t1)
         phi_q = slab_eval(weight, slab, self._s)  # (nq, dof_w)
         u_n = traj.values[n]
         au = A_x @ u_n
@@ -724,7 +749,7 @@ def residual_cg(self, traj, weight):
     for n in range(1, traj.n_steps + 1):
         t0, t1 = traj.times[n - 1], traj.times[n]
         dt = t1 - t0
-        slab = weight.slab_index(t0, t1)
+        slab = slab_index(weight, t0, t1)
         phi_q = slab_eval(weight, slab, self._s)
         u_q = slab_eval(traj, n - 1, self._s)
         du_q = dlam.T @ traj.coeffs[n - 1] / dt
@@ -738,7 +763,7 @@ def residual_cg(self, traj, weight):
         out[n - 1] = acc * dt
     # projection discontinuity at the trajectory start
     M_inc = self.cache.mass(ws, traj.incoming.space)
-    slab0 = weight.slab_index(traj.times[0], traj.times[1])
+    slab0 = slab_index(weight, traj.times[0], traj.times[1])
     phi0 = slab_eval(weight, slab0, [0.0])[0]
     out[0] -= phi0 @ (M_x @ traj.coeffs[0, 0]
                       - M_inc @ traj.incoming.coefficients)
@@ -869,6 +894,32 @@ def test_stacked_residual_names_the_first_mismatched_pair(what):
                        match=rf"^residual pair 2 differs from pair 0 in its "
                              rf"{what}$"):
         ev.residual([(traj, weight), (traj, weight), odd, odd])
+
+
+@pytest.mark.parametrize("odd", ["node 0", "node 1", "node 2", "past the end"])
+def test_residual_names_a_pair_whose_grid_is_not_a_run_of_its_weights(odd):
+    # a weight's slabs are read by index from the node where its pair's
+    # grid starts, so that grid must be a run of the weight's nodes,
+    # bitwise: one node one ulp off, or a grid past the weight's last node,
+    # raises naming the pair
+    rng = np.random.default_rng(7)
+    mesh = SpatialMesh.uniform(0.0, 1.0, 6)
+    space, w_space = FeSpace(mesh, 2), FeSpace(mesh, 3)
+    w_grid = np.linspace(0.0, 0.5, 6)
+    grid = np.append(w_grid[4:], 0.6) if odd == "past the end" else (
+        w_grid[2:5].copy())
+    if odd.startswith("node"):
+        n = int(odd[-1])
+        grid[n] = np.nextafter(grid[n], 1.0)
+    cache = FormCache()
+    weight = _weight(w_space, w_grid, 1, rng)
+    good = _trajectory("be", space, w_grid[1:4], rng, None, cache)
+    bad = _trajectory("be", space, grid, rng, None, cache)
+    ev = ResidualEvaluator(None, cache)
+    ev.residual([(good, weight)])
+    with pytest.raises(ValueError, match=r"^residual pair 1: its grid is not "
+                                         r"a run of its weight's grid$"):
+        ev.residual([(good, weight), (bad, weight), (good, weight)])
 
 
 @settings(max_examples=25, deadline=None)

@@ -480,21 +480,19 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert len(lines) == 3 and lines[0].startswith("K_t,")
 
 
-def test_cli_sweep_takes_its_records_from_run_sweep(tmp_path, capsys,
-                                                   monkeypatch, runs):
-    # one sweep path: the CLI checks the configs and the report's columns,
-    # then reports what run_sweep returns
-    calls = []
-
-    def recording(base, param, values):
-        calls.append((param, list(values)))
-        return run_sweep(base, param, values)
-
-    monkeypatch.setattr(cli, "run_sweep", recording)
+def test_cli_sweep_builds_each_config_once(tmp_path, capsys, monkeypatch,
+                                          runs):
+    # one sweep path: the CLI builds the file's config and one config per
+    # value, checks them and the report's columns, and runs those configs
+    built = []
+    real = ExperimentConfig.__post_init__
+    monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                        lambda self: built.append(self) or real(self))
     assert cli_main(["sweep", "--config", _config_file(tmp_path), "--param",
                      "K_t", "--values", "1,2"]) == 0
-    assert calls == [("K_t", ["1", "2"])]
+    assert len(built) == 3
     assert [cfg.K_t for cfg in runs] == [1, 2]
+    assert all(cfg is want for cfg, want in zip(runs, built[1:], strict=True))
     assert len(capsys.readouterr().out.strip().split("\n")) == 3
 
 

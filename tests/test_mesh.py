@@ -1,11 +1,14 @@
 """Meshes, spaces, assembly, interpolation, banded solves and QoI evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
+import parapost.mesh as mesh_module
 from parapost.mesh import (
     AssembledOperator,
     FeSpace,
@@ -15,13 +18,12 @@ from parapost.mesh import (
     assemble_load,
     assemble_matrix,
     dots,
-    embed,
     embed_rows,
     matvecs,
     pairings,
     qoi_eval,
 )
-from oracles import fe_space_nodes_per_element
+from oracles import embed, fe_space_nodes_per_element
 
 
 def test_mesh_uniform_invariants():
@@ -164,10 +166,10 @@ def test_projection_zero():
 
 def test_solve_spd_identity_and_scalar():
     ident = AssembledOperator("mass", FeSpace(SpatialMesh.uniform(0, 1, 2), 1),
-                              np.array([[1.0]]))
+                              np.array([[1.0]]), np.zeros((1, 1)), 0.0)
     assert ident.solve(np.array([0.7]))[0] == pytest.approx(0.7)
     four = AssembledOperator("mass", FeSpace(SpatialMesh.uniform(0, 1, 2), 1),
-                             np.array([[4.0]]))
+                             np.array([[4.0]]), np.zeros((1, 1)), 0.0)
     assert four.solve(np.array([1.0]))[0] == pytest.approx(0.25)
 
 
@@ -176,7 +178,7 @@ def test_solve_spd_banded_vs_dense_oracle():
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 25), 2)  # 49 dofs, banded
     M, A = _mass_and_stiffness(space)
     B = M + 0.03 * A
-    op = AssembledOperator("mass", space, B)
+    op = AssembledOperator("step", space, M, A, 0.03)
     rhs = rng.standard_normal(space.dof_count)
     x = op.solve(rhs)
     x_dense = np.linalg.solve(B, rhs)
@@ -188,7 +190,8 @@ def test_solve_spd_rejects_indefinite():
     # the factor is built with the operator, so that is where it fails
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 2), 1)
     with pytest.raises(ValueError):
-        AssembledOperator("mass", space, np.array([[-1.0]]))
+        AssembledOperator("mass", space, np.array([[-1.0]]), np.zeros((1, 1)),
+                          0.0)
 
 
 def test_qoi_zero_weight():
@@ -275,7 +278,8 @@ def test_property_a_stacked_gather_is_its_rows_calls(n, source, target, rows,
     cache = FormCache()
     gather = cache.gather(src, dst)
     got = gather(C)
-    want = np.array([gather(c) for c in C]).reshape(rows, dst.dof_count)
+    want = np.array([gather(c[None])[0] for c in C]).reshape(
+        rows, dst.dof_count)
     assert got.tobytes() == want.tobytes()
     if source <= target:
         embedded = np.array([embed(NodalField(src, c), dst, cache).coefficients
@@ -320,7 +324,49 @@ def test_mass_solve_is_the_zero_step_operator():
     assert np.array_equal(M + 0.0 * A, M)
     rhs = np.random.default_rng(2).standard_normal(space.dof_count)
     assert np.array_equal(cache.step_operator(space, 0.0).solve(rhs),
-                          AssembledOperator("mass", space, M).solve(rhs))
+                          AssembledOperator("mass", space, M, np.zeros_like(M),
+                                            0.0).solve(rhs))
+
+
+@pytest.mark.parametrize("dt", [0.0, 0.025])
+@pytest.mark.parametrize("boundaries", [np.linspace(0.0, 1.0, 8),
+                                        [0.0, 0.1, 0.25, 0.3, 0.6, 0.95, 1.0]],
+                         ids=["uniform", "graded"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_the_step_operator_factors_the_dense_sums_band(monkeypatch, degree,
+                                                       boundaries, dt):
+    # the cached step operator fills its band from M's and A's diagonals,
+    # forming no dense M + dt*A: each band entry is that sum's entry, so
+    # the band it factors and the factor are the dense sum's, bitwise
+    bands, real = [], mesh_module.dpbtrf
+    monkeypatch.setattr(mesh_module, "dpbtrf",
+                        lambda ab, **kw: bands.append(ab.copy())
+                        or real(ab, **kw))
+    space = FeSpace(SpatialMesh(0.0, 1.0, np.array(boundaries)), degree)
+    cache = FormCache()
+    M, A = cache.mass(space, space), cache.stiffness(space, space)
+    got = cache.step_operator(space, dt)
+    dense, n = M + dt * A, space.dof_count
+    want = np.zeros((degree + 1, n))
+    for i in range(degree + 1):
+        want[degree - i, i:] = [dense[j, j + i] for j in range(n - i)]
+    assert len(bands) == 1 and bands[0].tobytes() == want.tobytes()
+    assert got._cho.tobytes() == real(want, lower=0)[0].tobytes()
+
+
+def test_the_step_operator_allocates_no_dense_matrix():
+    # building M + dt*A's factor allocates the band and its factor, not a
+    # dense dof x dof sum (1.3 MB here)
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 200), 2)
+    cache = FormCache()
+    cache.mass(space, space), cache.stiffness(space, space)
+    tracemalloc.start()
+    try:
+        cache.step_operator(space, 0.025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * space.dof_count ** 2 * 8
 
 
 @pytest.mark.parametrize("shape", [(239, 159), (239, 239), (59, 39)])

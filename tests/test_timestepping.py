@@ -34,7 +34,8 @@ from parapost.timestepping import (
     propagate_cg,
 )
 
-from oracles import at, be_per_step, cg_per_slab, dg0_equivalence_check
+from oracles import (at, be_per_step, cg_per_slab, dg0_equivalence_check,
+                     node_value)
 
 
 def _single_dof_space():
@@ -54,7 +55,7 @@ def test_partition_uniform_grids():
         assert len(part.fine_grids[p]) == 7     # r * 2 fine steps
         assert part.coarse_grids[p][0] == part.sync_times[p]
         assert part.coarse_grids[p][-1] == part.sync_times[p + 1]
-    assert part.N_t == 24
+    assert part.r * part.Nhat_t == 24
     g = part.coarse_grid
     assert np.allclose(g, np.linspace(0.0, 2.0, 9))
 
@@ -99,7 +100,8 @@ def test_be_single_step_scalar():
     space = _single_dof_space()
     ic = NodalField(space, np.array([0.3]))
     traj = propagate_be(space, np.array([0.0, 0.1]), ic, ZERO_F, FormCache())
-    assert traj.field(1).coefficients[0] == pytest.approx(0.1 / (1.0 / 3.0 + 0.4), abs=1e-15)
+    assert node_value(traj, 1).coefficients[0] == pytest.approx(
+        0.1 / (1.0 / 3.0 + 0.4), abs=1e-15)
 
 
 def test_cg1_single_step_scalar():
@@ -214,7 +216,7 @@ def test_cg_at_matches_nodes():
                         space.interpolate(prob.u0), prob.f, FormCache())
     for n in range(traj.n_steps + 1):
         got = at(traj, traj.times[n]).coefficients
-        want = traj.field(n).coefficients
+        want = node_value(traj, n).coefficients
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -250,12 +252,12 @@ def test_cross_space_incoming_projection():
     A = cache.stiffness(fine, fine)
     Minc = cache.mass(fine, coarse)
     want = np.linalg.solve(M + dt * A, Minc @ ic.coefficients)
-    assert np.max(np.abs(traj.field(1).coefficients - want)) < 1e-12
+    assert np.max(np.abs(node_value(traj, 1).coefficients - want)) < 1e-12
 
 
 def test_be_trajectory_is_the_dg0_field():
     # implicit Euler fills the q_t = 0 case of the one Trajectory type: one
-    # coefficient vector per slab, field(n) = U_n for n >= 1, no value at
+    # coefficient vector per slab, node_value(n) = U_n for n >= 1, no value at
     # times[0], and at() at an interior node t_n the right limit U_{n+1}
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
@@ -264,9 +266,9 @@ def test_be_trajectory_is_the_dg0_field():
     assert traj.q_t == 0 and traj.coeffs.shape == (5, 1, space.dof_count)
     U = traj.coeffs[:, 0]
     with pytest.raises(ValueError, match="no value at times"):
-        traj.field(0)
+        node_value(traj, 0)
     for n in range(1, 6):
-        assert np.array_equal(traj.field(n).coefficients, U[n - 1])
+        assert np.array_equal(node_value(traj, n).coefficients, U[n - 1])
     for n in range(5):
         assert np.array_equal(at(traj, traj.times[n]).coefficients, U[n])
     assert np.array_equal(at(traj, 0.5).coefficients, traj.end.coefficients)
