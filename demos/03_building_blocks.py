@@ -1,7 +1,7 @@
 """The library layer below the experiment harness, piece by piece.
 
 The harness (ExperimentConfig / run_experiment) is a thin wrapper around
-composable parts: meshes and FE spaces, time propagators, the Parareal
+composable parts: meshes and FE spaces, one time propagator, the Parareal
 iteration, backward adjoint solves, and residual evaluation.  This script
 wires them together by hand for a small problem and verifies the error
 identity directly.
@@ -17,7 +17,7 @@ from parapost import (
     SpatialMesh,
     TimePartition,
     build_manufactured,
-    propagate_be,
+    propagate,
     qoi_eval,
     solve_auxiliary_adjoints,
     solve_coarse_adjoint,
@@ -48,10 +48,11 @@ cache = FormCache()
 # the fine solver gets all the fine solves of an iteration at once and
 # steps them together; the coarse solver gets an iteration's serial sweep as
 # one chain of rows, each starting from the previous row's end value plus
-# its jump, the interpolated Parareal correction
-fine = lambda grids, ics: propagate_be(fine_space, grids, ics, prob.f, cache)
-crse = lambda grids, ic, jumps: propagate_be(coarse_space, grids, ic, prob.f,
-                                             cache, jumps=jumps)
+# its jump, the interpolated Parareal correction.  Both run the one
+# propagator at time degree 0, which is implicit Euler (q_t >= 1 is cG(q_t))
+fine = lambda grids, ics: propagate(fine_space, grids, 0, ics, prob.f, cache)
+crse = lambda grids, ic, jumps: propagate(coarse_space, grids, 0, ic, prob.f,
+                                          cache, jumps=jumps)
 
 # two Parareal iterations from the interpolated initial condition
 states = vpar(part, 2, coarse_space.interpolate(prob.u0), fine, crse, cache)

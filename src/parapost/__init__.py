@@ -8,7 +8,7 @@ error up to higher-order adjoint approximation effects.
 """
 
 from .mesh import FeSpace, FormCache, SpatialMesh, qoi_eval
-from .timestepping import TimePartition, propagate_be, propagate_cg
+from .timestepping import TimePartition, propagate
 from .parareal import vpar
 from .schwarz import decompose_domain
 from .adjoint import (
@@ -31,7 +31,7 @@ __all__ = [
     "ExperimentConfig", "run_experiment", "run_sweep", "reproduce_table",
     "build_manufactured",
     "SpatialMesh", "FeSpace", "FormCache", "TimePartition",
-    "propagate_be", "propagate_cg", "decompose_domain", "vpar",
+    "propagate", "decompose_domain", "vpar",
     "solve_coarse_adjoint", "solve_fine_adjoints", "solve_auxiliary_adjoints",
     "ResidualEvaluator", "stpa_breakdown", "qoi_eval",
 ]

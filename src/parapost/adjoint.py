@@ -21,20 +21,40 @@ grid, and node 0 or the last node of a subdomain's own grid.
 import numpy as np
 
 from .mesh import NodalField
-from .timestepping import (Trajectory, _as_stack, _check_finite, _largest_time,
-                           _step_slabs)
+from .timestepping import Trajectory, _check_finite, _largest_time, _step_slabs
 
 
-def _solve_backward(kinds, space, grids, terms, q_t, cache):
-    """The backward cG(q_t) adjoints of grids, longest first, with their
-    terminal fields, as one _step_slabs stack aligned at the ends in solve
-    order: each is a forward-ordered view out[j, :steps] of one array and
-    bitwise its own single-grid solve (see FormCache.per_step for when).
-    Every column error is named by its column's entry of kinds: a
-    non-finite time of the forward grids (_largest_time, before they are
-    reversed) and, on the time-reversed grids, a step of another size or
-    else a non-finite value, named in solve order by _check_finite."""
+def solve_backward_cg(kind, space, times, terminal, q_t, cache):
+    """Solve (-phi_dot, v) = -a(v, phi) backward over the grid times with the
+    given terminal field, as a forward cG(q_t) solve of the time-reversed
+    problem: the adjoint, a cG(q_t) Trajectory on the grid with the terminal
+    field as its incoming value; kind names it in errors.
+
+    Given P grids, as a (P, steps+1) stack or a longest-first sequence, a
+    sequence of P terminal fields and one of P names, it steps all P as one
+    _step_slabs stack aligned at the ends in solve order, and returns P
+    adjoints, each a forward-ordered view out[j, :steps] of one array and
+    bitwise its own single-grid call's (see FormCache.per_step for when).
+    Every column error is named by its column's name: a non-finite time of
+    the forward grids (_largest_time, before they are reversed) and, on the
+    time-reversed grids, a step of another size or else a non-finite value,
+    named in solve order by _check_finite.
+    """
+    stacked = not isinstance(terminal, NodalField)
+    grids = times if stacked else np.asarray(times, dtype=float)[None]
+    kinds, terms = (kind, list(terminal)) if stacked else ([kind], [terminal])
+    if not stacked and grids.ndim != 2:
+        raise ValueError(f"{len(times)} grids but one terminal field")
+    if isinstance(kinds, str):
+        raise ValueError(f"{len(grids)} grids take one name each, not the "
+                         f"one name {kind!r}")
+    if not len(grids) == len(kinds) == len(terms):
+        raise ValueError(f"{len(grids)} grids but {len(kinds)} names and "
+                         f"{len(terms)} terminal fields")
     first = [len(grids[0]) - len(g) for g in grids]
+    if first != sorted(first) or len(grids[-1]) < 2:
+        raise ValueError("grids must come longest first, each of at least "
+                         "two times")
     revs = np.zeros((len(grids), len(grids[0])))
     try:
         top = _largest_time(grids)  # g[-1] - g would warn at inf - inf
@@ -48,26 +68,8 @@ def _solve_backward(kinds, space, grids, terms, q_t, cache):
             raise
         raise ValueError(f"{kinds[exc.column]} adjoint (time reversed, t -> "
                          f"{grids[exc.column][-1]:.6g} - t): {exc}") from None
-    return [Trajectory(space, g, q_t, c[:len(g) - 1], term)
+    adjs = [Trajectory(space, g, q_t, c[:len(g) - 1], term)
             for g, c, term in zip(grids, out, terms)]
-
-
-def solve_backward_cg(kind, space, times, terminal, q_t, cache):
-    """Solve (-phi_dot, v) = -a(v, phi) backward over the grid with the given
-    terminal field, as a forward cG(q_t) solve of the time-reversed problem.
-
-    Returns the adjoint as a cG(q_t) Trajectory on the grid, with the terminal
-    field as its incoming value; kind names the adjoint in errors.  Given a
-    (P, steps+1) stack of grids, a sequence of P terminal fields and a
-    sequence of P names, it steps all P together (see _solve_backward) and
-    returns P adjoints, each bitwise its own single-grid call's; a step of
-    another size, or a non-finite value, names the first such column.
-    """
-    grids, terms, stacked = _as_stack(times, terminal)
-    kinds = list(kind) if stacked else [kind]
-    if len(kinds) != len(grids):
-        raise ValueError(f"{len(grids)} grids but {len(kinds)} names")
-    adjs = _solve_backward(kinds, space, grids, terms, q_t, cache)
     return adjs if stacked else adjs[0]
 
 
@@ -95,13 +97,14 @@ def solve_auxiliary_adjoints(partition, coarse_adjoint, fine_adjoints,
     """Backward solves on (0, T_{p-1}], the global coarse grid's prefix, with
     terminal data the fine/coarse adjoint jump at T_{p-1}; returned dict is
     keyed by p = 2..P_t.  All are stepped as one ragged stack, longest
-    (p = P_t) first, each bitwise its own solve_backward_cg call; a
-    non-finite value names the first auxiliary(p) in that order."""
+    (p = P_t) first, by one solve_backward_cg call, each bitwise its own
+    single-grid call; a non-finite value names the first auxiliary(p) in
+    that order."""
     grid, nhat_p = partition.coarse_grid, partition.coarse_grids.shape[1] - 1
     ps, space = range(partition.P_t, 1, -1), coarse_adjoint.space
     if not ps:
         return {}
-    adjs = _solve_backward(
+    adjs = solve_backward_cg(
         [f"auxiliary({p})" for p in ps], space,
         [grid[:(p - 1) * nhat_p + 1] for p in ps],
         [NodalField(space, fine_adjoints[p - 1].coeffs[0, 0]

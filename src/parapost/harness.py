@@ -23,7 +23,7 @@ from .estimator import N_QUAD_T, stpa_breakdown
 from .mesh import N_QUAD, FeSpace, FormCache, SpatialMesh, gauss_rule, qoi_eval
 from .parareal import vpar
 from .schwarz import decompose_domain, overlap_ranges
-from .timestepping import TimePartition, propagate_be, propagate_cg
+from .timestepping import TimePartition, propagate
 
 
 @dataclass(frozen=True)
@@ -281,20 +281,17 @@ def run_experiment(config):
     decomp = (decompose_domain(mesh, config.P_s, config.beta, config.tau)
               if config.schwarz else None)
 
-    if config.integrator == "cg":
-        def coarse_solver(grids, ic, jumps):
-            return propagate_cg(coarse_space, grids, config.qhat_t, ic, f,
-                                cache, jumps)
+    # implicit Euler is the q_t = 0 case of the one propagator
+    qhat_t, q_t = ((config.qhat_t, config.q_t) if config.integrator == "cg"
+                   else (0, 0))
 
-        def fine_solver(grids, ics):
-            return propagate_cg(fine_space, grids, config.q_t, ics, f, cache)
-    else:
-        def coarse_solver(grids, ic, jumps):
-            return propagate_be(coarse_space, grids, ic, f, cache, jumps=jumps)
+    def coarse_solver(grids, ic, jumps):
+        return propagate(coarse_space, grids, qhat_t, ic, f, cache,
+                         jumps=jumps)
 
-        def fine_solver(grids, ics):
-            return propagate_be(fine_space, grids, ics, f, cache, decomp,
-                                config.K_s)
+    def fine_solver(grids, ics):
+        return propagate(fine_space, grids, q_t, ics, f, cache, decomp,
+                         config.K_s)
 
     stages = {}
 

@@ -87,7 +87,7 @@ def vpar(partition, K_t, ic_coarse, fine_solver, coarse_solver, cache):
     own.  For p < k the state holds iteration k-1's trajectories and
     corrections, the same objects, as subdomain p's incoming value is
     unchanged from iteration p on, if both solvers give each row as a pure
-    function of its grid and incoming value: the propagators do for a
+    function of its grid and incoming value: the propagator does for a
     chain and for the rows that share row 0's FormCache.per_step key.  The
     embeddings between the coarse and fine spaces are the cache's.
     """

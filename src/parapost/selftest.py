@@ -14,7 +14,7 @@ from .harness import ExperimentConfig, build_manufactured, run_experiment
 from .mesh import FeSpace, FormCache, SpatialMesh
 from .parareal import vpar
 from .schwarz import AdditiveSchwarz, decompose_domain
-from .timestepping import TimePartition, propagate_be
+from .timestepping import TimePartition, propagate
 
 
 def _require(ok, message):
@@ -32,13 +32,13 @@ def _check_parareal_exactness():
     coarse, fine = FeSpace(mesh, 1), FeSpace(mesh, 2)
     part = TimePartition.uniform(0.5, 4, 8, 2)
     cache = FormCache()
-    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
-    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
-                                            jumps=jumps)
+    fs = lambda gs, ics: propagate(fine, gs, 0, ics, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate(coarse, gs, 0, ic, prob.f, cache,
+                                         jumps=jumps)
     ic = coarse.interpolate(prob.u0)
     states = vpar(part, 4, ic, fs, cs, cache)
     for p, (grid, got) in enumerate(zip(part.fine_grids, states[-1].fine), 1):
-        want = propagate_be(fine, grid, ic, prob.f, cache).end
+        want = propagate(fine, grid, 0, ic, prob.f, cache).end
         dev = np.max(np.abs(got.end.coefficients - want.coefficients))
         _require(dev < 1e-11, f"exactness violated at p={p}: {dev:.3e}")
         ic = coarse.interpolate(want)

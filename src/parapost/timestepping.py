@@ -1,11 +1,11 @@
-"""Temporal partitions and the coarse/fine propagators.
+"""Temporal partitions and the coarse/fine propagator.
 
 Implicit Euler, with each step solved directly or by additive Schwarz
 iteration, and cG(q_t) continuous-in-time Galerkin stepping run through one
-slab driver, _step_slabs, and return the one space-time field type,
-Trajectory: implicit Euler is its q_t = 0 case, the piecewise-constant-in-
-time Galerkin method dG(0), and cG(q_t) its q_t >= 1 case.  Propagations
-on distinct temporal subdomains share no mutable state.
+propagator, propagate, over one slab driver, _step_slabs, and return the one
+space-time field type, Trajectory: implicit Euler is its q_t = 0 case, the
+piecewise-constant-in-time Galerkin method dG(0), and cG(q_t) its q_t >= 1
+case.  Propagations on distinct temporal subdomains share no mutable state.
 """
 import math
 from bisect import bisect_right
@@ -42,6 +42,8 @@ class TimePartition:
 
     @staticmethod
     def uniform(T, P_t, Nhat_t, r):
+        if not 0 < T < math.inf:
+            raise ValueError(f"T must be finite and > 0, got {T}")
         if P_t < 1 or Nhat_t < 1 or r < 1:
             raise ValueError("P_t, Nhat_t and r must be positive")
         if Nhat_t % P_t != 0:
@@ -168,65 +170,52 @@ def _step_sizes(grids, first, top=None, chained=False):
     return dts, dt[:, 0].tolist() if chained else [dt]
 
 
-def _as_stack(times, ic, jumps=None):
-    """(grids, incomings, stacked) of a propagation's arguments: one step
-    grid with its incoming value, or a (P, steps+1) stack of grids with a
-    sequence of P incoming values, or a chain's one and P - 1 jumps, as a
-    (P, steps+1) array and a list."""
-    times = np.asarray(times, dtype=float)
-    stacked = times.ndim == 2
-    grids = times if stacked else times[None]
-    ics = list(ic) if stacked and jumps is None else [ic]
-    if grids.shape[1] < 2:
-        raise ValueError("a step grid needs at least two times")
-    n = len(ics) if jumps is None else 1 + len(jumps)  # a chain's: ic, jumps
-    if n != len(grids):
-        raise ValueError(f"{len(grids)} grids but {n} incoming values")
-    return grids, ics, stacked
+def propagate(space, times, q_t, ic, f, cache, decomp=None, K_s=None, *,
+              jumps=None):
+    """The Galerkin time-stepping Trajectory of one step grid times from its
+    incoming value ic, by _step_slabs: q_t = 0 is implicit Euler, (M + dt A)
+    U_n = (U_{n-1}, .) + dt l(t_n), read as dG(0), each step solved directly
+    (banded Cholesky) or, given an OverlapDecomposition, by K_s >= 1
+    additive Schwarz iterations from a zero guess, keeping only the final
+    iterate; q_t >= 1 is cG(q_t), with test functions of time degree q_t - 1,
+    its first slab starting from the incoming value's L2 projection into the
+    solve space.  An incoming value may live in another space on the same
+    mesh: dG(0)'s first-step term is the exact cross-space L2 pairing.
 
-
-def _propagate(space, times, q_t, ic, f, cache, decomp=None, K_s=None,
-               jumps=None):
-    """The dG(0) (q_t = 0) or cG(q_t) Trajectory of one step grid times from
-    its incoming value ic or, given a (P, steps+1) stack of grids with equal
-    step counts and a sequence ic of P incoming values, the list of P
-    Trajectories, stepped together by _step_slabs, each bitwise its own
-    single-grid call's (FormCache.per_step says when); given jumps, a chain
-    (_step_slabs) from ic, each row its own call from its incoming value.
+    Given a (P, steps+1) stack of grids with equal step counts and a
+    sequence ic of P incoming values, it returns the list of P Trajectories,
+    stepped together, each bitwise its own single-grid call's
+    (FormCache.per_step says when); given jumps, a chain (_step_slabs) from
+    the one field ic, each row its own call from its incoming value.
     f=None is a homogeneous problem: no load is assembled.  A non-finite
     time, a step of another size (_step_sizes) or a non-finite step value
     (_check_finite) raises a ValueError naming the first such node or step
     n of the first such column, and its time t, with that column's index in
     the stack as its column attribute."""
-    grids, ics, stacked = _as_stack(times, ic, jumps)
+    if q_t < 0:
+        raise ValueError(f"q_t must be >= 0, got {q_t}")
+    if decomp is not None and (q_t or K_s is None or K_s < 1):
+        raise ValueError("a decomposition needs q_t = 0 and K_s >= 1, got "
+                         f"q_t={q_t}, K_s={K_s}")
+    grids = np.asarray(times, dtype=float)
+    stacked, chained = grids.ndim == 2, jumps is not None
+    grids = grids if stacked else grids[None]
+    if grids.shape[1] < 2:
+        raise ValueError("a step grid needs at least two times")
+    field = isinstance(ic, NodalField)
+    ics = [ic] if field else list(ic)
+    n = len(ics) + len(jumps) if chained else len(ics)
+    if n != len(grids) or field != (chained or not stacked):
+        raise ValueError(f"{len(grids)} grids but {n} incoming values: "
+                         + ("a stack takes a sequence of fields"
+                            if stacked and not chained
+                            else "one grid or a chain takes one field"))
     coeffs = _step_slabs(space, grids, q_t, ics, f, cache, decomp, K_s,
                          jumps=jumps)
     _check_finite(coeffs, grids)
     trajs = [Trajectory(space, grids[j], q_t, coeffs[j], ics[j])
              for j in range(len(ics))]
     return trajs if stacked else trajs[0]
-
-
-def propagate_be(space, times, ic, f, cache, decomp=None, K_s=None,
-                 jumps=None):
-    """Implicit Euler, (M + dt A) U_n = (U_{n-1}, .) + dt l(t_n), by
-    _propagate as dG(0): each step is solved directly (banded Cholesky) or,
-    given an OverlapDecomposition, by K_s additive Schwarz iterations from
-    a zero guess, keeping only the final iterate.  An incoming value may
-    live in another space on the same mesh: its first-step term is the
-    exact cross-space L2 pairing."""
-    if decomp is not None and (K_s is None or K_s < 1):
-        raise ValueError("K_s must be >= 1")
-    return _propagate(space, times, 0, ic, f, cache, decomp, K_s, jumps)
-
-
-def propagate_cg(space, times, q_t, ic, f, cache, jumps=None):
-    """cG(q_t) time stepping, with test functions of time degree q_t - 1, by
-    _propagate; the first slab starts from the incoming value's L2
-    projection into the solve space."""
-    if q_t < 1:
-        raise ValueError("q_t must be >= 1")
-    return _propagate(space, times, q_t, ic, f, cache, jumps=jumps)
 
 
 def _cg_time_forms(q_t):

@@ -6,6 +6,9 @@ so it also checks that vpar's reuse of converged subdomains changes
 nothing.  serial_coarse_handoff is the serial fine solve that Parareal
 reproduces after P_t iterations: subdomain by subdomain, each handing the
 coarse interpolant of its fine end value to the next.
+discrete_dual is the serial discrete dual of implicit Euler with direct
+steps, which weights the synchronization jumps of Parareal's fine solves
+into the exact discrete iteration error of the QoI.
 dg0_equivalence_check re-solves an implicit-Euler trajectory as the dG(0)
 Galerkin method, with matrices assembled afresh and a dense solve.
 be_per_step steps implicit Euler one step and one vector at a time.
@@ -86,6 +89,24 @@ def serial_coarse_handoff(partition, ic_coarse, fine_solver):
     return trajs
 
 
+def discrete_dual(space, times, psi_h, cache):
+    """The (steps, dof) discrete dual of implicit Euler with direct steps on
+    the grid times, one step and one vector at a time: row N - 1 is z_N =
+    B_N^-1 psi_h and row m - 1 is z_m = B_m^-1 M z_{m+1}, with B_m = M + dt_m
+    A the cache's step operator of step m's size.  B_m and M are symmetric,
+    so psi_h . e_N = sum_m z_m . s_m for any e with B_m e_m = M e_{m-1} + s_m
+    and e_0 = 0."""
+    times = np.asarray(times, dtype=float)
+    M = cache.mass(space, space)
+    z = np.empty((len(times) - 1, space.dof_count))
+    rhs = psi_h
+    for m in range(len(times) - 1, 0, -1):
+        dt = times[m] - times[m - 1]
+        z[m - 1] = cache.step_operator(space, dt).solve(rhs)
+        rhs = M @ z[m - 1]
+    return z
+
+
 def dg0_equivalence_check(traj, f):
     """Max nodal deviation between an implicit-Euler trajectory and the
     piecewise-constant-in-time Galerkin solution assembled from its weak form
@@ -136,7 +157,7 @@ def cg_per_slab(space, times, q_t, ic, f):
     slab start value's terms form block m of the right-hand side, the slab
     matrix is filled block by block, and the solution is copied out node by
     node.  A slab LU is factored for the first step of each size rounded to
-    15 digits and reused for the others, as propagate_cg does."""
+    15 digits and reused for the others, as propagate does."""
     times = np.asarray(times, dtype=float)
     M = assemble_matrix(space, space, "mass")
     A = assemble_matrix(space, space, "stiffness")

@@ -17,7 +17,7 @@ from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh, \
     assemble_load
 from parapost.parareal import vpar
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
-from parapost.timestepping import TimePartition, Trajectory, propagate_be
+from parapost.timestepping import TimePartition, Trajectory, propagate
 
 from oracles import dg0_equivalence_check, node_value, par_standard, \
     serial_coarse_handoff
@@ -190,9 +190,9 @@ def test_property_standard_variational_equivalence():
         coarse, fine = FeSpace(mesh, qhat), FeSpace(mesh, q)
         part = TimePartition.uniform(0.5, P_t, nhat, r)
         cache = FormCache()
-        fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
-        cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
-                                                jumps=jumps)
+        fs = lambda gs, ics: propagate(fine, gs, 0, ics, prob.f, cache)
+        cs = lambda gs, ic, jumps: propagate(coarse, gs, 0, ic, prob.f, cache,
+                                             jumps=jumps)
         ic = coarse.interpolate(prob.u0)
         K_t = int(rng.integers(1, P_t + 2))
         states = vpar(part, K_t, ic, fs, cs, cache)
@@ -221,9 +221,9 @@ def test_property_finite_termination(P_t):
     coarse, fine = FeSpace(mesh, 1), FeSpace(mesh, 2)
     part = TimePartition.uniform(0.5, P_t, 2 * P_t, 2)
     cache = FormCache()
-    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
-    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
-                                            jumps=jumps)
+    fs = lambda gs, ics: propagate(fine, gs, 0, ics, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate(coarse, gs, 0, ic, prob.f, cache,
+                                         jumps=jumps)
     ic = coarse.interpolate(prob.u0)
     states = vpar(part, P_t, ic, fs, cs, cache)
     assert _finite_termination_gap(
@@ -247,9 +247,9 @@ def test_property_finite_termination_over_configs(P_t, r, degrees, schwarz):
     solver = () if schwarz is None else (
         decompose_domain(mesh, schwarz[0], 0.25, 0.4), schwarz[1])
     cache = FormCache()
-    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache, *solver)
-    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
-                                            jumps=jumps)
+    fs = lambda gs, ics: propagate(fine, gs, 0, ics, prob.f, cache, *solver)
+    cs = lambda gs, ic, jumps: propagate(coarse, gs, 0, ic, prob.f, cache,
+                                         jumps=jumps)
     ic = coarse.interpolate(prob.u0)
     states = vpar(part, P_t, ic, fs, cs, cache)
     assert _finite_termination_gap(
@@ -259,8 +259,8 @@ def test_property_finite_termination_over_configs(P_t, r, degrees, schwarz):
 def test_property_dg0_equivalence():
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), 2)
-    traj = propagate_be(space, np.linspace(0.0, 0.5, 11),
-                        space.interpolate(prob.u0), prob.f, FormCache())
+    traj = propagate(space, np.linspace(0.0, 0.5, 11), 0,
+                     space.interpolate(prob.u0), prob.f, FormCache())
     assert dg0_equivalence_check(traj, prob.f) <= 1e-12
 
 
@@ -269,9 +269,9 @@ def test_property_galerkin_orthogonality():
     rng = np.random.default_rng(55)
     grid = np.linspace(0.0, 0.4, 6)
     cache = FormCache()
-    traj = propagate_be(space, grid,
-                        NodalField(space, rng.standard_normal(space.dof_count)),
-                        ZERO_F, cache)
+    traj = propagate(space, grid, 0,
+                     NodalField(space, rng.standard_normal(space.dof_count)),
+                     ZERO_F, cache)
     n = len(grid) - 1
     coeffs = np.tile(rng.standard_normal(space.dof_count), (n, 2, 1))
     w = Trajectory(space, grid, 1, coeffs,
@@ -295,8 +295,8 @@ def test_property_schwarz_fixed_point_and_convergence():
     # convergence: 50 sweeps per step reproduce the direct stepping
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
-    a = propagate_be(space, grid, ic, prob.f, cache, decomp=decomp, K_s=50)
-    b = propagate_be(space, grid, ic, prob.f, cache)
+    a = propagate(space, grid, 0, ic, prob.f, cache, decomp=decomp, K_s=50)
+    b = propagate(space, grid, 0, ic, prob.f, cache)
     assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-10
 
 
@@ -308,8 +308,8 @@ def test_property_spatial_split_identity():
     decomp = decompose_domain(mesh, 2, 0.2, 0.4)
     grid = np.linspace(0.0, 0.5, 6)
     cache = FormCache()
-    traj = propagate_be(space, grid, space.interpolate(prob.u0), prob.f,
-                        cache, decomp=decomp, K_s=2)
+    traj = propagate(space, grid, 0, space.interpolate(prob.u0), prob.f,
+                     cache, decomp=decomp, K_s=2)
     ev = ResidualEvaluator(prob.f, cache)
     phi_val = adj_space.interpolate(lambda x: np.sin(np.pi * x))
     E_K, E_N = dd_split([traj], (adj_space, np.array(

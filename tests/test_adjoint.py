@@ -21,7 +21,7 @@ from parapost.mesh import (
 )
 from parapost.estimator import ResidualEvaluator, dd_split
 from parapost.schwarz import AdditiveSchwarz, decompose_domain, subdomain_dof_sets
-from parapost.timestepping import TimePartition, propagate_be, propagate_cg
+from parapost.timestepping import TimePartition, propagate
 
 from oracles import slab_index, value_at_node
 
@@ -109,6 +109,29 @@ def test_stacked_backward_columns_are_their_own_calls(q_t):
         assert got.coeffs.base is batch[0 if j < 3 else 3].coeffs.base
     with pytest.raises(ValueError, match="4 grids but 3 names"):
         solve_backward_cg(names[:3], space, grids, terms, q_t, cache)
+
+
+def test_a_stacked_backward_call_takes_one_name_per_grid():
+    # a str is one name, not a sequence of one-character names: "fine" on
+    # four grids once named row 2 "n", and a NaN there "n adjoint ..."
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 3)
+    grids = TimePartition.uniform(0.8, 4, 4, 2).fine_grids
+    terms = [space.interpolate(np.sin)] * 4
+    with pytest.raises(ValueError, match=r"^4 grids take one name each, not "
+                       "the one name 'fine'$"):
+        solve_backward_cg("fine", space, grids, terms, 3, FormCache())
+    with pytest.raises(ValueError, match="^4 grids but one terminal field$"):
+        solve_backward_cg("fine", space, grids, terms[0], 3, FormCache())
+    bad = grids.copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^fine\(3\) adjoint \(time "
+                       r"reversed.*non-finite time at node n=1"):
+        solve_backward_cg([f"fine({p})" for p in range(1, 5)], space, bad,
+                          terms, 3, FormCache())
+    with pytest.raises(ValueError, match="^grids must come longest first, "
+                       "each of at least two times$"):
+        solve_backward_cg(["a", "b"], space, [grids[0][1:], grids[0]],
+                          terms[:2], 3, FormCache())
 
 
 def test_auxiliary_adjoints_keys_and_terminals():
@@ -331,8 +354,8 @@ def test_homogeneous_backward_solves_assemble_no_load(monkeypatch):
     cache = FormCache()
     solve_backward_cg("test", space, grid, terminal, 3, cache)
     assert calls == []
-    propagate_cg(space, grid, 3, terminal,
-                 lambda x, t: np.sin(np.pi * x) * t, cache)
+    propagate(space, grid, 3, terminal,
+              lambda x, t: np.sin(np.pi * x) * t, cache)
     assert len(calls) > 0
 
 
@@ -372,9 +395,9 @@ def test_nonfinite_spatial_adjoint_names_itself_and_dt(kind):
     weight = space.interpolate(lambda x: np.sin(np.pi * x))
     weight.coefficients[5] = np.nan
     fwd = FeSpace(mesh, 2)
-    traj = propagate_be(fwd, np.linspace(0.0, 0.125, 3),
-                        fwd.interpolate(np.sin), None, cache,
-                        decomp=decomp, K_s=2)
+    traj = propagate(fwd, np.linspace(0.0, 0.125, 3), 0,
+                     fwd.interpolate(np.sin), None, cache,
+                     decomp=decomp, K_s=2)
     with pytest.raises(ValueError,
                        match=rf"non-finite {kind} spatial adjoint \(dt=0\.0625\)"):
         dd_split([traj], (space, np.array([weight.coefficients] * 2)),

@@ -73,3 +73,6 @@ def test_a_traced_stpa_run_fills_the_schwarz_and_split_layers():
     assert layers["estimator.dd_split.calls"] == 1
     assert layers["estimator.breakdown.wall_s"] > 0
     assert layers["adjoint.backward_cg.slabs"] > 0
+    # every adjoint family enters the slab driver through solve_backward_cg:
+    # one call each for the coarse, fine and auxiliary adjoints
+    assert layers["adjoint.backward_cg.calls"] == 3

@@ -17,7 +17,7 @@ import parapost.harness as harness
 from parapost.harness import ExperimentConfig, run_experiment
 from parapost.mesh import FeSpace, FormCache, SpatialMesh
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
-from parapost.timestepping import propagate_be, propagate_cg
+from parapost.timestepping import propagate
 
 SRC = Path(parapost.__file__).parent
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -112,7 +112,7 @@ def _sweeper(cache, space, decomp, dt):
 
 
 def _cg_slab_lu(cache, space, decomp, dt):
-    propagate_cg(space, [0.0, dt], 2, space.interpolate(np.sin), None, cache)
+    propagate(space, [0.0, dt], 2, space.interpolate(np.sin), None, cache)
 
 
 FETCH = {"step": _step_operator, "schwarz": _sweeper, "cg_slab": _cg_slab_lu}
@@ -143,11 +143,11 @@ def test_per_step_shares_one_solver_across_a_linspace_grid(monkeypatch, kind):
 
 
 PROPAGATE = {
-    "step": lambda space, times, ic, decomp, cache: propagate_be(
-        space, times, ic, None, cache),
-    "schwarz": lambda space, times, ic, decomp, cache: propagate_be(
-        space, times, ic, None, cache, decomp, 2),
-    "cg_slab": lambda space, times, ic, decomp, cache: propagate_cg(
+    "step": lambda space, times, ic, decomp, cache: propagate(
+        space, times, 0, ic, None, cache),
+    "schwarz": lambda space, times, ic, decomp, cache: propagate(
+        space, times, 0, ic, None, cache, decomp, 2),
+    "cg_slab": lambda space, times, ic, decomp, cache: propagate(
         space, times, 2, ic, None, cache),
 }
 

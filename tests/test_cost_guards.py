@@ -21,7 +21,7 @@ from parapost.harness import (ExperimentConfig, build_manufactured,
                               run_experiment)
 from parapost.mesh import FeSpace, FormCache, NodalGather, SpatialMesh
 from parapost.timestepping import (TimePartition, Trajectory, _slab_loads,
-                                   propagate_cg)
+                                   propagate)
 
 from oracles import value_at_node
 
@@ -126,12 +126,12 @@ def test_a_second_solve_of_a_grid_assembles_no_load(monkeypatch):
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), 2)
     grid = np.linspace(0.0, 0.5, 6)
     cache = FormCache()
-    first = propagate_cg(space, grid, 2, space.interpolate(prob.u0), prob.f,
-                         cache)
+    first = propagate(space, grid, 2, space.interpolate(prob.u0), prob.f,
+                      cache)
     assert len(calls) == 1
-    again = propagate_cg(space, np.stack([grid, grid]),
-                         2, [first.end, space.interpolate(prob.u0)], prob.f,
-                         cache)
+    again = propagate(space, np.stack([grid, grid]),
+                      2, [first.end, space.interpolate(prob.u0)], prob.f,
+                      cache)
     assert len(calls) == 1
     assert np.array_equal(again[1].coeffs, first.coeffs)
 
@@ -230,7 +230,7 @@ def test_a_second_one_grid_cg_call_looks_up_four_entries_and_builds_none(
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), 2)
     grid, ic = np.linspace(0.0, 0.2, 3), space.interpolate(prob.u0)
     cache = FormCache()
-    first = propagate_cg(space, grid, 1, ic, prob.f, cache)
+    first = propagate(space, grid, 1, ic, prob.f, cache)
     looked_up, built = [], []
     factor = cache.factor
 
@@ -239,7 +239,7 @@ def test_a_second_one_grid_cg_call_looks_up_four_entries_and_builds_none(
         return factor(key, lambda: built.append(key[0]) or build())
 
     monkeypatch.setattr(cache, "factor", counting)
-    again = propagate_cg(space, grid, 1, ic, prob.f, cache)
+    again = propagate(space, grid, 1, ic, prob.f, cache)
     assert sorted(looked_up) == ["cg_load", "cg_slab", "matrix", "step"]
     assert built == []
     assert np.array_equal(again.coeffs, first.coeffs)

@@ -36,12 +36,7 @@ import parapost.harness as harness_module
 import parapost.schwarz as schwarz_module
 from parapost.parareal import vpar
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
-from parapost.timestepping import (
-    TimePartition,
-    Trajectory,
-    propagate_be,
-    propagate_cg,
-)
+from parapost.timestepping import TimePartition, Trajectory, propagate
 
 from oracles import (ack_terms_per_pair, dd_split_per_step, embed, node_value,
                      slab_eval, slab_index, value_at_node)
@@ -70,7 +65,7 @@ def test_galerkin_orthogonality_be():
     ic = NodalField(space, rng.standard_normal(space.dof_count))
     grid = np.linspace(0.0, 0.4, 6)
     cache = FormCache()
-    traj = propagate_be(space, grid, ic, ZERO_F, cache)
+    traj = propagate(space, grid, 0, ic, ZERO_F, cache)
     ev = ResidualEvaluator(ZERO_F, cache)
     w = _constant_in_time_weight(space, grid,
                                  rng.standard_normal(space.dof_count))
@@ -86,7 +81,7 @@ def test_galerkin_orthogonality_cg():
     ic = NodalField(space, rng.standard_normal(space.dof_count))
     grid = np.linspace(0.0, 0.4, 5)
     cache = FormCache()
-    traj = propagate_cg(space, grid, 2, ic, ZERO_F, cache)
+    traj = propagate(space, grid, 2, ic, ZERO_F, cache)
     n = len(grid) - 1
     coeffs = rng.standard_normal((n, 2, space.dof_count))  # linear in time
     w = Trajectory(space, grid, 1, coeffs,
@@ -103,7 +98,7 @@ def test_residual_be_single_dof_oracle():
     ic = NodalField(space, np.array([0.5]))
     grid = np.array([0.0, 0.1, 0.2])
     cache = FormCache()
-    traj = propagate_be(space, grid, ic, ZERO_F, cache)
+    traj = propagate(space, grid, 0, ic, ZERO_F, cache)
     # weight linear in time in the same space, values a_n at the grid times
     a = np.array([0.8, -0.3, 0.6])
     coeffs = np.array([[[a[0]], [a[1]]], [[a[1]], [a[2]]]])
@@ -223,9 +218,9 @@ def test_iteration_component_vanishes_at_finite_termination():
     adj_space = FeSpace(mesh, 3)
     part = TimePartition.uniform(0.5, 4, 8, 2)
     cache = FormCache()
-    fs = lambda gs, ics: propagate_be(space, gs, ics, prob.f, cache)
-    cs = lambda gs, ic, jumps: propagate_be(space, gs, ic, prob.f, cache,
-                                            jumps=jumps)
+    fs = lambda gs, ics: propagate(space, gs, 0, ics, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate(space, gs, 0, ic, prob.f, cache,
+                                         jumps=jumps)
     states = vpar(part, 4, space.interpolate(prob.u0), fs, cs, cache)
     coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, 3, cache)
     fine_adjs = solve_fine_adjoints(part, coarse_adj, 3, cache)
@@ -258,8 +253,8 @@ def _schwarz_step_setup(K_s=2):
     decomp = decompose_domain(mesh, 2, 0.2, 0.4)
     grid = np.linspace(0.0, 0.5, 6)
     cache = FormCache()
-    traj = propagate_be(space, grid, space.interpolate(prob.u0), prob.f,
-                        cache, decomp=decomp, K_s=K_s)
+    traj = propagate(space, grid, 0, space.interpolate(prob.u0), prob.f,
+                     cache, decomp=decomp, K_s=K_s)
     # the sweeper whose adjoints dd_split takes for these steps
     sweeper = AdditiveSchwarz.cached(cache, adj_space, grid[1] - grid[0], decomp)
     ev = ResidualEvaluator(prob.f, cache)
@@ -349,7 +344,7 @@ def test_dd_split_requires_sweep_records():
     cache = FormCache()
     ic = space.interpolate(prob.u0)
     grids = TimePartition.uniform(1.0, 2, 2, 5).fine_grids
-    first = propagate_be(space, grids[0], ic, prob.f, cache, decomp, 2)
+    first = propagate(space, grids[0], 0, ic, prob.f, cache, decomp, 2)
 
     def split(second):
         weights = _side(*[space3.interpolate(np.sin)] * 10)
@@ -357,18 +352,18 @@ def test_dd_split_requires_sweep_records():
                         ResidualEvaluator(prob.f, cache))
 
     def moved(rel):
-        traj = propagate_be(space, grids[1], ic, prob.f, cache, decomp, 2)
+        traj = propagate(space, grids[1], 0, ic, prob.f, cache, decomp, 2)
         coeffs = traj.coeffs.copy()
         coeffs[2] *= 1.0 + rel
         return Trajectory(space, traj.times, 0, coeffs, ic)
 
     other = decompose_domain(mesh, 2, 0.3, 0.4)
     for second, n in (
-            (propagate_be(space, grids[1], ic, prob.f, cache), 1),
-            (propagate_be(space, grids[1], ic, prob.f, cache, decomp, 3), 1),
-            (propagate_be(space, grids[1], ic, prob.f, cache, other, 2), 1),
-            (propagate_be(space, np.linspace(0.5, 1.5, 6), ic, prob.f, cache,
-                          decomp, 2), 1),
+            (propagate(space, grids[1], 0, ic, prob.f, cache), 1),
+            (propagate(space, grids[1], 0, ic, prob.f, cache, decomp, 3), 1),
+            (propagate(space, grids[1], 0, ic, prob.f, cache, other, 2), 1),
+            (propagate(space, np.linspace(0.5, 1.5, 6), 0, ic, prob.f, cache,
+                       decomp, 2), 1),
             (moved(1e-9), 3)):
         with pytest.raises(ValueError, match=rf"not that of 2 Schwarz sweeps "
                            rf".* at p=2, n={n}$"):
@@ -399,7 +394,7 @@ def test_dd_split_matches_the_per_step_oracle(P_s, K_s, steps, P_t, q_s,
         ics.append(NodalField(inc, rng.standard_normal(inc.dof_count)))
     f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
     cache = FormCache()
-    trajs = propagate_be(space, grids, ics, f, cache, decomp, K_s)
+    trajs = propagate(space, grids, 0, ics, f, cache, decomp, K_s)
     weights = rng.standard_normal((P_t * steps, space3.dof_count))
     E_K, E_N = dd_split(trajs, (space3, weights), decomp, K_s,
                         ResidualEvaluator(f, cache))
@@ -426,7 +421,7 @@ def test_dd_split_names_the_first_step_with_a_nonfinite_subdomain_adjoint(
     cache = FormCache()
     grids = TimePartition.uniform(0.5, 2, 2, 2).fine_grids
     ic = space.interpolate(prob.u0)
-    trajs = propagate_be(space, grids, [ic, ic], prob.f, cache, decomp, 2)
+    trajs = propagate(space, grids, 0, [ic, ic], prob.f, cache, decomp, 2)
     weights = _side(*[space3.interpolate(np.sin)] * 4)
     weights[1][3] = 0.0
     real = AdditiveSchwarz.local_solve
@@ -497,9 +492,9 @@ def _small_stpa_run():
     part = TimePartition.uniform(0.5, 2, 4, 2)
     decomp = decompose_domain(mesh, 2, 0.25, 0.4)
     cache = FormCache()
-    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache, decomp, 2)
-    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
-                                            jumps=jumps)
+    fs = lambda gs, ics: propagate(fine, gs, 0, ics, prob.f, cache, decomp, 2)
+    cs = lambda gs, ic, jumps: propagate(coarse, gs, 0, ic, prob.f, cache,
+                                         jumps=jumps)
     state = vpar(part, 2, coarse.interpolate(prob.u0), fs, cs, cache)[-1]
     coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, 3, cache)
     fine_adjs = solve_fine_adjoints(part, coarse_adj, 3, cache)
@@ -568,7 +563,7 @@ def test_dd_split_names_the_step_of_a_nonfinite_subdomain_term(monkeypatch):
     cache = FormCache()
     grids = TimePartition.uniform(0.5, 2, 2, 2).fine_grids
     ic = space.interpolate(prob.u0)
-    trajs = propagate_be(space, grids, [ic, ic], prob.f, cache, decomp, 2)
+    trajs = propagate(space, grids, 0, [ic, ic], prob.f, cache, decomp, 2)
     weights = _side(*[space3.interpolate(np.sin)] * 4)
     real = estimator_module._step_functionals
 
@@ -680,9 +675,9 @@ def test_coarse_error_estimate_effectivity():
     adj_space = FeSpace(mesh, 3)
     part = TimePartition.uniform(2.0, 10, 40, 2)
     cache = FormCache()
-    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
-    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
-                                            jumps=jumps)
+    fs = lambda gs, ics: propagate(fine, gs, 0, ics, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate(coarse, gs, 0, ic, prob.f, cache,
+                                         jumps=jumps)
     states = vpar(part, 2, coarse.interpolate(prob.u0), fs, cs, cache)
     state = states[-1]
     coarse_adj = solve_coarse_adjoint(part, adj_space, prob.psi, 3, cache)
@@ -811,13 +806,9 @@ def test_residual_matches_the_two_loop_oracle(kind, q_t, n_el, q_s, extra_w,
                          before + steps + after + 1)
     grid = w_grid[before:before + steps + 1]
     cache = FormCache()
-    if kind == "cg":
-        traj = propagate_cg(space, grid, q_t, ic, f, cache)
-    elif kind == "schwarz":
-        decomp = decompose_domain(mesh, 2, 0.5, 0.4)
-        traj = propagate_be(space, grid, ic, f, cache, decomp, 2)
-    else:
-        traj = propagate_be(space, grid, ic, f, cache)
+    decomp = decompose_domain(mesh, 2, 0.5, 0.4) if kind == "schwarz" else None
+    traj = propagate(space, grid, q_t if kind == "cg" else 0, ic, f, cache,
+                     decomp, 2)
     coeffs = rng.standard_normal((len(w_grid) - 1, qw_t + 1, w_space.dof_count))
     weight = Trajectory(w_space, w_grid, qw_t, coeffs,
                         NodalField(w_space, coeffs[-1, -1].copy()))
@@ -829,12 +820,10 @@ def test_residual_matches_the_two_loop_oracle(kind, q_t, n_el, q_s, extra_w,
 def _trajectory(kind, space, grid, rng, f, cache, q_t=1):
     """A forward trajectory of one integrator from a random incoming value."""
     ic = NodalField(space, rng.standard_normal(space.dof_count))
-    if kind == "cg":
-        return propagate_cg(space, grid, q_t, ic, f, cache)
-    if kind == "schwarz":
-        decomp = decompose_domain(space.mesh, 2, 0.5, 0.4)
-        return propagate_be(space, grid, ic, f, cache, decomp, 2)
-    return propagate_be(space, grid, ic, f, cache)
+    decomp = (decompose_domain(space.mesh, 2, 0.5, 0.4) if kind == "schwarz"
+              else None)
+    return propagate(space, grid, q_t if kind == "cg" else 0, ic, f, cache,
+                     decomp, 2)
 
 
 def _weight(space, grid, q_t, rng):

@@ -1,16 +1,19 @@
 """Parareal iteration: degeneracy, exactness, and form equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parapost.harness import build_manufactured
-from parapost.mesh import FeSpace, FormCache, NodalField, SpatialMesh
+from parapost.mesh import (FeSpace, FormCache, NodalField, SpatialMesh,
+                           assemble_load)
 from parapost.parareal import vpar
 from parapost.schwarz import decompose_domain
-from parapost.timestepping import TimePartition, propagate_be, propagate_cg
+from parapost.timestepping import TimePartition, propagate
 
-from oracles import embed, node_value, par_standard
+from oracles import discrete_dual, embed, node_value, par_standard
 
 
 def _setup(nhat_s=8, qhat=1, q=2, P_t=4, Nhat_t=8, r=2, T=0.5, nu=2, mu=1):
@@ -19,9 +22,9 @@ def _setup(nhat_s=8, qhat=1, q=2, P_t=4, Nhat_t=8, r=2, T=0.5, nu=2, mu=1):
     coarse, fine = FeSpace(mesh, qhat), FeSpace(mesh, q)
     part = TimePartition.uniform(T, P_t, Nhat_t, r)
     cache = FormCache()
-    fs = lambda gs, ics: propagate_be(fine, gs, ics, prob.f, cache)
-    cs = lambda gs, ic, jumps: propagate_be(coarse, gs, ic, prob.f, cache,
-                                            jumps=jumps)
+    fs = lambda gs, ics: propagate(fine, gs, 0, ics, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate(coarse, gs, 0, ic, prob.f, cache,
+                                         jumps=jumps)
     ic = coarse.interpolate(prob.u0)
     return prob, part, coarse, fine, fs, cs, ic, cache
 
@@ -29,7 +32,7 @@ def _setup(nhat_s=8, qhat=1, q=2, P_t=4, Nhat_t=8, r=2, T=0.5, nu=2, mu=1):
 def test_single_subdomain_degenerates_to_serial():
     prob, part, coarse, fine, fs, cs, ic, cache = _setup(P_t=1, Nhat_t=4)
     states = vpar(part, 1, ic, fs, cs, cache)
-    serial = propagate_be(fine, part.fine_grids[0], ic, prob.f, cache)
+    serial = propagate(fine, part.fine_grids[0], 0, ic, prob.f, cache)
     assert np.max(np.abs(states[0].fine[0].coeffs - serial.coeffs)) == 0.0
 
 
@@ -42,8 +45,8 @@ def test_exactness_equal_spaces_default_sync(P_t):
     states = vpar(part, P_t, ic, fs, cs, cache)
     N_t = part.r * part.Nhat_t
     n_per = N_t // P_t
-    serial = propagate_be(fine, np.linspace(0.0, 0.5, N_t + 1), ic,
-                          prob.f, cache)
+    serial = propagate(fine, np.linspace(0.0, 0.5, N_t + 1), 0, ic,
+                       prob.f, cache)
     for p in range(1, P_t + 1):
         got = states[-1].fine[p - 1].end.coefficients
         want = node_value(serial, p * n_per).coefficients
@@ -59,11 +62,59 @@ def test_coarse_sync_fixed_point_differs_from_serial_fine():
     last = states[-1].fine[-1].end.coefficients
     prev = states[-2].fine[-1].end.coefficients
     assert np.max(np.abs(last - prev)) < 1e-10  # converged in its own right
-    serial = propagate_be(fine, np.linspace(0.0, 0.5,
-                                            part.r * part.Nhat_t + 1),
-                          embed(ic, fine, cache), prob.f, cache)
+    serial = propagate(fine, np.linspace(0.0, 0.5, part.r * part.Nhat_t + 1),
+                       0, embed(ic, fine, cache), prob.f, cache)
     gap = np.max(np.abs(last - serial.end.coefficients))
     assert gap > 1e-8  # ... but to a different limit
+
+
+# T: (P_t, Nhat_t, r, Nhat_s), a small TPA partition and the T = 2.6 one of
+# the registry's straddle sweeps, whose steps straddle FormCache.per_step's
+# 15-digit key
+K_IDENTITY_PARTITIONS = {1.0: (4, 8, 2, 6), 2.6: (3, 6, 3, 10)}
+
+
+@pytest.mark.parametrize("qhat_s", [1, 2])
+@pytest.mark.parametrize("T, K_t", [(1.0, 1), (1.0, 2), (1.0, 4), (2.6, 1),
+                                    (2.6, 2), (2.6, 3)])
+def test_the_discrete_dual_gives_the_iteration_error_exactly(T, K_t, qhat_s):
+    # implicit Euler: the fine solves U_p of the last iteration differ from
+    # the serial fine solve u_h on the joined fine grids only by the jump at
+    # each subdomain's first step m_p, M U_{p-1}(T_{p-1}) - M_{f,c} I_p, so
+    # Q(u_h) - Q(U^K) = sum_{p>=2} z_{m_p} . that jump, with z the discrete
+    # dual and Q(u) = psi_h . u.  The bound is relative to |Q(u_h)|: relative
+    # to the difference itself the error reaches 6.4e-11 on the straddle
+    # partition at K_t = 3, where the difference is 6.0e-6
+    P_t, Nhat_t, r, Nhat_s = K_IDENTITY_PARTITIONS[T]
+    prob = build_manufactured(2, 1, T)
+    mesh = SpatialMesh.uniform(0.0, 1.0, Nhat_s)
+    coarse, fine = FeSpace(mesh, qhat_s), FeSpace(mesh, 2)
+    part = TimePartition.uniform(T, P_t, Nhat_t, r)
+    cache = FormCache()
+    fs = lambda gs, ics: propagate(fine, gs, 0, ics, prob.f, cache)
+    cs = lambda gs, ic, jumps: propagate(coarse, gs, 0, ic, prob.f, cache,
+                                         jumps=jumps)
+    ic = coarse.interpolate(prob.u0)
+    U = vpar(part, K_t, ic, fs, cs, cache)[-1].fine
+    times = np.append(part.fine_grids[:, :-1], T)
+    u_h = propagate(fine, times, 0, ic, prob.f, cache)
+    psi_h = assemble_load(fine, 0.0, lambda x, t: prob.psi(x))
+    z = discrete_dual(fine, times, psi_h, cache)
+    M, M_fc = cache.mass(fine, fine), cache.mass(fine, coarse)
+    n_p = part.fine_grids.shape[1] - 1  # m_p - 1 = (p - 1) n_p
+    weighted = math.fsum(
+        z[(p - 1) * n_p] @ (M @ U[p - 2].end.coefficients
+                            - M_fc @ U[p - 1].incoming.coefficients)
+        for p in range(2, P_t + 1))
+    q = psi_h @ u_h.end.coefficients
+    diff = q - psi_h @ U[-1].end.coefficients
+    assert abs(diff - weighted) <= 1e-13 * abs(q)
+    if K_t == P_t and qhat_s == 2:
+        # finite termination: both sides vanish up to the rounding of the
+        # synchronized value I_p = Uhat + (U - Uhat), not bitwise U
+        assert max(abs(diff), abs(weighted)) <= 1e-13 * abs(q)
+    else:
+        assert abs(diff) > 1e-6 * abs(q)
 
 
 def test_standard_variational_equivalence_randomized():
@@ -177,7 +228,7 @@ def test_solver_failure_is_located():
         # fails on every call whose batch holds subdomain 3
         if any(np.array_equal(g, part.fine_grids[2]) for g in grids):
             raise FloatingPointError("boom")
-        return propagate_be(fine, grids, ics, prob.f, cache)
+        return propagate(fine, grids, 0, ics, prob.f, cache)
 
     with pytest.raises(RuntimeError) as err:
         vpar(part, 2, ic, flaky, cs, cache)
@@ -191,15 +242,13 @@ def test_nonfinite_forcing_names_subdomain_iteration_and_step(stepping):
     prob, part, coarse, fine, fs, cs, ic, cache = _setup()
     nan_f = lambda x, t: prob.f(x, t) * np.where(t > 0.3, np.nan, 1.0)
     decomp = decompose_domain(fine.mesh, 2, 0.25, 0.4)
-    fine_solvers = {
-        "be": lambda gs, ics: propagate_be(fine, gs, ics, nan_f, cache),
-        "cg": lambda gs, ics: propagate_cg(fine, gs, 1, ics, nan_f, cache),
-        "schwarz": lambda gs, ics: propagate_be(fine, gs, ics, nan_f, cache,
-                                                decomp, 2),
-    }
+    q_t, solver = {"be": (0, ()), "cg": (1, ()),
+                   "schwarz": (0, (decomp, 2))}[stepping]
+    fine_solver = lambda gs, ics: propagate(fine, gs, q_t, ics, nan_f, cache,
+                                            *solver)
     with pytest.raises(RuntimeError, match=r"p=3, iteration k_t=1: "
                        r".*step n=2, t=0\.3125") as err:
-        vpar(part, 2, ic, fine_solvers[stepping], cs, cache)
+        vpar(part, 2, ic, fine_solver, cs, cache)
     assert isinstance(err.value.__cause__, ValueError)
 
 
@@ -211,17 +260,13 @@ def test_a_nonfinite_fine_solve_is_located_without_a_rerun(stepping):
     prob, part, coarse, fine, fs, cs, ic, cache = _setup()
     nan_f = lambda x, t: prob.f(x, t) * np.where(t > 0.3, np.nan, 1.0)
     decomp = decompose_domain(fine.mesh, 2, 0.25, 0.4)
-    propagate = {
-        "be": lambda gs, ics: propagate_be(fine, gs, ics, nan_f, cache),
-        "cg": lambda gs, ics: propagate_cg(fine, gs, 1, ics, nan_f, cache),
-        "schwarz": lambda gs, ics: propagate_be(fine, gs, ics, nan_f, cache,
-                                                decomp, 2),
-    }[stepping]
+    q_t, solver = {"be": (0, ()), "cg": (1, ()),
+                   "schwarz": (0, (decomp, 2))}[stepping]
     calls = []
 
     def fine_solver(grids, ics):
         calls.append(len(grids))
-        return propagate(grids, ics)
+        return propagate(fine, grids, q_t, ics, nan_f, cache, *solver)
 
     with pytest.raises(RuntimeError, match=r"p=3, iteration k_t=1: ") as err:
         vpar(part, 2, ic, fine_solver, cs, cache)
@@ -236,12 +281,9 @@ def test_a_nonfinite_coarse_sweep_is_located_before_any_fine_solve(stepping):
     # step ends at t = 0.3125; the coarse sweep fails before the fine call
     prob, part, coarse, fine, fs, cs, ic, cache = _setup()
     nan_f = lambda x, t: prob.f(x, t) * np.where(t > 0.3, np.nan, 1.0)
-    coarse_solver = {
-        "be": lambda gs, ic_, jumps: propagate_be(coarse, gs, ic_, nan_f,
-                                                  cache, jumps=jumps),
-        "cg": lambda gs, ic_, jumps: propagate_cg(coarse, gs, 1, ic_, nan_f,
-                                                  cache, jumps),
-    }[stepping]
+    qhat_t = {"be": 0, "cg": 1}[stepping]
+    coarse_solver = lambda gs, ic_, jumps: propagate(
+        coarse, gs, qhat_t, ic_, nan_f, cache, jumps=jumps)
     calls = []
 
     def fine_solver(grids, ics):
@@ -275,11 +317,8 @@ def test_every_coarse_row_is_its_own_one_grid_solve(T, P_t, nhat_per, r,
     cache = FormCache()
 
     def solver(space):
-        if qhat_t:
-            return lambda times, ic, jumps=None: propagate_cg(
-                space, times, qhat_t, ic, prob.f, cache, jumps)
-        return lambda times, ic, jumps=None: propagate_be(
-            space, times, ic, prob.f, cache, jumps=jumps)
+        return lambda times, ic, jumps=None: propagate(
+            space, times, qhat_t, ic, prob.f, cache, jumps=jumps)
 
     one_grid = solver(coarse)
     ic = coarse.interpolate(prob.u0)

@@ -11,7 +11,7 @@ from parapost.schwarz import (
     decompose_domain,
     subdomain_dof_sets,
 )
-from parapost.timestepping import propagate_be
+from parapost.timestepping import propagate
 
 from oracles import (subdomain_adjoints, subdomain_dof_sets_by_coords,
                      sweep_iterates)
@@ -121,8 +121,8 @@ def test_schwarz_collapse_single_subdomain():
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 9)
     cache = FormCache()
-    a = propagate_be(space, grid, ic, prob.f, cache, decomp=d, K_s=1)
-    b = propagate_be(space, grid, ic, prob.f, cache)
+    a = propagate(space, grid, 0, ic, prob.f, cache, decomp=d, K_s=1)
+    b = propagate(space, grid, 0, ic, prob.f, cache)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
 
 
@@ -134,8 +134,8 @@ def test_schwarz_many_sweeps_converges_to_direct():
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
     cache = FormCache()
-    a = propagate_be(space, grid, ic, prob.f, cache, decomp=d, K_s=50)
-    b = propagate_be(space, grid, ic, prob.f, cache)
+    a = propagate(space, grid, 0, ic, prob.f, cache, decomp=d, K_s=50)
+    b = propagate(space, grid, 0, ic, prob.f, cache)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
 
 
@@ -229,7 +229,7 @@ def test_schwarz_stepping_rejects_zero_sweeps():
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
     with pytest.raises(ValueError):
-        propagate_be(space, grid, ic, prob.f, FormCache(), decomp=d, K_s=0)
+        propagate(space, grid, 0, ic, prob.f, FormCache(), decomp=d, K_s=0)
 
 
 def test_records_are_retained_per_step():

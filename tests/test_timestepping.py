@@ -4,6 +4,7 @@ import gc
 import importlib.machinery
 import importlib.util
 import itertools
+import math
 import re
 import sys
 import weakref
@@ -27,12 +28,7 @@ from parapost.mesh import (
     lagrange_values,
 )
 from parapost.schwarz import AdditiveSchwarz, decompose_domain
-from parapost.timestepping import (
-    TimePartition,
-    Trajectory,
-    propagate_be,
-    propagate_cg,
-)
+from parapost.timestepping import TimePartition, Trajectory, propagate
 
 from oracles import (at, be_per_step, cg_per_slab, dg0_equivalence_check,
                      node_value)
@@ -58,6 +54,34 @@ def test_partition_uniform_grids():
     assert part.r * part.Nhat_t == 24
     g = part.coarse_grid
     assert np.allclose(g, np.linspace(0.0, 2.0, 9))
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+def test_partition_rejects_a_bad_end_time(T):
+    # T = 0 once gave a propagation that returned the projected incoming
+    # value, and T = -1 a step operator that was "not positive definite"
+    with pytest.raises(ValueError, match=r"^T must be finite and > 0, got "):
+        TimePartition.uniform(T, 2, 4, 2)
+
+
+def test_propagate_rejects_incoming_values_of_the_wrong_shape():
+    # a stack takes a sequence of incoming fields and one grid takes one
+    # field, checked before any step: neither is iterated or read as a field
+    space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 4), 1)
+    ic, grids = space.interpolate(np.sin), TimePartition.uniform(
+        0.4, 4, 4, 2).fine_grids
+    with pytest.raises(ValueError, match=r"^4 grids but 1 incoming values: "
+                       "a stack takes a sequence of fields$"):
+        propagate(space, grids, 0, ic, None, FormCache())
+    with pytest.raises(ValueError, match=r"^1 grids but 1 incoming values: "
+                       "a stack takes a sequence of fields$"):
+        propagate(space, grids[:1], 1, ic, None, FormCache())
+    with pytest.raises(ValueError, match=r"^1 grids but 3 incoming values: "
+                       "one grid or a chain takes one field$"):
+        propagate(space, grids[0], 0, [ic] * 3, None, FormCache())
+    with pytest.raises(ValueError, match=r"^4 grids but 4 incoming values: "
+                       "one grid or a chain takes one field$"):
+        propagate(space, grids, 1, [ic], None, FormCache(), jumps=[None] * 3)
 
 
 def test_partition_grids_are_read_only_stacks_of_per_subdomain_grids():
@@ -99,7 +123,7 @@ def test_be_single_step_scalar():
     # u_1 = 0.1 / (1/3 + 0.4)
     space = _single_dof_space()
     ic = NodalField(space, np.array([0.3]))
-    traj = propagate_be(space, np.array([0.0, 0.1]), ic, ZERO_F, FormCache())
+    traj = propagate(space, np.array([0.0, 0.1]), 0, ic, ZERO_F, FormCache())
     assert node_value(traj, 1).coefficients[0] == pytest.approx(
         0.1 / (1.0 / 3.0 + 0.4), abs=1e-15)
 
@@ -111,8 +135,8 @@ def test_cg1_single_step_scalar():
     u0 = 0.3
     dt = 0.1
     ic = NodalField(space, np.array([u0]))
-    traj = propagate_cg(space, np.array([0.0, dt]), 1, ic, ZERO_F,
-                        FormCache())
+    traj = propagate(space, np.array([0.0, dt]), 1, ic, ZERO_F,
+                     FormCache())
     M, A = 1.0 / 3.0, 4.0
     expected = (M - 0.5 * dt * A) / (M + 0.5 * dt * A) * u0
     assert traj.coeffs[0, 1][0] == pytest.approx(expected, abs=1e-15)
@@ -126,8 +150,8 @@ def test_be_first_order_convergence():
     cache = FormCache()
 
     def end_error(n_steps):
-        traj = propagate_be(space, np.linspace(0.0, 0.5, n_steps + 1),
-                            ic, prob.f, cache)
+        traj = propagate(space, np.linspace(0.0, 0.5, n_steps + 1), 0,
+                         ic, prob.f, cache)
         exact = space.interpolate(lambda x: prob.u(x, 0.5))
         return np.max(np.abs(traj.end.coefficients - exact.coefficients))
 
@@ -143,8 +167,8 @@ def test_cg1_second_order_convergence():
     cache = FormCache()
 
     def end_error(n_steps):
-        traj = propagate_cg(space, np.linspace(0.0, 0.5, n_steps + 1), 1,
-                            ic, prob.f, cache)
+        traj = propagate(space, np.linspace(0.0, 0.5, n_steps + 1), 1,
+                         ic, prob.f, cache)
         exact = space.interpolate(lambda x: prob.u(x, 0.5))
         return np.max(np.abs(traj.end.coefficients - exact.coefficients))
 
@@ -156,8 +180,8 @@ def test_cg1_second_order_convergence():
 def test_dg0_equivalence_and_negative_control():
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 8), 2)
-    traj = propagate_be(space, np.linspace(0.0, 0.5, 11),
-                        space.interpolate(prob.u0), prob.f, FormCache())
+    traj = propagate(space, np.linspace(0.0, 0.5, 11), 0,
+                     space.interpolate(prob.u0), prob.f, FormCache())
     assert dg0_equivalence_check(traj, prob.f) < 1e-12
     # perturbing the trajectory must be detected
     traj.coeffs[2, 0] += 1e-6
@@ -176,9 +200,9 @@ def test_be_linearity_in_ic_and_forcing():
     a, b = 0.7, -1.3
     combo_ic = NodalField(space, a * ic1.coefficients + b * ic2.coefficients)
     combo_f = lambda x, t: a * f1(x, t) + b * f2(x, t)
-    t1 = propagate_be(space, grid, ic1, f1, cache)
-    t2 = propagate_be(space, grid, ic2, f2, cache)
-    tc = propagate_be(space, grid, combo_ic, combo_f, cache)
+    t1 = propagate(space, grid, 0, ic1, f1, cache)
+    t2 = propagate(space, grid, 0, ic2, f2, cache)
+    tc = propagate(space, grid, 0, combo_ic, combo_f, cache)
     assert np.max(np.abs(tc.coeffs - (a * t1.coeffs + b * t2.coeffs))) < 1e-11
 
 
@@ -193,8 +217,8 @@ def test_be_discrete_duality():
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        L[:, i] = propagate_be(space, grid, NodalField(space, e),
-                               ZERO_F, cache).end.coefficients
+        L[:, i] = propagate(space, grid, 0, NodalField(space, e),
+                            ZERO_F, cache).end.coefficients
     M = cache.mass(space, space)
     ML = M @ L
     assert np.max(np.abs(ML - ML.T)) < 1e-12
@@ -203,8 +227,8 @@ def test_be_discrete_duality():
 def test_cg_continuity_across_slabs():
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
-    traj = propagate_cg(space, np.linspace(0.0, 0.5, 6), 2,
-                        space.interpolate(prob.u0), prob.f, FormCache())
+    traj = propagate(space, np.linspace(0.0, 0.5, 6), 2,
+                     space.interpolate(prob.u0), prob.f, FormCache())
     for n in range(traj.n_steps - 1):
         assert np.array_equal(traj.coeffs[n, -1], traj.coeffs[n + 1, 0])
 
@@ -212,8 +236,8 @@ def test_cg_continuity_across_slabs():
 def test_cg_at_matches_nodes():
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
-    traj = propagate_cg(space, np.linspace(0.0, 0.5, 6), 2,
-                        space.interpolate(prob.u0), prob.f, FormCache())
+    traj = propagate(space, np.linspace(0.0, 0.5, 6), 2,
+                     space.interpolate(prob.u0), prob.f, FormCache())
     for n in range(traj.n_steps + 1):
         got = at(traj, traj.times[n]).coefficients
         want = node_value(traj, n).coefficients
@@ -224,8 +248,8 @@ def test_cg_at_rejects_times_outside_the_grid():
     # a cG(1) trajectory on [0, 1] used to extrapolate its last slab at 5.0
     prob = build_manufactured(2, 1, 1.0)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
-    traj = propagate_cg(space, np.linspace(0.0, 1.0, 5), 1,
-                        space.interpolate(prob.u0), prob.f, FormCache())
+    traj = propagate(space, np.linspace(0.0, 1.0, 5), 1,
+                     space.interpolate(prob.u0), prob.f, FormCache())
     for t in (5.0, -0.1, 1.0 + 1e-9):
         with pytest.raises(ValueError, match=r"outside the grid span \[0\.0, 1\.0\]"):
             at(traj, t)
@@ -247,7 +271,7 @@ def test_cross_space_incoming_projection():
     ic = NodalField(coarse, rng.standard_normal(coarse.dof_count))
     dt = 0.1
     cache = FormCache()
-    traj = propagate_be(fine, np.array([0.0, dt]), ic, ZERO_F, cache)
+    traj = propagate(fine, np.array([0.0, dt]), 0, ic, ZERO_F, cache)
     M = cache.mass(fine, fine)
     A = cache.stiffness(fine, fine)
     Minc = cache.mass(fine, coarse)
@@ -261,8 +285,8 @@ def test_be_trajectory_is_the_dg0_field():
     # times[0], and at() at an interior node t_n the right limit U_{n+1}
     prob = build_manufactured(2, 1, 0.5)
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
-    traj = propagate_be(space, np.linspace(0.0, 0.5, 6),
-                        space.interpolate(prob.u0), prob.f, FormCache())
+    traj = propagate(space, np.linspace(0.0, 0.5, 6), 0,
+                     space.interpolate(prob.u0), prob.f, FormCache())
     assert traj.q_t == 0 and traj.coeffs.shape == (5, 1, space.dof_count)
     U = traj.coeffs[:, 0]
     with pytest.raises(ValueError, match="no value at times"):
@@ -300,7 +324,7 @@ def test_cg_stepping_equals_the_per_slab_loop(q_t, forced):
     rng = np.random.default_rng(q_t)
     ic = NodalField(inc_space, rng.standard_normal(inc_space.dof_count))
     f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
-    traj = propagate_cg(space, grid, q_t, ic, f, FormCache())
+    traj = propagate(space, grid, q_t, ic, f, FormCache())
     assert np.array_equal(traj.coeffs, cg_per_slab(space, grid, q_t, ic, f))
 
 
@@ -319,7 +343,7 @@ def test_be_stepping_equals_the_per_step_loop(stepping, forced):
     rng = np.random.default_rng(3 + forced)
     ic = NodalField(inc_space, rng.standard_normal(inc_space.dof_count))
     f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
-    traj = propagate_be(space, grid, ic, f, FormCache(), *solver)
+    traj = propagate(space, grid, 0, ic, f, FormCache(), *solver)
     assert np.array_equal(
         traj.coeffs, be_per_step(space, grid, ic, f, FormCache(), *solver))
 
@@ -341,15 +365,15 @@ def test_stacked_grids_step_bitwise_as_one_call_per_grid(stepping):
     ics = [NodalField(s, rng.standard_normal(s.dof_count))
            for s in (space, inc_space, space, inc_space)]
     cache = FormCache()
-    batch = (propagate_be(space, grids[:3], ics[:3], prob.f, cache, *solver)
-             + propagate_be(space, grids[3:], ics[3:], prob.f, cache, *solver))
+    batch = (propagate(space, grids[:3], 0, ics[:3], prob.f, cache, *solver)
+             + propagate(space, grids[3:], 0, ics[3:], prob.f, cache, *solver))
     assert len(batch) == 4
     for grid, ic, got in zip(grids, ics, batch, strict=True):
-        want = propagate_be(space, grid, ic, prob.f, cache, *solver)
+        want = propagate(space, grid, 0, ic, prob.f, cache, *solver)
         assert got.incoming is ic and np.array_equal(got.times, grid)
         assert np.array_equal(got.coeffs, want.coeffs)
     with pytest.raises(ValueError, match="4 grids but 3 incoming values"):
-        propagate_be(space, grids, ics[:3], prob.f, cache, *solver)
+        propagate(space, grids, 0, ics[:3], prob.f, cache, *solver)
 
 
 @pytest.mark.parametrize("q_t", [1, 2, 3])
@@ -369,20 +393,20 @@ def test_stacked_cg_columns_step_bitwise_as_their_own_calls(q_t, forced):
            for s in (space, inc_space, inc_space, space)]
     f = (lambda x, t: np.sin(np.pi * x) * (1.0 + t)) if forced else None
     cache = FormCache()
-    batch = (propagate_cg(space, grids[:3], q_t, ics[:3], f, cache)
-             + propagate_cg(space, grids[3:], q_t, ics[3:], f, cache))
+    batch = (propagate(space, grids[:3], q_t, ics[:3], f, cache)
+             + propagate(space, grids[3:], q_t, ics[3:], f, cache))
     assert len(batch) == 4
     for grid, ic, got in zip(grids, ics, batch, strict=True):
-        want = propagate_cg(space, grid, q_t, ic, f, cache)
+        want = propagate(space, grid, q_t, ic, f, cache)
         assert got.incoming is ic and np.array_equal(got.times, grid)
         assert got.q_t == q_t and np.array_equal(got.coeffs, want.coeffs)
     # a one-grid stack is the one-grid call, as a list
-    (alone,) = propagate_cg(space, grids[:1], q_t, ics[:1], f, cache)
+    (alone,) = propagate(space, grids[:1], q_t, ics[:1], f, cache)
     assert np.array_equal(alone.coeffs, batch[0].coeffs)
     with pytest.raises(ValueError, match="4 grids but 3 incoming values"):
-        propagate_cg(space, grids, q_t, ics[:3], f, cache)
+        propagate(space, grids, q_t, ics[:3], f, cache)
     with pytest.raises(ValueError, match="at least two times"):
-        propagate_cg(space, grids[0][:1], q_t, ics[0], f, cache)
+        propagate(space, grids[0][:1], q_t, ics[0], f, cache)
 
 
 CALLS = ["direct", "schwarz", "cg", "backward"]
@@ -393,12 +417,12 @@ def _one_call(call, space, decomp):
     cG(2) or backward cG(2) call on a grid or a stack of grids; the
     backward solve names column j col(j), and a lone grid a."""
     return {
-        "direct": lambda g, ics, cache: propagate_be(space, g, ics, None,
-                                                     cache),
-        "schwarz": lambda g, ics, cache: propagate_be(space, g, ics, None,
-                                                      cache, decomp, 2),
-        "cg": lambda g, ics, cache: propagate_cg(space, g, 2, ics, None,
-                                                 cache),
+        "direct": lambda g, ics, cache: propagate(space, g, 0, ics, None,
+                                                  cache),
+        "schwarz": lambda g, ics, cache: propagate(space, g, 0, ics, None,
+                                                   cache, decomp, 2),
+        "cg": lambda g, ics, cache: propagate(space, g, 2, ics, None,
+                                              cache),
         "backward": lambda g, ics, cache: solve_backward_cg(
             [f"col({j})" for j in range(len(g))] if np.ndim(g) == 2
             else "a", space, g, ics, 2, cache),
@@ -450,17 +474,15 @@ def test_each_chained_row_is_its_own_call_with_its_own_solver(q_t):
     ic, jump = space.interpolate(prob.u0), space.interpolate(np.sin)
     cache = FormCache()
 
-    def propagate(times, ic, jumps=None):
-        if q_t:
-            return propagate_cg(space, times, q_t, ic, prob.f, cache, jumps)
-        return propagate_be(space, times, ic, prob.f, cache, jumps=jumps)
+    def solve(times, ic, jumps=None):
+        return propagate(space, times, q_t, ic, prob.f, cache, jumps=jumps)
 
-    rows = propagate(grids, ic, [jump])
+    rows = solve(grids, ic, [jump])
     assert rows[0].incoming is ic
     assert np.array_equal(rows[1].incoming.coefficients,
                           (rows[0].end + jump).coefficients)
     for grid, row in zip(grids, rows):
-        assert np.array_equal(row.coeffs, propagate(grid, row.incoming).coeffs)
+        assert np.array_equal(row.coeffs, solve(grid, row.incoming).coeffs)
 
 
 @pytest.mark.parametrize("q_t", [0, 1])
@@ -472,10 +494,8 @@ def test_a_chained_row_is_checked_against_its_own_first_step(q_t):
 
     def chain(*rows):
         grids, jumps = np.array(rows), [None] * (len(rows) - 1)
-        if q_t:
-            return propagate_cg(space, grids, q_t, ic, None, FormCache(),
-                                jumps)
-        return propagate_be(space, grids, ic, None, FormCache(), jumps=jumps)
+        return propagate(space, grids, q_t, ic, None, FormCache(),
+                         jumps=jumps)
 
     chain([0.0, 0.1, 0.2], [0.2, 0.4, 0.6])
     with pytest.raises(ValueError, match=r"^step n=2, t=0\.7, has size 0\.1, "
@@ -545,7 +565,7 @@ def test_stacked_cg_names_the_first_nonfinite_step():
     ics = [space.interpolate(np.sin) for _ in range(3)]
     ics[1] = NodalField(space, np.full(space.dof_count, np.nan))
     with pytest.raises(ValueError, match=r"step n=1, t=0\.25$"):
-        propagate_cg(space, part.fine_grids, 1, ics, None, FormCache())
+        propagate(space, part.fine_grids, 1, ics, None, FormCache())
 
 
 def test_first_nonfinite_of_a_ragged_stack_counts_from_each_first_slab():
@@ -615,10 +635,20 @@ def test_a_non_finite_grid_time_is_named_before_any_step(call, bad):
 
 
 def test_cg_rejects_bad_degree():
-    space = _single_dof_space()
-    ic = NodalField(space, np.array([1.0]))
-    with pytest.raises(ValueError):
-        propagate_cg(space, np.array([0.0, 0.1]), 0, ic, ZERO_F, FormCache())
+    # q_t = 0 is implicit Euler, so the least degree is 0; a decomposition
+    # steps implicit Euler only, whatever its K_s
+    mesh = SpatialMesh.uniform(0.0, 1.0, 8)
+    space = FeSpace(mesh, 2)
+    ic, grid = space.interpolate(np.sin), np.array([0.0, 0.1])
+    decomp = decompose_domain(mesh, 2, 0.25, 0.4)
+    with pytest.raises(ValueError, match=r"^q_t must be >= 0, got -1$"):
+        propagate(space, grid, -1, ic, ZERO_F, FormCache())
+    for q_t in (1, 2):
+        with pytest.raises(ValueError, match=r"^a decomposition needs q_t = "
+                           rf"0 and K_s >= 1, got q_t={q_t}, K_s=2$"):
+            propagate(space, grid, q_t, ic, ZERO_F, FormCache(), decomp, 2)
+    with pytest.raises(ValueError, match="K_s >= 1, got q_t=0, K_s=0$"):
+        propagate(space, grid, 0, ic, ZERO_F, FormCache(), decomp, 0)
 
 
 def test_cg_homogeneous_none_equals_zero_forcing():
@@ -626,8 +656,8 @@ def test_cg_homogeneous_none_equals_zero_forcing():
     ic = space.interpolate(lambda x: np.sin(np.pi * x))
     grid = np.linspace(0.0, 0.3, 4)
     cache = FormCache()
-    a = propagate_cg(space, grid, 2, ic, None, cache)
-    b = propagate_cg(space, grid, 2, ic, ZERO_F, cache)
+    a = propagate(space, grid, 2, ic, None, cache)
+    b = propagate(space, grid, 2, ic, ZERO_F, cache)
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
@@ -664,7 +694,7 @@ def test_a_released_slab_entry_is_rebuilt_bitwise_without_a_dense_copy():
     cache = FormCache()
 
     def solve():
-        return ([propagate_cg(space, grid, q_t, ic, prob.f, cache).coeffs
+        return ([propagate(space, grid, q_t, ic, prob.f, cache).coeffs
                  for q_t in (1, 2, 3)]
                 + [solve_backward_cg("coarse", adj_space, grid, term, 3,
                                      cache).coeffs])
@@ -709,9 +739,9 @@ def test_cg_slab_factors_die_with_their_cache():
     gc.collect()
     gc.disable()
     try:
-        propagate_cg(space, grid, 2, ic, ZERO_F, cache)
-        traj = propagate_be(space, grid, ic, ZERO_F, cache, decomp=decomp,
-                            K_s=2)
+        propagate(space, grid, 2, ic, ZERO_F, cache)
+        traj = propagate(space, grid, 0, ic, ZERO_F, cache, decomp=decomp,
+                         K_s=2)
         assert AdditiveSchwarz.cached(cache, space, grid[1], decomp).space is space
         ev = ResidualEvaluator(ZERO_F, cache)
         phi = adj_space.interpolate(lambda x: np.sin(np.pi * x))
@@ -751,14 +781,12 @@ def test_forced_propagation_assembles_all_loads_in_one_call(monkeypatch,
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
     decomp = decompose_domain(mesh, 2, 0.25, 0.4)
-    if stepping == "cg":
-        propagate_cg(space, grid, 2, ic, prob.f, FormCache())
-        # a stack of one grid: every slab's q_t+3 quadrature times
-        assert calls == [(1, 5, 2 + 3)]
-    else:
-        propagate_be(space, grid, ic, prob.f, FormCache(),
-                     *((decomp, 2) if stepping == "schwarz" else ()))
-        assert calls == [(1, 5)]
+    q_t, solver = {"be": (0, ()), "schwarz": (0, (decomp, 2)),
+                   "cg": (2, ())}[stepping]
+    propagate(space, grid, q_t, ic, prob.f, FormCache(), *solver)
+    # a stack of one grid: its step ends, or every cG slab's q_t+3
+    # quadrature times
+    assert calls == [(1, 5, 2 + 3) if q_t else (1, 5)]
 
 
 @pytest.mark.parametrize("stepping", ["be", "schwarz", "cg"])
@@ -772,13 +800,11 @@ def test_nan_mid_trajectory_names_first_bad_step(stepping):
     grid = np.linspace(0.0, 0.5, 6)
     nan_f = lambda x, t: prob.f(x, t) * np.where((0.25 < t) & (t < 0.35),
                                                   np.nan, 1.0)
+    q_t, solver = {"be": (0, ()), "cg": (2, ()),
+                   "schwarz": (0, (decompose_domain(mesh, 2, 0.25, 0.4), 2))
+                   }[stepping]
     with pytest.raises(ValueError, match=r"step n=3, t=0\.3$"):
-        if stepping == "cg":
-            propagate_cg(space, grid, 2, ic, nan_f, FormCache())
-        else:
-            propagate_be(space, grid, ic, nan_f, FormCache(),
-                         *((decompose_domain(mesh, 2, 0.25, 0.4), 2)
-                           if stepping == "schwarz" else ()))
+        propagate(space, grid, q_t, ic, nan_f, FormCache(), *solver)
 
 
 def test_cg_time_forms_built_once_per_degree_per_cache(monkeypatch):
@@ -792,9 +818,9 @@ def test_cg_time_forms_built_once_per_degree_per_cache(monkeypatch):
     grid = np.linspace(0.0, 0.3, 4)
     cache = FormCache()
     for q_t in (1, 3, 1, 3, 1):
-        propagate_cg(space, grid, q_t, ic, prob.f, cache)
+        propagate(space, grid, q_t, ic, prob.f, cache)
     assert built == [1, 3]
-    propagate_cg(space, grid, 1, ic, prob.f, FormCache())
+    propagate(space, grid, 1, ic, prob.f, FormCache())
     assert built == [1, 3, 1]
 
 
@@ -856,10 +882,10 @@ def test_direct_lapack_solves_equal_scipy_wrappers(monkeypatch, routine):
     ic = space.interpolate(prob.u0)
     grid = np.linspace(0.0, 0.5, 6)
     cache = FormCache()
-    propagate_be(space, grid, ic, prob.f, cache)
-    propagate_be(space, grid, ic, prob.f, cache,
-                 decompose_domain(mesh, 2, 0.25, 0.4), 3)
-    propagate_cg(space, grid, 2, ic, prob.f, cache)
+    propagate(space, grid, 0, ic, prob.f, cache)
+    propagate(space, grid, 0, ic, prob.f, cache,
+              decompose_domain(mesh, 2, 0.25, 0.4), 3)
+    propagate(space, grid, 2, ic, prob.f, cache)
     assert seen
     for args, kwargs, x in seen:
         assert np.array_equal(x, wrapper(*args, **kwargs))
