@@ -45,6 +45,11 @@ STRADDLE_BASE = dict(T=2.6, P_t=3, Nhat_t=6, r=3, K_t=2, Nhat_s=10, nu=2,
 STRADDLE_SWEEPS = {  # name: (base config, param, values)
     "straddle_tpa": (STRADDLE_BASE, "schwarz", "false,true"),
     "straddle_cg": (dict(STRADDLE_BASE, integrator="cg"), "q_t", "1,2"),
+    # subdomain 5's coarse and fine rows start on the ...334 and ...445
+    # side of the key, every other row on the other: a chained coarse row
+    # must look up the solver of its own first step for these values to hold
+    "straddle_chain": (dict(STRADDLE_BASE, P_t=6, Nhat_t=6, integrator="cg",
+                            q_t=2), "qhat_t", "1,2"),
 }
 
 

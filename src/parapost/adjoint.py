@@ -32,9 +32,9 @@ def solve_backward_cg(kind, space, times, terminal, q_t, cache):
 
     Given P grids, as a (P, steps+1) stack or a longest-first sequence, a
     sequence of P terminal fields and one of P names, it steps all P as one
-    _step_slabs stack aligned at the ends in solve order, and returns P
-    adjoints, each a forward-ordered view out[j, :steps] of one array and
-    bitwise its own single-grid call's (see FormCache.per_step for when).
+    _step_slabs stack, each from slab 0 in solve order, and returns P
+    adjoints, each the forward-ordered tail view out[j, -steps:] of one
+    array and bitwise its own single-grid call's (see FormCache.per_step).
     Every column error is named by its column's name: a non-finite time of
     the forward grids (_largest_time, before they are reversed) and, on the
     time-reversed grids, a step of another size or else a non-finite value,
@@ -51,25 +51,25 @@ def solve_backward_cg(kind, space, times, terminal, q_t, cache):
     if not len(grids) == len(kinds) == len(terms):
         raise ValueError(f"{len(grids)} grids but {len(kinds)} names and "
                          f"{len(terms)} terminal fields")
-    first = [len(grids[0]) - len(g) for g in grids]
-    if first != sorted(first) or len(grids[-1]) < 2:
+    steps = [len(g) - 1 for g in grids]
+    if steps != sorted(steps, reverse=True) or steps[-1] < 1:
         raise ValueError("grids must come longest first, each of at least "
                          "two times")
-    revs = np.zeros((len(grids), len(grids[0])))
+    revs = np.zeros((len(grids), steps[0] + 1))
     try:
         top = _largest_time(grids)  # g[-1] - g would warn at inf - inf
-        for rev, g, s in zip(revs, grids, first):
-            rev[s:] = (g[-1] - g)[::-1]
+        for rev, g in zip(revs, grids):
+            rev[:len(g)] = (g[-1] - g)[::-1]
         out = _step_slabs(space, revs, q_t, terms, None, cache, reverse=top,
-                          first=first)
-        _check_finite(out[:, ::-1, ::-1], revs, first)
+                          steps=steps)
+        _check_finite(out[:, ::-1, ::-1], revs)
     except ValueError as exc:
         if not hasattr(exc, "column"):
             raise
         raise ValueError(f"{kinds[exc.column]} adjoint (time reversed, t -> "
                          f"{grids[exc.column][-1]:.6g} - t): {exc}") from None
-    adjs = [Trajectory(space, g, q_t, c[:len(g) - 1], term)
-            for g, c, term in zip(grids, out, terms)]
+    adjs = [Trajectory(space, g, q_t, c[steps[0] - k:], term)
+            for g, c, k, term in zip(grids, out, steps, terms)]
     return adjs if stacked else adjs[0]
 
 
@@ -97,9 +97,9 @@ def solve_auxiliary_adjoints(partition, coarse_adjoint, fine_adjoints,
     """Backward solves on (0, T_{p-1}], the global coarse grid's prefix, with
     terminal data the fine/coarse adjoint jump at T_{p-1}; returned dict is
     keyed by p = 2..P_t.  All are stepped as one ragged stack, longest
-    (p = P_t) first, by one solve_backward_cg call, each bitwise its own
-    single-grid call; a non-finite value names the first auxiliary(p) in
-    that order."""
+    (p = P_t) first, by one solve_backward_cg call, each the tail view of
+    its row and bitwise its own single-grid call; a non-finite value names
+    the first auxiliary(p) in that order."""
     grid, nhat_p = partition.coarse_grid, partition.coarse_grids.shape[1] - 1
     ps, space = range(partition.P_t, 1, -1), coarse_adjoint.space
     if not ps:

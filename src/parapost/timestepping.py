@@ -8,7 +8,6 @@ piecewise-constant-in-time Galerkin method dG(0), and cG(q_t) its q_t >= 1
 case.  Propagations on distinct temporal subdomains share no mutable state.
 """
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,22 +98,15 @@ class Trajectory:
         return NodalField(self.space, self.coeffs[-1, -1])
 
 
-def _check_finite(coeffs, grids, first=None):
+def _check_finite(coeffs, grids):
     """Raise the _column_error of the first column j of a (P, steps, nodes,
-    dof) stack of coefficients that is not all finite, naming its first
-    such step n and end time t_n.  A ragged stack gives first as _step_slabs
-    takes it: step n of column j is slab first[j] + n - 1.  One isfinite
-    pass over the whole stack, which cannot overflow as a sum can, clears
-    it; only if that fails are the unset slabs before first[j] masked out."""
-    if np.isfinite(coeffs).all():
-        return
-    first = [0] * len(coeffs) if first is None else first
-    solved = np.arange(coeffs.shape[1]) >= np.asarray(first)[:, None]
-    bad = solved & ~np.isfinite(coeffs).all(axis=(2, 3))  # (P, steps)
-    if bad.any():
-        j, m = divmod(int(np.argmax(bad)), bad.shape[1])
-        raise _column_error(j, "non-finite solution at step n="
-                            f"{m - first[j] + 1}, t={grids[j, m + 1]:.6g}")
+    dof) stack of coefficients (a ragged one's unset slabs are zeros) that
+    is not all finite, naming its first such step n and end time t_n.  One
+    isfinite pass, which cannot overflow as a sum can, clears the stack."""
+    if not np.isfinite(coeffs).all():
+        j, m = np.argwhere(~np.isfinite(coeffs).all(axis=(2, 3)))[0].tolist()
+        raise _column_error(j, f"non-finite solution at step n={m + 1}, "
+                               f"t={grids[j, m + 1]:.6g}")
 
 
 def _column_error(j, message):
@@ -140,34 +132,29 @@ def _largest_time(grids):
     return top
 
 
-def _step_sizes(grids, first, top=None, chained=False):
-    """(dts, dt) of a (P, steps+1) stack of grids: its step sizes (np.diff's
-    values, without its call overhead) and the list of its calls' step sizes,
-    each the first solved one (first as _step_slabs takes it, a list), which
-    every solved step must match to 1e-12 relative plus 8 ulps of top, the
-    largest |time| the grids come from (by default their own, by _largest_time,
-    before any difference), as a linspace grid's steps spread by up to 2; else
-    a _column_error names the first step that does not, and its end time.  Each
-    chained row is a call, of its own top."""
+def _step_sizes(grids, steps, top=None):
+    """(dts, dt) of a (P, n+1) stack of grids: its step sizes (np.diff's
+    values, without its call overhead), column j solving its first steps[j]
+    (as _step_slabs takes them), and row 0's first, dt, which every solved
+    step, chained rows too, must match to 1e-12 relative plus 8 ulps of top,
+    the largest |time| the grids come from (by default their own, by
+    _largest_time, before any difference), as a linspace grid's steps
+    spread by up to 2; else a _column_error names the first step that does
+    not, and its end time."""
     if top is None:
         top = _largest_time(grids)
     dts = grids[:, 1:] - grids[:, :-1]
-    if chained:
-        dt, top = dts[:, :1], np.abs(grids).max(axis=1, keepdims=True)
-        ulp = np.spacing(top)
-    else:
-        dt, ulp = float(dts[0, first[0]]), math.ulp(top)
+    dt = float(dts[0, 0])
     off = np.abs(dts - dt)
-    for j in range(first.count(0), len(first)):  # the later-starting columns
-        off[j, :first[j]] = 0.0  # whose unset slabs are not read
-    tol = 1e-12 * abs(dt) + 8 * ulp
-    if not (off <= tol).all():
-        j, m = divmod(int(np.argmax(~(off <= tol))), off.shape[1])
-        raise _column_error(j, f"step n={m - first[j] + 1}, t="
-                               f"{grids[j, m + 1]:.6g}, has size "
-                               f"{dts[j, m]:.6g}, not the call's "
-                               f"{dts[j, 0] if chained else dt:.6g}")
-    return dts, dt[:, 0].tolist() if chained else [dt]
+    for j in range(steps.count(off.shape[1]), len(steps)):  # the shorter
+        off[j, steps[j]:] = 0.0  # columns, whose unset steps are not read
+    tol = 1e-12 * abs(dt) + 8 * math.ulp(top)
+    if not off.max() <= tol:
+        j, m = np.argwhere(~(off <= tol))[0].tolist()
+        raise _column_error(j, f"step n={m + 1}, t={grids[j, m + 1]:.6g}, "
+                               f"has size {dts[j, m]:.6g}, not the call's "
+                               f"{dt:.6g}")
+    return dts, dt
 
 
 def propagate(space, times, q_t, ic, f, cache, decomp=None, K_s=None, *,
@@ -186,12 +173,12 @@ def propagate(space, times, q_t, ic, f, cache, decomp=None, K_s=None, *,
     sequence ic of P incoming values, it returns the list of P Trajectories,
     stepped together, each bitwise its own single-grid call's
     (FormCache.per_step says when); given jumps, a chain (_step_slabs) from
-    the one field ic, each row its own call from its incoming value.
+    the one field ic, each row bitwise its own call from its incoming value.
     f=None is a homogeneous problem: no load is assembled.  A non-finite
-    time, a step of another size (_step_sizes) or a non-finite step value
-    (_check_finite) raises a ValueError naming the first such node or step
-    n of the first such column, and its time t, with that column's index in
-    the stack as its column attribute."""
+    time, a step of another size than row 0's first (_step_sizes, chained
+    rows too) or a non-finite step value (_check_finite) raises a ValueError
+    naming the first such node or step n of the first such column, and its
+    time t, with that column's index in the stack as its column attribute."""
     if q_t < 0:
         raise ValueError(f"q_t must be >= 0, got {q_t}")
     if decomp is not None and (q_t or K_s is None or K_s < 1):
@@ -325,14 +312,14 @@ def _slab_solver(space, q_t, dt, cache, decomp=None, K_s=None):
 
 
 def _step_slabs(space, grids, q_t, ics, f, cache, decomp=None, K_s=None,
-                reverse=None, first=None, jumps=None):
-    """The (P, steps, q_t+1, dof) coefficients of the dG(0) (q_t = 0) or
-    cG(q_t) solutions on a (P, steps+1) stack of grids from incoming values
+                reverse=None, steps=None, jumps=None):
+    """The (P, n, q_t+1, dof) coefficients of the dG(0) (q_t = 0) or
+    cG(q_t) solutions on a (P, n+1) stack of grids from incoming values
     ics; given reverse, the largest |time| of the grids these time-reverse,
     each column is stored in reversed slab and time-node order, which is
-    the forward order of a time-reversed solve.  A ragged cG stack gives
-    first, the nondecreasing slab each column starts at (all end at the
-    last), so the active columns are a prefix; earlier slabs are unset.
+    the forward order of a time-reversed solve.  A ragged stack gives
+    steps, the columns' nonincreasing step counts: all start at slab 0, the
+    active ones a shrinking prefix, and a column's unset slabs are zeros.
     Given jumps (each None or a field of the solve space, checked once),
     the stack is a chain, solved one row after another: ics holds row 0's
     incoming value and gains each later row j's, row j-1's end value plus
@@ -344,29 +331,31 @@ def _step_slabs(space, grids, q_t, ics, f, cache, decomp=None, K_s=None,
     value.  On the first slab dG(0)'s M U_0 is the incoming value's
     cross-space pairing, and cG's U_0 that pairing's L2 projection, for all
     columns before the slab loop by one multi-column banded solve, or for a
-    chained row as it starts.  Per call, or chained row, it uses the
-    _slab_solver of the first solved step's size (_step_sizes), looked up
-    once per distinct size.  Per slab it forms all active columns'
-    right-hand sides, each with its own exact dt, by one stacked product of
-    M and one of A, and solves them in place.  Nothing here checks the
-    solutions' finiteness: the callers do, naming what they solve.
+    chained row as it starts.  It uses the _slab_solver of row 0's first
+    step, which every solved step must match (_step_sizes), or per chained
+    row that of its own first step, looked up once per distinct size.  Per
+    slab it forms all active columns' right-hand sides, each with its own
+    exact dt, by one stacked product of M and one of A, and solves them in
+    place.  Nothing here checks the solutions' finiteness: the callers do,
+    naming what they solve.
     """
     P, n_slabs, nodes = grids.shape[0], grids.shape[1] - 1, max(q_t, 1)
-    first = [0] * P if first is None else list(first)
-    dts, dt = _step_sizes(grids, first, reverse, jumps is not None)
+    steps = [n_slabs] * P if steps is None else list(steps)
+    dts, dt = _step_sizes(grids, steps, reverse)
     if jumps and any(u is not None and u.space is not space for u in jumps):
         raise ValueError("a chain's jumps must live in its solve space")
     # a cG slab LU takes a dense slab-sized matrix: allocate after building it
-    solvers = {dt[0]: _slab_solver(space, q_t, dt[0], cache, decomp, K_s)}
-    solve, a0, b0, M, A = solvers[dt[0]]
+    solvers = {dt: _slab_solver(space, q_t, dt, cache, decomp, K_s)}
+    solve, a0, b0, M, A = solvers[dt]
     loads = None  # a homogeneous problem subtracts from the scalar 0.0
-    if f is not None:  # (steps, P, nodes, dof, 1); one grid views its block
+    if f is not None:  # (n, P, nodes, dof, 1); one grid views its block
         blocks = _slab_loads(space, grids, q_t, f, cache)
         loads = (blocks[0][:, None] if P == 1
                  else np.stack(blocks, 1))[..., None]
         if not q_t:  # dG(0)'s right-endpoint rule: dt_n l(t_n)
             loads = dts.T[:, :, None, None, None] * loads
-    out = np.empty((P, n_slabs, q_t + 1, space.dof_count))
+    out = (np.empty if steps[-1] == n_slabs else np.zeros)(
+        (P, n_slabs, q_t + 1, space.dof_count))  # unset slabs are zeros
     coeffs = out if reverse is None else out[:, ::-1, ::-1]
     # per slab and column dt * beta[m, 0], as the single-grid products form it
     dt_b0 = None if b0 is None else np.multiply.outer(dts.T, b0)
@@ -384,18 +373,20 @@ def _step_slabs(space, grids, q_t, ics, f, cache, decomp=None, K_s=None,
         starts = mass_op.solve(paired.T).T
         F[:len(ics), -1, :, 0] = coeffs[:len(ics), 0, 0] = starts
     # the columns lo..hi-1 active on slabs s..e-1: a prefix, or a chained row
-    bounds = sorted(set(first)) + [n_slabs]
-    segments = ([(0, bisect_right(first, s), s, e)
-                 for s, e in zip(bounds, bounds[1:])] if jumps is None
-                else [(j, j + 1, 0, n_slabs) for j in range(P)])
+    bounds = [0] + sorted(set(steps))
+    prefixes = [(0, steps.index(s) if s else P, s, e)
+                for s, e in zip(bounds, bounds[1:])]
+    segments = prefixes if jumps is None else [(j, j + 1, 0, n_slabs)
+                                               for j in range(P)]
     for lo, hi, s, e in segments:
         if lo:  # a chained row: its incoming value, solver and start value
             u = coeffs[lo - 1, -1, -1]
             if jumps[lo - 1] is not None:
                 u = u + jumps[lo - 1].coefficients
             ics.append(NodalField(space, u))
-            solve, a0, b0, M, A = solvers.get(dt[lo]) or solvers.setdefault(
-                dt[lo], _slab_solver(space, q_t, dt[lo], cache, decomp, K_s))
+            dt = float(dts[lo, 0])
+            solve, a0, b0, M, A = solvers.get(dt) or solvers.setdefault(
+                dt, _slab_solver(space, q_t, dt, cache, decomp, K_s))
             paired = (M @ u)[None]
             if q_t:
                 F[lo, -1, :, 0] = coeffs[lo, 0, 0] = mass_op.solve(paired.T).T
@@ -412,8 +403,7 @@ def _step_slabs(space, grids, q_t, ics, f, cache, decomp=None, K_s=None,
             np.subtract(0.0 if loads_k is None else loads_k[n], terms, out=Fk)
             solve(rows_k)
             coeffs_k[:, n] = sol_k
-    if q_t:
-        coeffs[:, 1:, 0] = coeffs[:, :-1, -1]
-        for j in range(first.count(0), P):  # the later-starting columns
-            coeffs[j, first[j], 0] = starts[j]
+    if q_t:  # each later slab starts at its predecessor's end value
+        for _, hi, s, e in prefixes:
+            coeffs[:hi, max(s, 1):e, 0] = coeffs[:hi, max(s, 1) - 1:e - 1, -1]
     return out

@@ -194,24 +194,28 @@ def test_nonfinite_auxiliary_adjoint_names_its_p():
 
 
 def test_unset_slabs_of_a_ragged_stack_fail_no_finiteness_check(monkeypatch):
-    # a ragged stack's unset slabs come from np.empty; filled with NaN they
-    # fail the one pass over the whole stack, and the exact check, which
-    # does not read them, clears it
+    # every column of a ragged stack starts at slab 0 in solve order, and
+    # its slabs past its own step count are allocated as zeros, which pass
+    # the one finiteness pass over the whole stack; stored in time-reversed
+    # order, each psi_p is the tail view of its row
     part, coarse, fines, cache = _aux_setup()
-    want = solve_auxiliary_adjoints(part, coarse, fines, 3, cache)
-    real = adjoint_module._step_slabs
+    real, stacks = adjoint_module._step_slabs, []
 
-    def unset_nan(*args, first, **kwargs):
-        out = real(*args, first=first, **kwargs)
-        for j, s in enumerate(first):  # stored in time-reversed order
-            out[j, out.shape[1] - s:] = np.nan
+    def record(*args, steps, **kwargs):
+        out = real(*args, steps=steps, **kwargs)
+        stacks.append((out, steps))
         return out
 
-    monkeypatch.setattr(adjoint_module, "_step_slabs", unset_nan)
-    got = solve_auxiliary_adjoints(part, coarse, fines, 3, cache)
-    assert list(got) == list(want)
-    for p in want:
-        assert np.array_equal(got[p].coeffs, want[p].coeffs)
+    monkeypatch.setattr(adjoint_module, "_step_slabs", record)
+    aux = solve_auxiliary_adjoints(part, coarse, fines, 3, cache)
+    [(out, steps)] = stacks
+    assert steps == [2 * (p - 1) for p in range(10, 1, -1)]
+    for j, (p, k) in enumerate(zip(range(10, 1, -1), steps)):
+        unset, tail = out[j, :steps[0] - k], out[j, steps[0] - k:]
+        assert not unset.any()
+        assert aux[p].coeffs.base is out
+        assert aux[p].coeffs.shape == tail.shape
+        assert aux[p].coeffs.ctypes.data == tail.ctypes.data
 
 
 def test_slab_index_of_arrays():

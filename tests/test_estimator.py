@@ -1012,7 +1012,7 @@ def test_tpa_stacks_the_A_residuals_and_each_pairing_family(monkeypatch):
         return real_pairings(X, G, Y)
 
     def step_slabs(space, grids, *args, **kwargs):
-        stacks.append((len(grids), kwargs.get("first")))
+        stacks.append((len(grids), kwargs.get("steps")))
         return real_step_slabs(space, grids, *args, **kwargs)
 
     monkeypatch.setattr(ResidualEvaluator, "residual", residual)
@@ -1025,7 +1025,7 @@ def test_tpa_stacks_the_A_residuals_and_each_pairing_family(monkeypatch):
     assert calls == [P_t, P_t * (P_t - 1) // 2]
     assert products == [1, P_t - 1, P_t - 1, (P_t - 1) * (P_t - 2) // 2,
                         P_t - 1]
-    # psi_p, longest (p = P_t) first, starts at slab (P_t - p) * nhat_p
-    assert stacks == [(1, [0]), (P_t, [0] * P_t),
-                      (P_t - 1, [(P_t - p) * nhat_p
+    # psi_p, longest (p = P_t) first, takes (p - 1) * nhat_p steps
+    assert stacks == [(1, [cfg.Nhat_t]), (P_t, [cfg.r * nhat_p] * P_t),
+                      (P_t - 1, [(p - 1) * nhat_p
                                  for p in range(P_t, 1, -1)])]

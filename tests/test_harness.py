@@ -106,6 +106,34 @@ def test_build_manufactured_rejects_degenerate():
         build_manufactured(4, 1, 2.0, qoi_lo=0.4, qoi_hi=0.4)
 
 
+def test_a_patched_manufactured_problem_is_the_one_run_experiment_solves(
+        monkeypatch):
+    # ExperimentConfig.problem builds harness.ManufacturedProblem each time
+    # it is read, so patching that name injects a test-only problem into a
+    # run; its alias build_manufactured is bound at import and no run reads
+    # it.  Doubling f, u0 and the true QoI doubles both QoIs of this linear
+    # problem and leaves the effectivity as it was
+    base = run_experiment(ExperimentConfig(**SMALL))
+    monkeypatch.setattr(harness, "build_manufactured", None)
+    assert run_experiment(ExperimentConfig(**SMALL)).row() == base.row()
+
+    class Doubled(harness.ManufacturedProblem):
+        def f(self, x, t):
+            return 2 * super().f(x, t)
+
+        def u0(self, x):
+            return 2 * super().u0(x)
+
+        def true_qoi(self):
+            return 2 * super().true_qoi()
+
+    monkeypatch.setattr(harness, "ManufacturedProblem", Doubled)
+    got = run_experiment(ExperimentConfig(**SMALL))
+    assert got.true_qoi == 2 * base.true_qoi
+    assert got.computed_qoi == pytest.approx(2 * base.computed_qoi, rel=1e-12)
+    assert got.effectivity == pytest.approx(base.effectivity, rel=1e-10)
+
+
 def test_config_validation_errors():
     with pytest.raises(ValueError):
         ExperimentConfig(Nhat_t=10, P_t=3).validate()

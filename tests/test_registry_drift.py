@@ -76,6 +76,20 @@ def test_each_straddle_sweep_validates_and_straddles_a_per_step_key(name):
             assert len(keys) == 2, keys
 
 
+def test_the_chain_sweep_has_a_chained_row_off_row_0s_per_step_key():
+    # a chained coarse row looks up the solver of its own first step; the
+    # last row's solution feeds no component, so only a non-last row whose
+    # first step keys another FormCache.per_step solver than row 0's lets
+    # the drift gate see that rule
+    base, param, values = _drift().STRADDLE_SWEEPS["straddle_chain"]
+    for config in sweep_configs(ExperimentConfig.from_mapping(base), param,
+                                values.split(",")):
+        grids = TimePartition.uniform(config.T, config.P_t, config.Nhat_t,
+                                      config.r).coarse_grids
+        keys = [round(float(g[1] - g[0]), 15) for g in grids]
+        assert any(key != keys[0] for key in keys[1:-1]), keys
+
+
 def test_cost_reports_each_sides_estimate_per_solve_and_never_fails(
         tmp_path, capsys):
     # (0.5 + 1.0 + 0.5 + 1.0) / 2.0 per row; a side whose rows carry no

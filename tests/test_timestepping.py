@@ -486,9 +486,9 @@ def test_each_chained_row_is_its_own_call_with_its_own_solver(q_t):
 
 
 @pytest.mark.parametrize("q_t", [0, 1])
-def test_a_chained_row_is_checked_against_its_own_first_step(q_t):
-    # a chain's rows are calls of their own: a row of twice the step size
-    # passes, and a row of two step sizes names itself as the column
+def test_a_chained_row_is_checked_against_row_0s_first_step(q_t):
+    # a chain is one call: a row of twice row 0's step size raises naming
+    # itself as the column, and so does a later row of two step sizes
     space = FeSpace(SpatialMesh.uniform(0.0, 1.0, 6), 2)
     ic = space.interpolate(np.sin)
 
@@ -497,11 +497,15 @@ def test_a_chained_row_is_checked_against_its_own_first_step(q_t):
         return propagate(space, grids, q_t, ic, None, FormCache(),
                          jumps=jumps)
 
-    chain([0.0, 0.1, 0.2], [0.2, 0.4, 0.6])
-    with pytest.raises(ValueError, match=r"^step n=2, t=0\.7, has size 0\.1, "
-                       r"not the call's 0\.2$") as err:
-        chain([0.0, 0.1, 0.2], [0.2, 0.3, 0.4], [0.4, 0.6, 0.7])
-    assert err.value.column == 2
+    chain([0.0, 0.1, 0.2], [0.2, 0.3, 0.4])
+    for rows, column, want in (
+            (([0.0, 0.1, 0.2], [0.2, 0.4, 0.6]), 1,
+             r"^step n=1, t=0\.4, has size 0\.2, not the call's 0\.1$"),
+            (([0.0, 0.1, 0.2], [0.2, 0.3, 0.4], [0.4, 0.5, 0.7]), 2,
+             r"^step n=2, t=0\.7, has size 0\.2, not the call's 0\.1$")):
+        with pytest.raises(ValueError, match=want) as err:
+            chain(*rows)
+        assert err.value.column == column
 
 
 @pytest.mark.parametrize("call", CALLS)
@@ -568,28 +572,21 @@ def test_stacked_cg_names_the_first_nonfinite_step():
         propagate(space, part.fine_grids, 1, ics, None, FormCache())
 
 
-def test_first_nonfinite_of_a_ragged_stack_counts_from_each_first_slab():
-    # column 1 starts at slab 2 and column 2 at slab 3, as in the
-    # auxiliary adjoints' stack: an unset slab before a column's first
-    # holds whatever the allocation left, and is neither summed nor named
+def test_first_nonfinite_of_a_ragged_stack_is_named_by_its_own_step():
+    # columns of 5, 3 and 2 steps, as in the auxiliary adjoints' stack:
+    # each starts at slab 0, its unset slabs are zeros, and a non-finite
+    # value is named by the column's own step n, which ends at grids[j, n]
     grids = np.array([np.linspace(0.0, 0.5, 6), np.linspace(0.0, 0.5, 6) - 1,
                       np.linspace(0.0, 0.5, 6) + 1])
-    coeffs, first = np.ones((3, 5, 2, 4)), [0, 2, 3]
-    coeffs[1, :2] = np.nan
-    coeffs[2, :3] = np.finfo(float).max  # would overflow a sum over all
-    timestepping._check_finite(coeffs, grids, first)
-    # slab m = 3 of column 1 is its step n = m - first[1] + 1 = 2, which
-    # ends at grids[1, m + 1]
-    coeffs[1, 3, 1, 2] = np.inf
-    coeffs[2, 4, 0, 0] = np.nan
+    coeffs = np.zeros((3, 5, 2, 4))
+    for j, steps in enumerate([5, 3, 2]):
+        coeffs[j, :steps] = 1.0
+    coeffs[2, :2] = np.finfo(float).max  # would overflow a sum over all
+    timestepping._check_finite(coeffs, grids)
+    coeffs[1, 1, 1, 2] = np.inf
+    coeffs[2, 0, 0, 0] = np.nan
     with pytest.raises(ValueError, match=r"^non-finite solution at step "
-                       r"n=2, t=-0\.6$") as err:
-        timestepping._check_finite(coeffs, grids, first)
-    assert err.value.column == 1
-    # without first, every slab is read and counted from slab 0
-    coeffs[2, :3] = 1.0
-    with pytest.raises(ValueError, match=r"^non-finite solution at step "
-                       r"n=1, t=-0\.9$") as err:
+                       r"n=2, t=-0\.8$") as err:
         timestepping._check_finite(coeffs, grids)
     assert err.value.column == 1
 
